@@ -89,10 +89,6 @@ def column_space(p, a):
     return row_space(p, transpose(a))
 
 
-def image(p, a):
-    return column_space(p, a)
-
-
 def in_span(p, basis_rows, v):
     """Whether v lies in the span of RREF rows."""
     w = list(x % p for x in v)
@@ -314,13 +310,3 @@ def minimal_polynomial(p, m):
             return poly_trim(poly)
         if len(powers) > n + 1:
             raise InvalidInput("minimal polynomial search exceeded dimension")
-
-
-def evaluate_poly(p, f, m):
-    n = len(m)
-    out = zero(n)
-    for c in reversed(f):
-        out = mat_mul(p, out, m)
-        if c:
-            out = add(p, out, scalar(p, c, identity(n)))
-    return out

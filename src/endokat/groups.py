@@ -314,10 +314,6 @@ def subgroup_intersect(h1: Subgroup, h2: Subgroup) -> Subgroup:
     return Subgroup.from_generators(g, kernels)
 
 
-def subgroup_contains(h: Subgroup, vec) -> bool:
-    return h.contains(vec)
-
-
 def subgroup_leq(h1: Subgroup, h2: Subgroup) -> bool:
     return h1.leq(h2)
 

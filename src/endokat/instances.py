@@ -173,10 +173,6 @@ def random_group(seed: int, max_order: int = 4096, max_rank: int = 3) -> FinAbGr
     return canonicalize_group(factors or [2])
 
 
-def random_element(group: AbelianGroup, rng: SplitMix64):
-    return tuple(rng.below(m) for m in group.moduli)
-
-
 def random_subgroup_of(h: Subgroup, rng: SplitMix64) -> Subgroup:
     """Random subgroup inside h: span of up to rank-many random members."""
     gens = []

@@ -13,7 +13,7 @@ witness instead of a wrong report.
 
 from __future__ import annotations
 
-from itertools import product as _iproduct
+from itertools import islice
 
 from . import config, fp
 from .errors import (
@@ -35,13 +35,14 @@ class MatrixAlgebra:
     flattened matrices; two algebras are equal iff their bases are.
     """
 
-    __slots__ = ("p", "n", "generators", "basis")
+    __slots__ = ("p", "n", "generators", "basis", "_commutant")
 
     def __init__(self, p, n, generators, basis):
         self.p = p
         self.n = n
         self.generators = tuple(generators)
         self.basis = tuple(basis)
+        self._commutant = None  # filled by _commutant_of
 
     @property
     def dim(self):
@@ -72,19 +73,12 @@ class MatrixAlgebra:
         return all(other.contains(b) for b in self.basis)
 
     def elements(self, cap=None):
-        """All p**dim elements, deterministically ordered by coefficient
-        tuple.  Errors above the cap; never truncates."""
+        """All p**dim elements, in the order of :func:`_combinations`.
+        Errors above the cap; never truncates."""
         cap = config.CLOSURE_CAP if cap is None else cap
         if self.size > cap:
             raise CapExceeded(f"algebra closure of size {self.size} above cap {cap}")
-        out = []
-        for coeffs in _iproduct(*(range(self.p) for _ in range(self.dim))):
-            m = fp.zero(self.n)
-            for c, b in zip(coeffs, self.basis):
-                if c:
-                    m = fp.add(self.p, m, fp.scalar(self.p, c, b))
-            out.append(m)
-        return out
+        return list(_combinations(self.p, self.basis, fp.zero(self.n)))
 
     def is_commutative(self):
         for i, a in enumerate(self.basis):
@@ -94,6 +88,52 @@ class MatrixAlgebra:
         return True
 
 
+def _combinations(p, basis, zero):
+    """Every F_p-combination of the matrices in ``basis``, starting with
+    ``zero``, in lexicographic order of the coefficient tuple (c_0 most
+    significant).  Witnesses, intertwiners and transporters are the first
+    hit in this order, so it is part of every output.
+
+    The next tuple raises one digit c_j by one and wraps every later digit
+    from p - 1 to 0; mod p both add the basis element once, so each step is
+    one addition of the suffix sum b_j + ... + b_last.
+    """
+    d = len(basis)
+    suffix = list(basis)
+    for j in range(d - 2, -1, -1):
+        suffix[j] = fp.add(p, basis[j], suffix[j + 1])
+    coeffs = [0] * d
+    m = zero
+    yield m
+    while True:
+        j = d - 1
+        while j >= 0 and coeffs[j] == p - 1:
+            coeffs[j] = 0
+            j -= 1
+        if j < 0:
+            return
+        coeffs[j] += 1
+        m = fp.add(p, m, suffix[j])
+        yield m
+
+
+def _combine(p, n, basis, coeffs):
+    """The single combination sum c_i b_i."""
+    m = fp.zero(n)
+    for c, b in zip(coeffs, basis):
+        if c:
+            m = fp.add(p, m, fp.scalar(p, c, b))
+    return m
+
+
+def _nullspace(p, rows, width):
+    """fp.nullspace, with every vector of the given width solving an empty
+    system."""
+    if not rows:
+        return [tuple(int(s == t) for t in range(width)) for s in range(width)]
+    return fp.nullspace(p, rows)
+
+
 def _span_basis(p, mats):
     rows = [fp.flatten(m) for m in mats]
     red = fp.row_space(p, rows)
@@ -101,17 +141,10 @@ def _span_basis(p, mats):
     return tuple(fp.unflatten(v, n) for v in red)
 
 
-def algebra_closure(generators, p=None, n=None, cap=None, materialize=False):
-    """Unital closure of the generators under +, -, and product.
-
-    The linear basis is saturated under products (cheap, bounded by n^2);
-    with ``materialize=True`` the full element list is demanded to fit under
-    ``cap`` (p**dim elements), else :class:`CapExceeded` is raised.
-    """
-    cap = config.CLOSURE_CAP if cap is None else cap
+def algebra_closure(generators, p, n):
+    """Unital closure of the generators under +, -, and product: the linear
+    basis saturated under products (cheap, bounded by n^2)."""
     generators = tuple(generators)
-    if p is None or n is None:
-        raise InvalidInput("algebra_closure needs p and n")
     if n == 0:
         raise InvalidInput("zero-dimensional space has no unital matrix algebra here")
     mats = [fp.identity(n)] + [fp.mat(g, p) for g in generators]
@@ -128,35 +161,40 @@ def algebra_closure(generators, p=None, n=None, cap=None, materialize=False):
         if not fresh:
             break
         basis = list(_span_basis(p, basis + fresh))
-    alg = MatrixAlgebra(p, n, generators, _span_basis(p, basis))
-    if materialize and alg.size > cap:
-        raise CapExceeded(f"algebra closure of size {alg.size} above cap {cap}")
-    return alg
+    return MatrixAlgebra(p, n, generators, _span_basis(p, basis))
 
 
-def centralizer(mats, p=None, n=None) -> MatrixAlgebra:
+def _intertwiners(p, k, pairs):
+    """Flattened k x k matrices X with B X = X A for every (A, B) in pairs,
+    as the basis fp.nullspace returns."""
+    rows = []
+    for a, b in pairs:
+        for i in range(k):
+            for j in range(k):
+                row = [0] * (k * k)
+                for t in range(k):
+                    row[t * k + j] = (row[t * k + j] + b[i][t]) % p
+                for t in range(k):
+                    row[i * k + t] = (row[i * k + t] - a[t][j]) % p
+                rows.append(tuple(row))
+    return _nullspace(p, rows, k * k)
+
+
+def centralizer(mats, p, n) -> MatrixAlgebra:
     """Full commutant {X : XM = MX for all M} as an algebra with canonical
     basis, by solving the linear system directly."""
-    if p is None or n is None:
-        raise InvalidInput("centralizer needs p and n")
     mats = [fp.mat(m, p) for m in mats]
-    rows = []
-    for m in mats:
-        for i in range(n):
-            for j in range(n):
-                row = [0] * (n * n)
-                for a in range(n):
-                    row[i * n + a] = (row[i * n + a] + m[a][j]) % p
-                for b in range(n):
-                    row[b * n + j] = (row[b * n + j] - m[i][b]) % p
-                rows.append(tuple(row))
-    if not rows:
-        sol = [tuple(int(t == s) for t in range(n * n)) for s in range(n * n)]
-    else:
-        sol = fp.nullspace(p, rows)
-    basis = fp.row_space(p, sol) if sol else ()
+    basis = fp.row_space(p, _intertwiners(p, n, [(m, m) for m in mats]))
     mats_basis = tuple(fp.unflatten(v, n) for v in basis)
     return MatrixAlgebra(p, n, mats_basis, mats_basis)
+
+
+def _commutant_of(alg: MatrixAlgebra) -> MatrixAlgebra:
+    """Commutant of the algebra's generators (its basis if it has none),
+    computed once per algebra object."""
+    if alg._commutant is None:
+        alg._commutant = centralizer(alg.generators or alg.basis, p=alg.p, n=alg.n)
+    return alg._commutant
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +248,10 @@ def invariant_subspace(p, n, gens, cap=None):
         kz = fp.nullspace(p, z)
         if not kz or p ** len(kz) > cap:
             continue
-        proper = None
-        for coeffs in _iproduct(*(range(p) for _ in range(len(kz)))):
-            if not any(coeffs):
-                continue
-            v = tuple(sum(c * kv[i] for c, kv in zip(coeffs, kz)) % p for i in range(n))
+        for (v,) in islice(_combinations(p, [(kv,) for kv in kz], fp.zero(1, n)), 1, None):
             w = fp.spin_subspace(p, gens, [v], n)
             if len(w) < n:
-                proper = w
-                break
-        if proper:
-            return proper
+                return w
         zt = fp.transpose(z)
         kt = fp.nullspace(p, zt)
         gt = [fp.transpose(g) for g in gens]
@@ -274,35 +305,23 @@ class Line:
     def __repr__(self):
         return f"Line(dim={self.dim}, basis={self.subspace})"
 
-    def column_basis(self):
-        return fp.transpose(self.subspace)
 
-
-def _annihilator_rows(p, subspace):
-    """Vectors y with y . v = 0 for every v in the row span of subspace."""
-    return fp.nullspace(p, subspace)
+def _into_equations(alg: MatrixAlgebra, subspace):
+    """Rows over the coefficients of alg.basis saying that the combination
+    maps into span(subspace): y . (X e_j) = 0 for every annihilator y of the
+    subspace and every column j."""
+    p, n = alg.p, alg.n
+    return [
+        tuple(sum(y[i] * b[i][j] for i in range(n)) % p for b in alg.basis)
+        for y in fp.nullspace(p, subspace)
+        for j in range(n)
+    ]
 
 
 def _left_ideal_into(alg: MatrixAlgebra, subspace):
     """Basis of {X in alg : im X <= span(subspace)} as algebra elements."""
-    p, n = alg.p, alg.n
-    ann_rows = _annihilator_rows(p, subspace)
-    d = alg.dim
-    eqs = []
-    for y in ann_rows:
-        for j in range(n):
-            eqs.append(tuple(sum(y[i] * alg.basis[t][i][j] for i in range(n)) % p for t in range(d)))
-    sol = fp.nullspace(p, eqs) if eqs else [tuple(int(i == t) for i in range(d)) for t in range(d)]
-    out = [_combine(p, n, alg.basis, coeffs) for coeffs in sol]
-    return _span_basis(p, out) if out else ()
-
-
-def _combine(p, n, basis, coeffs):
-    m = fp.zero(n)
-    for c, b in zip(coeffs, basis):
-        if c:
-            m = fp.add(p, m, fp.scalar(p, c, b))
-    return m
+    sol = _nullspace(alg.p, _into_equations(alg, subspace), alg.dim)
+    return _span_basis(alg.p, [_combine(alg.p, alg.n, alg.basis, coeffs) for coeffs in sol])
 
 
 def _minimal_image(alg: MatrixAlgebra, cap):
@@ -352,17 +371,11 @@ def _minimal_image(alg: MatrixAlgebra, cap):
         ideal = _left_ideal_into(alg, u)
         if p ** len(ideal) > cap:
             raise Inconclusive("image-minimality refinement above the closure cap")
-        improved = False
-        for coeffs in _iproduct(*(range(p) for _ in range(len(ideal)))):
-            m = _combine(p, n, ideal, coeffs)
-            r = fp.rank(p, m)
-            if 0 < r < len(u):
-                best = m
-                u = fp.column_space(p, m)
-                improved = True
-                break
-        if not improved:
+        smaller = next((m for m in _combinations(p, ideal, fp.zero(n)) if 0 < fp.rank(p, m) < len(u)), None)
+        if smaller is None:
             return best, u
+        best = smaller
+        u = fp.column_space(p, best)
 
 
 def lines(alg: MatrixAlgebra, cap=None):
@@ -404,7 +417,7 @@ def lines(alg: MatrixAlgebra, cap=None):
     indep = []
     span_rows = []
     for vec, b in rest:
-        if not fp.in_span(p, fp.row_space(p, span_rows) if span_rows else (), vec):
+        if not fp.in_span(p, fp.row_space(p, span_rows), vec):
             indep.append((vec, b))
             span_rows.append(vec)
     if p ** len(indep) > cap:
@@ -413,13 +426,9 @@ def lines(alg: MatrixAlgebra, cap=None):
     if pi_u is None:
         raise Inconclusive("no idempotent onto the minimal image outside the cap")
     found = {}
-    for coeffs in _iproduct(*(range(p) for _ in range(len(indep)))):
-        phi = fp.zero(n, k)
-        w = fp.zero(n)
-        for c, (vec, b) in zip(coeffs, indep):
-            if c:
-                phi = fp.add(p, phi, fp.scalar(p, c, fp.unflatten(vec, n, k)))
-                w = fp.add(p, w, fp.scalar(p, c, b))
+    phis = _combinations(p, [fp.unflatten(vec, n, k) for vec, _ in indep], fp.zero(n, k))
+    ws = _combinations(p, [b for _, b in indep], fp.zero(n))
+    for phi, w in zip(phis, ws):
         if fp.rank(p, phi) == k:
             u2 = fp.column_space(p, phi)
             if u2 not in found:
@@ -438,18 +447,9 @@ def _projection_into(alg: MatrixAlgebra, subspace):
     bcols = fp.transpose(subspace)
     k = len(subspace)
     d = alg.dim
-    ann_rows = _annihilator_rows(p, subspace)
-    eqs = []
-    rhs = []
-    for i in range(n):
-        for j in range(k):
-            eqs.append(tuple(fp.mul(p, b, bcols)[i][j] for b in alg.basis))
-            rhs.append(bcols[i][j])
-    for y in ann_rows:
-        for j in range(n):
-            eqs.append(tuple(sum(y[i] * b[i][j] for i in range(n)) % p for b in alg.basis))
-            rhs.append(0)
-    aug = [row + (r,) for row, r in zip(eqs, rhs)]
+    images = [fp.mul(p, b, bcols) for b in alg.basis]
+    aug = [tuple(im[i][j] for im in images) + (bcols[i][j],) for i in range(n) for j in range(k)]
+    aug += [row + (0,) for row in _into_equations(alg, subspace)]
     red, piv = fp.rref(p, aug)
     coeffs = [0] * d
     for row, pc in zip(red, piv):
@@ -462,11 +462,11 @@ def _projection_into(alg: MatrixAlgebra, subspace):
 def projection_onto_line(line: Line, galg: MatrixAlgebra, dalg: MatrixAlgebra):
     """Idempotent in galg with image the line, commuting with dalg.
 
-    Requires galg to be the full commutant of dalg (checked); failure to
-    solve signals that hypothesis broke down.
+    Requires galg to be the full commutant of dalg (checked, once per dalg
+    object); failure to solve signals that hypothesis broke down.
     """
     p = galg.p
-    if centralizer(dalg.generators or dalg.basis, p=p, n=galg.n) != galg:
+    if _commutant_of(dalg) != galg:
         raise HypothesisViolation("first algebra is not the commutant of the second")
     pi = _projection_into(galg, line.subspace)
     if pi is None:
@@ -551,17 +551,16 @@ def decompose(galg: MatrixAlgebra, dalg: MatrixAlgebra, cap=None) -> Decompositi
     return dec
 
 
-def _restricted(p, line_basis, m):
-    """Coordinates of m restricted to the line (requires m to preserve it)."""
-    bcols = fp.transpose(line_basis)
-    k = len(line_basis)
-    mb = fp.mul(p, m, bcols)
+def _restricted(p, m, src, dst):
+    """Coordinates of m as a map from the line src to the line dst (both
+    given by basis rows); src == dst restricts m to one line."""
+    mb = fp.mul(p, m, fp.transpose(src))
+    b2 = fp.transpose(dst)
     cols = []
-    for j in range(k):
-        target = tuple(mb[i][j] for i in range(len(mb)))
-        sol = fp.solve(p, bcols, target)
+    for j in range(len(src)):
+        sol = fp.solve(p, b2, tuple(row[j] for row in mb))
         if sol is None:
-            raise InvalidInput("matrix does not preserve the line")
+            raise InvalidInput("matrix does not map the line into the target line")
         cols.append(sol)
     return fp.transpose(cols)
 
@@ -580,58 +579,39 @@ def _coordinate_map(p, line_basis):
     return tuple(rows)
 
 
-def _delta_iso(l1: Line, l2: Line, dalg: MatrixAlgebra, prefer_identity=True):
+def _delta_iso(l1: Line, l2: Line, dalg: MatrixAlgebra):
     """Invertible map of line coordinates intertwining the restricted action
-    of dalg; None if only zero intertwines."""
+    of dalg: the identity when l1 == l2, else the first one in walk order;
+    None if only singular maps intertwine."""
     p = dalg.p
     k = l1.dim
     if l2.dim != k:
         return None
-    r1 = [_restricted(p, l1.subspace, d) for d in (dalg.generators or dalg.basis)]
-    r2 = [_restricted(p, l2.subspace, d) for d in (dalg.generators or dalg.basis)]
-    if prefer_identity and l1.subspace == l2.subspace:
-        if all(a == b for a, b in zip(r1, r2)):
-            return fp.identity(k)
-    rows = []
-    for a, b in zip(r1, r2):
-        # unknown phi (k x k): b phi - phi a = 0
-        for i in range(k):
-            for j in range(k):
-                row = [0] * (k * k)
-                for t in range(k):
-                    row[t * k + j] = (row[t * k + j] + b[i][t]) % p
-                for t in range(k):
-                    row[i * k + t] = (row[i * k + t] - a[t][j]) % p
-                rows.append(tuple(row))
-    sols = fp.nullspace(p, rows) if rows else [tuple(int(x == y) for x in range(k * k)) for y in range(k * k)]
+    # restricting before the l1 == l2 shortcut keeps the InvalidInput for a
+    # dalg that does not preserve the lines
+    pairs = [
+        (_restricted(p, d, l1.subspace, l1.subspace), _restricted(p, d, l2.subspace, l2.subspace))
+        for d in (dalg.generators or dalg.basis)
+    ]
+    if l1.subspace == l2.subspace:
+        return fp.identity(k)
+    sols = [fp.unflatten(s, k) for s in _intertwiners(p, k, pairs)]
     if p ** len(sols) > config.CLOSURE_CAP:
         raise CapExceeded("intertwiner space too large to sweep")
-    for coeffs in _iproduct(*(range(p) for _ in range(len(sols)))):
-        if not any(coeffs):
-            continue
-        v = [0] * (k * k)
-        for c, s in zip(coeffs, sols):
-            if c:
-                for i in range(k * k):
-                    v[i] = (v[i] + c * s[i]) % p
-        phi = fp.unflatten(tuple(v), k)
+    for phi in islice(_combinations(p, sols, fp.zero(k)), 1, None):
         if fp.is_invertible(p, phi):
             return phi
     return None
 
 
-def transporter(l1: Line, l2: Line, galg: MatrixAlgebra, dalg: MatrixAlgebra, phi=None):
-    """Invertible element of galg mapping l1 onto l2 and intertwining dalg.
-
-    ``phi`` optionally fixes the induced coordinate map l1 -> l2; by default
-    the first invertible intertwiner is used (the identity when l1 == l2).
-    """
+def transporter(l1: Line, l2: Line, galg: MatrixAlgebra, dalg: MatrixAlgebra):
+    """Invertible element of galg mapping l1 onto l2 and intertwining dalg;
+    it induces the coordinate map :func:`_delta_iso` picks."""
     p, n = galg.p, galg.n
     k = l1.dim
+    phi = _delta_iso(l1, l2, dalg)
     if phi is None:
-        phi = _delta_iso(l1, l2, dalg)
-        if phi is None:
-            raise NoTransporter("no invertible intertwiner between the lines")
+        raise NoTransporter("no invertible intertwiner between the lines")
     b1 = fp.transpose(l1.subspace)
     b2 = fp.transpose(l2.subspace)
     k1 = _coordinate_map(p, l1.subspace)
@@ -666,8 +646,8 @@ def lift_endomorphism(phi, line: Line, dec: Decomposition, galg: MatrixAlgebra, 
     sum the pieces through the idempotents."""
     p, n = galg.p, galg.n
     k = line.dim
-    dl = [_restricted(p, line.subspace, d) for d in (dalg.generators or dalg.basis)]
-    gl = [_restricted(p, line.subspace, x) for x in _left_ideal_into(galg, line.subspace)]
+    dl = [_restricted(p, d, line.subspace, line.subspace) for d in (dalg.generators or dalg.basis)]
+    gl = [_restricted(p, x, line.subspace, line.subspace) for x in _left_ideal_into(galg, line.subspace)]
     for m in dl + gl:
         if fp.mul(p, m, phi) != fp.mul(p, phi, m):
             raise NotLocallyCentral("map is not central in the restricted algebras")
@@ -677,10 +657,10 @@ def lift_endomorphism(phi, line: Line, dec: Decomposition, galg: MatrixAlgebra, 
             phi_i = phi
         else:
             gamma = transporter(line, li, galg, dalg)
-            g_i = _restricted_iso(p, line.subspace, li.subspace, gamma)
+            g_i = _restricted(p, gamma, line.subspace, li.subspace)
             phi_i = fp.mul(p, fp.mul(p, g_i, phi), fp.inverse(p, g_i))
         for x in _left_ideal_into(galg, li.subspace):
-            xr = _restricted(p, li.subspace, x)
+            xr = _restricted(p, x, li.subspace, li.subspace)
             if fp.mul(p, xr, phi_i) != fp.mul(p, phi_i, xr):
                 raise NotLocallyCentral("transported map depends on the transporter")
         bi = fp.transpose(li.subspace)
@@ -689,24 +669,9 @@ def lift_endomorphism(phi, line: Line, dec: Decomposition, galg: MatrixAlgebra, 
     for g in list(galg.generators or galg.basis) + list(dalg.generators or dalg.basis):
         if fp.mul(p, out, g) != fp.mul(p, g, out):
             raise NotLocallyCentral("lift fails to commute with the algebras")
-    if _restricted(p, line.subspace, out) != phi:
+    if _restricted(p, out, line.subspace, line.subspace) != phi:
         raise NotLocallyCentral("lift does not restrict to the given map")
     return out
-
-
-def _restricted_iso(p, sub1, sub2, gamma):
-    """Coordinates of gamma as a map from sub1 to sub2."""
-    b1 = fp.transpose(sub1)
-    b2 = fp.transpose(sub2)
-    gb = fp.mul(p, gamma, b1)
-    cols = []
-    for j in range(len(sub1)):
-        target = tuple(gb[i][j] for i in range(len(gb)))
-        sol = fp.solve(p, b2, target)
-        if sol is None:
-            raise InvalidInput("transporter image leaves the target line")
-        cols.append(sol)
-    return fp.transpose(cols)
 
 
 def is_field(alg: MatrixAlgebra, cap=None):
@@ -819,10 +784,11 @@ def _k_basis_of_v(p, n, field_basis):
 def extract_field(p, n, gamma_gens, delta_gens, cap=None) -> FieldReport:
     """Coefficient field of an irreducible commuting bi-module action.
 
-    Replaces the two generator families by mutual commutants, then either
-    certifies the base case (the commutant itself is a field and equals the
-    double commutant) or recurses into the first line of a direct
-    decomposition and lifts the local field along transporters.
+    Replaces the two generator families by mutual commutants and decomposes
+    the space into lines.  A single line is the base case: the commutant
+    itself is certified to be a field equal to the double commutant.
+    Otherwise the field of the first line is extracted recursively and
+    lifted along transporters.
     """
     cap = config.CLOSURE_CAP if cap is None else cap
     if n == 0:
@@ -831,6 +797,12 @@ def extract_field(p, n, gamma_gens, delta_gens, cap=None) -> FieldReport:
     delta_gens = [fp.mat(d, p) for d in delta_gens]
     if not gamma_gens or not delta_gens:
         raise InvalidInput("both generator families must be nonempty")
+    return _extract_field(p, n, gamma_gens, delta_gens, centralizer(delta_gens, p=p, n=n), cap)
+
+
+def _extract_field(p, n, gamma_gens, delta_gens, galg, cap):
+    """:func:`extract_field` on reduced, nonempty generator families, given
+    galg, the commutant of delta_gens."""
     for g in gamma_gens:
         for d in delta_gens:
             if fp.mul(p, g, d) != fp.mul(p, d, g):
@@ -838,45 +810,39 @@ def extract_field(p, n, gamma_gens, delta_gens, cap=None) -> FieldReport:
     w = invariant_subspace(p, n, gamma_gens + delta_gens)
     if w is not None:
         raise HypothesisViolation("bi-module action is reducible", witness=w)
-    galg = centralizer(delta_gens, p=p, n=n)
     dalg = centralizer(galg.basis, p=p, n=n)
 
-    lam = lines(galg, cap)
-    if len(lam) == 1 and lam[0].dim == n:
+    dec = decompose(galg, dalg, cap)
+    line = dec.lines[0]
+    k = line.dim
+    if k == n:
         if not is_field(galg):
             raise FieldTestFailure("commutant with no proper lines is not a field")
         if dalg.basis != galg.basis:
             raise FieldTestFailure("double commutant differs from the commutant in the base case")
-        kalg = galg
-        field_basis = kalg.basis
+        field_basis = galg.basis
     else:
-        dec = decompose(galg, dalg, cap)
-        line = dec.lines[0]
-        k = line.dim
-        sub_gamma = _left_ideal_into(galg, line.subspace)
-        gl = [_restricted(p, line.subspace, x) for x in sub_gamma]
-        dl = [_restricted(p, line.subspace, d) for d in (dalg.generators or dalg.basis)]
+        gl = [_restricted(p, x, line.subspace, line.subspace) for x in _left_ideal_into(galg, line.subspace)]
+        dl = [_restricted(p, d, line.subspace, line.subspace) for d in (dalg.generators or dalg.basis)]
         local_gamma = centralizer(dl, p=p, n=k)
-        local_gamma_span = _span_basis(p, gl) if gl else ()
+        local_gamma_span = _span_basis(p, gl)
         if local_gamma.basis != local_gamma_span:
             raise HypothesisViolation(
                 "restricted algebra is not the commutant of the restricted action",
                 witness=(local_gamma.basis, local_gamma_span),
             )
-        sub_report = extract_field(p, k, gl if gl else [fp.identity(k)], dl, cap)
-        lifted = []
-        for b in sub_report.field_basis:
-            lifted.append(lift_endomorphism(b, line, dec, galg, dalg))
+        sub_report = _extract_field(p, k, gl, dl, local_gamma, cap)
+        lifted = [lift_endomorphism(b, line, dec, galg, dalg) for b in sub_report.field_basis]
         field_basis = _span_basis(p, lifted + [fp.identity(n)])
         if len(field_basis) != len(sub_report.field_basis):
             raise FieldTestFailure("lifted field has the wrong dimension")
+        flat = [fp.flatten(x) for x in field_basis]
         for a in field_basis:
             for b in field_basis:
                 ab = fp.mul(p, a, b)
-                if not fp.in_span(p, [fp.flatten(x) for x in field_basis], fp.flatten(ab)):
+                if not fp.in_span(p, flat, fp.flatten(ab)):
                     raise FieldTestFailure("lifted span is not closed under products", element=ab)
-        kalg = MatrixAlgebra(p, n, tuple(field_basis), tuple(field_basis))
-        if not is_field(kalg):
+        if not is_field(MatrixAlgebra(p, n, field_basis, field_basis)):
             raise FieldTestFailure("lifted algebra fails the field certificate")
     kdim = len(field_basis)
     if n % kdim:

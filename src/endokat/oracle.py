@@ -72,23 +72,6 @@ def subgroup_set(h: Subgroup) -> frozenset:
     return frozenset(h.elements())
 
 
-def naive_sum(dg: DenseGroup, s1, s2):
-    g = dg.group
-    return frozenset(g.add(a, b) for a in s1 for b in s2)
-
-
-def naive_intersect(s1, s2):
-    return frozenset(s1) & frozenset(s2)
-
-
-def naive_order(s):
-    return len(s)
-
-
-def naive_membership(s, a):
-    return a in s
-
-
 def invariant_factors_from_orders(orders):
     """Reconstruct invariant factors of a finite abelian group from the
     multiset of its element orders.
@@ -160,26 +143,6 @@ def naive_quotient_factors(dg: DenseGroup, f_set) -> list:
 
 # ---------------------------------------------------------------------------
 # Dense relations: frozensets of (a, b) pairs.
-
-
-def graph_set_from_pairs(src: AbelianGroup, tgt: AbelianGroup, pairs, cap=None):
-    cap = config.ORACLE_CAP if cap is None else cap
-    if src.order * tgt.order > cap * cap:
-        raise CapExceeded("product group too large for the oracle")
-    zero = (src.zero, tgt.zero)
-    have = {zero}
-    gens = [(src.reduce(a), tgt.reduce(b)) for a, b in pairs]
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for (a1, b1) in frontier:
-            for (a2, b2) in gens:
-                c = (src.add(a1, a2), tgt.add(b1, b2))
-                if c not in have:
-                    have.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(have)
 
 
 def graph_set(e) -> frozenset:

@@ -56,6 +56,23 @@ def test_algebra_closure_examples(m2, f4, scal2):
         algebra_closure([], p=2, n=0)
 
 
+def test_elements_walk_order(m2):
+    """elements()[i] is the combination whose coefficients are the base-p
+    digits of i, most significant first; witnesses and transporters are
+    first hits in this order."""
+    f27 = algebra_closure([fp.companion(3, fp.lex_min_irreducible(3, 3))], p=3, n=3)
+    for alg in (m2, f27):
+        p, d = alg.p, alg.dim
+        elems = alg.elements()
+        assert len(elems) == p**d
+        for i, m in enumerate(elems):
+            digits = [(i // p ** (d - 1 - j)) % p for j in range(d)]
+            want = fp.zero(alg.n)
+            for c, b in zip(digits, alg.basis):
+                want = fp.add(p, want, fp.scalar(p, c, b))
+            assert m == want
+
+
 def test_centralizer_examples(m2, f4):
     c = centralizer(m2.basis, p=2, n=2)
     assert c.dim == 1  # scalars only
@@ -175,12 +192,21 @@ def test_is_field(m2, f4, scal2):
     assert is_field(f8) and f8.dim == 3
 
 
+def _assert_joint_commutant(rep, inst):
+    """Schur's lemma: the joint commutant of an irreducible action is the
+    coefficient field, so the constructed field must equal it."""
+    gens = list(inst["gamma_generators"]) + list(inst["delta_generators"])
+    assert rep.field_algebra().basis == centralizer(gens, p=rep.p, n=rep.n).basis
+
+
 def test_extract_field_ground_truths():
-    for p, k, m, seed in [(2, 1, 2, 0), (2, 2, 1, 0), (3, 1, 2, 5), (2, 1, 3, 11)]:
+    cases = [(2, 1, 2, 0), (2, 2, 1, 0), (3, 1, 2, 5), (2, 1, 3, 11), (3, 3, 2, 0), (2, 4, 2, 0)]
+    for p, k, m, seed in cases:
         inst = matrix_bimodule(p, k, m, seed)
         rep = extract_field(p, k * m, inst["gamma_generators"], inst["delta_generators"])
         assert rep.order == p**k and rep.vs_dimension == m
         rep.verify(inst["gamma_generators"], inst["delta_generators"])
+        _assert_joint_commutant(rep, inst)
 
 
 def test_extract_field_twisted_quartic():
@@ -189,6 +215,7 @@ def test_extract_field_twisted_quartic():
         rep = extract_field(2, 4, inst["gamma_generators"], inst["delta_generators"])
         assert rep.order == 4 and rep.vs_dimension == 2
         rep.verify(inst["gamma_generators"], inst["delta_generators"])
+        _assert_joint_commutant(rep, inst)
 
 
 def test_extract_field_basis_change_equivariance():
