@@ -1,8 +1,9 @@
 """Build script for the optional compiled kernel.
 
 The package works without the extension (a pure-Python fallback is selected
-at import time); building it makes the audit and acceptance workloads roughly
-an order of magnitude faster.  Set ENDOKAT_SKIP_EXT=1 to force a pure build.
+at import time).  The compiled primitives are several times faster, but end to
+end the benchmark workloads gain only 1.1-2.5x (see README.md).  Set
+ENDOKAT_SKIP_EXT=1 to force a pure build.
 """
 
 import os

@@ -26,6 +26,9 @@ def hnf_kernel(mods, cols, nbottom, bottom_mod):
     reduced into [0, pivot)), and ``kernels`` lists the carried blocks of the
     columns whose lattice part vanished, i.e. generators of
     ``{x : cols * x == 0 mod diag(mods)}`` pushed through the carried block.
+    The package itself passes ``nbottom == 0`` (see
+    ``groups.Subgroup.pushforward``); the carried block is kept as the
+    reference that the tests compare it with.
     """
     r = len(mods)
     nb = nbottom

@@ -25,6 +25,7 @@ from .endogeny import (
     fully_invariant,
     global_kat,
     induced_action,
+    orbit_closure,
     preceq,
     restrict,
     sharp_commutes,
@@ -311,16 +312,6 @@ def _run_sharp(desc, use_oracle):
     return checks, vs, notes
 
 
-def _orbit_closure(b, endos):
-    while True:
-        nxt = b
-        for e in endos:
-            nxt = nxt | e.apply_set(b)
-        if nxt == b:
-            return b
-        b = nxt
-
-
 def _run_invariance(desc, use_oracle):
     fam = _sharp_family(desc)
     if fam is None:
@@ -337,16 +328,16 @@ def _run_invariance(desc, use_oracle):
             vs.append(_v(law, desc, data or {}))
 
     b0 = random_subgroup_of(Subgroup.full(g), rng)
-    b = _orbit_closure(b0 | gamma.kat(), [gamma])
+    b = orbit_closure(b0 | gamma.kat(), [gamma])
     chk("setup_weakly_invariant", weakly_invariant(b, gamma))
     chk("invariance_lemma", weakly_invariant(d1.apply_set(b), gamma))
-    b1 = _orbit_closure(random_subgroup_of(Subgroup.full(g), rng), [gamma])
+    b1 = orbit_closure(random_subgroup_of(Subgroup.full(g), rng), [gamma])
     chk("weak_sum_closed", weakly_invariant(b | b1, gamma))
     chk("kat_weakly_invariant", weakly_invariant(gamma.kat(), d1))
     gm = Endogeny.from_morphism(morph0, bound)
     if sharp_commutes(gm, d1):
         chk("morphism_kernel_fully_invariant", fully_invariant(d1.ker(), gm))
-    bb = _orbit_closure(b, [gamma, d1])
+    bb = orbit_closure(b, [gamma, d1])
     if weakly_invariant(bb, gamma) and weakly_invariant(bb, d1):
         try:
             from .groups import subgroup_isomorphism

@@ -16,9 +16,6 @@ CLOSURE_CAP = 20_000
 # Brute-force enumeration bound for the reference oracle.
 ORACLE_CAP = 4096
 
-# Exhaustive bi-module minimality search bound on the ambient order.
-MINIMALITY_CAP = 4096
-
 # Vector-exhaustive spin-up is complete up to this many vectors.
 SPIN_EXHAUSTIVE_CAP = 2**16
 

@@ -14,19 +14,8 @@ import math
 
 from . import linearize
 from .errors import AmbientMismatch, CapExceeded, Inconclusive, InvalidInput
-from .groups import AbelianGroup, FinAbGroup, Subgroup
+from .groups import AbelianGroup, FinAbGroup, Subgroup, _prime_factorization
 from .endogeny import Endogeny, EndogenySet, NegligibilityBound
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class SplitGroup:
@@ -36,7 +25,7 @@ class SplitGroup:
     __slots__ = ("p", "n", "torsion", "ambient", "bound")
 
     def __init__(self, p, n, torsion: FinAbGroup):
-        if not _is_prime(p):
+        if _prime_factorization(p) != {p: 1}:
             raise InvalidInput(f"{p} is not prime")
         if n < 0:
             raise InvalidInput("negative rank")

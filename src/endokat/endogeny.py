@@ -15,10 +15,7 @@ restriction, and the global katakernel of a generated closure all live here.
 
 from __future__ import annotations
 
-import math
-
 from . import config
-from ._kernel import hnf_kernel
 from .errors import (
     AmbientMismatch,
     CapExceeded,
@@ -202,16 +199,6 @@ class Endogeny:
     def is_morphism(self):
         return self.kat().is_trivial
 
-    def to_homomorphism(self) -> Homomorphism:
-        if not self.is_morphism():
-            raise InvalidInput("relation has a nontrivial blur")
-        r1 = self.source.rank
-        rows = [
-            tuple(self.graph.basis[r1 + i][j] for j in range(r1))
-            for i in range(self.target.rank)
-        ]
-        return Homomorphism(self.source, self.target, rows, _trusted=True)
-
     # -- evaluation -----------------------------------------------------------
 
     def apply(self, a) -> Coset:
@@ -231,35 +218,18 @@ class Endogeny:
         """Image of a subgroup of the source."""
         if s.group != self.source:
             raise AmbientMismatch("subgroup not in the source group")
-        src, tgt = self.source, self.target
-        r1, r2 = src.rank, tgt.rank
-        bm = math.lcm(src.exponent, tgt.exponent)
-        cols = []
-        for j in range(r1 + r2):
-            col = [self.graph.basis[i][j] for i in range(r1)]
-            bottom = [self.graph.basis[r1 + i][j] for i in range(r2)]
-            cols.append(col + bottom)
-        for col in s.gen_columns():
-            cols.append([-x for x in col] + [0] * r2)
-        _, kernels = hnf_kernel(src.moduli, cols, r2, bm)
-        return Subgroup.from_generators(tgt, kernels)
+        cols = self.graph.gen_columns()
+        cols += [s.group.neg(col) + self.target.zero for col in s.gen_columns()]
+        return Subgroup.pushforward(self.target, self.source.moduli, cols)
 
     def preimage(self, s: Subgroup) -> Subgroup:
         """Inverse image of a subgroup of the target."""
         if s.group != self.target:
             raise AmbientMismatch("subgroup not in the target group")
-        src, tgt = self.source, self.target
-        r1, r2 = src.rank, tgt.rank
-        bm = math.lcm(src.exponent, tgt.exponent)
-        cols = []
-        for j in range(r1 + r2):
-            col = [self.graph.basis[r1 + i][j] for i in range(r2)]
-            bottom = [self.graph.basis[i][j] for i in range(r1)]
-            cols.append(col + bottom)
-        for col in s.gen_columns():
-            cols.append([-x for x in col] + [0] * r1)
-        _, kernels = hnf_kernel(tgt.moduli, cols, r1, bm)
-        return Subgroup.from_generators(src, kernels)
+        r1 = self.source.rank
+        cols = [col[r1:] + col[:r1] for col in self.graph.gen_columns()]
+        cols += [s.group.neg(col) + self.source.zero for col in s.gen_columns()]
+        return Subgroup.pushforward(self.source, self.target.moduli, cols)
 
     # -- operator sugar ---------------------------------------------------------
 
@@ -293,21 +263,16 @@ def _check_parallel(g1: Endogeny, g2: Endogeny):
 
 
 def _raw_add(g1: Endogeny, g2: Endogeny) -> Subgroup:
-    src, tgt = g1.source, g1.target
-    r1, r2 = src.rank, tgt.rank
-    prod = product_group(src, tgt)
-    bm = math.lcm(src.exponent, tgt.exponent)
-    cols = []
-    for j in range(r1 + r2):
-        top = [g1.graph.basis[i][j] for i in range(r1)]
-        bottom = top + [g1.graph.basis[r1 + i][j] for i in range(r2)]
-        cols.append(top + bottom)
-    for j in range(r1 + r2):
-        top = [-g2.graph.basis[i][j] for i in range(r1)]
-        bottom = [0] * r1 + [g2.graph.basis[r1 + i][j] for i in range(r2)]
-        cols.append(top + bottom)
-    _, kernels = hnf_kernel(src.moduli, cols, r1 + r2, bm)
-    return Subgroup.from_generators(prod, kernels)
+    """Graph of the pointwise sum: pairs (a, b1 + b2) with (a, b1) in g1
+    and (a, b2) in g2."""
+    src = g1.source
+    r1 = src.rank
+    cols = [col[:r1] + col for col in g1.graph.gen_columns()]
+    cols += [
+        src.neg(col[:r1]) + src.zero + col[r1:]
+        for col in g2.graph.gen_columns()
+    ]
+    return Subgroup.pushforward(g1.graph.group, src.moduli, cols)
 
 
 def endo_add(g1: Endogeny, g2: Endogeny, *, unchecked=False) -> Endogeny:
@@ -338,20 +303,14 @@ def endo_compose(g1: Endogeny, g2: Endogeny, *, unchecked=False) -> Endogeny:
     if g2.target != g1.source:
         raise AmbientMismatch("inner target differs from outer source")
     src, mid, tgt = g2.source, g2.target, g1.target
-    ra, rb, rc = src.rank, mid.rank, tgt.rank
-    prod = product_group(src, tgt)
-    bm = math.lcm(src.exponent, mid.exponent, tgt.exponent)
-    cols = []
-    for j in range(ra + rb):
-        top = [g2.graph.basis[ra + i][j] for i in range(rb)]
-        bottom = [g2.graph.basis[i][j] for i in range(ra)] + [0] * rc
-        cols.append(top + bottom)
-    for j in range(rb + rc):
-        top = [-g1.graph.basis[i][j] for i in range(rb)]
-        bottom = [0] * ra + [g1.graph.basis[rb + i][j] for i in range(rc)]
-        cols.append(top + bottom)
-    _, kernels = hnf_kernel(mid.moduli, cols, ra + rc, bm)
-    graph = Subgroup.from_generators(prod, kernels)
+    ra, rb = src.rank, mid.rank
+    # pairs (a, c) with (a, b) in g2 and (b, c) in g1
+    cols = [col[ra:] + col[:ra] + tgt.zero for col in g2.graph.gen_columns()]
+    cols += [
+        mid.neg(col[:rb]) + src.zero + col[rb:]
+        for col in g1.graph.gen_columns()
+    ]
+    graph = Subgroup.pushforward(product_group(src, tgt), mid.moduli, cols)
     out = Endogeny(src, tgt, graph, g1.bound, _checked=True)
     if not unchecked and not g1.bound.is_negligible(out.kat()):
         raise KatakernelBound("katakernel of the composite exceeds the bound")
@@ -419,25 +378,16 @@ def restrict(g: Endogeny, b: Subgroup) -> Endogeny:
         raise NotWeaklyInvariant("subgroup is not weakly invariant")
     amb = g.source
     r = amb.rank
+    prod = g.graph.group
     bq, to_b, _ = subgroup_isomorphism(b)
-    bm = amb.exponent
-    cols = []
-    for j in range(2 * r):
-        col = [g.graph.basis[i][j] for i in range(2 * r)]
-        cols.append(col + col)
-    bb = []
+    # the part of the graph inside b x b
+    cols = [col + col for col in g.graph.gen_columns()]
     for col in b.gen_columns():
-        bb.append(list(col) + [0] * r)
-        bb.append([0] * r + list(col))
-    for col in bb:
-        cols.append([-x for x in col] + [0] * (2 * r))
-    prod_mods = amb.moduli + amb.moduli
-    _, kernels = hnf_kernel(prod_mods, cols, 2 * r, bm)
-    pairs = []
-    for vec in kernels:
-        v1 = amb.reduce(vec[:r])
-        v2 = amb.reduce(vec[r:])
-        pairs.append((to_b(v1), to_b(v2)))
+        neg = amb.neg(col)
+        cols.append(neg + amb.zero + prod.zero)
+        cols.append(amb.zero + neg + prod.zero)
+    inside = Subgroup.pushforward(prod, prod.moduli, cols)
+    pairs = [(to_b(vec[:r]), to_b(vec[r:])) for vec in inside.gen_columns()]
     nb = Subgroup.from_generators(bq, [to_b(c) for c in (g.bound.n_max & b).gen_columns()])
     bound_b = NegligibilityBound(bq, nb)
     return Endogeny.from_pairs(bq, bq, pairs, bound_b)
@@ -507,23 +457,28 @@ def prering_closure(gens: EndogenySet, cap: int | None = None) -> EndogenySet:
     return EndogenySet(amb, bound, members.values())
 
 
+def orbit_closure(b: Subgroup, endos) -> Subgroup:
+    """The least subgroup containing ``b`` and stable under the image map of
+    every endogeny in ``endos``."""
+    while True:
+        nxt = b
+        for e in endos:
+            nxt = nxt | e.apply_set(b)
+        if nxt == b:
+            return b
+        b = nxt
+
+
 def global_kat(gens: EndogenySet) -> Subgroup:
     """Katakernel of the prering generated by ``gens``: the least subgroup
     containing every generator's katakernel and stable under every
     generator's image map.  The fixpoint is justified by the katakernel
     identities for sums and composites, so the closure itself is never
     enumerated."""
-    amb = gens.ambient
-    k = Subgroup.trivial(amb)
+    k = Subgroup.trivial(gens.ambient)
     for g in gens:
         k = k | g.kat()
-    while True:
-        nxt = k
-        for g in gens:
-            nxt = nxt | g.apply_set(k)
-        if nxt == k:
-            break
-        k = nxt
+    k = orbit_closure(k, gens)
     if not gens.bound.is_negligible(k):
         raise KatakernelBound("global katakernel exceeds the bound")
     return k

@@ -183,8 +183,9 @@ class Subgroup:
     """Canonical subgroup of an :class:`AbelianGroup`.
 
     ``basis`` is the lattice basis described in the module docstring, as a
-    tuple of row tuples.  Construct through :meth:`from_generators` (or the
-    ``subgroup_*`` module functions); the raw constructor trusts its input.
+    tuple of row tuples.  Construct through :meth:`from_generators`,
+    :meth:`pushforward` or the ``subgroup_*`` module functions; the raw
+    constructor trusts its input.
     """
 
     __slots__ = ("group", "basis", "_order")
@@ -201,6 +202,24 @@ class Subgroup:
             cols.append(list(group.reduce(g)))
         h, _ = hnf_kernel(group.moduli, cols, 0, 1)
         return cls(group, h)
+
+    @classmethod
+    def pushforward(cls, carried, lattice_mods, cols):
+        """The subgroup of ``carried`` formed by the trailing blocks of the
+        integer combinations of ``cols`` whose leading block vanishes mod
+        ``lattice_mods``.
+
+        Each column is a leading block of length ``len(lattice_mods)``
+        followed by a trailing block of length ``carried.rank``.  Every
+        kernel, image, preimage, sum and composite of relations is such a
+        question, answered by one Hermite form: the bottom-right block of the
+        lower-triangular basis of span(cols) + diag(lattice_mods,
+        carried.moduli) spans its intersection with 0 x Z^carried.rank, in
+        canonical form.
+        """
+        r = len(lattice_mods)
+        h, _ = hnf_kernel(tuple(lattice_mods) + carried.moduli, cols, 0, 1)
+        return cls(carried, tuple(row[r:] for row in h[r:]))
 
     @classmethod
     def trivial(cls, group):
@@ -303,15 +322,9 @@ def subgroup_sum(h1: Subgroup, h2: Subgroup) -> Subgroup:
 def subgroup_intersect(h1: Subgroup, h2: Subgroup) -> Subgroup:
     _check_same_ambient(h1.group, h2.group)
     g = h1.group
-    r = g.rank
-    bm = g.exponent
-    cols = []
-    for col in h1.gen_columns():
-        cols.append(list(col) + list(col))
-    for col in h2.gen_columns():
-        cols.append([-x for x in col] + [0] * r)
-    _, kernels = hnf_kernel(g.moduli, cols, r, bm)
-    return Subgroup.from_generators(g, kernels)
+    cols = [col + col for col in h1.gen_columns()]
+    cols += [g.neg(col) + g.zero for col in h2.gen_columns()]
+    return Subgroup.pushforward(g, g.moduli, cols)
 
 
 def subgroup_leq(h1: Subgroup, h2: Subgroup) -> bool:
@@ -416,15 +429,12 @@ class Homomorphism:
         return Subgroup.from_generators(self.target, cols)
 
     def kernel(self) -> Subgroup:
-        src, tgt = self.source, self.target
-        bm = math.lcm(src.exponent, tgt.exponent)
-        cols = []
-        for j in range(src.rank):
-            top = [row[j] for row in self.matrix]
-            bottom = [int(i == j) for i in range(src.rank)]
-            cols.append(top + bottom)
-        _, kernels = hnf_kernel(tgt.moduli, cols, src.rank, bm)
-        return Subgroup.from_generators(src, kernels)
+        src = self.source
+        cols = [
+            tuple(row[j] for row in self.matrix) + e
+            for j, e in enumerate(src.generators())
+        ]
+        return Subgroup.pushforward(src, self.target.moduli, cols)
 
     def is_surjective(self):
         return self.image().is_full
@@ -551,16 +561,7 @@ def subgroup_isomorphism(h: Subgroup):
     q = FinAbGroup([diag[i] for i in kept])
 
     def to_q(vec):
-        w = list(g.reduce(vec))
-        x = [0] * r
-        for i in range(r):
-            qq, rem = divmod(w[i], basis[i][i])
-            if rem:
-                raise InvalidInput("vector not in subgroup")
-            x[i] = qq
-            if qq:
-                for k in range(i + 1, r):
-                    w[k] = (w[k] - qq * basis[k][i]) % g.moduli[k]
+        x = solve_lower(g.reduce(vec))
         return q.reduce([sum(u[i][k] * x[k] for k in range(r)) for i in kept])
 
     def from_q(zvec):

@@ -27,6 +27,7 @@ from .groups import (
     FinAbGroup,
     Homomorphism,
     Subgroup,
+    _prime_factorization,
     canonicalize_group,
     quotient,
     subgroup_from_generators,
@@ -94,18 +95,8 @@ def all_abelian_groups(max_order: int):
     canonical form, ordered by (order, invariant factors)."""
     out = []
     for n in range(1, max_order + 1):
-        fact = {}
-        m = n
-        d = 2
-        while d * d <= m:
-            while m % d == 0:
-                fact[d] = fact.get(d, 0) + 1
-                m //= d
-            d += 1
-        if m > 1:
-            fact[m] = fact.get(m, 0) + 1
         shapes = [()]
-        for p, e in sorted(fact.items()):
+        for p, e in sorted(_prime_factorization(n).items()):
             shapes = [
                 s + tuple(p**part for part in parts)
                 for s in shapes

@@ -640,37 +640,51 @@ def transporter(l1: Line, l2: Line, galg: MatrixAlgebra, dalg: MatrixAlgebra):
     return gamma
 
 
-def lift_endomorphism(phi, line: Line, dec: Decomposition, galg: MatrixAlgebra, dalg: MatrixAlgebra):
-    """Extend a map that is central in both restricted algebras on one line
-    to the whole space: transport it to every line of the decomposition and
-    sum the pieces through the idempotents."""
+def lift_endomorphism(phis, line: Line, dec: Decomposition, galg: MatrixAlgebra, dalg: MatrixAlgebra):
+    """Extend maps that are central in both restricted algebras on one line
+    to the whole space: transport each to every line of the decomposition
+    and sum the pieces through the idempotents.  Returns the lifts in the
+    order of ``phis``; each transporter is built once for all of them."""
     p, n = galg.p, galg.n
-    k = line.dim
+
+    def restricted_ideal(sub):
+        return [_restricted(p, x, sub, sub) for x in _left_ideal_into(galg, sub)]
+
     dl = [_restricted(p, d, line.subspace, line.subspace) for d in (dalg.generators or dalg.basis)]
-    gl = [_restricted(p, x, line.subspace, line.subspace) for x in _left_ideal_into(galg, line.subspace)]
-    for m in dl + gl:
-        if fp.mul(p, m, phi) != fp.mul(p, phi, m):
-            raise NotLocallyCentral("map is not central in the restricted algebras")
-    out = fp.zero(n)
+    gl = restricted_ideal(line.subspace)
+    for phi in phis:
+        for m in dl + gl:
+            if fp.mul(p, m, phi) != fp.mul(p, phi, m):
+                raise NotLocallyCentral("map is not central in the restricted algebras")
+    # per line: its restricted left ideal, the transporter from ``line`` and
+    # its inverse in line coordinates (None on ``line`` itself), and the
+    # outer factors of the piece
+    pieces = []
     for li, pi in zip(dec.lines, dec.projections):
         if li.subspace == line.subspace:
-            phi_i = phi
+            xl, move = gl, None
         else:
-            gamma = transporter(line, li, galg, dalg)
-            g_i = _restricted(p, gamma, line.subspace, li.subspace)
-            phi_i = fp.mul(p, fp.mul(p, g_i, phi), fp.inverse(p, g_i))
-        for x in _left_ideal_into(galg, li.subspace):
-            xr = _restricted(p, x, li.subspace, li.subspace)
-            if fp.mul(p, xr, phi_i) != fp.mul(p, phi_i, xr):
-                raise NotLocallyCentral("transported map depends on the transporter")
-        bi = fp.transpose(li.subspace)
-        ki = _coordinate_map(p, li.subspace)
-        out = fp.add(p, out, fp.mul(p, fp.mul(p, bi, phi_i), fp.mul(p, ki, pi)))
-    for g in list(galg.generators or galg.basis) + list(dalg.generators or dalg.basis):
-        if fp.mul(p, out, g) != fp.mul(p, g, out):
-            raise NotLocallyCentral("lift fails to commute with the algebras")
-    if _restricted(p, out, line.subspace, line.subspace) != phi:
-        raise NotLocallyCentral("lift does not restrict to the given map")
+            xl = restricted_ideal(li.subspace)
+            t = _restricted(p, transporter(line, li, galg, dalg), line.subspace, li.subspace)
+            move = (t, fp.inverse(p, t))
+        kpi = fp.mul(p, _coordinate_map(p, li.subspace), pi)
+        pieces.append((xl, move, fp.transpose(li.subspace), kpi))
+    commuting = list(galg.generators or galg.basis) + list(dalg.generators or dalg.basis)
+    out = []
+    for phi in phis:
+        hat = fp.zero(n)
+        for xl, move, bi, kpi in pieces:
+            phi_i = phi if move is None else fp.mul(p, fp.mul(p, move[0], phi), move[1])
+            for xr in xl:
+                if fp.mul(p, xr, phi_i) != fp.mul(p, phi_i, xr):
+                    raise NotLocallyCentral("transported map depends on the transporter")
+            hat = fp.add(p, hat, fp.mul(p, fp.mul(p, bi, phi_i), kpi))
+        for g in commuting:
+            if fp.mul(p, hat, g) != fp.mul(p, g, hat):
+                raise NotLocallyCentral("lift fails to commute with the algebras")
+        if _restricted(p, hat, line.subspace, line.subspace) != phi:
+            raise NotLocallyCentral("lift does not restrict to the given map")
+        out.append(hat)
     return out
 
 
@@ -832,7 +846,7 @@ def _extract_field(p, n, gamma_gens, delta_gens, galg, cap):
                 witness=(local_gamma.basis, local_gamma_span),
             )
         sub_report = _extract_field(p, k, gl, dl, local_gamma, cap)
-        lifted = [lift_endomorphism(b, line, dec, galg, dalg) for b in sub_report.field_basis]
+        lifted = lift_endomorphism(sub_report.field_basis, line, dec, galg, dalg)
         field_basis = _span_basis(p, lifted + [fp.identity(n)])
         if len(field_basis) != len(sub_report.field_basis):
             raise FieldTestFailure("lifted field has the wrong dimension")

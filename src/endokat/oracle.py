@@ -12,7 +12,7 @@ from itertools import product as _iproduct
 
 from . import config
 from .errors import CapExceeded
-from .groups import AbelianGroup, Homomorphism, Subgroup, canonicalize_group
+from .groups import AbelianGroup, Homomorphism, Subgroup, _prime_factorization, canonicalize_group
 
 
 def _guard(group, cap):
@@ -80,20 +80,8 @@ def invariant_factors_from_orders(orders):
     conjugate of the partition of p-exponents; zipping the prime-power
     columns back together gives the chain.
     """
-    n = len(orders)
-    primes = set()
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.add(m)
     prime_powers = []
-    for p in sorted(primes):
+    for p in sorted(_prime_factorization(len(orders))):
         # e_j = log_p #{x : p^j x = 0}; the increments of e_j form the
         # conjugate of the partition of p-exponents.
         exps = []
@@ -101,13 +89,11 @@ def invariant_factors_from_orders(orders):
         prev = 0
         while True:
             nj = sum(1 for o in orders if p**j % o == 0)
-            ej = nj.bit_length() - 1 if p == 2 else 0
-            if p != 2:
-                ej = 0
-                t = nj
-                while t > 1:
-                    t //= p
-                    ej += 1
+            ej = 0
+            t = nj
+            while t > 1:
+                t //= p
+                ej += 1
             if ej == prev:
                 break
             exps.append(ej - prev)

@@ -1,11 +1,13 @@
 """Abelian-core: canonical forms, subgroup lattice, quotients, sums."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from endokat import oracle
+from endokat._kernel import hnf_kernel
 from endokat.errors import AmbientMismatch, InvalidInput
 from endokat.groups import (
+    AbelianGroup,
     FinAbGroup,
     Homomorphism,
     Subgroup,
@@ -193,6 +195,32 @@ def test_quotient_projection_is_homomorphism(mods, seed):
             assert proj(g.add(x, y)) == q.add(proj(x), proj(y))
     assert proj.kernel() == f
     assert proj.is_surjective()
+
+
+PUSH_MODULI = st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), min_size=0, max_size=3)
+
+
+@st.composite
+def pushforward_inputs(draw):
+    lattice_mods = draw(PUSH_MODULI)
+    carried = AbelianGroup(draw(PUSH_MODULI))
+    width = len(lattice_mods) + carried.rank
+    cols = draw(st.lists(st.lists(st.integers(-40, 40), min_size=width, max_size=width), max_size=6))
+    return carried, lattice_mods, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(pushforward_inputs())
+@example((AbelianGroup([4, 6]), [2, 3], []))
+@example((AbelianGroup([2, 4]), [], [[1, 2], [3, 3]]))
+@example((AbelianGroup([]), [4], [[2]]))
+def test_pushforward_matches_carried_kernel(data):
+    """One Hermite form answers what the kernel's carried block followed by
+    a second canonicalisation answers."""
+    carried, lattice_mods, cols = data
+    _, kernels = hnf_kernel(lattice_mods, [list(c) for c in cols], carried.rank, carried.exponent)
+    expected = Subgroup.from_generators(carried, kernels)
+    assert Subgroup.pushforward(carried, lattice_mods, cols) == expected
 
 
 def test_subgroup_isomorphism_roundtrip(z2z4):

@@ -170,7 +170,7 @@ def test_lift(m2, scal2):
     dec = decompose(m2, scal2)
     line = dec.lines[0]
     one = fp.identity(1)
-    hat = lift_endomorphism(one, line, dec, m2, scal2)
+    hat, = lift_endomorphism([one], line, dec, m2, scal2)
     assert hat == fp.identity(2)
     # scalar lifts to the global scalar
     inst = matrix_bimodule(3, 1, 2, 3)
@@ -178,7 +178,8 @@ def test_lift(m2, scal2):
     dalg = centralizer(galg.basis, p=3, n=2)
     dec3 = decompose(galg, dalg)
     two = fp.mat([[2]], 3)
-    hat3 = lift_endomorphism(two, dec3.lines[0], dec3, galg, dalg)
+    hat1, hat3 = lift_endomorphism([fp.identity(1), two], dec3.lines[0], dec3, galg, dalg)
+    assert hat1 == fp.identity(2)
     assert hat3 == fp.scalar(3, 2, fp.identity(2))
 
 
