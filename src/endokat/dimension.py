@@ -67,21 +67,20 @@ class SplitGroup:
     def _embed_v(self, v):
         return tuple(v) + (0,) * self.torsion.rank
 
+    def _scaled(self, h: Subgroup, k) -> Subgroup:
+        """k * H: the p-part H_p for k = |T|, the T-part H_T for k = p^n."""
+        if h.group != self.ambient:
+            raise AmbientMismatch("subgroup not in this split group")
+        amb = self.ambient
+        return Subgroup._span(amb, [amb.scalar_mul(k, g) for g in h.gen_columns()])
+
     def split(self, h: Subgroup):
         """Coprime factorization H = H_p (+) H_T, by scaling generators with
         the complementary order."""
-        if h.group != self.ambient:
-            raise AmbientMismatch("subgroup not in this split group")
-        tq = self.torsion.order
-        vq = self.p**self.n
-        gens = h.gen_columns()
-        hp = Subgroup.from_generators(self.ambient, [self.ambient.scalar_mul(tq, g) for g in gens])
-        ht = Subgroup.from_generators(self.ambient, [self.ambient.scalar_mul(vq, g) for g in gens])
-        return hp, ht
+        return self.connected_component(h), self._scaled(h, self.p**self.n)
 
     def dim(self, h: Subgroup) -> int:
-        hp, _ = self.split(h)
-        order = hp.order
+        order = self.connected_component(h).order
         d = 0
         while order > 1:
             order //= self.p
@@ -89,10 +88,11 @@ class SplitGroup:
         return d
 
     def connected_component(self, h: Subgroup) -> Subgroup:
-        return self.split(h)[0]
+        """The p-part H_p."""
+        return self._scaled(h, self.torsion.order)
 
     def is_model_finite(self, h: Subgroup) -> bool:
-        return self.split(h)[0].is_trivial
+        return self.connected_component(h).is_trivial
 
     def strictly_bigger(self, h1: Subgroup, h2: Subgroup) -> bool:
         """h1 >> h2: containment with a genuine dimension drop."""
@@ -113,11 +113,8 @@ class SplitGroup:
     def connectedness_lemma_check(self, g: Endogeny, b: Subgroup) -> bool:
         """image of the connected part = connected part of the image plus
         the blur."""
-        bp, _ = self.split(b)
-        lhs = g.apply_set(bp)
-        img = g.apply_set(b)
-        imgp, _ = self.split(img)
-        rhs = imgp | g.kat()
+        lhs = g.apply_set(self.connected_component(b))
+        rhs = self.connected_component(g.apply_set(b)) | g.kat()
         return lhs == rhs
 
     def v_action_matrix(self, g: Endogeny):

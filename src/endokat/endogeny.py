@@ -73,10 +73,11 @@ class NegligibilityBound:
 
 
 def _cross_right(src: AbelianGroup, tgt: AbelianGroup, f: Subgroup) -> Subgroup:
-    """{0} x F inside the product group."""
-    prod = product_group(src, tgt)
-    gens = [(0,) * src.rank + col for col in f.gen_columns()]
-    return Subgroup.from_generators(prod, gens)
+    """{0} x F inside the product group: the block-diagonal basis
+    diag(src.moduli) (+) F.basis, already canonical."""
+    top = tuple(row + (0,) * tgt.rank for row in Subgroup.trivial(src).basis)
+    bottom = tuple((0,) * src.rank + tuple(row) for row in f.basis)
+    return Subgroup(product_group(src, tgt), top + bottom)
 
 
 class Endogeny:
@@ -187,7 +188,7 @@ class Endogeny:
                 tuple(self.graph.basis[r1 + i][j] for i in range(r2))
                 for j in range(r1 + r2)
             ]
-            self._im = Subgroup.from_generators(self.target, cols)
+            self._im = Subgroup._span(self.target, cols)
         return self._im
 
     def ker(self) -> Subgroup:
@@ -294,7 +295,7 @@ def endo_neg(g: Endogeny) -> Endogeny:
         col = [g.graph.basis[i][j] for i in range(r1)]
         col += [-g.graph.basis[r1 + i][j] for i in range(tgt.rank)]
         gens.append(col)
-    graph = Subgroup.from_generators(prod, gens)
+    graph = Subgroup._span(prod, gens)
     return Endogeny(src, tgt, graph, g.bound, _checked=True)
 
 

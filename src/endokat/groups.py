@@ -6,6 +6,13 @@ unique lattice L with ``diag(d) Z^r <= L <= Z^r``, stored as the canonical
 column Hermite basis (lower triangular, positive diagonal, entries left of a
 pivot reduced into ``[0, pivot)``).  Equal subgroups therefore have equal
 basis matrices, and all lattice arithmetic reduces to the kernel primitive.
+
+Each pivot h_jj divides d_j and each entry below a pivot lies in
+``[0, h_kk)``, so every basis column is already a reduced group element; a
+column with h_jj == d_j is exactly d_j e_j, zero in the group.  A subgroup's
+generators are therefore read off its basis without reduction, once per
+subgroup, and the trivial and full subgroups, sums with a trivial or equal
+operand and block-diagonal products are written down without a kernel call.
 """
 
 from __future__ import annotations
@@ -188,18 +195,22 @@ class Subgroup:
     constructor trusts its input.
     """
 
-    __slots__ = ("group", "basis", "_order")
+    __slots__ = ("group", "basis", "_order", "_cols")
 
     def __init__(self, group, basis):
         self.group = group
         self.basis = basis
         self._order = None
+        self._cols = None
 
     @classmethod
     def from_generators(cls, group, gens):
-        cols = []
-        for g in gens:
-            cols.append(list(group.reduce(g)))
+        return cls._span(group, [group.reduce(g) for g in gens])
+
+    @classmethod
+    def _span(cls, group, cols):
+        """:meth:`from_generators` on integer columns of the right length,
+        unvalidated: the kernel reduces them itself."""
         h, _ = hnf_kernel(group.moduli, cols, 0, 1)
         return cls(group, h)
 
@@ -223,11 +234,15 @@ class Subgroup:
 
     @classmethod
     def trivial(cls, group):
-        return cls.from_generators(group, [])
+        """Basis diag(moduli): the relation lattice itself."""
+        r = group.rank
+        return cls(group, tuple(tuple(d * (i == j) for j in range(r)) for i, d in enumerate(group.moduli)))
 
     @classmethod
     def full(cls, group):
-        return cls.from_generators(group, group.generators())
+        """Basis the identity: all of Z^r."""
+        r = group.rank
+        return cls(group, tuple(tuple(int(i == j) for j in range(r)) for i in range(r)))
 
     # -- value semantics ----------------------------------------------------
 
@@ -277,15 +292,13 @@ class Subgroup:
         return all(other.contains(col) for col in self.gen_columns())
 
     def gen_columns(self):
-        """Canonical generators: the basis columns as reduced group elements
-        (relation-only columns reduce to zero and are dropped)."""
-        r = self.group.rank
-        out = []
-        for j in range(r):
-            col = self.group.reduce(tuple(self.basis[i][j] for i in range(r)))
-            if any(col):
-                out.append(col)
-        return out
+        """Canonical generators: the basis columns, already reduced, without
+        the relation-only columns d_j e_j.  Computed once; each call returns
+        a fresh list that the caller may extend."""
+        if self._cols is None:
+            b, mods = self.basis, self.group.moduli
+            self._cols = tuple(col for j, col in enumerate(zip(*b)) if b[j][j] != mods[j])
+        return list(self._cols)
 
     def elements(self):
         """Iterate all elements (order-many, no duplicates)."""
@@ -316,7 +329,12 @@ def subgroup_from_generators(group, gens) -> Subgroup:
 
 def subgroup_sum(h1: Subgroup, h2: Subgroup) -> Subgroup:
     _check_same_ambient(h1.group, h2.group)
-    return Subgroup.from_generators(h1.group, h1.gen_columns() + h2.gen_columns())
+    cols1, cols2 = h1.gen_columns(), h2.gen_columns()
+    if not cols2 or h1.basis == h2.basis:
+        return h1
+    if not cols1:
+        return h2
+    return Subgroup._span(h1.group, cols1 + cols2)
 
 
 def subgroup_intersect(h1: Subgroup, h2: Subgroup) -> Subgroup:
@@ -426,7 +444,7 @@ class Homomorphism:
 
     def image(self) -> Subgroup:
         cols = [tuple(row[j] for row in self.matrix) for j in range(self.source.rank)]
-        return Subgroup.from_generators(self.target, cols)
+        return Subgroup._span(self.target, cols)
 
     def kernel(self) -> Subgroup:
         src = self.source

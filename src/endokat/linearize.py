@@ -324,6 +324,11 @@ def _left_ideal_into(alg: MatrixAlgebra, subspace):
     return _span_basis(alg.p, [_combine(alg.p, alg.n, alg.basis, coeffs) for coeffs in sol])
 
 
+def _restricted_ideal(alg: MatrixAlgebra, subspace):
+    """The left ideal of maps into ``subspace``, restricted to it."""
+    return [_restricted(alg.p, x, subspace, subspace) for x in _left_ideal_into(alg, subspace)]
+
+
 def _minimal_image(alg: MatrixAlgebra, cap):
     """One inclusion-minimal nonzero image subspace with a witness, via
     left-ideal refinement.  Minimality is certified by full enumeration of
@@ -640,18 +645,15 @@ def transporter(l1: Line, l2: Line, galg: MatrixAlgebra, dalg: MatrixAlgebra):
     return gamma
 
 
-def lift_endomorphism(phis, line: Line, dec: Decomposition, galg: MatrixAlgebra, dalg: MatrixAlgebra):
+def lift_endomorphism(phis, line: Line, dec: Decomposition, galg: MatrixAlgebra, dalg: MatrixAlgebra, gl):
     """Extend maps that are central in both restricted algebras on one line
     to the whole space: transport each to every line of the decomposition
-    and sum the pieces through the idempotents.  Returns the lifts in the
-    order of ``phis``; each transporter is built once for all of them."""
+    and sum the pieces through the idempotents.  ``gl`` is the restricted
+    left ideal of ``line`` in galg (:func:`_restricted_ideal`), which the
+    caller has already built.  Returns the lifts in the order of ``phis``;
+    each transporter is built once for all of them."""
     p, n = galg.p, galg.n
-
-    def restricted_ideal(sub):
-        return [_restricted(p, x, sub, sub) for x in _left_ideal_into(galg, sub)]
-
     dl = [_restricted(p, d, line.subspace, line.subspace) for d in (dalg.generators or dalg.basis)]
-    gl = restricted_ideal(line.subspace)
     for phi in phis:
         for m in dl + gl:
             if fp.mul(p, m, phi) != fp.mul(p, phi, m):
@@ -664,7 +666,7 @@ def lift_endomorphism(phis, line: Line, dec: Decomposition, galg: MatrixAlgebra,
         if li.subspace == line.subspace:
             xl, move = gl, None
         else:
-            xl = restricted_ideal(li.subspace)
+            xl = _restricted_ideal(galg, li.subspace)
             t = _restricted(p, transporter(line, li, galg, dalg), line.subspace, li.subspace)
             move = (t, fp.inverse(p, t))
         kpi = fp.mul(p, _coordinate_map(p, li.subspace), pi)
@@ -836,7 +838,7 @@ def _extract_field(p, n, gamma_gens, delta_gens, galg, cap):
             raise FieldTestFailure("double commutant differs from the commutant in the base case")
         field_basis = galg.basis
     else:
-        gl = [_restricted(p, x, line.subspace, line.subspace) for x in _left_ideal_into(galg, line.subspace)]
+        gl = _restricted_ideal(galg, line.subspace)
         dl = [_restricted(p, d, line.subspace, line.subspace) for d in (dalg.generators or dalg.basis)]
         local_gamma = centralizer(dl, p=p, n=k)
         local_gamma_span = _span_basis(p, gl)
@@ -846,7 +848,7 @@ def _extract_field(p, n, gamma_gens, delta_gens, galg, cap):
                 witness=(local_gamma.basis, local_gamma_span),
             )
         sub_report = _extract_field(p, k, gl, dl, local_gamma, cap)
-        lifted = lift_endomorphism(sub_report.field_basis, line, dec, galg, dalg)
+        lifted = lift_endomorphism(sub_report.field_basis, line, dec, galg, dalg, gl)
         field_basis = _span_basis(p, lifted + [fp.identity(n)])
         if len(field_basis) != len(sub_report.field_basis):
             raise FieldTestFailure("lifted field has the wrong dimension")

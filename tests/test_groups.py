@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from endokat import oracle
+from endokat import groups, oracle
 from endokat._kernel import hnf_kernel
+from endokat.dimension import SplitGroup
+from endokat.endogeny import _cross_right
 from endokat.errors import AmbientMismatch, InvalidInput
 from endokat.groups import (
     AbelianGroup,
@@ -14,6 +16,7 @@ from endokat.groups import (
     all_subgroups,
     canonicalize_group,
     direct_sum,
+    product_group,
     quotient,
     subgroup_from_generators,
     subgroup_index,
@@ -195,6 +198,97 @@ def test_quotient_projection_is_homomorphism(mods, seed):
             assert proj(g.add(x, y)) == q.add(proj(x), proj(y))
     assert proj.kernel() == f
     assert proj.is_surjective()
+
+
+# SMALL_GROUPS in canonical form, plus a coordinate product with a modulus-1
+# coordinate, whose basis column is e_j = d_j e_j and zero in the group.
+GROUPS = st.one_of(
+    SMALL_GROUPS.map(lambda mods: canonicalize_group(list(mods))),
+    st.just(AbelianGroup([2, 1, 4])),
+)
+
+
+@st.composite
+def subgroups_of(draw, g):
+    elem = st.tuples(*(st.integers(0, m - 1) for m in g.moduli))
+    return subgroup_from_generators(g, draw(st.lists(elem, max_size=3)))
+
+
+@st.composite
+def subgroup_pairs(draw):
+    g = draw(GROUPS)
+    return draw(subgroups_of(g)), draw(subgroups_of(g))
+
+
+def _reduced_columns(h):
+    """gen_columns by definition: every basis column reduced into the group,
+    zero columns dropped."""
+    r = h.group.rank
+    cols = [h.group.reduce(tuple(h.basis[i][j] for i in range(r))) for j in range(r)]
+    return [c for c in cols if any(c)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(subgroup_pairs())
+def test_gen_columns_are_the_reduced_basis_columns(pair):
+    a, b = pair
+    for h in (a, a & b, a | b):
+        expected = _reduced_columns(h)
+        cols = h.gen_columns()
+        assert cols == expected
+        cols.append(h.group.zero)
+        cols[:1] = []
+        assert h.gen_columns() == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(GROUPS)
+def test_trivial_and_full_are_canonical(g):
+    assert Subgroup.trivial(g) == subgroup_from_generators(g, [])
+    assert Subgroup.full(g) == subgroup_from_generators(g, g.generators())
+
+
+@settings(max_examples=60, deadline=None)
+@given(subgroup_pairs())
+def test_sum_matches_span_of_both_generator_sets(pair):
+    a, b = pair
+    g = a.group
+    triv = Subgroup.trivial(g)
+    same = subgroup_from_generators(g, a.gen_columns())
+    for x, y in ((a, b), (a, triv), (triv, a), (triv, triv), (a, a), (a, same)):
+        assert subgroup_sum(x, y) == subgroup_from_generators(g, x.gen_columns() + y.gen_columns())
+
+
+@settings(max_examples=40, deadline=None)
+@given(GROUPS, GROUPS.flatmap(subgroups_of))
+def test_cross_right_matches_generator_route(src, f):
+    expected = subgroup_from_generators(
+        product_group(src, f.group), [(0,) * src.rank + col for col in f.gen_columns()]
+    )
+    assert _cross_right(src, f.group, f) == expected
+
+
+def test_known_answers_skip_the_kernel(monkeypatch):
+    g = canonicalize_group([2, 4])
+    h = subgroup_from_generators(g, [(1, 2)])
+    same = subgroup_from_generators(g, [(1, 2)])
+    sg = SplitGroup(2, 2, canonicalize_group([3]))
+    hs = subgroup_from_generators(sg.ambient, [(1, 0, 1), (0, 1, 2)])
+
+    def refuse(*args):
+        raise AssertionError("unexpected hnf_kernel call")
+
+    monkeypatch.setattr(groups, "hnf_kernel", refuse)
+    triv, full = Subgroup.trivial(g), Subgroup.full(g)
+    assert h.gen_columns() == [(1, 2)]
+    assert subgroup_sum(h, triv) is h and subgroup_sum(triv, h) is h
+    assert subgroup_sum(h, same) is h
+    assert subgroup_sum(full, full) is full
+    assert _cross_right(g, g, h).order == h.order
+    calls = []
+    monkeypatch.setattr(groups, "hnf_kernel", lambda *args: calls.append(args) or hnf_kernel(*args))
+    assert sg.dim(hs) == 2
+    assert len(calls) == 1
 
 
 PUSH_MODULI = st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), min_size=0, max_size=3)

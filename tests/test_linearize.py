@@ -8,6 +8,7 @@ from endokat.errors import CapExceeded, HypothesisViolation, InvalidInput
 from endokat.instances import matrix_bimodule, _random_invertible
 from endokat.linearize import (
     Line,
+    _restricted_ideal,
     algebra_closure,
     centralizer,
     common_invariant_subspace,
@@ -170,7 +171,7 @@ def test_lift(m2, scal2):
     dec = decompose(m2, scal2)
     line = dec.lines[0]
     one = fp.identity(1)
-    hat, = lift_endomorphism([one], line, dec, m2, scal2)
+    hat, = lift_endomorphism([one], line, dec, m2, scal2, _restricted_ideal(m2, line.subspace))
     assert hat == fp.identity(2)
     # scalar lifts to the global scalar
     inst = matrix_bimodule(3, 1, 2, 3)
@@ -178,7 +179,9 @@ def test_lift(m2, scal2):
     dalg = centralizer(galg.basis, p=3, n=2)
     dec3 = decompose(galg, dalg)
     two = fp.mat([[2]], 3)
-    hat1, hat3 = lift_endomorphism([fp.identity(1), two], dec3.lines[0], dec3, galg, dalg)
+    line3 = dec3.lines[0]
+    gl3 = _restricted_ideal(galg, line3.subspace)
+    hat1, hat3 = lift_endomorphism([fp.identity(1), two], line3, dec3, galg, dalg, gl3)
     assert hat1 == fp.identity(2)
     assert hat3 == fp.scalar(3, 2, fp.identity(2))
 
