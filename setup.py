@@ -1,25 +1,16 @@
 """Build script for the optional compiled kernel.
 
-The package works without the extension (a pure-Python fallback is selected
-at import time).  The compiled primitives are several times faster, but end to
-end the benchmark workloads gain only 1.1-2.5x (see README.md).  Set
-ENDOKAT_SKIP_EXT=1 to force a pure build.
+The extension is built from the committed ``src/endokat/_kernel/_core.c``
+with the C compiler alone; Cython is not needed.  ``_core.c`` is Cython's
+output for ``_core.pyx``: whenever ``_core.pyx`` changes, rerun
+``cython -3 src/endokat/_kernel/_core.pyx`` and commit the new ``_core.c``.
+
+The extension is optional: without a C compiler the build goes on and the
+package runs on its pure-Python fallback, which ``ENDOKAT_PURE=1`` also
+forces at run time.  End to end the compiled kernel runs the benchmark
+workloads 1.1-2.8x faster (see README.md).
 """
 
-import os
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-ext_modules = []
-if not os.environ.get("ENDOKAT_SKIP_EXT"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            ["src/endokat/_kernel/_core.pyx"],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("endokat._kernel._core", ["src/endokat/_kernel/_core.c"], optional=True)])

@@ -89,7 +89,7 @@ def hnf_kernel(mods, cols, nbottom, bottom_mod):
                 for k in range(i + 1, r):
                     pj[k] = (pj[k] - q * pi[k]) % mods[k]
 
-    H = tuple(tuple(pivots[j][i] for j in range(r)) for i in range(r))
+    H = tuple(zip(*pivots))[:r]
     kernels = []
     if nb:
         for c in work:

@@ -484,7 +484,13 @@ def run_suite(suite, descriptors, use_oracle=False, workers=None):
     results = [None] * len(descriptors)
     jobs = [(suite, i, d, use_oracle) for i, d in enumerate(descriptors)]
     if workers > 1 and len(descriptors) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # workers start from the parent's caps, not from their import-time
+        # defaults, so spawn/forkserver pools check what a serial run checks
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=config.set_caps,
+            initargs=(config.caps(),),
+        ) as pool:
             for idx, res in pool.map(_pool_entry, jobs):
                 results[idx] = res
     else:

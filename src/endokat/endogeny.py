@@ -112,8 +112,8 @@ class Endogeny:
     @classmethod
     def from_pairs(cls, source, target, pairs, bound):
         prod = product_group(source, target)
-        gens = [tuple(source.reduce(a)) + tuple(target.reduce(b)) for a, b in pairs]
-        graph = Subgroup.from_generators(prod, gens)
+        gens = [source.reduce(a) + target.reduce(b) for a, b in pairs]
+        graph = Subgroup._span(prod, gens)
         return cls(source, target, graph, bound)
 
     @classmethod
@@ -420,11 +420,12 @@ class EndogenySet:
         return f"EndogenySet({len(self.elements)} on {list(self.ambient.moduli)})"
 
 
-def prering_closure(gens: EndogenySet, cap: int | None = None) -> EndogenySet:
+def prering_closure(gens: EndogenySet) -> EndogenySet:
     """Closure of the generators (plus 0, 1, -1) under sum, negation, and
-    composition.  Raises :class:`CapExceeded` past ``cap`` elements and
-    propagates :class:`KatakernelBound` if the closure escapes the bound."""
-    cap = config.CLOSURE_CAP if cap is None else cap
+    composition.  Raises :class:`CapExceeded` past ``config.CLOSURE_CAP``
+    elements and propagates :class:`KatakernelBound` if the closure escapes
+    the bound."""
+    cap = config.CLOSURE_CAP
     amb, bound = gens.ambient, gens.bound
     seed = [
         Endogeny.zero(amb, bound),

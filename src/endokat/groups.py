@@ -592,15 +592,14 @@ def subgroup_isomorphism(h: Subgroup):
     return q, to_q, from_q
 
 
-def all_subgroups(group: AbelianGroup, cap: int | None = None):
+def all_subgroups(group: AbelianGroup):
     """Every subgroup, by closing the lattice under single-element extension.
 
-    Exhaustive and correct for any finite abelian group; guarded by the
-    oracle cap since it enumerates elements.
+    Exhaustive and correct for any finite abelian group; guarded by
+    ``config.ORACLE_CAP`` since it enumerates elements.
     """
-    cap = config.ORACLE_CAP if cap is None else cap
-    if group.order > cap:
-        raise CapExceeded(f"group order {group.order} above cap {cap}")
+    if group.order > config.ORACLE_CAP:
+        raise CapExceeded(f"group order {group.order} above cap {config.ORACLE_CAP}")
     elems = [group.reduce(e) for e in group.elements()]
     triv = Subgroup.trivial(group)
     seen = {triv.basis: triv}

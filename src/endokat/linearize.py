@@ -72,10 +72,9 @@ class MatrixAlgebra:
     def leq(self, other):
         return all(other.contains(b) for b in self.basis)
 
-    def elements(self, cap=None):
+    def elements(self, cap):
         """All p**dim elements, in the order of :func:`_combinations`.
-        Errors above the cap; never truncates."""
-        cap = config.CLOSURE_CAP if cap is None else cap
+        Errors above ``cap``; never truncates."""
         if self.size > cap:
             raise CapExceeded(f"algebra closure of size {self.size} above cap {cap}")
         return list(_combinations(self.p, self.basis, fp.zero(self.n)))
@@ -201,16 +200,17 @@ def _commutant_of(alg: MatrixAlgebra) -> MatrixAlgebra:
 # Invariant subspaces.
 
 
-def invariant_subspace(p, n, gens, cap=None):
+def invariant_subspace(p, n, gens):
     """A nonzero proper subspace stable under every generator, or None.
 
-    For p**n up to the cap the search spins up every 1-dimensional seed and
-    is therefore complete.  Above the cap, a deterministic seed set plus
-    kernel seeds of singular elements is tried, backed by a null-space
-    certificate; if neither a witness nor a certificate is found the search
-    reports :class:`Inconclusive` rather than guessing.
+    For p**n up to ``config.SPIN_EXHAUSTIVE_CAP`` the search spins up every
+    1-dimensional seed and is therefore complete.  Above the cap, a
+    deterministic seed set plus kernel seeds of singular elements is tried,
+    backed by a null-space certificate; if neither a witness nor a
+    certificate is found the search reports :class:`Inconclusive` rather than
+    guessing.
     """
-    cap = config.SPIN_EXHAUSTIVE_CAP if cap is None else cap
+    cap = config.SPIN_EXHAUSTIVE_CAP
     gens = [fp.mat(g, p) for g in gens]
     if n <= 1:
         return None
@@ -264,18 +264,16 @@ def invariant_subspace(p, n, gens, cap=None):
     raise Inconclusive("invariant-subspace search capped without certificate")
 
 
-def is_irreducible(alg: MatrixAlgebra, cap=None):
+def is_irreducible(alg: MatrixAlgebra):
     """(verdict, witness): witness is a proper invariant subspace if any."""
-    cap = config.SPIN_EXHAUSTIVE_CAP if cap is None else cap
-    w = invariant_subspace(alg.p, alg.n, alg.generators or alg.basis, cap)
+    w = invariant_subspace(alg.p, alg.n, alg.generators or alg.basis)
     return (w is None), w
 
 
-def common_invariant_subspace(galg: MatrixAlgebra, dalg: MatrixAlgebra, cap=None):
+def common_invariant_subspace(galg: MatrixAlgebra, dalg: MatrixAlgebra):
     """A subspace invariant under both algebras, or None."""
-    cap = config.SPIN_EXHAUSTIVE_CAP if cap is None else cap
     gens = list(galg.generators or galg.basis) + list(dalg.generators or dalg.basis)
-    return invariant_subspace(galg.p, galg.n, gens, cap)
+    return invariant_subspace(galg.p, galg.n, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +327,7 @@ def _restricted_ideal(alg: MatrixAlgebra, subspace):
     return [_restricted(alg.p, x, subspace, subspace) for x in _left_ideal_into(alg, subspace)]
 
 
-def _minimal_image(alg: MatrixAlgebra, cap):
+def _minimal_image(alg: MatrixAlgebra):
     """One inclusion-minimal nonzero image subspace with a witness, via
     left-ideal refinement.  Minimality is certified by full enumeration of
     the ideal of maps into the candidate."""
@@ -351,7 +349,7 @@ def _minimal_image(alg: MatrixAlgebra, cap):
             return fp.identity(n), fp.row_space(p, fp.identity(n))
         # commutative non-field: a zero divisor exists among all elements
         if alg.size <= config.FIELD_ENUM_CAP:
-            for m in alg.elements(cap=config.FIELD_ENUM_CAP):
+            for m in alg.elements(config.FIELD_ENUM_CAP):
                 r = fp.rank(p, m)
                 if 0 < r < best_rank:
                     best, best_rank = m, r
@@ -374,7 +372,7 @@ def _minimal_image(alg: MatrixAlgebra, cap):
     u = fp.column_space(p, best)
     while True:
         ideal = _left_ideal_into(alg, u)
-        if p ** len(ideal) > cap:
+        if p ** len(ideal) > config.CLOSURE_CAP:
             raise Inconclusive("image-minimality refinement above the closure cap")
         smaller = next((m for m in _combinations(p, ideal, fp.zero(n)) if 0 < fp.rank(p, m) < len(u)), None)
         if smaller is None:
@@ -383,17 +381,17 @@ def _minimal_image(alg: MatrixAlgebra, cap):
         u = fp.column_space(p, best)
 
 
-def lines(alg: MatrixAlgebra, cap=None):
+def lines(alg: MatrixAlgebra):
     """All minimal nonzero image subspaces, each with a witness, in
     lexicographic order of their canonical bases.
 
-    Under the cap the algebra is enumerated and the result is exact by
-    definition.  Beyond the cap one minimal image is found and certified by
-    ideal refinement and the remaining lines are enumerated through the
-    restriction space (complete in the mutual-centralizer setting the
-    pipeline verifies; see the design notes in the README).
+    Up to ``config.CLOSURE_CAP`` elements the algebra is enumerated and the
+    result is exact by definition.  Beyond the cap one minimal image is found
+    and certified by ideal refinement and the remaining lines are enumerated
+    through the restriction space (complete in the mutual-centralizer setting
+    the pipeline verifies; see the design notes in the README).
     """
-    cap = config.CLOSURE_CAP if cap is None else cap
+    cap = config.CLOSURE_CAP
     p, n = alg.p, alg.n
     if alg.size <= cap:
         found = {}
@@ -411,7 +409,7 @@ def lines(alg: MatrixAlgebra, cap=None):
         if not found:
             raise InvalidInput("zero algebra has no lines")
         return [Line(u, w) for u, w in sorted(found.items())]
-    witness, u = _minimal_image(alg, cap)
+    witness, u = _minimal_image(alg)
     k = len(u)
     if k == n:
         return [Line(u, witness)]
@@ -521,12 +519,11 @@ def _subspace_leq(p, sub1, sub2):
     return all(fp.in_span(p, sub2, v) for v in sub1)
 
 
-def decompose(galg: MatrixAlgebra, dalg: MatrixAlgebra, cap=None) -> Decomposition:
+def decompose(galg: MatrixAlgebra, dalg: MatrixAlgebra) -> Decomposition:
     """Split the space into a direct sum of lines with orthogonal
     idempotents from galg, greedily inside the running complement."""
-    cap = config.CLOSURE_CAP if cap is None else cap
     p, n = galg.p, galg.n
-    lam = lines(galg, cap)
+    lam = lines(galg)
     chosen = []
     projections = []
     rho = fp.identity(n)
@@ -690,14 +687,14 @@ def lift_endomorphism(phis, line: Line, dec: Decomposition, galg: MatrixAlgebra,
     return out
 
 
-def is_field(alg: MatrixAlgebra, cap=None):
+def is_field(alg: MatrixAlgebra):
     """Field certificate: commutative, and some element's minimal polynomial
     is irreducible of degree equal to the linear dimension.
 
-    Sweeps basis elements, then pairwise sums, then (within the cap) the
-    whole algebra; a singular nonzero element decides negatively at once.
+    Sweeps basis elements, then pairwise sums, then (up to
+    ``config.FIELD_ENUM_CAP`` elements) the whole algebra; a singular nonzero
+    element decides negatively at once.
     """
-    cap = config.FIELD_ENUM_CAP if cap is None else cap
     p, n = alg.p, alg.n
     if alg.dim == 0:
         return False
@@ -723,9 +720,9 @@ def is_field(alg: MatrixAlgebra, cap=None):
         v = verdict(m)
         if v is not None:
             return v
-    if alg.size > cap:
+    if alg.size > config.FIELD_ENUM_CAP:
         raise Inconclusive("field certificate sweep capped")
-    for m in alg.elements(cap):
+    for m in alg.elements(config.FIELD_ENUM_CAP):
         v = verdict(m)
         if v is not None:
             return v
@@ -762,7 +759,7 @@ class FieldReport:
             raise FieldTestFailure("n != k * m")
         if not alg.is_commutative():
             raise FieldTestFailure("field basis is not commutative")
-        for m in alg.elements(cap=config.FIELD_ENUM_CAP):
+        for m in alg.elements(config.FIELD_ENUM_CAP):
             if any(any(r) for r in m) and not fp.is_invertible(p, m):
                 raise FieldTestFailure("nonzero element is singular", element=m)
         for g in list(gamma_gens) + list(delta_gens):
@@ -797,7 +794,7 @@ def _k_basis_of_v(p, n, field_basis):
     return out
 
 
-def extract_field(p, n, gamma_gens, delta_gens, cap=None) -> FieldReport:
+def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
     """Coefficient field of an irreducible commuting bi-module action.
 
     Replaces the two generator families by mutual commutants and decomposes
@@ -806,17 +803,16 @@ def extract_field(p, n, gamma_gens, delta_gens, cap=None) -> FieldReport:
     Otherwise the field of the first line is extracted recursively and
     lifted along transporters.
     """
-    cap = config.CLOSURE_CAP if cap is None else cap
     if n == 0:
         raise InvalidInput("empty space")
     gamma_gens = [fp.mat(g, p) for g in gamma_gens]
     delta_gens = [fp.mat(d, p) for d in delta_gens]
     if not gamma_gens or not delta_gens:
         raise InvalidInput("both generator families must be nonempty")
-    return _extract_field(p, n, gamma_gens, delta_gens, centralizer(delta_gens, p=p, n=n), cap)
+    return _extract_field(p, n, gamma_gens, delta_gens, centralizer(delta_gens, p=p, n=n))
 
 
-def _extract_field(p, n, gamma_gens, delta_gens, galg, cap):
+def _extract_field(p, n, gamma_gens, delta_gens, galg):
     """:func:`extract_field` on reduced, nonempty generator families, given
     galg, the commutant of delta_gens."""
     for g in gamma_gens:
@@ -828,7 +824,7 @@ def _extract_field(p, n, gamma_gens, delta_gens, galg, cap):
         raise HypothesisViolation("bi-module action is reducible", witness=w)
     dalg = centralizer(galg.basis, p=p, n=n)
 
-    dec = decompose(galg, dalg, cap)
+    dec = decompose(galg, dalg)
     line = dec.lines[0]
     k = line.dim
     if k == n:
@@ -847,7 +843,7 @@ def _extract_field(p, n, gamma_gens, delta_gens, galg, cap):
                 "restricted algebra is not the commutant of the restricted action",
                 witness=(local_gamma.basis, local_gamma_span),
             )
-        sub_report = _extract_field(p, k, gl, dl, local_gamma, cap)
+        sub_report = _extract_field(p, k, gl, dl, local_gamma)
         lifted = lift_endomorphism(sub_report.field_basis, line, dec, galg, dalg, gl)
         field_basis = _span_basis(p, lifted + [fp.identity(n)])
         if len(field_basis) != len(sub_report.field_basis):

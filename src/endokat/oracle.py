@@ -15,9 +15,9 @@ from .errors import CapExceeded
 from .groups import AbelianGroup, Homomorphism, Subgroup, _prime_factorization, canonicalize_group
 
 
-def _guard(group, cap):
-    if group.order > cap:
-        raise CapExceeded(f"oracle cap {cap} exceeded by order {group.order}")
+def _guard(group):
+    if group.order > config.ORACLE_CAP:
+        raise CapExceeded(f"oracle cap {config.ORACLE_CAP} exceeded by order {group.order}")
 
 
 class DenseGroup:
@@ -25,9 +25,8 @@ class DenseGroup:
 
     __slots__ = ("group", "elements")
 
-    def __init__(self, group: AbelianGroup, cap: int | None = None):
-        cap = config.ORACLE_CAP if cap is None else cap
-        _guard(group, cap)
+    def __init__(self, group: AbelianGroup):
+        _guard(group)
         self.group = group
         self.elements = sorted(group.elements())
 
@@ -219,12 +218,11 @@ def endog_sharp(graph_g, graph_d, g: AbelianGroup) -> bool:
 # Enumeration.
 
 
-def enumerate_homomorphisms(a: AbelianGroup, b: AbelianGroup, cap=None):
+def enumerate_homomorphisms(a: AbelianGroup, b: AbelianGroup):
     """All homomorphisms a -> b by assigning generator images of compatible
     order."""
-    cap = config.ORACLE_CAP if cap is None else cap
-    _guard(a, cap)
-    _guard(b, cap)
+    _guard(a)
+    _guard(b)
     belems = sorted(b.elements())
     choices = []
     for d in a.moduli:
@@ -236,12 +234,10 @@ def enumerate_homomorphisms(a: AbelianGroup, b: AbelianGroup, cap=None):
     return out
 
 
-def enumerate_endogeny_pairs(a: AbelianGroup, n_max: Subgroup, cap=None):
+def enumerate_endogeny_pairs(a: AbelianGroup, n_max: Subgroup):
     """Generating pairs for every endogeny of ``a`` with katakernel bounded
     by ``n_max``, via the bijection with pairs (F <= n_max, morphism
     a -> a/F).  Yields (generating pair list, F element set)."""
-    cap = config.ORACLE_CAP if cap is None else cap
-    _guard(a, cap)
     dg = DenseGroup(a)
     nset = frozenset(n_max.elements())
     subs = [s for s in dg.all_subgroup_sets() if s <= nset]
@@ -267,9 +263,7 @@ def enumerate_endogeny_pairs(a: AbelianGroup, n_max: Subgroup, cap=None):
             yield pairs, f
 
 
-def count_endogenies(a: AbelianGroup, n_max: Subgroup, cap=None):
-    cap = config.ORACLE_CAP if cap is None else cap
-    _guard(a, cap)
+def count_endogenies(a: AbelianGroup, n_max: Subgroup):
     dg = DenseGroup(a)
     nset = frozenset(n_max.elements())
     total = 0

@@ -298,7 +298,7 @@ def test_criterion_6_dimension_and_connectedness():
 def _oracle_group_check(g, seed):
     """Subgroup and relation operations against enumeration on one group."""
     rng = SplitMix64(seed)
-    dg = oracle.DenseGroup(g, cap=4096)
+    dg = oracle.DenseGroup(g)
     mism = []
 
     def rand_sub():

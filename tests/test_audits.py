@@ -1,9 +1,14 @@
 """Every audit suite runs clean on seeded masses, and pair files work."""
 
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
-from endokat import audits, jsonio
+from endokat import audits, config, jsonio
 from endokat.endogeny import Endogeny, NegligibilityBound
+from endokat.errors import EndokatError, InvalidInput
 from endokat.groups import Homomorphism, canonicalize_group, subgroup_from_generators
 
 
@@ -42,10 +47,30 @@ def test_sharp_pair_file_records_verdict():
     assert rep2["checks"] == 3
 
 
-def test_parallel_merge_deterministic():
-    descs = audits.make_descriptors("prering", 8, 5)
-    r1 = audits.run_suite("prering", descs, workers=1)
-    r2 = audits.run_suite("prering", descs, workers=3)
-    for rep in (r1, r2):
-        rep.pop("runtime_ms")
-    assert r1 == r2
+def _report_or_error(descs, workers):
+    try:
+        rep = audits.run_suite("prering", descs, workers=workers)
+    except EndokatError as exc:
+        return type(exc)
+    rep.pop("runtime_ms")
+    return rep
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+@pytest.mark.parametrize(
+    "count, seed, max_order, workers",
+    [(8, 5, None, 3), (4, 7, 8, 2)],
+    ids=["default-caps", "max-order-8"],
+)
+def test_parallel_merge_deterministic(monkeypatch, method, count, seed, max_order, workers):
+    """A pool run gives the serial report, or the serial error, whatever the
+    start method: workers apply the parent's caps, not their defaults."""
+    ctx = multiprocessing.get_context(method)
+    monkeypatch.setattr(audits, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=ctx))
+    descs = audits.make_descriptors("prering", count, seed)
+    if max_order is not None:
+        monkeypatch.setattr(config, "MAX_ORDER", max_order)
+    serial = _report_or_error(descs, 1)
+    assert _report_or_error(descs, workers) == serial
+    if max_order is not None:
+        assert serial is InvalidInput  # an order-16 group is above the lowered cap

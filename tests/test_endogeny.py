@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endokat import oracle
+from endokat import config, oracle
 from endokat.endogeny import (
     Endogeny,
     EndogenySet,
@@ -26,6 +26,7 @@ from endokat.endogeny import (
 )
 from endokat.errors import (
     CapExceeded,
+    InvalidInput,
     KatakernelBound,
     NotGlobal,
     NotWeaklyInvariant,
@@ -56,6 +57,10 @@ def test_validation(z4):
         endogeny_validate(z4, z4, [((2,), (1,))], nb0)
     with pytest.raises(KatakernelBound):
         Endogeny.blur(f, nb0)
+    with pytest.raises(InvalidInput):
+        Endogeny.from_pairs(z4, z4, [((1, 0), (1,))], nb0)  # source pair too long
+    with pytest.raises(InvalidInput):
+        Endogeny.from_pairs(z4, z4, [((1,), ())], nb0)  # target pair too short
 
 
 def test_kat_ker_im(z4):
@@ -295,7 +300,7 @@ def test_restriction(z4):
             assert katcap.contains(from_b(col))
 
 
-def test_prering_closure(z2z2, z4):
+def test_prering_closure(z2z2, z4, monkeypatch):
     nb = NegligibilityBound.zero(z2z2)
     one = Endogeny.identity(z2z2, nb)
     cl = prering_closure(EndogenySet(z2z2, nb, [one]))
@@ -310,8 +315,9 @@ def test_prering_closure(z2z2, z4):
     # empty generators: the image of the integers
     cl3 = prering_closure(EndogenySet(z4, nbf, []))
     assert len(cl3) == 4  # multiplications by 0..3
+    monkeypatch.setattr(config, "CLOSURE_CAP", 2)
     with pytest.raises(CapExceeded):
-        prering_closure(EndogenySet(z4, nbf, [zf]), cap=2)
+        prering_closure(EndogenySet(z4, nbf, [zf]))
 
 
 def test_global_kat(z4):

@@ -3,7 +3,7 @@ field extraction."""
 
 import pytest
 
-from endokat import fp
+from endokat import config, fp
 from endokat.errors import CapExceeded, HypothesisViolation, InvalidInput
 from endokat.instances import matrix_bimodule, _random_invertible
 from endokat.linearize import (
@@ -45,14 +45,14 @@ def scal2():
 
 def test_algebra_closure_examples(m2, f4, scal2):
     assert scal2.dim == 1 and scal2.size == 2
-    assert f4.dim == 2 and sorted(map(fp.flatten, f4.elements())) == sorted(
+    assert f4.dim == 2 and sorted(map(fp.flatten, f4.elements(config.CLOSURE_CAP))) == sorted(
         [(0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 1, 1), (1, 1, 1, 0)]
     )
     m = fp.mat([[0, 1], [1, 1]], 2)
     assert fp.mul(2, m, m) == fp.add(2, m, fp.identity(2))
     assert m2.dim == 4 and m2.size == 16
     with pytest.raises(CapExceeded):
-        m2.elements(cap=10)
+        m2.elements(10)
     with pytest.raises(InvalidInput):
         algebra_closure([], p=2, n=0)
 
@@ -64,7 +64,7 @@ def test_elements_walk_order(m2):
     f27 = algebra_closure([fp.companion(3, fp.lex_min_irreducible(3, 3))], p=3, n=3)
     for alg in (m2, f27):
         p, d = alg.p, alg.dim
-        elems = alg.elements()
+        elems = alg.elements(config.CLOSURE_CAP)
         assert len(elems) == p**d
         for i, m in enumerate(elems):
             digits = [(i // p ** (d - 1 - j)) % p for j in range(d)]
@@ -116,13 +116,15 @@ def test_lines_examples(m2, f4, scal2):
     assert len(lsc) == 1 and lsc[0].dim == 2
 
 
-def test_lines_beyond_cap_match_enumeration():
+def test_lines_beyond_cap_match_enumeration(monkeypatch):
     """Force the ideal-refinement path and compare with full enumeration."""
     inst = matrix_bimodule(2, 2, 2, 99)
     galg = centralizer(inst["delta_generators"], p=2, n=4)
     assert galg.size == 2**8
-    capped = lines(galg, cap=100)  # refinement path
-    full = lines(galg, cap=2**8)  # enumeration path
+    monkeypatch.setattr(config, "CLOSURE_CAP", 100)
+    capped = lines(galg)  # refinement path
+    monkeypatch.setattr(config, "CLOSURE_CAP", 2**8)
+    full = lines(galg)  # enumeration path
     assert [l.subspace for l in capped] == [l.subspace for l in full]
     assert len(capped) == 5  # projective line over the quartic field
     for l in capped:
@@ -130,9 +132,11 @@ def test_lines_beyond_cap_match_enumeration():
     # a commutant genuinely above the default cap: all of Mat_4(F_2)
     big = centralizer([fp.identity(4)], p=2, n=4)
     assert big.size == 2**16
+    monkeypatch.undo()
     capped4 = lines(big)  # default cap 20000 forces refinement
     assert len(capped4) == 15 and all(l.dim == 1 for l in capped4)
-    full4 = lines(big, cap=2**16)
+    monkeypatch.setattr(config, "CLOSURE_CAP", 2**16)
+    full4 = lines(big)
     assert [l.subspace for l in capped4] == [l.subspace for l in full4]
 
 
@@ -241,7 +245,7 @@ def test_base_case_consistency():
     inst = matrix_bimodule(2, 2, 1, 4)
     galg = centralizer(inst["delta_generators"], p=2, n=2)
     assert all(
-        fp.is_invertible(2, m) for m in galg.elements() if any(any(r) for r in m)
+        fp.is_invertible(2, m) for m in galg.elements(config.CLOSURE_CAP) if any(any(r) for r in m)
     )
     rep = extract_field(2, 2, inst["gamma_generators"], inst["delta_generators"])
     kalg = rep.field_algebra()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from endokat import oracle
+from endokat import config, oracle
 from endokat.endogeny import Endogeny, NegligibilityBound, endo_add, endo_compose
 from endokat.errors import CapExceeded
 from endokat.groups import (
@@ -29,9 +29,10 @@ def test_dense_group_basics():
     assert oracle.DenseGroup(triv).all_subgroup_sets() == [frozenset({()})]
 
 
-def test_cap_is_hard():
+def test_cap_is_hard(monkeypatch):
+    monkeypatch.setattr(config, "ORACLE_CAP", 8)
     with pytest.raises(CapExceeded):
-        oracle.DenseGroup(canonicalize_group([2, 4, 8]), cap=8)
+        oracle.DenseGroup(canonicalize_group([2, 4, 8]))
 
 
 def test_order_independence_of_enumeration():
