@@ -1,51 +1,54 @@
 """Kernel backend selection.
 
-The compiled extension is preferred when importable; the pure-Python module
-is the fallback and the reference.  ENDOKAT_PURE=1 forces the fallback.
-Both expose the same functions with identical semantics; the test suite
-cross-checks them on random inputs.  Inputs outside the compiled kernel's
-word-size safety margins transparently fall back to arbitrary precision.
+Two backends expose the same six primitives with the same results: the
+compiled extension ``_core`` (one hand-written C file, ``_core.c``, built by
+``setup.py``) and the pure-Python ``_pure``, which is the reference.  The
+extension is preferred when importable; ENDOKAT_PURE=1 forces ``_pure``.
+The compiled primitives work on machine words: an input beyond their margin
+raises ``NeedsBigInts`` (or ``OverflowError`` for an int beyond 64 bits),
+and the wrapper below answers it with the ``_pure`` primitive instead.
 """
 
 import os
 
 from . import _pure
 
+PRIMITIVES = ("hnf_kernel", "box_reduce", "mat_mul", "mat_vec", "rref", "spin")
+
+
+def _with_fallback(fast, slow, fallback):
+    def primitive(*args):
+        try:
+            return fast(*args)
+        except fallback:
+            return slow(*args)
+
+    primitive.__name__ = primitive.__qualname__ = slow.__name__
+    primitive.__doc__ = slow.__doc__
+    return primitive
+
+
+def primitives(compiled):
+    """The primitives in ``PRIMITIVES`` order: ``_pure``'s when ``compiled``
+    is None, else those of the module ``compiled``, each falling back to
+    ``_pure`` on an input beyond its word-size margin."""
+    if compiled is None:
+        return tuple(getattr(_pure, name) for name in PRIMITIVES)
+    fallback = (compiled.NeedsBigInts, OverflowError)
+    return tuple(
+        _with_fallback(getattr(compiled, name), getattr(_pure, name), fallback) for name in PRIMITIVES
+    )
+
+
 _compiled = None
 if not os.environ.get("ENDOKAT_PURE"):
     try:
         from . import _core as _compiled
     except ImportError:
-        _compiled = None
+        pass
 
-if _compiled is None:
-    hnf_kernel = _pure.hnf_kernel
-    box_reduce = _pure.box_reduce
-    mat_mul = _pure.mat_mul
-    mat_vec = _pure.mat_vec
-    rref = _pure.rref
-    spin = _pure.spin
-    _BACKEND = "pure"
-else:
-    _fallback = (_compiled.NeedsBigInts, OverflowError)
-
-    def hnf_kernel(mods, cols, nbottom, bottom_mod):
-        try:
-            return _compiled.hnf_kernel(mods, cols, nbottom, bottom_mod)
-        except _fallback:
-            return _pure.hnf_kernel(mods, cols, nbottom, bottom_mod)
-
-    def box_reduce(mods, hrows, vec):
-        try:
-            return _compiled.box_reduce(mods, hrows, vec)
-        except _fallback:
-            return _pure.box_reduce(mods, hrows, vec)
-
-    mat_mul = _compiled.mat_mul
-    mat_vec = _compiled.mat_vec
-    rref = _compiled.rref
-    spin = _compiled.spin
-    _BACKEND = "compiled"
+hnf_kernel, box_reduce, mat_mul, mat_vec, rref, spin = primitives(_compiled)
+_BACKEND = "pure" if _compiled is None else "compiled"
 
 
 def backend_name():

@@ -1,16291 +1,698 @@
-/* Generated by Cython 3.2.8 */
-
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "name": "endokat._kernel._core",
-        "sources": [
-            "src/endokat/_kernel/_core.pyx"
-        ]
-    },
-    "module_name": "endokat._kernel._core"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
-#define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
-
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__endokat___kernel___core
-#define __PYX_HAVE_API__endokat___kernel___core
-/* Early includes */
-#include <string.h>
-#include <stdlib.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/endokat/_kernel/_core.pyx",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* #### Code section: numeric_typedefs ### */
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* PyObjectGetAttrStr.proto (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by GetBuiltinName) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* GetBuiltinName.proto (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name);
-
-/* PyDictVersioning.proto (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* GetModuleGlobalName.proto */
-#if CYTHON_USE_DICT_VERSIONS
-#define __Pyx_GetModuleGlobalName(var, name)  do {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    (var) = (likely(__pyx_dict_version == __PYX_GET_DICT_VERSION(__pyx_mstate_global->__pyx_d))) ?\
-        (likely(__pyx_dict_cached_value) ? __Pyx_NewRef(__pyx_dict_cached_value) : __Pyx_GetBuiltinName(name)) :\
-        __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  do {\
-    PY_UINT64_T __pyx_dict_version;\
-    PyObject *__pyx_dict_cached_value;\
-    (var) = __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value);
-#else
-#define __Pyx_GetModuleGlobalName(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name);
-#endif
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* ListAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_PyList_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len) & likely(len > (L->allocated >> 1))) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_PyList_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* GetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_GetException(type, value, tb)  __Pyx__GetException(__pyx_tstate, type, value, tb)
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* SwapException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSwap(type, value, tb)  __Pyx__ExceptionSwap(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* GetTopmostException.proto (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem * __Pyx_PyErr_GetTopmostException(PyThreadState *tstate);
-#endif
-
-/* SaveResetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSave(type, value, tb)  __Pyx__ExceptionSave(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#define __Pyx_ExceptionReset(type, value, tb)  __Pyx__ExceptionReset(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-#else
-#define __Pyx_ExceptionSave(type, value, tb)   PyErr_GetExcInfo(type, value, tb)
-#define __Pyx_ExceptionReset(type, value, tb)  PyErr_SetExcInfo(type, value, tb)
-#endif
-
-/* PyRange_Check.proto */
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyRange_Check)
-  #define PyRange_Check(obj)  __Pyx_TypeCheck((obj), &PyRange_Type)
-#endif
-
-/* ObjectGetItem.proto */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject *__Pyx_PyObject_GetItem(PyObject *obj, PyObject *key);
-#else
-#define __Pyx_PyObject_GetItem(obj, key)  PyObject_GetItem(obj, key)
-#endif
-
-/* Py3UpdateBases.proto */
-static PyObject* __Pyx_PEP560_update_bases(PyObject *bases);
-
-/* CalculateMetaclass.proto */
-static PyObject *__Pyx_CalculateMetaclass(PyTypeObject *metaclass, PyObject *bases);
-
-/* PyObjectCall2Args.proto (used by Py3ClassCreate) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call2Args(PyObject* function, PyObject* arg1, PyObject* arg2);
-
-/* PyObjectLookupSpecial.proto (used by Py3ClassCreate) */
-#if CYTHON_USE_PYTYPE_LOOKUP && CYTHON_USE_TYPE_SLOTS
-#define __Pyx_PyObject_LookupSpecialNoError(obj, attr_name)  __Pyx__PyObject_LookupSpecial(obj, attr_name, 0)
-#define __Pyx_PyObject_LookupSpecial(obj, attr_name)  __Pyx__PyObject_LookupSpecial(obj, attr_name, 1)
-static CYTHON_INLINE PyObject* __Pyx__PyObject_LookupSpecial(PyObject* obj, PyObject* attr_name, int with_error);
-#else
-#define __Pyx_PyObject_LookupSpecialNoError(o,n) __Pyx_PyObject_GetAttrStrNoError(o,n)
-#define __Pyx_PyObject_LookupSpecial(o,n) __Pyx_PyObject_GetAttrStr(o,n)
-#endif
-
-/* Py3ClassCreate.proto */
-static PyObject *__Pyx_Py3MetaclassPrepare(PyObject *metaclass, PyObject *bases, PyObject *name, PyObject *qualname,
-                                           PyObject *mkw, PyObject *modname, PyObject *doc);
-static PyObject *__Pyx_Py3ClassCreate(PyObject *metaclass, PyObject *name, PyObject *bases, PyObject *dict,
-                                      PyObject *mkw, int calculate_metaclass, int allow_py2_metaclass);
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto (used by FetchCommonType) */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* CallTypeTraverse.proto (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* GCCDiagnostics.proto */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-
-/* Module declarations from "libc.string" */
-
-/* Module declarations from "libc.stdlib" */
-
-/* Module declarations from "endokat._kernel._core" */
-static PY_LONG_LONG __pyx_f_7endokat_7_kernel_5_core__inv_mod(PY_LONG_LONG, PY_LONG_LONG); /*proto*/
-static int __pyx_f_7endokat_7_kernel_5_core__insert(PY_LONG_LONG *, PY_LONG_LONG *, Py_ssize_t *, Py_ssize_t *, Py_ssize_t, PY_LONG_LONG); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "endokat._kernel._core"
-extern int __pyx_module_is_main_endokat___kernel___core;
-int __pyx_module_is_main_endokat___kernel___core = 0;
-
-/* Implementation of "endokat._kernel._core" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_kernel_integer_column_r[] = "Compiled kernel: integer column reduction and F_p matrix primitives.\n\nSame contract as ``_pure``; entries are kept reduced by the per-row moduli,\nwhich bounds everything by the order cap and keeps the arithmetic inside\n64-bit words (guarded: inputs that could overflow raise NeedsBigInts and the\ncaller falls back to the pure implementation).\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_7endokat_7_kernel_5_core_hnf_kernel(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_mods, PyObject *__pyx_v_cols, PyObject *__pyx_v_nbottom, PyObject *__pyx_v_bottom_mod); /* proto */
-static PyObject *__pyx_pf_7endokat_7_kernel_5_core_2box_reduce(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_mods, PyObject *__pyx_v_hrows, PyObject *__pyx_v_vec); /* proto */
-static PyObject *__pyx_pf_7endokat_7_kernel_5_core_4mat_mul(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_p, PyObject *__pyx_v_a, PyObject *__pyx_v_b); /* proto */
-static PyObject *__pyx_pf_7endokat_7_kernel_5_core_6mat_vec(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_p, PyObject *__pyx_v_a, PyObject *__pyx_v_v); /* proto */
-static PyObject *__pyx_pf_7endokat_7_kernel_5_core_8rref(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_p, PyObject *__pyx_v_rows); /* proto */
-static PyObject *__pyx_pf_7endokat_7_kernel_5_core_10spin(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_p, PyObject *__pyx_v_gens, PyObject *__pyx_v_seeds, PyObject *__pyx_v_limit); /* proto */
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_tuple[1];
-  PyObject *__pyx_codeobj_tab[6];
-  PyObject *__pyx_string_tab[119];
-  PyObject *__pyx_number_tab[2];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_Raised_when_word_size_safety_mar __pyx_string_tab[1]
-#define __pyx_kp_u_carried_block_modulus_too_large __pyx_string_tab[2]
-#define __pyx_kp_u_row_modulus_too_large __pyx_string_tab[3]
-#define __pyx_kp_u_row_modulus_too_large_for_the_co __pyx_string_tab[4]
-#define __pyx_kp_u_src_endokat__kernel__core_pyx __pyx_string_tab[5]
-#define __pyx_n_u_BACKEND __pyx_string_tab[6]
-#define __pyx_n_u_NeedsBigInts __pyx_string_tab[7]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[8]
-#define __pyx_n_u_a __pyx_string_tab[9]
-#define __pyx_n_u_acc __pyx_string_tab[10]
-#define __pyx_n_u_aik __pyx_string_tab[11]
-#define __pyx_n_u_annotate __pyx_string_tab[12]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[13]
-#define __pyx_n_u_b __pyx_string_tab[14]
-#define __pyx_n_u_basis __pyx_string_tab[15]
-#define __pyx_n_u_bb __pyx_string_tab[16]
-#define __pyx_n_u_bm __pyx_string_tab[17]
-#define __pyx_n_u_bottom_mod __pyx_string_tab[18]
-#define __pyx_n_u_box_reduce __pyx_string_tab[19]
-#define __pyx_n_u_buf __pyx_string_tab[20]
-#define __pyx_n_u_c __pyx_string_tab[21]
-#define __pyx_n_u_cap __pyx_string_tab[22]
-#define __pyx_n_u_class_getitem __pyx_string_tab[23]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[24]
-#define __pyx_n_u_cnt __pyx_string_tab[25]
-#define __pyx_n_u_col __pyx_string_tab[26]
-#define __pyx_n_u_cols __pyx_string_tab[27]
-#define __pyx_n_u_compiled __pyx_string_tab[28]
-#define __pyx_n_u_d __pyx_string_tab[29]
-#define __pyx_n_u_dmod __pyx_string_tab[30]
-#define __pyx_n_u_doc __pyx_string_tab[31]
-#define __pyx_n_u_endokat__kernel__core __pyx_string_tab[32]
-#define __pyx_n_u_f __pyx_string_tab[33]
-#define __pyx_n_u_func __pyx_string_tab[34]
-#define __pyx_n_u_g __pyx_string_tab[35]
-#define __pyx_n_u_gbuf __pyx_string_tab[36]
-#define __pyx_n_u_gens __pyx_string_tab[37]
-#define __pyx_n_u_h __pyx_string_tab[38]
-#define __pyx_n_u_hnf_kernel __pyx_string_tab[39]
-#define __pyx_n_u_hrow __pyx_string_tab[40]
-#define __pyx_n_u_hrows __pyx_string_tab[41]
-#define __pyx_n_u_i __pyx_string_tab[42]
-#define __pyx_n_u_idx __pyx_string_tab[43]
-#define __pyx_n_u_img __pyx_string_tab[44]
-#define __pyx_n_u_inner __pyx_string_tab[45]
-#define __pyx_n_u_inv __pyx_string_tab[46]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[47]
-#define __pyx_n_u_items __pyx_string_tab[48]
-#define __pyx_n_u_j __pyx_string_tab[49]
-#define __pyx_n_u_jj __pyx_string_tab[50]
-#define __pyx_n_u_k __pyx_string_tab[51]
-#define __pyx_n_u_kernels __pyx_string_tab[52]
-#define __pyx_n_u_kvec __pyx_string_tab[53]
-#define __pyx_n_u_limit __pyx_string_tab[54]
-#define __pyx_n_u_live __pyx_string_tab[55]
-#define __pyx_n_u_m __pyx_string_tab[56]
-#define __pyx_n_u_main __pyx_string_tab[57]
-#define __pyx_n_u_mat_mul __pyx_string_tab[58]
-#define __pyx_n_u_mat_vec __pyx_string_tab[59]
-#define __pyx_n_u_metaclass __pyx_string_tab[60]
-#define __pyx_n_u_mods __pyx_string_tab[61]
-#define __pyx_n_u_module __pyx_string_tab[62]
-#define __pyx_n_u_mpos __pyx_string_tab[63]
-#define __pyx_n_u_mro_entries __pyx_string_tab[64]
-#define __pyx_n_u_mv __pyx_string_tab[65]
-#define __pyx_n_u_n __pyx_string_tab[66]
-#define __pyx_n_u_name __pyx_string_tab[67]
-#define __pyx_n_u_nb __pyx_string_tab[68]
-#define __pyx_n_u_nbottom __pyx_string_tab[69]
-#define __pyx_n_u_ncols __pyx_string_tab[70]
-#define __pyx_n_u_ncols_in __pyx_string_tab[71]
-#define __pyx_n_u_ngens __pyx_string_tab[72]
-#define __pyx_n_u_nlive __pyx_string_tab[73]
-#define __pyx_n_u_nrows __pyx_string_tab[74]
-#define __pyx_n_u_orow __pyx_string_tab[75]
-#define __pyx_n_u_out __pyx_string_tab[76]
-#define __pyx_n_u_p __pyx_string_tab[77]
-#define __pyx_n_u_pi __pyx_string_tab[78]
-#define __pyx_n_u_piv __pyx_string_tab[79]
-#define __pyx_n_u_pivots __pyx_string_tab[80]
-#define __pyx_n_u_pj __pyx_string_tab[81]
-#define __pyx_n_u_pop __pyx_string_tab[82]
-#define __pyx_n_u_pp __pyx_string_tab[83]
-#define __pyx_n_u_pr __pyx_string_tab[84]
-#define __pyx_n_u_prepare __pyx_string_tab[85]
-#define __pyx_n_u_q __pyx_string_tab[86]
-#define __pyx_n_u_qcount __pyx_string_tab[87]
-#define __pyx_n_u_qhead __pyx_string_tab[88]
-#define __pyx_n_u_qualname __pyx_string_tab[89]
-#define __pyx_n_u_queue __pyx_string_tab[90]
-#define __pyx_n_u_r __pyx_string_tab[91]
-#define __pyx_n_u_rank __pyx_string_tab[92]
-#define __pyx_n_u_row __pyx_string_tab[93]
-#define __pyx_n_u_rowa __pyx_string_tab[94]
-#define __pyx_n_u_rows __pyx_string_tab[95]
-#define __pyx_n_u_rref __pyx_string_tab[96]
-#define __pyx_n_u_s __pyx_string_tab[97]
-#define __pyx_n_u_s_acc __pyx_string_tab[98]
-#define __pyx_n_u_seeds __pyx_string_tab[99]
-#define __pyx_n_u_set_name __pyx_string_tab[100]
-#define __pyx_n_u_setdefault __pyx_string_tab[101]
-#define __pyx_n_u_spin __pyx_string_tab[102]
-#define __pyx_n_u_t __pyx_string_tab[103]
-#define __pyx_n_u_test __pyx_string_tab[104]
-#define __pyx_n_u_total __pyx_string_tab[105]
-#define __pyx_n_u_v __pyx_string_tab[106]
-#define __pyx_n_u_val __pyx_string_tab[107]
-#define __pyx_n_u_values __pyx_string_tab[108]
-#define __pyx_n_u_vec __pyx_string_tab[109]
-#define __pyx_n_u_vv __pyx_string_tab[110]
-#define __pyx_n_u_w __pyx_string_tab[111]
-#define __pyx_n_u_x __pyx_string_tab[112]
-#define __pyx_kp_b_iso88591_1A_1A_vRuG3b_s_Q_E_aq_auAQa_a_E __pyx_string_tab[113]
-#define __pyx_kp_b_iso88591_1A_Bb_k_7_s_1_2Q_s_A_l_1_q_A_A __pyx_string_tab[114]
-#define __pyx_kp_b_iso88591_1A_Cq_1AQg_vRvRuF_G3bPQ_b_WCr_s __pyx_string_tab[115]
-#define __pyx_kp_b_iso88591_1A_r_A_q_fARr_fARr_2Q_q_A_r_E_B __pyx_string_tab[116]
-#define __pyx_kp_b_iso88591_Cq_Cq_AWKq_vS_t1_fAV2V2Q_r_A_E __pyx_string_tab[117]
-#define __pyx_kp_b_iso88591_Q_Cq_r_A_E_1A_r_A_q_Cq_r_r_2U_S __pyx_string_tab[118]
-#define __pyx_int_0 __pyx_number_tab[0]
-#define __pyx_int_1099511627776 __pyx_number_tab[1]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<6; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<119; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<2; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<6; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<119; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<2; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "endokat/_kernel/_core.pyx":22
- * 
- * 
- * def hnf_kernel(mods, cols, nbottom, bottom_mod):             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t r = len(mods)
- *     cdef Py_ssize_t nb = nbottom
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7endokat_7_kernel_5_core_1hnf_kernel(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7endokat_7_kernel_5_core_1hnf_kernel = {"hnf_kernel", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7endokat_7_kernel_5_core_1hnf_kernel, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7endokat_7_kernel_5_core_1hnf_kernel(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_mods = 0;
-  PyObject *__pyx_v_cols = 0;
-  PyObject *__pyx_v_nbottom = 0;
-  PyObject *__pyx_v_bottom_mod = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[4] = {0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("hnf_kernel (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_mods,&__pyx_mstate_global->__pyx_n_u_cols,&__pyx_mstate_global->__pyx_n_u_nbottom,&__pyx_mstate_global->__pyx_n_u_bottom_mod,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 22, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 22, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 22, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 22, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 22, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "hnf_kernel", 0) < (0)) __PYX_ERR(0, 22, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 4; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("hnf_kernel", 1, 4, 4, i); __PYX_ERR(0, 22, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 4)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 22, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 22, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 22, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 22, __pyx_L3_error)
-    }
-    __pyx_v_mods = values[0];
-    __pyx_v_cols = values[1];
-    __pyx_v_nbottom = values[2];
-    __pyx_v_bottom_mod = values[3];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("hnf_kernel", 1, 4, 4, __pyx_nargs); __PYX_ERR(0, 22, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("endokat._kernel._core.hnf_kernel", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7endokat_7_kernel_5_core_hnf_kernel(__pyx_self, __pyx_v_mods, __pyx_v_cols, __pyx_v_nbottom, __pyx_v_bottom_mod);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7endokat_7_kernel_5_core_hnf_kernel(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_mods, PyObject *__pyx_v_cols, PyObject *__pyx_v_nbottom, PyObject *__pyx_v_bottom_mod) {
-  Py_ssize_t __pyx_v_r;
-  Py_ssize_t __pyx_v_nb;
-  Py_ssize_t __pyx_v_total;
-  PY_LONG_LONG __pyx_v_bm;
-  Py_ssize_t __pyx_v_ncols_in;
-  Py_ssize_t __pyx_v_cap;
-  Py_ssize_t __pyx_v_i;
-  Py_ssize_t __pyx_v_j;
-  Py_ssize_t __pyx_v_k;
-  Py_ssize_t __pyx_v_t;
-  Py_ssize_t __pyx_v_idx;
-  Py_ssize_t __pyx_v_nlive;
-  Py_ssize_t __pyx_v_mpos;
-  Py_ssize_t __pyx_v_cnt;
-  Py_ssize_t __pyx_v_pi;
-  Py_ssize_t __pyx_v_pj;
-  PY_LONG_LONG __pyx_v_q;
-  PY_LONG_LONG __pyx_v_mv;
-  PY_LONG_LONG __pyx_v_val;
-  PY_LONG_LONG __pyx_v_d;
-  PY_LONG_LONG *__pyx_v_dmod;
-  PY_LONG_LONG *__pyx_v_buf;
-  Py_ssize_t *__pyx_v_live;
-  Py_ssize_t *__pyx_v_piv;
-  PyObject *__pyx_v_col = NULL;
-  PyObject *__pyx_v_v = NULL;
-  PyObject *__pyx_v_hrows = NULL;
-  PyObject *__pyx_v_hrow = NULL;
-  PyObject *__pyx_v_kernels = NULL;
-  PyObject *__pyx_v_kvec = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  PY_LONG_LONG __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_t_4;
-  PY_LONG_LONG __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  size_t __pyx_t_8;
-  Py_ssize_t __pyx_t_9;
-  Py_ssize_t __pyx_t_10;
-  int __pyx_t_11;
-  PyObject *(*__pyx_t_12)(PyObject *);
-  PyObject *(*__pyx_t_13)(PyObject *);
-  Py_ssize_t __pyx_t_14;
-  Py_ssize_t __pyx_t_15;
-  Py_ssize_t __pyx_t_16;
-  Py_ssize_t __pyx_t_17;
-  Py_ssize_t __pyx_t_18;
-  Py_ssize_t __pyx_t_19;
-  int __pyx_t_20;
-  int __pyx_t_21;
-  int __pyx_t_22;
-  char const *__pyx_t_23;
-  PyObject *__pyx_t_24 = NULL;
-  PyObject *__pyx_t_25 = NULL;
-  PyObject *__pyx_t_26 = NULL;
-  PyObject *__pyx_t_27 = NULL;
-  PyObject *__pyx_t_28 = NULL;
-  PyObject *__pyx_t_29 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("hnf_kernel", 0);
-
-  /* "endokat/_kernel/_core.pyx":23
- * 
- * def hnf_kernel(mods, cols, nbottom, bottom_mod):
- *     cdef Py_ssize_t r = len(mods)             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t nb = nbottom
- *     cdef Py_ssize_t total = r + nb
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_mods); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 23, __pyx_L1_error)
-  __pyx_v_r = __pyx_t_1;
-
-  /* "endokat/_kernel/_core.pyx":24
- * def hnf_kernel(mods, cols, nbottom, bottom_mod):
- *     cdef Py_ssize_t r = len(mods)
- *     cdef Py_ssize_t nb = nbottom             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t total = r + nb
- *     cdef long long bm = bottom_mod if bottom_mod > 0 else 1
-*/
-  __pyx_t_1 = __Pyx_PyIndex_AsSsize_t(__pyx_v_nbottom); if (unlikely((__pyx_t_1 == (Py_ssize_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 24, __pyx_L1_error)
-  __pyx_v_nb = __pyx_t_1;
-
-  /* "endokat/_kernel/_core.pyx":25
- *     cdef Py_ssize_t r = len(mods)
- *     cdef Py_ssize_t nb = nbottom
- *     cdef Py_ssize_t total = r + nb             # <<<<<<<<<<<<<<
- *     cdef long long bm = bottom_mod if bottom_mod > 0 else 1
- *     cdef Py_ssize_t ncols_in = len(cols)
-*/
-  __pyx_v_total = (__pyx_v_r + __pyx_v_nb);
-
-  /* "endokat/_kernel/_core.pyx":26
- *     cdef Py_ssize_t nb = nbottom
- *     cdef Py_ssize_t total = r + nb
- *     cdef long long bm = bottom_mod if bottom_mod > 0 else 1             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t ncols_in = len(cols)
- *     cdef Py_ssize_t cap = ncols_in + r
-*/
-  __pyx_t_3 = PyObject_RichCompare(__pyx_v_bottom_mod, __pyx_mstate_global->__pyx_int_0, Py_GT); __Pyx_XGOTREF(__pyx_t_3); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 26, __pyx_L1_error)
-  __pyx_t_4 = __Pyx_PyObject_IsTrue(__pyx_t_3); if (unlikely((__pyx_t_4 < 0))) __PYX_ERR(0, 26, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  if (__pyx_t_4) {
-    __pyx_t_5 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_bottom_mod); if (unlikely((__pyx_t_5 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 26, __pyx_L1_error)
-    __pyx_t_2 = __pyx_t_5;
-  } else {
-    __pyx_t_2 = 1;
-  }
-  __pyx_v_bm = __pyx_t_2;
-
-  /* "endokat/_kernel/_core.pyx":27
- *     cdef Py_ssize_t total = r + nb
- *     cdef long long bm = bottom_mod if bottom_mod > 0 else 1
- *     cdef Py_ssize_t ncols_in = len(cols)             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t cap = ncols_in + r
- *     cdef Py_ssize_t i, j, k, t, idx, nlive, mpos, cnt, pi, pj
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_cols); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 27, __pyx_L1_error)
-  __pyx_v_ncols_in = __pyx_t_1;
-
-  /* "endokat/_kernel/_core.pyx":28
- *     cdef long long bm = bottom_mod if bottom_mod > 0 else 1
- *     cdef Py_ssize_t ncols_in = len(cols)
- *     cdef Py_ssize_t cap = ncols_in + r             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t i, j, k, t, idx, nlive, mpos, cnt, pi, pj
- *     cdef long long q, mv, val, d
-*/
-  __pyx_v_cap = (__pyx_v_ncols_in + __pyx_v_r);
-
-  /* "endokat/_kernel/_core.pyx":32
- *     cdef long long q, mv, val, d
- * 
- *     if bm > BM_LIMIT:             # <<<<<<<<<<<<<<
- *         raise NeedsBigInts("carried-block modulus too large for the compiled kernel")
- * 
-*/
-  __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_bm); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 32, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_6 = PyObject_RichCompare(__pyx_t_3, __pyx_mstate_global->__pyx_int_1099511627776, Py_GT); __Pyx_XGOTREF(__pyx_t_6); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 32, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  __pyx_t_4 = __Pyx_PyObject_IsTrue(__pyx_t_6); if (unlikely((__pyx_t_4 < 0))) __PYX_ERR(0, 32, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-  if (unlikely(__pyx_t_4)) {
-
-    /* "endokat/_kernel/_core.pyx":33
- * 
- *     if bm > BM_LIMIT:
- *         raise NeedsBigInts("carried-block modulus too large for the compiled kernel")             # <<<<<<<<<<<<<<
- * 
- *     cdef long long *dmod = <long long *> malloc(r * sizeof(long long))
-*/
-    __pyx_t_3 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_7, __pyx_mstate_global->__pyx_n_u_NeedsBigInts); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 33, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_8 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_7))) {
-      __pyx_t_3 = PyMethod_GET_SELF(__pyx_t_7);
-      assert(__pyx_t_3);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_7);
-      __Pyx_INCREF(__pyx_t_3);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_7, __pyx__function);
-      __pyx_t_8 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_3, __pyx_mstate_global->__pyx_kp_u_carried_block_modulus_too_large};
-      __pyx_t_6 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_7, __pyx_callargs+__pyx_t_8, (2-__pyx_t_8) | (__pyx_t_8*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 33, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-    }
-    __Pyx_Raise(__pyx_t_6, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __PYX_ERR(0, 33, __pyx_L1_error)
-
-    /* "endokat/_kernel/_core.pyx":32
- *     cdef long long q, mv, val, d
- * 
- *     if bm > BM_LIMIT:             # <<<<<<<<<<<<<<
- *         raise NeedsBigInts("carried-block modulus too large for the compiled kernel")
- * 
-*/
-  }
-
-  /* "endokat/_kernel/_core.pyx":35
- *         raise NeedsBigInts("carried-block modulus too large for the compiled kernel")
- * 
- *     cdef long long *dmod = <long long *> malloc(r * sizeof(long long))             # <<<<<<<<<<<<<<
- *     cdef long long *buf = NULL
- *     cdef Py_ssize_t *live = NULL
-*/
-  __pyx_v_dmod = ((PY_LONG_LONG *)malloc((__pyx_v_r * (sizeof(PY_LONG_LONG)))));
-
-  /* "endokat/_kernel/_core.pyx":36
- * 
- *     cdef long long *dmod = <long long *> malloc(r * sizeof(long long))
- *     cdef long long *buf = NULL             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t *live = NULL
- *     cdef Py_ssize_t *piv = NULL
-*/
-  __pyx_v_buf = NULL;
-
-  /* "endokat/_kernel/_core.pyx":37
- *     cdef long long *dmod = <long long *> malloc(r * sizeof(long long))
- *     cdef long long *buf = NULL
- *     cdef Py_ssize_t *live = NULL             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t *piv = NULL
- *     if dmod == NULL:
-*/
-  __pyx_v_live = NULL;
-
-  /* "endokat/_kernel/_core.pyx":38
- *     cdef long long *buf = NULL
- *     cdef Py_ssize_t *live = NULL
- *     cdef Py_ssize_t *piv = NULL             # <<<<<<<<<<<<<<
- *     if dmod == NULL:
- *         raise MemoryError()
-*/
-  __pyx_v_piv = NULL;
-
-  /* "endokat/_kernel/_core.pyx":39
- *     cdef Py_ssize_t *live = NULL
- *     cdef Py_ssize_t *piv = NULL
- *     if dmod == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     try:
-*/
-  __pyx_t_4 = (__pyx_v_dmod == NULL);
-  if (unlikely(__pyx_t_4)) {
-
-    /* "endokat/_kernel/_core.pyx":40
- *     cdef Py_ssize_t *piv = NULL
- *     if dmod == NULL:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     try:
- *         for i in range(r):
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 40, __pyx_L1_error)
-
-    /* "endokat/_kernel/_core.pyx":39
- *     cdef Py_ssize_t *live = NULL
- *     cdef Py_ssize_t *piv = NULL
- *     if dmod == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     try:
-*/
-  }
-
-  /* "endokat/_kernel/_core.pyx":41
- *     if dmod == NULL:
- *         raise MemoryError()
- *     try:             # <<<<<<<<<<<<<<
- *         for i in range(r):
- *             d = mods[i]
-*/
-  /*try:*/ {
-
-    /* "endokat/_kernel/_core.pyx":42
- *         raise MemoryError()
- *     try:
- *         for i in range(r):             # <<<<<<<<<<<<<<
- *             d = mods[i]
- *             if d > MOD_LIMIT:
-*/
-    __pyx_t_1 = __pyx_v_r;
-    __pyx_t_9 = __pyx_t_1;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-      __pyx_v_i = __pyx_t_10;
-
-      /* "endokat/_kernel/_core.pyx":43
- *     try:
- *         for i in range(r):
- *             d = mods[i]             # <<<<<<<<<<<<<<
- *             if d > MOD_LIMIT:
- *                 raise NeedsBigInts("row modulus too large for the compiled kernel")
-*/
-      __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_mods, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 43, __pyx_L6_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __pyx_t_2 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_6); if (unlikely((__pyx_t_2 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 43, __pyx_L6_error)
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __pyx_v_d = __pyx_t_2;
-
-      /* "endokat/_kernel/_core.pyx":44
- *         for i in range(r):
- *             d = mods[i]
- *             if d > MOD_LIMIT:             # <<<<<<<<<<<<<<
- *                 raise NeedsBigInts("row modulus too large for the compiled kernel")
- *             dmod[i] = d
-*/
-      __pyx_t_4 = (__pyx_v_d > 0x100000);
-      if (unlikely(__pyx_t_4)) {
-
-        /* "endokat/_kernel/_core.pyx":45
- *             d = mods[i]
- *             if d > MOD_LIMIT:
- *                 raise NeedsBigInts("row modulus too large for the compiled kernel")             # <<<<<<<<<<<<<<
- *             dmod[i] = d
- *         if cap == 0:
-*/
-        __pyx_t_7 = NULL;
-        __Pyx_GetModuleGlobalName(__pyx_t_3, __pyx_mstate_global->__pyx_n_u_NeedsBigInts); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 45, __pyx_L6_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __pyx_t_8 = 1;
-        #if CYTHON_UNPACK_METHODS
-        if (unlikely(PyMethod_Check(__pyx_t_3))) {
-          __pyx_t_7 = PyMethod_GET_SELF(__pyx_t_3);
-          assert(__pyx_t_7);
-          PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_3);
-          __Pyx_INCREF(__pyx_t_7);
-          __Pyx_INCREF(__pyx__function);
-          __Pyx_DECREF_SET(__pyx_t_3, __pyx__function);
-          __pyx_t_8 = 0;
-        }
-        #endif
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_7, __pyx_mstate_global->__pyx_kp_u_row_modulus_too_large_for_the_co};
-          __pyx_t_6 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_3, __pyx_callargs+__pyx_t_8, (2-__pyx_t_8) | (__pyx_t_8*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-          __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-          if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 45, __pyx_L6_error)
-          __Pyx_GOTREF(__pyx_t_6);
-        }
-        __Pyx_Raise(__pyx_t_6, 0, 0, 0);
-        __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-        __PYX_ERR(0, 45, __pyx_L6_error)
-
-        /* "endokat/_kernel/_core.pyx":44
- *         for i in range(r):
- *             d = mods[i]
- *             if d > MOD_LIMIT:             # <<<<<<<<<<<<<<
- *                 raise NeedsBigInts("row modulus too large for the compiled kernel")
- *             dmod[i] = d
-*/
-      }
-
-      /* "endokat/_kernel/_core.pyx":46
- *             if d > MOD_LIMIT:
- *                 raise NeedsBigInts("row modulus too large for the compiled kernel")
- *             dmod[i] = d             # <<<<<<<<<<<<<<
- *         if cap == 0:
- *             cap = 1
-*/
-      (__pyx_v_dmod[__pyx_v_i]) = __pyx_v_d;
-    }
-
-    /* "endokat/_kernel/_core.pyx":47
- *                 raise NeedsBigInts("row modulus too large for the compiled kernel")
- *             dmod[i] = d
- *         if cap == 0:             # <<<<<<<<<<<<<<
- *             cap = 1
- *         buf = <long long *> malloc(cap * total * sizeof(long long))
-*/
-    __pyx_t_4 = (__pyx_v_cap == 0);
-    if (__pyx_t_4) {
-
-      /* "endokat/_kernel/_core.pyx":48
- *             dmod[i] = d
- *         if cap == 0:
- *             cap = 1             # <<<<<<<<<<<<<<
- *         buf = <long long *> malloc(cap * total * sizeof(long long))
- *         live = <Py_ssize_t *> malloc(cap * sizeof(Py_ssize_t))
-*/
-      __pyx_v_cap = 1;
-
-      /* "endokat/_kernel/_core.pyx":47
- *                 raise NeedsBigInts("row modulus too large for the compiled kernel")
- *             dmod[i] = d
- *         if cap == 0:             # <<<<<<<<<<<<<<
- *             cap = 1
- *         buf = <long long *> malloc(cap * total * sizeof(long long))
-*/
-    }
-
-    /* "endokat/_kernel/_core.pyx":49
- *         if cap == 0:
- *             cap = 1
- *         buf = <long long *> malloc(cap * total * sizeof(long long))             # <<<<<<<<<<<<<<
- *         live = <Py_ssize_t *> malloc(cap * sizeof(Py_ssize_t))
- *         piv = <Py_ssize_t *> malloc((r if r else 1) * sizeof(Py_ssize_t))
-*/
-    __pyx_v_buf = ((PY_LONG_LONG *)malloc(((__pyx_v_cap * __pyx_v_total) * (sizeof(PY_LONG_LONG)))));
-
-    /* "endokat/_kernel/_core.pyx":50
- *             cap = 1
- *         buf = <long long *> malloc(cap * total * sizeof(long long))
- *         live = <Py_ssize_t *> malloc(cap * sizeof(Py_ssize_t))             # <<<<<<<<<<<<<<
- *         piv = <Py_ssize_t *> malloc((r if r else 1) * sizeof(Py_ssize_t))
- *         if buf == NULL or live == NULL or piv == NULL:
-*/
-    __pyx_v_live = ((Py_ssize_t *)malloc((__pyx_v_cap * (sizeof(Py_ssize_t)))));
-
-    /* "endokat/_kernel/_core.pyx":51
- *         buf = <long long *> malloc(cap * total * sizeof(long long))
- *         live = <Py_ssize_t *> malloc(cap * sizeof(Py_ssize_t))
- *         piv = <Py_ssize_t *> malloc((r if r else 1) * sizeof(Py_ssize_t))             # <<<<<<<<<<<<<<
- *         if buf == NULL or live == NULL or piv == NULL:
- *             raise MemoryError()
-*/
-    __pyx_t_4 = (__pyx_v_r != 0);
-    if (__pyx_t_4) {
-      __pyx_t_8 = __pyx_v_r;
-    } else {
-      __pyx_t_8 = 1;
-    }
-    __pyx_v_piv = ((Py_ssize_t *)malloc((__pyx_t_8 * (sizeof(Py_ssize_t)))));
-
-    /* "endokat/_kernel/_core.pyx":52
- *         live = <Py_ssize_t *> malloc(cap * sizeof(Py_ssize_t))
- *         piv = <Py_ssize_t *> malloc((r if r else 1) * sizeof(Py_ssize_t))
- *         if buf == NULL or live == NULL or piv == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- * 
-*/
-    __pyx_t_11 = (__pyx_v_buf == NULL);
-    if (!__pyx_t_11) {
-    } else {
-      __pyx_t_4 = __pyx_t_11;
-      goto __pyx_L13_bool_binop_done;
-    }
-    __pyx_t_11 = (__pyx_v_live == NULL);
-    if (!__pyx_t_11) {
-    } else {
-      __pyx_t_4 = __pyx_t_11;
-      goto __pyx_L13_bool_binop_done;
-    }
-    __pyx_t_11 = (__pyx_v_piv == NULL);
-    __pyx_t_4 = __pyx_t_11;
-    __pyx_L13_bool_binop_done:;
-    if (unlikely(__pyx_t_4)) {
-
-      /* "endokat/_kernel/_core.pyx":53
- *         piv = <Py_ssize_t *> malloc((r if r else 1) * sizeof(Py_ssize_t))
- *         if buf == NULL or live == NULL or piv == NULL:
- *             raise MemoryError()             # <<<<<<<<<<<<<<
- * 
- *         nlive = 0
-*/
-      PyErr_NoMemory(); __PYX_ERR(0, 53, __pyx_L6_error)
-
-      /* "endokat/_kernel/_core.pyx":52
- *         live = <Py_ssize_t *> malloc(cap * sizeof(Py_ssize_t))
- *         piv = <Py_ssize_t *> malloc((r if r else 1) * sizeof(Py_ssize_t))
- *         if buf == NULL or live == NULL or piv == NULL:             # <<<<<<<<<<<<<<
- *             raise MemoryError()
- * 
-*/
-    }
-
-    /* "endokat/_kernel/_core.pyx":55
- *             raise MemoryError()
- * 
- *         nlive = 0             # <<<<<<<<<<<<<<
- *         idx = 0
- *         for col in cols:
-*/
-    __pyx_v_nlive = 0;
-
-    /* "endokat/_kernel/_core.pyx":56
- * 
- *         nlive = 0
- *         idx = 0             # <<<<<<<<<<<<<<
- *         for col in cols:
- *             t = 0
-*/
-    __pyx_v_idx = 0;
-
-    /* "endokat/_kernel/_core.pyx":57
- *         nlive = 0
- *         idx = 0
- *         for col in cols:             # <<<<<<<<<<<<<<
- *             t = 0
- *             cnt = 0
-*/
-    if (likely(PyList_CheckExact(__pyx_v_cols)) || PyTuple_CheckExact(__pyx_v_cols)) {
-      __pyx_t_6 = __pyx_v_cols; __Pyx_INCREF(__pyx_t_6);
-      __pyx_t_1 = 0;
-      __pyx_t_12 = NULL;
-    } else {
-      __pyx_t_1 = -1; __pyx_t_6 = PyObject_GetIter(__pyx_v_cols); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 57, __pyx_L6_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __pyx_t_12 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_6); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 57, __pyx_L6_error)
-    }
-    for (;;) {
-      if (likely(!__pyx_t_12)) {
-        if (likely(PyList_CheckExact(__pyx_t_6))) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_6);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 57, __pyx_L6_error)
-            #endif
-            if (__pyx_t_1 >= __pyx_temp) break;
-          }
-          __pyx_t_3 = __Pyx_PyList_GetItemRefFast(__pyx_t_6, __pyx_t_1, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_1;
-        } else {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_6);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 57, __pyx_L6_error)
-            #endif
-            if (__pyx_t_1 >= __pyx_temp) break;
-          }
-          #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-          __pyx_t_3 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_6, __pyx_t_1));
-          #else
-          __pyx_t_3 = __Pyx_PySequence_ITEM(__pyx_t_6, __pyx_t_1);
-          #endif
-          ++__pyx_t_1;
-        }
-        if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 57, __pyx_L6_error)
-      } else {
-        __pyx_t_3 = __pyx_t_12(__pyx_t_6);
-        if (unlikely(!__pyx_t_3)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 57, __pyx_L6_error)
-            PyErr_Clear();
-          }
-          break;
-        }
-      }
-      __Pyx_GOTREF(__pyx_t_3);
-      __Pyx_XDECREF_SET(__pyx_v_col, __pyx_t_3);
-      __pyx_t_3 = 0;
-
-      /* "endokat/_kernel/_core.pyx":58
- *         idx = 0
- *         for col in cols:
- *             t = 0             # <<<<<<<<<<<<<<
- *             cnt = 0
- *             for v in col:
-*/
-      __pyx_v_t = 0;
-
-      /* "endokat/_kernel/_core.pyx":59
- *         for col in cols:
- *             t = 0
- *             cnt = 0             # <<<<<<<<<<<<<<
- *             for v in col:
- *                 val = v
-*/
-      __pyx_v_cnt = 0;
-
-      /* "endokat/_kernel/_core.pyx":60
- *             t = 0
- *             cnt = 0
- *             for v in col:             # <<<<<<<<<<<<<<
- *                 val = v
- *                 if t < r:
-*/
-      if (likely(PyList_CheckExact(__pyx_v_col)) || PyTuple_CheckExact(__pyx_v_col)) {
-        __pyx_t_3 = __pyx_v_col; __Pyx_INCREF(__pyx_t_3);
-        __pyx_t_9 = 0;
-        __pyx_t_13 = NULL;
-      } else {
-        __pyx_t_9 = -1; __pyx_t_3 = PyObject_GetIter(__pyx_v_col); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 60, __pyx_L6_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __pyx_t_13 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_3); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 60, __pyx_L6_error)
-      }
-      for (;;) {
-        if (likely(!__pyx_t_13)) {
-          if (likely(PyList_CheckExact(__pyx_t_3))) {
-            {
-              Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_3);
-              #if !CYTHON_ASSUME_SAFE_SIZE
-              if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 60, __pyx_L6_error)
-              #endif
-              if (__pyx_t_9 >= __pyx_temp) break;
-            }
-            __pyx_t_7 = __Pyx_PyList_GetItemRefFast(__pyx_t_3, __pyx_t_9, __Pyx_ReferenceSharing_OwnStrongReference);
-            ++__pyx_t_9;
-          } else {
-            {
-              Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_3);
-              #if !CYTHON_ASSUME_SAFE_SIZE
-              if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 60, __pyx_L6_error)
-              #endif
-              if (__pyx_t_9 >= __pyx_temp) break;
-            }
-            #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-            __pyx_t_7 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_3, __pyx_t_9));
-            #else
-            __pyx_t_7 = __Pyx_PySequence_ITEM(__pyx_t_3, __pyx_t_9);
-            #endif
-            ++__pyx_t_9;
-          }
-          if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 60, __pyx_L6_error)
-        } else {
-          __pyx_t_7 = __pyx_t_13(__pyx_t_3);
-          if (unlikely(!__pyx_t_7)) {
-            PyObject* exc_type = PyErr_Occurred();
-            if (exc_type) {
-              if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 60, __pyx_L6_error)
-              PyErr_Clear();
-            }
-            break;
-          }
-        }
-        __Pyx_GOTREF(__pyx_t_7);
-        __Pyx_XDECREF_SET(__pyx_v_v, __pyx_t_7);
-        __pyx_t_7 = 0;
-
-        /* "endokat/_kernel/_core.pyx":61
- *             cnt = 0
- *             for v in col:
- *                 val = v             # <<<<<<<<<<<<<<
- *                 if t < r:
- *                     val = val % dmod[t]
-*/
-        __pyx_t_2 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_v); if (unlikely((__pyx_t_2 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 61, __pyx_L6_error)
-        __pyx_v_val = __pyx_t_2;
-
-        /* "endokat/_kernel/_core.pyx":62
- *             for v in col:
- *                 val = v
- *                 if t < r:             # <<<<<<<<<<<<<<
- *                     val = val % dmod[t]
- *                     if val < 0:
-*/
-        __pyx_t_4 = (__pyx_v_t < __pyx_v_r);
-        if (__pyx_t_4) {
-
-          /* "endokat/_kernel/_core.pyx":63
- *                 val = v
- *                 if t < r:
- *                     val = val % dmod[t]             # <<<<<<<<<<<<<<
- *                     if val < 0:
- *                         val += dmod[t]
-*/
-          __pyx_v_val = (__pyx_v_val % (__pyx_v_dmod[__pyx_v_t]));
-
-          /* "endokat/_kernel/_core.pyx":64
- *                 if t < r:
- *                     val = val % dmod[t]
- *                     if val < 0:             # <<<<<<<<<<<<<<
- *                         val += dmod[t]
- *                 else:
-*/
-          __pyx_t_4 = (__pyx_v_val < 0);
-          if (__pyx_t_4) {
-
-            /* "endokat/_kernel/_core.pyx":65
- *                     val = val % dmod[t]
- *                     if val < 0:
- *                         val += dmod[t]             # <<<<<<<<<<<<<<
- *                 else:
- *                     val = val % bm
-*/
-            __pyx_v_val = (__pyx_v_val + (__pyx_v_dmod[__pyx_v_t]));
-
-            /* "endokat/_kernel/_core.pyx":64
- *                 if t < r:
- *                     val = val % dmod[t]
- *                     if val < 0:             # <<<<<<<<<<<<<<
- *                         val += dmod[t]
- *                 else:
-*/
-          }
-
-          /* "endokat/_kernel/_core.pyx":62
- *             for v in col:
- *                 val = v
- *                 if t < r:             # <<<<<<<<<<<<<<
- *                     val = val % dmod[t]
- *                     if val < 0:
-*/
-          goto __pyx_L20;
-        }
-
-        /* "endokat/_kernel/_core.pyx":67
- *                         val += dmod[t]
- *                 else:
- *                     val = val % bm             # <<<<<<<<<<<<<<
- *                     if val < 0:
- *                         val += bm
-*/
-        /*else*/ {
-          __pyx_v_val = (__pyx_v_val % __pyx_v_bm);
-
-          /* "endokat/_kernel/_core.pyx":68
- *                 else:
- *                     val = val % bm
- *                     if val < 0:             # <<<<<<<<<<<<<<
- *                         val += bm
- *                 buf[idx * total + t] = val
-*/
-          __pyx_t_4 = (__pyx_v_val < 0);
-          if (__pyx_t_4) {
-
-            /* "endokat/_kernel/_core.pyx":69
- *                     val = val % bm
- *                     if val < 0:
- *                         val += bm             # <<<<<<<<<<<<<<
- *                 buf[idx * total + t] = val
- *                 if val != 0:
-*/
-            __pyx_v_val = (__pyx_v_val + __pyx_v_bm);
-
-            /* "endokat/_kernel/_core.pyx":68
- *                 else:
- *                     val = val % bm
- *                     if val < 0:             # <<<<<<<<<<<<<<
- *                         val += bm
- *                 buf[idx * total + t] = val
-*/
-          }
-        }
-        __pyx_L20:;
-
-        /* "endokat/_kernel/_core.pyx":70
- *                     if val < 0:
- *                         val += bm
- *                 buf[idx * total + t] = val             # <<<<<<<<<<<<<<
- *                 if val != 0:
- *                     cnt += 1
-*/
-        (__pyx_v_buf[((__pyx_v_idx * __pyx_v_total) + __pyx_v_t)]) = __pyx_v_val;
-
-        /* "endokat/_kernel/_core.pyx":71
- *                         val += bm
- *                 buf[idx * total + t] = val
- *                 if val != 0:             # <<<<<<<<<<<<<<
- *                     cnt += 1
- *                 t += 1
-*/
-        __pyx_t_4 = (__pyx_v_val != 0);
-        if (__pyx_t_4) {
-
-          /* "endokat/_kernel/_core.pyx":72
- *                 buf[idx * total + t] = val
- *                 if val != 0:
- *                     cnt += 1             # <<<<<<<<<<<<<<
- *                 t += 1
- *             if cnt:
-*/
-          __pyx_v_cnt = (__pyx_v_cnt + 1);
-
-          /* "endokat/_kernel/_core.pyx":71
- *                         val += bm
- *                 buf[idx * total + t] = val
- *                 if val != 0:             # <<<<<<<<<<<<<<
- *                     cnt += 1
- *                 t += 1
-*/
-        }
-
-        /* "endokat/_kernel/_core.pyx":73
- *                 if val != 0:
- *                     cnt += 1
- *                 t += 1             # <<<<<<<<<<<<<<
- *             if cnt:
- *                 live[nlive] = idx
-*/
-        __pyx_v_t = (__pyx_v_t + 1);
-
-        /* "endokat/_kernel/_core.pyx":60
- *             t = 0
- *             cnt = 0
- *             for v in col:             # <<<<<<<<<<<<<<
- *                 val = v
- *                 if t < r:
-*/
-      }
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-      /* "endokat/_kernel/_core.pyx":74
- *                     cnt += 1
- *                 t += 1
- *             if cnt:             # <<<<<<<<<<<<<<
- *                 live[nlive] = idx
- *                 nlive += 1
-*/
-      __pyx_t_4 = (__pyx_v_cnt != 0);
-      if (__pyx_t_4) {
-
-        /* "endokat/_kernel/_core.pyx":75
- *                 t += 1
- *             if cnt:
- *                 live[nlive] = idx             # <<<<<<<<<<<<<<
- *                 nlive += 1
- *                 idx += 1
-*/
-        (__pyx_v_live[__pyx_v_nlive]) = __pyx_v_idx;
-
-        /* "endokat/_kernel/_core.pyx":76
- *             if cnt:
- *                 live[nlive] = idx
- *                 nlive += 1             # <<<<<<<<<<<<<<
- *                 idx += 1
- *         # rows: Euclid at row i against the fresh relation column
-*/
-        __pyx_v_nlive = (__pyx_v_nlive + 1);
-
-        /* "endokat/_kernel/_core.pyx":77
- *                 live[nlive] = idx
- *                 nlive += 1
- *                 idx += 1             # <<<<<<<<<<<<<<
- *         # rows: Euclid at row i against the fresh relation column
- *         for i in range(r):
-*/
-        __pyx_v_idx = (__pyx_v_idx + 1);
-
-        /* "endokat/_kernel/_core.pyx":74
- *                     cnt += 1
- *                 t += 1
- *             if cnt:             # <<<<<<<<<<<<<<
- *                 live[nlive] = idx
- *                 nlive += 1
-*/
-      }
-
-      /* "endokat/_kernel/_core.pyx":57
- *         nlive = 0
- *         idx = 0
- *         for col in cols:             # <<<<<<<<<<<<<<
- *             t = 0
- *             cnt = 0
-*/
-    }
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-
-    /* "endokat/_kernel/_core.pyx":79
- *                 idx += 1
- *         # rows: Euclid at row i against the fresh relation column
- *         for i in range(r):             # <<<<<<<<<<<<<<
- *             # fresh relation column d_i * e_i
- *             for t in range(total):
-*/
-    __pyx_t_1 = __pyx_v_r;
-    __pyx_t_9 = __pyx_t_1;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-      __pyx_v_i = __pyx_t_10;
-
-      /* "endokat/_kernel/_core.pyx":81
- *         for i in range(r):
- *             # fresh relation column d_i * e_i
- *             for t in range(total):             # <<<<<<<<<<<<<<
- *                 buf[idx * total + t] = 0
- *             buf[idx * total + i] = dmod[i]
-*/
-      __pyx_t_14 = __pyx_v_total;
-      __pyx_t_15 = __pyx_t_14;
-      for (__pyx_t_16 = 0; __pyx_t_16 < __pyx_t_15; __pyx_t_16+=1) {
-        __pyx_v_t = __pyx_t_16;
-
-        /* "endokat/_kernel/_core.pyx":82
- *             # fresh relation column d_i * e_i
- *             for t in range(total):
- *                 buf[idx * total + t] = 0             # <<<<<<<<<<<<<<
- *             buf[idx * total + i] = dmod[i]
- *             live[nlive] = idx
-*/
-        (__pyx_v_buf[((__pyx_v_idx * __pyx_v_total) + __pyx_v_t)]) = 0;
-      }
-
-      /* "endokat/_kernel/_core.pyx":83
- *             for t in range(total):
- *                 buf[idx * total + t] = 0
- *             buf[idx * total + i] = dmod[i]             # <<<<<<<<<<<<<<
- *             live[nlive] = idx
- *             nlive += 1
-*/
-      (__pyx_v_buf[((__pyx_v_idx * __pyx_v_total) + __pyx_v_i)]) = (__pyx_v_dmod[__pyx_v_i]);
-
-      /* "endokat/_kernel/_core.pyx":84
- *                 buf[idx * total + t] = 0
- *             buf[idx * total + i] = dmod[i]
- *             live[nlive] = idx             # <<<<<<<<<<<<<<
- *             nlive += 1
- *             idx += 1
-*/
-      (__pyx_v_live[__pyx_v_nlive]) = __pyx_v_idx;
-
-      /* "endokat/_kernel/_core.pyx":85
- *             buf[idx * total + i] = dmod[i]
- *             live[nlive] = idx
- *             nlive += 1             # <<<<<<<<<<<<<<
- *             idx += 1
- *             while True:
-*/
-      __pyx_v_nlive = (__pyx_v_nlive + 1);
-
-      /* "endokat/_kernel/_core.pyx":86
- *             live[nlive] = idx
- *             nlive += 1
- *             idx += 1             # <<<<<<<<<<<<<<
- *             while True:
- *                 cnt = 0
-*/
-      __pyx_v_idx = (__pyx_v_idx + 1);
-
-      /* "endokat/_kernel/_core.pyx":87
- *             nlive += 1
- *             idx += 1
- *             while True:             # <<<<<<<<<<<<<<
- *                 cnt = 0
- *                 mpos = -1
-*/
-      while (1) {
-
-        /* "endokat/_kernel/_core.pyx":88
- *             idx += 1
- *             while True:
- *                 cnt = 0             # <<<<<<<<<<<<<<
- *                 mpos = -1
- *                 mv = 0
-*/
-        __pyx_v_cnt = 0;
-
-        /* "endokat/_kernel/_core.pyx":89
- *             while True:
- *                 cnt = 0
- *                 mpos = -1             # <<<<<<<<<<<<<<
- *                 mv = 0
- *                 for j in range(nlive):
-*/
-        __pyx_v_mpos = -1L;
-
-        /* "endokat/_kernel/_core.pyx":90
- *                 cnt = 0
- *                 mpos = -1
- *                 mv = 0             # <<<<<<<<<<<<<<
- *                 for j in range(nlive):
- *                     val = buf[live[j] * total + i]
-*/
-        __pyx_v_mv = 0;
-
-        /* "endokat/_kernel/_core.pyx":91
- *                 mpos = -1
- *                 mv = 0
- *                 for j in range(nlive):             # <<<<<<<<<<<<<<
- *                     val = buf[live[j] * total + i]
- *                     if val != 0:
-*/
-        __pyx_t_14 = __pyx_v_nlive;
-        __pyx_t_15 = __pyx_t_14;
-        for (__pyx_t_16 = 0; __pyx_t_16 < __pyx_t_15; __pyx_t_16+=1) {
-          __pyx_v_j = __pyx_t_16;
-
-          /* "endokat/_kernel/_core.pyx":92
- *                 mv = 0
- *                 for j in range(nlive):
- *                     val = buf[live[j] * total + i]             # <<<<<<<<<<<<<<
- *                     if val != 0:
- *                         cnt += 1
-*/
-          __pyx_v_val = (__pyx_v_buf[(((__pyx_v_live[__pyx_v_j]) * __pyx_v_total) + __pyx_v_i)]);
-
-          /* "endokat/_kernel/_core.pyx":93
- *                 for j in range(nlive):
- *                     val = buf[live[j] * total + i]
- *                     if val != 0:             # <<<<<<<<<<<<<<
- *                         cnt += 1
- *                         if mpos < 0 or val < mv:
-*/
-          __pyx_t_4 = (__pyx_v_val != 0);
-          if (__pyx_t_4) {
-
-            /* "endokat/_kernel/_core.pyx":94
- *                     val = buf[live[j] * total + i]
- *                     if val != 0:
- *                         cnt += 1             # <<<<<<<<<<<<<<
- *                         if mpos < 0 or val < mv:
- *                             mpos = j
-*/
-            __pyx_v_cnt = (__pyx_v_cnt + 1);
-
-            /* "endokat/_kernel/_core.pyx":95
- *                     if val != 0:
- *                         cnt += 1
- *                         if mpos < 0 or val < mv:             # <<<<<<<<<<<<<<
- *                             mpos = j
- *                             mv = val
-*/
-            __pyx_t_11 = (__pyx_v_mpos < 0);
-            if (!__pyx_t_11) {
-            } else {
-              __pyx_t_4 = __pyx_t_11;
-              goto __pyx_L37_bool_binop_done;
-            }
-            __pyx_t_11 = (__pyx_v_val < __pyx_v_mv);
-            __pyx_t_4 = __pyx_t_11;
-            __pyx_L37_bool_binop_done:;
-            if (__pyx_t_4) {
-
-              /* "endokat/_kernel/_core.pyx":96
- *                         cnt += 1
- *                         if mpos < 0 or val < mv:
- *                             mpos = j             # <<<<<<<<<<<<<<
- *                             mv = val
- *                 if cnt <= 1:
-*/
-              __pyx_v_mpos = __pyx_v_j;
-
-              /* "endokat/_kernel/_core.pyx":97
- *                         if mpos < 0 or val < mv:
- *                             mpos = j
- *                             mv = val             # <<<<<<<<<<<<<<
- *                 if cnt <= 1:
- *                     break
-*/
-              __pyx_v_mv = __pyx_v_val;
-
-              /* "endokat/_kernel/_core.pyx":95
- *                     if val != 0:
- *                         cnt += 1
- *                         if mpos < 0 or val < mv:             # <<<<<<<<<<<<<<
- *                             mpos = j
- *                             mv = val
-*/
-            }
-
-            /* "endokat/_kernel/_core.pyx":93
- *                 for j in range(nlive):
- *                     val = buf[live[j] * total + i]
- *                     if val != 0:             # <<<<<<<<<<<<<<
- *                         cnt += 1
- *                         if mpos < 0 or val < mv:
-*/
-          }
-        }
-
-        /* "endokat/_kernel/_core.pyx":98
- *                             mpos = j
- *                             mv = val
- *                 if cnt <= 1:             # <<<<<<<<<<<<<<
- *                     break
- *                 pi = live[mpos]
-*/
-        __pyx_t_4 = (__pyx_v_cnt <= 1);
-        if (__pyx_t_4) {
-
-          /* "endokat/_kernel/_core.pyx":99
- *                             mv = val
- *                 if cnt <= 1:
- *                     break             # <<<<<<<<<<<<<<
- *                 pi = live[mpos]
- *                 for j in range(nlive):
-*/
-          goto __pyx_L32_break;
-
-          /* "endokat/_kernel/_core.pyx":98
- *                             mpos = j
- *                             mv = val
- *                 if cnt <= 1:             # <<<<<<<<<<<<<<
- *                     break
- *                 pi = live[mpos]
-*/
-        }
-
-        /* "endokat/_kernel/_core.pyx":100
- *                 if cnt <= 1:
- *                     break
- *                 pi = live[mpos]             # <<<<<<<<<<<<<<
- *                 for j in range(nlive):
- *                     if j == mpos:
-*/
-        __pyx_v_pi = (__pyx_v_live[__pyx_v_mpos]);
-
-        /* "endokat/_kernel/_core.pyx":101
- *                     break
- *                 pi = live[mpos]
- *                 for j in range(nlive):             # <<<<<<<<<<<<<<
- *                     if j == mpos:
- *                         continue
-*/
-        __pyx_t_14 = __pyx_v_nlive;
-        __pyx_t_15 = __pyx_t_14;
-        for (__pyx_t_16 = 0; __pyx_t_16 < __pyx_t_15; __pyx_t_16+=1) {
-          __pyx_v_j = __pyx_t_16;
-
-          /* "endokat/_kernel/_core.pyx":102
- *                 pi = live[mpos]
- *                 for j in range(nlive):
- *                     if j == mpos:             # <<<<<<<<<<<<<<
- *                         continue
- *                     pj = live[j]
-*/
-          __pyx_t_4 = (__pyx_v_j == __pyx_v_mpos);
-          if (__pyx_t_4) {
-
-            /* "endokat/_kernel/_core.pyx":103
- *                 for j in range(nlive):
- *                     if j == mpos:
- *                         continue             # <<<<<<<<<<<<<<
- *                     pj = live[j]
- *                     val = buf[pj * total + i]
-*/
-            goto __pyx_L40_continue;
-
-            /* "endokat/_kernel/_core.pyx":102
- *                 pi = live[mpos]
- *                 for j in range(nlive):
- *                     if j == mpos:             # <<<<<<<<<<<<<<
- *                         continue
- *                     pj = live[j]
-*/
-          }
-
-          /* "endokat/_kernel/_core.pyx":104
- *                     if j == mpos:
- *                         continue
- *                     pj = live[j]             # <<<<<<<<<<<<<<
- *                     val = buf[pj * total + i]
- *                     if val == 0:
-*/
-          __pyx_v_pj = (__pyx_v_live[__pyx_v_j]);
-
-          /* "endokat/_kernel/_core.pyx":105
- *                         continue
- *                     pj = live[j]
- *                     val = buf[pj * total + i]             # <<<<<<<<<<<<<<
- *                     if val == 0:
- *                         continue
-*/
-          __pyx_v_val = (__pyx_v_buf[((__pyx_v_pj * __pyx_v_total) + __pyx_v_i)]);
-
-          /* "endokat/_kernel/_core.pyx":106
- *                     pj = live[j]
- *                     val = buf[pj * total + i]
- *                     if val == 0:             # <<<<<<<<<<<<<<
- *                         continue
- *                     q = val / mv
-*/
-          __pyx_t_4 = (__pyx_v_val == 0);
-          if (__pyx_t_4) {
-
-            /* "endokat/_kernel/_core.pyx":107
- *                     val = buf[pj * total + i]
- *                     if val == 0:
- *                         continue             # <<<<<<<<<<<<<<
- *                     q = val / mv
- *                     buf[pj * total + i] = val - q * mv
-*/
-            goto __pyx_L40_continue;
-
-            /* "endokat/_kernel/_core.pyx":106
- *                     pj = live[j]
- *                     val = buf[pj * total + i]
- *                     if val == 0:             # <<<<<<<<<<<<<<
- *                         continue
- *                     q = val / mv
-*/
-          }
-
-          /* "endokat/_kernel/_core.pyx":108
- *                     if val == 0:
- *                         continue
- *                     q = val / mv             # <<<<<<<<<<<<<<
- *                     buf[pj * total + i] = val - q * mv
- *                     for k in range(i + 1, r):
-*/
-          __pyx_v_q = (__pyx_v_val / __pyx_v_mv);
-
-          /* "endokat/_kernel/_core.pyx":109
- *                         continue
- *                     q = val / mv
- *                     buf[pj * total + i] = val - q * mv             # <<<<<<<<<<<<<<
- *                     for k in range(i + 1, r):
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % dmod[k]
-*/
-          (__pyx_v_buf[((__pyx_v_pj * __pyx_v_total) + __pyx_v_i)]) = (__pyx_v_val - (__pyx_v_q * __pyx_v_mv));
-
-          /* "endokat/_kernel/_core.pyx":110
- *                     q = val / mv
- *                     buf[pj * total + i] = val - q * mv
- *                     for k in range(i + 1, r):             # <<<<<<<<<<<<<<
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % dmod[k]
- *                         if val < 0:
-*/
-          __pyx_t_17 = __pyx_v_r;
-          __pyx_t_18 = __pyx_t_17;
-          for (__pyx_t_19 = (__pyx_v_i + 1); __pyx_t_19 < __pyx_t_18; __pyx_t_19+=1) {
-            __pyx_v_k = __pyx_t_19;
-
-            /* "endokat/_kernel/_core.pyx":111
- *                     buf[pj * total + i] = val - q * mv
- *                     for k in range(i + 1, r):
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % dmod[k]             # <<<<<<<<<<<<<<
- *                         if val < 0:
- *                             val += dmod[k]
-*/
-            __pyx_v_val = (((__pyx_v_buf[((__pyx_v_pj * __pyx_v_total) + __pyx_v_k)]) - (__pyx_v_q * (__pyx_v_buf[((__pyx_v_pi * __pyx_v_total) + __pyx_v_k)]))) % (__pyx_v_dmod[__pyx_v_k]));
-
-            /* "endokat/_kernel/_core.pyx":112
- *                     for k in range(i + 1, r):
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % dmod[k]
- *                         if val < 0:             # <<<<<<<<<<<<<<
- *                             val += dmod[k]
- *                         buf[pj * total + k] = val
-*/
-            __pyx_t_4 = (__pyx_v_val < 0);
-            if (__pyx_t_4) {
-
-              /* "endokat/_kernel/_core.pyx":113
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % dmod[k]
- *                         if val < 0:
- *                             val += dmod[k]             # <<<<<<<<<<<<<<
- *                         buf[pj * total + k] = val
- *                     for k in range(r, total):
-*/
-              __pyx_v_val = (__pyx_v_val + (__pyx_v_dmod[__pyx_v_k]));
-
-              /* "endokat/_kernel/_core.pyx":112
- *                     for k in range(i + 1, r):
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % dmod[k]
- *                         if val < 0:             # <<<<<<<<<<<<<<
- *                             val += dmod[k]
- *                         buf[pj * total + k] = val
-*/
-            }
-
-            /* "endokat/_kernel/_core.pyx":114
- *                         if val < 0:
- *                             val += dmod[k]
- *                         buf[pj * total + k] = val             # <<<<<<<<<<<<<<
- *                     for k in range(r, total):
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % bm
-*/
-            (__pyx_v_buf[((__pyx_v_pj * __pyx_v_total) + __pyx_v_k)]) = __pyx_v_val;
-          }
-
-          /* "endokat/_kernel/_core.pyx":115
- *                             val += dmod[k]
- *                         buf[pj * total + k] = val
- *                     for k in range(r, total):             # <<<<<<<<<<<<<<
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % bm
- *                         if val < 0:
-*/
-          __pyx_t_17 = __pyx_v_total;
-          __pyx_t_18 = __pyx_t_17;
-          for (__pyx_t_19 = __pyx_v_r; __pyx_t_19 < __pyx_t_18; __pyx_t_19+=1) {
-            __pyx_v_k = __pyx_t_19;
-
-            /* "endokat/_kernel/_core.pyx":116
- *                         buf[pj * total + k] = val
- *                     for k in range(r, total):
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % bm             # <<<<<<<<<<<<<<
- *                         if val < 0:
- *                             val += bm
-*/
-            __pyx_v_val = (((__pyx_v_buf[((__pyx_v_pj * __pyx_v_total) + __pyx_v_k)]) - (__pyx_v_q * (__pyx_v_buf[((__pyx_v_pi * __pyx_v_total) + __pyx_v_k)]))) % __pyx_v_bm);
-
-            /* "endokat/_kernel/_core.pyx":117
- *                     for k in range(r, total):
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % bm
- *                         if val < 0:             # <<<<<<<<<<<<<<
- *                             val += bm
- *                         buf[pj * total + k] = val
-*/
-            __pyx_t_4 = (__pyx_v_val < 0);
-            if (__pyx_t_4) {
-
-              /* "endokat/_kernel/_core.pyx":118
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % bm
- *                         if val < 0:
- *                             val += bm             # <<<<<<<<<<<<<<
- *                         buf[pj * total + k] = val
- *             mpos = -1
-*/
-              __pyx_v_val = (__pyx_v_val + __pyx_v_bm);
-
-              /* "endokat/_kernel/_core.pyx":117
- *                     for k in range(r, total):
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % bm
- *                         if val < 0:             # <<<<<<<<<<<<<<
- *                             val += bm
- *                         buf[pj * total + k] = val
-*/
-            }
-
-            /* "endokat/_kernel/_core.pyx":119
- *                         if val < 0:
- *                             val += bm
- *                         buf[pj * total + k] = val             # <<<<<<<<<<<<<<
- *             mpos = -1
- *             for j in range(nlive):
-*/
-            (__pyx_v_buf[((__pyx_v_pj * __pyx_v_total) + __pyx_v_k)]) = __pyx_v_val;
-          }
-          __pyx_L40_continue:;
-        }
-      }
-      __pyx_L32_break:;
-
-      /* "endokat/_kernel/_core.pyx":120
- *                             val += bm
- *                         buf[pj * total + k] = val
- *             mpos = -1             # <<<<<<<<<<<<<<
- *             for j in range(nlive):
- *                 if buf[live[j] * total + i] != 0:
-*/
-      __pyx_v_mpos = -1L;
-
-      /* "endokat/_kernel/_core.pyx":121
- *                         buf[pj * total + k] = val
- *             mpos = -1
- *             for j in range(nlive):             # <<<<<<<<<<<<<<
- *                 if buf[live[j] * total + i] != 0:
- *                     mpos = j
-*/
-      __pyx_t_14 = __pyx_v_nlive;
-      __pyx_t_15 = __pyx_t_14;
-      for (__pyx_t_16 = 0; __pyx_t_16 < __pyx_t_15; __pyx_t_16+=1) {
-        __pyx_v_j = __pyx_t_16;
-
-        /* "endokat/_kernel/_core.pyx":122
- *             mpos = -1
- *             for j in range(nlive):
- *                 if buf[live[j] * total + i] != 0:             # <<<<<<<<<<<<<<
- *                     mpos = j
- *                     break
-*/
-        __pyx_t_4 = ((__pyx_v_buf[(((__pyx_v_live[__pyx_v_j]) * __pyx_v_total) + __pyx_v_i)]) != 0);
-        if (__pyx_t_4) {
-
-          /* "endokat/_kernel/_core.pyx":123
- *             for j in range(nlive):
- *                 if buf[live[j] * total + i] != 0:
- *                     mpos = j             # <<<<<<<<<<<<<<
- *                     break
- *             piv[i] = live[mpos]
-*/
-          __pyx_v_mpos = __pyx_v_j;
-
-          /* "endokat/_kernel/_core.pyx":124
- *                 if buf[live[j] * total + i] != 0:
- *                     mpos = j
- *                     break             # <<<<<<<<<<<<<<
- *             piv[i] = live[mpos]
- *             for j in range(mpos, nlive - 1):
-*/
-          goto __pyx_L51_break;
-
-          /* "endokat/_kernel/_core.pyx":122
- *             mpos = -1
- *             for j in range(nlive):
- *                 if buf[live[j] * total + i] != 0:             # <<<<<<<<<<<<<<
- *                     mpos = j
- *                     break
-*/
-        }
-      }
-      __pyx_L51_break:;
-
-      /* "endokat/_kernel/_core.pyx":125
- *                     mpos = j
- *                     break
- *             piv[i] = live[mpos]             # <<<<<<<<<<<<<<
- *             for j in range(mpos, nlive - 1):
- *                 live[j] = live[j + 1]
-*/
-      (__pyx_v_piv[__pyx_v_i]) = (__pyx_v_live[__pyx_v_mpos]);
-
-      /* "endokat/_kernel/_core.pyx":126
- *                     break
- *             piv[i] = live[mpos]
- *             for j in range(mpos, nlive - 1):             # <<<<<<<<<<<<<<
- *                 live[j] = live[j + 1]
- *             nlive -= 1
-*/
-      __pyx_t_14 = (__pyx_v_nlive - 1);
-      __pyx_t_15 = __pyx_t_14;
-      for (__pyx_t_16 = __pyx_v_mpos; __pyx_t_16 < __pyx_t_15; __pyx_t_16+=1) {
-        __pyx_v_j = __pyx_t_16;
-
-        /* "endokat/_kernel/_core.pyx":127
- *             piv[i] = live[mpos]
- *             for j in range(mpos, nlive - 1):
- *                 live[j] = live[j + 1]             # <<<<<<<<<<<<<<
- *             nlive -= 1
- *             pi = piv[i]
-*/
-        (__pyx_v_live[__pyx_v_j]) = (__pyx_v_live[(__pyx_v_j + 1)]);
-      }
-
-      /* "endokat/_kernel/_core.pyx":128
- *             for j in range(mpos, nlive - 1):
- *                 live[j] = live[j + 1]
- *             nlive -= 1             # <<<<<<<<<<<<<<
- *             pi = piv[i]
- *             for k in range(i + 1, r):
-*/
-      __pyx_v_nlive = (__pyx_v_nlive - 1);
-
-      /* "endokat/_kernel/_core.pyx":129
- *                 live[j] = live[j + 1]
- *             nlive -= 1
- *             pi = piv[i]             # <<<<<<<<<<<<<<
- *             for k in range(i + 1, r):
- *                 val = buf[pi * total + k] % dmod[k]
-*/
-      __pyx_v_pi = (__pyx_v_piv[__pyx_v_i]);
-
-      /* "endokat/_kernel/_core.pyx":130
- *             nlive -= 1
- *             pi = piv[i]
- *             for k in range(i + 1, r):             # <<<<<<<<<<<<<<
- *                 val = buf[pi * total + k] % dmod[k]
- *                 if val < 0:
-*/
-      __pyx_t_14 = __pyx_v_r;
-      __pyx_t_15 = __pyx_t_14;
-      for (__pyx_t_16 = (__pyx_v_i + 1); __pyx_t_16 < __pyx_t_15; __pyx_t_16+=1) {
-        __pyx_v_k = __pyx_t_16;
-
-        /* "endokat/_kernel/_core.pyx":131
- *             pi = piv[i]
- *             for k in range(i + 1, r):
- *                 val = buf[pi * total + k] % dmod[k]             # <<<<<<<<<<<<<<
- *                 if val < 0:
- *                     val += dmod[k]
-*/
-        __pyx_v_val = ((__pyx_v_buf[((__pyx_v_pi * __pyx_v_total) + __pyx_v_k)]) % (__pyx_v_dmod[__pyx_v_k]));
-
-        /* "endokat/_kernel/_core.pyx":132
- *             for k in range(i + 1, r):
- *                 val = buf[pi * total + k] % dmod[k]
- *                 if val < 0:             # <<<<<<<<<<<<<<
- *                     val += dmod[k]
- *                 buf[pi * total + k] = val
-*/
-        __pyx_t_4 = (__pyx_v_val < 0);
-        if (__pyx_t_4) {
-
-          /* "endokat/_kernel/_core.pyx":133
- *                 val = buf[pi * total + k] % dmod[k]
- *                 if val < 0:
- *                     val += dmod[k]             # <<<<<<<<<<<<<<
- *                 buf[pi * total + k] = val
- *         # off-diagonal normalization
-*/
-          __pyx_v_val = (__pyx_v_val + (__pyx_v_dmod[__pyx_v_k]));
-
-          /* "endokat/_kernel/_core.pyx":132
- *             for k in range(i + 1, r):
- *                 val = buf[pi * total + k] % dmod[k]
- *                 if val < 0:             # <<<<<<<<<<<<<<
- *                     val += dmod[k]
- *                 buf[pi * total + k] = val
-*/
-        }
-
-        /* "endokat/_kernel/_core.pyx":134
- *                 if val < 0:
- *                     val += dmod[k]
- *                 buf[pi * total + k] = val             # <<<<<<<<<<<<<<
- *         # off-diagonal normalization
- *         for i in range(r):
-*/
-        (__pyx_v_buf[((__pyx_v_pi * __pyx_v_total) + __pyx_v_k)]) = __pyx_v_val;
-      }
-    }
-
-    /* "endokat/_kernel/_core.pyx":136
- *                 buf[pi * total + k] = val
- *         # off-diagonal normalization
- *         for i in range(r):             # <<<<<<<<<<<<<<
- *             pi = piv[i]
- *             mv = buf[pi * total + i]
-*/
-    __pyx_t_1 = __pyx_v_r;
-    __pyx_t_9 = __pyx_t_1;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-      __pyx_v_i = __pyx_t_10;
-
-      /* "endokat/_kernel/_core.pyx":137
- *         # off-diagonal normalization
- *         for i in range(r):
- *             pi = piv[i]             # <<<<<<<<<<<<<<
- *             mv = buf[pi * total + i]
- *             for j in range(i):
-*/
-      __pyx_v_pi = (__pyx_v_piv[__pyx_v_i]);
-
-      /* "endokat/_kernel/_core.pyx":138
- *         for i in range(r):
- *             pi = piv[i]
- *             mv = buf[pi * total + i]             # <<<<<<<<<<<<<<
- *             for j in range(i):
- *                 pj = piv[j]
-*/
-      __pyx_v_mv = (__pyx_v_buf[((__pyx_v_pi * __pyx_v_total) + __pyx_v_i)]);
-
-      /* "endokat/_kernel/_core.pyx":139
- *             pi = piv[i]
- *             mv = buf[pi * total + i]
- *             for j in range(i):             # <<<<<<<<<<<<<<
- *                 pj = piv[j]
- *                 q = buf[pj * total + i] / mv
-*/
-      __pyx_t_14 = __pyx_v_i;
-      __pyx_t_15 = __pyx_t_14;
-      for (__pyx_t_16 = 0; __pyx_t_16 < __pyx_t_15; __pyx_t_16+=1) {
-        __pyx_v_j = __pyx_t_16;
-
-        /* "endokat/_kernel/_core.pyx":140
- *             mv = buf[pi * total + i]
- *             for j in range(i):
- *                 pj = piv[j]             # <<<<<<<<<<<<<<
- *                 q = buf[pj * total + i] / mv
- *                 if q:
-*/
-        __pyx_v_pj = (__pyx_v_piv[__pyx_v_j]);
-
-        /* "endokat/_kernel/_core.pyx":141
- *             for j in range(i):
- *                 pj = piv[j]
- *                 q = buf[pj * total + i] / mv             # <<<<<<<<<<<<<<
- *                 if q:
- *                     buf[pj * total + i] -= q * mv
-*/
-        __pyx_v_q = ((__pyx_v_buf[((__pyx_v_pj * __pyx_v_total) + __pyx_v_i)]) / __pyx_v_mv);
-
-        /* "endokat/_kernel/_core.pyx":142
- *                 pj = piv[j]
- *                 q = buf[pj * total + i] / mv
- *                 if q:             # <<<<<<<<<<<<<<
- *                     buf[pj * total + i] -= q * mv
- *                     for k in range(i + 1, r):
-*/
-        __pyx_t_4 = (__pyx_v_q != 0);
-        if (__pyx_t_4) {
-
-          /* "endokat/_kernel/_core.pyx":143
- *                 q = buf[pj * total + i] / mv
- *                 if q:
- *                     buf[pj * total + i] -= q * mv             # <<<<<<<<<<<<<<
- *                     for k in range(i + 1, r):
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % dmod[k]
-*/
-          __pyx_t_17 = ((__pyx_v_pj * __pyx_v_total) + __pyx_v_i);
-          (__pyx_v_buf[__pyx_t_17]) = ((__pyx_v_buf[__pyx_t_17]) - (__pyx_v_q * __pyx_v_mv));
-
-          /* "endokat/_kernel/_core.pyx":144
- *                 if q:
- *                     buf[pj * total + i] -= q * mv
- *                     for k in range(i + 1, r):             # <<<<<<<<<<<<<<
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % dmod[k]
- *                         if val < 0:
-*/
-          __pyx_t_17 = __pyx_v_r;
-          __pyx_t_18 = __pyx_t_17;
-          for (__pyx_t_19 = (__pyx_v_i + 1); __pyx_t_19 < __pyx_t_18; __pyx_t_19+=1) {
-            __pyx_v_k = __pyx_t_19;
-
-            /* "endokat/_kernel/_core.pyx":145
- *                     buf[pj * total + i] -= q * mv
- *                     for k in range(i + 1, r):
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % dmod[k]             # <<<<<<<<<<<<<<
- *                         if val < 0:
- *                             val += dmod[k]
-*/
-            __pyx_v_val = (((__pyx_v_buf[((__pyx_v_pj * __pyx_v_total) + __pyx_v_k)]) - (__pyx_v_q * (__pyx_v_buf[((__pyx_v_pi * __pyx_v_total) + __pyx_v_k)]))) % (__pyx_v_dmod[__pyx_v_k]));
-
-            /* "endokat/_kernel/_core.pyx":146
- *                     for k in range(i + 1, r):
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % dmod[k]
- *                         if val < 0:             # <<<<<<<<<<<<<<
- *                             val += dmod[k]
- *                         buf[pj * total + k] = val
-*/
-            __pyx_t_4 = (__pyx_v_val < 0);
-            if (__pyx_t_4) {
-
-              /* "endokat/_kernel/_core.pyx":147
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % dmod[k]
- *                         if val < 0:
- *                             val += dmod[k]             # <<<<<<<<<<<<<<
- *                         buf[pj * total + k] = val
- * 
-*/
-              __pyx_v_val = (__pyx_v_val + (__pyx_v_dmod[__pyx_v_k]));
-
-              /* "endokat/_kernel/_core.pyx":146
- *                     for k in range(i + 1, r):
- *                         val = (buf[pj * total + k] - q * buf[pi * total + k]) % dmod[k]
- *                         if val < 0:             # <<<<<<<<<<<<<<
- *                             val += dmod[k]
- *                         buf[pj * total + k] = val
-*/
-            }
-
-            /* "endokat/_kernel/_core.pyx":148
- *                         if val < 0:
- *                             val += dmod[k]
- *                         buf[pj * total + k] = val             # <<<<<<<<<<<<<<
- * 
- *         hrows = []
-*/
-            (__pyx_v_buf[((__pyx_v_pj * __pyx_v_total) + __pyx_v_k)]) = __pyx_v_val;
-          }
-
-          /* "endokat/_kernel/_core.pyx":142
- *                 pj = piv[j]
- *                 q = buf[pj * total + i] / mv
- *                 if q:             # <<<<<<<<<<<<<<
- *                     buf[pj * total + i] -= q * mv
- *                     for k in range(i + 1, r):
-*/
-        }
-      }
-    }
-
-    /* "endokat/_kernel/_core.pyx":150
- *                         buf[pj * total + k] = val
- * 
- *         hrows = []             # <<<<<<<<<<<<<<
- *         for i in range(r):
- *             hrow = []
-*/
-    __pyx_t_6 = PyList_New(0); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 150, __pyx_L6_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_v_hrows = ((PyObject*)__pyx_t_6);
-    __pyx_t_6 = 0;
-
-    /* "endokat/_kernel/_core.pyx":151
- * 
- *         hrows = []
- *         for i in range(r):             # <<<<<<<<<<<<<<
- *             hrow = []
- *             for j in range(r):
-*/
-    __pyx_t_1 = __pyx_v_r;
-    __pyx_t_9 = __pyx_t_1;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-      __pyx_v_i = __pyx_t_10;
-
-      /* "endokat/_kernel/_core.pyx":152
- *         hrows = []
- *         for i in range(r):
- *             hrow = []             # <<<<<<<<<<<<<<
- *             for j in range(r):
- *                 hrow.append(buf[piv[j] * total + i])
-*/
-      __pyx_t_6 = PyList_New(0); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 152, __pyx_L6_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __Pyx_XDECREF_SET(__pyx_v_hrow, ((PyObject*)__pyx_t_6));
-      __pyx_t_6 = 0;
-
-      /* "endokat/_kernel/_core.pyx":153
- *         for i in range(r):
- *             hrow = []
- *             for j in range(r):             # <<<<<<<<<<<<<<
- *                 hrow.append(buf[piv[j] * total + i])
- *             hrows.append(tuple(hrow))
-*/
-      __pyx_t_14 = __pyx_v_r;
-      __pyx_t_15 = __pyx_t_14;
-      for (__pyx_t_16 = 0; __pyx_t_16 < __pyx_t_15; __pyx_t_16+=1) {
-        __pyx_v_j = __pyx_t_16;
-
-        /* "endokat/_kernel/_core.pyx":154
- *             hrow = []
- *             for j in range(r):
- *                 hrow.append(buf[piv[j] * total + i])             # <<<<<<<<<<<<<<
- *             hrows.append(tuple(hrow))
- *         kernels = []
-*/
-        __pyx_t_6 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_buf[(((__pyx_v_piv[__pyx_v_j]) * __pyx_v_total) + __pyx_v_i)])); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 154, __pyx_L6_error)
-        __Pyx_GOTREF(__pyx_t_6);
-        __pyx_t_20 = __Pyx_PyList_Append(__pyx_v_hrow, __pyx_t_6); if (unlikely(__pyx_t_20 == ((int)-1))) __PYX_ERR(0, 154, __pyx_L6_error)
-        __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      }
-
-      /* "endokat/_kernel/_core.pyx":155
- *             for j in range(r):
- *                 hrow.append(buf[piv[j] * total + i])
- *             hrows.append(tuple(hrow))             # <<<<<<<<<<<<<<
- *         kernels = []
- *         if nb:
-*/
-      __pyx_t_6 = PyList_AsTuple(__pyx_v_hrow); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 155, __pyx_L6_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __pyx_t_20 = __Pyx_PyList_Append(__pyx_v_hrows, __pyx_t_6); if (unlikely(__pyx_t_20 == ((int)-1))) __PYX_ERR(0, 155, __pyx_L6_error)
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    }
-
-    /* "endokat/_kernel/_core.pyx":156
- *                 hrow.append(buf[piv[j] * total + i])
- *             hrows.append(tuple(hrow))
- *         kernels = []             # <<<<<<<<<<<<<<
- *         if nb:
- *             for j in range(nlive):
-*/
-    __pyx_t_6 = PyList_New(0); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 156, __pyx_L6_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_v_kernels = ((PyObject*)__pyx_t_6);
-    __pyx_t_6 = 0;
-
-    /* "endokat/_kernel/_core.pyx":157
- *             hrows.append(tuple(hrow))
- *         kernels = []
- *         if nb:             # <<<<<<<<<<<<<<
- *             for j in range(nlive):
- *                 pj = live[j]
-*/
-    __pyx_t_4 = (__pyx_v_nb != 0);
-    if (__pyx_t_4) {
-
-      /* "endokat/_kernel/_core.pyx":158
- *         kernels = []
- *         if nb:
- *             for j in range(nlive):             # <<<<<<<<<<<<<<
- *                 pj = live[j]
- *                 cnt = 0
-*/
-      __pyx_t_1 = __pyx_v_nlive;
-      __pyx_t_9 = __pyx_t_1;
-      for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-        __pyx_v_j = __pyx_t_10;
-
-        /* "endokat/_kernel/_core.pyx":159
- *         if nb:
- *             for j in range(nlive):
- *                 pj = live[j]             # <<<<<<<<<<<<<<
- *                 cnt = 0
- *                 for k in range(r, total):
-*/
-        __pyx_v_pj = (__pyx_v_live[__pyx_v_j]);
-
-        /* "endokat/_kernel/_core.pyx":160
- *             for j in range(nlive):
- *                 pj = live[j]
- *                 cnt = 0             # <<<<<<<<<<<<<<
- *                 for k in range(r, total):
- *                     if buf[pj * total + k] != 0:
-*/
-        __pyx_v_cnt = 0;
-
-        /* "endokat/_kernel/_core.pyx":161
- *                 pj = live[j]
- *                 cnt = 0
- *                 for k in range(r, total):             # <<<<<<<<<<<<<<
- *                     if buf[pj * total + k] != 0:
- *                         cnt = 1
-*/
-        __pyx_t_14 = __pyx_v_total;
-        __pyx_t_15 = __pyx_t_14;
-        for (__pyx_t_16 = __pyx_v_r; __pyx_t_16 < __pyx_t_15; __pyx_t_16+=1) {
-          __pyx_v_k = __pyx_t_16;
-
-          /* "endokat/_kernel/_core.pyx":162
- *                 cnt = 0
- *                 for k in range(r, total):
- *                     if buf[pj * total + k] != 0:             # <<<<<<<<<<<<<<
- *                         cnt = 1
- *                         break
-*/
-          __pyx_t_4 = ((__pyx_v_buf[((__pyx_v_pj * __pyx_v_total) + __pyx_v_k)]) != 0);
-          if (__pyx_t_4) {
-
-            /* "endokat/_kernel/_core.pyx":163
- *                 for k in range(r, total):
- *                     if buf[pj * total + k] != 0:
- *                         cnt = 1             # <<<<<<<<<<<<<<
- *                         break
- *                 if cnt:
-*/
-            __pyx_v_cnt = 1;
-
-            /* "endokat/_kernel/_core.pyx":164
- *                     if buf[pj * total + k] != 0:
- *                         cnt = 1
- *                         break             # <<<<<<<<<<<<<<
- *                 if cnt:
- *                     kvec = []
-*/
-            goto __pyx_L74_break;
-
-            /* "endokat/_kernel/_core.pyx":162
- *                 cnt = 0
- *                 for k in range(r, total):
- *                     if buf[pj * total + k] != 0:             # <<<<<<<<<<<<<<
- *                         cnt = 1
- *                         break
-*/
-          }
-        }
-        __pyx_L74_break:;
-
-        /* "endokat/_kernel/_core.pyx":165
- *                         cnt = 1
- *                         break
- *                 if cnt:             # <<<<<<<<<<<<<<
- *                     kvec = []
- *                     for k in range(r, total):
-*/
-        __pyx_t_4 = (__pyx_v_cnt != 0);
-        if (__pyx_t_4) {
-
-          /* "endokat/_kernel/_core.pyx":166
- *                         break
- *                 if cnt:
- *                     kvec = []             # <<<<<<<<<<<<<<
- *                     for k in range(r, total):
- *                         kvec.append(buf[pj * total + k])
-*/
-          __pyx_t_6 = PyList_New(0); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 166, __pyx_L6_error)
-          __Pyx_GOTREF(__pyx_t_6);
-          __Pyx_XDECREF_SET(__pyx_v_kvec, ((PyObject*)__pyx_t_6));
-          __pyx_t_6 = 0;
-
-          /* "endokat/_kernel/_core.pyx":167
- *                 if cnt:
- *                     kvec = []
- *                     for k in range(r, total):             # <<<<<<<<<<<<<<
- *                         kvec.append(buf[pj * total + k])
- *                     kernels.append(tuple(kvec))
-*/
-          __pyx_t_14 = __pyx_v_total;
-          __pyx_t_15 = __pyx_t_14;
-          for (__pyx_t_16 = __pyx_v_r; __pyx_t_16 < __pyx_t_15; __pyx_t_16+=1) {
-            __pyx_v_k = __pyx_t_16;
-
-            /* "endokat/_kernel/_core.pyx":168
- *                     kvec = []
- *                     for k in range(r, total):
- *                         kvec.append(buf[pj * total + k])             # <<<<<<<<<<<<<<
- *                     kernels.append(tuple(kvec))
- *         return tuple(hrows), kernels
-*/
-            __pyx_t_6 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_buf[((__pyx_v_pj * __pyx_v_total) + __pyx_v_k)])); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 168, __pyx_L6_error)
-            __Pyx_GOTREF(__pyx_t_6);
-            __pyx_t_20 = __Pyx_PyList_Append(__pyx_v_kvec, __pyx_t_6); if (unlikely(__pyx_t_20 == ((int)-1))) __PYX_ERR(0, 168, __pyx_L6_error)
-            __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-          }
-
-          /* "endokat/_kernel/_core.pyx":169
- *                     for k in range(r, total):
- *                         kvec.append(buf[pj * total + k])
- *                     kernels.append(tuple(kvec))             # <<<<<<<<<<<<<<
- *         return tuple(hrows), kernels
- *     finally:
-*/
-          __pyx_t_6 = PyList_AsTuple(__pyx_v_kvec); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 169, __pyx_L6_error)
-          __Pyx_GOTREF(__pyx_t_6);
-          __pyx_t_20 = __Pyx_PyList_Append(__pyx_v_kernels, __pyx_t_6); if (unlikely(__pyx_t_20 == ((int)-1))) __PYX_ERR(0, 169, __pyx_L6_error)
-          __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-
-          /* "endokat/_kernel/_core.pyx":165
- *                         cnt = 1
- *                         break
- *                 if cnt:             # <<<<<<<<<<<<<<
- *                     kvec = []
- *                     for k in range(r, total):
-*/
-        }
-      }
-
-      /* "endokat/_kernel/_core.pyx":157
- *             hrows.append(tuple(hrow))
- *         kernels = []
- *         if nb:             # <<<<<<<<<<<<<<
- *             for j in range(nlive):
- *                 pj = live[j]
-*/
-    }
-
-    /* "endokat/_kernel/_core.pyx":170
- *                         kvec.append(buf[pj * total + k])
- *                     kernels.append(tuple(kvec))
- *         return tuple(hrows), kernels             # <<<<<<<<<<<<<<
- *     finally:
- *         free(dmod)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_6 = PyList_AsTuple(__pyx_v_hrows); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 170, __pyx_L6_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_3 = PyTuple_New(2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 170, __pyx_L6_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_GIVEREF(__pyx_t_6);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_t_6) != (0)) __PYX_ERR(0, 170, __pyx_L6_error);
-    __Pyx_INCREF(__pyx_v_kernels);
-    __Pyx_GIVEREF(__pyx_v_kernels);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, __pyx_v_kernels) != (0)) __PYX_ERR(0, 170, __pyx_L6_error);
-    __pyx_t_6 = 0;
-    __pyx_r = __pyx_t_3;
-    __pyx_t_3 = 0;
-    goto __pyx_L5_return;
-  }
-
-  /* "endokat/_kernel/_core.pyx":172
- *         return tuple(hrows), kernels
- *     finally:
- *         free(dmod)             # <<<<<<<<<<<<<<
- *         if buf != NULL:
- *             free(buf)
-*/
-  /*finally:*/ {
-    __pyx_L6_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_24 = 0; __pyx_t_25 = 0; __pyx_t_26 = 0; __pyx_t_27 = 0; __pyx_t_28 = 0; __pyx_t_29 = 0;
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_27, &__pyx_t_28, &__pyx_t_29);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_24, &__pyx_t_25, &__pyx_t_26) < 0)) __Pyx_ErrFetch(&__pyx_t_24, &__pyx_t_25, &__pyx_t_26);
-      __Pyx_XGOTREF(__pyx_t_24);
-      __Pyx_XGOTREF(__pyx_t_25);
-      __Pyx_XGOTREF(__pyx_t_26);
-      __Pyx_XGOTREF(__pyx_t_27);
-      __Pyx_XGOTREF(__pyx_t_28);
-      __Pyx_XGOTREF(__pyx_t_29);
-      __pyx_t_21 = __pyx_lineno; __pyx_t_22 = __pyx_clineno; __pyx_t_23 = __pyx_filename;
-      {
-        free(__pyx_v_dmod);
-
-        /* "endokat/_kernel/_core.pyx":173
- *     finally:
- *         free(dmod)
- *         if buf != NULL:             # <<<<<<<<<<<<<<
- *             free(buf)
- *         if live != NULL:
-*/
-        __pyx_t_4 = (__pyx_v_buf != NULL);
-        if (__pyx_t_4) {
-
-          /* "endokat/_kernel/_core.pyx":174
- *         free(dmod)
- *         if buf != NULL:
- *             free(buf)             # <<<<<<<<<<<<<<
- *         if live != NULL:
- *             free(live)
-*/
-          free(__pyx_v_buf);
-
-          /* "endokat/_kernel/_core.pyx":173
- *     finally:
- *         free(dmod)
- *         if buf != NULL:             # <<<<<<<<<<<<<<
- *             free(buf)
- *         if live != NULL:
-*/
-        }
-
-        /* "endokat/_kernel/_core.pyx":175
- *         if buf != NULL:
- *             free(buf)
- *         if live != NULL:             # <<<<<<<<<<<<<<
- *             free(live)
- *         if piv != NULL:
-*/
-        __pyx_t_4 = (__pyx_v_live != NULL);
-        if (__pyx_t_4) {
-
-          /* "endokat/_kernel/_core.pyx":176
- *             free(buf)
- *         if live != NULL:
- *             free(live)             # <<<<<<<<<<<<<<
- *         if piv != NULL:
- *             free(piv)
-*/
-          free(__pyx_v_live);
-
-          /* "endokat/_kernel/_core.pyx":175
- *         if buf != NULL:
- *             free(buf)
- *         if live != NULL:             # <<<<<<<<<<<<<<
- *             free(live)
- *         if piv != NULL:
-*/
-        }
-
-        /* "endokat/_kernel/_core.pyx":177
- *         if live != NULL:
- *             free(live)
- *         if piv != NULL:             # <<<<<<<<<<<<<<
- *             free(piv)
- * 
-*/
-        __pyx_t_4 = (__pyx_v_piv != NULL);
-        if (__pyx_t_4) {
-
-          /* "endokat/_kernel/_core.pyx":178
- *             free(live)
- *         if piv != NULL:
- *             free(piv)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-          free(__pyx_v_piv);
-
-          /* "endokat/_kernel/_core.pyx":177
- *         if live != NULL:
- *             free(live)
- *         if piv != NULL:             # <<<<<<<<<<<<<<
- *             free(piv)
- * 
-*/
-        }
-      }
-      __Pyx_XGIVEREF(__pyx_t_27);
-      __Pyx_XGIVEREF(__pyx_t_28);
-      __Pyx_XGIVEREF(__pyx_t_29);
-      __Pyx_ExceptionReset(__pyx_t_27, __pyx_t_28, __pyx_t_29);
-      __Pyx_XGIVEREF(__pyx_t_24);
-      __Pyx_XGIVEREF(__pyx_t_25);
-      __Pyx_XGIVEREF(__pyx_t_26);
-      __Pyx_ErrRestore(__pyx_t_24, __pyx_t_25, __pyx_t_26);
-      __pyx_t_24 = 0; __pyx_t_25 = 0; __pyx_t_26 = 0; __pyx_t_27 = 0; __pyx_t_28 = 0; __pyx_t_29 = 0;
-      __pyx_lineno = __pyx_t_21; __pyx_clineno = __pyx_t_22; __pyx_filename = __pyx_t_23;
-      goto __pyx_L1_error;
-    }
-    __pyx_L5_return: {
-      __pyx_t_29 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "endokat/_kernel/_core.pyx":172
- *         return tuple(hrows), kernels
- *     finally:
- *         free(dmod)             # <<<<<<<<<<<<<<
- *         if buf != NULL:
- *             free(buf)
-*/
-      free(__pyx_v_dmod);
-
-      /* "endokat/_kernel/_core.pyx":173
- *     finally:
- *         free(dmod)
- *         if buf != NULL:             # <<<<<<<<<<<<<<
- *             free(buf)
- *         if live != NULL:
-*/
-      __pyx_t_4 = (__pyx_v_buf != NULL);
-      if (__pyx_t_4) {
-
-        /* "endokat/_kernel/_core.pyx":174
- *         free(dmod)
- *         if buf != NULL:
- *             free(buf)             # <<<<<<<<<<<<<<
- *         if live != NULL:
- *             free(live)
-*/
-        free(__pyx_v_buf);
-
-        /* "endokat/_kernel/_core.pyx":173
- *     finally:
- *         free(dmod)
- *         if buf != NULL:             # <<<<<<<<<<<<<<
- *             free(buf)
- *         if live != NULL:
-*/
-      }
-
-      /* "endokat/_kernel/_core.pyx":175
- *         if buf != NULL:
- *             free(buf)
- *         if live != NULL:             # <<<<<<<<<<<<<<
- *             free(live)
- *         if piv != NULL:
-*/
-      __pyx_t_4 = (__pyx_v_live != NULL);
-      if (__pyx_t_4) {
-
-        /* "endokat/_kernel/_core.pyx":176
- *             free(buf)
- *         if live != NULL:
- *             free(live)             # <<<<<<<<<<<<<<
- *         if piv != NULL:
- *             free(piv)
-*/
-        free(__pyx_v_live);
-
-        /* "endokat/_kernel/_core.pyx":175
- *         if buf != NULL:
- *             free(buf)
- *         if live != NULL:             # <<<<<<<<<<<<<<
- *             free(live)
- *         if piv != NULL:
-*/
-      }
-
-      /* "endokat/_kernel/_core.pyx":177
- *         if live != NULL:
- *             free(live)
- *         if piv != NULL:             # <<<<<<<<<<<<<<
- *             free(piv)
- * 
-*/
-      __pyx_t_4 = (__pyx_v_piv != NULL);
-      if (__pyx_t_4) {
-
-        /* "endokat/_kernel/_core.pyx":178
- *             free(live)
- *         if piv != NULL:
- *             free(piv)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-        free(__pyx_v_piv);
-
-        /* "endokat/_kernel/_core.pyx":177
- *         if live != NULL:
- *             free(live)
- *         if piv != NULL:             # <<<<<<<<<<<<<<
- *             free(piv)
- * 
-*/
-      }
-      __pyx_r = __pyx_t_29;
-      __pyx_t_29 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "endokat/_kernel/_core.pyx":22
- * 
- * 
- * def hnf_kernel(mods, cols, nbottom, bottom_mod):             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t r = len(mods)
- *     cdef Py_ssize_t nb = nbottom
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_AddTraceback("endokat._kernel._core.hnf_kernel", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_col);
-  __Pyx_XDECREF(__pyx_v_v);
-  __Pyx_XDECREF(__pyx_v_hrows);
-  __Pyx_XDECREF(__pyx_v_hrow);
-  __Pyx_XDECREF(__pyx_v_kernels);
-  __Pyx_XDECREF(__pyx_v_kvec);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "endokat/_kernel/_core.pyx":181
- * 
- * 
- * def box_reduce(mods, hrows, vec):             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t r = len(mods)
- *     cdef Py_ssize_t i, k
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7endokat_7_kernel_5_core_3box_reduce(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7endokat_7_kernel_5_core_3box_reduce = {"box_reduce", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7endokat_7_kernel_5_core_3box_reduce, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7endokat_7_kernel_5_core_3box_reduce(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_mods = 0;
-  PyObject *__pyx_v_hrows = 0;
-  PyObject *__pyx_v_vec = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("box_reduce (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_mods,&__pyx_mstate_global->__pyx_n_u_hrows,&__pyx_mstate_global->__pyx_n_u_vec,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 181, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 181, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 181, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 181, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "box_reduce", 0) < (0)) __PYX_ERR(0, 181, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("box_reduce", 1, 3, 3, i); __PYX_ERR(0, 181, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 3)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 181, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 181, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 181, __pyx_L3_error)
-    }
-    __pyx_v_mods = values[0];
-    __pyx_v_hrows = values[1];
-    __pyx_v_vec = values[2];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("box_reduce", 1, 3, 3, __pyx_nargs); __PYX_ERR(0, 181, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("endokat._kernel._core.box_reduce", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7endokat_7_kernel_5_core_2box_reduce(__pyx_self, __pyx_v_mods, __pyx_v_hrows, __pyx_v_vec);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7endokat_7_kernel_5_core_2box_reduce(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_mods, PyObject *__pyx_v_hrows, PyObject *__pyx_v_vec) {
-  Py_ssize_t __pyx_v_r;
-  Py_ssize_t __pyx_v_i;
-  Py_ssize_t __pyx_v_k;
-  PY_LONG_LONG __pyx_v_q;
-  PY_LONG_LONG __pyx_v_val;
-  PY_LONG_LONG *__pyx_v_w;
-  PY_LONG_LONG *__pyx_v_h;
-  PY_LONG_LONG *__pyx_v_dmod;
-  PyObject *__pyx_v_row = NULL;
-  PyObject *__pyx_v_out = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  Py_ssize_t __pyx_t_4;
-  Py_ssize_t __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  PY_LONG_LONG __pyx_t_7;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  size_t __pyx_t_10;
-  Py_ssize_t __pyx_t_11;
-  Py_ssize_t __pyx_t_12;
-  Py_ssize_t __pyx_t_13;
-  int __pyx_t_14;
-  int __pyx_t_15;
-  int __pyx_t_16;
-  char const *__pyx_t_17;
-  PyObject *__pyx_t_18 = NULL;
-  PyObject *__pyx_t_19 = NULL;
-  PyObject *__pyx_t_20 = NULL;
-  PyObject *__pyx_t_21 = NULL;
-  PyObject *__pyx_t_22 = NULL;
-  PyObject *__pyx_t_23 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("box_reduce", 0);
-
-  /* "endokat/_kernel/_core.pyx":182
- * 
- * def box_reduce(mods, hrows, vec):
- *     cdef Py_ssize_t r = len(mods)             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t i, k
- *     cdef long long q, val
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_mods); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 182, __pyx_L1_error)
-  __pyx_v_r = __pyx_t_1;
-
-  /* "endokat/_kernel/_core.pyx":185
- *     cdef Py_ssize_t i, k
- *     cdef long long q, val
- *     if r == 0:             # <<<<<<<<<<<<<<
- *         return ()
- *     cdef long long *w = <long long *> malloc(r * sizeof(long long))
-*/
-  __pyx_t_2 = (__pyx_v_r == 0);
-  if (__pyx_t_2) {
-
-    /* "endokat/_kernel/_core.pyx":186
- *     cdef long long q, val
- *     if r == 0:
- *         return ()             # <<<<<<<<<<<<<<
- *     cdef long long *w = <long long *> malloc(r * sizeof(long long))
- *     cdef long long *h = <long long *> malloc(r * r * sizeof(long long))
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_empty_tuple);
-    __pyx_r = __pyx_mstate_global->__pyx_empty_tuple;
-    goto __pyx_L0;
-
-    /* "endokat/_kernel/_core.pyx":185
- *     cdef Py_ssize_t i, k
- *     cdef long long q, val
- *     if r == 0:             # <<<<<<<<<<<<<<
- *         return ()
- *     cdef long long *w = <long long *> malloc(r * sizeof(long long))
-*/
-  }
-
-  /* "endokat/_kernel/_core.pyx":187
- *     if r == 0:
- *         return ()
- *     cdef long long *w = <long long *> malloc(r * sizeof(long long))             # <<<<<<<<<<<<<<
- *     cdef long long *h = <long long *> malloc(r * r * sizeof(long long))
- *     cdef long long *dmod = <long long *> malloc(r * sizeof(long long))
-*/
-  __pyx_v_w = ((PY_LONG_LONG *)malloc((__pyx_v_r * (sizeof(PY_LONG_LONG)))));
-
-  /* "endokat/_kernel/_core.pyx":188
- *         return ()
- *     cdef long long *w = <long long *> malloc(r * sizeof(long long))
- *     cdef long long *h = <long long *> malloc(r * r * sizeof(long long))             # <<<<<<<<<<<<<<
- *     cdef long long *dmod = <long long *> malloc(r * sizeof(long long))
- *     if w == NULL or h == NULL or dmod == NULL:
-*/
-  __pyx_v_h = ((PY_LONG_LONG *)malloc(((__pyx_v_r * __pyx_v_r) * (sizeof(PY_LONG_LONG)))));
-
-  /* "endokat/_kernel/_core.pyx":189
- *     cdef long long *w = <long long *> malloc(r * sizeof(long long))
- *     cdef long long *h = <long long *> malloc(r * r * sizeof(long long))
- *     cdef long long *dmod = <long long *> malloc(r * sizeof(long long))             # <<<<<<<<<<<<<<
- *     if w == NULL or h == NULL or dmod == NULL:
- *         raise MemoryError()
-*/
-  __pyx_v_dmod = ((PY_LONG_LONG *)malloc((__pyx_v_r * (sizeof(PY_LONG_LONG)))));
-
-  /* "endokat/_kernel/_core.pyx":190
- *     cdef long long *h = <long long *> malloc(r * r * sizeof(long long))
- *     cdef long long *dmod = <long long *> malloc(r * sizeof(long long))
- *     if w == NULL or h == NULL or dmod == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     try:
-*/
-  __pyx_t_3 = (__pyx_v_w == NULL);
-  if (!__pyx_t_3) {
-  } else {
-    __pyx_t_2 = __pyx_t_3;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_3 = (__pyx_v_h == NULL);
-  if (!__pyx_t_3) {
-  } else {
-    __pyx_t_2 = __pyx_t_3;
-    goto __pyx_L5_bool_binop_done;
-  }
-  __pyx_t_3 = (__pyx_v_dmod == NULL);
-  __pyx_t_2 = __pyx_t_3;
-  __pyx_L5_bool_binop_done:;
-  if (unlikely(__pyx_t_2)) {
-
-    /* "endokat/_kernel/_core.pyx":191
- *     cdef long long *dmod = <long long *> malloc(r * sizeof(long long))
- *     if w == NULL or h == NULL or dmod == NULL:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     try:
- *         for i in range(r):
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 191, __pyx_L1_error)
-
-    /* "endokat/_kernel/_core.pyx":190
- *     cdef long long *h = <long long *> malloc(r * r * sizeof(long long))
- *     cdef long long *dmod = <long long *> malloc(r * sizeof(long long))
- *     if w == NULL or h == NULL or dmod == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     try:
-*/
-  }
-
-  /* "endokat/_kernel/_core.pyx":192
- *     if w == NULL or h == NULL or dmod == NULL:
- *         raise MemoryError()
- *     try:             # <<<<<<<<<<<<<<
- *         for i in range(r):
- *             dmod[i] = mods[i]
-*/
-  /*try:*/ {
-
-    /* "endokat/_kernel/_core.pyx":193
- *         raise MemoryError()
- *     try:
- *         for i in range(r):             # <<<<<<<<<<<<<<
- *             dmod[i] = mods[i]
- *             if dmod[i] > MOD_LIMIT:
-*/
-    __pyx_t_1 = __pyx_v_r;
-    __pyx_t_4 = __pyx_t_1;
-    for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-      __pyx_v_i = __pyx_t_5;
-
-      /* "endokat/_kernel/_core.pyx":194
- *     try:
- *         for i in range(r):
- *             dmod[i] = mods[i]             # <<<<<<<<<<<<<<
- *             if dmod[i] > MOD_LIMIT:
- *                 raise NeedsBigInts("row modulus too large")
-*/
-      __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_mods, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 194, __pyx_L9_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __pyx_t_7 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_6); if (unlikely((__pyx_t_7 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 194, __pyx_L9_error)
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      (__pyx_v_dmod[__pyx_v_i]) = __pyx_t_7;
-
-      /* "endokat/_kernel/_core.pyx":195
- *         for i in range(r):
- *             dmod[i] = mods[i]
- *             if dmod[i] > MOD_LIMIT:             # <<<<<<<<<<<<<<
- *                 raise NeedsBigInts("row modulus too large")
- *             row = hrows[i]
-*/
-      __pyx_t_2 = ((__pyx_v_dmod[__pyx_v_i]) > 0x100000);
-      if (unlikely(__pyx_t_2)) {
-
-        /* "endokat/_kernel/_core.pyx":196
- *             dmod[i] = mods[i]
- *             if dmod[i] > MOD_LIMIT:
- *                 raise NeedsBigInts("row modulus too large")             # <<<<<<<<<<<<<<
- *             row = hrows[i]
- *             for k in range(r):
-*/
-        __pyx_t_8 = NULL;
-        __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_NeedsBigInts); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 196, __pyx_L9_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __pyx_t_10 = 1;
-        #if CYTHON_UNPACK_METHODS
-        if (unlikely(PyMethod_Check(__pyx_t_9))) {
-          __pyx_t_8 = PyMethod_GET_SELF(__pyx_t_9);
-          assert(__pyx_t_8);
-          PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_9);
-          __Pyx_INCREF(__pyx_t_8);
-          __Pyx_INCREF(__pyx__function);
-          __Pyx_DECREF_SET(__pyx_t_9, __pyx__function);
-          __pyx_t_10 = 0;
-        }
-        #endif
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_8, __pyx_mstate_global->__pyx_kp_u_row_modulus_too_large};
-          __pyx_t_6 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_9, __pyx_callargs+__pyx_t_10, (2-__pyx_t_10) | (__pyx_t_10*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-          __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-          if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 196, __pyx_L9_error)
-          __Pyx_GOTREF(__pyx_t_6);
-        }
-        __Pyx_Raise(__pyx_t_6, 0, 0, 0);
-        __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-        __PYX_ERR(0, 196, __pyx_L9_error)
-
-        /* "endokat/_kernel/_core.pyx":195
- *         for i in range(r):
- *             dmod[i] = mods[i]
- *             if dmod[i] > MOD_LIMIT:             # <<<<<<<<<<<<<<
- *                 raise NeedsBigInts("row modulus too large")
- *             row = hrows[i]
-*/
-      }
-
-      /* "endokat/_kernel/_core.pyx":197
- *             if dmod[i] > MOD_LIMIT:
- *                 raise NeedsBigInts("row modulus too large")
- *             row = hrows[i]             # <<<<<<<<<<<<<<
- *             for k in range(r):
- *                 h[i * r + k] = row[k]
-*/
-      __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_hrows, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 197, __pyx_L9_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __Pyx_XDECREF_SET(__pyx_v_row, __pyx_t_6);
-      __pyx_t_6 = 0;
-
-      /* "endokat/_kernel/_core.pyx":198
- *                 raise NeedsBigInts("row modulus too large")
- *             row = hrows[i]
- *             for k in range(r):             # <<<<<<<<<<<<<<
- *                 h[i * r + k] = row[k]
- *             val = vec[i] % dmod[i]
-*/
-      __pyx_t_11 = __pyx_v_r;
-      __pyx_t_12 = __pyx_t_11;
-      for (__pyx_t_13 = 0; __pyx_t_13 < __pyx_t_12; __pyx_t_13+=1) {
-        __pyx_v_k = __pyx_t_13;
-
-        /* "endokat/_kernel/_core.pyx":199
- *             row = hrows[i]
- *             for k in range(r):
- *                 h[i * r + k] = row[k]             # <<<<<<<<<<<<<<
- *             val = vec[i] % dmod[i]
- *             if val < 0:
-*/
-        __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_row, __pyx_v_k, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 199, __pyx_L9_error)
-        __Pyx_GOTREF(__pyx_t_6);
-        __pyx_t_7 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_6); if (unlikely((__pyx_t_7 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 199, __pyx_L9_error)
-        __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-        (__pyx_v_h[((__pyx_v_i * __pyx_v_r) + __pyx_v_k)]) = __pyx_t_7;
-      }
-
-      /* "endokat/_kernel/_core.pyx":200
- *             for k in range(r):
- *                 h[i * r + k] = row[k]
- *             val = vec[i] % dmod[i]             # <<<<<<<<<<<<<<
- *             if val < 0:
- *                 val += dmod[i]
-*/
-      __pyx_t_6 = __Pyx_GetItemInt(__pyx_v_vec, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 200, __pyx_L9_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __pyx_t_9 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_dmod[__pyx_v_i])); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 200, __pyx_L9_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_8 = PyNumber_Remainder(__pyx_t_6, __pyx_t_9); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 200, __pyx_L9_error)
-      __Pyx_GOTREF(__pyx_t_8);
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      __pyx_t_7 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_8); if (unlikely((__pyx_t_7 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 200, __pyx_L9_error)
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-      __pyx_v_val = __pyx_t_7;
-
-      /* "endokat/_kernel/_core.pyx":201
- *                 h[i * r + k] = row[k]
- *             val = vec[i] % dmod[i]
- *             if val < 0:             # <<<<<<<<<<<<<<
- *                 val += dmod[i]
- *             w[i] = val
-*/
-      __pyx_t_2 = (__pyx_v_val < 0);
-      if (__pyx_t_2) {
-
-        /* "endokat/_kernel/_core.pyx":202
- *             val = vec[i] % dmod[i]
- *             if val < 0:
- *                 val += dmod[i]             # <<<<<<<<<<<<<<
- *             w[i] = val
- *         for i in range(r):
-*/
-        __pyx_v_val = (__pyx_v_val + (__pyx_v_dmod[__pyx_v_i]));
-
-        /* "endokat/_kernel/_core.pyx":201
- *                 h[i * r + k] = row[k]
- *             val = vec[i] % dmod[i]
- *             if val < 0:             # <<<<<<<<<<<<<<
- *                 val += dmod[i]
- *             w[i] = val
-*/
-      }
-
-      /* "endokat/_kernel/_core.pyx":203
- *             if val < 0:
- *                 val += dmod[i]
- *             w[i] = val             # <<<<<<<<<<<<<<
- *         for i in range(r):
- *             q = w[i] / h[i * r + i]
-*/
-      (__pyx_v_w[__pyx_v_i]) = __pyx_v_val;
-    }
-
-    /* "endokat/_kernel/_core.pyx":204
- *                 val += dmod[i]
- *             w[i] = val
- *         for i in range(r):             # <<<<<<<<<<<<<<
- *             q = w[i] / h[i * r + i]
- *             if q:
-*/
-    __pyx_t_1 = __pyx_v_r;
-    __pyx_t_4 = __pyx_t_1;
-    for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-      __pyx_v_i = __pyx_t_5;
-
-      /* "endokat/_kernel/_core.pyx":205
- *             w[i] = val
- *         for i in range(r):
- *             q = w[i] / h[i * r + i]             # <<<<<<<<<<<<<<
- *             if q:
- *                 w[i] -= q * h[i * r + i]
-*/
-      __pyx_v_q = ((__pyx_v_w[__pyx_v_i]) / (__pyx_v_h[((__pyx_v_i * __pyx_v_r) + __pyx_v_i)]));
-
-      /* "endokat/_kernel/_core.pyx":206
- *         for i in range(r):
- *             q = w[i] / h[i * r + i]
- *             if q:             # <<<<<<<<<<<<<<
- *                 w[i] -= q * h[i * r + i]
- *                 for k in range(i + 1, r):
-*/
-      __pyx_t_2 = (__pyx_v_q != 0);
-      if (__pyx_t_2) {
-
-        /* "endokat/_kernel/_core.pyx":207
- *             q = w[i] / h[i * r + i]
- *             if q:
- *                 w[i] -= q * h[i * r + i]             # <<<<<<<<<<<<<<
- *                 for k in range(i + 1, r):
- *                     val = (w[k] - q * h[k * r + i]) % dmod[k]
-*/
-        __pyx_t_11 = __pyx_v_i;
-        (__pyx_v_w[__pyx_t_11]) = ((__pyx_v_w[__pyx_t_11]) - (__pyx_v_q * (__pyx_v_h[((__pyx_v_i * __pyx_v_r) + __pyx_v_i)])));
-
-        /* "endokat/_kernel/_core.pyx":208
- *             if q:
- *                 w[i] -= q * h[i * r + i]
- *                 for k in range(i + 1, r):             # <<<<<<<<<<<<<<
- *                     val = (w[k] - q * h[k * r + i]) % dmod[k]
- *                     if val < 0:
-*/
-        __pyx_t_11 = __pyx_v_r;
-        __pyx_t_12 = __pyx_t_11;
-        for (__pyx_t_13 = (__pyx_v_i + 1); __pyx_t_13 < __pyx_t_12; __pyx_t_13+=1) {
-          __pyx_v_k = __pyx_t_13;
-
-          /* "endokat/_kernel/_core.pyx":209
- *                 w[i] -= q * h[i * r + i]
- *                 for k in range(i + 1, r):
- *                     val = (w[k] - q * h[k * r + i]) % dmod[k]             # <<<<<<<<<<<<<<
- *                     if val < 0:
- *                         val += dmod[k]
-*/
-          __pyx_v_val = (((__pyx_v_w[__pyx_v_k]) - (__pyx_v_q * (__pyx_v_h[((__pyx_v_k * __pyx_v_r) + __pyx_v_i)]))) % (__pyx_v_dmod[__pyx_v_k]));
-
-          /* "endokat/_kernel/_core.pyx":210
- *                 for k in range(i + 1, r):
- *                     val = (w[k] - q * h[k * r + i]) % dmod[k]
- *                     if val < 0:             # <<<<<<<<<<<<<<
- *                         val += dmod[k]
- *                     w[k] = val
-*/
-          __pyx_t_2 = (__pyx_v_val < 0);
-          if (__pyx_t_2) {
-
-            /* "endokat/_kernel/_core.pyx":211
- *                     val = (w[k] - q * h[k * r + i]) % dmod[k]
- *                     if val < 0:
- *                         val += dmod[k]             # <<<<<<<<<<<<<<
- *                     w[k] = val
- *         out = []
-*/
-            __pyx_v_val = (__pyx_v_val + (__pyx_v_dmod[__pyx_v_k]));
-
-            /* "endokat/_kernel/_core.pyx":210
- *                 for k in range(i + 1, r):
- *                     val = (w[k] - q * h[k * r + i]) % dmod[k]
- *                     if val < 0:             # <<<<<<<<<<<<<<
- *                         val += dmod[k]
- *                     w[k] = val
-*/
-          }
-
-          /* "endokat/_kernel/_core.pyx":212
- *                     if val < 0:
- *                         val += dmod[k]
- *                     w[k] = val             # <<<<<<<<<<<<<<
- *         out = []
- *         for i in range(r):
-*/
-          (__pyx_v_w[__pyx_v_k]) = __pyx_v_val;
-        }
-
-        /* "endokat/_kernel/_core.pyx":206
- *         for i in range(r):
- *             q = w[i] / h[i * r + i]
- *             if q:             # <<<<<<<<<<<<<<
- *                 w[i] -= q * h[i * r + i]
- *                 for k in range(i + 1, r):
-*/
-      }
-    }
-
-    /* "endokat/_kernel/_core.pyx":213
- *                         val += dmod[k]
- *                     w[k] = val
- *         out = []             # <<<<<<<<<<<<<<
- *         for i in range(r):
- *             out.append(w[i])
-*/
-    __pyx_t_8 = PyList_New(0); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 213, __pyx_L9_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __pyx_v_out = ((PyObject*)__pyx_t_8);
-    __pyx_t_8 = 0;
-
-    /* "endokat/_kernel/_core.pyx":214
- *                     w[k] = val
- *         out = []
- *         for i in range(r):             # <<<<<<<<<<<<<<
- *             out.append(w[i])
- *         return tuple(out)
-*/
-    __pyx_t_1 = __pyx_v_r;
-    __pyx_t_4 = __pyx_t_1;
-    for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-      __pyx_v_i = __pyx_t_5;
-
-      /* "endokat/_kernel/_core.pyx":215
- *         out = []
- *         for i in range(r):
- *             out.append(w[i])             # <<<<<<<<<<<<<<
- *         return tuple(out)
- *     finally:
-*/
-      __pyx_t_8 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_w[__pyx_v_i])); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 215, __pyx_L9_error)
-      __Pyx_GOTREF(__pyx_t_8);
-      __pyx_t_14 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_8); if (unlikely(__pyx_t_14 == ((int)-1))) __PYX_ERR(0, 215, __pyx_L9_error)
-      __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    }
-
-    /* "endokat/_kernel/_core.pyx":216
- *         for i in range(r):
- *             out.append(w[i])
- *         return tuple(out)             # <<<<<<<<<<<<<<
- *     finally:
- *         free(w)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_8 = PyList_AsTuple(__pyx_v_out); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 216, __pyx_L9_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __pyx_r = __pyx_t_8;
-    __pyx_t_8 = 0;
-    goto __pyx_L8_return;
-  }
-
-  /* "endokat/_kernel/_core.pyx":218
- *         return tuple(out)
- *     finally:
- *         free(w)             # <<<<<<<<<<<<<<
- *         free(h)
- *         free(dmod)
-*/
-  /*finally:*/ {
-    __pyx_L9_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0;
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-      __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-      __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_21, &__pyx_t_22, &__pyx_t_23);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_18, &__pyx_t_19, &__pyx_t_20) < 0)) __Pyx_ErrFetch(&__pyx_t_18, &__pyx_t_19, &__pyx_t_20);
-      __Pyx_XGOTREF(__pyx_t_18);
-      __Pyx_XGOTREF(__pyx_t_19);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __Pyx_XGOTREF(__pyx_t_21);
-      __Pyx_XGOTREF(__pyx_t_22);
-      __Pyx_XGOTREF(__pyx_t_23);
-      __pyx_t_15 = __pyx_lineno; __pyx_t_16 = __pyx_clineno; __pyx_t_17 = __pyx_filename;
-      {
-        free(__pyx_v_w);
-
-        /* "endokat/_kernel/_core.pyx":219
- *     finally:
- *         free(w)
- *         free(h)             # <<<<<<<<<<<<<<
- *         free(dmod)
- * 
-*/
-        free(__pyx_v_h);
-
-        /* "endokat/_kernel/_core.pyx":220
- *         free(w)
- *         free(h)
- *         free(dmod)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-        free(__pyx_v_dmod);
-      }
-      __Pyx_XGIVEREF(__pyx_t_21);
-      __Pyx_XGIVEREF(__pyx_t_22);
-      __Pyx_XGIVEREF(__pyx_t_23);
-      __Pyx_ExceptionReset(__pyx_t_21, __pyx_t_22, __pyx_t_23);
-      __Pyx_XGIVEREF(__pyx_t_18);
-      __Pyx_XGIVEREF(__pyx_t_19);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_ErrRestore(__pyx_t_18, __pyx_t_19, __pyx_t_20);
-      __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0;
-      __pyx_lineno = __pyx_t_15; __pyx_clineno = __pyx_t_16; __pyx_filename = __pyx_t_17;
-      goto __pyx_L1_error;
-    }
-    __pyx_L8_return: {
-      __pyx_t_23 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "endokat/_kernel/_core.pyx":218
- *         return tuple(out)
- *     finally:
- *         free(w)             # <<<<<<<<<<<<<<
- *         free(h)
- *         free(dmod)
-*/
-      free(__pyx_v_w);
-
-      /* "endokat/_kernel/_core.pyx":219
- *     finally:
- *         free(w)
- *         free(h)             # <<<<<<<<<<<<<<
- *         free(dmod)
- * 
-*/
-      free(__pyx_v_h);
-
-      /* "endokat/_kernel/_core.pyx":220
- *         free(w)
- *         free(h)
- *         free(dmod)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      free(__pyx_v_dmod);
-      __pyx_r = __pyx_t_23;
-      __pyx_t_23 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "endokat/_kernel/_core.pyx":181
- * 
- * 
- * def box_reduce(mods, hrows, vec):             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t r = len(mods)
- *     cdef Py_ssize_t i, k
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("endokat._kernel._core.box_reduce", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_row);
-  __Pyx_XDECREF(__pyx_v_out);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "endokat/_kernel/_core.pyx":223
- * 
- * 
- * cdef long long _inv_mod(long long a, long long p):             # <<<<<<<<<<<<<<
- *     cdef long long g = a % p, x = 0, x1 = 1, q, t, pp = p
- *     if g < 0:
-*/
-
-static PY_LONG_LONG __pyx_f_7endokat_7_kernel_5_core__inv_mod(PY_LONG_LONG __pyx_v_a, PY_LONG_LONG __pyx_v_p) {
-  PY_LONG_LONG __pyx_v_g;
-  PY_LONG_LONG __pyx_v_x;
-  PY_LONG_LONG __pyx_v_x1;
-  PY_LONG_LONG __pyx_v_q;
-  PY_LONG_LONG __pyx_v_t;
-  CYTHON_UNUSED PY_LONG_LONG __pyx_v_pp;
-  PY_LONG_LONG __pyx_v_r0;
-  PY_LONG_LONG __pyx_v_r1;
-  PY_LONG_LONG __pyx_r;
-  int __pyx_t_1;
-
-  /* "endokat/_kernel/_core.pyx":224
- * 
- * cdef long long _inv_mod(long long a, long long p):
- *     cdef long long g = a % p, x = 0, x1 = 1, q, t, pp = p             # <<<<<<<<<<<<<<
- *     if g < 0:
- *         g += p
-*/
-  __pyx_v_g = (__pyx_v_a % __pyx_v_p);
-  __pyx_v_x = 0;
-  __pyx_v_x1 = 1;
-  __pyx_v_pp = __pyx_v_p;
-
-  /* "endokat/_kernel/_core.pyx":225
- * cdef long long _inv_mod(long long a, long long p):
- *     cdef long long g = a % p, x = 0, x1 = 1, q, t, pp = p
- *     if g < 0:             # <<<<<<<<<<<<<<
- *         g += p
- *     # extended Euclid on (g, p)
-*/
-  __pyx_t_1 = (__pyx_v_g < 0);
-  if (__pyx_t_1) {
-
-    /* "endokat/_kernel/_core.pyx":226
- *     cdef long long g = a % p, x = 0, x1 = 1, q, t, pp = p
- *     if g < 0:
- *         g += p             # <<<<<<<<<<<<<<
- *     # extended Euclid on (g, p)
- *     cdef long long r0 = g, r1 = p
-*/
-    __pyx_v_g = (__pyx_v_g + __pyx_v_p);
-
-    /* "endokat/_kernel/_core.pyx":225
- * cdef long long _inv_mod(long long a, long long p):
- *     cdef long long g = a % p, x = 0, x1 = 1, q, t, pp = p
- *     if g < 0:             # <<<<<<<<<<<<<<
- *         g += p
- *     # extended Euclid on (g, p)
-*/
-  }
-
-  /* "endokat/_kernel/_core.pyx":228
- *         g += p
- *     # extended Euclid on (g, p)
- *     cdef long long r0 = g, r1 = p             # <<<<<<<<<<<<<<
- *     while r1 != 0:
- *         q = r0 / r1
-*/
-  __pyx_v_r0 = __pyx_v_g;
-  __pyx_v_r1 = __pyx_v_p;
-
-  /* "endokat/_kernel/_core.pyx":229
- *     # extended Euclid on (g, p)
- *     cdef long long r0 = g, r1 = p
- *     while r1 != 0:             # <<<<<<<<<<<<<<
- *         q = r0 / r1
- *         t = r0 - q * r1
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_r1 != 0);
-    if (!__pyx_t_1) break;
-
-    /* "endokat/_kernel/_core.pyx":230
- *     cdef long long r0 = g, r1 = p
- *     while r1 != 0:
- *         q = r0 / r1             # <<<<<<<<<<<<<<
- *         t = r0 - q * r1
- *         r0 = r1
-*/
-    __pyx_v_q = (__pyx_v_r0 / __pyx_v_r1);
-
-    /* "endokat/_kernel/_core.pyx":231
- *     while r1 != 0:
- *         q = r0 / r1
- *         t = r0 - q * r1             # <<<<<<<<<<<<<<
- *         r0 = r1
- *         r1 = t
-*/
-    __pyx_v_t = (__pyx_v_r0 - (__pyx_v_q * __pyx_v_r1));
-
-    /* "endokat/_kernel/_core.pyx":232
- *         q = r0 / r1
- *         t = r0 - q * r1
- *         r0 = r1             # <<<<<<<<<<<<<<
- *         r1 = t
- *         t = x1 - q * x
-*/
-    __pyx_v_r0 = __pyx_v_r1;
-
-    /* "endokat/_kernel/_core.pyx":233
- *         t = r0 - q * r1
- *         r0 = r1
- *         r1 = t             # <<<<<<<<<<<<<<
- *         t = x1 - q * x
- *         x1 = x
-*/
-    __pyx_v_r1 = __pyx_v_t;
-
-    /* "endokat/_kernel/_core.pyx":234
- *         r0 = r1
- *         r1 = t
- *         t = x1 - q * x             # <<<<<<<<<<<<<<
- *         x1 = x
- *         x = t
-*/
-    __pyx_v_t = (__pyx_v_x1 - (__pyx_v_q * __pyx_v_x));
-
-    /* "endokat/_kernel/_core.pyx":235
- *         r1 = t
- *         t = x1 - q * x
- *         x1 = x             # <<<<<<<<<<<<<<
- *         x = t
- *     x1 = x1 % p
-*/
-    __pyx_v_x1 = __pyx_v_x;
-
-    /* "endokat/_kernel/_core.pyx":236
- *         t = x1 - q * x
- *         x1 = x
- *         x = t             # <<<<<<<<<<<<<<
- *     x1 = x1 % p
- *     if x1 < 0:
-*/
-    __pyx_v_x = __pyx_v_t;
-  }
-
-  /* "endokat/_kernel/_core.pyx":237
- *         x1 = x
- *         x = t
- *     x1 = x1 % p             # <<<<<<<<<<<<<<
- *     if x1 < 0:
- *         x1 += p
-*/
-  __pyx_v_x1 = (__pyx_v_x1 % __pyx_v_p);
-
-  /* "endokat/_kernel/_core.pyx":238
- *         x = t
- *     x1 = x1 % p
- *     if x1 < 0:             # <<<<<<<<<<<<<<
- *         x1 += p
- *     return x1
-*/
-  __pyx_t_1 = (__pyx_v_x1 < 0);
-  if (__pyx_t_1) {
-
-    /* "endokat/_kernel/_core.pyx":239
- *     x1 = x1 % p
- *     if x1 < 0:
- *         x1 += p             # <<<<<<<<<<<<<<
- *     return x1
- * 
-*/
-    __pyx_v_x1 = (__pyx_v_x1 + __pyx_v_p);
-
-    /* "endokat/_kernel/_core.pyx":238
- *         x = t
- *     x1 = x1 % p
- *     if x1 < 0:             # <<<<<<<<<<<<<<
- *         x1 += p
- *     return x1
-*/
-  }
-
-  /* "endokat/_kernel/_core.pyx":240
- *     if x1 < 0:
- *         x1 += p
- *     return x1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_x1;
-  goto __pyx_L0;
-
-  /* "endokat/_kernel/_core.pyx":223
- * 
- * 
- * cdef long long _inv_mod(long long a, long long p):             # <<<<<<<<<<<<<<
- *     cdef long long g = a % p, x = 0, x1 = 1, q, t, pp = p
- *     if g < 0:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "endokat/_kernel/_core.pyx":243
- * 
- * 
- * def mat_mul(p, a, b):             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t n = len(a)
- *     cdef Py_ssize_t inner = len(b)
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7endokat_7_kernel_5_core_5mat_mul(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7endokat_7_kernel_5_core_5mat_mul = {"mat_mul", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7endokat_7_kernel_5_core_5mat_mul, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7endokat_7_kernel_5_core_5mat_mul(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_p = 0;
-  PyObject *__pyx_v_a = 0;
-  PyObject *__pyx_v_b = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("mat_mul (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_p,&__pyx_mstate_global->__pyx_n_u_a,&__pyx_mstate_global->__pyx_n_u_b,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 243, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 243, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 243, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 243, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "mat_mul", 0) < (0)) __PYX_ERR(0, 243, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("mat_mul", 1, 3, 3, i); __PYX_ERR(0, 243, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 3)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 243, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 243, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 243, __pyx_L3_error)
-    }
-    __pyx_v_p = values[0];
-    __pyx_v_a = values[1];
-    __pyx_v_b = values[2];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("mat_mul", 1, 3, 3, __pyx_nargs); __PYX_ERR(0, 243, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("endokat._kernel._core.mat_mul", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7endokat_7_kernel_5_core_4mat_mul(__pyx_self, __pyx_v_p, __pyx_v_a, __pyx_v_b);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7endokat_7_kernel_5_core_4mat_mul(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_p, PyObject *__pyx_v_a, PyObject *__pyx_v_b) {
-  Py_ssize_t __pyx_v_n;
-  Py_ssize_t __pyx_v_inner;
-  Py_ssize_t __pyx_v_m;
-  PY_LONG_LONG __pyx_v_pp;
-  Py_ssize_t __pyx_v_i;
-  Py_ssize_t __pyx_v_jj;
-  Py_ssize_t __pyx_v_k;
-  PY_LONG_LONG __pyx_v_aik;
-  PY_LONG_LONG *__pyx_v_bb;
-  PY_LONG_LONG *__pyx_v_acc;
-  PyObject *__pyx_v_row = NULL;
-  PyObject *__pyx_v_out = NULL;
-  PyObject *__pyx_v_rowa = NULL;
-  PyObject *__pyx_v_orow = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  Py_ssize_t __pyx_t_4;
-  PY_LONG_LONG __pyx_t_5;
-  size_t __pyx_t_6;
-  int __pyx_t_7;
-  Py_ssize_t __pyx_t_8;
-  Py_ssize_t __pyx_t_9;
-  Py_ssize_t __pyx_t_10;
-  Py_ssize_t __pyx_t_11;
-  PyObject *__pyx_t_12 = NULL;
-  PyObject *__pyx_t_13 = NULL;
-  Py_ssize_t __pyx_t_14;
-  Py_ssize_t __pyx_t_15;
-  Py_ssize_t __pyx_t_16;
-  Py_ssize_t __pyx_t_17;
-  int __pyx_t_18;
-  int __pyx_t_19;
-  int __pyx_t_20;
-  char const *__pyx_t_21;
-  PyObject *__pyx_t_22 = NULL;
-  PyObject *__pyx_t_23 = NULL;
-  PyObject *__pyx_t_24 = NULL;
-  PyObject *__pyx_t_25 = NULL;
-  PyObject *__pyx_t_26 = NULL;
-  PyObject *__pyx_t_27 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("mat_mul", 0);
-
-  /* "endokat/_kernel/_core.pyx":244
- * 
- * def mat_mul(p, a, b):
- *     cdef Py_ssize_t n = len(a)             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t inner = len(b)
- *     cdef Py_ssize_t m = len(b[0]) if inner else 0
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_a); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 244, __pyx_L1_error)
-  __pyx_v_n = __pyx_t_1;
-
-  /* "endokat/_kernel/_core.pyx":245
- * def mat_mul(p, a, b):
- *     cdef Py_ssize_t n = len(a)
- *     cdef Py_ssize_t inner = len(b)             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t m = len(b[0]) if inner else 0
- *     cdef long long pp = p
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_b); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 245, __pyx_L1_error)
-  __pyx_v_inner = __pyx_t_1;
-
-  /* "endokat/_kernel/_core.pyx":246
- *     cdef Py_ssize_t n = len(a)
- *     cdef Py_ssize_t inner = len(b)
- *     cdef Py_ssize_t m = len(b[0]) if inner else 0             # <<<<<<<<<<<<<<
- *     cdef long long pp = p
- *     cdef Py_ssize_t i, jj, k
-*/
-  __pyx_t_2 = (__pyx_v_inner != 0);
-  if (__pyx_t_2) {
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_b, 0, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 246, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_4 = PyObject_Length(__pyx_t_3); if (unlikely(__pyx_t_4 == ((Py_ssize_t)-1))) __PYX_ERR(0, 246, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_1 = __pyx_t_4;
-  } else {
-    __pyx_t_1 = 0;
-  }
-  __pyx_v_m = __pyx_t_1;
-
-  /* "endokat/_kernel/_core.pyx":247
- *     cdef Py_ssize_t inner = len(b)
- *     cdef Py_ssize_t m = len(b[0]) if inner else 0
- *     cdef long long pp = p             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t i, jj, k
- *     cdef long long aik
-*/
-  __pyx_t_5 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_p); if (unlikely((__pyx_t_5 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 247, __pyx_L1_error)
-  __pyx_v_pp = __pyx_t_5;
-
-  /* "endokat/_kernel/_core.pyx":250
- *     cdef Py_ssize_t i, jj, k
- *     cdef long long aik
- *     cdef long long *bb = <long long *> malloc((inner * m if inner * m else 1) * sizeof(long long))             # <<<<<<<<<<<<<<
- *     cdef long long *acc = <long long *> malloc((m if m else 1) * sizeof(long long))
- *     if bb == NULL or acc == NULL:
-*/
-  __pyx_t_2 = ((__pyx_v_inner * __pyx_v_m) != 0);
-  if (__pyx_t_2) {
-    __pyx_t_6 = (__pyx_v_inner * __pyx_v_m);
-  } else {
-    __pyx_t_6 = 1;
-  }
-  __pyx_v_bb = ((PY_LONG_LONG *)malloc((__pyx_t_6 * (sizeof(PY_LONG_LONG)))));
-
-  /* "endokat/_kernel/_core.pyx":251
- *     cdef long long aik
- *     cdef long long *bb = <long long *> malloc((inner * m if inner * m else 1) * sizeof(long long))
- *     cdef long long *acc = <long long *> malloc((m if m else 1) * sizeof(long long))             # <<<<<<<<<<<<<<
- *     if bb == NULL or acc == NULL:
- *         raise MemoryError()
-*/
-  __pyx_t_2 = (__pyx_v_m != 0);
-  if (__pyx_t_2) {
-    __pyx_t_6 = __pyx_v_m;
-  } else {
-    __pyx_t_6 = 1;
-  }
-  __pyx_v_acc = ((PY_LONG_LONG *)malloc((__pyx_t_6 * (sizeof(PY_LONG_LONG)))));
-
-  /* "endokat/_kernel/_core.pyx":252
- *     cdef long long *bb = <long long *> malloc((inner * m if inner * m else 1) * sizeof(long long))
- *     cdef long long *acc = <long long *> malloc((m if m else 1) * sizeof(long long))
- *     if bb == NULL or acc == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     try:
-*/
-  __pyx_t_7 = (__pyx_v_bb == NULL);
-  if (!__pyx_t_7) {
-  } else {
-    __pyx_t_2 = __pyx_t_7;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_7 = (__pyx_v_acc == NULL);
-  __pyx_t_2 = __pyx_t_7;
-  __pyx_L4_bool_binop_done:;
-  if (unlikely(__pyx_t_2)) {
-
-    /* "endokat/_kernel/_core.pyx":253
- *     cdef long long *acc = <long long *> malloc((m if m else 1) * sizeof(long long))
- *     if bb == NULL or acc == NULL:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     try:
- *         for i in range(inner):
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 253, __pyx_L1_error)
-
-    /* "endokat/_kernel/_core.pyx":252
- *     cdef long long *bb = <long long *> malloc((inner * m if inner * m else 1) * sizeof(long long))
- *     cdef long long *acc = <long long *> malloc((m if m else 1) * sizeof(long long))
- *     if bb == NULL or acc == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     try:
-*/
-  }
-
-  /* "endokat/_kernel/_core.pyx":254
- *     if bb == NULL or acc == NULL:
- *         raise MemoryError()
- *     try:             # <<<<<<<<<<<<<<
- *         for i in range(inner):
- *             row = b[i]
-*/
-  /*try:*/ {
-
-    /* "endokat/_kernel/_core.pyx":255
- *         raise MemoryError()
- *     try:
- *         for i in range(inner):             # <<<<<<<<<<<<<<
- *             row = b[i]
- *             for jj in range(m):
-*/
-    __pyx_t_1 = __pyx_v_inner;
-    __pyx_t_4 = __pyx_t_1;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_4; __pyx_t_8+=1) {
-      __pyx_v_i = __pyx_t_8;
-
-      /* "endokat/_kernel/_core.pyx":256
- *     try:
- *         for i in range(inner):
- *             row = b[i]             # <<<<<<<<<<<<<<
- *             for jj in range(m):
- *                 bb[i * m + jj] = row[jj]
-*/
-      __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_b, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 256, __pyx_L7_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __Pyx_XDECREF_SET(__pyx_v_row, __pyx_t_3);
-      __pyx_t_3 = 0;
-
-      /* "endokat/_kernel/_core.pyx":257
- *         for i in range(inner):
- *             row = b[i]
- *             for jj in range(m):             # <<<<<<<<<<<<<<
- *                 bb[i * m + jj] = row[jj]
- *         out = []
-*/
-      __pyx_t_9 = __pyx_v_m;
-      __pyx_t_10 = __pyx_t_9;
-      for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-        __pyx_v_jj = __pyx_t_11;
-
-        /* "endokat/_kernel/_core.pyx":258
- *             row = b[i]
- *             for jj in range(m):
- *                 bb[i * m + jj] = row[jj]             # <<<<<<<<<<<<<<
- *         out = []
- *         for i in range(n):
-*/
-        __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_row, __pyx_v_jj, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 258, __pyx_L7_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __pyx_t_5 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_3); if (unlikely((__pyx_t_5 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 258, __pyx_L7_error)
-        __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-        (__pyx_v_bb[((__pyx_v_i * __pyx_v_m) + __pyx_v_jj)]) = __pyx_t_5;
-      }
-    }
-
-    /* "endokat/_kernel/_core.pyx":259
- *             for jj in range(m):
- *                 bb[i * m + jj] = row[jj]
- *         out = []             # <<<<<<<<<<<<<<
- *         for i in range(n):
- *             rowa = a[i]
-*/
-    __pyx_t_3 = PyList_New(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 259, __pyx_L7_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_v_out = ((PyObject*)__pyx_t_3);
-    __pyx_t_3 = 0;
-
-    /* "endokat/_kernel/_core.pyx":260
- *                 bb[i * m + jj] = row[jj]
- *         out = []
- *         for i in range(n):             # <<<<<<<<<<<<<<
- *             rowa = a[i]
- *             for jj in range(m):
-*/
-    __pyx_t_1 = __pyx_v_n;
-    __pyx_t_4 = __pyx_t_1;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_4; __pyx_t_8+=1) {
-      __pyx_v_i = __pyx_t_8;
-
-      /* "endokat/_kernel/_core.pyx":261
- *         out = []
- *         for i in range(n):
- *             rowa = a[i]             # <<<<<<<<<<<<<<
- *             for jj in range(m):
- *                 acc[jj] = 0
-*/
-      __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_a, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 261, __pyx_L7_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __Pyx_XDECREF_SET(__pyx_v_rowa, __pyx_t_3);
-      __pyx_t_3 = 0;
-
-      /* "endokat/_kernel/_core.pyx":262
- *         for i in range(n):
- *             rowa = a[i]
- *             for jj in range(m):             # <<<<<<<<<<<<<<
- *                 acc[jj] = 0
- *             for k in range(inner):
-*/
-      __pyx_t_9 = __pyx_v_m;
-      __pyx_t_10 = __pyx_t_9;
-      for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-        __pyx_v_jj = __pyx_t_11;
-
-        /* "endokat/_kernel/_core.pyx":263
- *             rowa = a[i]
- *             for jj in range(m):
- *                 acc[jj] = 0             # <<<<<<<<<<<<<<
- *             for k in range(inner):
- *                 aik = rowa[k] % pp
-*/
-        (__pyx_v_acc[__pyx_v_jj]) = 0;
-      }
-
-      /* "endokat/_kernel/_core.pyx":264
- *             for jj in range(m):
- *                 acc[jj] = 0
- *             for k in range(inner):             # <<<<<<<<<<<<<<
- *                 aik = rowa[k] % pp
- *                 if aik:
-*/
-      __pyx_t_9 = __pyx_v_inner;
-      __pyx_t_10 = __pyx_t_9;
-      for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-        __pyx_v_k = __pyx_t_11;
-
-        /* "endokat/_kernel/_core.pyx":265
- *                 acc[jj] = 0
- *             for k in range(inner):
- *                 aik = rowa[k] % pp             # <<<<<<<<<<<<<<
- *                 if aik:
- *                     for jj in range(m):
-*/
-        __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_rowa, __pyx_v_k, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 265, __pyx_L7_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __pyx_t_12 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_pp); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 265, __pyx_L7_error)
-        __Pyx_GOTREF(__pyx_t_12);
-        __pyx_t_13 = PyNumber_Remainder(__pyx_t_3, __pyx_t_12); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 265, __pyx_L7_error)
-        __Pyx_GOTREF(__pyx_t_13);
-        __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-        __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-        __pyx_t_5 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_13); if (unlikely((__pyx_t_5 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 265, __pyx_L7_error)
-        __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-        __pyx_v_aik = __pyx_t_5;
-
-        /* "endokat/_kernel/_core.pyx":266
- *             for k in range(inner):
- *                 aik = rowa[k] % pp
- *                 if aik:             # <<<<<<<<<<<<<<
- *                     for jj in range(m):
- *                         acc[jj] += aik * bb[k * m + jj]
-*/
-        __pyx_t_2 = (__pyx_v_aik != 0);
-        if (__pyx_t_2) {
-
-          /* "endokat/_kernel/_core.pyx":267
- *                 aik = rowa[k] % pp
- *                 if aik:
- *                     for jj in range(m):             # <<<<<<<<<<<<<<
- *                         acc[jj] += aik * bb[k * m + jj]
- *             orow = []
-*/
-          __pyx_t_14 = __pyx_v_m;
-          __pyx_t_15 = __pyx_t_14;
-          for (__pyx_t_16 = 0; __pyx_t_16 < __pyx_t_15; __pyx_t_16+=1) {
-            __pyx_v_jj = __pyx_t_16;
-
-            /* "endokat/_kernel/_core.pyx":268
- *                 if aik:
- *                     for jj in range(m):
- *                         acc[jj] += aik * bb[k * m + jj]             # <<<<<<<<<<<<<<
- *             orow = []
- *             for jj in range(m):
-*/
-            __pyx_t_17 = __pyx_v_jj;
-            (__pyx_v_acc[__pyx_t_17]) = ((__pyx_v_acc[__pyx_t_17]) + (__pyx_v_aik * (__pyx_v_bb[((__pyx_v_k * __pyx_v_m) + __pyx_v_jj)])));
-          }
-
-          /* "endokat/_kernel/_core.pyx":266
- *             for k in range(inner):
- *                 aik = rowa[k] % pp
- *                 if aik:             # <<<<<<<<<<<<<<
- *                     for jj in range(m):
- *                         acc[jj] += aik * bb[k * m + jj]
-*/
-        }
-      }
-
-      /* "endokat/_kernel/_core.pyx":269
- *                     for jj in range(m):
- *                         acc[jj] += aik * bb[k * m + jj]
- *             orow = []             # <<<<<<<<<<<<<<
- *             for jj in range(m):
- *                 orow.append(acc[jj] % pp)
-*/
-      __pyx_t_13 = PyList_New(0); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 269, __pyx_L7_error)
-      __Pyx_GOTREF(__pyx_t_13);
-      __Pyx_XDECREF_SET(__pyx_v_orow, ((PyObject*)__pyx_t_13));
-      __pyx_t_13 = 0;
-
-      /* "endokat/_kernel/_core.pyx":270
- *                         acc[jj] += aik * bb[k * m + jj]
- *             orow = []
- *             for jj in range(m):             # <<<<<<<<<<<<<<
- *                 orow.append(acc[jj] % pp)
- *             out.append(tuple(orow))
-*/
-      __pyx_t_9 = __pyx_v_m;
-      __pyx_t_10 = __pyx_t_9;
-      for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-        __pyx_v_jj = __pyx_t_11;
-
-        /* "endokat/_kernel/_core.pyx":271
- *             orow = []
- *             for jj in range(m):
- *                 orow.append(acc[jj] % pp)             # <<<<<<<<<<<<<<
- *             out.append(tuple(orow))
- *         return tuple(out)
-*/
-        __pyx_t_13 = __Pyx_PyLong_From_PY_LONG_LONG(((__pyx_v_acc[__pyx_v_jj]) % __pyx_v_pp)); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 271, __pyx_L7_error)
-        __Pyx_GOTREF(__pyx_t_13);
-        __pyx_t_18 = __Pyx_PyList_Append(__pyx_v_orow, __pyx_t_13); if (unlikely(__pyx_t_18 == ((int)-1))) __PYX_ERR(0, 271, __pyx_L7_error)
-        __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-      }
-
-      /* "endokat/_kernel/_core.pyx":272
- *             for jj in range(m):
- *                 orow.append(acc[jj] % pp)
- *             out.append(tuple(orow))             # <<<<<<<<<<<<<<
- *         return tuple(out)
- *     finally:
-*/
-      __pyx_t_13 = PyList_AsTuple(__pyx_v_orow); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 272, __pyx_L7_error)
-      __Pyx_GOTREF(__pyx_t_13);
-      __pyx_t_18 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_13); if (unlikely(__pyx_t_18 == ((int)-1))) __PYX_ERR(0, 272, __pyx_L7_error)
-      __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    }
-
-    /* "endokat/_kernel/_core.pyx":273
- *                 orow.append(acc[jj] % pp)
- *             out.append(tuple(orow))
- *         return tuple(out)             # <<<<<<<<<<<<<<
- *     finally:
- *         free(bb)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_13 = PyList_AsTuple(__pyx_v_out); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 273, __pyx_L7_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __pyx_r = __pyx_t_13;
-    __pyx_t_13 = 0;
-    goto __pyx_L6_return;
-  }
-
-  /* "endokat/_kernel/_core.pyx":275
- *         return tuple(out)
- *     finally:
- *         free(bb)             # <<<<<<<<<<<<<<
- *         free(acc)
- * 
-*/
-  /*finally:*/ {
-    __pyx_L7_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0; __pyx_t_25 = 0; __pyx_t_26 = 0; __pyx_t_27 = 0;
-      __Pyx_XDECREF(__pyx_t_12); __pyx_t_12 = 0;
-      __Pyx_XDECREF(__pyx_t_13); __pyx_t_13 = 0;
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_25, &__pyx_t_26, &__pyx_t_27);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_22, &__pyx_t_23, &__pyx_t_24) < 0)) __Pyx_ErrFetch(&__pyx_t_22, &__pyx_t_23, &__pyx_t_24);
-      __Pyx_XGOTREF(__pyx_t_22);
-      __Pyx_XGOTREF(__pyx_t_23);
-      __Pyx_XGOTREF(__pyx_t_24);
-      __Pyx_XGOTREF(__pyx_t_25);
-      __Pyx_XGOTREF(__pyx_t_26);
-      __Pyx_XGOTREF(__pyx_t_27);
-      __pyx_t_19 = __pyx_lineno; __pyx_t_20 = __pyx_clineno; __pyx_t_21 = __pyx_filename;
-      {
-        free(__pyx_v_bb);
-
-        /* "endokat/_kernel/_core.pyx":276
- *     finally:
- *         free(bb)
- *         free(acc)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-        free(__pyx_v_acc);
-      }
-      __Pyx_XGIVEREF(__pyx_t_25);
-      __Pyx_XGIVEREF(__pyx_t_26);
-      __Pyx_XGIVEREF(__pyx_t_27);
-      __Pyx_ExceptionReset(__pyx_t_25, __pyx_t_26, __pyx_t_27);
-      __Pyx_XGIVEREF(__pyx_t_22);
-      __Pyx_XGIVEREF(__pyx_t_23);
-      __Pyx_XGIVEREF(__pyx_t_24);
-      __Pyx_ErrRestore(__pyx_t_22, __pyx_t_23, __pyx_t_24);
-      __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0; __pyx_t_25 = 0; __pyx_t_26 = 0; __pyx_t_27 = 0;
-      __pyx_lineno = __pyx_t_19; __pyx_clineno = __pyx_t_20; __pyx_filename = __pyx_t_21;
-      goto __pyx_L1_error;
-    }
-    __pyx_L6_return: {
-      __pyx_t_27 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "endokat/_kernel/_core.pyx":275
- *         return tuple(out)
- *     finally:
- *         free(bb)             # <<<<<<<<<<<<<<
- *         free(acc)
- * 
-*/
-      free(__pyx_v_bb);
-
-      /* "endokat/_kernel/_core.pyx":276
- *     finally:
- *         free(bb)
- *         free(acc)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      free(__pyx_v_acc);
-      __pyx_r = __pyx_t_27;
-      __pyx_t_27 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "endokat/_kernel/_core.pyx":243
- * 
- * 
- * def mat_mul(p, a, b):             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t n = len(a)
- *     cdef Py_ssize_t inner = len(b)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_12);
-  __Pyx_XDECREF(__pyx_t_13);
-  __Pyx_AddTraceback("endokat._kernel._core.mat_mul", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_row);
-  __Pyx_XDECREF(__pyx_v_out);
-  __Pyx_XDECREF(__pyx_v_rowa);
-  __Pyx_XDECREF(__pyx_v_orow);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "endokat/_kernel/_core.pyx":279
- * 
- * 
- * def mat_vec(p, a, v):             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t n = len(a)
- *     cdef Py_ssize_t m = len(v)
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7endokat_7_kernel_5_core_7mat_vec(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7endokat_7_kernel_5_core_7mat_vec = {"mat_vec", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7endokat_7_kernel_5_core_7mat_vec, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7endokat_7_kernel_5_core_7mat_vec(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_p = 0;
-  PyObject *__pyx_v_a = 0;
-  PyObject *__pyx_v_v = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[3] = {0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("mat_vec (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_p,&__pyx_mstate_global->__pyx_n_u_a,&__pyx_mstate_global->__pyx_n_u_v,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 279, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 279, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 279, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 279, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "mat_vec", 0) < (0)) __PYX_ERR(0, 279, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("mat_vec", 1, 3, 3, i); __PYX_ERR(0, 279, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 3)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 279, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 279, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 279, __pyx_L3_error)
-    }
-    __pyx_v_p = values[0];
-    __pyx_v_a = values[1];
-    __pyx_v_v = values[2];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("mat_vec", 1, 3, 3, __pyx_nargs); __PYX_ERR(0, 279, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("endokat._kernel._core.mat_vec", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7endokat_7_kernel_5_core_6mat_vec(__pyx_self, __pyx_v_p, __pyx_v_a, __pyx_v_v);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7endokat_7_kernel_5_core_6mat_vec(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_p, PyObject *__pyx_v_a, PyObject *__pyx_v_v) {
-  Py_ssize_t __pyx_v_n;
-  Py_ssize_t __pyx_v_m;
-  PY_LONG_LONG __pyx_v_pp;
-  Py_ssize_t __pyx_v_i;
-  Py_ssize_t __pyx_v_k;
-  PY_LONG_LONG __pyx_v_s;
-  PY_LONG_LONG *__pyx_v_vv;
-  PyObject *__pyx_v_out = NULL;
-  PyObject *__pyx_v_row = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  PY_LONG_LONG __pyx_t_2;
-  size_t __pyx_t_3;
-  int __pyx_t_4;
-  Py_ssize_t __pyx_t_5;
-  Py_ssize_t __pyx_t_6;
-  PyObject *__pyx_t_7 = NULL;
-  Py_ssize_t __pyx_t_8;
-  Py_ssize_t __pyx_t_9;
-  Py_ssize_t __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_t_13;
-  char const *__pyx_t_14;
-  PyObject *__pyx_t_15 = NULL;
-  PyObject *__pyx_t_16 = NULL;
-  PyObject *__pyx_t_17 = NULL;
-  PyObject *__pyx_t_18 = NULL;
-  PyObject *__pyx_t_19 = NULL;
-  PyObject *__pyx_t_20 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("mat_vec", 0);
-
-  /* "endokat/_kernel/_core.pyx":280
- * 
- * def mat_vec(p, a, v):
- *     cdef Py_ssize_t n = len(a)             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t m = len(v)
- *     cdef long long pp = p
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_a); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 280, __pyx_L1_error)
-  __pyx_v_n = __pyx_t_1;
-
-  /* "endokat/_kernel/_core.pyx":281
- * def mat_vec(p, a, v):
- *     cdef Py_ssize_t n = len(a)
- *     cdef Py_ssize_t m = len(v)             # <<<<<<<<<<<<<<
- *     cdef long long pp = p
- *     cdef Py_ssize_t i, k
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_v); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 281, __pyx_L1_error)
-  __pyx_v_m = __pyx_t_1;
-
-  /* "endokat/_kernel/_core.pyx":282
- *     cdef Py_ssize_t n = len(a)
- *     cdef Py_ssize_t m = len(v)
- *     cdef long long pp = p             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t i, k
- *     cdef long long s
-*/
-  __pyx_t_2 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_p); if (unlikely((__pyx_t_2 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 282, __pyx_L1_error)
-  __pyx_v_pp = __pyx_t_2;
-
-  /* "endokat/_kernel/_core.pyx":285
- *     cdef Py_ssize_t i, k
- *     cdef long long s
- *     cdef long long *vv = <long long *> malloc((m if m else 1) * sizeof(long long))             # <<<<<<<<<<<<<<
- *     if vv == NULL:
- *         raise MemoryError()
-*/
-  __pyx_t_4 = (__pyx_v_m != 0);
-  if (__pyx_t_4) {
-    __pyx_t_3 = __pyx_v_m;
-  } else {
-    __pyx_t_3 = 1;
-  }
-  __pyx_v_vv = ((PY_LONG_LONG *)malloc((__pyx_t_3 * (sizeof(PY_LONG_LONG)))));
-
-  /* "endokat/_kernel/_core.pyx":286
- *     cdef long long s
- *     cdef long long *vv = <long long *> malloc((m if m else 1) * sizeof(long long))
- *     if vv == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     try:
-*/
-  __pyx_t_4 = (__pyx_v_vv == NULL);
-  if (unlikely(__pyx_t_4)) {
-
-    /* "endokat/_kernel/_core.pyx":287
- *     cdef long long *vv = <long long *> malloc((m if m else 1) * sizeof(long long))
- *     if vv == NULL:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     try:
- *         for k in range(m):
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 287, __pyx_L1_error)
-
-    /* "endokat/_kernel/_core.pyx":286
- *     cdef long long s
- *     cdef long long *vv = <long long *> malloc((m if m else 1) * sizeof(long long))
- *     if vv == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     try:
-*/
-  }
-
-  /* "endokat/_kernel/_core.pyx":288
- *     if vv == NULL:
- *         raise MemoryError()
- *     try:             # <<<<<<<<<<<<<<
- *         for k in range(m):
- *             vv[k] = v[k]
-*/
-  /*try:*/ {
-
-    /* "endokat/_kernel/_core.pyx":289
- *         raise MemoryError()
- *     try:
- *         for k in range(m):             # <<<<<<<<<<<<<<
- *             vv[k] = v[k]
- *         out = []
-*/
-    __pyx_t_1 = __pyx_v_m;
-    __pyx_t_5 = __pyx_t_1;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_v_k = __pyx_t_6;
-
-      /* "endokat/_kernel/_core.pyx":290
- *     try:
- *         for k in range(m):
- *             vv[k] = v[k]             # <<<<<<<<<<<<<<
- *         out = []
- *         for i in range(n):
-*/
-      __pyx_t_7 = __Pyx_GetItemInt(__pyx_v_v, __pyx_v_k, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 290, __pyx_L5_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_2 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_7); if (unlikely((__pyx_t_2 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 290, __pyx_L5_error)
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      (__pyx_v_vv[__pyx_v_k]) = __pyx_t_2;
-    }
-
-    /* "endokat/_kernel/_core.pyx":291
- *         for k in range(m):
- *             vv[k] = v[k]
- *         out = []             # <<<<<<<<<<<<<<
- *         for i in range(n):
- *             row = a[i]
-*/
-    __pyx_t_7 = PyList_New(0); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 291, __pyx_L5_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_v_out = ((PyObject*)__pyx_t_7);
-    __pyx_t_7 = 0;
-
-    /* "endokat/_kernel/_core.pyx":292
- *             vv[k] = v[k]
- *         out = []
- *         for i in range(n):             # <<<<<<<<<<<<<<
- *             row = a[i]
- *             s = 0
-*/
-    __pyx_t_1 = __pyx_v_n;
-    __pyx_t_5 = __pyx_t_1;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_v_i = __pyx_t_6;
-
-      /* "endokat/_kernel/_core.pyx":293
- *         out = []
- *         for i in range(n):
- *             row = a[i]             # <<<<<<<<<<<<<<
- *             s = 0
- *             for k in range(m):
-*/
-      __pyx_t_7 = __Pyx_GetItemInt(__pyx_v_a, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 293, __pyx_L5_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __Pyx_XDECREF_SET(__pyx_v_row, __pyx_t_7);
-      __pyx_t_7 = 0;
-
-      /* "endokat/_kernel/_core.pyx":294
- *         for i in range(n):
- *             row = a[i]
- *             s = 0             # <<<<<<<<<<<<<<
- *             for k in range(m):
- *                 s += <long long> row[k] * vv[k]
-*/
-      __pyx_v_s = 0;
-
-      /* "endokat/_kernel/_core.pyx":295
- *             row = a[i]
- *             s = 0
- *             for k in range(m):             # <<<<<<<<<<<<<<
- *                 s += <long long> row[k] * vv[k]
- *             out.append(s % pp)
-*/
-      __pyx_t_8 = __pyx_v_m;
-      __pyx_t_9 = __pyx_t_8;
-      for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-        __pyx_v_k = __pyx_t_10;
-
-        /* "endokat/_kernel/_core.pyx":296
- *             s = 0
- *             for k in range(m):
- *                 s += <long long> row[k] * vv[k]             # <<<<<<<<<<<<<<
- *             out.append(s % pp)
- *         return tuple(out)
-*/
-        __pyx_t_7 = __Pyx_GetItemInt(__pyx_v_row, __pyx_v_k, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 296, __pyx_L5_error)
-        __Pyx_GOTREF(__pyx_t_7);
-        __pyx_t_2 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_7); if (unlikely((__pyx_t_2 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 296, __pyx_L5_error)
-        __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-        __pyx_v_s = (__pyx_v_s + (((PY_LONG_LONG)__pyx_t_2) * (__pyx_v_vv[__pyx_v_k])));
-      }
-
-      /* "endokat/_kernel/_core.pyx":297
- *             for k in range(m):
- *                 s += <long long> row[k] * vv[k]
- *             out.append(s % pp)             # <<<<<<<<<<<<<<
- *         return tuple(out)
- *     finally:
-*/
-      __pyx_t_7 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_s % __pyx_v_pp)); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 297, __pyx_L5_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_11 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_7); if (unlikely(__pyx_t_11 == ((int)-1))) __PYX_ERR(0, 297, __pyx_L5_error)
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    }
-
-    /* "endokat/_kernel/_core.pyx":298
- *                 s += <long long> row[k] * vv[k]
- *             out.append(s % pp)
- *         return tuple(out)             # <<<<<<<<<<<<<<
- *     finally:
- *         free(vv)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_7 = PyList_AsTuple(__pyx_v_out); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 298, __pyx_L5_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_r = __pyx_t_7;
-    __pyx_t_7 = 0;
-    goto __pyx_L4_return;
-  }
-
-  /* "endokat/_kernel/_core.pyx":300
- *         return tuple(out)
- *     finally:
- *         free(vv)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  /*finally:*/ {
-    __pyx_L5_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0;
-      __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_18, &__pyx_t_19, &__pyx_t_20);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_15, &__pyx_t_16, &__pyx_t_17) < 0)) __Pyx_ErrFetch(&__pyx_t_15, &__pyx_t_16, &__pyx_t_17);
-      __Pyx_XGOTREF(__pyx_t_15);
-      __Pyx_XGOTREF(__pyx_t_16);
-      __Pyx_XGOTREF(__pyx_t_17);
-      __Pyx_XGOTREF(__pyx_t_18);
-      __Pyx_XGOTREF(__pyx_t_19);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __pyx_t_12 = __pyx_lineno; __pyx_t_13 = __pyx_clineno; __pyx_t_14 = __pyx_filename;
-      {
-        free(__pyx_v_vv);
-      }
-      __Pyx_XGIVEREF(__pyx_t_18);
-      __Pyx_XGIVEREF(__pyx_t_19);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_ExceptionReset(__pyx_t_18, __pyx_t_19, __pyx_t_20);
-      __Pyx_XGIVEREF(__pyx_t_15);
-      __Pyx_XGIVEREF(__pyx_t_16);
-      __Pyx_XGIVEREF(__pyx_t_17);
-      __Pyx_ErrRestore(__pyx_t_15, __pyx_t_16, __pyx_t_17);
-      __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0;
-      __pyx_lineno = __pyx_t_12; __pyx_clineno = __pyx_t_13; __pyx_filename = __pyx_t_14;
-      goto __pyx_L1_error;
-    }
-    __pyx_L4_return: {
-      __pyx_t_20 = __pyx_r;
-      __pyx_r = 0;
-      free(__pyx_v_vv);
-      __pyx_r = __pyx_t_20;
-      __pyx_t_20 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "endokat/_kernel/_core.pyx":279
- * 
- * 
- * def mat_vec(p, a, v):             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t n = len(a)
- *     cdef Py_ssize_t m = len(v)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_AddTraceback("endokat._kernel._core.mat_vec", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_out);
-  __Pyx_XDECREF(__pyx_v_row);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "endokat/_kernel/_core.pyx":303
- * 
- * 
- * def rref(p, rows):             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t nrows = len(rows)
- *     cdef Py_ssize_t ncols = len(rows[0]) if nrows else 0
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7endokat_7_kernel_5_core_9rref(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7endokat_7_kernel_5_core_9rref = {"rref", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7endokat_7_kernel_5_core_9rref, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7endokat_7_kernel_5_core_9rref(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_p = 0;
-  PyObject *__pyx_v_rows = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("rref (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_p,&__pyx_mstate_global->__pyx_n_u_rows,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 303, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 303, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 303, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "rref", 0) < (0)) __PYX_ERR(0, 303, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("rref", 1, 2, 2, i); __PYX_ERR(0, 303, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 2)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 303, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 303, __pyx_L3_error)
-    }
-    __pyx_v_p = values[0];
-    __pyx_v_rows = values[1];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("rref", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 303, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("endokat._kernel._core.rref", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7endokat_7_kernel_5_core_8rref(__pyx_self, __pyx_v_p, __pyx_v_rows);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7endokat_7_kernel_5_core_8rref(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_p, PyObject *__pyx_v_rows) {
-  Py_ssize_t __pyx_v_nrows;
-  Py_ssize_t __pyx_v_ncols;
-  PY_LONG_LONG __pyx_v_pp;
-  Py_ssize_t __pyx_v_i;
-  Py_ssize_t __pyx_v_j;
-  Py_ssize_t __pyx_v_c;
-  Py_ssize_t __pyx_v_rank;
-  Py_ssize_t __pyx_v_pr;
-  PY_LONG_LONG __pyx_v_inv;
-  PY_LONG_LONG __pyx_v_f;
-  PY_LONG_LONG __pyx_v_val;
-  PY_LONG_LONG *__pyx_v_m;
-  PyObject *__pyx_v_row = NULL;
-  PyObject *__pyx_v_piv = NULL;
-  PyObject *__pyx_v_out = NULL;
-  PyObject *__pyx_v_orow = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  Py_ssize_t __pyx_t_4;
-  PY_LONG_LONG __pyx_t_5;
-  Py_ssize_t __pyx_t_6;
-  Py_ssize_t __pyx_t_7;
-  Py_ssize_t __pyx_t_8;
-  Py_ssize_t __pyx_t_9;
-  PyObject *__pyx_t_10 = NULL;
-  PyObject *__pyx_t_11 = NULL;
-  int __pyx_t_12;
-  Py_ssize_t __pyx_t_13;
-  Py_ssize_t __pyx_t_14;
-  Py_ssize_t __pyx_t_15;
-  int __pyx_t_16;
-  int __pyx_t_17;
-  int __pyx_t_18;
-  char const *__pyx_t_19;
-  PyObject *__pyx_t_20 = NULL;
-  PyObject *__pyx_t_21 = NULL;
-  PyObject *__pyx_t_22 = NULL;
-  PyObject *__pyx_t_23 = NULL;
-  PyObject *__pyx_t_24 = NULL;
-  PyObject *__pyx_t_25 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("rref", 0);
-
-  /* "endokat/_kernel/_core.pyx":304
- * 
- * def rref(p, rows):
- *     cdef Py_ssize_t nrows = len(rows)             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t ncols = len(rows[0]) if nrows else 0
- *     cdef long long pp = p
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_rows); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 304, __pyx_L1_error)
-  __pyx_v_nrows = __pyx_t_1;
-
-  /* "endokat/_kernel/_core.pyx":305
- * def rref(p, rows):
- *     cdef Py_ssize_t nrows = len(rows)
- *     cdef Py_ssize_t ncols = len(rows[0]) if nrows else 0             # <<<<<<<<<<<<<<
- *     cdef long long pp = p
- *     cdef Py_ssize_t i, j, c, rank, pr
-*/
-  __pyx_t_2 = (__pyx_v_nrows != 0);
-  if (__pyx_t_2) {
-    __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_rows, 0, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 305, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __pyx_t_4 = PyObject_Length(__pyx_t_3); if (unlikely(__pyx_t_4 == ((Py_ssize_t)-1))) __PYX_ERR(0, 305, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_1 = __pyx_t_4;
-  } else {
-    __pyx_t_1 = 0;
-  }
-  __pyx_v_ncols = __pyx_t_1;
-
-  /* "endokat/_kernel/_core.pyx":306
- *     cdef Py_ssize_t nrows = len(rows)
- *     cdef Py_ssize_t ncols = len(rows[0]) if nrows else 0
- *     cdef long long pp = p             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t i, j, c, rank, pr
- *     cdef long long inv, f, val
-*/
-  __pyx_t_5 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_p); if (unlikely((__pyx_t_5 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 306, __pyx_L1_error)
-  __pyx_v_pp = __pyx_t_5;
-
-  /* "endokat/_kernel/_core.pyx":309
- *     cdef Py_ssize_t i, j, c, rank, pr
- *     cdef long long inv, f, val
- *     if nrows == 0:             # <<<<<<<<<<<<<<
- *         return (), ()
- *     cdef long long *m = <long long *> malloc(nrows * ncols * sizeof(long long))
-*/
-  __pyx_t_2 = (__pyx_v_nrows == 0);
-  if (__pyx_t_2) {
-
-    /* "endokat/_kernel/_core.pyx":310
- *     cdef long long inv, f, val
- *     if nrows == 0:
- *         return (), ()             # <<<<<<<<<<<<<<
- *     cdef long long *m = <long long *> malloc(nrows * ncols * sizeof(long long))
- *     if m == NULL:
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_tuple[0]);
-    __pyx_r = __pyx_mstate_global->__pyx_tuple[0];
-    goto __pyx_L0;
-
-    /* "endokat/_kernel/_core.pyx":309
- *     cdef Py_ssize_t i, j, c, rank, pr
- *     cdef long long inv, f, val
- *     if nrows == 0:             # <<<<<<<<<<<<<<
- *         return (), ()
- *     cdef long long *m = <long long *> malloc(nrows * ncols * sizeof(long long))
-*/
-  }
-
-  /* "endokat/_kernel/_core.pyx":311
- *     if nrows == 0:
- *         return (), ()
- *     cdef long long *m = <long long *> malloc(nrows * ncols * sizeof(long long))             # <<<<<<<<<<<<<<
- *     if m == NULL:
- *         raise MemoryError()
-*/
-  __pyx_v_m = ((PY_LONG_LONG *)malloc(((__pyx_v_nrows * __pyx_v_ncols) * (sizeof(PY_LONG_LONG)))));
-
-  /* "endokat/_kernel/_core.pyx":312
- *         return (), ()
- *     cdef long long *m = <long long *> malloc(nrows * ncols * sizeof(long long))
- *     if m == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     try:
-*/
-  __pyx_t_2 = (__pyx_v_m == NULL);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "endokat/_kernel/_core.pyx":313
- *     cdef long long *m = <long long *> malloc(nrows * ncols * sizeof(long long))
- *     if m == NULL:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     try:
- *         for i in range(nrows):
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 313, __pyx_L1_error)
-
-    /* "endokat/_kernel/_core.pyx":312
- *         return (), ()
- *     cdef long long *m = <long long *> malloc(nrows * ncols * sizeof(long long))
- *     if m == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     try:
-*/
-  }
-
-  /* "endokat/_kernel/_core.pyx":314
- *     if m == NULL:
- *         raise MemoryError()
- *     try:             # <<<<<<<<<<<<<<
- *         for i in range(nrows):
- *             row = rows[i]
-*/
-  /*try:*/ {
-
-    /* "endokat/_kernel/_core.pyx":315
- *         raise MemoryError()
- *     try:
- *         for i in range(nrows):             # <<<<<<<<<<<<<<
- *             row = rows[i]
- *             for j in range(ncols):
-*/
-    __pyx_t_1 = __pyx_v_nrows;
-    __pyx_t_4 = __pyx_t_1;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_4; __pyx_t_6+=1) {
-      __pyx_v_i = __pyx_t_6;
-
-      /* "endokat/_kernel/_core.pyx":316
- *     try:
- *         for i in range(nrows):
- *             row = rows[i]             # <<<<<<<<<<<<<<
- *             for j in range(ncols):
- *                 val = row[j] % pp
-*/
-      __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_rows, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 316, __pyx_L6_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __Pyx_XDECREF_SET(__pyx_v_row, __pyx_t_3);
-      __pyx_t_3 = 0;
-
-      /* "endokat/_kernel/_core.pyx":317
- *         for i in range(nrows):
- *             row = rows[i]
- *             for j in range(ncols):             # <<<<<<<<<<<<<<
- *                 val = row[j] % pp
- *                 if val < 0:
-*/
-      __pyx_t_7 = __pyx_v_ncols;
-      __pyx_t_8 = __pyx_t_7;
-      for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-        __pyx_v_j = __pyx_t_9;
-
-        /* "endokat/_kernel/_core.pyx":318
- *             row = rows[i]
- *             for j in range(ncols):
- *                 val = row[j] % pp             # <<<<<<<<<<<<<<
- *                 if val < 0:
- *                     val += pp
-*/
-        __pyx_t_3 = __Pyx_GetItemInt(__pyx_v_row, __pyx_v_j, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 318, __pyx_L6_error)
-        __Pyx_GOTREF(__pyx_t_3);
-        __pyx_t_10 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_pp); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 318, __pyx_L6_error)
-        __Pyx_GOTREF(__pyx_t_10);
-        __pyx_t_11 = PyNumber_Remainder(__pyx_t_3, __pyx_t_10); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 318, __pyx_L6_error)
-        __Pyx_GOTREF(__pyx_t_11);
-        __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-        __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-        __pyx_t_5 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_11); if (unlikely((__pyx_t_5 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 318, __pyx_L6_error)
-        __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-        __pyx_v_val = __pyx_t_5;
-
-        /* "endokat/_kernel/_core.pyx":319
- *             for j in range(ncols):
- *                 val = row[j] % pp
- *                 if val < 0:             # <<<<<<<<<<<<<<
- *                     val += pp
- *                 m[i * ncols + j] = val
-*/
-        __pyx_t_2 = (__pyx_v_val < 0);
-        if (__pyx_t_2) {
-
-          /* "endokat/_kernel/_core.pyx":320
- *                 val = row[j] % pp
- *                 if val < 0:
- *                     val += pp             # <<<<<<<<<<<<<<
- *                 m[i * ncols + j] = val
- *         rank = 0
-*/
-          __pyx_v_val = (__pyx_v_val + __pyx_v_pp);
-
-          /* "endokat/_kernel/_core.pyx":319
- *             for j in range(ncols):
- *                 val = row[j] % pp
- *                 if val < 0:             # <<<<<<<<<<<<<<
- *                     val += pp
- *                 m[i * ncols + j] = val
-*/
-        }
-
-        /* "endokat/_kernel/_core.pyx":321
- *                 if val < 0:
- *                     val += pp
- *                 m[i * ncols + j] = val             # <<<<<<<<<<<<<<
- *         rank = 0
- *         piv = []
-*/
-        (__pyx_v_m[((__pyx_v_i * __pyx_v_ncols) + __pyx_v_j)]) = __pyx_v_val;
-      }
-    }
-
-    /* "endokat/_kernel/_core.pyx":322
- *                     val += pp
- *                 m[i * ncols + j] = val
- *         rank = 0             # <<<<<<<<<<<<<<
- *         piv = []
- *         for c in range(ncols):
-*/
-    __pyx_v_rank = 0;
-
-    /* "endokat/_kernel/_core.pyx":323
- *                 m[i * ncols + j] = val
- *         rank = 0
- *         piv = []             # <<<<<<<<<<<<<<
- *         for c in range(ncols):
- *             pr = -1
-*/
-    __pyx_t_11 = PyList_New(0); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 323, __pyx_L6_error)
-    __Pyx_GOTREF(__pyx_t_11);
-    __pyx_v_piv = ((PyObject*)__pyx_t_11);
-    __pyx_t_11 = 0;
-
-    /* "endokat/_kernel/_core.pyx":324
- *         rank = 0
- *         piv = []
- *         for c in range(ncols):             # <<<<<<<<<<<<<<
- *             pr = -1
- *             for i in range(rank, nrows):
-*/
-    __pyx_t_1 = __pyx_v_ncols;
-    __pyx_t_4 = __pyx_t_1;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_4; __pyx_t_6+=1) {
-      __pyx_v_c = __pyx_t_6;
-
-      /* "endokat/_kernel/_core.pyx":325
- *         piv = []
- *         for c in range(ncols):
- *             pr = -1             # <<<<<<<<<<<<<<
- *             for i in range(rank, nrows):
- *                 if m[i * ncols + c]:
-*/
-      __pyx_v_pr = -1L;
-
-      /* "endokat/_kernel/_core.pyx":326
- *         for c in range(ncols):
- *             pr = -1
- *             for i in range(rank, nrows):             # <<<<<<<<<<<<<<
- *                 if m[i * ncols + c]:
- *                     pr = i
-*/
-      __pyx_t_7 = __pyx_v_nrows;
-      __pyx_t_8 = __pyx_t_7;
-      for (__pyx_t_9 = __pyx_v_rank; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-        __pyx_v_i = __pyx_t_9;
-
-        /* "endokat/_kernel/_core.pyx":327
- *             pr = -1
- *             for i in range(rank, nrows):
- *                 if m[i * ncols + c]:             # <<<<<<<<<<<<<<
- *                     pr = i
- *                     break
-*/
-        __pyx_t_2 = ((__pyx_v_m[((__pyx_v_i * __pyx_v_ncols) + __pyx_v_c)]) != 0);
-        if (__pyx_t_2) {
-
-          /* "endokat/_kernel/_core.pyx":328
- *             for i in range(rank, nrows):
- *                 if m[i * ncols + c]:
- *                     pr = i             # <<<<<<<<<<<<<<
- *                     break
- *             if pr < 0:
-*/
-          __pyx_v_pr = __pyx_v_i;
-
-          /* "endokat/_kernel/_core.pyx":329
- *                 if m[i * ncols + c]:
- *                     pr = i
- *                     break             # <<<<<<<<<<<<<<
- *             if pr < 0:
- *                 continue
-*/
-          goto __pyx_L16_break;
-
-          /* "endokat/_kernel/_core.pyx":327
- *             pr = -1
- *             for i in range(rank, nrows):
- *                 if m[i * ncols + c]:             # <<<<<<<<<<<<<<
- *                     pr = i
- *                     break
-*/
-        }
-      }
-      __pyx_L16_break:;
-
-      /* "endokat/_kernel/_core.pyx":330
- *                     pr = i
- *                     break
- *             if pr < 0:             # <<<<<<<<<<<<<<
- *                 continue
- *             if pr != rank:
-*/
-      __pyx_t_2 = (__pyx_v_pr < 0);
-      if (__pyx_t_2) {
-
-        /* "endokat/_kernel/_core.pyx":331
- *                     break
- *             if pr < 0:
- *                 continue             # <<<<<<<<<<<<<<
- *             if pr != rank:
- *                 for j in range(ncols):
-*/
-        goto __pyx_L13_continue;
-
-        /* "endokat/_kernel/_core.pyx":330
- *                     pr = i
- *                     break
- *             if pr < 0:             # <<<<<<<<<<<<<<
- *                 continue
- *             if pr != rank:
-*/
-      }
-
-      /* "endokat/_kernel/_core.pyx":332
- *             if pr < 0:
- *                 continue
- *             if pr != rank:             # <<<<<<<<<<<<<<
- *                 for j in range(ncols):
- *                     val = m[rank * ncols + j]
-*/
-      __pyx_t_2 = (__pyx_v_pr != __pyx_v_rank);
-      if (__pyx_t_2) {
-
-        /* "endokat/_kernel/_core.pyx":333
- *                 continue
- *             if pr != rank:
- *                 for j in range(ncols):             # <<<<<<<<<<<<<<
- *                     val = m[rank * ncols + j]
- *                     m[rank * ncols + j] = m[pr * ncols + j]
-*/
-        __pyx_t_7 = __pyx_v_ncols;
-        __pyx_t_8 = __pyx_t_7;
-        for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-          __pyx_v_j = __pyx_t_9;
-
-          /* "endokat/_kernel/_core.pyx":334
- *             if pr != rank:
- *                 for j in range(ncols):
- *                     val = m[rank * ncols + j]             # <<<<<<<<<<<<<<
- *                     m[rank * ncols + j] = m[pr * ncols + j]
- *                     m[pr * ncols + j] = val
-*/
-          __pyx_v_val = (__pyx_v_m[((__pyx_v_rank * __pyx_v_ncols) + __pyx_v_j)]);
-
-          /* "endokat/_kernel/_core.pyx":335
- *                 for j in range(ncols):
- *                     val = m[rank * ncols + j]
- *                     m[rank * ncols + j] = m[pr * ncols + j]             # <<<<<<<<<<<<<<
- *                     m[pr * ncols + j] = val
- *             inv = _inv_mod(m[rank * ncols + c], pp)
-*/
-          (__pyx_v_m[((__pyx_v_rank * __pyx_v_ncols) + __pyx_v_j)]) = (__pyx_v_m[((__pyx_v_pr * __pyx_v_ncols) + __pyx_v_j)]);
-
-          /* "endokat/_kernel/_core.pyx":336
- *                     val = m[rank * ncols + j]
- *                     m[rank * ncols + j] = m[pr * ncols + j]
- *                     m[pr * ncols + j] = val             # <<<<<<<<<<<<<<
- *             inv = _inv_mod(m[rank * ncols + c], pp)
- *             for j in range(ncols):
-*/
-          (__pyx_v_m[((__pyx_v_pr * __pyx_v_ncols) + __pyx_v_j)]) = __pyx_v_val;
-        }
-
-        /* "endokat/_kernel/_core.pyx":332
- *             if pr < 0:
- *                 continue
- *             if pr != rank:             # <<<<<<<<<<<<<<
- *                 for j in range(ncols):
- *                     val = m[rank * ncols + j]
-*/
-      }
-
-      /* "endokat/_kernel/_core.pyx":337
- *                     m[rank * ncols + j] = m[pr * ncols + j]
- *                     m[pr * ncols + j] = val
- *             inv = _inv_mod(m[rank * ncols + c], pp)             # <<<<<<<<<<<<<<
- *             for j in range(ncols):
- *                 m[rank * ncols + j] = (m[rank * ncols + j] * inv) % pp
-*/
-      __pyx_t_5 = __pyx_f_7endokat_7_kernel_5_core__inv_mod((__pyx_v_m[((__pyx_v_rank * __pyx_v_ncols) + __pyx_v_c)]), __pyx_v_pp); if (unlikely(__pyx_t_5 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 337, __pyx_L6_error)
-      __pyx_v_inv = __pyx_t_5;
-
-      /* "endokat/_kernel/_core.pyx":338
- *                     m[pr * ncols + j] = val
- *             inv = _inv_mod(m[rank * ncols + c], pp)
- *             for j in range(ncols):             # <<<<<<<<<<<<<<
- *                 m[rank * ncols + j] = (m[rank * ncols + j] * inv) % pp
- *             for i in range(nrows):
-*/
-      __pyx_t_7 = __pyx_v_ncols;
-      __pyx_t_8 = __pyx_t_7;
-      for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-        __pyx_v_j = __pyx_t_9;
-
-        /* "endokat/_kernel/_core.pyx":339
- *             inv = _inv_mod(m[rank * ncols + c], pp)
- *             for j in range(ncols):
- *                 m[rank * ncols + j] = (m[rank * ncols + j] * inv) % pp             # <<<<<<<<<<<<<<
- *             for i in range(nrows):
- *                 if i != rank and m[i * ncols + c]:
-*/
-        (__pyx_v_m[((__pyx_v_rank * __pyx_v_ncols) + __pyx_v_j)]) = (((__pyx_v_m[((__pyx_v_rank * __pyx_v_ncols) + __pyx_v_j)]) * __pyx_v_inv) % __pyx_v_pp);
-      }
-
-      /* "endokat/_kernel/_core.pyx":340
- *             for j in range(ncols):
- *                 m[rank * ncols + j] = (m[rank * ncols + j] * inv) % pp
- *             for i in range(nrows):             # <<<<<<<<<<<<<<
- *                 if i != rank and m[i * ncols + c]:
- *                     f = m[i * ncols + c]
-*/
-      __pyx_t_7 = __pyx_v_nrows;
-      __pyx_t_8 = __pyx_t_7;
-      for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-        __pyx_v_i = __pyx_t_9;
-
-        /* "endokat/_kernel/_core.pyx":341
- *                 m[rank * ncols + j] = (m[rank * ncols + j] * inv) % pp
- *             for i in range(nrows):
- *                 if i != rank and m[i * ncols + c]:             # <<<<<<<<<<<<<<
- *                     f = m[i * ncols + c]
- *                     for j in range(ncols):
-*/
-        __pyx_t_12 = (__pyx_v_i != __pyx_v_rank);
-        if (__pyx_t_12) {
-        } else {
-          __pyx_t_2 = __pyx_t_12;
-          goto __pyx_L27_bool_binop_done;
-        }
-        __pyx_t_12 = ((__pyx_v_m[((__pyx_v_i * __pyx_v_ncols) + __pyx_v_c)]) != 0);
-        __pyx_t_2 = __pyx_t_12;
-        __pyx_L27_bool_binop_done:;
-        if (__pyx_t_2) {
-
-          /* "endokat/_kernel/_core.pyx":342
- *             for i in range(nrows):
- *                 if i != rank and m[i * ncols + c]:
- *                     f = m[i * ncols + c]             # <<<<<<<<<<<<<<
- *                     for j in range(ncols):
- *                         val = (m[i * ncols + j] - f * m[rank * ncols + j]) % pp
-*/
-          __pyx_v_f = (__pyx_v_m[((__pyx_v_i * __pyx_v_ncols) + __pyx_v_c)]);
-
-          /* "endokat/_kernel/_core.pyx":343
- *                 if i != rank and m[i * ncols + c]:
- *                     f = m[i * ncols + c]
- *                     for j in range(ncols):             # <<<<<<<<<<<<<<
- *                         val = (m[i * ncols + j] - f * m[rank * ncols + j]) % pp
- *                         if val < 0:
-*/
-          __pyx_t_13 = __pyx_v_ncols;
-          __pyx_t_14 = __pyx_t_13;
-          for (__pyx_t_15 = 0; __pyx_t_15 < __pyx_t_14; __pyx_t_15+=1) {
-            __pyx_v_j = __pyx_t_15;
-
-            /* "endokat/_kernel/_core.pyx":344
- *                     f = m[i * ncols + c]
- *                     for j in range(ncols):
- *                         val = (m[i * ncols + j] - f * m[rank * ncols + j]) % pp             # <<<<<<<<<<<<<<
- *                         if val < 0:
- *                             val += pp
-*/
-            __pyx_v_val = (((__pyx_v_m[((__pyx_v_i * __pyx_v_ncols) + __pyx_v_j)]) - (__pyx_v_f * (__pyx_v_m[((__pyx_v_rank * __pyx_v_ncols) + __pyx_v_j)]))) % __pyx_v_pp);
-
-            /* "endokat/_kernel/_core.pyx":345
- *                     for j in range(ncols):
- *                         val = (m[i * ncols + j] - f * m[rank * ncols + j]) % pp
- *                         if val < 0:             # <<<<<<<<<<<<<<
- *                             val += pp
- *                         m[i * ncols + j] = val
-*/
-            __pyx_t_2 = (__pyx_v_val < 0);
-            if (__pyx_t_2) {
-
-              /* "endokat/_kernel/_core.pyx":346
- *                         val = (m[i * ncols + j] - f * m[rank * ncols + j]) % pp
- *                         if val < 0:
- *                             val += pp             # <<<<<<<<<<<<<<
- *                         m[i * ncols + j] = val
- *             piv.append(c)
-*/
-              __pyx_v_val = (__pyx_v_val + __pyx_v_pp);
-
-              /* "endokat/_kernel/_core.pyx":345
- *                     for j in range(ncols):
- *                         val = (m[i * ncols + j] - f * m[rank * ncols + j]) % pp
- *                         if val < 0:             # <<<<<<<<<<<<<<
- *                             val += pp
- *                         m[i * ncols + j] = val
-*/
-            }
-
-            /* "endokat/_kernel/_core.pyx":347
- *                         if val < 0:
- *                             val += pp
- *                         m[i * ncols + j] = val             # <<<<<<<<<<<<<<
- *             piv.append(c)
- *             rank += 1
-*/
-            (__pyx_v_m[((__pyx_v_i * __pyx_v_ncols) + __pyx_v_j)]) = __pyx_v_val;
-          }
-
-          /* "endokat/_kernel/_core.pyx":341
- *                 m[rank * ncols + j] = (m[rank * ncols + j] * inv) % pp
- *             for i in range(nrows):
- *                 if i != rank and m[i * ncols + c]:             # <<<<<<<<<<<<<<
- *                     f = m[i * ncols + c]
- *                     for j in range(ncols):
-*/
-        }
-      }
-
-      /* "endokat/_kernel/_core.pyx":348
- *                             val += pp
- *                         m[i * ncols + j] = val
- *             piv.append(c)             # <<<<<<<<<<<<<<
- *             rank += 1
- *             if rank == nrows:
-*/
-      __pyx_t_11 = PyLong_FromSsize_t(__pyx_v_c); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 348, __pyx_L6_error)
-      __Pyx_GOTREF(__pyx_t_11);
-      __pyx_t_16 = __Pyx_PyList_Append(__pyx_v_piv, __pyx_t_11); if (unlikely(__pyx_t_16 == ((int)-1))) __PYX_ERR(0, 348, __pyx_L6_error)
-      __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-
-      /* "endokat/_kernel/_core.pyx":349
- *                         m[i * ncols + j] = val
- *             piv.append(c)
- *             rank += 1             # <<<<<<<<<<<<<<
- *             if rank == nrows:
- *                 break
-*/
-      __pyx_v_rank = (__pyx_v_rank + 1);
-
-      /* "endokat/_kernel/_core.pyx":350
- *             piv.append(c)
- *             rank += 1
- *             if rank == nrows:             # <<<<<<<<<<<<<<
- *                 break
- *         out = []
-*/
-      __pyx_t_2 = (__pyx_v_rank == __pyx_v_nrows);
-      if (__pyx_t_2) {
-
-        /* "endokat/_kernel/_core.pyx":351
- *             rank += 1
- *             if rank == nrows:
- *                 break             # <<<<<<<<<<<<<<
- *         out = []
- *         for i in range(rank):
-*/
-        goto __pyx_L14_break;
-
-        /* "endokat/_kernel/_core.pyx":350
- *             piv.append(c)
- *             rank += 1
- *             if rank == nrows:             # <<<<<<<<<<<<<<
- *                 break
- *         out = []
-*/
-      }
-      __pyx_L13_continue:;
-    }
-    __pyx_L14_break:;
-
-    /* "endokat/_kernel/_core.pyx":352
- *             if rank == nrows:
- *                 break
- *         out = []             # <<<<<<<<<<<<<<
- *         for i in range(rank):
- *             orow = []
-*/
-    __pyx_t_11 = PyList_New(0); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 352, __pyx_L6_error)
-    __Pyx_GOTREF(__pyx_t_11);
-    __pyx_v_out = ((PyObject*)__pyx_t_11);
-    __pyx_t_11 = 0;
-
-    /* "endokat/_kernel/_core.pyx":353
- *                 break
- *         out = []
- *         for i in range(rank):             # <<<<<<<<<<<<<<
- *             orow = []
- *             for j in range(ncols):
-*/
-    __pyx_t_1 = __pyx_v_rank;
-    __pyx_t_4 = __pyx_t_1;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_4; __pyx_t_6+=1) {
-      __pyx_v_i = __pyx_t_6;
-
-      /* "endokat/_kernel/_core.pyx":354
- *         out = []
- *         for i in range(rank):
- *             orow = []             # <<<<<<<<<<<<<<
- *             for j in range(ncols):
- *                 orow.append(m[i * ncols + j])
-*/
-      __pyx_t_11 = PyList_New(0); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 354, __pyx_L6_error)
-      __Pyx_GOTREF(__pyx_t_11);
-      __Pyx_XDECREF_SET(__pyx_v_orow, ((PyObject*)__pyx_t_11));
-      __pyx_t_11 = 0;
-
-      /* "endokat/_kernel/_core.pyx":355
- *         for i in range(rank):
- *             orow = []
- *             for j in range(ncols):             # <<<<<<<<<<<<<<
- *                 orow.append(m[i * ncols + j])
- *             out.append(tuple(orow))
-*/
-      __pyx_t_7 = __pyx_v_ncols;
-      __pyx_t_8 = __pyx_t_7;
-      for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-        __pyx_v_j = __pyx_t_9;
-
-        /* "endokat/_kernel/_core.pyx":356
- *             orow = []
- *             for j in range(ncols):
- *                 orow.append(m[i * ncols + j])             # <<<<<<<<<<<<<<
- *             out.append(tuple(orow))
- *         return tuple(out), tuple(piv)
-*/
-        __pyx_t_11 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_m[((__pyx_v_i * __pyx_v_ncols) + __pyx_v_j)])); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 356, __pyx_L6_error)
-        __Pyx_GOTREF(__pyx_t_11);
-        __pyx_t_16 = __Pyx_PyList_Append(__pyx_v_orow, __pyx_t_11); if (unlikely(__pyx_t_16 == ((int)-1))) __PYX_ERR(0, 356, __pyx_L6_error)
-        __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-      }
-
-      /* "endokat/_kernel/_core.pyx":357
- *             for j in range(ncols):
- *                 orow.append(m[i * ncols + j])
- *             out.append(tuple(orow))             # <<<<<<<<<<<<<<
- *         return tuple(out), tuple(piv)
- *     finally:
-*/
-      __pyx_t_11 = PyList_AsTuple(__pyx_v_orow); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 357, __pyx_L6_error)
-      __Pyx_GOTREF(__pyx_t_11);
-      __pyx_t_16 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_11); if (unlikely(__pyx_t_16 == ((int)-1))) __PYX_ERR(0, 357, __pyx_L6_error)
-      __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-    }
-
-    /* "endokat/_kernel/_core.pyx":358
- *                 orow.append(m[i * ncols + j])
- *             out.append(tuple(orow))
- *         return tuple(out), tuple(piv)             # <<<<<<<<<<<<<<
- *     finally:
- *         free(m)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_11 = PyList_AsTuple(__pyx_v_out); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 358, __pyx_L6_error)
-    __Pyx_GOTREF(__pyx_t_11);
-    __pyx_t_10 = PyList_AsTuple(__pyx_v_piv); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 358, __pyx_L6_error)
-    __Pyx_GOTREF(__pyx_t_10);
-    __pyx_t_3 = PyTuple_New(2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 358, __pyx_L6_error)
-    __Pyx_GOTREF(__pyx_t_3);
-    __Pyx_GIVEREF(__pyx_t_11);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_t_11) != (0)) __PYX_ERR(0, 358, __pyx_L6_error);
-    __Pyx_GIVEREF(__pyx_t_10);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, __pyx_t_10) != (0)) __PYX_ERR(0, 358, __pyx_L6_error);
-    __pyx_t_11 = 0;
-    __pyx_t_10 = 0;
-    __pyx_r = __pyx_t_3;
-    __pyx_t_3 = 0;
-    goto __pyx_L5_return;
-  }
-
-  /* "endokat/_kernel/_core.pyx":360
- *         return tuple(out), tuple(piv)
- *     finally:
- *         free(m)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  /*finally:*/ {
-    __pyx_L6_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0; __pyx_t_25 = 0;
-      __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-      __Pyx_XDECREF(__pyx_t_11); __pyx_t_11 = 0;
-      __Pyx_XDECREF(__pyx_t_3); __pyx_t_3 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_23, &__pyx_t_24, &__pyx_t_25);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_20, &__pyx_t_21, &__pyx_t_22) < 0)) __Pyx_ErrFetch(&__pyx_t_20, &__pyx_t_21, &__pyx_t_22);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __Pyx_XGOTREF(__pyx_t_21);
-      __Pyx_XGOTREF(__pyx_t_22);
-      __Pyx_XGOTREF(__pyx_t_23);
-      __Pyx_XGOTREF(__pyx_t_24);
-      __Pyx_XGOTREF(__pyx_t_25);
-      __pyx_t_17 = __pyx_lineno; __pyx_t_18 = __pyx_clineno; __pyx_t_19 = __pyx_filename;
-      {
-        free(__pyx_v_m);
-      }
-      __Pyx_XGIVEREF(__pyx_t_23);
-      __Pyx_XGIVEREF(__pyx_t_24);
-      __Pyx_XGIVEREF(__pyx_t_25);
-      __Pyx_ExceptionReset(__pyx_t_23, __pyx_t_24, __pyx_t_25);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_XGIVEREF(__pyx_t_21);
-      __Pyx_XGIVEREF(__pyx_t_22);
-      __Pyx_ErrRestore(__pyx_t_20, __pyx_t_21, __pyx_t_22);
-      __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0; __pyx_t_24 = 0; __pyx_t_25 = 0;
-      __pyx_lineno = __pyx_t_17; __pyx_clineno = __pyx_t_18; __pyx_filename = __pyx_t_19;
-      goto __pyx_L1_error;
-    }
-    __pyx_L5_return: {
-      __pyx_t_25 = __pyx_r;
-      __pyx_r = 0;
-      free(__pyx_v_m);
-      __pyx_r = __pyx_t_25;
-      __pyx_t_25 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "endokat/_kernel/_core.pyx":303
- * 
- * 
- * def rref(p, rows):             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t nrows = len(rows)
- *     cdef Py_ssize_t ncols = len(rows[0]) if nrows else 0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_XDECREF(__pyx_t_11);
-  __Pyx_AddTraceback("endokat._kernel._core.rref", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_row);
-  __Pyx_XDECREF(__pyx_v_piv);
-  __Pyx_XDECREF(__pyx_v_out);
-  __Pyx_XDECREF(__pyx_v_orow);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "endokat/_kernel/_core.pyx":363
- * 
- * 
- * def spin(p, gens, seeds, limit):             # <<<<<<<<<<<<<<
- *     cdef long long pp = p
- *     cdef Py_ssize_t n = 0
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_7endokat_7_kernel_5_core_11spin(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_7endokat_7_kernel_5_core_11spin = {"spin", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_7endokat_7_kernel_5_core_11spin, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_7endokat_7_kernel_5_core_11spin(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_p = 0;
-  PyObject *__pyx_v_gens = 0;
-  PyObject *__pyx_v_seeds = 0;
-  PyObject *__pyx_v_limit = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[4] = {0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("spin (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_p,&__pyx_mstate_global->__pyx_n_u_gens,&__pyx_mstate_global->__pyx_n_u_seeds,&__pyx_mstate_global->__pyx_n_u_limit,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 363, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 363, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 363, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 363, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 363, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "spin", 0) < (0)) __PYX_ERR(0, 363, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 4; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("spin", 1, 4, 4, i); __PYX_ERR(0, 363, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 4)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 363, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 363, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 363, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 363, __pyx_L3_error)
-    }
-    __pyx_v_p = values[0];
-    __pyx_v_gens = values[1];
-    __pyx_v_seeds = values[2];
-    __pyx_v_limit = values[3];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("spin", 1, 4, 4, __pyx_nargs); __PYX_ERR(0, 363, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("endokat._kernel._core.spin", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_7endokat_7_kernel_5_core_10spin(__pyx_self, __pyx_v_p, __pyx_v_gens, __pyx_v_seeds, __pyx_v_limit);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_7endokat_7_kernel_5_core_10spin(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_p, PyObject *__pyx_v_gens, PyObject *__pyx_v_seeds, PyObject *__pyx_v_limit) {
-  PY_LONG_LONG __pyx_v_pp;
-  Py_ssize_t __pyx_v_n;
-  PyObject *__pyx_v_s = NULL;
-  PyObject *__pyx_v_g = NULL;
-  Py_ssize_t __pyx_v_ngens;
-  Py_ssize_t __pyx_v_i;
-  Py_ssize_t __pyx_v_k;
-  Py_ssize_t __pyx_v_t;
-  Py_ssize_t __pyx_v_nb;
-  Py_ssize_t __pyx_v_qhead;
-  Py_ssize_t __pyx_v_qcount;
-  PY_LONG_LONG __pyx_v_x;
-  PY_LONG_LONG __pyx_v_s_acc;
-  PY_LONG_LONG *__pyx_v_gbuf;
-  PY_LONG_LONG *__pyx_v_basis;
-  Py_ssize_t *__pyx_v_pivots;
-  PY_LONG_LONG *__pyx_v_queue;
-  PY_LONG_LONG *__pyx_v_w;
-  PY_LONG_LONG *__pyx_v_img;
-  PyObject *__pyx_v_row = NULL;
-  PyObject *__pyx_v_j = NULL;
-  PyObject *__pyx_v_rows = NULL;
-  PyObject *__pyx_v_orow = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PY_LONG_LONG __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  Py_ssize_t __pyx_t_3;
-  PyObject *(*__pyx_t_4)(PyObject *);
-  PyObject *__pyx_t_5 = NULL;
-  Py_ssize_t __pyx_t_6;
-  int __pyx_t_7;
-  size_t __pyx_t_8;
-  int __pyx_t_9;
-  Py_ssize_t __pyx_t_10;
-  Py_ssize_t __pyx_t_11;
-  PyObject *__pyx_t_12 = NULL;
-  PyObject *__pyx_t_13 = NULL;
-  PyObject *(*__pyx_t_14)(PyObject *);
-  Py_ssize_t __pyx_t_15;
-  int __pyx_t_16;
-  Py_ssize_t __pyx_t_17;
-  Py_ssize_t __pyx_t_18;
-  Py_ssize_t __pyx_t_19;
-  Py_ssize_t __pyx_t_20;
-  int __pyx_t_21;
-  int __pyx_t_22;
-  char const *__pyx_t_23;
-  PyObject *__pyx_t_24 = NULL;
-  PyObject *__pyx_t_25 = NULL;
-  PyObject *__pyx_t_26 = NULL;
-  PyObject *__pyx_t_27 = NULL;
-  PyObject *__pyx_t_28 = NULL;
-  PyObject *__pyx_t_29 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("spin", 0);
-
-  /* "endokat/_kernel/_core.pyx":364
- * 
- * def spin(p, gens, seeds, limit):
- *     cdef long long pp = p             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t n = 0
- *     for s in seeds:
-*/
-  __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_v_p); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 364, __pyx_L1_error)
-  __pyx_v_pp = __pyx_t_1;
-
-  /* "endokat/_kernel/_core.pyx":365
- * def spin(p, gens, seeds, limit):
- *     cdef long long pp = p
- *     cdef Py_ssize_t n = 0             # <<<<<<<<<<<<<<
- *     for s in seeds:
- *         n = len(s)
-*/
-  __pyx_v_n = 0;
-
-  /* "endokat/_kernel/_core.pyx":366
- *     cdef long long pp = p
- *     cdef Py_ssize_t n = 0
- *     for s in seeds:             # <<<<<<<<<<<<<<
- *         n = len(s)
- *         break
-*/
-  if (likely(PyList_CheckExact(__pyx_v_seeds)) || PyTuple_CheckExact(__pyx_v_seeds)) {
-    __pyx_t_2 = __pyx_v_seeds; __Pyx_INCREF(__pyx_t_2);
-    __pyx_t_3 = 0;
-    __pyx_t_4 = NULL;
-  } else {
-    __pyx_t_3 = -1; __pyx_t_2 = PyObject_GetIter(__pyx_v_seeds); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 366, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_t_4 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_2); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 366, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_4)) {
-      if (likely(PyList_CheckExact(__pyx_t_2))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_2);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 366, __pyx_L1_error)
-          #endif
-          if (__pyx_t_3 >= __pyx_temp) break;
-        }
-        __pyx_t_5 = __Pyx_PyList_GetItemRefFast(__pyx_t_2, __pyx_t_3, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_3;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_2);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 366, __pyx_L1_error)
-          #endif
-          if (__pyx_t_3 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_5 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_2, __pyx_t_3));
-        #else
-        __pyx_t_5 = __Pyx_PySequence_ITEM(__pyx_t_2, __pyx_t_3);
-        #endif
-        ++__pyx_t_3;
-      }
-      if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 366, __pyx_L1_error)
-    } else {
-      __pyx_t_5 = __pyx_t_4(__pyx_t_2);
-      if (unlikely(!__pyx_t_5)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 366, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_v_s = __pyx_t_5;
-    __pyx_t_5 = 0;
-
-    /* "endokat/_kernel/_core.pyx":367
- *     cdef Py_ssize_t n = 0
- *     for s in seeds:
- *         n = len(s)             # <<<<<<<<<<<<<<
- *         break
- *     if n == 0:
-*/
-    __pyx_t_6 = PyObject_Length(__pyx_v_s); if (unlikely(__pyx_t_6 == ((Py_ssize_t)-1))) __PYX_ERR(0, 367, __pyx_L1_error)
-    __pyx_v_n = __pyx_t_6;
-
-    /* "endokat/_kernel/_core.pyx":368
- *     for s in seeds:
- *         n = len(s)
- *         break             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         for g in gens:
-*/
-    goto __pyx_L4_break;
-
-    /* "endokat/_kernel/_core.pyx":366
- *     cdef long long pp = p
- *     cdef Py_ssize_t n = 0
- *     for s in seeds:             # <<<<<<<<<<<<<<
- *         n = len(s)
- *         break
-*/
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  goto __pyx_L5_for_end;
-  __pyx_L4_break:;
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  goto __pyx_L5_for_end;
-  __pyx_L5_for_end:;
-
-  /* "endokat/_kernel/_core.pyx":369
- *         n = len(s)
- *         break
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         for g in gens:
- *             n = len(g)
-*/
-  __pyx_t_7 = (__pyx_v_n == 0);
-  if (__pyx_t_7) {
-
-    /* "endokat/_kernel/_core.pyx":370
- *         break
- *     if n == 0:
- *         for g in gens:             # <<<<<<<<<<<<<<
- *             n = len(g)
- *             break
-*/
-    if (likely(PyList_CheckExact(__pyx_v_gens)) || PyTuple_CheckExact(__pyx_v_gens)) {
-      __pyx_t_2 = __pyx_v_gens; __Pyx_INCREF(__pyx_t_2);
-      __pyx_t_3 = 0;
-      __pyx_t_4 = NULL;
-    } else {
-      __pyx_t_3 = -1; __pyx_t_2 = PyObject_GetIter(__pyx_v_gens); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 370, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_4 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_2); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 370, __pyx_L1_error)
-    }
-    for (;;) {
-      if (likely(!__pyx_t_4)) {
-        if (likely(PyList_CheckExact(__pyx_t_2))) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_2);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 370, __pyx_L1_error)
-            #endif
-            if (__pyx_t_3 >= __pyx_temp) break;
-          }
-          __pyx_t_5 = __Pyx_PyList_GetItemRefFast(__pyx_t_2, __pyx_t_3, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_3;
-        } else {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_2);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 370, __pyx_L1_error)
-            #endif
-            if (__pyx_t_3 >= __pyx_temp) break;
-          }
-          #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-          __pyx_t_5 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_2, __pyx_t_3));
-          #else
-          __pyx_t_5 = __Pyx_PySequence_ITEM(__pyx_t_2, __pyx_t_3);
-          #endif
-          ++__pyx_t_3;
-        }
-        if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 370, __pyx_L1_error)
-      } else {
-        __pyx_t_5 = __pyx_t_4(__pyx_t_2);
-        if (unlikely(!__pyx_t_5)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 370, __pyx_L1_error)
-            PyErr_Clear();
-          }
-          break;
-        }
-      }
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_v_g = __pyx_t_5;
-      __pyx_t_5 = 0;
-
-      /* "endokat/_kernel/_core.pyx":371
- *     if n == 0:
- *         for g in gens:
- *             n = len(g)             # <<<<<<<<<<<<<<
- *             break
- *     if n == 0:
-*/
-      __pyx_t_6 = PyObject_Length(__pyx_v_g); if (unlikely(__pyx_t_6 == ((Py_ssize_t)-1))) __PYX_ERR(0, 371, __pyx_L1_error)
-      __pyx_v_n = __pyx_t_6;
-
-      /* "endokat/_kernel/_core.pyx":372
- *         for g in gens:
- *             n = len(g)
- *             break             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return ()
-*/
-      goto __pyx_L8_break;
-
-      /* "endokat/_kernel/_core.pyx":370
- *         break
- *     if n == 0:
- *         for g in gens:             # <<<<<<<<<<<<<<
- *             n = len(g)
- *             break
-*/
-    }
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    goto __pyx_L9_for_end;
-    __pyx_L8_break:;
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    goto __pyx_L9_for_end;
-    __pyx_L9_for_end:;
-
-    /* "endokat/_kernel/_core.pyx":369
- *         n = len(s)
- *         break
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         for g in gens:
- *             n = len(g)
-*/
-  }
-
-  /* "endokat/_kernel/_core.pyx":373
- *             n = len(g)
- *             break
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return ()
- *     cdef Py_ssize_t ngens = len(gens)
-*/
-  __pyx_t_7 = (__pyx_v_n == 0);
-  if (__pyx_t_7) {
-
-    /* "endokat/_kernel/_core.pyx":374
- *             break
- *     if n == 0:
- *         return ()             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t ngens = len(gens)
- *     cdef Py_ssize_t i, k, t, nb, qhead, qcount
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_empty_tuple);
-    __pyx_r = __pyx_mstate_global->__pyx_empty_tuple;
-    goto __pyx_L0;
-
-    /* "endokat/_kernel/_core.pyx":373
- *             n = len(g)
- *             break
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return ()
- *     cdef Py_ssize_t ngens = len(gens)
-*/
-  }
-
-  /* "endokat/_kernel/_core.pyx":375
- *     if n == 0:
- *         return ()
- *     cdef Py_ssize_t ngens = len(gens)             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t i, k, t, nb, qhead, qcount
- *     cdef long long x, s_acc
-*/
-  __pyx_t_3 = PyObject_Length(__pyx_v_gens); if (unlikely(__pyx_t_3 == ((Py_ssize_t)-1))) __PYX_ERR(0, 375, __pyx_L1_error)
-  __pyx_v_ngens = __pyx_t_3;
-
-  /* "endokat/_kernel/_core.pyx":378
- *     cdef Py_ssize_t i, k, t, nb, qhead, qcount
- *     cdef long long x, s_acc
- *     cdef long long *gbuf = <long long *> malloc((ngens * n * n if ngens else 1) * sizeof(long long))             # <<<<<<<<<<<<<<
- *     cdef long long *basis = <long long *> malloc(n * n * sizeof(long long))
- *     cdef Py_ssize_t *pivots = <Py_ssize_t *> malloc(n * sizeof(Py_ssize_t))
-*/
-  __pyx_t_7 = (__pyx_v_ngens != 0);
-  if (__pyx_t_7) {
-    __pyx_t_8 = ((__pyx_v_ngens * __pyx_v_n) * __pyx_v_n);
-  } else {
-    __pyx_t_8 = 1;
-  }
-  __pyx_v_gbuf = ((PY_LONG_LONG *)malloc((__pyx_t_8 * (sizeof(PY_LONG_LONG)))));
-
-  /* "endokat/_kernel/_core.pyx":379
- *     cdef long long x, s_acc
- *     cdef long long *gbuf = <long long *> malloc((ngens * n * n if ngens else 1) * sizeof(long long))
- *     cdef long long *basis = <long long *> malloc(n * n * sizeof(long long))             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t *pivots = <Py_ssize_t *> malloc(n * sizeof(Py_ssize_t))
- *     cdef long long *queue = <long long *> malloc((n + 1) * n * sizeof(long long))
-*/
-  __pyx_v_basis = ((PY_LONG_LONG *)malloc(((__pyx_v_n * __pyx_v_n) * (sizeof(PY_LONG_LONG)))));
-
-  /* "endokat/_kernel/_core.pyx":380
- *     cdef long long *gbuf = <long long *> malloc((ngens * n * n if ngens else 1) * sizeof(long long))
- *     cdef long long *basis = <long long *> malloc(n * n * sizeof(long long))
- *     cdef Py_ssize_t *pivots = <Py_ssize_t *> malloc(n * sizeof(Py_ssize_t))             # <<<<<<<<<<<<<<
- *     cdef long long *queue = <long long *> malloc((n + 1) * n * sizeof(long long))
- *     cdef long long *w = <long long *> malloc(n * sizeof(long long))
-*/
-  __pyx_v_pivots = ((Py_ssize_t *)malloc((__pyx_v_n * (sizeof(Py_ssize_t)))));
-
-  /* "endokat/_kernel/_core.pyx":381
- *     cdef long long *basis = <long long *> malloc(n * n * sizeof(long long))
- *     cdef Py_ssize_t *pivots = <Py_ssize_t *> malloc(n * sizeof(Py_ssize_t))
- *     cdef long long *queue = <long long *> malloc((n + 1) * n * sizeof(long long))             # <<<<<<<<<<<<<<
- *     cdef long long *w = <long long *> malloc(n * sizeof(long long))
- *     cdef long long *img = <long long *> malloc(n * sizeof(long long))
-*/
-  __pyx_v_queue = ((PY_LONG_LONG *)malloc((((__pyx_v_n + 1) * __pyx_v_n) * (sizeof(PY_LONG_LONG)))));
-
-  /* "endokat/_kernel/_core.pyx":382
- *     cdef Py_ssize_t *pivots = <Py_ssize_t *> malloc(n * sizeof(Py_ssize_t))
- *     cdef long long *queue = <long long *> malloc((n + 1) * n * sizeof(long long))
- *     cdef long long *w = <long long *> malloc(n * sizeof(long long))             # <<<<<<<<<<<<<<
- *     cdef long long *img = <long long *> malloc(n * sizeof(long long))
- *     if gbuf == NULL or basis == NULL or pivots == NULL or queue == NULL or w == NULL or img == NULL:
-*/
-  __pyx_v_w = ((PY_LONG_LONG *)malloc((__pyx_v_n * (sizeof(PY_LONG_LONG)))));
-
-  /* "endokat/_kernel/_core.pyx":383
- *     cdef long long *queue = <long long *> malloc((n + 1) * n * sizeof(long long))
- *     cdef long long *w = <long long *> malloc(n * sizeof(long long))
- *     cdef long long *img = <long long *> malloc(n * sizeof(long long))             # <<<<<<<<<<<<<<
- *     if gbuf == NULL or basis == NULL or pivots == NULL or queue == NULL or w == NULL or img == NULL:
- *         raise MemoryError()
-*/
-  __pyx_v_img = ((PY_LONG_LONG *)malloc((__pyx_v_n * (sizeof(PY_LONG_LONG)))));
-
-  /* "endokat/_kernel/_core.pyx":384
- *     cdef long long *w = <long long *> malloc(n * sizeof(long long))
- *     cdef long long *img = <long long *> malloc(n * sizeof(long long))
- *     if gbuf == NULL or basis == NULL or pivots == NULL or queue == NULL or w == NULL or img == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     try:
-*/
-  __pyx_t_9 = (__pyx_v_gbuf == NULL);
-  if (!__pyx_t_9) {
-  } else {
-    __pyx_t_7 = __pyx_t_9;
-    goto __pyx_L12_bool_binop_done;
-  }
-  __pyx_t_9 = (__pyx_v_basis == NULL);
-  if (!__pyx_t_9) {
-  } else {
-    __pyx_t_7 = __pyx_t_9;
-    goto __pyx_L12_bool_binop_done;
-  }
-  __pyx_t_9 = (__pyx_v_pivots == NULL);
-  if (!__pyx_t_9) {
-  } else {
-    __pyx_t_7 = __pyx_t_9;
-    goto __pyx_L12_bool_binop_done;
-  }
-  __pyx_t_9 = (__pyx_v_queue == NULL);
-  if (!__pyx_t_9) {
-  } else {
-    __pyx_t_7 = __pyx_t_9;
-    goto __pyx_L12_bool_binop_done;
-  }
-  __pyx_t_9 = (__pyx_v_w == NULL);
-  if (!__pyx_t_9) {
-  } else {
-    __pyx_t_7 = __pyx_t_9;
-    goto __pyx_L12_bool_binop_done;
-  }
-  __pyx_t_9 = (__pyx_v_img == NULL);
-  __pyx_t_7 = __pyx_t_9;
-  __pyx_L12_bool_binop_done:;
-  if (unlikely(__pyx_t_7)) {
-
-    /* "endokat/_kernel/_core.pyx":385
- *     cdef long long *img = <long long *> malloc(n * sizeof(long long))
- *     if gbuf == NULL or basis == NULL or pivots == NULL or queue == NULL or w == NULL or img == NULL:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     try:
- *         t = 0
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 385, __pyx_L1_error)
-
-    /* "endokat/_kernel/_core.pyx":384
- *     cdef long long *w = <long long *> malloc(n * sizeof(long long))
- *     cdef long long *img = <long long *> malloc(n * sizeof(long long))
- *     if gbuf == NULL or basis == NULL or pivots == NULL or queue == NULL or w == NULL or img == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     try:
-*/
-  }
-
-  /* "endokat/_kernel/_core.pyx":386
- *     if gbuf == NULL or basis == NULL or pivots == NULL or queue == NULL or w == NULL or img == NULL:
- *         raise MemoryError()
- *     try:             # <<<<<<<<<<<<<<
- *         t = 0
- *         for g in gens:
-*/
-  /*try:*/ {
-
-    /* "endokat/_kernel/_core.pyx":387
- *         raise MemoryError()
- *     try:
- *         t = 0             # <<<<<<<<<<<<<<
- *         for g in gens:
- *             for i in range(n):
-*/
-    __pyx_v_t = 0;
-
-    /* "endokat/_kernel/_core.pyx":388
- *     try:
- *         t = 0
- *         for g in gens:             # <<<<<<<<<<<<<<
- *             for i in range(n):
- *                 row = g[i]
-*/
-    if (likely(PyList_CheckExact(__pyx_v_gens)) || PyTuple_CheckExact(__pyx_v_gens)) {
-      __pyx_t_2 = __pyx_v_gens; __Pyx_INCREF(__pyx_t_2);
-      __pyx_t_3 = 0;
-      __pyx_t_4 = NULL;
-    } else {
-      __pyx_t_3 = -1; __pyx_t_2 = PyObject_GetIter(__pyx_v_gens); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 388, __pyx_L19_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_4 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_2); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 388, __pyx_L19_error)
-    }
-    for (;;) {
-      if (likely(!__pyx_t_4)) {
-        if (likely(PyList_CheckExact(__pyx_t_2))) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_2);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 388, __pyx_L19_error)
-            #endif
-            if (__pyx_t_3 >= __pyx_temp) break;
-          }
-          __pyx_t_5 = __Pyx_PyList_GetItemRefFast(__pyx_t_2, __pyx_t_3, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_3;
-        } else {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_2);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 388, __pyx_L19_error)
-            #endif
-            if (__pyx_t_3 >= __pyx_temp) break;
-          }
-          #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-          __pyx_t_5 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_2, __pyx_t_3));
-          #else
-          __pyx_t_5 = __Pyx_PySequence_ITEM(__pyx_t_2, __pyx_t_3);
-          #endif
-          ++__pyx_t_3;
-        }
-        if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 388, __pyx_L19_error)
-      } else {
-        __pyx_t_5 = __pyx_t_4(__pyx_t_2);
-        if (unlikely(!__pyx_t_5)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 388, __pyx_L19_error)
-            PyErr_Clear();
-          }
-          break;
-        }
-      }
-      __Pyx_GOTREF(__pyx_t_5);
-      __Pyx_XDECREF_SET(__pyx_v_g, __pyx_t_5);
-      __pyx_t_5 = 0;
-
-      /* "endokat/_kernel/_core.pyx":389
- *         t = 0
- *         for g in gens:
- *             for i in range(n):             # <<<<<<<<<<<<<<
- *                 row = g[i]
- *                 for j in range(n):
-*/
-      __pyx_t_6 = __pyx_v_n;
-      __pyx_t_10 = __pyx_t_6;
-      for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-        __pyx_v_i = __pyx_t_11;
-
-        /* "endokat/_kernel/_core.pyx":390
- *         for g in gens:
- *             for i in range(n):
- *                 row = g[i]             # <<<<<<<<<<<<<<
- *                 for j in range(n):
- *                     gbuf[t * n * n + i * n + j] = row[j]
-*/
-        __pyx_t_5 = __Pyx_GetItemInt(__pyx_v_g, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 390, __pyx_L19_error)
-        __Pyx_GOTREF(__pyx_t_5);
-        __Pyx_XDECREF_SET(__pyx_v_row, __pyx_t_5);
-        __pyx_t_5 = 0;
-
-        /* "endokat/_kernel/_core.pyx":391
- *             for i in range(n):
- *                 row = g[i]
- *                 for j in range(n):             # <<<<<<<<<<<<<<
- *                     gbuf[t * n * n + i * n + j] = row[j]
- *             t += 1
-*/
-        __pyx_t_12 = NULL;
-        __pyx_t_13 = PyLong_FromSsize_t(__pyx_v_n); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 391, __pyx_L19_error)
-        __Pyx_GOTREF(__pyx_t_13);
-        __pyx_t_8 = 1;
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_12, __pyx_t_13};
-          __pyx_t_5 = __Pyx_PyObject_FastCall((PyObject*)(&PyRange_Type), __pyx_callargs+__pyx_t_8, (2-__pyx_t_8) | (__pyx_t_8*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_12); __pyx_t_12 = 0;
-          __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-          if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 391, __pyx_L19_error)
-          __Pyx_GOTREF(__pyx_t_5);
-        }
-        __pyx_t_13 = PyObject_GetIter(__pyx_t_5); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 391, __pyx_L19_error)
-        __Pyx_GOTREF(__pyx_t_13);
-        __pyx_t_14 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_13); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 391, __pyx_L19_error)
-        __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-        for (;;) {
-          {
-            __pyx_t_5 = __pyx_t_14(__pyx_t_13);
-            if (unlikely(!__pyx_t_5)) {
-              PyObject* exc_type = PyErr_Occurred();
-              if (exc_type) {
-                if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 391, __pyx_L19_error)
-                PyErr_Clear();
-              }
-              break;
-            }
-          }
-          __Pyx_GOTREF(__pyx_t_5);
-          __Pyx_XDECREF_SET(__pyx_v_j, __pyx_t_5);
-          __pyx_t_5 = 0;
-
-          /* "endokat/_kernel/_core.pyx":392
- *                 row = g[i]
- *                 for j in range(n):
- *                     gbuf[t * n * n + i * n + j] = row[j]             # <<<<<<<<<<<<<<
- *             t += 1
- *         nb = 0
-*/
-          __pyx_t_5 = __Pyx_PyObject_GetItem(__pyx_v_row, __pyx_v_j); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 392, __pyx_L19_error)
-          __Pyx_GOTREF(__pyx_t_5);
-          __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_5); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 392, __pyx_L19_error)
-          __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-          __pyx_t_5 = PyLong_FromSsize_t((((__pyx_v_t * __pyx_v_n) * __pyx_v_n) + (__pyx_v_i * __pyx_v_n))); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 392, __pyx_L19_error)
-          __Pyx_GOTREF(__pyx_t_5);
-          __pyx_t_12 = PyNumber_Add(__pyx_t_5, __pyx_v_j); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 392, __pyx_L19_error)
-          __Pyx_GOTREF(__pyx_t_12);
-          __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-          __pyx_t_15 = __Pyx_PyIndex_AsSsize_t(__pyx_t_12); if (unlikely((__pyx_t_15 == (Py_ssize_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 392, __pyx_L19_error)
-          __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-          (__pyx_v_gbuf[__pyx_t_15]) = __pyx_t_1;
-
-          /* "endokat/_kernel/_core.pyx":391
- *             for i in range(n):
- *                 row = g[i]
- *                 for j in range(n):             # <<<<<<<<<<<<<<
- *                     gbuf[t * n * n + i * n + j] = row[j]
- *             t += 1
-*/
-        }
-        __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-      }
-
-      /* "endokat/_kernel/_core.pyx":393
- *                 for j in range(n):
- *                     gbuf[t * n * n + i * n + j] = row[j]
- *             t += 1             # <<<<<<<<<<<<<<
- *         nb = 0
- *         qhead = 0
-*/
-      __pyx_v_t = (__pyx_v_t + 1);
-
-      /* "endokat/_kernel/_core.pyx":388
- *     try:
- *         t = 0
- *         for g in gens:             # <<<<<<<<<<<<<<
- *             for i in range(n):
- *                 row = g[i]
-*/
-    }
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-    /* "endokat/_kernel/_core.pyx":394
- *                     gbuf[t * n * n + i * n + j] = row[j]
- *             t += 1
- *         nb = 0             # <<<<<<<<<<<<<<
- *         qhead = 0
- *         qcount = 0
-*/
-    __pyx_v_nb = 0;
-
-    /* "endokat/_kernel/_core.pyx":395
- *             t += 1
- *         nb = 0
- *         qhead = 0             # <<<<<<<<<<<<<<
- *         qcount = 0
- *         for s in seeds:
-*/
-    __pyx_v_qhead = 0;
-
-    /* "endokat/_kernel/_core.pyx":396
- *         nb = 0
- *         qhead = 0
- *         qcount = 0             # <<<<<<<<<<<<<<
- *         for s in seeds:
- *             for k in range(n):
-*/
-    __pyx_v_qcount = 0;
-
-    /* "endokat/_kernel/_core.pyx":397
- *         qhead = 0
- *         qcount = 0
- *         for s in seeds:             # <<<<<<<<<<<<<<
- *             for k in range(n):
- *                 x = s[k] % pp
-*/
-    if (likely(PyList_CheckExact(__pyx_v_seeds)) || PyTuple_CheckExact(__pyx_v_seeds)) {
-      __pyx_t_2 = __pyx_v_seeds; __Pyx_INCREF(__pyx_t_2);
-      __pyx_t_3 = 0;
-      __pyx_t_4 = NULL;
-    } else {
-      __pyx_t_3 = -1; __pyx_t_2 = PyObject_GetIter(__pyx_v_seeds); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 397, __pyx_L19_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_4 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_2); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 397, __pyx_L19_error)
-    }
-    for (;;) {
-      if (likely(!__pyx_t_4)) {
-        if (likely(PyList_CheckExact(__pyx_t_2))) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_2);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 397, __pyx_L19_error)
-            #endif
-            if (__pyx_t_3 >= __pyx_temp) break;
-          }
-          __pyx_t_13 = __Pyx_PyList_GetItemRefFast(__pyx_t_2, __pyx_t_3, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_3;
-        } else {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_2);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 397, __pyx_L19_error)
-            #endif
-            if (__pyx_t_3 >= __pyx_temp) break;
-          }
-          #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-          __pyx_t_13 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_2, __pyx_t_3));
-          #else
-          __pyx_t_13 = __Pyx_PySequence_ITEM(__pyx_t_2, __pyx_t_3);
-          #endif
-          ++__pyx_t_3;
-        }
-        if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 397, __pyx_L19_error)
-      } else {
-        __pyx_t_13 = __pyx_t_4(__pyx_t_2);
-        if (unlikely(!__pyx_t_13)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 397, __pyx_L19_error)
-            PyErr_Clear();
-          }
-          break;
-        }
-      }
-      __Pyx_GOTREF(__pyx_t_13);
-      __Pyx_XDECREF_SET(__pyx_v_s, __pyx_t_13);
-      __pyx_t_13 = 0;
-
-      /* "endokat/_kernel/_core.pyx":398
- *         qcount = 0
- *         for s in seeds:
- *             for k in range(n):             # <<<<<<<<<<<<<<
- *                 x = s[k] % pp
- *                 if x < 0:
-*/
-      __pyx_t_6 = __pyx_v_n;
-      __pyx_t_10 = __pyx_t_6;
-      for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-        __pyx_v_k = __pyx_t_11;
-
-        /* "endokat/_kernel/_core.pyx":399
- *         for s in seeds:
- *             for k in range(n):
- *                 x = s[k] % pp             # <<<<<<<<<<<<<<
- *                 if x < 0:
- *                     x += pp
-*/
-        __pyx_t_13 = __Pyx_GetItemInt(__pyx_v_s, __pyx_v_k, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 399, __pyx_L19_error)
-        __Pyx_GOTREF(__pyx_t_13);
-        __pyx_t_12 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_pp); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 399, __pyx_L19_error)
-        __Pyx_GOTREF(__pyx_t_12);
-        __pyx_t_5 = PyNumber_Remainder(__pyx_t_13, __pyx_t_12); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 399, __pyx_L19_error)
-        __Pyx_GOTREF(__pyx_t_5);
-        __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-        __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-        __pyx_t_1 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_5); if (unlikely((__pyx_t_1 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 399, __pyx_L19_error)
-        __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-        __pyx_v_x = __pyx_t_1;
-
-        /* "endokat/_kernel/_core.pyx":400
- *             for k in range(n):
- *                 x = s[k] % pp
- *                 if x < 0:             # <<<<<<<<<<<<<<
- *                     x += pp
- *                 w[k] = x
-*/
-        __pyx_t_7 = (__pyx_v_x < 0);
-        if (__pyx_t_7) {
-
-          /* "endokat/_kernel/_core.pyx":401
- *                 x = s[k] % pp
- *                 if x < 0:
- *                     x += pp             # <<<<<<<<<<<<<<
- *                 w[k] = x
- *             if _insert(w, basis, pivots, &nb, n, pp):
-*/
-          __pyx_v_x = (__pyx_v_x + __pyx_v_pp);
-
-          /* "endokat/_kernel/_core.pyx":400
- *             for k in range(n):
- *                 x = s[k] % pp
- *                 if x < 0:             # <<<<<<<<<<<<<<
- *                     x += pp
- *                 w[k] = x
-*/
-        }
-
-        /* "endokat/_kernel/_core.pyx":402
- *                 if x < 0:
- *                     x += pp
- *                 w[k] = x             # <<<<<<<<<<<<<<
- *             if _insert(w, basis, pivots, &nb, n, pp):
- *                 for k in range(n):
-*/
-        (__pyx_v_w[__pyx_v_k]) = __pyx_v_x;
-      }
-
-      /* "endokat/_kernel/_core.pyx":403
- *                     x += pp
- *                 w[k] = x
- *             if _insert(w, basis, pivots, &nb, n, pp):             # <<<<<<<<<<<<<<
- *                 for k in range(n):
- *                     queue[qcount * n + k] = w[k]
-*/
-      __pyx_t_16 = __pyx_f_7endokat_7_kernel_5_core__insert(__pyx_v_w, __pyx_v_basis, __pyx_v_pivots, (&__pyx_v_nb), __pyx_v_n, __pyx_v_pp); if (unlikely(__pyx_t_16 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 403, __pyx_L19_error)
-      __pyx_t_7 = (__pyx_t_16 != 0);
-      if (__pyx_t_7) {
-
-        /* "endokat/_kernel/_core.pyx":404
- *                 w[k] = x
- *             if _insert(w, basis, pivots, &nb, n, pp):
- *                 for k in range(n):             # <<<<<<<<<<<<<<
- *                     queue[qcount * n + k] = w[k]
- *                 qcount += 1
-*/
-        __pyx_t_6 = __pyx_v_n;
-        __pyx_t_10 = __pyx_t_6;
-        for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_10; __pyx_t_11+=1) {
-          __pyx_v_k = __pyx_t_11;
-
-          /* "endokat/_kernel/_core.pyx":405
- *             if _insert(w, basis, pivots, &nb, n, pp):
- *                 for k in range(n):
- *                     queue[qcount * n + k] = w[k]             # <<<<<<<<<<<<<<
- *                 qcount += 1
- *         while qhead < qcount and nb < limit:
-*/
-          (__pyx_v_queue[((__pyx_v_qcount * __pyx_v_n) + __pyx_v_k)]) = (__pyx_v_w[__pyx_v_k]);
-        }
-
-        /* "endokat/_kernel/_core.pyx":406
- *                 for k in range(n):
- *                     queue[qcount * n + k] = w[k]
- *                 qcount += 1             # <<<<<<<<<<<<<<
- *         while qhead < qcount and nb < limit:
- *             for t in range(ngens):
-*/
-        __pyx_v_qcount = (__pyx_v_qcount + 1);
-
-        /* "endokat/_kernel/_core.pyx":403
- *                     x += pp
- *                 w[k] = x
- *             if _insert(w, basis, pivots, &nb, n, pp):             # <<<<<<<<<<<<<<
- *                 for k in range(n):
- *                     queue[qcount * n + k] = w[k]
-*/
-      }
-
-      /* "endokat/_kernel/_core.pyx":397
- *         qhead = 0
- *         qcount = 0
- *         for s in seeds:             # <<<<<<<<<<<<<<
- *             for k in range(n):
- *                 x = s[k] % pp
-*/
-    }
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-    /* "endokat/_kernel/_core.pyx":407
- *                     queue[qcount * n + k] = w[k]
- *                 qcount += 1
- *         while qhead < qcount and nb < limit:             # <<<<<<<<<<<<<<
- *             for t in range(ngens):
- *                 for i in range(n):
-*/
-    while (1) {
-      __pyx_t_9 = (__pyx_v_qhead < __pyx_v_qcount);
-      if (__pyx_t_9) {
-      } else {
-        __pyx_t_7 = __pyx_t_9;
-        goto __pyx_L40_bool_binop_done;
-      }
-      __pyx_t_2 = PyLong_FromSsize_t(__pyx_v_nb); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 407, __pyx_L19_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_5 = PyObject_RichCompare(__pyx_t_2, __pyx_v_limit, Py_LT); __Pyx_XGOTREF(__pyx_t_5); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 407, __pyx_L19_error)
-      __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __pyx_t_9 = __Pyx_PyObject_IsTrue(__pyx_t_5); if (unlikely((__pyx_t_9 < 0))) __PYX_ERR(0, 407, __pyx_L19_error)
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __pyx_t_7 = __pyx_t_9;
-      __pyx_L40_bool_binop_done:;
-      if (!__pyx_t_7) break;
-
-      /* "endokat/_kernel/_core.pyx":408
- *                 qcount += 1
- *         while qhead < qcount and nb < limit:
- *             for t in range(ngens):             # <<<<<<<<<<<<<<
- *                 for i in range(n):
- *                     s_acc = 0
-*/
-      __pyx_t_3 = __pyx_v_ngens;
-      __pyx_t_6 = __pyx_t_3;
-      for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_6; __pyx_t_10+=1) {
-        __pyx_v_t = __pyx_t_10;
-
-        /* "endokat/_kernel/_core.pyx":409
- *         while qhead < qcount and nb < limit:
- *             for t in range(ngens):
- *                 for i in range(n):             # <<<<<<<<<<<<<<
- *                     s_acc = 0
- *                     for k in range(n):
-*/
-        __pyx_t_11 = __pyx_v_n;
-        __pyx_t_15 = __pyx_t_11;
-        for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_15; __pyx_t_17+=1) {
-          __pyx_v_i = __pyx_t_17;
-
-          /* "endokat/_kernel/_core.pyx":410
- *             for t in range(ngens):
- *                 for i in range(n):
- *                     s_acc = 0             # <<<<<<<<<<<<<<
- *                     for k in range(n):
- *                         s_acc += gbuf[t * n * n + i * n + k] * queue[qhead * n + k]
-*/
-          __pyx_v_s_acc = 0;
-
-          /* "endokat/_kernel/_core.pyx":411
- *                 for i in range(n):
- *                     s_acc = 0
- *                     for k in range(n):             # <<<<<<<<<<<<<<
- *                         s_acc += gbuf[t * n * n + i * n + k] * queue[qhead * n + k]
- *                     img[i] = s_acc % pp
-*/
-          __pyx_t_18 = __pyx_v_n;
-          __pyx_t_19 = __pyx_t_18;
-          for (__pyx_t_20 = 0; __pyx_t_20 < __pyx_t_19; __pyx_t_20+=1) {
-            __pyx_v_k = __pyx_t_20;
-
-            /* "endokat/_kernel/_core.pyx":412
- *                     s_acc = 0
- *                     for k in range(n):
- *                         s_acc += gbuf[t * n * n + i * n + k] * queue[qhead * n + k]             # <<<<<<<<<<<<<<
- *                     img[i] = s_acc % pp
- *                 for k in range(n):
-*/
-            __pyx_v_s_acc = (__pyx_v_s_acc + ((__pyx_v_gbuf[((((__pyx_v_t * __pyx_v_n) * __pyx_v_n) + (__pyx_v_i * __pyx_v_n)) + __pyx_v_k)]) * (__pyx_v_queue[((__pyx_v_qhead * __pyx_v_n) + __pyx_v_k)])));
-          }
-
-          /* "endokat/_kernel/_core.pyx":413
- *                     for k in range(n):
- *                         s_acc += gbuf[t * n * n + i * n + k] * queue[qhead * n + k]
- *                     img[i] = s_acc % pp             # <<<<<<<<<<<<<<
- *                 for k in range(n):
- *                     w[k] = img[k]
-*/
-          (__pyx_v_img[__pyx_v_i]) = (__pyx_v_s_acc % __pyx_v_pp);
-        }
-
-        /* "endokat/_kernel/_core.pyx":414
- *                         s_acc += gbuf[t * n * n + i * n + k] * queue[qhead * n + k]
- *                     img[i] = s_acc % pp
- *                 for k in range(n):             # <<<<<<<<<<<<<<
- *                     w[k] = img[k]
- *                 if _insert(w, basis, pivots, &nb, n, pp):
-*/
-        __pyx_t_11 = __pyx_v_n;
-        __pyx_t_15 = __pyx_t_11;
-        for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_15; __pyx_t_17+=1) {
-          __pyx_v_k = __pyx_t_17;
-
-          /* "endokat/_kernel/_core.pyx":415
- *                     img[i] = s_acc % pp
- *                 for k in range(n):
- *                     w[k] = img[k]             # <<<<<<<<<<<<<<
- *                 if _insert(w, basis, pivots, &nb, n, pp):
- *                     if qcount <= n:
-*/
-          (__pyx_v_w[__pyx_v_k]) = (__pyx_v_img[__pyx_v_k]);
-        }
-
-        /* "endokat/_kernel/_core.pyx":416
- *                 for k in range(n):
- *                     w[k] = img[k]
- *                 if _insert(w, basis, pivots, &nb, n, pp):             # <<<<<<<<<<<<<<
- *                     if qcount <= n:
- *                         for k in range(n):
-*/
-        __pyx_t_16 = __pyx_f_7endokat_7_kernel_5_core__insert(__pyx_v_w, __pyx_v_basis, __pyx_v_pivots, (&__pyx_v_nb), __pyx_v_n, __pyx_v_pp); if (unlikely(__pyx_t_16 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 416, __pyx_L19_error)
-        __pyx_t_7 = (__pyx_t_16 != 0);
-        if (__pyx_t_7) {
-
-          /* "endokat/_kernel/_core.pyx":417
- *                     w[k] = img[k]
- *                 if _insert(w, basis, pivots, &nb, n, pp):
- *                     if qcount <= n:             # <<<<<<<<<<<<<<
- *                         for k in range(n):
- *                             queue[qcount * n + k] = w[k]
-*/
-          __pyx_t_7 = (__pyx_v_qcount <= __pyx_v_n);
-          if (__pyx_t_7) {
-
-            /* "endokat/_kernel/_core.pyx":418
- *                 if _insert(w, basis, pivots, &nb, n, pp):
- *                     if qcount <= n:
- *                         for k in range(n):             # <<<<<<<<<<<<<<
- *                             queue[qcount * n + k] = w[k]
- *                         qcount += 1
-*/
-            __pyx_t_11 = __pyx_v_n;
-            __pyx_t_15 = __pyx_t_11;
-            for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_15; __pyx_t_17+=1) {
-              __pyx_v_k = __pyx_t_17;
-
-              /* "endokat/_kernel/_core.pyx":419
- *                     if qcount <= n:
- *                         for k in range(n):
- *                             queue[qcount * n + k] = w[k]             # <<<<<<<<<<<<<<
- *                         qcount += 1
- *                     if nb >= limit:
-*/
-              (__pyx_v_queue[((__pyx_v_qcount * __pyx_v_n) + __pyx_v_k)]) = (__pyx_v_w[__pyx_v_k]);
-            }
-
-            /* "endokat/_kernel/_core.pyx":420
- *                         for k in range(n):
- *                             queue[qcount * n + k] = w[k]
- *                         qcount += 1             # <<<<<<<<<<<<<<
- *                     if nb >= limit:
- *                         break
-*/
-            __pyx_v_qcount = (__pyx_v_qcount + 1);
-
-            /* "endokat/_kernel/_core.pyx":417
- *                     w[k] = img[k]
- *                 if _insert(w, basis, pivots, &nb, n, pp):
- *                     if qcount <= n:             # <<<<<<<<<<<<<<
- *                         for k in range(n):
- *                             queue[qcount * n + k] = w[k]
-*/
-          }
-
-          /* "endokat/_kernel/_core.pyx":421
- *                             queue[qcount * n + k] = w[k]
- *                         qcount += 1
- *                     if nb >= limit:             # <<<<<<<<<<<<<<
- *                         break
- *             qhead += 1
-*/
-          __pyx_t_5 = PyLong_FromSsize_t(__pyx_v_nb); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 421, __pyx_L19_error)
-          __Pyx_GOTREF(__pyx_t_5);
-          __pyx_t_2 = PyObject_RichCompare(__pyx_t_5, __pyx_v_limit, Py_GE); __Pyx_XGOTREF(__pyx_t_2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 421, __pyx_L19_error)
-          __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-          __pyx_t_7 = __Pyx_PyObject_IsTrue(__pyx_t_2); if (unlikely((__pyx_t_7 < 0))) __PYX_ERR(0, 421, __pyx_L19_error)
-          __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-          if (__pyx_t_7) {
-
-            /* "endokat/_kernel/_core.pyx":422
- *                         qcount += 1
- *                     if nb >= limit:
- *                         break             # <<<<<<<<<<<<<<
- *             qhead += 1
- *         if nb == 0:
-*/
-            goto __pyx_L43_break;
-
-            /* "endokat/_kernel/_core.pyx":421
- *                             queue[qcount * n + k] = w[k]
- *                         qcount += 1
- *                     if nb >= limit:             # <<<<<<<<<<<<<<
- *                         break
- *             qhead += 1
-*/
-          }
-
-          /* "endokat/_kernel/_core.pyx":416
- *                 for k in range(n):
- *                     w[k] = img[k]
- *                 if _insert(w, basis, pivots, &nb, n, pp):             # <<<<<<<<<<<<<<
- *                     if qcount <= n:
- *                         for k in range(n):
-*/
-        }
-      }
-      __pyx_L43_break:;
-
-      /* "endokat/_kernel/_core.pyx":423
- *                     if nb >= limit:
- *                         break
- *             qhead += 1             # <<<<<<<<<<<<<<
- *         if nb == 0:
- *             return ()
-*/
-      __pyx_v_qhead = (__pyx_v_qhead + 1);
-    }
-
-    /* "endokat/_kernel/_core.pyx":424
- *                         break
- *             qhead += 1
- *         if nb == 0:             # <<<<<<<<<<<<<<
- *             return ()
- *         rows = []
-*/
-    __pyx_t_7 = (__pyx_v_nb == 0);
-    if (__pyx_t_7) {
-
-      /* "endokat/_kernel/_core.pyx":425
- *             qhead += 1
- *         if nb == 0:
- *             return ()             # <<<<<<<<<<<<<<
- *         rows = []
- *         for i in range(nb):
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_empty_tuple);
-      __pyx_r = __pyx_mstate_global->__pyx_empty_tuple;
-      goto __pyx_L18_return;
-
-      /* "endokat/_kernel/_core.pyx":424
- *                         break
- *             qhead += 1
- *         if nb == 0:             # <<<<<<<<<<<<<<
- *             return ()
- *         rows = []
-*/
-    }
-
-    /* "endokat/_kernel/_core.pyx":426
- *         if nb == 0:
- *             return ()
- *         rows = []             # <<<<<<<<<<<<<<
- *         for i in range(nb):
- *             orow = []
-*/
-    __pyx_t_2 = PyList_New(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 426, __pyx_L19_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    __pyx_v_rows = ((PyObject*)__pyx_t_2);
-    __pyx_t_2 = 0;
-
-    /* "endokat/_kernel/_core.pyx":427
- *             return ()
- *         rows = []
- *         for i in range(nb):             # <<<<<<<<<<<<<<
- *             orow = []
- *             for k in range(n):
-*/
-    __pyx_t_3 = __pyx_v_nb;
-    __pyx_t_6 = __pyx_t_3;
-    for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_6; __pyx_t_10+=1) {
-      __pyx_v_i = __pyx_t_10;
-
-      /* "endokat/_kernel/_core.pyx":428
- *         rows = []
- *         for i in range(nb):
- *             orow = []             # <<<<<<<<<<<<<<
- *             for k in range(n):
- *                 orow.append(basis[i * n + k])
-*/
-      __pyx_t_2 = PyList_New(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 428, __pyx_L19_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __Pyx_XDECREF_SET(__pyx_v_orow, ((PyObject*)__pyx_t_2));
-      __pyx_t_2 = 0;
-
-      /* "endokat/_kernel/_core.pyx":429
- *         for i in range(nb):
- *             orow = []
- *             for k in range(n):             # <<<<<<<<<<<<<<
- *                 orow.append(basis[i * n + k])
- *             rows.append(tuple(orow))
-*/
-      __pyx_t_11 = __pyx_v_n;
-      __pyx_t_15 = __pyx_t_11;
-      for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_15; __pyx_t_17+=1) {
-        __pyx_v_k = __pyx_t_17;
-
-        /* "endokat/_kernel/_core.pyx":430
- *             orow = []
- *             for k in range(n):
- *                 orow.append(basis[i * n + k])             # <<<<<<<<<<<<<<
- *             rows.append(tuple(orow))
- *         return rref(p, tuple(rows))[0]
-*/
-        __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_basis[((__pyx_v_i * __pyx_v_n) + __pyx_v_k)])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 430, __pyx_L19_error)
-        __Pyx_GOTREF(__pyx_t_2);
-        __pyx_t_21 = __Pyx_PyList_Append(__pyx_v_orow, __pyx_t_2); if (unlikely(__pyx_t_21 == ((int)-1))) __PYX_ERR(0, 430, __pyx_L19_error)
-        __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-      }
-
-      /* "endokat/_kernel/_core.pyx":431
- *             for k in range(n):
- *                 orow.append(basis[i * n + k])
- *             rows.append(tuple(orow))             # <<<<<<<<<<<<<<
- *         return rref(p, tuple(rows))[0]
- *     finally:
-*/
-      __pyx_t_2 = PyList_AsTuple(__pyx_v_orow); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 431, __pyx_L19_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_21 = __Pyx_PyList_Append(__pyx_v_rows, __pyx_t_2); if (unlikely(__pyx_t_21 == ((int)-1))) __PYX_ERR(0, 431, __pyx_L19_error)
-      __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    }
-
-    /* "endokat/_kernel/_core.pyx":432
- *                 orow.append(basis[i * n + k])
- *             rows.append(tuple(orow))
- *         return rref(p, tuple(rows))[0]             # <<<<<<<<<<<<<<
- *     finally:
- *         free(gbuf)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_5 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_12, __pyx_mstate_global->__pyx_n_u_rref); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 432, __pyx_L19_error)
-    __Pyx_GOTREF(__pyx_t_12);
-    __pyx_t_13 = PyList_AsTuple(__pyx_v_rows); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 432, __pyx_L19_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __pyx_t_8 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_12))) {
-      __pyx_t_5 = PyMethod_GET_SELF(__pyx_t_12);
-      assert(__pyx_t_5);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_12);
-      __Pyx_INCREF(__pyx_t_5);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_12, __pyx__function);
-      __pyx_t_8 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[3] = {__pyx_t_5, __pyx_v_p, __pyx_t_13};
-      __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_12, __pyx_callargs+__pyx_t_8, (3-__pyx_t_8) | (__pyx_t_8*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-      __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 432, __pyx_L19_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __pyx_t_12 = __Pyx_GetItemInt(__pyx_t_2, 0, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 432, __pyx_L19_error)
-    __Pyx_GOTREF(__pyx_t_12);
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __pyx_r = __pyx_t_12;
-    __pyx_t_12 = 0;
-    goto __pyx_L18_return;
-  }
-
-  /* "endokat/_kernel/_core.pyx":434
- *         return rref(p, tuple(rows))[0]
- *     finally:
- *         free(gbuf)             # <<<<<<<<<<<<<<
- *         free(basis)
- *         free(pivots)
-*/
-  /*finally:*/ {
-    __pyx_L19_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_24 = 0; __pyx_t_25 = 0; __pyx_t_26 = 0; __pyx_t_27 = 0; __pyx_t_28 = 0; __pyx_t_29 = 0;
-      __Pyx_XDECREF(__pyx_t_12); __pyx_t_12 = 0;
-      __Pyx_XDECREF(__pyx_t_13); __pyx_t_13 = 0;
-      __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_27, &__pyx_t_28, &__pyx_t_29);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_24, &__pyx_t_25, &__pyx_t_26) < 0)) __Pyx_ErrFetch(&__pyx_t_24, &__pyx_t_25, &__pyx_t_26);
-      __Pyx_XGOTREF(__pyx_t_24);
-      __Pyx_XGOTREF(__pyx_t_25);
-      __Pyx_XGOTREF(__pyx_t_26);
-      __Pyx_XGOTREF(__pyx_t_27);
-      __Pyx_XGOTREF(__pyx_t_28);
-      __Pyx_XGOTREF(__pyx_t_29);
-      __pyx_t_16 = __pyx_lineno; __pyx_t_22 = __pyx_clineno; __pyx_t_23 = __pyx_filename;
-      {
-        free(__pyx_v_gbuf);
-
-        /* "endokat/_kernel/_core.pyx":435
- *     finally:
- *         free(gbuf)
- *         free(basis)             # <<<<<<<<<<<<<<
- *         free(pivots)
- *         free(queue)
-*/
-        free(__pyx_v_basis);
-
-        /* "endokat/_kernel/_core.pyx":436
- *         free(gbuf)
- *         free(basis)
- *         free(pivots)             # <<<<<<<<<<<<<<
- *         free(queue)
- *         free(w)
-*/
-        free(__pyx_v_pivots);
-
-        /* "endokat/_kernel/_core.pyx":437
- *         free(basis)
- *         free(pivots)
- *         free(queue)             # <<<<<<<<<<<<<<
- *         free(w)
- *         free(img)
-*/
-        free(__pyx_v_queue);
-
-        /* "endokat/_kernel/_core.pyx":438
- *         free(pivots)
- *         free(queue)
- *         free(w)             # <<<<<<<<<<<<<<
- *         free(img)
- * 
-*/
-        free(__pyx_v_w);
-
-        /* "endokat/_kernel/_core.pyx":439
- *         free(queue)
- *         free(w)
- *         free(img)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-        free(__pyx_v_img);
-      }
-      __Pyx_XGIVEREF(__pyx_t_27);
-      __Pyx_XGIVEREF(__pyx_t_28);
-      __Pyx_XGIVEREF(__pyx_t_29);
-      __Pyx_ExceptionReset(__pyx_t_27, __pyx_t_28, __pyx_t_29);
-      __Pyx_XGIVEREF(__pyx_t_24);
-      __Pyx_XGIVEREF(__pyx_t_25);
-      __Pyx_XGIVEREF(__pyx_t_26);
-      __Pyx_ErrRestore(__pyx_t_24, __pyx_t_25, __pyx_t_26);
-      __pyx_t_24 = 0; __pyx_t_25 = 0; __pyx_t_26 = 0; __pyx_t_27 = 0; __pyx_t_28 = 0; __pyx_t_29 = 0;
-      __pyx_lineno = __pyx_t_16; __pyx_clineno = __pyx_t_22; __pyx_filename = __pyx_t_23;
-      goto __pyx_L1_error;
-    }
-    __pyx_L18_return: {
-      __pyx_t_29 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "endokat/_kernel/_core.pyx":434
- *         return rref(p, tuple(rows))[0]
- *     finally:
- *         free(gbuf)             # <<<<<<<<<<<<<<
- *         free(basis)
- *         free(pivots)
-*/
-      free(__pyx_v_gbuf);
-
-      /* "endokat/_kernel/_core.pyx":435
- *     finally:
- *         free(gbuf)
- *         free(basis)             # <<<<<<<<<<<<<<
- *         free(pivots)
- *         free(queue)
-*/
-      free(__pyx_v_basis);
-
-      /* "endokat/_kernel/_core.pyx":436
- *         free(gbuf)
- *         free(basis)
- *         free(pivots)             # <<<<<<<<<<<<<<
- *         free(queue)
- *         free(w)
-*/
-      free(__pyx_v_pivots);
-
-      /* "endokat/_kernel/_core.pyx":437
- *         free(basis)
- *         free(pivots)
- *         free(queue)             # <<<<<<<<<<<<<<
- *         free(w)
- *         free(img)
-*/
-      free(__pyx_v_queue);
-
-      /* "endokat/_kernel/_core.pyx":438
- *         free(pivots)
- *         free(queue)
- *         free(w)             # <<<<<<<<<<<<<<
- *         free(img)
- * 
-*/
-      free(__pyx_v_w);
-
-      /* "endokat/_kernel/_core.pyx":439
- *         free(queue)
- *         free(w)
- *         free(img)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      free(__pyx_v_img);
-      __pyx_r = __pyx_t_29;
-      __pyx_t_29 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "endokat/_kernel/_core.pyx":363
- * 
- * 
- * def spin(p, gens, seeds, limit):             # <<<<<<<<<<<<<<
- *     cdef long long pp = p
- *     cdef Py_ssize_t n = 0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_12);
-  __Pyx_XDECREF(__pyx_t_13);
-  __Pyx_AddTraceback("endokat._kernel._core.spin", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_s);
-  __Pyx_XDECREF(__pyx_v_g);
-  __Pyx_XDECREF(__pyx_v_row);
-  __Pyx_XDECREF(__pyx_v_j);
-  __Pyx_XDECREF(__pyx_v_rows);
-  __Pyx_XDECREF(__pyx_v_orow);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "endokat/_kernel/_core.pyx":442
- * 
- * 
- * cdef int _insert(long long *w, long long *basis, Py_ssize_t *pivots, Py_ssize_t *nb, Py_ssize_t n, long long pp):             # <<<<<<<<<<<<<<
- *     """Eliminate w against the echelon rows; append if independent."""
- *     cdef Py_ssize_t i, j, k, pos
-*/
-
-static int __pyx_f_7endokat_7_kernel_5_core__insert(PY_LONG_LONG *__pyx_v_w, PY_LONG_LONG *__pyx_v_basis, Py_ssize_t *__pyx_v_pivots, Py_ssize_t *__pyx_v_nb, Py_ssize_t __pyx_v_n, PY_LONG_LONG __pyx_v_pp) {
-  Py_ssize_t __pyx_v_i;
-  Py_ssize_t __pyx_v_j;
-  Py_ssize_t __pyx_v_k;
-  Py_ssize_t __pyx_v_pos;
-  PY_LONG_LONG __pyx_v_x;
-  PY_LONG_LONG __pyx_v_invv;
-  int __pyx_r;
-  Py_ssize_t __pyx_t_1;
-  Py_ssize_t __pyx_t_2;
-  Py_ssize_t __pyx_t_3;
-  int __pyx_t_4;
-  Py_ssize_t __pyx_t_5;
-  Py_ssize_t __pyx_t_6;
-  Py_ssize_t __pyx_t_7;
-  Py_ssize_t __pyx_t_8;
-  PY_LONG_LONG __pyx_t_9;
-  int __pyx_t_10;
-  long __pyx_t_11;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "endokat/_kernel/_core.pyx":446
- *     cdef Py_ssize_t i, j, k, pos
- *     cdef long long x, invv
- *     for i in range(nb[0]):             # <<<<<<<<<<<<<<
- *         x = w[pivots[i]] % pp
- *         if x:
-*/
-  __pyx_t_1 = (__pyx_v_nb[0]);
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "endokat/_kernel/_core.pyx":447
- *     cdef long long x, invv
- *     for i in range(nb[0]):
- *         x = w[pivots[i]] % pp             # <<<<<<<<<<<<<<
- *         if x:
- *             for j in range(n):
-*/
-    __pyx_v_x = ((__pyx_v_w[(__pyx_v_pivots[__pyx_v_i])]) % __pyx_v_pp);
-
-    /* "endokat/_kernel/_core.pyx":448
- *     for i in range(nb[0]):
- *         x = w[pivots[i]] % pp
- *         if x:             # <<<<<<<<<<<<<<
- *             for j in range(n):
- *                 w[j] = (w[j] - x * basis[i * n + j]) % pp
-*/
-    __pyx_t_4 = (__pyx_v_x != 0);
-    if (__pyx_t_4) {
-
-      /* "endokat/_kernel/_core.pyx":449
- *         x = w[pivots[i]] % pp
- *         if x:
- *             for j in range(n):             # <<<<<<<<<<<<<<
- *                 w[j] = (w[j] - x * basis[i * n + j]) % pp
- *                 if w[j] < 0:
-*/
-      __pyx_t_5 = __pyx_v_n;
-      __pyx_t_6 = __pyx_t_5;
-      for (__pyx_t_7 = 0; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-        __pyx_v_j = __pyx_t_7;
-
-        /* "endokat/_kernel/_core.pyx":450
- *         if x:
- *             for j in range(n):
- *                 w[j] = (w[j] - x * basis[i * n + j]) % pp             # <<<<<<<<<<<<<<
- *                 if w[j] < 0:
- *                     w[j] += pp
-*/
-        (__pyx_v_w[__pyx_v_j]) = (((__pyx_v_w[__pyx_v_j]) - (__pyx_v_x * (__pyx_v_basis[((__pyx_v_i * __pyx_v_n) + __pyx_v_j)]))) % __pyx_v_pp);
-
-        /* "endokat/_kernel/_core.pyx":451
- *             for j in range(n):
- *                 w[j] = (w[j] - x * basis[i * n + j]) % pp
- *                 if w[j] < 0:             # <<<<<<<<<<<<<<
- *                     w[j] += pp
- *     pos = -1
-*/
-        __pyx_t_4 = ((__pyx_v_w[__pyx_v_j]) < 0);
-        if (__pyx_t_4) {
-
-          /* "endokat/_kernel/_core.pyx":452
- *                 w[j] = (w[j] - x * basis[i * n + j]) % pp
- *                 if w[j] < 0:
- *                     w[j] += pp             # <<<<<<<<<<<<<<
- *     pos = -1
- *     for j in range(n):
-*/
-          __pyx_t_8 = __pyx_v_j;
-          (__pyx_v_w[__pyx_t_8]) = ((__pyx_v_w[__pyx_t_8]) + __pyx_v_pp);
-
-          /* "endokat/_kernel/_core.pyx":451
- *             for j in range(n):
- *                 w[j] = (w[j] - x * basis[i * n + j]) % pp
- *                 if w[j] < 0:             # <<<<<<<<<<<<<<
- *                     w[j] += pp
- *     pos = -1
-*/
-        }
-      }
-
-      /* "endokat/_kernel/_core.pyx":448
- *     for i in range(nb[0]):
- *         x = w[pivots[i]] % pp
- *         if x:             # <<<<<<<<<<<<<<
- *             for j in range(n):
- *                 w[j] = (w[j] - x * basis[i * n + j]) % pp
-*/
-    }
-  }
-
-  /* "endokat/_kernel/_core.pyx":453
- *                 if w[j] < 0:
- *                     w[j] += pp
- *     pos = -1             # <<<<<<<<<<<<<<
- *     for j in range(n):
- *         if w[j] % pp:
-*/
-  __pyx_v_pos = -1L;
-
-  /* "endokat/_kernel/_core.pyx":454
- *                     w[j] += pp
- *     pos = -1
- *     for j in range(n):             # <<<<<<<<<<<<<<
- *         if w[j] % pp:
- *             pos = j
-*/
-  __pyx_t_1 = __pyx_v_n;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_j = __pyx_t_3;
-
-    /* "endokat/_kernel/_core.pyx":455
- *     pos = -1
- *     for j in range(n):
- *         if w[j] % pp:             # <<<<<<<<<<<<<<
- *             pos = j
- *             break
-*/
-    __pyx_t_4 = (((__pyx_v_w[__pyx_v_j]) % __pyx_v_pp) != 0);
-    if (__pyx_t_4) {
-
-      /* "endokat/_kernel/_core.pyx":456
- *     for j in range(n):
- *         if w[j] % pp:
- *             pos = j             # <<<<<<<<<<<<<<
- *             break
- *     if pos < 0:
-*/
-      __pyx_v_pos = __pyx_v_j;
-
-      /* "endokat/_kernel/_core.pyx":457
- *         if w[j] % pp:
- *             pos = j
- *             break             # <<<<<<<<<<<<<<
- *     if pos < 0:
- *         return 0
-*/
-      goto __pyx_L10_break;
-
-      /* "endokat/_kernel/_core.pyx":455
- *     pos = -1
- *     for j in range(n):
- *         if w[j] % pp:             # <<<<<<<<<<<<<<
- *             pos = j
- *             break
-*/
-    }
-  }
-  __pyx_L10_break:;
-
-  /* "endokat/_kernel/_core.pyx":458
- *             pos = j
- *             break
- *     if pos < 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     invv = _inv_mod(w[pos], pp)
-*/
-  __pyx_t_4 = (__pyx_v_pos < 0);
-  if (__pyx_t_4) {
-
-    /* "endokat/_kernel/_core.pyx":459
- *             break
- *     if pos < 0:
- *         return 0             # <<<<<<<<<<<<<<
- *     invv = _inv_mod(w[pos], pp)
- *     for j in range(n):
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "endokat/_kernel/_core.pyx":458
- *             pos = j
- *             break
- *     if pos < 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     invv = _inv_mod(w[pos], pp)
-*/
-  }
-
-  /* "endokat/_kernel/_core.pyx":460
- *     if pos < 0:
- *         return 0
- *     invv = _inv_mod(w[pos], pp)             # <<<<<<<<<<<<<<
- *     for j in range(n):
- *         w[j] = (w[j] * invv) % pp
-*/
-  __pyx_t_9 = __pyx_f_7endokat_7_kernel_5_core__inv_mod((__pyx_v_w[__pyx_v_pos]), __pyx_v_pp); if (unlikely(__pyx_t_9 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 460, __pyx_L1_error)
-  __pyx_v_invv = __pyx_t_9;
-
-  /* "endokat/_kernel/_core.pyx":461
- *         return 0
- *     invv = _inv_mod(w[pos], pp)
- *     for j in range(n):             # <<<<<<<<<<<<<<
- *         w[j] = (w[j] * invv) % pp
- *     # keep rows sorted by pivot
-*/
-  __pyx_t_1 = __pyx_v_n;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_j = __pyx_t_3;
-
-    /* "endokat/_kernel/_core.pyx":462
- *     invv = _inv_mod(w[pos], pp)
- *     for j in range(n):
- *         w[j] = (w[j] * invv) % pp             # <<<<<<<<<<<<<<
- *     # keep rows sorted by pivot
- *     k = 0
-*/
-    (__pyx_v_w[__pyx_v_j]) = (((__pyx_v_w[__pyx_v_j]) * __pyx_v_invv) % __pyx_v_pp);
-  }
-
-  /* "endokat/_kernel/_core.pyx":464
- *         w[j] = (w[j] * invv) % pp
- *     # keep rows sorted by pivot
- *     k = 0             # <<<<<<<<<<<<<<
- *     while k < nb[0] and pivots[k] < pos:
- *         k += 1
-*/
-  __pyx_v_k = 0;
-
-  /* "endokat/_kernel/_core.pyx":465
- *     # keep rows sorted by pivot
- *     k = 0
- *     while k < nb[0] and pivots[k] < pos:             # <<<<<<<<<<<<<<
- *         k += 1
- *     for i in range(nb[0], k, -1):
-*/
-  while (1) {
-    __pyx_t_10 = (__pyx_v_k < (__pyx_v_nb[0]));
-    if (__pyx_t_10) {
-    } else {
-      __pyx_t_4 = __pyx_t_10;
-      goto __pyx_L17_bool_binop_done;
-    }
-    __pyx_t_10 = ((__pyx_v_pivots[__pyx_v_k]) < __pyx_v_pos);
-    __pyx_t_4 = __pyx_t_10;
-    __pyx_L17_bool_binop_done:;
-    if (!__pyx_t_4) break;
-
-    /* "endokat/_kernel/_core.pyx":466
- *     k = 0
- *     while k < nb[0] and pivots[k] < pos:
- *         k += 1             # <<<<<<<<<<<<<<
- *     for i in range(nb[0], k, -1):
- *         for j in range(n):
-*/
-    __pyx_v_k = (__pyx_v_k + 1);
-  }
-
-  /* "endokat/_kernel/_core.pyx":467
- *     while k < nb[0] and pivots[k] < pos:
- *         k += 1
- *     for i in range(nb[0], k, -1):             # <<<<<<<<<<<<<<
- *         for j in range(n):
- *             basis[i * n + j] = basis[(i - 1) * n + j]
-*/
-  __pyx_t_1 = __pyx_v_k;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = (__pyx_v_nb[0]); __pyx_t_3 > __pyx_t_2; __pyx_t_3-=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "endokat/_kernel/_core.pyx":468
- *         k += 1
- *     for i in range(nb[0], k, -1):
- *         for j in range(n):             # <<<<<<<<<<<<<<
- *             basis[i * n + j] = basis[(i - 1) * n + j]
- *         pivots[i] = pivots[i - 1]
-*/
-    __pyx_t_5 = __pyx_v_n;
-    __pyx_t_6 = __pyx_t_5;
-    for (__pyx_t_7 = 0; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-      __pyx_v_j = __pyx_t_7;
-
-      /* "endokat/_kernel/_core.pyx":469
- *     for i in range(nb[0], k, -1):
- *         for j in range(n):
- *             basis[i * n + j] = basis[(i - 1) * n + j]             # <<<<<<<<<<<<<<
- *         pivots[i] = pivots[i - 1]
- *     for j in range(n):
-*/
-      (__pyx_v_basis[((__pyx_v_i * __pyx_v_n) + __pyx_v_j)]) = (__pyx_v_basis[(((__pyx_v_i - 1) * __pyx_v_n) + __pyx_v_j)]);
-    }
-
-    /* "endokat/_kernel/_core.pyx":470
- *         for j in range(n):
- *             basis[i * n + j] = basis[(i - 1) * n + j]
- *         pivots[i] = pivots[i - 1]             # <<<<<<<<<<<<<<
- *     for j in range(n):
- *         basis[k * n + j] = w[j]
-*/
-    (__pyx_v_pivots[__pyx_v_i]) = (__pyx_v_pivots[(__pyx_v_i - 1)]);
-  }
-
-  /* "endokat/_kernel/_core.pyx":471
- *             basis[i * n + j] = basis[(i - 1) * n + j]
- *         pivots[i] = pivots[i - 1]
- *     for j in range(n):             # <<<<<<<<<<<<<<
- *         basis[k * n + j] = w[j]
- *     pivots[k] = pos
-*/
-  __pyx_t_1 = __pyx_v_n;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_j = __pyx_t_3;
-
-    /* "endokat/_kernel/_core.pyx":472
- *         pivots[i] = pivots[i - 1]
- *     for j in range(n):
- *         basis[k * n + j] = w[j]             # <<<<<<<<<<<<<<
- *     pivots[k] = pos
- *     nb[0] += 1
-*/
-    (__pyx_v_basis[((__pyx_v_k * __pyx_v_n) + __pyx_v_j)]) = (__pyx_v_w[__pyx_v_j]);
-  }
-
-  /* "endokat/_kernel/_core.pyx":473
- *     for j in range(n):
- *         basis[k * n + j] = w[j]
- *     pivots[k] = pos             # <<<<<<<<<<<<<<
- *     nb[0] += 1
- *     return 1
-*/
-  (__pyx_v_pivots[__pyx_v_k]) = __pyx_v_pos;
-
-  /* "endokat/_kernel/_core.pyx":474
- *         basis[k * n + j] = w[j]
- *     pivots[k] = pos
- *     nb[0] += 1             # <<<<<<<<<<<<<<
- *     return 1
-*/
-  __pyx_t_11 = 0;
-  (__pyx_v_nb[__pyx_t_11]) = ((__pyx_v_nb[__pyx_t_11]) + 1);
-
-  /* "endokat/_kernel/_core.pyx":475
- *     pivots[k] = pos
- *     nb[0] += 1
- *     return 1             # <<<<<<<<<<<<<<
-*/
-  __pyx_r = 1;
-  goto __pyx_L0;
-
-  /* "endokat/_kernel/_core.pyx":442
- * 
- * 
- * cdef int _insert(long long *w, long long *basis, Py_ssize_t *pivots, Py_ssize_t *nb, Py_ssize_t n, long long pp):             # <<<<<<<<<<<<<<
- *     """Eliminate w against the echelon rows; append if independent."""
- *     cdef Py_ssize_t i, j, k, pos
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("endokat._kernel._core._insert", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__core(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__core},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_core",
-      __pyx_k_Compiled_kernel_integer_column_r, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__core(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__core(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__core(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_core' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_core" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__core", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_endokat___kernel___core) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "endokat._kernel._core")) {
-      if (unlikely((PyDict_SetItemString(modules, "endokat._kernel._core", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "endokat/_kernel/_core.pyx":12
- * from libc.stdlib cimport malloc, free
- * 
- * BACKEND = "compiled"             # <<<<<<<<<<<<<<
- * 
- * DEF MOD_LIMIT = 1 << 20
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_BACKEND, __pyx_mstate_global->__pyx_n_u_compiled) < (0)) __PYX_ERR(0, 12, __pyx_L1_error)
-
-  /* "endokat/_kernel/_core.pyx":18
- * 
- * 
- * class NeedsBigInts(Exception):             # <<<<<<<<<<<<<<
- *     """Raised when word-size safety margins would be violated."""
- * 
-*/
-  __pyx_t_2 = PyTuple_Pack(1, ((PyObject *)(((PyTypeObject*)PyExc_Exception)))); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 18, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_3 = __Pyx_PEP560_update_bases(__pyx_t_2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 18, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = __Pyx_CalculateMetaclass(NULL, __pyx_t_3); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 18, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = __Pyx_Py3MetaclassPrepare(__pyx_t_4, __pyx_t_3, __pyx_mstate_global->__pyx_n_u_NeedsBigInts, __pyx_mstate_global->__pyx_n_u_NeedsBigInts, (PyObject *) NULL, __pyx_mstate_global->__pyx_n_u_endokat__kernel__core, __pyx_mstate_global->__pyx_kp_u_Raised_when_word_size_safety_mar); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 18, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  if (__pyx_t_3 != __pyx_t_2) {
-    if (unlikely((PyDict_SetItemString(__pyx_t_5, "__orig_bases__", __pyx_t_2) < 0))) __PYX_ERR(0, 18, __pyx_L1_error)
-  }
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_2 = __Pyx_Py3ClassCreate(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_NeedsBigInts, __pyx_t_3, __pyx_t_5, NULL, 0, 0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 18, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_NeedsBigInts, __pyx_t_2) < (0)) __PYX_ERR(0, 18, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "endokat/_kernel/_core.pyx":22
- * 
- * 
- * def hnf_kernel(mods, cols, nbottom, bottom_mod):             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t r = len(mods)
- *     cdef Py_ssize_t nb = nbottom
-*/
-  __pyx_t_3 = __Pyx_CyFunction_New(&__pyx_mdef_7endokat_7_kernel_5_core_1hnf_kernel, 0, __pyx_mstate_global->__pyx_n_u_hnf_kernel, NULL, __pyx_mstate_global->__pyx_n_u_endokat__kernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 22, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_3);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_hnf_kernel, __pyx_t_3) < (0)) __PYX_ERR(0, 22, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "endokat/_kernel/_core.pyx":181
- * 
- * 
- * def box_reduce(mods, hrows, vec):             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t r = len(mods)
- *     cdef Py_ssize_t i, k
-*/
-  __pyx_t_3 = __Pyx_CyFunction_New(&__pyx_mdef_7endokat_7_kernel_5_core_3box_reduce, 0, __pyx_mstate_global->__pyx_n_u_box_reduce, NULL, __pyx_mstate_global->__pyx_n_u_endokat__kernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 181, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_3);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_box_reduce, __pyx_t_3) < (0)) __PYX_ERR(0, 181, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "endokat/_kernel/_core.pyx":243
- * 
- * 
- * def mat_mul(p, a, b):             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t n = len(a)
- *     cdef Py_ssize_t inner = len(b)
-*/
-  __pyx_t_3 = __Pyx_CyFunction_New(&__pyx_mdef_7endokat_7_kernel_5_core_5mat_mul, 0, __pyx_mstate_global->__pyx_n_u_mat_mul, NULL, __pyx_mstate_global->__pyx_n_u_endokat__kernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 243, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_3);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_mat_mul, __pyx_t_3) < (0)) __PYX_ERR(0, 243, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "endokat/_kernel/_core.pyx":279
- * 
- * 
- * def mat_vec(p, a, v):             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t n = len(a)
- *     cdef Py_ssize_t m = len(v)
-*/
-  __pyx_t_3 = __Pyx_CyFunction_New(&__pyx_mdef_7endokat_7_kernel_5_core_7mat_vec, 0, __pyx_mstate_global->__pyx_n_u_mat_vec, NULL, __pyx_mstate_global->__pyx_n_u_endokat__kernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 279, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_3);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_mat_vec, __pyx_t_3) < (0)) __PYX_ERR(0, 279, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "endokat/_kernel/_core.pyx":303
- * 
- * 
- * def rref(p, rows):             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t nrows = len(rows)
- *     cdef Py_ssize_t ncols = len(rows[0]) if nrows else 0
-*/
-  __pyx_t_3 = __Pyx_CyFunction_New(&__pyx_mdef_7endokat_7_kernel_5_core_9rref, 0, __pyx_mstate_global->__pyx_n_u_rref, NULL, __pyx_mstate_global->__pyx_n_u_endokat__kernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 303, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_3);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_rref, __pyx_t_3) < (0)) __PYX_ERR(0, 303, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "endokat/_kernel/_core.pyx":363
- * 
- * 
- * def spin(p, gens, seeds, limit):             # <<<<<<<<<<<<<<
- *     cdef long long pp = p
- *     cdef Py_ssize_t n = 0
-*/
-  __pyx_t_3 = __Pyx_CyFunction_New(&__pyx_mdef_7endokat_7_kernel_5_core_11spin, 0, __pyx_mstate_global->__pyx_n_u_spin, NULL, __pyx_mstate_global->__pyx_n_u_endokat__kernel__core, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[5])); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 363, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_3);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_spin, __pyx_t_3) < (0)) __PYX_ERR(0, 363, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /* "endokat/_kernel/_core.pyx":1
- * # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True             # <<<<<<<<<<<<<<
- * """Compiled kernel: integer column reduction and F_p matrix primitives.
- * 
-*/
-  __pyx_t_3 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_3) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init endokat._kernel._core", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init endokat._kernel._core");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-
-  /* "endokat/_kernel/_core.pyx":310
- *     cdef long long inv, f, val
- *     if nrows == 0:
- *         return (), ()             # <<<<<<<<<<<<<<
- *     cdef long long *m = <long long *> malloc(nrows * ncols * sizeof(long long))
- *     if m == NULL:
-*/
-  __pyx_mstate_global->__pyx_tuple[0] = PyTuple_Pack(2, __pyx_mstate_global->__pyx_empty_tuple, __pyx_mstate_global->__pyx_empty_tuple); if (unlikely(!__pyx_mstate_global->__pyx_tuple[0])) __PYX_ERR(0, 310, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[0]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[0]);
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_tuple;
-    for (Py_ssize_t i=0; i<1; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 11; } index[] = {{1},{55},{55},{21},{45},{29},{7},{12},{20},{1},{3},{3},{12},{18},{1},{5},{2},{2},{10},{10},{3},{1},{3},{17},{18},{3},{3},{4},{8},{1},{4},{7},{21},{1},{8},{1},{4},{4},{1},{10},{4},{5},{1},{3},{3},{5},{3},{13},{5},{1},{2},{1},{7},{4},{5},{4},{1},{8},{7},{7},{13},{4},{10},{4},{15},{2},{1},{8},{2},{7},{5},{8},{5},{5},{5},{4},{3},{1},{2},{3},{6},{2},{3},{2},{2},{11},{1},{6},{5},{12},{5},{1},{4},{3},{4},{4},{4},{1},{5},{5},{12},{10},{4},{1},{8},{5},{1},{3},{6},{3},{2},{1},{1},{174},{1558},{345},{444},{640},{831}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (2141 bytes) */
-const char* const cstring = "BZh91AY&SY\336\344c\005\000\002\324\377\377\377\357\377\375\377\353\277\201\277\251\177\354\377\377\377\360\300@@@@@@@@@@@@\000@\000`\010\277\017{\316\35365v\335\354\007A\273\243\322\200\3400\003M$\210\236(\365\r\352i\350\310\223\306\246\322\232~\230\004\243OSM\032\032\r\000\000\000h\000\031\250\022H&\022h\304iM\351'\241\245=&\200\r\000\000\000\000\003@\000\000\003@\324\364\320JM\021\240\001\240\006\232\0002h\000\000\000\320\000\000h\000\000HD\222P\362\231\003A\246\215\0324d=!\2653L\311\244\200d\001\345\000\323\324\032i\221\246\236\220\007\000\000\320\0004\006@\000\000\320\000\032h\000\000\000\000\320\001\"\2324\246\223T\377T\324\364\324i\264L#F\323P\033A2\014\002\014\2310\201\345\000\321\2232mS\032\204\344a\371\355%\266/)\270g<\3253\305\250\r\2775\321K\314\324\212\225\035`\205\r\r*\n\022\265\327\235\\\272\013\334\272\275\357\272$\037\353\021\201\206\013&\"\335\262\021d\026\266]\350\277\344J\231\364\205y\002\3219RZ\003\033lllC`6\002c^\242\235!(H\n\261$Q 7\355\203\021\337\"\020\030\230\332\032N\204\222\211D\301.\363\220\212V\010Z\000\030\266\303\242\306\017\240y\003\003\250\024\361da\321\204\210\222\344\021i\222\243\222\234R\210\023\024\302f\244J\210a0)\204\311\251\316j\320A\241\220MPa)\317\200B\0142*\200\212DUB\305\024\020U\025Q\224\262\263M\212r$*\030\225h(\003E\375\250\207VMC\212V1\002'a\"\"\0343%\211M\0261\276\364\2124p~\300\317\"\364\177~r\333\206uK\356F\212\314!k\231\264\220\032{\3539\243\206\253\024p\3479\207\263\014\343\212\t\352\310\242(\332\226\342D\202H\242\"R\020R[\323\301\345\025\217z|K(\240B\021|.?o\345\331aa\030\376SH\200\221QT\325\247v\352\345Tu)\207\021\305i\004\2715\252\250\264H\206\"!@\245+\006*\367\270\256\225\346d$$R\210\241C\032\005\n\323#[=\333\211Y%P%\031E|\253\nY6\256'uVU\302\273\207D\375\032vD\n\251`\244]\354\024\212DJ\223.\317\002J\2339\022\010A\2213Np\200@\255\337\257\303^\277_\361\231\377\t\305\256dZ\224\022\272f\202\357\241\322\223\010\233\224\202\355\025`\354[}z)\2322p\374\265*\213\"\302\2200F\202\302\333s\272\252\245Uh\246}:I\004\211T""\202\244A\021J*\224>\262vX\224\211\26667\260:\303I\331\223{\361\3624\231\031[\034\317\316\327g\366+n\327\024Bm\301\242\347\024hc0llD\032\316\216\364\335\264\343+\026\031X\332=6\030\306\334N\3454s\3168\351f\341\376\340KJ\255\263\313\273U\353CL\0138\213\n\303\016\2160\027\000[\316\034\320h\211\321\211x\272e\323\251#\034\222\335q\265\270\303\336\340\236'\021\362sz\232\332\311j\245\252#Yz\030\300\267\202\305w\006\r[D^\253\240\300\356\211u\332\256\233b\345T\261\301\304\337\257u\300\216#\216\007,\350\003kl\330\316\335\261\260\330B,0j\322i\272\357\360\343;\034\227\352\303\221\354j\236G:\260\316\372?\022\275\375\216\350\332\355\tN\255\243oV\030\217\224\271\005\016[\341W\335\213Y\315\013\367\356\026\345\277-\014K{s\017\306\224(\250\027\335\211\246\347P\275\324\241\201\313\321\257\245\271\375\346\252\236\014\266\365WkG\336\353\215ok)\313\323|kI\361l\264\221a\330\035]]A\326\256>F\226t\343\270\212\231Cyj\214\rT\215\374\366LfhA\223\034\233\310\021\277CcI\247\334Y\301\352I\351\304\330h\344\317\243\024\321\340\343\266\204\316\220\260v\367_(\016}\217a\266U\377\3046`\235n\2744\244\342\025\014\206L\263\340r\3000\204o\333\221)\\9\220?W\nl\327z\272\026\352\216\005\255\274{\337[W\330\264,W\005\006\361\007\256-ST\266\263\013L\260\010pC\206,fh0\316q\007\226\236}v\341\003+\235\013\340\016\263$\261\260wO\213\226\034\356\351\326W;\320F\314\020kIkA\260\r\242\333\334s\253\270e\245\330\336\347\357l\272#\007\267\0162\274[{\235\323#\035#\335gd\326\215\232\314Y\21303\014\363\221\325\307VP\320\315\322 \347\231\031m8\210\303\"\n1\223\230\312\212x\206)bc\326\341\272T\177P\254wb\345\234$\231fi\003J\2733=\370\323\251\263\233v\343=n%\307;\365gz\277V+C0\310\236\"h\300\032\323\267z\354\355\276\255\327\246\371\356\221\2727\010$\0021\240\254\235\244M\300\211\337\007\322\242s\006\243\000\351\243\345\373\342\017~\270\367\363\245\331\342\300\3677\301\264v\223\033\016s\0244\273ik\263\374a\264\341\266\222>\335A\264\306vW\277\251\n\000*Q\375h\343\214e\022N\255\020\247<s\352\374\216]6\237\243\013\341\201\223XfM//""\177~\277wjK\241\323m\362\213x\321\214\262M\221\003a\3129=aD\333\217\316\355\332\270\245\271t\\H,+\235\301\021\330h)\263\226\311\313\302\353\220\326d\274\366{=\220\311\316\317l\257X\337\224\034\213Y\340:[\220\316\345\341@3\021\2642\311\326\346zNS \303\263\324\306\361b\302n\240\243\027\332\271\275}q\221\275x5T2[\273\327A\213_\241\373=>\260\007Q\317_\271F\016\035\215b$g\260\200\230J\016\346\316\312\331y\237\034\266\00336\315\001E\232\030Fj\010\210\322\214LxTL\260\307e+\302;\256\250qv:;\007\2601\265Oe\204\223f\266L\210\255\264\236\363\214\350t\272&\310\323\351.\274\211\326\234\270\030\250x]W\265\235\245\241\233\177\336y\333\310\247\225\216i\254\317NG\374\314\257S\271\266n\0144V\230\004\235<\005\323\243\001\215\326\261\212\242\275\254\346\226\230\367t\325\321-\262\346\346\216n\177\352M\306\032Y\303&2\304\355jjc,\236L56w[\316\033l\335\265\247wM\034\370fy\231n\266\363\347\233\233\236\026\032\334\330 \363wn\306\351\020\202\306\014\324Z\321\241\350\231\303\300\227-\273!\267\263\320l6\232\235'\020\366\216\177A\206\302\222\214\255\000\323]t\024R\224SHV\232\241@Z\214J\212\243(\246\200H\246\212A`;\304\002\316\244\374\271\306ZE,@\326\370Pf\225&\005\r\014Y\376\201\220\3442\021D\312M\003\245\024\200H\242UQ\301\026\331\222b\250T\021\266Y$r\231K%\350\225BX\301RA\220DB\211U\214\335bv#\316\261\310\010\214\324!9)\021\345*\205\367d`\205\023\036\3240@\t\201\025`}\006,J35\263\205\365(1\034\332\303\000#X\214?\273\370AM\203y/\2725H\027:\027^\221\347\256\235\253\311\023\326\303\267\036F\010t\365\310\265\002Ai\372-\"\351Y|a\263b\262sxI3\225\2654\206r\334i]\260\331\005\266l\006\322~\236\366p\220\237\016\244\331\245\n\232\355($\006\016\351\303*G%(\223\216^?\324\246\204\314A\336\206`\006\320\312)\361\0301$\212\273L2\247\213\334\323\002)\332d\220UH\210C\206\322\031\236fT\265\\3\261i\225O\020 <\315\240\303\313\321\024\322\251A\226\017M$\263<5\250\326u\\\2120$+\273\274<\305\0214\010fcz\244\204H\"\344A\300m\025\214\230\213\207\275\232\357\200\251\205\245\207\030\217r\314\343\r`\nQa\202\031\310*\352""\025$\320)\\3\215h\232\241P\302\341\202P\320\034\206,\005D\034,\206\000#\376.\344\212p\241!\275\310\306\n";
-    PyObject *data = __Pyx_DecompressString(cstring, 2141, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (2310 bytes) */
-const char* const cstring = "x\332\265WKS\333X\032m\203M\334\325\244\033? \220Pi\033\002\231\251\251&e\223\307n\246\014!\324TW\245b\023\350LM\2524\222,@\301\226l=\014\231\315d\351\245\226w\251\245\226Zj\351%K\226^\362\023\372'\314\371\356\225\215\214=5\263\031\n\204\036W\337\363|\347\\\375\245!\353\266\326,]\236kF\351\322\264\232\277\330\372?\265\222-\237j\316\327R[\266\316t\303\306\003\267\325,)Z\251\247\233-\331\321\232;\252lY\272\326\374Ei\231\352E\251m6\335\226k\227\034\323,\265\360\216V:5\255\222s\256\225T\263\335\321[pp\241Y\206\326\262\314\313\351\3053o\376'\013\266\245\276\320\214\246y!;/$q\353\205\244\232\226\266\323\371z\265W\333\377\365\340\375\333\367\232\326\264\367\364\263\277\032\216-I\037\276^\341\357\255\256:\322{\355\312ih\247\262\254\252\262~!I\262a\230\016\362\301\231\375\325Pus\007\226L\327\321\r\315V\024\331\326qT\332\212\3518f[B\210\212y%YZ\323U5\305=\205\215\216$\251-\331\266\2453\315\321\035\255M\227xW\322\r\311\261d\254\222\325\013\325pT\263\205_{\224I\263\tS\222\3244UI\212S\331\211S\331\341\251\234J\322\251k\340\351\331\031\374\234i\206}~n\234\306K\316Q.\372\263u\275y\245\267\321\037C\263t\243'\351\2664\216\236\202\261\277|\371r\021\027\355\242\247!\262\266\356\264\364\036\205\331\226\021\"\216\216\324v[\364\017\317q\2559\262\310\207\222\025G\267\205\352\264;&]Y&\342u\320w\272\350\301\200!\267\361\324P\014Q\"\203\262\344\007T\300\240\270\r\362gP\264\210\014(r:\035\275\243\367\360k:v\347K\307\354\340\307\222\244\216\245ud\013\266\272]\325t\r\247{\256\311(Q\327\225[\302G\327\325\\\315\262d\343\002v\360+\223M\013\245B\260\350\246M\035\227$[s\342\230p\326D\243\335\026\334\350\206#I\216f\323\021\355n\365z\370\223[\256f#\353^\357\362\352[j\230^e\363\254\302j\023'\251\337\027\276\313<fO\375^\320\010\334\3600\332\215\224\001\326>\370f\3677\373\365a\366\373a:3\314.\366\017\274eO\366\272\303\305\037\373r\337\365j^\335\223\207Y\\L<\314{e\257\342\325\206\213K^\212\016\031\357\230\225Ye\270\264\354}\366\013~\315?\n\346\202\215\240\026\324\207\213?\365/\361\222\305\362x\236\375I""\330\274\205\261Z\277>\021\355\032\313\r\323\353l\217)>\277\375\243\177\021\346\3037Qy\230\376\231\331~\331\257\014\323\217\331\037\375\252_\377=\373]&\213\3107\3725\212\255E\276o\323O\330\237\203\225\240\033\316\205\033a\215\326\226\311\036\316\236\30032u\373\373\375\356\214L\227\2744\305D\221Z^\336C\026+^\213\373\243\364h\3250\373C\377e\337\366\312<sri\260wX\361\322\267\340\321\ns\224\330\277\330)\022\377\030\344\203\n\2550\331\tB=\016\236\207\205p/\034\233\330\362l\266\205t\266|;x\026\250xu\361\341m\226\3128*\362\241W\211\353J\276xq\353\024\222<\\*xU\257\201\220\213\217\3313\224)\r\177\365a\361\221\347\260*\253\017W\177f\216_\361k\267\361\343\324\304\243.\275^\361\336\2629\266\355\317\301?\277\361\022\341\224\207\305'\242w\274\006\270_D=\376\306\340\220z\262\364\310\353\336\336\325\3536\331\356\373\026\351uTs\317;E\0375\324\247\033\244D\025\327\340f\221{(P~\017\343\214\200L\341\030>\017\3302\223\031\317n\223\325Y\023\005\336\365\225`!P\3028\225]\304\304SY}\302^\301\345\206\277\357;A\025([\337D\273\326\313~.\221\3242Y\376\310r8OZ\177\004,\026\000\213\325\265aq\215\025\341I\036\271T\375\274\377\2327\360\316\035V\255\2624\322\221\351f\027h\255\306\235}\206\300\004\326\260\"\303\216\021o\325o\240\257e\n\322N\204?\037V\303FhE\205\250\026\035\r\346\006\333\327s\327\317\256\225\233\017\037o>\036\337\034\237P>/\231\205\350\221\207(\032\356T\330>\356\255\000c\313\201|\347c\327\227\377g\373\365\t\313\225i\253\213E1\305\211\216\356\242\313NbY!\330\017\272\002\"()\357p&.\353\370\305\327|eN \347\030\350\223\361r\236&\210\267<\347\025\304\204\215\326WY\203\022 \020\250\260\264\211\313\036/\335F\3606L\205q\027-\240\257H\361w\201e\216\265}\334[\201\351e_\276M\216\360\330\20189\212!Y\276\307MG,\305x\220\373\211F\022U\225\271\371\311\006\237\000X\r\312\374\377\337\334\230\000\022\t\025\004\t\214c/z\207\374\225\256?\217\021\337\037\363\016\022~\204\244\004\264\263\234\234~\350W\356\245\035\317\000\037\270\321 P\365\221.\006\0050W\374\005$3\037\354\002\021\253O\005\352EAx\327'\220""\267\316\016y\004]\254\257\006'H\276N\313\336\340\371\253 \025\344F\034\377\211\215X>\301\236\304\0049\272~\345\315\3074'\256\223\317'Ta\235'}w\007Sz\346\377=LM\211Z\017Mp\243w\203\215\301\341\365\256\300>$`\207\267(\023\376\026\355G\326 7\022\274co\023U!\026\230\226\203\204\266-x\032\217b\211\356\021\365\222\212\275\346\002W\237\026E\002h\214\362\361\213t\357\035\233\304\341\212\327\214\253\236\212\253\274\312\026\300\226\240n\201\214C.,\240\241`oL1#D\214-\337!\"\355\357\2411\261\316\272T\242\373:;\234\222[\252\\\366\233\325/\220\202\022\347s\301=\205b78\256&.\363\274\311\367\365\365\001\177\375\000\003\267\207!^\006y.\373*\365\177\206\300\222\2126y\366\010\323\211\0079\227\020\332<\204\261\313&\367\0229/\347m\300\270\202i\336\212w\000X\270\211-\211\212>\010Z\340\366\252$ \2178k\241R\017\373\365\276\206j\335\017!\207W\033\344\005/\023\001\321H\n\275#O\333\360\262\301\361\245pe\241\232\216\247\205\310\214\320O\363\2005G\243\025\230\002\332\347P\233\322P\371fT\216*\323\202\014\336D\314\032\253LcF4\255\313yiv\323\022\275\033\317\302z\334\367\232\377[\360k\330\035\317B\366[\257\177DL\302\213|\327D\232\322\223\250\032\325G]\233\215\373g\243Z%\240:\242\347\356\004%'\272#\224\276\"P4k\243\230T\211\234\230\210\032\037\245\025\336\201\"\3551\204\260\3300\010d\347\304\371\346\324\256\000!\261\203;\211\026E\035\251q\031\343\262\017\260\256\200\212s\342\241\312\2475O\274D\221\374\201\033\250\201\3126\374wBi\246\360\266\025\307\265B<\rjV\302\205P\211\346Q\273c0\313}\251\254BQ2\354\243\237\213\325\2417\022\014\264\023`\332\303\216\220`4&\320\n\337\275\370)\304$\364\345\210\017\023\266\207a7\312D\215\2507h\014\234\353\352\365\224n\257%\014jAe\014\234X\300\t9\3204\252\335,Z\232!%#\240os\365\233E\036'\330b\245\374\334\304V}t\310\3663\002\231\330Q\023\336\276O\000\213\\\347\310\343\274\240\321\207\211g\234ib\030\023`\3279\245\210\246\345y\221\377t}t\363\241q\3238\242u\357\203m\354\006\362\261\300\202\225\2362\023`\256\240bJ\224\032\255\020%T\271\201F4MeB\005dNd\343\017\001\252W\017""\203\234\201\376?\010\354p+\264\243\355\301\374\340\325\365<\352\217\030 \335\237n>}\276\371,\335H\377\270\033\227d\202\2111\3413<\001\327\325\004\317\3449:\210\322\253\301q\270\031\326\361=\000\345F\263\036R\031\271\370\363\313i\323E\376\t\246\362\257\247\273\375?\337\227\013\274\216I\304f\317\375\325 \027\177U$C!\360<\217\203p\351\243\0142\277D\237G\300\312)F\370\014\020.\010\021\231\360<6@_QI\020\227\375\242_\307\216a\304}\242\003J4\027m\242\003\356\24068A\021\033\327\326M\275!6U\031>\245\223\003-\346w\227_ \2657\\\024\317\374O\210\257IE\2427/!+9\332t\034\320\236\017_\030\264\307\367\237\363J\322\207l\215\327ruc\264\233\331$\332]\023\333Nl+v\373*\325\223F@\360\323\177\235\213\003\230'jW\304\\,y\017x\364\364\221\220\035I\027\215\311\t\377\322\232\305\3243\377\375\033\212\221]\227";
-    PyObject *data = __Pyx_DecompressString(cstring, 2310, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (4765 bytes) */
-const char* const bytes = "?Raised when word-size safety margins would be violated.carried-block modulus too large for the compiled kernelrow modulus too largerow modulus too large for the compiled kernelsrc/endokat/_kernel/_core.pyxBACKENDNeedsBigInts__Pyx_PyDict_NextRefaaccaik__annotate__asyncio.coroutinesbbasisbbbmbottom_modbox_reducebufccap__class_getitem__cline_in_tracebackcntcolcolscompiledddmod__doc__endokat._kernel._coref__func__ggbufgenshhnf_kernelhrowhrowsiidximginnerinv_is_coroutineitemsjjjkkernelskveclimitlivem__main__mat_mulmat_vec__metaclass__mods__module__mpos__mro_entries__mvn__name__nbnbottomncolsncols_inngensnlivenrowsorowoutppipivpivotspjpoppppr__prepare__qqcountqhead__qualname__queuerrankrowrowarowsrrefss_accseeds__set_name__setdefaultspint__test__totalvvalvaluesvecvvwx\200\001\330\004\030\230\003\2301\230A\330\004\030\230\003\2301\230A\330\004\030\230\001\360\006\000\005\032\230\036\240v\250R\250u\260G\2703\270b\300\001\330\004\007\200s\210#\210Q\330\010\t\330\004\005\330\010\014\210E\220\025\220a\220q\330\014\016\210a\210u\220A\220Q\220a\330\010\016\210a\330\010\014\210E\220\025\220a\220q\330\014\022\220!\2201\220A\330\014\020\220\001\330\014\020\220\005\220U\230!\2301\330\020\025\220\\\240\023\240A\240S\250\002\250\"\250A\250Q\330\014\017\210w\220a\220r\230\022\2301\330\010\017\210u\220A\220Q\340\010\014\210A\210Q\200\001\330\004\030\230\003\2301\230A\330\004\031\230\021\330\004\034\230B\230b\240\001\330\004\030\230\016\240k\260\022\2607\270!\330\004\037\230s\240!\2401\330\004\032\230)\2402\240Q\360\010\000\005\010\200s\210\"\210A\330\010\016\210l\230!\2301\340\004\033\230>\250\026\250q\260\002\260\"\260A\330\004\032\230!\330\004\034\230A\330\004\033\2301\330\004\007\200u\210C\210q\330\010\t\330\004\005\330\010\014\210E\220\025\220a\220q\330\014\020\220\004\220A\220Q\330\014\017\210r\220\022\2201\330\020\026\220l\240!\2401\330\014\020\220\001\220\025\220a\330\010\013\2104\210s\220!\330\014\022\220!\330\010\016\210n\230F\240!\2404\240r\250\026\250r\260\021\330\010\017""\210\177\230f\240A\240T\250\022\2501\330\010\016\210o\230V\2402\240U\250'\260\023\260B\260a\330\010\013\2104\210s\220%\220s\230%\230s\240%\240s\250$\250c\260\021\330\014\r\340\010\020\220\001\330\010\016\210a\330\010\014\210G\2201\330\014\020\220\001\330\014\022\220!\330\014\020\220\005\220Q\330\020\026\220a\330\020\023\2202\220R\220q\330\024\032\230$\230b\240\004\240A\240Q\330\024\027\220t\2302\230Q\330\030\037\230t\2401\240A\340\024\032\230$\230b\240\001\330\024\027\220t\2302\230Q\330\030\037\230q\330\020\023\2201\220D\230\002\230&\240\002\240%\240q\330\020\023\2204\220s\230!\330\024\033\2301\330\020\025\220Q\330\014\017\210q\330\020\024\220A\220Y\230a\330\020\031\230\021\330\020\027\220q\340\010\014\210E\220\025\220a\220q\340\014\020\220\005\220U\230!\2301\330\020\023\2201\220D\230\002\230&\240\002\240%\240q\330\014\017\210q\220\004\220B\220f\230B\230e\2404\240q\250\001\330\014\020\220\001\220\031\230!\330\014\025\220Q\330\014\023\2201\330\014\r\330\020\026\220a\330\020\030\230\001\330\020\025\220Q\330\020\024\220E\230\025\230a\230q\330\024\032\230#\230Q\230d\240!\2403\240b\250\006\250b\260\001\330\024\027\220t\2303\230a\330\030\037\230q\330\030\033\2305\240\002\240\"\240C\240t\2502\250Q\330\034#\2401\330\034!\240\021\330\020\023\2204\220s\230!\330\024\025\330\020\025\220T\230\021\230!\330\020\024\220E\230\025\230a\230q\330\024\027\220r\230\023\230A\330\030\031\330\024\031\230\024\230Q\230a\330\024\032\230#\230Q\230c\240\022\2406\250\022\2501\330\024\027\220t\2303\230a\330\030\031\330\024\030\230\004\230B\230a\330\024\027\220q\230\003\2302\230V\2402\240U\250$\250b\260\002\260\"\260A\330\024\030\230\005\230U\240!\2402\240R\240s\250!\330\030\037\230s\240!\2403\240b\250\006\250b\260\003\2602\260R\260r\270\023\270A\270S\300\002\300&\310\002\310$\310b\320PT\320TU\320UV\330\030\033\2304\230r\240\021\330\034#\2404\240q\250\001\330\030\033\2301\230C\230r\240\026\240r\250\025\250a\330\024\030\230\005\230U\240!\2403\240a\330\030\037\230s\240!\2403\240b\250\006\250b\260""\003\2602\260R\260r\270\023\270A\270S\300\002\300&\310\002\310$\310b\320PQ\330\030\033\2304\230r\240\021\330\034#\2401\330\030\033\2301\230C\230r\240\026\240r\250\025\250a\330\014\024\220A\330\014\020\220\005\220U\230!\2301\330\020\023\2203\220a\220t\2301\230C\230r\240\026\240r\250\023\250C\250q\330\024\033\2301\330\024\025\330\014\017\210q\220\005\220T\230\021\230!\330\014\020\220\005\220U\230!\2306\240\026\240r\250\021\330\020\024\220A\220U\230$\230a\230r\240\022\2401\330\014\025\220Q\330\014\021\220\023\220A\220Q\330\014\020\220\005\220U\230!\2302\230R\230s\240!\330\020\026\220c\230\021\230#\230R\230v\240R\240s\250\"\250D\260\001\260\021\330\020\023\2204\220r\230\021\330\024\033\2304\230q\240\001\330\020\023\2201\220C\220r\230\026\230r\240\025\240a\340\010\014\210E\220\025\220a\220q\330\014\021\220\023\220A\220Q\330\014\021\220\023\220A\220S\230\002\230&\240\002\240!\330\014\020\220\005\220U\230!\2301\330\020\025\220S\230\001\230\021\330\020\024\220C\220q\230\003\2302\230V\2402\240S\250\002\250!\330\020\023\2201\330\024\027\220q\230\003\2302\230V\2402\240V\2502\250R\250q\330\024\030\230\005\230U\240!\2402\240R\240s\250!\330\030\037\230s\240!\2403\240b\250\006\250b\260\003\2602\260R\260r\270\023\270A\270S\300\002\300&\310\002\310$\310b\320PT\320TU\320UV\330\030\033\2304\230r\240\021\330\034#\2404\240q\250\001\330\030\033\2301\230C\230r\240\026\240r\250\025\250a\340\010\020\220\001\330\010\014\210E\220\025\220a\220q\330\014\023\2201\330\014\020\220\005\220U\230!\2301\330\020\024\220G\2301\230C\230q\240\003\2401\240C\240r\250\026\250r\260\021\330\014\021\220\027\230\001\230\025\230a\230q\330\010\022\220!\330\010\013\2101\330\014\020\220\005\220U\230!\2301\330\020\025\220T\230\021\230!\330\020\026\220a\330\020\024\220E\230\025\230a\230s\240!\330\024\027\220s\230!\2303\230b\240\006\240b\250\003\2503\250a\330\030\036\230a\330\030\031\330\020\023\2201\330\024\033\2301\330\024\030\230\005\230U\240!\2403\240a\330\030\034\230G\2401\240C\240q\250\003\2502\250V\2602\260Q""\330\024\033\2307\240!\2405\250\001\250\021\330\010\017\210u\220A\220X\230Q\340\010\014\210A\210Q\330\010\013\2104\210s\220!\330\014\020\220\001\220\021\330\010\013\2105\220\003\2201\330\014\020\220\001\220\021\330\010\013\2104\210s\220!\330\014\020\220\001\220\021\200\001\330\004\030\230\003\2301\230A\330\004\034\230C\230q\240\001\330\004\030\230\003\2301\230A\230Q\230g\240[\260\001\330\004\030\230\001\360\006\000\005\032\230\036\240v\250R\250v\260R\260u\270F\300\"\300G\3103\310b\320PQ\330\004\032\230.\250\006\250b\260\005\260W\270C\270r\300\021\330\004\007\200s\210#\210U\220#\220T\230\023\230A\330\010\t\330\004\005\330\010\014\210E\220\025\220a\220q\330\014\022\220!\2201\220A\330\014\020\220\006\220e\2301\230A\330\020\022\220!\2202\220R\220r\230\022\2306\240\023\240A\240Q\330\010\016\210a\330\010\014\210E\220\025\220a\220q\330\014\023\2201\220A\220Q\330\014\020\220\006\220e\2301\230A\330\020\023\2201\220F\230!\330\014\020\220\005\220U\230!\2301\330\020\026\220d\230!\2303\230b\240\001\330\020\023\2201\330\024\030\230\006\230e\2401\240A\330\030\033\2301\230G\2404\240r\250\022\2501\250B\250b\260\002\260\"\260A\330\014\023\2201\330\014\020\220\006\220e\2301\230A\330\020\024\220G\2301\230C\230q\240\004\240B\240a\330\014\017\210w\220a\220u\230A\230Q\330\010\017\210u\220A\220Q\340\010\014\210A\210Q\330\010\014\210A\210Q\200\001\330\004\030\230\003\2301\230A\360\006\000\005\010\200r\210\023\210A\330\010\017\210q\330\004\030\230\016\240f\250A\250R\250r\260\021\330\004\030\230\016\240f\250A\250R\250r\260\022\2602\260Q\330\004\033\230>\250\026\250q\260\002\260\"\260A\330\004\007\200r\210\023\210E\220\023\220B\220c\230\025\230c\240\025\240c\250\021\330\010\t\330\004\005\330\010\014\210E\220\025\220a\220q\330\014\020\220\001\220\025\220d\230!\2301\330\014\017\210t\2201\220C\220r\230\021\330\020\026\220l\240!\2401\330\014\022\220%\220q\230\001\330\014\020\220\005\220U\230!\2301\330\020\021\220\021\220\"\220B\220b\230\002\230%\230s\240!\2401\330\014\022\220#\220Q\220c\230\022""\2304\230q\240\001\330\014\017\210t\2202\220Q\330\020\027\220t\2301\230A\330\014\r\210Q\210e\2201\330\010\014\210E\220\025\220a\220q\330\014\020\220\001\220\021\220#\220R\220q\230\001\230\022\2302\230R\230r\240\021\330\014\017\210q\330\020\021\220\021\220&\230\002\230\"\230A\230Q\230b\240\002\240\"\240B\240a\330\020\024\220E\230\025\230a\230r\240\022\2403\240a\330\024\033\2301\230A\230S\240\002\240\"\240B\240a\240q\250\002\250\"\250B\250b\260\004\260B\260d\270!\2701\330\024\027\220t\2302\230Q\330\030\037\230t\2401\240A\330\024\025\220Q\220e\2301\330\010\016\210a\330\010\014\210E\220\025\220a\220q\330\014\017\210w\220a\220q\230\001\230\021\330\010\017\210u\220A\220Q\340\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q\200\001\330\004\034\230C\230q\240\001\330\004\034\230C\230q\240\004\240A\240W\250K\260q\330\004\030\230\001\360\006\000\005\010\200v\210S\220\001\330\010\017\210t\2201\330\004\030\230\016\240f\250A\250V\2602\260V\2702\270Q\330\004\007\200r\210\023\210A\330\010\t\330\004\005\330\010\014\210E\220\025\220a\220q\330\014\022\220$\220a\220q\330\014\020\220\005\220U\230!\2301\330\020\026\220c\230\021\230#\230R\230q\330\020\023\2204\220r\230\021\330\024\033\2301\330\020\021\220\021\220\"\220B\220f\230B\230e\2401\330\010\017\210q\330\010\016\210a\330\010\014\210E\220\025\220a\220q\330\014\022\220!\330\014\020\220\005\220U\230!\2306\240\021\330\020\023\2201\220A\220R\220r\230\026\230r\240\021\330\024\031\230\021\330\024\025\330\014\017\210s\220\"\220A\330\020\021\330\014\017\210s\220#\220Q\330\020\024\220E\230\025\230a\230q\330\024\032\230!\2301\230E\240\022\2406\250\022\2501\330\024\025\220Q\220e\2302\230V\2402\240U\250!\2501\250C\250r\260\026\260r\270\021\330\024\025\220Q\220c\230\022\2306\240\022\2405\250\001\330\014\022\220(\230!\2301\230A\230U\240\"\240F\250\"\250D\260\001\330\014\020\220\005\220U\230!\2301\330\020\021\220\021\220%\220r\230\026\230r\240\026\240q\250\001\250\025\250b\260\006\260b\270\003\2702\270U\300\"\300A\330\014\020\220\005""\220U\230!\2301\330\020\023\2202\220S\230\005\230T\240\021\240!\2402\240R\240v\250R\250q\330\024\030\230\001\230\021\230\"\230B\230f\240B\240a\330\024\030\230\005\230U\240!\2401\330\030\037\230q\240\001\240\022\2402\240V\2502\250S\260\002\260\"\260B\260a\260q\270\005\270R\270v\300R\300t\3102\310Q\330\030\033\2304\230r\240\021\330\034#\2401\330\030\031\230\021\230\"\230B\230f\240B\240e\2501\330\014\017\210w\220a\220q\330\014\024\220A\330\014\017\210u\220C\220q\330\020\021\330\010\016\210a\330\010\014\210E\220\025\220a\220q\330\014\023\2201\330\014\020\220\005\220U\230!\2301\330\020\024\220G\2301\230A\230Q\230b\240\002\240&\250\002\250!\330\014\017\210w\220a\220u\230A\230Q\330\010\017\210u\220A\220V\2305\240\001\240\021\340\010\014\210A\210Q\200\001\330\004\030\230\001\330\004\030\230\001\330\004\010\210\005\210Q\330\010\014\210C\210q\220\001\330\010\t\330\004\007\200r\210\023\210A\330\010\014\210E\220\021\330\014\020\220\003\2201\220A\330\014\r\330\004\007\200r\210\023\210A\330\010\017\210q\330\004\034\230C\230q\240\001\360\006\000\005\034\230>\250\026\250r\260\026\260r\270\022\2702\270U\300+\310S\320PR\320RS\330\004\034\230N\250&\260\001\260\022\2602\260R\260r\270\021\330\004\036\230o\250V\2601\260B\260b\270\001\330\004\034\230N\250&\260\002\260\"\260B\260c\270\022\2702\270R\270q\330\004\030\230\016\240f\250A\250R\250r\260\021\330\004\032\230.\250\006\250a\250r\260\022\2601\330\004\007\200u\210C\210u\220C\220v\230S\240\005\240S\250\007\250s\260%\260s\270&\300\003\3005\310\003\3102\310S\320PU\320UX\320X\\\320\\_\320_`\330\010\t\330\004\005\330\010\014\210A\330\010\014\210E\220\021\330\014\020\220\005\220U\230!\2301\330\020\026\220a\220q\230\001\330\020\024\220E\230\025\230a\230q\330\024\030\230\001\230\022\2302\230R\230r\240\022\2402\240R\240r\250\022\2502\250U\260#\260Q\260a\330\014\021\220\021\330\010\r\210Q\330\010\020\220\001\330\010\021\220\021\330\010\014\210E\220\021\330\014\020\220\005\220U\230!\2301\330\020\024\220A\220Q\220c\230\022\2301\330\020\023\2202""\220R\220q\330\024\031\230\021\330\020\021\220\021\220%\220q\330\014\017\210w\220a\220s\230'\240\030\250\021\250$\250c\260\021\330\020\024\220E\230\025\230a\230q\330\024\031\230\021\230'\240\022\2402\240R\240u\250A\250Q\250a\330\020\032\230!\330\010\016\210f\220B\220g\230T\240\023\240B\240a\330\014\020\220\005\220U\230!\2301\330\020\024\220E\230\025\230a\230q\330\024\034\230A\330\024\030\230\005\230U\240!\2401\330\030!\240\024\240Q\240b\250\002\250\"\250B\250b\260\002\260\"\260B\260b\270\002\270#\270R\270u\300A\300V\3102\310R\310r\320QR\330\024\027\220q\230\005\230V\2402\240Q\330\020\024\220E\230\025\230a\230q\330\024\025\220Q\220e\2303\230a\230q\330\020\023\2207\230!\2303\230g\240X\250Q\250d\260#\260Q\330\024\027\220w\230c\240\021\330\030\034\230E\240\025\240a\240q\330\034!\240\021\240'\250\022\2502\250R\250u\260A\260Q\260a\330\030\"\240!\330\024\027\220s\230#\230Q\330\030\031\330\014\025\220Q\330\010\013\2103\210c\220\021\330\014\023\2201\330\010\017\210q\330\010\014\210E\220\025\220a\220q\330\014\023\2201\330\014\020\220\005\220U\230!\2301\330\020\024\220G\2301\230E\240\021\240\"\240B\240b\250\002\250!\330\014\020\220\007\220q\230\005\230Q\230a\330\010\017\210t\2201\220C\220u\230A\230V\2401\240A\340\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 113; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 6) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 113; i < 119; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 119; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 113;
-      for (Py_ssize_t i=0; i<6; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 0;
-    int8_t const cint_constants_1[] = {0};
-    int64_t const cint_constants_8[] = {1099511627776LL};
-    for (int i = 0; i < 2; i++) {
-      numbertab[i] = PyLong_FromLongLong((i < 1 ? cint_constants_1[i - 0] : cint_constants_8[i - 1]));
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<2; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 3;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 6;
-    unsigned int flags : 10;
-    unsigned int first_line : 9;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {4, 0, 0, 34, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 22};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_mods, __pyx_mstate->__pyx_n_u_cols, __pyx_mstate->__pyx_n_u_nbottom, __pyx_mstate->__pyx_n_u_bottom_mod, __pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_nb, __pyx_mstate->__pyx_n_u_total, __pyx_mstate->__pyx_n_u_bm, __pyx_mstate->__pyx_n_u_ncols_in, __pyx_mstate->__pyx_n_u_cap, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_idx, __pyx_mstate->__pyx_n_u_nlive, __pyx_mstate->__pyx_n_u_mpos, __pyx_mstate->__pyx_n_u_cnt, __pyx_mstate->__pyx_n_u_pi, __pyx_mstate->__pyx_n_u_pj, __pyx_mstate->__pyx_n_u_q, __pyx_mstate->__pyx_n_u_mv, __pyx_mstate->__pyx_n_u_val, __pyx_mstate->__pyx_n_u_d, __pyx_mstate->__pyx_n_u_dmod, __pyx_mstate->__pyx_n_u_buf, __pyx_mstate->__pyx_n_u_live, __pyx_mstate->__pyx_n_u_piv, __pyx_mstate->__pyx_n_u_col, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_hrows, __pyx_mstate->__pyx_n_u_hrow, __pyx_mstate->__pyx_n_u_kernels, __pyx_mstate->__pyx_n_u_kvec};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_endokat__kernel__core_pyx, __pyx_mstate->__pyx_n_u_hnf_kernel, __pyx_mstate->__pyx_kp_b_iso88591_1A_Bb_k_7_s_1_2Q_s_A_l_1_q_A_A, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 13, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 181};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_mods, __pyx_mstate->__pyx_n_u_hrows, __pyx_mstate->__pyx_n_u_vec, __pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_q, __pyx_mstate->__pyx_n_u_val, __pyx_mstate->__pyx_n_u_w, __pyx_mstate->__pyx_n_u_h, __pyx_mstate->__pyx_n_u_dmod, __pyx_mstate->__pyx_n_u_row, __pyx_mstate->__pyx_n_u_out};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_endokat__kernel__core_pyx, __pyx_mstate->__pyx_n_u_box_reduce, __pyx_mstate->__pyx_kp_b_iso88591_1A_r_A_q_fARr_fARr_2Q_q_A_r_E_B, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 17, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 243};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_a, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_inner, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_pp, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_jj, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_aik, __pyx_mstate->__pyx_n_u_bb, __pyx_mstate->__pyx_n_u_acc, __pyx_mstate->__pyx_n_u_row, __pyx_mstate->__pyx_n_u_out, __pyx_mstate->__pyx_n_u_rowa, __pyx_mstate->__pyx_n_u_orow};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_endokat__kernel__core_pyx, __pyx_mstate->__pyx_n_u_mat_mul, __pyx_mstate->__pyx_kp_b_iso88591_1A_Cq_1AQg_vRvRuF_G3bPQ_b_WCr_s, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {3, 0, 0, 12, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 279};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_a, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_pp, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_vv, __pyx_mstate->__pyx_n_u_out, __pyx_mstate->__pyx_n_u_row};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_endokat__kernel__core_pyx, __pyx_mstate->__pyx_n_u_mat_vec, __pyx_mstate->__pyx_kp_b_iso88591_1A_1A_vRuG3b_s_Q_E_aq_auAQa_a_E, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 18, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 303};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_rows, __pyx_mstate->__pyx_n_u_nrows, __pyx_mstate->__pyx_n_u_ncols, __pyx_mstate->__pyx_n_u_pp, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_c, __pyx_mstate->__pyx_n_u_rank, __pyx_mstate->__pyx_n_u_pr, __pyx_mstate->__pyx_n_u_inv, __pyx_mstate->__pyx_n_u_f, __pyx_mstate->__pyx_n_u_val, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_row, __pyx_mstate->__pyx_n_u_piv, __pyx_mstate->__pyx_n_u_out, __pyx_mstate->__pyx_n_u_orow};
-    __pyx_mstate_global->__pyx_codeobj_tab[4] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_endokat__kernel__core_pyx, __pyx_mstate->__pyx_n_u_rref, __pyx_mstate->__pyx_kp_b_iso88591_Cq_Cq_AWKq_vS_t1_fAV2V2Q_r_A_E, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[4])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {4, 0, 0, 27, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 363};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_gens, __pyx_mstate->__pyx_n_u_seeds, __pyx_mstate->__pyx_n_u_limit, __pyx_mstate->__pyx_n_u_pp, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_g, __pyx_mstate->__pyx_n_u_ngens, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_nb, __pyx_mstate->__pyx_n_u_qhead, __pyx_mstate->__pyx_n_u_qcount, __pyx_mstate->__pyx_n_u_x, __pyx_mstate->__pyx_n_u_s_acc, __pyx_mstate->__pyx_n_u_gbuf, __pyx_mstate->__pyx_n_u_basis, __pyx_mstate->__pyx_n_u_pivots, __pyx_mstate->__pyx_n_u_queue, __pyx_mstate->__pyx_n_u_w, __pyx_mstate->__pyx_n_u_img, __pyx_mstate->__pyx_n_u_row, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_rows, __pyx_mstate->__pyx_n_u_orow};
-    __pyx_mstate_global->__pyx_codeobj_tab[5] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_endokat__kernel__core_pyx, __pyx_mstate->__pyx_n_u_spin, __pyx_mstate->__pyx_kp_b_iso88591_Q_Cq_r_A_E_1A_r_A_q_Cq_r_r_2U_S, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[5])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
+/* Compiled kernel: integer column reduction and F_p matrix primitives.
+ *
+ * Same functions and results as _pure.py, written against the CPython C API.
+ * Every entry is kept reduced by its row modulus (lattice primitives) or by
+ * p (F_p primitives), so with moduli and p at most MOD_LIMIT = 2**20 every
+ * product fits in 40 bits and every accumulated sum in 64.  An input outside
+ * that margin (a larger modulus or p, a ragged matrix) raises NeedsBigInts,
+ * and a Python int beyond 64 bits raises OverflowError; the package's
+ * wrapper in _kernel/__init__.py answers both by calling _pure instead.
+ *
+ * Build: python3 setup.py build_ext --inplace
  */
-#pragma warning( disable : 4127 )
-#endif
 
-
-
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetAttrStr (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
-
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
-
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
-{
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
-}
-
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
-        else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
-    }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
-}
-
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
-{
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyErrFetchRestore (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by GetBuiltinName) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* GetBuiltinName (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name) {
-    PyObject* result = __Pyx_PyObject_GetAttrStrNoError(__pyx_mstate_global->__pyx_b, name);
-    if (unlikely(!result) && !PyErr_Occurred()) {
-        PyErr_Format(PyExc_NameError,
-            "name '%U' is not defined", name);
-    }
-    return result;
-}
-
-/* PyDictVersioning (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* GetModuleGlobalName */
-#if CYTHON_USE_DICT_VERSIONS
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value)
-#else
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name)
-#endif
-{
-    PyObject *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!__pyx_m)) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_NameError);
-        return NULL;
-    }
-    result = PyObject_GetAttr(__pyx_m, name);
-    if (likely(result)) {
-        return result;
-    }
-    PyErr_Clear();
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    if (unlikely(__Pyx_PyDict_GetItemRef(__pyx_mstate_global->__pyx_d, name, &result) == -1)) PyErr_Clear();
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return result;
-    }
-#else
-    result = _PyDict_GetItem_KnownHash(__pyx_mstate_global->__pyx_d, name, ((PyASCIIObject *) name)->hash);
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return __Pyx_NewRef(result);
-    }
-    PyErr_Clear();
-#endif
-    return __Pyx_GetBuiltinName(name);
-}
-
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
-
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
-    }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
-    }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_item(o, i);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-}
-
-/* GetException */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb)
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb)
-#endif
-{
-    PyObject *local_type = NULL, *local_value, *local_tb = NULL;
-#if CYTHON_FAST_THREAD_STATE
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if PY_VERSION_HEX >= 0x030C0000
-    local_value = tstate->current_exception;
-    tstate->current_exception = 0;
-  #else
-    local_type = tstate->curexc_type;
-    local_value = tstate->curexc_value;
-    local_tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-  #endif
-#elif __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    local_value = PyErr_GetRaisedException();
-#else
-    PyErr_Fetch(&local_type, &local_value, &local_tb);
-#endif
-#if __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    if (likely(local_value)) {
-        local_type = (PyObject*) Py_TYPE(local_value);
-        Py_INCREF(local_type);
-        local_tb = PyException_GetTraceback(local_value);
-    }
-#else
-    PyErr_NormalizeException(&local_type, &local_value, &local_tb);
-#if CYTHON_FAST_THREAD_STATE
-    if (unlikely(tstate->curexc_type))
-#else
-    if (unlikely(PyErr_Occurred()))
-#endif
-        goto bad;
-    if (local_tb) {
-        if (unlikely(PyException_SetTraceback(local_value, local_tb) < 0))
-            goto bad;
-    }
-#endif // __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    Py_XINCREF(local_tb);
-    Py_XINCREF(local_type);
-    Py_XINCREF(local_value);
-    *type = local_type;
-    *value = local_value;
-    *tb = local_tb;
-#if CYTHON_FAST_THREAD_STATE
-    #if CYTHON_USE_EXC_INFO_STACK
-    {
-        _PyErr_StackItem *exc_info = tstate->exc_info;
-      #if PY_VERSION_HEX >= 0x030B00a4
-        tmp_value = exc_info->exc_value;
-        exc_info->exc_value = local_value;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-        Py_XDECREF(local_type);
-        Py_XDECREF(local_tb);
-      #else
-        tmp_type = exc_info->exc_type;
-        tmp_value = exc_info->exc_value;
-        tmp_tb = exc_info->exc_traceback;
-        exc_info->exc_type = local_type;
-        exc_info->exc_value = local_value;
-        exc_info->exc_traceback = local_tb;
-      #endif
-    }
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = local_type;
-    tstate->exc_value = local_value;
-    tstate->exc_traceback = local_tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    PyErr_SetHandledException(local_value);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_tb);
-#else
-    PyErr_SetExcInfo(local_type, local_value, local_tb);
-#endif
-    return 0;
-#if __PYX_LIMITED_VERSION_HEX <= 0x030C0000
-bad:
-    *type = 0;
-    *value = 0;
-    *tb = 0;
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_tb);
-    return -1;
-#endif
-}
-
-/* SwapException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_value = exc_info->exc_value;
-    exc_info->exc_value = *value;
-    if (tmp_value == NULL || tmp_value == Py_None) {
-        Py_XDECREF(tmp_value);
-        tmp_value = NULL;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-    } else {
-        tmp_type = (PyObject*) Py_TYPE(tmp_value);
-        Py_INCREF(tmp_type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        tmp_tb = ((PyBaseExceptionObject*) tmp_value)->traceback;
-        Py_XINCREF(tmp_tb);
-        #else
-        tmp_tb = PyException_GetTraceback(tmp_value);
-        #endif
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = *type;
-    exc_info->exc_value = *value;
-    exc_info->exc_traceback = *tb;
-  #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = *type;
-    tstate->exc_value = *value;
-    tstate->exc_traceback = *tb;
-  #endif
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    PyErr_GetExcInfo(&tmp_type, &tmp_value, &tmp_tb);
-    PyErr_SetExcInfo(*type, *value, *tb);
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#endif
-
-/* GetTopmostException (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem *
-__Pyx_PyErr_GetTopmostException(PyThreadState *tstate)
-{
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    while ((exc_info->exc_value == NULL || exc_info->exc_value == Py_None) &&
-           exc_info->previous_item != NULL)
-    {
-        exc_info = exc_info->previous_item;
-    }
-    return exc_info;
-}
-#endif
-
-/* SaveResetException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    PyObject *exc_value = exc_info->exc_value;
-    if (exc_value == NULL || exc_value == Py_None) {
-        *value = NULL;
-        *type = NULL;
-        *tb = NULL;
-    } else {
-        *value = exc_value;
-        Py_INCREF(*value);
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        *tb = PyException_GetTraceback(exc_value);
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    *type = exc_info->exc_type;
-    *value = exc_info->exc_value;
-    *tb = exc_info->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #else
-    *type = tstate->exc_type;
-    *value = tstate->exc_value;
-    *tb = tstate->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #endif
-}
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    PyObject *tmp_value = exc_info->exc_value;
-    exc_info->exc_value = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-  #else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    #if CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = type;
-    exc_info->exc_value = value;
-    exc_info->exc_traceback = tb;
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = type;
-    tstate->exc_value = value;
-    tstate->exc_traceback = tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-  #endif
-}
-#endif
-
-/* ObjectGetItem */
-#if CYTHON_USE_TYPE_SLOTS
-static PyObject *__Pyx_PyObject_GetIndex(PyObject *obj, PyObject *index) {
-    PyObject *runerr = NULL;
-    Py_ssize_t key_value;
-    key_value = __Pyx_PyIndex_AsSsize_t(index);
-    if (likely(key_value != -1 || !(runerr = PyErr_Occurred()))) {
-        return __Pyx_GetItemInt_Fast(obj, key_value, 0, 1, 1, 1);
-    }
-    if (PyErr_GivenExceptionMatches(runerr, PyExc_OverflowError)) {
-        __Pyx_TypeName index_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(index));
-        PyErr_Clear();
-        PyErr_Format(PyExc_IndexError,
-            "cannot fit '" __Pyx_FMT_TYPENAME "' into an index-sized integer", index_type_name);
-        __Pyx_DECREF_TypeName(index_type_name);
-    }
-    return NULL;
-}
-static PyObject *__Pyx_PyObject_GetItem_Slow(PyObject *obj, PyObject *key) {
-    __Pyx_TypeName obj_type_name;
-    if (likely(PyType_Check(obj))) {
-        PyObject *meth = __Pyx_PyObject_GetAttrStrNoError(obj, __pyx_mstate_global->__pyx_n_u_class_getitem);
-        if (!meth) {
-            PyErr_Clear();
-        } else {
-            PyObject *result = __Pyx_PyObject_CallOneArg(meth, key);
-            Py_DECREF(meth);
-            return result;
-        }
-    }
-    obj_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(obj));
-    PyErr_Format(PyExc_TypeError,
-        "'" __Pyx_FMT_TYPENAME "' object is not subscriptable", obj_type_name);
-    __Pyx_DECREF_TypeName(obj_type_name);
-    return NULL;
-}
-static PyObject *__Pyx_PyObject_GetItem(PyObject *obj, PyObject *key) {
-    PyTypeObject *tp = Py_TYPE(obj);
-    PyMappingMethods *mm = tp->tp_as_mapping;
-    PySequenceMethods *sm = tp->tp_as_sequence;
-    if (likely(mm && mm->mp_subscript)) {
-        return mm->mp_subscript(obj, key);
-    }
-    if (likely(sm && sm->sq_item)) {
-        return __Pyx_PyObject_GetIndex(obj, key);
-    }
-    return __Pyx_PyObject_GetItem_Slow(obj, key);
-}
-#endif
-
-/* Py3UpdateBases */
-static PyObject*
-__Pyx_PEP560_update_bases(PyObject *bases)
-{
-    Py_ssize_t i, j, size_bases;
-    PyObject *base = NULL, *meth, *new_base, *result, *new_bases = NULL;
-#if CYTHON_ASSUME_SAFE_SIZE
-    size_bases = PyTuple_GET_SIZE(bases);
-#else
-    size_bases = PyTuple_Size(bases);
-    if (size_bases < 0) return NULL;
-#endif
-    for (i = 0; i < size_bases; i++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_CLEAR(base);
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-        base = PyTuple_GET_ITEM(bases, i);
-#else
-        base = PyTuple_GetItem(bases, i);
-        if (!base) goto error;
-#endif
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_INCREF(base);
-#endif
-        if (PyType_Check(base)) {
-            if (new_bases) {
-                if (PyList_Append(new_bases, base) < 0) {
-                    goto error;
-                }
-            }
-            continue;
-        }
-        meth = __Pyx_PyObject_GetAttrStrNoError(base, __pyx_mstate_global->__pyx_n_u_mro_entries);
-        if (!meth && PyErr_Occurred()) {
-            goto error;
-        }
-        if (!meth) {
-            if (new_bases) {
-                if (PyList_Append(new_bases, base) < 0) {
-                    goto error;
-                }
-            }
-            continue;
-        }
-        new_base = __Pyx_PyObject_CallOneArg(meth, bases);
-        Py_DECREF(meth);
-        if (!new_base) {
-            goto error;
-        }
-        if (!PyTuple_Check(new_base)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "__mro_entries__ must return a tuple");
-            Py_DECREF(new_base);
-            goto error;
-        }
-        if (!new_bases) {
-            if (!(new_bases = PyList_New(i))) {
-                goto error;
-            }
-            for (j = 0; j < i; j++) {
-                PyObject *base_from_list;
-#if CYTHON_ASSUME_SAFE_MACROS
-                base_from_list = PyTuple_GET_ITEM(bases, j);
-                PyList_SET_ITEM(new_bases, j, base_from_list);
-                Py_INCREF(base_from_list);
-#else
-                base_from_list = PyTuple_GetItem(bases, j);
-                if (!base_from_list) goto error;
-                Py_INCREF(base_from_list);
-                if (PyList_SetItem(new_bases, j, base_from_list) < 0) goto error;
-#endif
-            }
-        }
-#if CYTHON_ASSUME_SAFE_SIZE
-        j = PyList_GET_SIZE(new_bases);
-#else
-        j = PyList_Size(new_bases);
-        if (j < 0) goto error;
-#endif
-        if (PyList_SetSlice(new_bases, j, j, new_base) < 0) {
-            goto error;
-        }
-        Py_DECREF(new_base);
-    }
-    if (!new_bases) {
-        Py_INCREF(bases);
-        return bases;
-    }
-    result = PyList_AsTuple(new_bases);
-    Py_DECREF(new_bases);
-#if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(base);
-#endif
-    return result;
-error:
-    Py_XDECREF(new_bases);
-#if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(base);
-#endif
-    return NULL;
-}
-
-/* CalculateMetaclass */
-static PyObject *__Pyx_CalculateMetaclass(PyTypeObject *metaclass, PyObject *bases) {
-    Py_ssize_t i, nbases;
-#if CYTHON_ASSUME_SAFE_SIZE
-    nbases = PyTuple_GET_SIZE(bases);
-#else
-    nbases = PyTuple_Size(bases);
-    if (nbases < 0) return NULL;
-#endif
-    for (i=0; i < nbases; i++) {
-        PyTypeObject *tmptype;
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyObject *tmp = PyTuple_GET_ITEM(bases, i);
-#else
-        PyObject *tmp = PyTuple_GetItem(bases, i);
-        if (!tmp) return NULL;
-#endif
-        tmptype = Py_TYPE(tmp);
-        if (!metaclass) {
-            metaclass = tmptype;
-            continue;
-        }
-        if (PyType_IsSubtype(metaclass, tmptype))
-            continue;
-        if (PyType_IsSubtype(tmptype, metaclass)) {
-            metaclass = tmptype;
-            continue;
-        }
-        PyErr_SetString(PyExc_TypeError,
-                        "metaclass conflict: "
-                        "the metaclass of a derived class "
-                        "must be a (non-strict) subclass "
-                        "of the metaclasses of all its bases");
-        return NULL;
-    }
-    if (!metaclass) {
-        metaclass = &PyType_Type;
-    }
-    Py_INCREF((PyObject*) metaclass);
-    return (PyObject*) metaclass;
-}
-
-/* PyObjectCall2Args (used by Py3ClassCreate) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call2Args(PyObject* function, PyObject* arg1, PyObject* arg2) {
-    PyObject *args[3] = {NULL, arg1, arg2};
-    return __Pyx_PyObject_FastCall(function, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectLookupSpecial (used by Py3ClassCreate) */
-#if CYTHON_USE_PYTYPE_LOOKUP && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx__PyObject_LookupSpecial(PyObject* obj, PyObject* attr_name, int with_error) {
-    PyObject *res;
-    PyTypeObject *tp = Py_TYPE(obj);
-    res = _PyType_Lookup(tp, attr_name);
-    if (likely(res)) {
-        descrgetfunc f = Py_TYPE(res)->tp_descr_get;
-        if (!f) {
-            Py_INCREF(res);
-        } else {
-            res = f(res, obj, (PyObject *)tp);
-        }
-    } else if (with_error) {
-        PyErr_SetObject(PyExc_AttributeError, attr_name);
-    }
-    return res;
-}
-#endif
-
-/* Py3ClassCreate */
-static PyObject *__Pyx_Py3MetaclassPrepare(PyObject *metaclass, PyObject *bases, PyObject *name,
-                                           PyObject *qualname, PyObject *mkw, PyObject *modname, PyObject *doc) {
-    PyObject *ns;
-    if (metaclass) {
-        PyObject *prep = __Pyx_PyObject_GetAttrStrNoError(metaclass, __pyx_mstate_global->__pyx_n_u_prepare);
-        if (prep) {
-            PyObject *pargs[3] = {NULL, name, bases};
-            ns = __Pyx_PyObject_FastCallDict(prep, pargs+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, mkw);
-            Py_DECREF(prep);
-        } else {
-            if (unlikely(PyErr_Occurred()))
-                return NULL;
-            ns = PyDict_New();
-        }
-    } else {
-        ns = PyDict_New();
-    }
-    if (unlikely(!ns))
-        return NULL;
-    if (unlikely(PyObject_SetItem(ns, __pyx_mstate_global->__pyx_n_u_module, modname) < 0)) goto bad;
-    if (unlikely(PyObject_SetItem(ns, __pyx_mstate_global->__pyx_n_u_qualname, qualname) < 0)) goto bad;
-    if (unlikely(doc && PyObject_SetItem(ns, __pyx_mstate_global->__pyx_n_u_doc, doc) < 0)) goto bad;
-    return ns;
-bad:
-    Py_DECREF(ns);
-    return NULL;
-}
-static PyObject *__Pyx_Py3ClassCreate(PyObject *metaclass, PyObject *name, PyObject *bases,
-                                      PyObject *dict, PyObject *mkw,
-                                      int calculate_metaclass, int allow_py2_metaclass) {
-    PyObject *result;
-    PyObject *owned_metaclass = NULL;
-    PyObject *margs[4] = {NULL, name, bases, dict};
-    if (allow_py2_metaclass) {
-        owned_metaclass = PyObject_GetItem(dict, __pyx_mstate_global->__pyx_n_u_metaclass);
-        if (owned_metaclass) {
-            metaclass = owned_metaclass;
-        } else if (likely(PyErr_ExceptionMatches(PyExc_KeyError))) {
-            PyErr_Clear();
-        } else {
-            return NULL;
-        }
-    }
-    if (calculate_metaclass && (!metaclass || PyType_Check(metaclass))) {
-        metaclass = __Pyx_CalculateMetaclass((PyTypeObject*) metaclass, bases);
-        Py_XDECREF(owned_metaclass);
-        if (unlikely(!metaclass))
-            return NULL;
-        owned_metaclass = metaclass;
-    }
-    result = __Pyx_PyObject_FastCallDict(metaclass, margs+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, mkw);
-    Py_XDECREF(owned_metaclass);
-    return result;
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType (used by FetchCommonType) */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
-    }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
-}
-
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-
-/* CallTypeTraverse (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
-}
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
-
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
-            return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
-
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
-{
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* CIntFromPy */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        PY_LONG_LONG val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (PY_LONG_LONG) -1;
-        val = __Pyx_PyLong_As_PY_LONG_LONG(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (PY_LONG_LONG) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, long, PyLong_AsLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        PY_LONG_LONG val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (PY_LONG_LONG) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (PY_LONG_LONG) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (PY_LONG_LONG) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (PY_LONG_LONG) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(PY_LONG_LONG) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(PY_LONG_LONG) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((PY_LONG_LONG) 1) << (sizeof(PY_LONG_LONG) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (PY_LONG_LONG) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-}
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(PY_LONG_LONG) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(PY_LONG_LONG) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(PY_LONG_LONG),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(PY_LONG_LONG));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
-        goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u_);
-    }
-    goto done;
-}
-#endif
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
-}
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
-done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
-}
-
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
-
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
+
+#define MOD_LIMIT (1LL << 20)
+/* Terms of one F_p dot product: (MOD_LIMIT - 1)**2 * MAX_INNER < 2**63. */
+#define MAX_INNER (1LL << 22)
+
+typedef long long ll;
+
+static PyObject *NeedsBigInts;
+
+static int
+bail(const char *why)
+{
+    PyErr_SetString(NeedsBigInts, why);
+    return -1;
+}
+
+static ll
+mod(ll a, ll m)
+{
+    ll r = a % m;
+    return r < 0 ? r + m : r;
+}
+
+/* Python int -> ll; -1 with OverflowError (or TypeError) set on failure. */
+static int
+as_ll(PyObject *o, ll *out)
+{
+    ll v = PyLong_AsLongLong(o);
+    if (v == -1 && PyErr_Occurred())
         return -1;
-    }
-    return (Py_ssize_t) len;
+    *out = v;
+    return 0;
 }
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
+
+/* A modulus (or p) within the word-size margin. */
+static int
+as_modulus(PyObject *o, ll *out)
+{
+    if (as_ll(o, out) < 0)
+        return -1;
+    if (*out < 1 || *out > MOD_LIMIT)
+        return bail("modulus outside the compiled kernel's word-size margin");
+    return 0;
 }
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
-    }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
+
+/* PySequence_Fast of o whose length is at least len (exactly len when
+ * exact is set); NULL with an exception set otherwise. */
+static PyObject *
+fast_seq(PyObject *o, Py_ssize_t len, int exact)
+{
+    PyObject *f = PySequence_Fast(o, "expected a sequence");
+    if (f == NULL)
+        return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(f);
+    if (n < len || (exact && n != len)) {
+        Py_DECREF(f);
+        bail("sequence of unexpected length");
         return NULL;
     }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
+    return f;
 }
 
-
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
-            }
-        }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
-    }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
+/* Load len entries of the sequence o as they are. */
+static int
+load_row(PyObject *o, Py_ssize_t len, int exact, ll *out)
+{
+    PyObject *f = fast_seq(o, len, exact);
+    if (f == NULL)
+        return -1;
+    PyObject **items = PySequence_Fast_ITEMS(f);
+    for (Py_ssize_t k = 0; k < len; k++)
+        if (as_ll(items[k], &out[k]) < 0) {
+            Py_DECREF(f);
             return -1;
         }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
-    }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
+    Py_DECREF(f);
     return 0;
 }
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
+
+static PyObject *
+tuple_of(const ll *v, Py_ssize_t n)
+{
+    PyObject *t = PyTuple_New(n);
+    if (t == NULL)
+        return NULL;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        PyObject *x = PyLong_FromLongLong(v[k]);
+        if (x == NULL) {
+            Py_DECREF(t);
+            return NULL;
         }
+        PyTuple_SET_ITEM(t, k, x);
     }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
+    return t;
 }
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
+
+/* Tuple of nrows row tuples of a row-major nrows x ncols buffer. */
+static PyObject *
+rows_of(const ll *m, Py_ssize_t nrows, Py_ssize_t ncols)
+{
+    PyObject *t = PyTuple_New(nrows);
+    if (t == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < nrows; i++) {
+        PyObject *row = tuple_of(m + i * ncols, ncols);
+        if (row == NULL) {
+            Py_DECREF(t);
+            return NULL;
         }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
+        PyTuple_SET_ITEM(t, i, row);
     }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
+    return t;
+}
+
+static void *
+alloc(Py_ssize_t count, size_t size)
+{
+    void *p = PyMem_Malloc((count > 0 ? (size_t)count : 1) * size);
+    if (p == NULL)
+        PyErr_NoMemory();
+    return p;
+}
+
+static int
+check_nargs(Py_ssize_t nargs, Py_ssize_t want, const char *name)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)", name, want, nargs);
+    return -1;
+}
+
+/* ------------------------------------------------------------------------
+ * Lattice primitives.  A lattice L with diag(mods) Z^r <= L <= Z^r is kept
+ * as integer columns whose entry k is reduced into [0, mods[k]).
+ */
+
+PyDoc_STRVAR(hnf_kernel_doc,
+"hnf_kernel(mods, cols)\n--\n\n"
+"Canonical column Hermite form of span(cols) + diag(mods) Z^r, as the\n"
+"r x r lower-triangular basis: a tuple of row tuples.");
+
+static PyObject *
+hnf_kernel(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs(nargs, 2, "hnf_kernel") < 0)
+        return NULL;
+    PyObject *result = NULL, *mods_f = NULL, *cols_f = NULL;
+    ll *dmod = NULL, *buf = NULL, *h = NULL;
+    Py_ssize_t *live = NULL, *piv = NULL;
+
+    mods_f = PySequence_Fast(args[0], "mods must be a sequence");
+    cols_f = mods_f ? PySequence_Fast(args[1], "cols must be a sequence") : NULL;
+    if (cols_f == NULL)
+        goto done;
+    Py_ssize_t r = PySequence_Fast_GET_SIZE(mods_f);
+    Py_ssize_t ncols = PySequence_Fast_GET_SIZE(cols_f);
+    Py_ssize_t cap = ncols + r;
+    dmod = alloc(r, sizeof(ll));
+    buf = alloc(cap * r, sizeof(ll));
+    live = alloc(cap, sizeof(Py_ssize_t));
+    piv = alloc(r, sizeof(Py_ssize_t));
+    if (!dmod || !buf || !live || !piv)
+        goto done;
+    for (Py_ssize_t k = 0; k < r; k++)
+        if (as_modulus(PySequence_Fast_GET_ITEM(mods_f, k), &dmod[k]) < 0)
+            goto done;
+
+    /* Working columns: the nonzero reduced inputs, in input order. */
+    Py_ssize_t nlive = 0, used = 0;
+    for (Py_ssize_t c = 0; c < ncols; c++) {
+        ll *col = buf + used * r;
+        if (load_row(PySequence_Fast_GET_ITEM(cols_f, c), r, 1, col) < 0)
+            goto done;
+        for (Py_ssize_t k = 0; k < r; k++)
+            col[k] = mod(col[k], dmod[k]);
+        for (Py_ssize_t k = 0; k < r; k++)
+            if (col[k]) {
+                live[nlive++] = used++;
+                break;
+            }
     }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
+
+    for (Py_ssize_t i = 0; i < r; i++) {
+        /* Add the relation column mods[i] e_i, then run Euclid on row i:
+         * subtract multiples of the column with the smallest nonzero entry
+         * (the first such) until one nonzero entry is left. */
+        ll *fresh = buf + used * r;
+        memset(fresh, 0, r * sizeof(ll));
+        fresh[i] = dmod[i];
+        live[nlive++] = used++;
+        for (;;) {
+            Py_ssize_t cnt = 0, mpos = -1;
+            ll mv = 0;
+            for (Py_ssize_t j = 0; j < nlive; j++) {
+                ll v = buf[live[j] * r + i];
+                if (v) {
+                    cnt++;
+                    if (mpos < 0 || v < mv) {
+                        mpos = j;
+                        mv = v;
+                    }
+                }
+            }
+            if (cnt <= 1)
+                break;
+            const ll *m = buf + live[mpos] * r;
+            for (Py_ssize_t j = 0; j < nlive; j++) {
+                ll *c = buf + live[j] * r;
+                if (j == mpos || c[i] == 0)
+                    continue;
+                ll q = c[i] / mv;
+                c[i] -= q * mv;
+                for (Py_ssize_t k = i + 1; k < r; k++)
+                    c[k] = mod(c[k] - q * m[k], dmod[k]);
             }
         }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
+        /* The pivot is the first live column with a nonzero entry in row i;
+         * it leaves the working set, which keeps its order. */
+        Py_ssize_t mpos = 0;
+        while (buf[live[mpos] * r + i] == 0)
+            mpos++;
+        piv[i] = live[mpos];
+        memmove(live + mpos, live + mpos + 1, (nlive - mpos - 1) * sizeof(Py_ssize_t));
+        nlive--;
+    }
+
+    /* Reduce the entries left of each pivot into [0, pivot). */
+    for (Py_ssize_t i = 0; i < r; i++) {
+        const ll *pi = buf + piv[i] * r;
+        for (Py_ssize_t j = 0; j < i; j++) {
+            ll *pj = buf + piv[j] * r;
+            ll q = pj[i] / pi[i];
+            if (q) {
+                pj[i] -= q * pi[i];
+                for (Py_ssize_t k = i + 1; k < r; k++)
+                    pj[k] = mod(pj[k] - q * pi[k], dmod[k]);
             }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
         }
     }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
+
+    /* H has the pivot columns as its columns. */
+    if ((h = alloc(r * r, sizeof(ll))) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < r; i++)
+        for (Py_ssize_t j = 0; j < r; j++)
+            h[i * r + j] = buf[piv[j] * r + i];
+    result = rows_of(h, r, r);
+done:
+    Py_XDECREF(mods_f);
+    Py_XDECREF(cols_f);
+    PyMem_Free(dmod);
+    PyMem_Free(buf);
+    PyMem_Free(live);
+    PyMem_Free(piv);
+    PyMem_Free(h);
     return result;
 }
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
+
+PyDoc_STRVAR(box_reduce_doc,
+"box_reduce(mods, hrows, vec)\n--\n\n"
+"Canonical representative of vec's coset modulo the lattice with basis\n"
+"hrows: the unique member of the box prod_i [0, hrows[i][i]).");
+
+static PyObject *
+box_reduce(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs(nargs, 3, "box_reduce") < 0)
+        return NULL;
+    PyObject *result = NULL, *mods_f = NULL, *h_f = NULL;
+    ll *dmod = NULL, *h = NULL, *w = NULL;
+
+    mods_f = PySequence_Fast(args[0], "mods must be a sequence");
+    if (mods_f == NULL)
         goto done;
-    }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
+    Py_ssize_t r = PySequence_Fast_GET_SIZE(mods_f);
+    dmod = alloc(r, sizeof(ll));
+    h = alloc(r * r, sizeof(ll));
+    w = alloc(r, sizeof(ll));
+    if (!dmod || !h || !w)
+        goto done;
+    for (Py_ssize_t k = 0; k < r; k++)
+        if (as_modulus(PySequence_Fast_GET_ITEM(mods_f, k), &dmod[k]) < 0)
+            goto done;
+    if ((h_f = fast_seq(args[1], r, 0)) == NULL)
+        goto done;
+    /* Row k of the basis is read up to its diagonal.  Entries left of the
+     * diagonal only enter mod mods[k]; the diagonal divides as it is. */
+    for (Py_ssize_t k = 0; k < r; k++) {
+        ll *hk = h + k * r;
+        if (load_row(PySequence_Fast_GET_ITEM(h_f, k), k + 1, 0, hk) < 0)
+            goto done;
+        for (Py_ssize_t i = 0; i < k; i++)
+            hk[i] = mod(hk[i], dmod[k]);
+        if (hk[k] < 1 || hk[k] > MOD_LIMIT) {
+            bail("basis diagonal outside the compiled kernel's word-size margin");
+            goto done;
         }
     }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
+    if (load_row(args[2], r, 0, w) < 0)
+        goto done;
+    for (Py_ssize_t k = 0; k < r; k++)
+        w[k] = mod(w[k], dmod[k]);
+    for (Py_ssize_t i = 0; i < r; i++) {
+        ll q = w[i] / h[i * r + i];
+        if (q) {
+            w[i] -= q * h[i * r + i];
+            for (Py_ssize_t k = i + 1; k < r; k++)
+                w[k] = mod(w[k] - q * h[k * r + i], dmod[k]);
+        }
     }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
+    result = tuple_of(w, r);
+done:
+    Py_XDECREF(mods_f);
+    Py_XDECREF(h_f);
+    PyMem_Free(dmod);
+    PyMem_Free(h);
+    PyMem_Free(w);
+    return result;
+}
+
+/* ------------------------------------------------------------------------
+ * F_p primitives.  Matrices are tuples of row tuples; entries are reduced
+ * into [0, p) as they are loaded, so a product of two is below 2**40 and a
+ * dot product of at most MAX_INNER terms stays below 2**63.
+ */
+
+static int
+load_vec(PyObject *o, Py_ssize_t len, int exact, ll p, ll *out)
+{
+    if (load_row(o, len, exact, out) < 0)
+        return -1;
+    for (Py_ssize_t j = 0; j < len; j++)
+        out[j] = mod(out[j], p);
     return 0;
 }
-#endif
 
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
+/* Load the nrows x ncols matrix o, each row ncols long, reduced mod p. */
+static int
+load_matrix(PyObject *o, Py_ssize_t nrows, Py_ssize_t ncols, ll p, ll *out)
+{
+    PyObject *f = fast_seq(o, nrows, 1);
+    if (f == NULL)
+        return -1;
+    for (Py_ssize_t i = 0; i < nrows; i++)
+        if (load_vec(PySequence_Fast_GET_ITEM(f, i), ncols, 1, p, out + i * ncols) < 0) {
+            Py_DECREF(f);
+            return -1;
+        }
+    Py_DECREF(f);
+    return 0;
+}
 
+/* p and the size of the inner dimension within the word-size margin. */
+static int
+check_fp(PyObject *po, Py_ssize_t inner, ll *p)
+{
+    if (as_modulus(po, p) < 0)
+        return -1;
+    if (inner > MAX_INNER)
+        return bail("dimension outside the compiled kernel's word-size margin");
+    return 0;
+}
 
+static ll
+inv_mod(ll a, ll p)
+{
+    ll r0 = a, r1 = p, x0 = 1, x1 = 0;
+    while (r1) {
+        ll q = r0 / r1, t = r0 - q * r1;
+        r0 = r1;
+        r1 = t;
+        t = x0 - q * x1;
+        x0 = x1;
+        x1 = t;
+    }
+    return mod(x0, p);
+}
 
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */
+/* out = a v for the n x m matrix a and the vector v, both reduced. */
+static void
+apply(const ll *a, const ll *v, Py_ssize_t n, Py_ssize_t m, ll p, ll *out)
+{
+    for (Py_ssize_t i = 0; i < n; i++) {
+        ll s = 0;
+        for (Py_ssize_t k = 0; k < m; k++)
+            s += a[i * m + k] * v[k];
+        out[i] = s % p;
+    }
+}
+
+/* Reduced row echelon form of the nrows x ncols matrix m in place; writes
+ * the pivot columns to piv and returns the rank. */
+static Py_ssize_t
+echelon(ll *m, Py_ssize_t nrows, Py_ssize_t ncols, ll p, Py_ssize_t *piv)
+{
+    Py_ssize_t rank = 0;
+    for (Py_ssize_t c = 0; c < ncols && rank < nrows; c++) {
+        Py_ssize_t pr = rank;
+        while (pr < nrows && m[pr * ncols + c] == 0)
+            pr++;
+        if (pr == nrows)
+            continue;
+        ll *top = m + rank * ncols;
+        if (pr != rank)
+            for (Py_ssize_t j = 0; j < ncols; j++) {
+                ll t = top[j];
+                top[j] = m[pr * ncols + j];
+                m[pr * ncols + j] = t;
+            }
+        ll inv = inv_mod(top[c], p);
+        for (Py_ssize_t j = 0; j < ncols; j++)
+            top[j] = top[j] * inv % p;
+        for (Py_ssize_t i = 0; i < nrows; i++) {
+            ll *row = m + i * ncols, f = row[c];
+            if (i != rank && f)
+                for (Py_ssize_t j = 0; j < ncols; j++)
+                    row[j] = mod(row[j] - f * top[j], p);
+        }
+        piv[rank++] = c;
+    }
+    return rank;
+}
+
+PyDoc_STRVAR(mat_mul_doc, "mat_mul(p, a, b)\n--\n\nThe product a b over F_p.");
+
+static PyObject *
+mat_mul(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs(nargs, 3, "mat_mul") < 0)
+        return NULL;
+    PyObject *result = NULL;
+    ll *a = NULL, *b = NULL, *out = NULL, p;
+    Py_ssize_t n = PyObject_Length(args[1]), inner = PyObject_Length(args[2]), m = 0;
+    if (n < 0 || inner < 0)
+        return NULL;
+    if (inner) {
+        PyObject *b0 = PySequence_GetItem(args[2], 0);
+        if (b0 == NULL)
+            return NULL;
+        m = PyObject_Length(b0);
+        Py_DECREF(b0);
+        if (m < 0)
+            return NULL;
+    }
+    if (check_fp(args[0], inner, &p) < 0)
+        return NULL;
+    a = alloc(n * inner, sizeof(ll));
+    b = alloc(inner * m, sizeof(ll));
+    out = alloc(n * m, sizeof(ll));
+    if (!a || !b || !out || load_matrix(args[1], n, inner, p, a) < 0
+        || load_matrix(args[2], inner, m, p, b) < 0)
+        goto done;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        ll *o = out + i * m;
+        memset(o, 0, m * sizeof(ll));
+        for (Py_ssize_t k = 0; k < inner; k++) {
+            ll aik = a[i * inner + k];
+            if (aik)
+                for (Py_ssize_t j = 0; j < m; j++)
+                    o[j] += aik * b[k * m + j];
+        }
+        for (Py_ssize_t j = 0; j < m; j++)
+            o[j] %= p;
+    }
+    result = rows_of(out, n, m);
+done:
+    PyMem_Free(a);
+    PyMem_Free(b);
+    PyMem_Free(out);
+    return result;
+}
+
+PyDoc_STRVAR(mat_vec_doc, "mat_vec(p, a, v)\n--\n\nThe product a v over F_p.");
+
+static PyObject *
+mat_vec(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs(nargs, 3, "mat_vec") < 0)
+        return NULL;
+    PyObject *result = NULL;
+    ll *a = NULL, *v = NULL, *out = NULL, p;
+    Py_ssize_t n = PyObject_Length(args[1]), m = PyObject_Length(args[2]);
+    if (n < 0 || m < 0 || check_fp(args[0], m, &p) < 0)
+        return NULL;
+    a = alloc(n * m, sizeof(ll));
+    v = alloc(m, sizeof(ll));
+    out = alloc(n, sizeof(ll));
+    if (!a || !v || !out || load_matrix(args[1], n, m, p, a) < 0 || load_vec(args[2], m, 1, p, v) < 0)
+        goto done;
+    apply(a, v, n, m, p, out);
+    result = tuple_of(out, n);
+done:
+    PyMem_Free(a);
+    PyMem_Free(v);
+    PyMem_Free(out);
+    return result;
+}
+
+PyDoc_STRVAR(rref_doc,
+"rref(p, rows)\n--\n\n"
+"Reduced row echelon form over F_p: (nonzero rows, pivot columns).");
+
+static PyObject *
+rref(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs(nargs, 2, "rref") < 0)
+        return NULL;
+    PyObject *result = NULL;
+    ll *m = NULL, p;
+    Py_ssize_t *piv = NULL, nrows = PyObject_Length(args[1]), ncols = 0;
+    if (nrows < 0)
+        return NULL;
+    if (nrows) {
+        PyObject *r0 = PySequence_GetItem(args[1], 0);
+        if (r0 == NULL)
+            return NULL;
+        ncols = PyObject_Length(r0);
+        Py_DECREF(r0);
+        if (ncols < 0)
+            return NULL;
+    }
+    if (as_modulus(args[0], &p) < 0)
+        return NULL;
+    m = alloc(nrows * ncols, sizeof(ll));
+    piv = alloc(ncols, sizeof(Py_ssize_t));
+    if (!m || !piv || load_matrix(args[1], nrows, ncols, p, m) < 0)
+        goto done;
+    Py_ssize_t rank = echelon(m, nrows, ncols, p, piv);
+    PyObject *rows = rows_of(m, rank, ncols), *cols = PyTuple_New(rank);
+    for (Py_ssize_t i = 0; cols && i < rank; i++) {
+        PyObject *x = PyLong_FromSsize_t(piv[i]);
+        if (x == NULL)
+            Py_CLEAR(cols);
+        else
+            PyTuple_SET_ITEM(cols, i, x);
+    }
+    if (rows && cols)
+        result = PyTuple_Pack(2, rows, cols);
+    Py_XDECREF(rows);
+    Py_XDECREF(cols);
+done:
+    PyMem_Free(m);
+    PyMem_Free(piv);
+    return result;
+}
+
+/* Reduce the reduced vector w (length n) against the echelon rows of basis
+ * (nb rows, leading 1 at pivots[i], pivots ascending).  If something is
+ * left, scale it to a leading 1, insert it in pivot order and return 1. */
+static int
+insert(ll *w, ll *basis, Py_ssize_t *pivots, Py_ssize_t *nb, Py_ssize_t n, ll p)
+{
+    for (Py_ssize_t i = 0; i < *nb; i++) {
+        ll x = w[pivots[i]];
+        if (x)
+            for (Py_ssize_t j = 0; j < n; j++)
+                w[j] = mod(w[j] - x * basis[i * n + j], p);
+    }
+    Py_ssize_t lead = 0;
+    while (lead < n && w[lead] == 0)
+        lead++;
+    if (lead == n)
+        return 0;
+    ll inv = inv_mod(w[lead], p);
+    Py_ssize_t k = 0;
+    while (k < *nb && pivots[k] < lead)
+        k++;
+    memmove(basis + (k + 1) * n, basis + k * n, (*nb - k) * n * sizeof(ll));
+    memmove(pivots + k + 1, pivots + k, (*nb - k) * sizeof(Py_ssize_t));
+    for (Py_ssize_t j = 0; j < n; j++)
+        basis[k * n + j] = w[j] * inv % p;
+    pivots[k] = lead;
+    (*nb)++;
+    return 1;
+}
+
+PyDoc_STRVAR(spin_doc,
+"spin(p, gens, seeds, limit)\n--\n\n"
+"Smallest subspace containing seeds and closed under every matrix in gens,\n"
+"as its canonical RREF basis.  Stops early, with the span found so far, once\n"
+"the dimension reaches limit.");
+
+static PyObject *
+spin(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs(nargs, 4, "spin") < 0)
+        return NULL;
+    PyObject *result = NULL, *gens_f = NULL, *seeds_f = NULL;
+    ll *g = NULL, *basis = NULL, *stack = NULL, *cur = NULL, *w = NULL, p, limit;
+    Py_ssize_t *pivots = NULL, nb = 0, top = 0;
+
+    seeds_f = PySequence_Fast(args[2], "seeds must be a sequence");
+    gens_f = seeds_f ? PySequence_Fast(args[1], "gens must be a sequence") : NULL;
+    if (gens_f == NULL || as_ll(args[3], &limit) < 0)
+        goto done;
+    Py_ssize_t nseeds = PySequence_Fast_GET_SIZE(seeds_f), ngens = PySequence_Fast_GET_SIZE(gens_f);
+    if (nseeds == 0) {
+        result = PyTuple_New(0);
+        goto done;
+    }
+    Py_ssize_t n = PyObject_Length(PySequence_Fast_GET_ITEM(seeds_f, 0));
+    if (n < 0 || check_fp(args[0], n, &p) < 0)
+        goto done;
+    g = alloc(ngens * n * n, sizeof(ll));
+    basis = alloc(n * n, sizeof(ll));
+    pivots = alloc(n, sizeof(Py_ssize_t));
+    stack = alloc(n * n, sizeof(ll));
+    cur = alloc(n, sizeof(ll));
+    w = alloc(n, sizeof(ll));
+    if (!g || !basis || !pivots || !stack || !cur || !w)
+        goto done;
+    for (Py_ssize_t t = 0; t < ngens; t++)
+        if (load_matrix(PySequence_Fast_GET_ITEM(gens_f, t), n, n, p, g + t * n * n) < 0)
+            goto done;
+
+    /* Every vector that enlarges the basis is pushed, so at most n are; the
+     * last one pushed is spun first. */
+    for (Py_ssize_t s = 0; s < nseeds; s++) {
+        if (load_vec(PySequence_Fast_GET_ITEM(seeds_f, s), n, 1, p, cur) < 0)
+            goto done;
+        memcpy(w, cur, n * sizeof(ll));
+        if (insert(w, basis, pivots, &nb, n, p))
+            memcpy(stack + top++ * n, cur, n * sizeof(ll));
+    }
+    while (top && nb < limit) {
+        memcpy(cur, stack + --top * n, n * sizeof(ll));
+        for (Py_ssize_t t = 0; t < ngens && nb < limit; t++) {
+            ll *img = stack + top * n;
+            apply(g + t * n * n, cur, n, n, p, img);
+            memcpy(w, img, n * sizeof(ll));
+            if (insert(w, basis, pivots, &nb, n, p))
+                top++;
+        }
+    }
+    result = rows_of(basis, echelon(basis, nb, n, p, pivots), n);
+done:
+    Py_XDECREF(seeds_f);
+    Py_XDECREF(gens_f);
+    PyMem_Free(g);
+    PyMem_Free(basis);
+    PyMem_Free(pivots);
+    PyMem_Free(stack);
+    PyMem_Free(cur);
+    PyMem_Free(w);
+    return result;
+}
+
+static PyMethodDef methods[] = {
+    {"hnf_kernel", (PyCFunction)(void (*)(void))hnf_kernel, METH_FASTCALL, hnf_kernel_doc},
+    {"box_reduce", (PyCFunction)(void (*)(void))box_reduce, METH_FASTCALL, box_reduce_doc},
+    {"mat_mul", (PyCFunction)(void (*)(void))mat_mul, METH_FASTCALL, mat_mul_doc},
+    {"mat_vec", (PyCFunction)(void (*)(void))mat_vec, METH_FASTCALL, mat_vec_doc},
+    {"rref", (PyCFunction)(void (*)(void))rref, METH_FASTCALL, rref_doc},
+    {"spin", (PyCFunction)(void (*)(void))spin, METH_FASTCALL, spin_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_core",
+    .m_doc = "Compiled kernel: integer column reduction and F_p matrix primitives.",
+    .m_size = -1,
+    .m_methods = methods,
+};
+
+PyMODINIT_FUNC
+PyInit__core(void)
+{
+    PyObject *m = PyModule_Create(&module);
+    if (m == NULL)
+        return NULL;
+    NeedsBigInts = PyErr_NewExceptionWithDoc(
+        "endokat._kernel._core.NeedsBigInts",
+        "An input lies outside the compiled kernel's word-size margin.", NULL, NULL);
+    if (NeedsBigInts == NULL || PyModule_AddObjectRef(m, "NeedsBigInts", NeedsBigInts) < 0
+        || PyModule_AddIntConstant(m, "MOD_LIMIT", MOD_LIMIT) < 0) {
+        Py_DECREF(m);
+        return NULL;
+    }
+    return m;
+}

@@ -1,7 +1,9 @@
 """Pure-Python kernel: integer column reduction and F_p matrix primitives.
 
-Mirrors the compiled extension `_core` exactly; selected at import when the
-extension is unavailable (or when ENDOKAT_PURE=1).
+The reference for the compiled extension ``_core.c``, which returns the same
+values; selected at import when the extension is unavailable (or when
+ENDOKAT_PURE=1), and called by the compiled backend for inputs beyond its
+word-size margin.
 
 The integer primitive works on lattices L with diag(d) * Z^r <= L <= Z^r,
 where d[i] is the order of the i-th cyclic coordinate of a finite abelian
@@ -10,45 +12,27 @@ row i may be kept reduced into [0, d[i]) throughout; entries therefore stay
 machine-word sized for group orders within the configured cap.
 """
 
-BACKEND = "pure"
 
-
-def hnf_kernel(mods, cols, nbottom, bottom_mod):
+def hnf_kernel(mods, cols):
     """Canonical column Hermite form of span(cols) + diag(mods)*Z^r.
 
-    ``cols`` is a sequence of integer columns of length r + nbottom; the
-    trailing ``nbottom`` entries of each column are carried along unchanged
-    by the column operations (reduced mod ``bottom_mod``) and do not take
-    part in pivoting.
-
-    Returns ``(H, kernels)`` where ``H`` is the r x r lower-triangular basis
-    as a tuple of row tuples (positive diagonal, entries left of each pivot
-    reduced into [0, pivot)), and ``kernels`` lists the carried blocks of the
-    columns whose lattice part vanished, i.e. generators of
-    ``{x : cols * x == 0 mod diag(mods)}`` pushed through the carried block.
-    The package itself passes ``nbottom == 0`` (see
-    ``groups.Subgroup.pushforward``); the carried block is kept as the
-    reference that the tests compare it with.
+    ``cols`` is a sequence of integer columns of length r.  Returns the
+    r x r lower-triangular basis as a tuple of row tuples (positive
+    diagonal, entries left of each pivot reduced into [0, pivot)).
     """
     r = len(mods)
-    nb = nbottom
-    bm = bottom_mod if bottom_mod > 0 else 1
-    total = r + nb
-
     work = []
     for col in cols:
         c = list(col)
         for k in range(r):
             c[k] %= mods[k]
-        for k in range(r, total):
-            c[k] %= bm
         if any(c):
             work.append(c)
 
     pivots = []
     for i in range(r):
         d = mods[i]
-        fresh = [0] * total
+        fresh = [0] * r
         fresh[i] = d
         work.append(fresh)
         while True:
@@ -64,8 +48,6 @@ def hnf_kernel(mods, cols, nbottom, bottom_mod):
                 c[i] -= q * mi
                 for k in range(i + 1, r):
                     c[k] = (c[k] - q * m[k]) % mods[k]
-                for k in range(r, total):
-                    c[k] = (c[k] - q * m[k]) % bm
         piv = None
         for c in work:
             if c[i]:
@@ -89,14 +71,7 @@ def hnf_kernel(mods, cols, nbottom, bottom_mod):
                 for k in range(i + 1, r):
                     pj[k] = (pj[k] - q * pi[k]) % mods[k]
 
-    H = tuple(zip(*pivots))[:r]
-    kernels = []
-    if nb:
-        for c in work:
-            bot = tuple(c[r:])
-            if any(bot):
-                kernels.append(bot)
-    return H, kernels
+    return tuple(zip(*pivots))[:r]
 
 
 def box_reduce(mods, hrows, vec):
@@ -178,8 +153,8 @@ def rref(p, rows):
 
 def spin(p, gens, seeds, limit):
     """Smallest subspace containing ``seeds`` and closed under every matrix
-    in ``gens``; returns its canonical RREF basis.  Stops early (returning
-    the full space marker) once the dimension reaches ``limit``."""
+    in ``gens``; returns its canonical RREF basis.  Stops early, with the
+    span found so far, once the dimension reaches ``limit``."""
     basis = []  # echelon rows, pivot ascending, not yet fully reduced
     pivots = []
 

@@ -173,6 +173,8 @@ def cmd_linearize(args):
         _emit(payload, args.report)
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 1
+    except InvalidInput:
+        raise
     except EndokatError as exc:
         payload = {
             "format_version": jsonio.FORMAT_VERSION,

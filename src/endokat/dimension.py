@@ -14,7 +14,7 @@ import math
 
 from . import linearize
 from .errors import AmbientMismatch, CapExceeded, Inconclusive, InvalidInput
-from .groups import AbelianGroup, FinAbGroup, Subgroup, _prime_factorization
+from .groups import AbelianGroup, FinAbGroup, Subgroup, check_characteristic
 from .endogeny import Endogeny, EndogenySet, NegligibilityBound
 
 
@@ -25,8 +25,7 @@ class SplitGroup:
     __slots__ = ("p", "n", "torsion", "ambient", "bound")
 
     def __init__(self, p, n, torsion: FinAbGroup):
-        if _prime_factorization(p) != {p: 1}:
-            raise InvalidInput(f"{p} is not prime")
+        check_characteristic(p)
         if n < 0:
             raise InvalidInput("negative rank")
         if math.gcd(p, torsion.order) != 1:

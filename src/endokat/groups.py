@@ -150,6 +150,16 @@ def _prime_factorization(n):
     return out
 
 
+def check_characteristic(p):
+    """Reject ``p`` as the order of a prime field: above the order cap
+    first, which keeps the primality test below 2**10 trial divisions, then
+    if it is not prime."""
+    if p > config.MAX_ORDER:
+        raise CapExceeded(f"characteristic {p} above the order cap MAX_ORDER = {config.MAX_ORDER}")
+    if _prime_factorization(p) != {p: 1}:
+        raise InvalidInput(f"characteristic {p} is not prime")
+
+
 def canonicalize_group(factors) -> FinAbGroup:
     """Invariant-factor form of a direct sum of cyclic groups Z/f_i.
 
@@ -211,8 +221,7 @@ class Subgroup:
     def _span(cls, group, cols):
         """:meth:`from_generators` on integer columns of the right length,
         unvalidated: the kernel reduces them itself."""
-        h, _ = hnf_kernel(group.moduli, cols, 0, 1)
-        return cls(group, h)
+        return cls(group, hnf_kernel(group.moduli, cols))
 
     @classmethod
     def pushforward(cls, carried, lattice_mods, cols):
@@ -229,7 +238,7 @@ class Subgroup:
         canonical form.
         """
         r = len(lattice_mods)
-        h, _ = hnf_kernel(tuple(lattice_mods) + carried.moduli, cols, 0, 1)
+        h = hnf_kernel(tuple(lattice_mods) + carried.moduli, cols)
         return cls(carried, tuple(row[r:] for row in h[r:]))
 
     @classmethod

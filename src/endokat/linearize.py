@@ -26,6 +26,7 @@ from .errors import (
     NotLocallyCentral,
     NoTransporter,
 )
+from .groups import check_characteristic
 
 
 class MatrixAlgebra:
@@ -803,6 +804,7 @@ def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
     Otherwise the field of the first line is extracted recursively and
     lifted along transporters.
     """
+    check_characteristic(p)
     if n == 0:
         raise InvalidInput("empty space")
     gamma_gens = [fp.mat(g, p) for g in gamma_gens]

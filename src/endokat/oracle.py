@@ -34,17 +34,18 @@ class DenseGroup:
         """Subgroup generated by gens, as a frozenset of elements."""
         g = self.group
         have = {g.zero}
-        frontier = [g.zero]
-        gens = [g.reduce(x) for x in gens]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for x in gens:
-                    b = g.add(a, x)
-                    if b not in have:
-                        have.add(b)
-                        nxt.append(b)
-            frontier = nxt
+        for x in gens:
+            x = g.reduce(x)
+            # x in H: H + <x> = H.
+            if x in have:
+                continue
+            # H + <x> is the union of the cosets H + kx, k = 0, 1, ...; they
+            # are distinct until the first kx that lies in H.
+            base = frozenset(have)
+            step = x
+            while step not in base:
+                have.update(g.add(h, step) for h in base)
+                step = g.add(step, x)
         return frozenset(have)
 
     def all_subgroup_sets(self):
@@ -105,18 +106,25 @@ def invariant_factors_from_orders(orders):
     return canonicalize_group(prime_powers).invariant_factors
 
 
+def coset_representatives(dg: DenseGroup, f_set) -> list:
+    """The first element of each coset a + F, in sorted order."""
+    g = dg.group
+    reps = []
+    covered = set()
+    for a in dg.elements:
+        # a starts a new coset iff no earlier element lies in a + F; the
+        # whole coset is marked at once, so each element is added once.
+        if a not in covered:
+            reps.append(a)
+            covered.update(g.add(a, h) for h in f_set)
+    return reps
+
+
 def naive_quotient_factors(dg: DenseGroup, f_set) -> list:
     """Invariant factors of G/F computed from coset element orders only."""
     g = dg.group
-    reps = []
-    seen = set()
-    for a in dg.elements:
-        key = min(g.add(a, x) for x in f_set)
-        if key not in seen:
-            seen.add(key)
-            reps.append(a)
     orders = []
-    for a in reps:
+    for a in coset_representatives(dg, f_set):
         k = 1
         cur = a
         while cur not in f_set:
@@ -242,13 +250,7 @@ def enumerate_endogeny_pairs(a: AbelianGroup, n_max: Subgroup):
     nset = frozenset(n_max.elements())
     subs = [s for s in dg.all_subgroup_sets() if s <= nset]
     for f in subs:
-        reps = []
-        seen = set()
-        for x in dg.elements:
-            key = min(a.add(x, h) for h in f)
-            if key not in seen:
-                seen.add(key)
-                reps.append(x)
+        reps = coset_representatives(dg, f)
         choices = []
         for d in a.moduli:
             ok = []
@@ -268,13 +270,10 @@ def count_endogenies(a: AbelianGroup, n_max: Subgroup):
     nset = frozenset(n_max.elements())
     total = 0
     for f in (s for s in dg.all_subgroup_sets() if s <= nset):
-        reps = {}
-        for x in dg.elements:
-            key = min(a.add(x, h) for h in f)
-            reps.setdefault(key, x)
+        reps = coset_representatives(dg, f)
         per = 1
         for d in a.moduli:
-            per *= sum(1 for y in reps.values() if a.scalar_mul(d, y) in f)
+            per *= sum(1 for y in reps if a.scalar_mul(d, y) in f)
         total += per
     return total
 

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "endokat.cli"]
 
 
@@ -124,6 +126,22 @@ def test_linearize_reducible_plant(tmp_path):
     assert r.returncode == 1
     diag = json.loads(r.stdout)
     assert "witness_order" in diag or "witness" in diag
+
+
+IDENTITY2 = [[[1, 0], [0, 1]]]
+
+
+@pytest.mark.parametrize("doc", [
+    {"p": 4, "n": 2, "gamma_generators": IDENTITY2, "delta_generators": IDENTITY2},
+    {"p": 2, "n": 0, "gamma_generators": [[]], "delta_generators": [[]]},
+    {"p": 2, "gamma_generators": IDENTITY2, "delta_generators": IDENTITY2},
+], ids=["composite-p", "n-zero", "n-missing"])
+def test_linearize_invalid_input_exit_2(tmp_path, doc):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"format_version": "1", "kind": "matrix_bimodule", **doc}))
+    r = run("linearize", str(f))
+    assert r.returncode == 2
+    assert "invalid input" in r.stderr
 
 
 def test_oracle_flag(tmp_path):

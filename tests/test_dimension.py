@@ -4,7 +4,7 @@ import pytest
 
 from endokat.dimension import SplitGroup, is_minimal_bimodule
 from endokat.endogeny import Endogeny, EndogenySet
-from endokat.errors import InvalidInput
+from endokat.errors import CapExceeded, InvalidInput
 from endokat.groups import Subgroup, canonicalize_group, subgroup_from_generators
 from endokat.instances import random_endogeny, split_bimodule
 from endokat.rng import SplitMix64
@@ -18,6 +18,8 @@ def sg223():
 def test_split_group_validation():
     with pytest.raises(InvalidInput):
         SplitGroup(4, 2, canonicalize_group([3]))  # not prime
+    with pytest.raises(CapExceeded, match="MAX_ORDER"):
+        SplitGroup(2**61 - 1, 1, canonicalize_group([]))  # no trial division
     with pytest.raises(InvalidInput):
         SplitGroup(3, 1, canonicalize_group([3]))  # not coprime
     sg = SplitGroup(2, 0, canonicalize_group([9]))

@@ -1,9 +1,11 @@
 """Abelian-core: canonical forms, subgroup lattice, quotients, sums."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from endokat import groups, oracle
+from endokat import config, groups, oracle
 from endokat._kernel import hnf_kernel
 from endokat.dimension import SplitGroup
 from endokat.endogeny import _cross_right
@@ -291,14 +293,16 @@ def test_known_answers_skip_the_kernel(monkeypatch):
     assert len(calls) == 1
 
 
-PUSH_MODULI = st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), min_size=0, max_size=3)
-
-
 @st.composite
 def pushforward_inputs(draw):
-    lattice_mods = draw(PUSH_MODULI)
-    carried = AbelianGroup(draw(PUSH_MODULI))
-    width = len(lattice_mods) + carried.rank
+    """Leading and trailing moduli with a product the oracle can enumerate,
+    and integer columns over both blocks."""
+    mods = draw(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), max_size=6))
+    while math.prod(mods) > config.ORACLE_CAP:
+        mods.pop()
+    cut = draw(st.integers(0, len(mods)))
+    lattice_mods, carried = mods[:cut], AbelianGroup(mods[cut:])
+    width = len(mods)
     cols = draw(st.lists(st.lists(st.integers(-40, 40), min_size=width, max_size=width), max_size=6))
     return carried, lattice_mods, cols
 
@@ -309,12 +313,16 @@ def pushforward_inputs(draw):
 @example((AbelianGroup([2, 4]), [], [[1, 2], [3, 3]]))
 @example((AbelianGroup([]), [4], [[2]]))
 def test_pushforward_matches_carried_kernel(data):
-    """One Hermite form answers what the kernel's carried block followed by
-    a second canonicalisation answers."""
+    """One Hermite form gives the trailing blocks of the elements of
+    span(cols) whose leading block vanishes, found by enumeration."""
     carried, lattice_mods, cols = data
-    _, kernels = hnf_kernel(lattice_mods, [list(c) for c in cols], carried.rank, carried.exponent)
-    expected = Subgroup.from_generators(carried, kernels)
-    assert Subgroup.pushforward(carried, lattice_mods, cols) == expected
+    r = len(lattice_mods)
+    ambient = AbelianGroup(tuple(lattice_mods) + carried.moduli)
+    span = oracle.DenseGroup(ambient).close(cols)
+    expected = frozenset(v[r:] for v in span if not any(v[:r]))
+    got = Subgroup.pushforward(carried, lattice_mods, cols)
+    assert frozenset(got.elements()) == expected
+    assert got == Subgroup.from_generators(carried, sorted(expected))
 
 
 def test_subgroup_isomorphism_roundtrip(z2z4):

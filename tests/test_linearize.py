@@ -263,3 +263,13 @@ def test_hypothesis_violations():
         extract_field(2, 2, [a], [b])  # families do not commute
     with pytest.raises(InvalidInput):
         extract_field(2, 2, [], [fp.identity(2)])
+
+
+def test_extract_field_checks_characteristic():
+    one = [fp.identity(2)]
+    for p in (4, 1, 0, 1048575):
+        with pytest.raises(InvalidInput, match="not prime"):
+            extract_field(p, 2, one, one)
+    for p in (config.MAX_ORDER + 1, 2**61 - 1):
+        with pytest.raises(CapExceeded, match="MAX_ORDER"):
+            extract_field(p, 2, one, one)

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from endokat import config, oracle
 from endokat.endogeny import Endogeny, NegligibilityBound, endo_add, endo_compose
 from endokat.errors import CapExceeded
 from endokat.groups import (
+    AbelianGroup,
     all_subgroups,
     canonicalize_group,
     quotient,
@@ -44,6 +46,70 @@ def test_order_independence_of_enumeration():
     gens = [(1, 1), (0, 2)]
     assert dg.close(gens) == shuffled.close(gens)
     assert set(dg.all_subgroup_sets()) == set(shuffled.all_subgroup_sets())
+
+
+def _close_fixpoint(g, gens):
+    """Reference closure: add every generator to every new element until
+    nothing new appears."""
+    have = {g.zero}
+    frontier = [g.zero]
+    gens = [g.reduce(x) for x in gens]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for x in gens:
+                b = g.add(a, x)
+                if b not in have:
+                    have.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return frozenset(have)
+
+
+def _coset_representatives_by_min(dg, f_set):
+    """Reference: keep a when min(a + F) has not been seen before."""
+    reps, seen = [], set()
+    for a in dg.elements:
+        key = min(dg.group.add(a, x) for x in f_set)
+        if key not in seen:
+            seen.add(key)
+            reps.append(a)
+    return reps
+
+
+@st.composite
+def small_group_gens(draw):
+    """A group of order <= 256 (moduli not necessarily a divisibility chain)
+    and a few integer generator vectors, repeats and unreduced entries
+    included."""
+    mods = draw(st.lists(st.integers(1, 16), max_size=4))
+    order = 1
+    for m in mods:
+        order *= m
+    assume(order <= 256)
+    vec = st.tuples(*[st.integers(-20, 20) for _ in mods])
+    gens = draw(st.lists(vec, max_size=5))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=2)) if gens else []
+    return AbelianGroup(mods), gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_group_gens())
+def test_close_matches_fixpoint(data):
+    g, gens = data
+    dg = oracle.DenseGroup(g)
+    assert dg.close(gens) == _close_fixpoint(g, gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_group_gens())
+def test_coset_representatives_match_min_keys(data):
+    g, gens = data
+    dg = oracle.DenseGroup(g)
+    f = dg.close(gens)
+    reps = oracle.coset_representatives(dg, f)
+    assert reps == _coset_representatives_by_min(dg, f)
+    assert len(reps) * len(f) == g.order
 
 
 def test_hom_counts():
