@@ -592,23 +592,22 @@ insert(ll *w, ll *basis, Py_ssize_t *pivots, Py_ssize_t *nb, Py_ssize_t n, ll p)
 }
 
 PyDoc_STRVAR(spin_doc,
-"spin(p, gens, seeds, limit)\n--\n\n"
+"spin(p, gens, seeds)\n--\n\n"
 "Smallest subspace containing seeds and closed under every matrix in gens,\n"
-"as its canonical RREF basis.  Stops early, with the span found so far, once\n"
-"the dimension reaches limit.");
+"as its canonical RREF basis.  Stops as soon as the span is the whole space.");
 
 static PyObject *
 spin(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (check_nargs(nargs, 4, "spin") < 0)
+    if (check_nargs(nargs, 3, "spin") < 0)
         return NULL;
     PyObject *result = NULL, *gens_f = NULL, *seeds_f = NULL;
-    ll *g = NULL, *basis = NULL, *stack = NULL, *cur = NULL, *w = NULL, p, limit;
+    ll *g = NULL, *basis = NULL, *stack = NULL, *cur = NULL, *w = NULL, p;
     Py_ssize_t *pivots = NULL, nb = 0, top = 0;
 
     seeds_f = PySequence_Fast(args[2], "seeds must be a sequence");
     gens_f = seeds_f ? PySequence_Fast(args[1], "gens must be a sequence") : NULL;
-    if (gens_f == NULL || as_ll(args[3], &limit) < 0)
+    if (gens_f == NULL)
         goto done;
     Py_ssize_t nseeds = PySequence_Fast_GET_SIZE(seeds_f), ngens = PySequence_Fast_GET_SIZE(gens_f);
     if (nseeds == 0) {
@@ -630,8 +629,7 @@ spin(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         if (load_matrix(PySequence_Fast_GET_ITEM(gens_f, t), n, n, p, g + t * n * n) < 0)
             goto done;
 
-    /* Every vector that enlarges the basis is pushed, so at most n are; the
-     * last one pushed is spun first. */
+    /* Every vector that enlarges the basis is pushed, so at most n are. */
     for (Py_ssize_t s = 0; s < nseeds; s++) {
         if (load_vec(PySequence_Fast_GET_ITEM(seeds_f, s), n, 1, p, cur) < 0)
             goto done;
@@ -639,9 +637,9 @@ spin(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         if (insert(w, basis, pivots, &nb, n, p))
             memcpy(stack + top++ * n, cur, n * sizeof(ll));
     }
-    while (top && nb < limit) {
+    while (top && nb < n) {
         memcpy(cur, stack + --top * n, n * sizeof(ll));
-        for (Py_ssize_t t = 0; t < ngens && nb < limit; t++) {
+        for (Py_ssize_t t = 0; t < ngens && nb < n; t++) {
             ll *img = stack + top * n;
             apply(g + t * n * n, cur, n, n, p, img);
             memcpy(w, img, n * sizeof(ll));

@@ -151,16 +151,18 @@ def rref(p, rows):
     return tuple(tuple(r) for r in mat[:rank]), tuple(piv_cols)
 
 
-def spin(p, gens, seeds, limit):
+def spin(p, gens, seeds):
     """Smallest subspace containing ``seeds`` and closed under every matrix
-    in ``gens``; returns its canonical RREF basis.  Stops early, with the
-    span found so far, once the dimension reaches ``limit``."""
+    in ``gens``; returns its canonical RREF basis.  Stops as soon as the
+    span is the whole space."""
+    if not seeds:
+        return ()
+    n = len(seeds[0])
     basis = []  # echelon rows, pivot ascending, not yet fully reduced
     pivots = []
 
     def insert(v):
         w = list(v)
-        n = len(w)
         for row, pc in zip(basis, pivots):
             x = w[pc] % p
             if x:
@@ -182,12 +184,12 @@ def spin(p, gens, seeds, limit):
     for s in seeds:
         if insert(s):
             queue.append(tuple(x % p for x in s))
-    while queue and len(basis) < limit:
+    while queue and len(basis) < n:
         v = queue.pop()
         for g in gens:
             w = mat_vec(p, g, v)
             if insert(w):
                 queue.append(w)
-                if len(basis) >= limit:
+                if len(basis) == n:
                     break
     return rref(p, tuple(basis))[0] if basis else ()

@@ -155,10 +155,10 @@ def unflatten(v, n, m=None):
     return tuple(tuple(v[i * m + j] for j in range(m)) for i in range(n))
 
 
-def spin_subspace(p, gens, seeds, n):
+def spin_subspace(p, gens, seeds):
     """Canonical basis of the smallest gens-stable subspace containing the
     seed vectors."""
-    return spin(p, gens, seeds, n)
+    return spin(p, gens, seeds)
 
 
 def all_vectors(p, n):

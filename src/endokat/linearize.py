@@ -219,7 +219,7 @@ def invariant_subspace(p, n, gens):
         return ((1,) + (0,) * (n - 1),)
     if p**n <= cap:
         for v in fp.projective_vectors(p, n):
-            w = fp.spin_subspace(p, gens, [v], n)
+            w = fp.spin_subspace(p, gens, [v])
             if 0 < len(w) < n:
                 return w
         return None
@@ -239,7 +239,7 @@ def invariant_subspace(p, n, gens):
     for v in seeds:
         if not any(v):
             continue
-        w = fp.spin_subspace(p, gens, [v], n)
+        w = fp.spin_subspace(p, gens, [v])
         if 0 < len(w) < n:
             return w
     # Null-space certificate: for a singular z, if every kernel vector of z
@@ -250,13 +250,13 @@ def invariant_subspace(p, n, gens):
         if not kz or p ** len(kz) > cap:
             continue
         for (v,) in islice(_combinations(p, [(kv,) for kv in kz], fp.zero(1, n)), 1, None):
-            w = fp.spin_subspace(p, gens, [v], n)
+            w = fp.spin_subspace(p, gens, [v])
             if len(w) < n:
                 return w
         zt = fp.transpose(z)
         kt = fp.nullspace(p, zt)
         gt = [fp.transpose(g) for g in gens]
-        wt = fp.spin_subspace(p, gt, [kt[0]], n)
+        wt = fp.spin_subspace(p, gt, [kt[0]])
         if len(wt) == n:
             return None
         # the annihilator of a proper dual submodule is a proper submodule

@@ -30,12 +30,15 @@ PRIMES = [2, 3, 5, 1048573, 2**31 - 1, 2**61 - 1]
 @pytest.fixture(scope="session")
 def core(tmp_path_factory):
     """The compiled kernel module, built from ``_core.c`` for this session."""
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if shutil.which(cc[0]) is None:
-        pytest.skip(f"no C compiler: {cc[0]!r} (the interpreter's CC) is not installed")
+    # The interpreter's own extension link line (LDSHARED) with its
+    # position-independent flags (CCSHARED) compiles and links in one step.
+    ld = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
+    if shutil.which(ld[0]) is None:
+        pytest.skip(f"no C compiler: {ld[0]!r} (the interpreter's LDSHARED) is not installed")
     out = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
     include = sysconfig.get_paths()["include"]
-    cmd = cc + ["-shared", "-fPIC", "-O2", "-Wall", "-Werror", f"-I{include}", str(CORE_C), "-o", str(out)]
+    pic = shlex.split(sysconfig.get_config_var("CCSHARED") or "")
+    cmd = ld + pic + ["-O2", "-Wall", "-Werror", f"-I{include}", str(CORE_C), "-o", str(out)]
     built = subprocess.run(cmd, capture_output=True, text=True)
     if built.returncode:
         pytest.fail(f"{' '.join(cmd)} failed:\n{built.stderr}")
@@ -107,27 +110,21 @@ def test_backends_identical_fp(core, compiled, p, n, data):
     a = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
     b = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
     v = tuple(entry() for _ in range(n))
-    limit = data.draw(st.integers(0, n))
-    assert _pure.mat_mul(p, a, b) == compiled["mat_mul"](p, a, b)
-    assert _pure.mat_vec(p, a, v) == compiled["mat_vec"](p, a, v)
-    assert _pure.rref(p, a) == compiled["rref"](p, a)
-    assert _pure.spin(p, [a, b], [v], n) == compiled["spin"](p, [a, b], [v], n)
-    assert _pure.spin(p, [a, b], [v], limit) == compiled["spin"](p, [a, b], [v], limit)
-    if p > core.MOD_LIMIT:
-        with pytest.raises(core.NeedsBigInts):
-            core.mat_mul(p, a, b)
-
-
-def test_backends_identical_spin_early_stop(compiled):
-    """Below the full dimension the span found depends on the order in which
-    images are spun (last found, first spun); both backends keep it."""
-    a = ((0, 0, 0, 0, 1, 1), (0, 0, 1, 1, 1, 1), (1, 0, 1, 0, 1, 1),
-         (0, 0, 0, 1, 0, 0), (1, 0, 1, 1, 0, 0), (0, 0, 0, 0, 0, 0))
-    b = ((0, 0, 1, 0, 1, 0), (0, 0, 0, 0, 0, 1), (0, 0, 0, 1, 0, 1),
-         (0, 0, 0, 1, 1, 1), (0, 0, 1, 0, 0, 1), (0, 1, 1, 1, 0, 0))
-    v = (0, 0, 0, 1, 1, 0)
-    for limit in range(7):
-        assert compiled["spin"](2, [a, b], [v], limit) == _pure.spin(2, [a, b], [v], limit)
+    calls = {
+        "mat_mul": (p, a, b),
+        "mat_vec": (p, a, v),
+        "rref": (p, a),
+        "spin": (p, [a, b], [v]),
+    }
+    for name, args in calls.items():
+        expected = getattr(_pure, name)(*args)
+        assert compiled[name](*args) == expected
+        if p <= core.MOD_LIMIT:
+            # Within the margin the compiled code itself answers.
+            assert getattr(core, name)(*args) == expected
+        else:
+            with pytest.raises(core.NeedsBigInts):
+                getattr(core, name)(*args)
 
 
 def test_box_reduce_membership():
