@@ -5,7 +5,9 @@ never live objects), so runs are reproducible and instances can be farmed
 out to worker processes and merged back by index without changing the
 report.  A violation carries the law name, the instance descriptor, and
 counterexample data; the laws are theorems, so any violation is a library
-bug and makes the audit fail.
+bug and makes the audit fail.  An instance that raises an error (a
+malformed descriptor, a cap) is reported under ``errors`` by its tag and
+message, and the other instances still run.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from . import config, oracle
+from . import config, jsonio, oracle
 from .endogeny import (
     Endogeny,
     NegligibilityBound,
@@ -32,15 +34,15 @@ from .endogeny import (
     weakly_invariant,
 )
 from .errors import EndokatError, InvalidInput
-from .groups import Subgroup, canonicalize_group, subgroup_from_generators
+from .groups import Subgroup
 from .instances import (
+    polynomial,
     random_endogeny,
     random_group,
     random_homomorphism,
     random_subgroup_of,
     split_bimodule,
 )
-from .jsonio import FORMAT_VERSION
 from .rng import SplitMix64
 
 SUITES = (
@@ -85,34 +87,19 @@ def make_descriptors(suite, count, seed, max_order=64):
 
 
 def _endo_triple(desc):
-    g = canonicalize_group(desc["group"])
-    n_max = subgroup_from_generators(g, [tuple(v) for v in desc["n_max"]])
-    seed = desc["seed"]
+    g, n_max, seed = jsonio.group_descriptor_from_json(desc)
     return g, n_max, [random_endogeny(g, n_max, SplitMix64(seed).fork(i).state) for i in range(3)]
 
 
 def _sharp_family(desc):
     """gamma (optionally a plain morphism), and two partners sharply
     commuting with it, built as blurred polynomials in one endomorphism."""
-    g = canonicalize_group(desc["group"])
-    n_max = subgroup_from_generators(g, [tuple(v) for v in desc["n_max"]])
+    g, n_max, seed = jsonio.group_descriptor_from_json(desc)
     bound = NegligibilityBound(g, n_max)
-    rng = SplitMix64(desc["seed"])
+    rng = SplitMix64(seed)
     for _ in range(64):
         base = random_homomorphism(g, g, rng)
-
-        def poly(cs):
-            from .groups import Homomorphism
-
-            acc = Homomorphism.zero(g, g)
-            power = Homomorphism.identity(g)
-            for c in cs:
-                for _ in range(c):
-                    acc = acc.add(power)
-                power = power.compose(base)
-            return acc
-
-        morphs = [poly([rng.below(3) for _ in range(3)]) for _ in range(3)]
+        morphs = [polynomial(base, [rng.below(3) for _ in range(3)]) for _ in range(3)]
         blurs = [random_subgroup_of(n_max, rng) for _ in range(3)]
         try:
             endos = [
@@ -128,7 +115,7 @@ def _sharp_family(desc):
 
 
 def _split_objects(desc):
-    return split_bimodule(desc["p"], desc["n"], desc["torsion"], desc["seed"])
+    return split_bimodule(*jsonio.split_descriptor_from_json(desc))
 
 
 def _v(law, desc, data):
@@ -266,13 +253,10 @@ def _run_equivalence(desc, use_oracle):
 
 
 def _run_sharp(desc, use_oracle):
-    if "pair" in desc:
+    if isinstance(desc, dict) and "pair" in desc:
         # explicit pair instance: record the verdict; closure laws apply
         # only to sharply commuting pairs
-        from .jsonio import endogeny_from_json
-
-        e1 = endogeny_from_json(desc["pair"][0])
-        e2 = endogeny_from_json(desc["pair"][1])
+        e1, e2 = jsonio.pair_descriptor_from_json(desc)
         is_sharp = sharp_commutes(e1, e2)
         notes = [{"sharp_commutes": is_sharp}]
         vs = []
@@ -471,12 +455,17 @@ def run_instance(suite, desc, use_oracle=False):
 
 
 def _pool_entry(args):
+    """One instance's result, or its error as ``{"error": {tag, message}}``:
+    an instance that cannot run does not stop the others."""
     suite, idx, desc, use_oracle = args
-    return idx, run_instance(suite, desc, use_oracle)
+    try:
+        return idx, run_instance(suite, desc, use_oracle)
+    except EndokatError as exc:
+        return idx, {"error": {"tag": exc.tag, "message": str(exc)}}
 
 
 def run_suite(suite, descriptors, use_oracle=False, workers=None):
-    """Run every descriptor, merging results by instance index."""
+    """Run every descriptor, merging results and errors by instance index."""
     if suite not in SUITES:
         raise InvalidInput(f"unknown suite {suite!r}")
     start = time.monotonic()
@@ -499,8 +488,12 @@ def run_suite(suite, descriptors, use_oracle=False, workers=None):
             results[idx] = res
     violations = []
     notes = []
+    errors = []
     checks = 0
     for i, res in enumerate(results):
+        if "error" in res:
+            errors.append({"instance_index": i, **res["error"]})
+            continue
         checks += res["checks"]
         for v in res["violations"]:
             v = dict(v)
@@ -508,12 +501,13 @@ def run_suite(suite, descriptors, use_oracle=False, workers=None):
             violations.append(v)
         notes.extend(res["notes"])
     return {
-        "format_version": FORMAT_VERSION,
+        "format_version": jsonio.FORMAT_VERSION,
         "kind": "audit_report",
         "suite": suite,
         "instances_run": len(descriptors),
         "checks": checks,
         "violations": violations,
         "notes": notes,
+        "errors": errors,
         "runtime_ms": int((time.monotonic() - start) * 1000),
     }

@@ -4,10 +4,12 @@ Subcommands: ``validate`` (parse and check an instance file), ``audit``
 (run a law suite over instances), ``linearize`` (field extraction or
 split-model quotient pipeline), ``generate`` (emit instance files).
 
-Exit codes: 0 all checks pass, 1 mathematical violation or hypothesis
-failure (counterexample payload on stdout), 2 malformed input or usage
-error.  Reports are machine-readable JSON first; the human summary goes to
-stderr.  ENDOKAT_SEED provides the default seed.
+Exit codes: 0 all checks pass, 1 mathematical violation, hypothesis
+failure (counterexample payload on stdout) or another error such as a cap
+exceeded, 2 malformed input or usage error; an audit exits 2 if any
+instance was malformed and 1 if any other instance failed.  ``main`` alone
+maps errors to exit codes.  Reports are machine-readable JSON first; the
+human summary goes to stderr.  ENDOKAT_SEED provides the default seed.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import sys
 from . import audits, config, jsonio
 from .dimension import is_minimal_bimodule
 from .endogeny import bikat, induced_action
-from .errors import EndokatError, HypothesisViolation, InvalidInput
-from .instances import InstanceSpec, fixture_nonliftable, matrix_bimodule, split_bimodule
+from .errors import EndokatError, InvalidInput
+from .groups import canonicalize_group, subgroup_from_generators
+from .instances import fixture_nonliftable, matrix_bimodule, random_endogeny, split_bimodule
 from .linearize import extract_field
 
 
@@ -61,38 +64,19 @@ def _apply_caps(args):
 
 
 def cmd_validate(args):
-    doc = _load(args.file)
-    kind = doc.get("kind")
-    try:
-        if kind == "endogeny":
-            e = jsonio.endogeny_from_json(doc)
-            _emit(jsonio.endogeny_instance_to_json(e))
-        elif kind == "matrix_bimodule":
-            inst = jsonio.matrix_instance_from_json(doc)
-            _emit(jsonio.matrix_instance_to_json(inst))
-        elif kind == "split_bimodule":
-            sg, gset, dset, info = jsonio.split_instance_from_json(doc)
-            _emit(jsonio.split_instance_to_json(sg, gset, dset, info))
-        elif kind == "group":
-            g = jsonio.group_from_json(doc)
-            out = jsonio.group_to_json(g)
-            out["format_version"] = jsonio.FORMAT_VERSION
-            out["kind"] = "group"
-            _emit(out)
-        else:
-            raise _UsageError(f"unknown instance kind {kind!r}")
-    except EndokatError as exc:
-        print(f"invalid instance: {exc.tag}: {exc}", file=sys.stderr)
-        return 1
+    kind, value = jsonio.read_document(_load(args.file))
+    _emit(jsonio.write_document(kind, value))
     return 0
+
+
+def _tags(cls):
+    """The tags of ``cls`` and of its subclasses at every depth."""
+    return {cls.tag}.union(*(_tags(sub) for sub in cls.__subclasses__()))
 
 
 def cmd_audit(args):
     if args.instances:
-        doc = _load(args.instances)
-        descriptors = doc.get("instances", [])
-        if not isinstance(descriptors, list):
-            raise _UsageError("instance file must carry an 'instances' list")
+        descriptors = jsonio.audit_descriptors_from_json(_load(args.instances))
     else:
         descriptors = audits.make_descriptors(
             args.suite, args.random, args.seed, max_order=min(64, config.MAX_ORDER)
@@ -102,88 +86,76 @@ def cmd_audit(args):
     )
     _emit(report, args.report)
     n_viol = len(report["violations"])
+    errors = report["errors"]
     print(
         f"suite={args.suite} instances={report['instances_run']} "
-        f"checks={report['checks']} violations={n_viol}",
+        f"checks={report['checks']} violations={n_viol} errors={len(errors)}",
         file=sys.stderr,
     )
-    return 0 if n_viol == 0 else 1
+    if any(e["tag"] in _tags(InvalidInput) for e in errors):
+        raise InvalidInput("malformed audit instances, listed in the report's errors")
+    return 0 if n_viol == 0 and not errors else 1
+
+
+def _linearize_matrix(inst):
+    rep = extract_field(inst["p"], inst["n"], inst["gamma_generators"], inst["delta_generators"])
+    out = jsonio.field_report_to_json(rep)
+    truth = inst["ground_truth"]
+    if truth:
+        ok = rep.order == truth["field_order"] and rep.vs_dimension == truth["vs_dimension"]
+        out["ground_truth_match"] = ok
+        if not ok:
+            print("ground truth mismatch", file=sys.stderr)
+            return out, 1
+    return out, 0
+
+
+def _linearize_split(instance):
+    sg, gset, dset, info = instance
+    minimal, witness = is_minimal_bimodule(sg, gset, dset)
+    if not minimal and not info.get("planted_subspace"):
+        return {
+            "format_version": jsonio.FORMAT_VERSION,
+            "kind": "diagnostic",
+            "error": "bi-module is not minimal",
+            "witness_order": witness.order,
+            "witness_generators": [list(c) for c in witness.gen_columns()],
+        }, 1
+    k = bikat(gset, dset)
+    q, proj, ghoms, dhoms = induced_action(gset, dset)
+    out = {
+        "format_version": jsonio.FORMAT_VERSION,
+        "kind": "split_report",
+        "split_group": jsonio.split_group_to_json(sg),
+        "minimal": minimal,
+        "joint_katakernel_order": k.order,
+        "quotient": jsonio.group_to_json(q),
+        "induced_gamma": [[list(r) for r in h.matrix] for h in ghoms],
+        "induced_delta": [[list(r) for r in h.matrix] for h in dhoms],
+    }
+    if not minimal:
+        out["witness_generators"] = [list(c) for c in witness.gen_columns()]
+    return out, 0
+
+
+_LINEARIZERS = {"matrix_bimodule": _linearize_matrix, "split_bimodule": _linearize_split}
 
 
 def cmd_linearize(args):
-    doc = _load(args.file)
-    kind = doc.get("kind")
-    try:
-        if kind == "matrix_bimodule":
-            inst = jsonio.matrix_instance_from_json(doc)
-            rep = extract_field(
-                inst["p"], inst["n"], inst["gamma_generators"], inst["delta_generators"]
-            )
-            out = jsonio.field_report_to_json(rep)
-            truth = inst.get("ground_truth")
-            if truth:
-                ok = (
-                    rep.order == truth["field_order"]
-                    and rep.vs_dimension == truth["vs_dimension"]
-                )
-                out["ground_truth_match"] = ok
-                if not ok:
-                    _emit(out, args.report)
-                    print("ground truth mismatch", file=sys.stderr)
-                    return 1
-            _emit(out, args.report)
-            return 0
-        if kind == "split_bimodule":
-            sg, gset, dset, info = jsonio.split_instance_from_json(doc)
-            minimal, witness = is_minimal_bimodule(sg, gset, dset)
-            if not minimal and not info.get("planted_subspace"):
-                payload = {
-                    "format_version": jsonio.FORMAT_VERSION,
-                    "kind": "diagnostic",
-                    "error": "bi-module is not minimal",
-                    "witness_order": witness.order,
-                    "witness_generators": [list(c) for c in witness.gen_columns()],
-                }
-                _emit(payload, args.report)
-                return 1
-            k = bikat(gset, dset)
-            q, proj, ghoms, dhoms = induced_action(gset, dset)
-            out = {
-                "format_version": jsonio.FORMAT_VERSION,
-                "kind": "split_report",
-                "split_group": jsonio.split_group_to_json(sg),
-                "minimal": minimal,
-                "joint_katakernel_order": k.order,
-                "quotient": jsonio.group_to_json(q),
-                "induced_gamma": [[list(r) for r in h.matrix] for h in ghoms],
-                "induced_delta": [[list(r) for r in h.matrix] for h in dhoms],
-            }
-            if not minimal:
-                out["witness_generators"] = [list(c) for c in witness.gen_columns()]
-            _emit(out, args.report)
-            return 0
+    kind, value = jsonio.read_document(_load(args.file))
+    if kind not in _LINEARIZERS:
         raise _UsageError(f"linearize does not handle kind {kind!r}")
-    except HypothesisViolation as exc:
-        payload = {
-            "format_version": jsonio.FORMAT_VERSION,
-            "kind": "diagnostic",
-            "error": str(exc),
-            "witness": _jsonable(exc.witness),
-        }
-        _emit(payload, args.report)
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return 1
-    except InvalidInput:
-        raise
+    try:
+        out, code = _LINEARIZERS[kind](value)
     except EndokatError as exc:
-        payload = {
-            "format_version": jsonio.FORMAT_VERSION,
-            "kind": "diagnostic",
-            "error": str(exc),
-        }
+        # the diagnostic payload goes to the report; main maps the error
+        payload = {"format_version": jsonio.FORMAT_VERSION, "kind": "diagnostic", "error": str(exc)}
+        if hasattr(exc, "witness"):
+            payload["witness"] = _jsonable(exc.witness)
         _emit(payload, args.report)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise
+    _emit(out, args.report)
+    return code
 
 
 def _jsonable(x):
@@ -194,41 +166,35 @@ def _jsonable(x):
     return repr(x)
 
 
-def cmd_generate(args):
-    params = {}
-    for key in ("p", "k", "m", "n"):
-        v = getattr(args, key, None)
-        if v is not None:
-            params[key] = v
-    if args.torsion:
-        params["torsion"] = [int(x) for x in args.torsion.split(",")]
-    if args.plant_witness:
-        params["plant_witness"] = True
-    if args.group:
-        params["group"] = [int(x) for x in args.group.split(",")]
-    if args.kind == "fixture_nonliftable":
-        a, e = fixture_nonliftable(args.p or 2)
-        _emit(jsonio.endogeny_instance_to_json(e), args.output)
-        return 0
-    if args.kind == "matrix_bimodule":
-        inst = matrix_bimodule(params["p"], params["k"], params["m"], args.seed)
-        _emit(jsonio.matrix_instance_to_json(inst), args.output)
-        return 0
-    if args.kind == "split_bimodule":
-        sg, gset, dset, info = split_bimodule(
-            params["p"], params["n"], params.get("torsion", []), args.seed,
-            params.get("plant_witness", False),
-        )
-        _emit(jsonio.split_instance_to_json(sg, gset, dset, info), args.output)
-        return 0
-    if args.kind == "random_endogeny":
-        spec = InstanceSpec("random_endogeny", args.seed, params)
-        from .instances import generate
+def _random_endogeny(args):
+    a = canonicalize_group(args.group)
+    return random_endogeny(a, subgroup_from_generators(a, []), args.seed)
 
-        e = generate(spec)
-        _emit(jsonio.endogeny_instance_to_json(e), args.output)
-        return 0
-    raise _UsageError(f"unknown kind {args.kind!r}")
+
+# kind -> (required flags, build from the parsed arguments, file kind)
+GENERATORS = {
+    "matrix_bimodule": (("p", "k", "m"), lambda a: matrix_bimodule(a.p, a.k, a.m, a.seed), "matrix_bimodule"),
+    "split_bimodule": (
+        ("p", "n"),
+        lambda a: split_bimodule(a.p, a.n, a.torsion or [], a.seed, a.plant_witness),
+        "split_bimodule",
+    ),
+    "random_endogeny": (("group",), _random_endogeny, "endogeny"),
+    "fixture_nonliftable": ((), lambda a: fixture_nonliftable(a.p or 2)[1], "endogeny"),
+}
+
+
+def cmd_generate(args):
+    required, build, kind = GENERATORS[args.kind]
+    missing = [f"--{flag}" for flag in required if getattr(args, flag) is None]
+    if missing:
+        raise _UsageError(f"--kind {args.kind} needs {' and '.join(missing)}")
+    _emit(jsonio.write_document(kind, build(args)), args.output)
+    return 0
+
+
+def _int_list(text):
+    return [int(x) for x in text.split(",")] if text else []
 
 
 def build_parser():
@@ -262,14 +228,14 @@ def build_parser():
     l.set_defaults(func=cmd_linearize)
 
     g = sub.add_parser("generate", help="emit a deterministic instance file")
-    g.add_argument("--kind", required=True)
+    g.add_argument("--kind", required=True, choices=list(GENERATORS))
     g.add_argument("--seed", type=int, default=_default_seed())
     g.add_argument("--p", type=int)
     g.add_argument("--k", type=int)
     g.add_argument("--m", type=int)
     g.add_argument("--n", type=int)
-    g.add_argument("--torsion", help="comma-separated invariant factors")
-    g.add_argument("--group", help="comma-separated invariant factors")
+    g.add_argument("--torsion", type=_int_list, help="comma-separated invariant factors")
+    g.add_argument("--group", type=_int_list, help="comma-separated invariant factors")
     g.add_argument("--plant-witness", action="store_true")
     g.add_argument("-o", "--output")
     g.set_defaults(func=cmd_generate)
@@ -289,10 +255,10 @@ def main(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except InvalidInput as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
+        print(f"invalid input: {exc.tag}: {exc}", file=sys.stderr)
         return 2
     except EndokatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.tag}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -2,14 +2,12 @@
 
 Every generator is a pure function of its parameters and a 64-bit seed
 (SplitMix64 streams), validates its own output, and emits the same bytes for
-the same spec.  The fixtures carry the hand-checkable corner cases: the
+the same parameters.  The fixtures carry the hand-checkable corner cases: the
 all-to-a-coset blur, and the blurred relation on Z/p (+) Z/p^2 that is
 equivalent to no endomorphism at all.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from . import fp
 from .dimension import SplitGroup, is_minimal_bimodule
@@ -29,32 +27,11 @@ from .groups import (
     Subgroup,
     _prime_factorization,
     canonicalize_group,
+    check_characteristic,
     quotient,
     subgroup_from_generators,
 )
 from .rng import SplitMix64
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Reproducible recipe: kind + seed + kind-specific parameters."""
-
-    kind: str
-    seed: int
-    parameters: dict = field(default_factory=dict)
-
-    KINDS = (
-        "random_group",
-        "random_endogeny",
-        "sharp_pair",
-        "split_bimodule",
-        "matrix_bimodule",
-        "fixture",
-    )
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise InvalidInput(f"unknown instance kind {self.kind!r}")
 
 
 def fixture_zF(a: AbelianGroup, f: Subgroup, bound: NegligibilityBound | None = None) -> Endogeny:
@@ -196,6 +173,17 @@ def random_homomorphism(a: AbelianGroup, b: AbelianGroup, rng: SplitMix64) -> Ho
     return Homomorphism(a, b, rows)
 
 
+def polynomial(base: Homomorphism, coeffs) -> Homomorphism:
+    """sum_i coeffs[i] * base**i, for an endomorphism ``base``."""
+    acc = Homomorphism.zero(base.source, base.source)
+    power = Homomorphism.identity(base.source)
+    for c in coeffs:
+        for _ in range(c):
+            acc = acc.add(power)
+        power = power.compose(base)
+    return acc
+
+
 def random_endogeny(a: AbelianGroup, n_max: Subgroup, seed: int) -> Endogeny:
     """Pullback of a random morphism into A/F for a random negligible F;
     every relation with katakernel F arises this way."""
@@ -219,21 +207,8 @@ def random_sharp_pair(a: AbelianGroup, n_max: Subgroup, seed: int, budget: int =
         base = random_homomorphism(a, a, rng)
         coeffs1 = [rng.below(4) for _ in range(3)]
         coeffs2 = [rng.below(4) for _ in range(3)]
-
-        def poly(cs):
-            acc = Homomorphism.zero(a, a)
-            power = Homomorphism.identity(a)
-            for c in cs:
-                if c:
-                    term = power
-                    for _ in range(c - 1):
-                        term = term.add(power)
-                    acc = acc.add(term)
-                power = power.compose(base)
-            return acc
-
-        c = poly(coeffs1)
-        d = poly(coeffs2)
+        c = polynomial(base, coeffs1)
+        d = polynomial(base, coeffs2)
         f1 = random_subgroup_of(n_max, rng)
         f2 = random_subgroup_of(n_max, rng)
         try:
@@ -274,6 +249,7 @@ def matrix_bimodule(p: int, k: int, m: int, twist_seed: int):
     Returns a dict with the generators and the ground truth
     ``(field order, vector-space dimension) = (p**k, m)``.
     """
+    check_characteristic(p)
     if k < 1 or m < 1:
         raise InvalidInput("field degree and dimension must be positive")
     n = k * m
@@ -342,6 +318,8 @@ def split_bimodule(p: int, n: int, torsion, seed: int, plant_witness: bool = Fal
     else:
         tor = canonicalize_group(torsion)
     sg = SplitGroup(p, n, tor)
+    if n < 1:
+        raise InvalidInput("a split bi-module needs rank n >= 1")
     rng = SplitMix64(seed)
     info = {}
     if plant_witness:
@@ -393,30 +371,3 @@ def split_bimodule(p: int, n: int, torsion, seed: int, plant_witness: bool = Fal
             raise BudgetExceeded("planted witness was not detected")
         info["witness_order"] = witness.order
     return sg, gset, dset, info
-
-
-def generate(spec: InstanceSpec):
-    """Dispatch an :class:`InstanceSpec` to its generator."""
-    p = spec.parameters
-    if spec.kind == "random_group":
-        return random_group(spec.seed, p.get("max_order", 4096), p.get("max_rank", 3))
-    if spec.kind == "random_endogeny":
-        a = canonicalize_group(p["group"])
-        n_max = subgroup_from_generators(a, [tuple(g) for g in p.get("n_max", [])])
-        return random_endogeny(a, n_max, spec.seed)
-    if spec.kind == "sharp_pair":
-        a = canonicalize_group(p["group"])
-        n_max = subgroup_from_generators(a, [tuple(g) for g in p.get("n_max", [])])
-        return random_sharp_pair(a, n_max, spec.seed)
-    if spec.kind == "matrix_bimodule":
-        return matrix_bimodule(p["p"], p["k"], p["m"], spec.seed)
-    if spec.kind == "split_bimodule":
-        return split_bimodule(
-            p["p"], p["n"], p.get("torsion", []), spec.seed, p.get("plant_witness", False)
-        )
-    if spec.kind == "fixture":
-        name = p.get("name")
-        if name == "nonliftable":
-            return fixture_nonliftable(p.get("p", 2))
-        raise InvalidInput(f"unknown fixture {name!r}")
-    raise InvalidInput(f"unknown kind {spec.kind!r}")

@@ -795,6 +795,20 @@ def _k_basis_of_v(p, n, field_basis):
     return out
 
 
+def check_matrix_bimodule(p, n, gamma_gens, delta_gens):
+    """The input checks of :func:`extract_field`, which the reader of
+    matrix instance files runs too: ``p`` is a prime within the order cap,
+    ``n >= 1``, every generator is n x n, and both families are nonempty."""
+    check_characteristic(p)
+    if n < 1:
+        raise InvalidInput(f"dimension n = {n} is not positive")
+    for m in (*gamma_gens, *delta_gens):
+        if len(m) != n or any(len(row) != n for row in m):
+            raise InvalidInput(f"a generator is not {n} x {n}")
+    if not gamma_gens or not delta_gens:
+        raise InvalidInput("both generator families must be nonempty")
+
+
 def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
     """Coefficient field of an irreducible commuting bi-module action.
 
@@ -804,13 +818,9 @@ def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
     Otherwise the field of the first line is extracted recursively and
     lifted along transporters.
     """
-    check_characteristic(p)
-    if n == 0:
-        raise InvalidInput("empty space")
+    check_matrix_bimodule(p, n, gamma_gens, delta_gens)
     gamma_gens = [fp.mat(g, p) for g in gamma_gens]
     delta_gens = [fp.mat(d, p) for d in delta_gens]
-    if not gamma_gens or not delta_gens:
-        raise InvalidInput("both generator families must be nonempty")
     return _extract_field(p, n, gamma_gens, delta_gens, centralizer(delta_gens, p=p, n=n))
 
 

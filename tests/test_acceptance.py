@@ -263,12 +263,16 @@ def test_criterion_4_sharp_commutation_mass():
 def test_criterion_5_katakernel_lemma():
     descs = audits.make_descriptors("katakernel", SPLIT_INSTANCES, SEED + 5)
     rep = audits.run_suite("katakernel", descs, workers=1)
-    ok = rep["instances_run"] == SPLIT_INSTANCES and not rep["violations"]
+    ok = (
+        rep["instances_run"] == SPLIT_INSTANCES
+        and not rep["violations"]
+        and not rep["errors"]
+    )
     report(
         "criterion 5 (katakernel lemma + induced action)",
         ok,
         f"{rep['instances_run']} split instances, {rep['checks']} checks, "
-        f"{len(rep['violations'])} violations",
+        f"{len(rep['violations'])} violations, {len(rep['errors'])} errors",
     )
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from endokat import audits, config, jsonio
 from endokat.endogeny import Endogeny, NegligibilityBound
-from endokat.errors import EndokatError, InvalidInput
 from endokat.groups import Homomorphism, canonicalize_group, subgroup_from_generators
 
 
@@ -18,6 +17,7 @@ def test_suite_runs_clean(suite):
     rep = audits.run_suite(suite, descs, workers=1)
     assert rep["instances_run"] == 12
     assert rep["violations"] == []
+    assert rep["errors"] == []
     assert rep["checks"] > 0
 
 
@@ -25,6 +25,7 @@ def test_suite_with_oracle():
     descs = audits.make_descriptors("prering", 6, 77)
     rep = audits.run_suite("prering", descs, use_oracle=True, workers=1)
     assert rep["violations"] == []
+    assert rep["errors"] == []
 
 
 def test_sharp_pair_file_records_verdict():
@@ -36,22 +37,19 @@ def test_sharp_pair_file_records_verdict():
     swap = Endogeny.from_morphism(Homomorphism(g, g, [[0, 1], [1, 0]]), nb)
     desc = {"pair": [jsonio.endogeny_to_json(zf), jsonio.endogeny_to_json(swap)]}
     rep = audits.run_suite("sharp", [desc], workers=1)
-    assert rep["violations"] == []
+    assert rep["violations"] == [] and rep["errors"] == []
     assert rep["notes"] == [{"sharp_commutes": False}]
     # and a commuting pair gets its closure laws checked
     one = Endogeny.identity(g, nb)
     desc2 = {"pair": [jsonio.endogeny_to_json(zf), jsonio.endogeny_to_json(one)]}
     rep2 = audits.run_suite("sharp", [desc2], workers=1)
-    assert rep2["violations"] == []
+    assert rep2["violations"] == [] and rep2["errors"] == []
     assert rep2["notes"] == [{"sharp_commutes": True}]
     assert rep2["checks"] == 3
 
 
-def _report_or_error(descs, workers):
-    try:
-        rep = audits.run_suite("prering", descs, workers=workers)
-    except EndokatError as exc:
-        return type(exc)
+def _report(descs, workers):
+    rep = audits.run_suite("prering", descs, workers=workers)
     rep.pop("runtime_ms")
     return rep
 
@@ -63,14 +61,21 @@ def _report_or_error(descs, workers):
     ids=["default-caps", "max-order-8"],
 )
 def test_parallel_merge_deterministic(monkeypatch, method, count, seed, max_order, workers):
-    """A pool run gives the serial report, or the serial error, whatever the
+    """A pool run gives the serial report, errors included, whatever the
     start method: workers apply the parent's caps, not their defaults."""
     ctx = multiprocessing.get_context(method)
     monkeypatch.setattr(audits, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=ctx))
     descs = audits.make_descriptors("prering", count, seed)
     if max_order is not None:
         monkeypatch.setattr(config, "MAX_ORDER", max_order)
-    serial = _report_or_error(descs, 1)
-    assert _report_or_error(descs, workers) == serial
-    if max_order is not None:
-        assert serial is InvalidInput  # an order-16 group is above the lowered cap
+    serial = _report(descs, 1)
+    assert _report(descs, workers) == serial
+    if max_order is None:
+        assert serial["errors"] == []
+    else:
+        # the groups of order 16, 16 and 39 are above the lowered cap; the
+        # order-2 instance is still reported
+        assert [(e["instance_index"], e["tag"]) for e in serial["errors"]] == [
+            (0, "invalid-input"), (2, "invalid-input"), (3, "invalid-input")
+        ]
+        assert serial["checks"] == audits.PRERING_LAW_COUNT + 2

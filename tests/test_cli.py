@@ -84,7 +84,9 @@ def test_audit_workers_match_serial():
              "--workers", "1")
     r2 = run("audit", "--suite", "dimension", "--random", "6", "--seed", "5",
              "--workers", "2")
+    assert r1.returncode == 0 and r2.returncode == 0
     d1, d2 = json.loads(r1.stdout), json.loads(r2.stdout)
+    assert d1["errors"] == []
     d1.pop("runtime_ms")
     d2.pop("runtime_ms")
     assert d1 == d2
@@ -129,19 +131,70 @@ def test_linearize_reducible_plant(tmp_path):
 
 
 IDENTITY2 = [[[1, 0], [0, 1]]]
+IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
-@pytest.mark.parametrize("doc", [
-    {"p": 4, "n": 2, "gamma_generators": IDENTITY2, "delta_generators": IDENTITY2},
-    {"p": 2, "n": 0, "gamma_generators": [[]], "delta_generators": [[]]},
-    {"p": 2, "gamma_generators": IDENTITY2, "delta_generators": IDENTITY2},
-], ids=["composite-p", "n-zero", "n-missing"])
-def test_linearize_invalid_input_exit_2(tmp_path, doc):
+def _matrix_doc(**doc):
+    return {"format_version": "1", "kind": "matrix_bimodule", **doc}
+
+
+BAD_MATRIX_DOCS = {
+    "composite-p": _matrix_doc(p=4, n=2, gamma_generators=IDENTITY2, delta_generators=IDENTITY2),
+    "n-zero": _matrix_doc(p=2, n=0, gamma_generators=[[]], delta_generators=[[]]),
+    "n-missing": _matrix_doc(p=2, gamma_generators=IDENTITY2, delta_generators=IDENTITY2),
+    "json-list": [_matrix_doc(p=2, n=2, gamma_generators=IDENTITY2, delta_generators=IDENTITY2)],
+    "p-string": _matrix_doc(p="two", n=2, gamma_generators=IDENTITY2, delta_generators=IDENTITY2),
+    "3x3-in-n-2": _matrix_doc(p=2, n=2, gamma_generators=[IDENTITY3], delta_generators=IDENTITY2),
+}
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(c, name) for c in ("linearize", "validate") for name in BAD_MATRIX_DOCS],
+    ids=[
+        name if c == "linearize" else f"{c}-{name}"
+        for c in ("linearize", "validate")
+        for name in BAD_MATRIX_DOCS
+    ],
+)
+def test_linearize_invalid_input_exit_2(tmp_path, command, name):
+    """validate and linearize run the same reader, so they reject the same
+    documents, with exit 2 and no traceback."""
     f = tmp_path / "bad.json"
-    f.write_text(json.dumps({"format_version": "1", "kind": "matrix_bimodule", **doc}))
-    r = run("linearize", str(f))
+    f.write_text(json.dumps(BAD_MATRIX_DOCS[name]))
+    r = run(command, str(f))
     assert r.returncode == 2
     assert "invalid input" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_audit_malformed_descriptor_exit_2(tmp_path):
+    """A descriptor without n_max is an error entry of the report; the
+    other instance still runs, and the exit code says invalid input."""
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps({"format_version": "1", "instances": [
+        {"group": [4], "seed": 3},
+        {"group": [4], "n_max": [[2]], "seed": 3},
+    ]}))
+    r = run("audit", "--suite", "prering", "--instances", str(f), "--workers", "1")
+    assert r.returncode == 2
+    assert "invalid input" in r.stderr and "Traceback" not in r.stderr
+    doc = json.loads(r.stdout)
+    assert [(e["instance_index"], e["tag"]) for e in doc["errors"]] == [(0, "invalid-input")]
+    assert "n_max" in doc["errors"][0]["message"]
+    assert doc["checks"] > 0 and doc["violations"] == []
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--kind", "matrix_bimodule", "--p", "2"], "--k"),
+    (["--kind", "split_bimodule", "--p", "2"], "--n"),
+    (["--kind", "random_endogeny"], "--group"),
+], ids=["matrix_bimodule", "split_bimodule", "random_endogeny"])
+def test_generate_missing_flag_exit_2(args, flag):
+    r = run("generate", *args)
+    assert r.returncode == 2
+    assert "usage error" in r.stderr and flag in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_oracle_flag(tmp_path):

@@ -7,10 +7,8 @@ from endokat.endogeny import sharp_commutes
 from endokat.errors import InvalidInput
 from endokat.groups import subgroup_from_generators
 from endokat.instances import (
-    InstanceSpec,
     fixture_nonliftable,
     fixture_zF,
-    generate,
     matrix_bimodule,
     random_endogeny,
     random_sharp_pair,
@@ -43,14 +41,6 @@ def test_fixture_nonliftable():
     assert g3.kat().order == 3
 
 
-def test_instance_spec_kinds():
-    with pytest.raises(InvalidInput):
-        InstanceSpec("bogus", 0)
-    spec = InstanceSpec("matrix_bimodule", 3, {"p": 2, "k": 1, "m": 2})
-    inst = generate(spec)
-    assert inst["ground_truth"] == {"field_order": 2, "vs_dimension": 2}
-
-
 def test_random_endogeny_reproducible(z2z4):
     n_max = subgroup_from_generators(z2z4, [(0, 2)])
     assert random_endogeny(z2z4, n_max, 5) == random_endogeny(z2z4, n_max, 5)
@@ -81,6 +71,8 @@ def test_matrix_bimodule_instances():
     assert inst2["ground_truth"]["field_order"] == 4
     with pytest.raises(InvalidInput):
         matrix_bimodule(2, 0, 1, 0)
+    with pytest.raises(InvalidInput, match="not prime"):
+        matrix_bimodule(4, 1, 2, 0)
     # deterministic bytes
     a = jsonio.dumps(jsonio.matrix_instance_to_json(matrix_bimodule(3, 1, 2, 9)))
     b = jsonio.dumps(jsonio.matrix_instance_to_json(matrix_bimodule(3, 1, 2, 9)))
@@ -92,10 +84,12 @@ def test_split_bimodule_instances():
     for g in gset:
         for d in dset:
             assert sharp_commutes(g, d)
-    doc1 = jsonio.dumps(jsonio.split_instance_to_json(sg, gset, dset, info))
+    doc1 = jsonio.dumps(jsonio.split_instance_to_json((sg, gset, dset, info)))
     sg2, gset2, dset2, info2 = split_bimodule(2, 2, [3], 5)
-    doc2 = jsonio.dumps(jsonio.split_instance_to_json(sg2, gset2, dset2, info2))
+    doc2 = jsonio.dumps(jsonio.split_instance_to_json((sg2, gset2, dset2, info2)))
     assert doc1 == doc2
+    with pytest.raises(InvalidInput, match="rank"):
+        split_bimodule(2, 0, [3], 5)
     # torsion-free reduces to plain morphisms
     sgf, gf, df, _ = split_bimodule(2, 2, [], 8)
     assert all(e.is_morphism() for e in gf)
@@ -108,7 +102,7 @@ def test_json_roundtrips(z2z4):
     back = jsonio.endogeny_from_json(doc)
     assert back == e
     sg, gset, dset, info = split_bimodule(3, 1, [4], 2)
-    doc2 = jsonio.split_instance_to_json(sg, gset, dset, info)
+    doc2 = jsonio.split_instance_to_json((sg, gset, dset, info))
     sgb, gsb, dsb, _ = jsonio.split_instance_from_json(doc2)
     assert sgb == sg
     assert [g.graph.basis for g in gsb] == [g.graph.basis for g in gset]

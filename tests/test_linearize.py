@@ -270,6 +270,11 @@ def test_extract_field_checks_characteristic():
     for p in (4, 1, 0, 1048575):
         with pytest.raises(InvalidInput, match="not prime"):
             extract_field(p, 2, one, one)
+    # generators must be n x n: a 3 x 3 one in a 2-dimensional instance,
+    # and a ragged one
+    for gamma in ([fp.identity(3)], [((1, 0), (0,))]):
+        with pytest.raises(InvalidInput, match="not 2 x 2"):
+            extract_field(2, 2, gamma, one)
     for p in (config.MAX_ORDER + 1, 2**61 - 1):
         with pytest.raises(CapExceeded, match="MAX_ORDER"):
             extract_field(p, 2, one, one)
