@@ -57,9 +57,9 @@ def _emit(doc, out_path=None):
 
 
 def _apply_caps(args):
-    if getattr(args, "max_order", None):
+    if args.max_order is not None:
         config.MAX_ORDER = args.max_order
-    if getattr(args, "max_closure", None):
+    if args.max_closure is not None:
         config.CLOSURE_CAP = args.max_closure
 
 
@@ -193,6 +193,13 @@ def cmd_generate(args):
     return 0
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _int_list(text):
     return [int(x) for x in text.split(",")] if text else []
 
@@ -204,8 +211,8 @@ def build_parser():
         description="Blurred-relation calculus over finite abelian groups "
         "with machine-checked laws and bi-module linearization.",
     )
-    ap.add_argument("--max-order", type=int, default=None, help="group order cap")
-    ap.add_argument("--max-closure", type=int, default=None, help="closure size cap")
+    ap.add_argument("--max-order", type=_positive_int, default=None, help="group order cap")
+    ap.add_argument("--max-closure", type=_positive_int, default=None, help="closure size cap")
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("validate", help="parse and validate an instance file")

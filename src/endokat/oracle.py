@@ -4,10 +4,16 @@ Everything here works on explicit element sets and literal set
 comprehensions, independent of the lattice-based core; agreement between the
 two routes is what the cross-validation suites assert.  All inputs are
 guarded by a hard cap.
+
+Elements are packed ints (see :class:`_Packing`): one int per element, all
+coordinates added at once.  A relation is a frozenset of (a, b) pairs of
+packed elements.  Element-set results compare with a core subgroup through
+:func:`subgroup_set`.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import product as _iproduct
 
 from . import config
@@ -20,22 +26,104 @@ def _guard(group):
         raise CapExceeded(f"oracle cap {config.ORACLE_CAP} exceeded by order {group.order}")
 
 
+# Field width: a guarded group has order, hence every modulus, at most
+# ORACLE_CAP <= 2**WIDTH.  Each coordinate gets WIDTH + 1 bits, the top one a
+# guard bit, and every group the oracle packs uses the same width, so the
+# packing of G x H is the packing of G followed by the packing of H.
+WIDTH = (config.ORACLE_CAP - 1).bit_length()
+
+
+class _Packing:
+    """Group elements as single ints: coordinate i is a field of WIDTH + 1
+    bits, coordinate 0 in the highest field.  Fields are independent digits,
+    so int order is lexicographic tuple order."""
+
+    __slots__ = ("moduli", "shifts", "C", "HIGH", "D")
+
+    def __init__(self, moduli):
+        w = WIDTH
+        if any(d > 1 << w for d in moduli):
+            raise CapExceeded(f"modulus above 2**{w} does not fit the oracle's packing: {list(moduli)}")
+        self.moduli = moduli
+        self.shifts = tuple((w + 1) * i for i in reversed(range(len(moduli))))
+        self.C = sum(((1 << w) - d) << s for d, s in zip(moduli, self.shifts))
+        self.HIGH = sum(1 << (w + s) for s in self.shifts)
+        self.D = sum(d << s for d, s in zip(moduli, self.shifts))
+
+    def pack(self, t):
+        """The packed element that the integer vector t reduces to."""
+        x = 0
+        for v, d in zip(t, self.moduli, strict=True):
+            x = (x << (WIDTH + 1)) | (v % d)
+        return x
+
+    def unpack(self, x):
+        mask = (1 << (WIDTH + 1)) - 1
+        return tuple((x >> s) & mask for s in self.shifts)
+
+    def add(self, x, y):
+        w = WIDTH
+        # Field i holds x_i + y_i <= 2d_i - 2 < 2**(w+1): no field carries
+        # into the next.
+        s = x + y
+        # Adding 2**w - d_i keeps the field below 2**(w+1) (as d_i <= 2**w)
+        # and sets its guard bit 2**w exactly when x_i + y_i >= d_i.
+        h = (s + self.C) & self.HIGH
+        # (h << 1) - (h >> w) is all ones on each flagged field (2**(w+1) - 1
+        # per field, no borrow between fields), so the mask picks d_i there.
+        return s - (((h << 1) - (h >> w)) & self.D)
+
+    def neg(self, x):
+        # Field i of D - x holds d_i - x_i in [1, d_i] (no borrow between
+        # fields); add's reduction step maps d_i to 0 and keeps the rest.
+        return self.add(self.D - x, 0)
+
+
+@functools.lru_cache(maxsize=1024)
+def _packing(moduli):
+    return _Packing(moduli)
+
+
+def packing(group: AbelianGroup) -> _Packing:
+    """The packing of a guarded group, one per tuple of moduli."""
+    _guard(group)
+    return _packing(group.moduli)
+
+
 class DenseGroup:
-    """A group materialized as the list of its elements."""
+    """A group, or the product of groups, on packed elements.
 
-    __slots__ = ("group", "elements")
+    Each factor is guarded, not the product: a relation's graph lives in
+    G x H, and only the subgroups ``close`` returns are materialized there.
+    """
 
-    def __init__(self, group: AbelianGroup):
-        _guard(group)
-        self.group = group
-        self.elements = sorted(group.elements())
+    __slots__ = ("group", "packing", "_elements")
+
+    def __init__(self, *factors: AbelianGroup):
+        for f in factors:
+            _guard(f)
+        self.group = factors[0] if len(factors) == 1 else AbelianGroup(sum((f.moduli for f in factors), ()))
+        self.packing = _packing(self.group.moduli)
+        self._elements = None
+
+    @property
+    def elements(self):
+        """Every element, sorted (built on first use)."""
+        if self._elements is None:
+            # Extending by the coordinates from 0 on, low digits varying
+            # fastest, lists the elements in lexicographic, hence int, order.
+            elems = [0]
+            for d, s in zip(self.group.moduli, self.packing.shifts):
+                elems = [e | (k << s) for e in elems for k in range(d)]
+            self._elements = elems
+        return self._elements
 
     def close(self, gens):
-        """Subgroup generated by gens, as a frozenset of elements."""
-        g = self.group
-        have = {g.zero}
+        """Subgroup generated by packed elements, as a frozenset: the
+        oracle's one closure routine."""
+        add = self.packing.add
+        have = {0}
         for x in gens:
-            x = g.reduce(x)
             # x in H: H + <x> = H.
             if x in have:
                 continue
@@ -44,13 +132,13 @@ class DenseGroup:
             base = frozenset(have)
             step = x
             while step not in base:
-                have.update(g.add(h, step) for h in base)
-                step = g.add(step, x)
+                have.update([add(h, step) for h in base])
+                step = add(step, x)
         return frozenset(have)
 
     def all_subgroup_sets(self):
         """Every subgroup as a frozenset, by closure under extensions."""
-        triv = frozenset({self.group.zero})
+        triv = frozenset({0})
         seen = {triv}
         frontier = [triv]
         while frontier:
@@ -68,8 +156,9 @@ class DenseGroup:
 
 
 def subgroup_set(h: Subgroup) -> frozenset:
-    """Element set of a core subgroup (for comparisons)."""
-    return frozenset(h.elements())
+    """Packed element set of a core subgroup, from the core's enumeration."""
+    pack = packing(h.group).pack
+    return frozenset(map(pack, h.elements()))
 
 
 def invariant_factors_from_orders(orders):
@@ -108,7 +197,7 @@ def invariant_factors_from_orders(orders):
 
 def coset_representatives(dg: DenseGroup, f_set) -> list:
     """The first element of each coset a + F, in sorted order."""
-    g = dg.group
+    add = dg.packing.add
     reps = []
     covered = set()
     for a in dg.elements:
@@ -116,36 +205,37 @@ def coset_representatives(dg: DenseGroup, f_set) -> list:
         # whole coset is marked at once, so each element is added once.
         if a not in covered:
             reps.append(a)
-            covered.update(g.add(a, h) for h in f_set)
+            covered.update([add(a, h) for h in f_set])
     return reps
 
 
 def naive_quotient_factors(dg: DenseGroup, f_set) -> list:
     """Invariant factors of G/F computed from coset element orders only."""
-    g = dg.group
+    add = dg.packing.add
     orders = []
     for a in coset_representatives(dg, f_set):
         k = 1
         cur = a
         while cur not in f_set:
-            cur = g.add(cur, a)
+            cur = add(cur, a)
             k += 1
         orders.append(k)
     return invariant_factors_from_orders(orders)
 
 
 # ---------------------------------------------------------------------------
-# Dense relations: frozensets of (a, b) pairs.
+# Dense relations: frozensets of (a, b) pairs of packed elements.
 
 
 def graph_set(e) -> frozenset:
-    """Element pairs of a core endogeny's graph."""
+    """Element pairs of a core endogeny's graph, closed from its generators."""
     src, tgt = e.source, e.target
-    r1 = src.rank
-    out = set()
-    for v in e.graph.elements():
-        out.add((v[:r1], v[r1:]))
-    return frozenset(out)
+    dg = DenseGroup(src, tgt)
+    span = dg.close(map(dg.packing.pack, e.graph.gen_columns()))
+    # The packing of src x tgt is src's fields above tgt's.
+    shift = (WIDTH + 1) * tgt.rank
+    mask = (1 << shift) - 1
+    return frozenset((v >> shift, v & mask) for v in span)
 
 
 def _bucket(graph):
@@ -160,7 +250,8 @@ def endog_apply(graph, a) -> frozenset:
 
 
 def endog_kat(graph, src: AbelianGroup) -> frozenset:
-    return endog_apply(graph, src.zero)
+    # 0 packs the zero of every group.
+    return endog_apply(graph, 0)
 
 
 def endog_im(graph) -> frozenset:
@@ -173,6 +264,7 @@ def endog_ker(graph, src: AbelianGroup, tgt: AbelianGroup) -> frozenset:
 
 
 def endog_add(graph1, graph2, src: AbelianGroup, tgt: AbelianGroup) -> frozenset:
+    add = packing(tgt).add
     b1 = _bucket(graph1)
     b2 = _bucket(graph2)
     out = set()
@@ -182,12 +274,13 @@ def endog_add(graph1, graph2, src: AbelianGroup, tgt: AbelianGroup) -> frozenset
             continue
         for x in s1:
             for y in s2:
-                out.add((a, tgt.add(x, y)))
+                out.add((a, add(x, y)))
     return frozenset(out)
 
 
 def endog_neg(graph, tgt: AbelianGroup) -> frozenset:
-    return frozenset((a, tgt.neg(b)) for (a, b) in graph)
+    neg = packing(tgt).neg
+    return frozenset((a, neg(b)) for (a, b) in graph)
 
 
 def endog_compose(graph1, graph2, tgt: AbelianGroup) -> frozenset:
@@ -205,9 +298,10 @@ def endog_compose(graph1, graph2, tgt: AbelianGroup) -> frozenset:
 def endog_equivalent(graph1, graph2, src: AbelianGroup, tgt: AbelianGroup) -> bool:
     kat = set(endog_kat(graph1, src)) | set(endog_kat(graph2, src))
     dgt = DenseGroup(tgt)
+    add = dgt.packing.add
     f = dgt.close(kat)
-    blur1 = frozenset((a, tgt.add(b, x)) for (a, b) in graph1 for x in f)
-    blur2 = frozenset((a, tgt.add(b, x)) for (a, b) in graph2 for x in f)
+    blur1 = frozenset((a, add(b, x)) for (a, b) in graph1 for x in f)
+    blur2 = frozenset((a, add(b, x)) for (a, b) in graph2 for x in f)
     return blur1 == blur2
 
 
@@ -242,54 +336,42 @@ def enumerate_homomorphisms(a: AbelianGroup, b: AbelianGroup):
     return out
 
 
+def _bounded_subgroups(a: AbelianGroup, n_max: Subgroup):
+    """The dense group of a and its subgroups inside n_max, sorted."""
+    dg = DenseGroup(a)
+    nset = subgroup_set(n_max)
+    return dg, [s for s in dg.all_subgroup_sets() if s <= nset]
+
+
+def _morphism_choices(dg: DenseGroup, f) -> list:
+    """Per generator of G, the coset representatives y of G/F with
+    d y in F, d the generator's order: its admissible images."""
+    a, pk = dg.group, dg.packing
+    reps = [pk.unpack(y) for y in coset_representatives(dg, f)]
+    return [[y for y in reps if pk.pack(a.scalar_mul(d, y)) in f] for d in a.moduli]
+
+
 def enumerate_endogeny_pairs(a: AbelianGroup, n_max: Subgroup):
     """Generating pairs for every endogeny of ``a`` with katakernel bounded
     by ``n_max``, via the bijection with pairs (F <= n_max, morphism
-    a -> a/F).  Yields (generating pair list, F element set)."""
-    dg = DenseGroup(a)
-    nset = frozenset(n_max.elements())
-    subs = [s for s in dg.all_subgroup_sets() if s <= nset]
+    a -> a/F).  Yields (generating pair list, F element set), as tuples."""
+    dg, subs = _bounded_subgroups(a, n_max)
+    gens_a = a.generators()
     for f in subs:
-        reps = coset_representatives(dg, f)
-        choices = []
-        for d in a.moduli:
-            ok = []
-            for y in reps:
-                if a.scalar_mul(d, y) in f:
-                    ok.append(y)
-            choices.append(ok)
-        gens_a = a.generators()
+        choices = _morphism_choices(dg, f)
+        f_elems = frozenset(map(dg.packing.unpack, f))
         for combo in _iproduct(*choices):
             pairs = [(e, y) for e, y in zip(gens_a, combo)]
-            pairs += [(a.zero, h) for h in f]
-            yield pairs, f
+            pairs += [(a.zero, h) for h in f_elems]
+            yield pairs, f_elems
 
 
 def count_endogenies(a: AbelianGroup, n_max: Subgroup):
-    dg = DenseGroup(a)
-    nset = frozenset(n_max.elements())
+    dg, subs = _bounded_subgroups(a, n_max)
     total = 0
-    for f in (s for s in dg.all_subgroup_sets() if s <= nset):
-        reps = coset_representatives(dg, f)
+    for f in subs:
         per = 1
-        for d in a.moduli:
-            per *= sum(1 for y in reps if a.scalar_mul(d, y) in f)
+        for ok in _morphism_choices(dg, f):
+            per *= len(ok)
         total += per
     return total
-
-
-def search_witness(predicate, candidates, budget):
-    """First candidate satisfying the predicate within the budget.
-
-    Returns ``(witness, exhausted)``: the witness (or None) and whether the
-    whole candidate stream was inspected.  A budgeted miss is therefore never
-    reported as a definite absence.
-    """
-    n = 0
-    for c in candidates:
-        if n >= budget:
-            return None, False
-        n += 1
-        if predicate(c):
-            return c, True
-    return None, True

@@ -197,6 +197,15 @@ def test_generate_missing_flag_exit_2(args, flag):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("flag", ["--max-order", "--max-closure"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cap_flags_must_be_positive(flag, value):
+    r = run(f"{flag}={value}", "audit", "--suite", "prering", "--random", "2", "--workers", "1")
+    assert r.returncode == 2
+    assert flag in r.stderr and "positive" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_oracle_flag(tmp_path):
     r = run("audit", "--suite", "prering", "--random", "3", "--seed", "2",
             "--oracle", "--workers", "1")

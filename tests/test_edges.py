@@ -53,10 +53,11 @@ def test_restrict_against_enumeration(z2z4):
         if not weakly_invariant(b, e):
             continue
         r = restrict(e, b)
-        _, to_b, _ = subgroup_isomorphism(b)
-        bset = frozenset(b.elements())
+        q, to_b, _ = subgroup_isomorphism(b)
+        bset = oracle.subgroup_set(b)
+        pk, pq = oracle.packing(z2z4), oracle.packing(q)
         dense = {
-            (to_b(a), to_b(v))
+            (pq.pack(to_b(pk.unpack(a))), pq.pack(to_b(pk.unpack(v))))
             for (a, v) in oracle.graph_set(e)
             if a in bset and v in bset
         }

@@ -318,7 +318,8 @@ def test_pushforward_matches_carried_kernel(data):
     carried, lattice_mods, cols = data
     r = len(lattice_mods)
     ambient = AbelianGroup(tuple(lattice_mods) + carried.moduli)
-    span = oracle.DenseGroup(ambient).close(cols)
+    dg = oracle.DenseGroup(ambient)
+    span = map(dg.packing.unpack, dg.close(map(dg.packing.pack, cols)))
     expected = frozenset(v[r:] for v in span if not any(v[:r]))
     got = Subgroup.pushforward(carried, lattice_mods, cols)
     assert frozenset(got.elements()) == expected

@@ -21,14 +21,26 @@ from endokat.instances import random_endogeny
 from endokat.rng import SplitMix64
 
 
+W = oracle.WIDTH
+
+
+def _pack_set(pk, elems):
+    return frozenset(map(pk.pack, elems))
+
+
+def _unpack_rel(rel, pk):
+    return frozenset((pk.unpack(a), pk.unpack(b)) for a, b in rel)
+
+
 def test_dense_group_basics():
     g = canonicalize_group([4])
     dg = oracle.DenseGroup(g)
-    assert len(dg.elements) == 4
-    assert dg.close([(2,)]) == frozenset({(0,), (2,)})
+    pk = dg.packing
+    assert [pk.unpack(x) for x in dg.elements] == [(0,), (1,), (2,), (3,)]
+    assert dg.close([pk.pack((2,))]) == _pack_set(pk, [(0,), (2,)])
     assert [len(s) for s in dg.all_subgroup_sets()] == [1, 2, 4]
     triv = canonicalize_group([1])
-    assert oracle.DenseGroup(triv).all_subgroup_sets() == [frozenset({()})]
+    assert oracle.DenseGroup(triv).all_subgroup_sets() == [frozenset({oracle.packing(triv).pack(triv.zero)})]
 
 
 def test_cap_is_hard(monkeypatch):
@@ -37,15 +49,63 @@ def test_cap_is_hard(monkeypatch):
         oracle.DenseGroup(canonicalize_group([2, 4, 8]))
 
 
+def test_graph_set_is_guarded(monkeypatch):
+    g = canonicalize_group([2, 4])
+    e = random_endogeny(g, subgroup_from_generators(g, [(0, 2)]), 3)
+    monkeypatch.setattr(config, "ORACLE_CAP", 4)
+    with pytest.raises(CapExceeded):
+        oracle.graph_set(e)
+
+
+def test_packing_never_wraps(monkeypatch):
+    """Every modulus the guard admits fits a field; a wider one raises."""
+    z = AbelianGroup([config.ORACLE_CAP])
+    pk = oracle.packing(z)
+    top = (config.ORACLE_CAP - 1,)
+    assert pk.unpack(pk.pack(top)) == top
+    assert pk.unpack(pk.add(pk.pack(top), pk.pack(top))) == z.add(top, top)
+    assert pk.unpack(pk.neg(pk.pack((1,)))) == top
+    monkeypatch.setattr(config, "ORACLE_CAP", 2 * (1 << W))
+    with pytest.raises(CapExceeded):
+        oracle.packing(AbelianGroup([(1 << W) + 1]))
+
+
+@st.composite
+def packed_pairs(draw):
+    """Moduli including 1, 2**W - 1 and 2**W, and two elements."""
+    special = st.sampled_from([1, 2, (1 << W) - 1, 1 << W])
+    mods = draw(st.lists(st.one_of(special, st.integers(1, 1 << W)), max_size=4))
+    elem = st.tuples(*[st.integers(0, m - 1) for m in mods])
+    return AbelianGroup(mods), draw(elem), draw(elem)
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_pairs())
+def test_packing_matches_tuples(data):
+    g, a, b = data
+    # Past the cap as a whole group: packing needs only each modulus to fit.
+    pk = oracle._packing(g.moduli)
+    x, y = pk.pack(a), pk.pack(b)
+    assert pk.unpack(x) == a and pk.unpack(y) == b
+    assert pk.unpack(pk.add(x, y)) == g.add(a, b)
+    assert pk.unpack(pk.neg(x)) == g.neg(a)
+    assert (x < y) == (a < b)
+    assert (x == y) == (a == b)
+
+
 def test_order_independence_of_enumeration():
     g = canonicalize_group([2, 4])
     dg = oracle.DenseGroup(g)
     shuffled = oracle.DenseGroup(g)
     rnd = random.Random(5)
     rnd.shuffle(shuffled.elements)
-    gens = [(1, 1), (0, 2)]
+    gens = [dg.packing.pack(v) for v in [(1, 1), (0, 2)]]
     assert dg.close(gens) == shuffled.close(gens)
     assert set(dg.all_subgroup_sets()) == set(shuffled.all_subgroup_sets())
+
+
+# ---------------------------------------------------------------------------
+# Test-only references on element tuples.
 
 
 def _close_fixpoint(g, gens):
@@ -66,15 +126,57 @@ def _close_fixpoint(g, gens):
     return frozenset(have)
 
 
-def _coset_representatives_by_min(dg, f_set):
+def _coset_representatives_by_min(g, f_set):
     """Reference: keep a when min(a + F) has not been seen before."""
     reps, seen = [], set()
-    for a in dg.elements:
-        key = min(dg.group.add(a, x) for x in f_set)
+    for a in sorted(g.elements()):
+        key = min(g.add(a, x) for x in f_set)
         if key not in seen:
             seen.add(key)
             reps.append(a)
     return reps
+
+
+def _coset_representatives_tuples(g, f_set):
+    """Reference: the coset sweep on tuples."""
+    reps = []
+    covered = set()
+    for a in sorted(g.elements()):
+        if a not in covered:
+            reps.append(a)
+            covered.update(g.add(a, h) for h in f_set)
+    return reps
+
+
+def _graph_set_tuples(e):
+    r1 = e.source.rank
+    return frozenset((v[:r1], v[r1:]) for v in e.graph.elements())
+
+
+def _endog_add_tuples(graph1, graph2, tgt):
+    b2 = {}
+    for a, y in graph2:
+        b2.setdefault(a, set()).add(y)
+    return frozenset((a, tgt.add(x, y)) for a, x in graph1 for y in b2.get(a, ()))
+
+
+def _endog_kat_tuples(graph, src):
+    return oracle.endog_apply(graph, src.zero)
+
+
+def _endog_equivalent_tuples(graph1, graph2, src, tgt):
+    f = _close_fixpoint(tgt, _endog_kat_tuples(graph1, src) | _endog_kat_tuples(graph2, src))
+    blur1 = frozenset((a, tgt.add(b, x)) for (a, b) in graph1 for x in f)
+    blur2 = frozenset((a, tgt.add(b, x)) for (a, b) in graph2 for x in f)
+    return blur1 == blur2
+
+
+def _endog_sharp_tuples(graph_g, graph_d, g):
+    gd = oracle.endog_compose(graph_g, graph_d, g)
+    dg = oracle.endog_compose(graph_d, graph_g, g)
+    diff = _endog_add_tuples(gd, frozenset((a, g.neg(b)) for (a, b) in dg), g)
+    bound = _close_fixpoint(g, _endog_kat_tuples(graph_g, g) | _endog_kat_tuples(graph_d, g))
+    return oracle.endog_im(diff) <= bound
 
 
 @st.composite
@@ -98,7 +200,7 @@ def small_group_gens(draw):
 def test_close_matches_fixpoint(data):
     g, gens = data
     dg = oracle.DenseGroup(g)
-    assert dg.close(gens) == _close_fixpoint(g, gens)
+    assert dg.close(map(dg.packing.pack, gens)) == _pack_set(dg.packing, _close_fixpoint(g, gens))
 
 
 @settings(max_examples=100, deadline=None)
@@ -106,10 +208,39 @@ def test_close_matches_fixpoint(data):
 def test_coset_representatives_match_min_keys(data):
     g, gens = data
     dg = oracle.DenseGroup(g)
-    f = dg.close(gens)
-    reps = oracle.coset_representatives(dg, f)
-    assert reps == _coset_representatives_by_min(dg, f)
+    pk = dg.packing
+    f = dg.close(map(pk.pack, gens))
+    reps = [pk.unpack(x) for x in oracle.coset_representatives(dg, f)]
+    f_tuples = [pk.unpack(x) for x in f]
+    assert reps == _coset_representatives_tuples(g, f_tuples)
+    assert reps == _coset_representatives_by_min(g, f_tuples)
     assert len(reps) * len(f) == g.order
+
+
+@st.composite
+def relation_pairs(draw):
+    """A canonical group of order <= 64, a negligibility bound spanned by
+    one element, and two seeded relations under it."""
+    mods = draw(st.lists(st.integers(2, 8), min_size=1, max_size=3))
+    g = canonicalize_group(mods)
+    assume(g.order <= 64)
+    x = tuple(draw(st.integers(0, m - 1)) for m in g.moduli)
+    n_max = subgroup_from_generators(g, [x])
+    seeds = draw(st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)))
+    return g, random_endogeny(g, n_max, seeds[0]), random_endogeny(g, n_max, seeds[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(relation_pairs())
+def test_relation_ops_match_tuple_references(data):
+    g, e1, e2 = data
+    pk = oracle.packing(g)
+    s1, s2 = oracle.graph_set(e1), oracle.graph_set(e2)
+    t1, t2 = _graph_set_tuples(e1), _graph_set_tuples(e2)
+    assert _unpack_rel(s1, pk) == t1 and _unpack_rel(s2, pk) == t2
+    assert _unpack_rel(oracle.endog_add(s1, s2, g, g), pk) == _endog_add_tuples(t1, t2, g)
+    assert oracle.endog_equivalent(s1, s2, g, g) == _endog_equivalent_tuples(t1, t2, g, g)
+    assert oracle.endog_sharp(s1, s2, g) == _endog_sharp_tuples(t1, t2, g)
 
 
 def test_hom_counts():
@@ -129,23 +260,24 @@ def test_subgroup_ops_agree_small():
         g = canonicalize_group(list(mods))
         dg = oracle.DenseGroup(g)
         dense = set(dg.all_subgroup_sets())
-        lattice = {frozenset(s.elements()) for s in all_subgroups(g)}
+        lattice = {oracle.subgroup_set(s) for s in all_subgroups(g)}
         assert dense == lattice
         subs = all_subgroups(g)
         rng = SplitMix64(g.order)
         for _ in range(6):
             h1 = subs[rng.below(len(subs))]
             h2 = subs[rng.below(len(subs))]
-            s1, s2 = frozenset(h1.elements()), frozenset(h2.elements())
-            assert frozenset(subgroup_sum(h1, h2).elements()) == dg.close(s1 | s2)
-            assert frozenset(subgroup_intersect(h1, h2).elements()) == (s1 & s2)
+            s1, s2 = oracle.subgroup_set(h1), oracle.subgroup_set(h2)
+            assert oracle.subgroup_set(subgroup_sum(h1, h2)) == dg.close(s1 | s2)
+            assert oracle.subgroup_set(subgroup_intersect(h1, h2)) == (s1 & s2)
             e = dg.elements[rng.below(len(dg.elements))]
-            assert h1.contains(e) == (e in s1)
+            assert h1.contains(dg.packing.unpack(e)) == (e in s1)
             assert h1.order == len(s1)
 
 
 def test_endogeny_ops_agree():
     g = canonicalize_group([2, 4])
+    pk = oracle.packing(g)
     n_max = subgroup_from_generators(g, [(0, 2)])
     nb = NegligibilityBound(g, n_max)
     for seed in range(12):
@@ -158,11 +290,11 @@ def test_endogeny_ops_agree():
         assert oracle.endog_compose(s1, s2, g) == oracle.graph_set(
             endo_compose(e1, e2, unchecked=True)
         )
-        assert oracle.endog_kat(s1, g) == frozenset(e1.kat().elements())
-        assert oracle.endog_im(s1) == frozenset(e1.im().elements())
-        assert oracle.endog_ker(s1, g, g) == frozenset(e1.ker().elements())
+        assert oracle.endog_kat(s1, g) == oracle.subgroup_set(e1.kat())
+        assert oracle.endog_im(s1) == oracle.subgroup_set(e1.im())
+        assert oracle.endog_ker(s1, g, g) == oracle.subgroup_set(e1.ker())
         for a in g.elements():
-            assert oracle.endog_apply(s1, a) == frozenset(e1.apply(a).elements())
+            assert oracle.endog_apply(s1, pk.pack(a)) == _pack_set(pk, e1.apply(a).elements())
 
 
 def test_quotient_factor_reconstruction():
@@ -190,12 +322,3 @@ def test_count_endogenies_matches_enumeration():
     for pr, _ in pairs:
         built.add(Endogeny.from_pairs(g, g, pr, nb).graph.basis)
     assert len(built) == 6
-
-
-def test_search_witness_budget():
-    w, exhausted = oracle.search_witness(lambda x: x == 3, range(10), budget=2)
-    assert w is None and not exhausted
-    w, exhausted = oracle.search_witness(lambda x: x == 3, range(10), budget=100)
-    assert w == 3 and exhausted
-    w, exhausted = oracle.search_witness(lambda x: x == 99, range(10), budget=100)
-    assert w is None and exhausted
