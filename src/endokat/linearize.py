@@ -13,7 +13,8 @@ witness instead of a wrong report.
 
 from __future__ import annotations
 
-from itertools import islice
+from functools import wraps
+from itertools import islice, product
 
 from . import config, fp
 from .errors import (
@@ -36,7 +37,7 @@ class MatrixAlgebra:
     flattened matrices; two algebras are equal iff their bases are.
     """
 
-    __slots__ = ("p", "n", "generators", "basis", "_commutant")
+    __slots__ = ("p", "n", "generators", "basis", "_commutant", "_per_subspace")
 
     def __init__(self, p, n, generators, basis):
         self.p = p
@@ -44,6 +45,7 @@ class MatrixAlgebra:
         self.generators = tuple(generators)
         self.basis = tuple(basis)
         self._commutant = None  # filled by _commutant_of
+        self._per_subspace = {}  # filled by _once_per_subspace
 
     @property
     def dim(self):
@@ -166,18 +168,45 @@ def algebra_closure(generators, p, n):
 
 def _intertwiners(p, k, pairs):
     """Flattened k x k matrices X with B X = X A for every (A, B) in pairs,
-    as the basis fp.nullspace returns."""
+    as the basis fp.nullspace returns for all the pairs' equations stacked.
+
+    The first pair's k^2 equations are solved directly.  Each later pair is
+    solved on the running solution space only: for its basis X_1..X_s,
+    sum_t c_t (B X_t - X_t A) = 0 is k^2 equations in s unknowns.
+
+    The basis and its order are the stacked system's.  fp.nullspace gives
+    one vector per free column f, with a 1 at f and 0 at every other free
+    column, and f is its last nonzero entry (else the row with pivot f would
+    not vanish on it).  So the last nonzero entry of any solution is a free
+    column.  A solution for all pairs solves the first ones too, so the
+    free columns of the full system are among those of X_1..X_s, where X_t
+    has the 1 at the t-th.  The coordinates c of X = sum_t c_t X_t are
+    therefore X's entries at those columns, and the basis fp.nullspace
+    gives in c maps onto the stacked system's, in its order.
+    """
+    if not pairs:
+        return _nullspace(p, [], k * k)
+    sols = fp.nullspace(p, _pair_equations(p, k, *pairs[0]))
+    for a, b in pairs[1:]:
+        if not sols:
+            break
+        eqs = fp.mul(p, _pair_equations(p, k, a, b), fp.transpose(sols))
+        sols = list(fp.mul(p, fp.nullspace(p, eqs), sols))
+    return sols
+
+
+def _pair_equations(p, k, a, b):
+    """The k^2 rows of B X - X A = 0 over the flattened entries of X."""
     rows = []
-    for a, b in pairs:
-        for i in range(k):
-            for j in range(k):
-                row = [0] * (k * k)
-                for t in range(k):
-                    row[t * k + j] = (row[t * k + j] + b[i][t]) % p
-                for t in range(k):
-                    row[i * k + t] = (row[i * k + t] - a[t][j]) % p
-                rows.append(tuple(row))
-    return _nullspace(p, rows, k * k)
+    for i in range(k):
+        for j in range(k):
+            row = [0] * (k * k)
+            for t in range(k):
+                row[t * k + j] = (row[t * k + j] + b[i][t]) % p
+            for t in range(k):
+                row[i * k + t] = (row[i * k + t] - a[t][j]) % p
+            rows.append(tuple(row))
+    return rows
 
 
 def centralizer(mats, p, n) -> MatrixAlgebra:
@@ -197,19 +226,93 @@ def _commutant_of(alg: MatrixAlgebra) -> MatrixAlgebra:
     return alg._commutant
 
 
+def _once_per_subspace(solve):
+    """``solve(alg, subspace)``, computed once per algebra object and
+    subspace and kept on the algebra; callers check the answer each time."""
+
+    @wraps(solve)
+    def once(alg: MatrixAlgebra, subspace):
+        key = (solve, subspace)
+        if key not in alg._per_subspace:
+            alg._per_subspace[key] = solve(alg, subspace)
+        return alg._per_subspace[key]
+
+    return once
+
+
 # ---------------------------------------------------------------------------
 # Invariant subspaces.
+
+
+def _singulars(p, n, gens):
+    """(z, dim ker z) for the singular generators, then for the singular
+    nonzero pairwise products, in that order."""
+    for g in gens:
+        r = fp.rank(p, g)
+        if r < n:
+            yield g, n - r
+    for a in gens:
+        for b in gens:
+            ab = fp.mul(p, a, b)
+            r = fp.rank(p, ab)
+            if 0 < r < n:
+                yield ab, n - r
+
+
+def _projective_combinations(p, vectors):
+    """One nonzero combination of the vectors per 1-dimensional subspace of
+    their span (first nonzero coefficient 1), in lexicographic order of the
+    coefficient tuple, c_0 most significant: the order of
+    :func:`_combinations` with the other multiples left out.  A multiple
+    c * v comes after v in that order, so the first vector with a property
+    that only depends on the line through it is the same in both walks."""
+    d = len(vectors)
+    cols = list(zip(*vectors))
+    for lead in range(d - 1, -1, -1):
+        for rest in product(range(p), repeat=d - 1 - lead):
+            coeffs = (0,) * lead + (1,) + rest
+            yield tuple(sum(c * x for c, x in zip(coeffs, col)) % p for col in cols)
+
+
+def _null_space_certificate(p, n, gens, z):
+    """Norton's irreducibility test for one singular element z of the
+    algebra the generators span: a proper invariant subspace, or None when
+    the module is irreducible.
+
+    Let N be a proper nonzero submodule.  If z is singular on N, a nonzero
+    vector of ker z lies in N, and its spin stays inside N.  Otherwise z is
+    invertible on N, so N = zN, and every y in ker z^T kills N:
+    y . zx = (z^T y) . x = 0.  So ker z^T lies in the annihilator N^perp,
+    a proper submodule of the dual under the transposed generators, and no
+    vector of ker z^T spins to the whole dual.  Hence if every line of
+    ker z spins to the whole space and one vector of ker z^T spins to the
+    whole dual, there is no N.
+    """
+    for v in _projective_combinations(p, fp.nullspace(p, z)):
+        w = fp.spin_subspace(p, gens, [v])
+        if len(w) < n:
+            return w
+    gt = [fp.transpose(g) for g in gens]
+    wt = fp.spin_subspace(p, gt, [fp.nullspace(p, fp.transpose(z))[0]])
+    if len(wt) == n:
+        return None
+    # the annihilator of a proper dual submodule is a proper submodule
+    return fp.row_space(p, fp.nullspace(p, wt))
 
 
 def invariant_subspace(p, n, gens):
     """A nonzero proper subspace stable under every generator, or None.
 
-    For p**n up to ``config.SPIN_EXHAUSTIVE_CAP`` the search spins up every
-    1-dimensional seed and is therefore complete.  Above the cap, a
-    deterministic seed set plus kernel seeds of singular elements is tried,
-    backed by a null-space certificate; if neither a witness nor a
-    certificate is found the search reports :class:`Inconclusive` rather than
-    guessing.
+    For p**n up to ``config.SPIN_EXHAUSTIVE_CAP`` the answer is exact: a
+    null-space certificate (:func:`_null_space_certificate`) on a singular
+    generator or product of least nullity proves most irreducible modules
+    irreducible with a few spins; otherwise every 1-dimensional seed is
+    spun up, and a reducible module gets the first witness in that order.
+    Above the cap, a deterministic seed set plus kernel seeds of singular
+    elements is tried, backed by the same certificate on the first singular
+    element whose kernel is small enough to walk; if neither a witness nor
+    a certificate is found the search reports :class:`Inconclusive` rather
+    than guessing.
     """
     cap = config.SPIN_EXHAUSTIVE_CAP
     gens = [fp.mat(g, p) for g in gens]
@@ -218,6 +321,21 @@ def invariant_subspace(p, n, gens):
     if not gens:
         return ((1,) + (0,) * (n - 1),)
     if p**n <= cap:
+        lines_through_0 = (p**n - 1) // (p - 1)
+        # a spin applies g generators to up to n vectors, about g n^3 steps,
+        # and ranking a product takes about 2 n^3: finding z among g + g^2
+        # candidates costs about 2(g + 1) spins, and the certificate spins
+        # at least twice more.  Below that many lines the walk is cheaper.
+        if 2 * len(gens) + 4 < lines_through_0:
+            least = None
+            for z, nullity in _singulars(p, n, gens):
+                # a zero generator (nullity n) would walk every line anyway
+                if nullity < n and (least is None or nullity < least[1]):
+                    least = (z, nullity)
+                    if nullity == 1:
+                        break
+            if least is not None and _null_space_certificate(p, n, gens, least[0]) is None:
+                return None
         for v in fp.projective_vectors(p, n):
             w = fp.spin_subspace(p, gens, [v])
             if 0 < len(w) < n:
@@ -225,16 +343,8 @@ def invariant_subspace(p, n, gens):
         return None
     # Capped regime: seeds from unit vectors and kernels of singular elements.
     seeds = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    singulars = []
-    for g in gens:
-        if fp.rank(p, g) < n:
-            singulars.append(g)
-    for a in gens:
-        for b in gens:
-            ab = fp.mul(p, a, b)
-            if 0 < fp.rank(p, ab) < n:
-                singulars.append(ab)
-    for z in singulars[:8]:
+    singulars = list(_singulars(p, n, gens))
+    for z, _ in singulars[:8]:
         seeds.extend(fp.nullspace(p, z)[:4])
     for v in seeds:
         if not any(v):
@@ -242,26 +352,9 @@ def invariant_subspace(p, n, gens):
         w = fp.spin_subspace(p, gens, [v])
         if 0 < len(w) < n:
             return w
-    # Null-space certificate: for a singular z, if every kernel vector of z
-    # spins to the full space and some kernel vector of z^T spins to the
-    # full space under the transposed generators, the module is irreducible.
-    for z in singulars:
-        kz = fp.nullspace(p, z)
-        if not kz or p ** len(kz) > cap:
-            continue
-        for (v,) in islice(_combinations(p, [(kv,) for kv in kz], fp.zero(1, n)), 1, None):
-            w = fp.spin_subspace(p, gens, [v])
-            if len(w) < n:
-                return w
-        zt = fp.transpose(z)
-        kt = fp.nullspace(p, zt)
-        gt = [fp.transpose(g) for g in gens]
-        wt = fp.spin_subspace(p, gt, [kt[0]])
-        if len(wt) == n:
-            return None
-        # the annihilator of a proper dual submodule is a proper submodule
-        ann = fp.nullspace(p, wt)
-        return fp.row_space(p, ann)
+    for z, nullity in singulars:
+        if p**nullity <= cap:
+            return _null_space_certificate(p, n, gens, z)
     raise Inconclusive("invariant-subspace search capped without certificate")
 
 
@@ -310,13 +403,12 @@ def _into_equations(alg: MatrixAlgebra, subspace):
     maps into span(subspace): y . (X e_j) = 0 for every annihilator y of the
     subspace and every column j."""
     p, n = alg.p, alg.n
-    return [
-        tuple(sum(y[i] * b[i][j] for i in range(n)) % p for b in alg.basis)
-        for y in fp.nullspace(p, subspace)
-        for j in range(n)
-    ]
+    ys = fp.nullspace(p, subspace)
+    prods = [fp.mul(p, ys, b) for b in alg.basis]
+    return [tuple(yb[r][j] for yb in prods) for r in range(len(ys)) for j in range(n)]
 
 
+@_once_per_subspace
 def _left_ideal_into(alg: MatrixAlgebra, subspace):
     """Basis of {X in alg : im X <= span(subspace)} as algebra elements."""
     sol = _nullspace(alg.p, _into_equations(alg, subspace), alg.dim)
@@ -419,11 +511,11 @@ def lines(alg: MatrixAlgebra):
     for b in alg.basis:
         rest.append((fp.flatten(fp.mul(p, b, bcols)), b))
     indep = []
-    span_rows = []
+    span = ()
     for vec, b in rest:
-        if not fp.in_span(p, fp.row_space(p, span_rows), vec):
+        if not fp.in_span(p, span, vec):
             indep.append((vec, b))
-            span_rows.append(vec)
+            span = fp.row_space(p, span + (vec,))
     if p ** len(indep) > cap:
         raise Inconclusive("restriction space too large to enumerate lines")
     pi_u = _projection_into(alg, u)
@@ -444,6 +536,7 @@ def lines(alg: MatrixAlgebra):
     return out
 
 
+@_once_per_subspace
 def _projection_into(alg: MatrixAlgebra, subspace):
     """Solve for an idempotent in the algebra with image the subspace and
     restriction the identity; None when no such element exists."""

@@ -2,18 +2,22 @@
 field extraction."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from endokat import config, fp
 from endokat.errors import CapExceeded, HypothesisViolation, InvalidInput
 from endokat.instances import matrix_bimodule, _random_invertible
 from endokat.linearize import (
     Line,
+    _intertwiners,
+    _nullspace,
     _restricted_ideal,
     algebra_closure,
     centralizer,
     common_invariant_subspace,
     decompose,
     extract_field,
+    invariant_subspace,
     is_field,
     is_irreducible,
     lift_endomorphism,
@@ -278,3 +282,125 @@ def test_extract_field_checks_characteristic():
     for p in (config.MAX_ORDER + 1, 2**61 - 1):
         with pytest.raises(CapExceeded, match="MAX_ORDER"):
             extract_field(p, 2, one, one)
+
+
+def _stacked_intertwiners(p, k, pairs):
+    """Reference: every pair's k^2 equations in one system."""
+    rows = []
+    for a, b in pairs:
+        for i in range(k):
+            for j in range(k):
+                row = [0] * (k * k)
+                for t in range(k):
+                    row[t * k + j] = (row[t * k + j] + b[i][t]) % p
+                for t in range(k):
+                    row[i * k + t] = (row[i * k + t] - a[t][j]) % p
+                rows.append(tuple(row))
+    return _nullspace(p, rows, k * k)
+
+
+def _exhaustive_invariant_subspace(p, n, gens):
+    """Reference: spin every 1-dimensional seed, first witness wins."""
+    for v in fp.projective_vectors(p, n):
+        w = fp.spin_subspace(p, gens, [v])
+        if 0 < len(w) < n:
+            return w
+    return None
+
+
+def _matrices(p, n):
+    row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n).map(lambda m: fp.mat(m, p))
+
+
+@st.composite
+def intertwiner_systems(draw):
+    """Pairs (A, B) of k x k matrices: unrelated ones (almost always no
+    intertwiner), conjugates B = P A P^-1 (A != B with intertwiners) and
+    equal ones."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(1, 4))
+    mats = _matrices(p, k)
+    conj = draw(mats)
+    conj_inv = fp.inverse(p, conj)
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        a = draw(mats)
+        kind = draw(st.sampled_from(["unrelated", "conjugate", "equal"]))
+        if kind == "unrelated":
+            b = draw(mats)
+        elif kind == "conjugate" and conj_inv is not None:
+            b = fp.mul(p, fp.mul(p, conj, a), conj_inv)
+        else:
+            b = a
+        pairs.append((a, b))
+    return p, k, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(intertwiner_systems())
+@example((2, 2, [(fp.identity(2), fp.identity(2)), (E(2, 0, 1), E(2, 1, 0))]))
+@example((3, 3, [(fp.identity(3), fp.zero(3)), (fp.identity(3), fp.identity(3))]))
+def test_intertwiners_match_stacked_system(system):
+    """Solving one pair at a time gives the stacked system's basis, in its
+    order (_delta_iso walks it), also when the space empties midway."""
+    p, k, pairs = system
+    assert list(_intertwiners(p, k, pairs)) == list(_stacked_intertwiners(p, k, pairs))
+
+
+# (p, n) with at most 781 lines through 0, so the reference stays quick
+SMALL_MODULES = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (3, 5), (5, 3), (5, 4), (5, 5), (7, 3), (7, 4)]
+
+
+@st.composite
+def modules(draw):
+    """1 to 3 generators on F_p^n, n <= 5: random, block upper triangular
+    (reducible, with a stable first block) or with a zero last row
+    (singular, so the null-space certificate has a kernel to walk)."""
+    p, n = draw(st.sampled_from(SMALL_MODULES))
+    split = draw(st.integers(1, n - 1))
+    kind = draw(st.sampled_from(["random", "block", "singular"]))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = [list(row) for row in draw(_matrices(p, n))]
+        for i in range(n):
+            for j in range(n):
+                if (kind == "block" and i >= split > j) or (kind == "singular" and i == n - 1):
+                    g[i][j] = 0
+        gens.append(fp.mat(g, p))
+    return p, n, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(modules())
+def test_invariant_subspace_matches_exhaustive_spin(module):
+    """The certificate only ever answers None for irreducible modules; a
+    reducible one keeps the exhaustive walk's first witness."""
+    p, n, gens = module
+    assert invariant_subspace(p, n, gens) == _exhaustive_invariant_subspace(p, n, gens)
+
+
+def test_hidden_submodule_needs_the_transposed_check():
+    """z = diag(1, 1, 1, 0) is invertible on the submodule <e1, e2, e3>:
+    ker z = <e4> spins to everything, and only ker z^T = <e4>, which spins
+    to itself under the transposes, shows the submodule."""
+    z = fp.mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]], 2)
+    shift = fp.mat([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]], 2)
+    assert fp.spin_subspace(2, [z, shift], [(0, 0, 0, 1)]) == fp.row_space(2, fp.identity(4))
+    assert invariant_subspace(2, 4, [z, shift]) == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+
+
+def test_irreducibility_certificate_spins_few_vectors(monkeypatch):
+    """An irreducible (2,4,2) module is certified with a handful of spins,
+    not the 255 of the exhaustive walk."""
+    inst = matrix_bimodule(2, 4, 2, 3)
+    spins = []
+    spin = fp.spin_subspace
+
+    def counted(p, gens, seeds):
+        spins.append(seeds)
+        return spin(p, gens, seeds)
+
+    monkeypatch.setattr(fp, "spin_subspace", counted)
+    assert invariant_subspace(2, 8, inst["gamma_generators"] + inst["delta_generators"]) is None
+    assert 0 < len(spins) < 20
