@@ -13,8 +13,9 @@ way whatever the process start method.
 # run on machine words with a safety margin.
 MAX_ORDER = 2**20
 
-# Cap on materialized closures: prering closures (element count) and matrix
-# algebra closures (p**dim elements).
+# Cap on materialized closures: prering closures (element count), and the
+# ideals, restriction spaces and intertwiner spaces of matrix algebras that
+# lines and transporters enumerate (p**dim elements).
 CLOSURE_CAP = 20_000
 
 # Brute-force enumeration bound for the reference oracle.
@@ -23,7 +24,7 @@ ORACLE_CAP = 4096
 # Vector-exhaustive spin-up is complete up to this many vectors.
 SPIN_EXHAUSTIVE_CAP = 2**16
 
-# Exhaustive element sweep bound for the field certificate.
+# Bound on the element sweep that checks an extracted field's invertibility.
 FIELD_ENUM_CAP = 2**20
 
 

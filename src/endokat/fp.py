@@ -3,8 +3,8 @@
 Matrices are tuples of row tuples with entries in [0, p); the kernel module
 supplies the hot primitives (product, reduced echelon form, spin-up) and
 this layer adds the derived operations: nullspaces, inverses, canonical
-subspace bases, minimal polynomials, and small polynomial arithmetic used
-for field certificates.
+subspace bases, matrix powers, and small polynomial arithmetic for
+irreducibility tests and companion matrices.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ def sub(p, a, b):
     return tuple(tuple((x - y) % p for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
 
 
-def neg(p, a):
-    return tuple(tuple((-x) % p for x in row) for row in a)
-
-
 def scalar(p, c, a):
     return tuple(tuple((c * x) % p for x in row) for row in a)
 
@@ -59,14 +55,13 @@ def transpose(a):
 
 
 def power(p, a, k):
-    n = len(a)
-    out = identity(n)
-    base = a
+    out = identity(len(a))
     while k:
         if k & 1:
-            out = mat_mul(p, out, base)
-        base = mat_mul(p, base, base)
+            out = mat_mul(p, out, a)
         k >>= 1
+        if k:
+            a = mat_mul(p, a, a)
     return out
 
 
@@ -294,19 +289,3 @@ def companion(p, f):
         rows.append(tuple(row))
     return tuple(rows)
 
-
-def minimal_polynomial(p, m):
-    """Monic minimal polynomial of a square matrix, lowest coeff first."""
-    n = len(m)
-    powers = [identity(n)]
-    while True:
-        powers.append(mat_mul(p, powers[-1], m))
-        rows = [flatten(q) for q in powers]
-        target = list(rows[-1])
-        coeffs = solve(p, transpose(rows[:-1]), target)
-        if coeffs is not None:
-            d = len(powers) - 1
-            poly = [(-c) % p for c in coeffs] + [1]
-            return poly_trim(poly)
-        if len(powers) > n + 1:
-            raise InvalidInput("minimal polynomial search exceeded dimension")

@@ -354,18 +354,6 @@ def subgroup_intersect(h1: Subgroup, h2: Subgroup) -> Subgroup:
     return Subgroup.pushforward(g, g.moduli, cols)
 
 
-def subgroup_leq(h1: Subgroup, h2: Subgroup) -> bool:
-    return h1.leq(h2)
-
-
-def subgroup_order(h: Subgroup) -> int:
-    return h.order
-
-
-def subgroup_index(h: Subgroup) -> int:
-    return h.index
-
-
 class Homomorphism:
     """Group homomorphism given by an integer matrix on coordinates.
 

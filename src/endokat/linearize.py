@@ -422,8 +422,17 @@ def _restricted_ideal(alg: MatrixAlgebra, subspace):
 
 def _minimal_image(alg: MatrixAlgebra):
     """One inclusion-minimal nonzero image subspace with a witness, via
-    left-ideal refinement.  Minimality is certified by full enumeration of
-    the ideal of maps into the candidate."""
+    left-ideal refinement.
+
+    The candidate is the image of a least-rank basis element or product of
+    two; an algebra where all of those are invertible is a field (then the
+    whole space is the image, certified by :func:`is_field`) or, when not
+    commutative, gets a singular element from a deterministic sweep.  The
+    image u is then refined until the ideal of maps into u, enumerated up
+    to ``config.CLOSURE_CAP`` elements, has nothing of smaller positive
+    rank, which certifies that u is minimal.  ``alg`` is simple here (see
+    :func:`lines`), so a commutative one that is not a field is reported.
+    """
     p, n = alg.p, alg.n
     candidates = list(alg.basis)
     for i, a in enumerate(alg.basis):
@@ -438,14 +447,9 @@ def _minimal_image(alg: MatrixAlgebra):
     if best is None:
         raise InvalidInput("zero algebra has no nonzero image")
     if best_rank == n and alg.is_commutative():
-        if is_field(alg):
-            return fp.identity(n), fp.row_space(p, fp.identity(n))
-        # commutative non-field: a zero divisor exists among all elements
-        if alg.size <= config.FIELD_ENUM_CAP:
-            for m in alg.elements(config.FIELD_ENUM_CAP):
-                r = fp.rank(p, m)
-                if 0 < r < best_rank:
-                    best, best_rank = m, r
+        if not is_field(alg):
+            raise HypothesisViolation("commutative algebra with lines is not a field, so not simple")
+        return fp.identity(n), fp.row_space(p, fp.identity(n))
     if best_rank == n:
         # deterministic pseudo-random sweep for a singular element; a
         # non-commutative algebra over a finite field always has one
@@ -478,41 +482,29 @@ def lines(alg: MatrixAlgebra):
     """All minimal nonzero image subspaces, each with a witness, in
     lexicographic order of their canonical bases.
 
-    Up to ``config.CLOSURE_CAP`` elements the algebra is enumerated and the
-    result is exact by definition.  Beyond the cap one minimal image is found
-    and certified by ideal refinement and the remaining lines are enumerated
-    through the restriction space (complete in the mutual-centralizer setting
-    the pipeline verifies; see the design notes in the README).
+    ``alg`` must be simple.  :func:`decompose` passes the commutant C(Delta)
+    of a bi-module that :func:`_extract_field` has checked to be
+    irreducible.  The radical J of the algebra Delta spans would give the
+    proper sub-bi-module JV, and so would an isotypic component of V over
+    Delta other than V; so V is a power of one simple Delta-module and
+    C(Delta) = Mat_m(K) for a finite field K.  Then every line is X u for
+    one minimal image u (:func:`_minimal_image`) and an element X of rank
+    dim u on it, so the lines are read off the restriction space {X|_u},
+    enumerated up to ``config.CLOSURE_CAP`` elements.  On an algebra that
+    is not simple lines may be missing, which :func:`decompose` reports
+    when no line fits the remaining complement.
     """
     cap = config.CLOSURE_CAP
     p, n = alg.p, alg.n
-    if alg.size <= cap:
-        found = {}
-        k = n + 1
-        for m in alg.elements(cap):
-            r = fp.rank(p, m)
-            if r == 0 or r > k:
-                continue
-            u = fp.column_space(p, m)
-            if r < k:
-                k = r
-                found = {u: m}
-            elif u not in found:
-                found[u] = m
-        if not found:
-            raise InvalidInput("zero algebra has no lines")
-        return [Line(u, w) for u, w in sorted(found.items())]
     witness, u = _minimal_image(alg)
     k = len(u)
     if k == n:
         return [Line(u, witness)]
     bcols = fp.transpose(u)
-    rest = []
-    for b in alg.basis:
-        rest.append((fp.flatten(fp.mul(p, b, bcols)), b))
     indep = []
     span = ()
-    for vec, b in rest:
+    for b in alg.basis:
+        vec = fp.flatten(fp.mul(p, b, bcols))
         if not fp.in_span(p, span, vec):
             indep.append((vec, b))
             span = fp.row_space(p, span + (vec,))
@@ -520,7 +512,7 @@ def lines(alg: MatrixAlgebra):
         raise Inconclusive("restriction space too large to enumerate lines")
     pi_u = _projection_into(alg, u)
     if pi_u is None:
-        raise Inconclusive("no idempotent onto the minimal image outside the cap")
+        raise Inconclusive("no idempotent onto the minimal image")
     found = {}
     phis = _combinations(p, [fp.unflatten(vec, n, k) for vec, _ in indep], fp.zero(n, k))
     ws = _combinations(p, [b for _, b in indep], fp.zero(n))
@@ -530,10 +522,7 @@ def lines(alg: MatrixAlgebra):
             if u2 not in found:
                 # witness with image exactly u2: w after the idempotent onto u
                 found[u2] = fp.mul(p, w, pi_u)
-    out = [Line(us, w) for us, w in sorted(found.items())]
-    if any(line.dim != k for line in out):
-        raise HypothesisViolation("line dimensions disagree", witness=out)
-    return out
+    return [Line(us, w) for us, w in sorted(found.items())]
 
 
 @_once_per_subspace
@@ -782,45 +771,22 @@ def lift_endomorphism(phis, line: Line, dec: Decomposition, galg: MatrixAlgebra,
 
 
 def is_field(alg: MatrixAlgebra):
-    """Field certificate: commutative, and some element's minimal polynomial
-    is irreducible of degree equal to the linear dimension.
+    """Whether the algebra, closed under products, is a field: it contains
+    the identity, is commutative and its Frobenius map fixes only F_p.
 
-    Sweeps basis elements, then pairwise sums, then (up to
-    ``config.FIELD_ENUM_CAP`` elements) the whole algebra; a singular nonzero
-    element decides negatively at once.
+    On a commutative A of dimension d, x -> x^p is F_p-linear.  It is
+    injective exactly when A has no nonzero nilpotent; a reduced A is a
+    product K_1 x ... x K_r of finite fields, whose Frobenius-fixed part is
+    F_p^r.  So A is a field exactly when the Frobenius matrix F has rank d
+    and F - I has rank d - 1.  Row i of F holds the coordinates of b_i^p in
+    the echelon basis b, which are its entries at the basis' pivot columns.
     """
-    p, n = alg.p, alg.n
-    if alg.dim == 0:
+    p, n, d = alg.p, alg.n, alg.dim
+    if d == 0 or not alg.contains(fp.identity(n)) or not alg.is_commutative():
         return False
-    if not alg.is_commutative():
-        return False
-
-    def verdict(m):
-        if not any(any(r) for r in m):
-            return None
-        if fp.rank(p, m) < n:
-            return False
-        mp = fp.minimal_polynomial(p, m)
-        if len(mp) - 1 == alg.dim and fp.poly_is_irreducible(p, mp):
-            return True
-        return None
-
-    tier1 = list(alg.basis)
-    tier2 = []
-    for i, a in enumerate(alg.basis):
-        for b in alg.basis[i + 1 :]:
-            tier2.append(fp.add(p, a, b))
-    for m in tier1 + tier2:
-        v = verdict(m)
-        if v is not None:
-            return v
-    if alg.size > config.FIELD_ENUM_CAP:
-        raise Inconclusive("field certificate sweep capped")
-    for m in alg.elements(config.FIELD_ENUM_CAP):
-        v = verdict(m)
-        if v is not None:
-            return v
-    return False
+    pivots = [next(j for j, x in enumerate(fp.flatten(b)) if x) for b in alg.basis]
+    frob = [tuple(fp.flatten(fp.power(p, b, p))[j] for j in pivots) for b in alg.basis]
+    return fp.rank(p, frob) == d and fp.rank(p, fp.sub(p, frob, fp.identity(d))) == d - 1
 
 
 class FieldReport:

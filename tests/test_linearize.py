@@ -4,11 +4,12 @@ field extraction."""
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from endokat import config, fp
+from endokat import config, fp, linearize
 from endokat.errors import CapExceeded, HypothesisViolation, InvalidInput
 from endokat.instances import matrix_bimodule, _random_invertible
 from endokat.linearize import (
     Line,
+    MatrixAlgebra,
     _intertwiners,
     _nullspace,
     _restricted_ideal,
@@ -120,28 +121,65 @@ def test_lines_examples(m2, f4, scal2):
     assert len(lsc) == 1 and lsc[0].dim == 2
 
 
-def test_lines_beyond_cap_match_enumeration(monkeypatch):
-    """Force the ideal-refinement path and compare with full enumeration."""
+def _enumerated_lines(alg):
+    """Reference: rank every element of the algebra; each image of the least
+    positive rank is a line, with the first element giving it as witness."""
+    p, n = alg.p, alg.n
+    found = {}
+    k = n + 1
+    for m in alg.elements(alg.size):
+        r = fp.rank(p, m)
+        if r == 0 or r > k:
+            continue
+        u = fp.column_space(p, m)
+        if r < k:
+            k = r
+            found = {u: m}
+        elif u not in found:
+            found[u] = m
+    return [Line(u, w) for u, w in sorted(found.items())]
+
+
+def _assert_lines_match_enumeration(alg):
+    got = lines(alg)
+    assert [l.subspace for l in got] == [l.subspace for l in _enumerated_lines(alg)]
+    for l in got:
+        assert alg.contains(l.witness)
+        assert fp.column_space(alg.p, l.witness) == l.subspace
+    return got
+
+
+def test_lines_match_enumeration(m2, f4, scal2, monkeypatch):
+    """The one route for lines (a minimal image, then the restriction space)
+    finds the lines that enumerating the algebra finds, in the same order."""
+    for alg in (m2, f4, scal2):
+        _assert_lines_match_enumeration(alg)
     inst = matrix_bimodule(2, 2, 2, 99)
     galg = centralizer(inst["delta_generators"], p=2, n=4)
     assert galg.size == 2**8
-    monkeypatch.setattr(config, "CLOSURE_CAP", 100)
-    capped = lines(galg)  # refinement path
-    monkeypatch.setattr(config, "CLOSURE_CAP", 2**8)
-    full = lines(galg)  # enumeration path
-    assert [l.subspace for l in capped] == [l.subspace for l in full]
-    assert len(capped) == 5  # projective line over the quartic field
-    for l in capped:
-        assert fp.column_space(2, l.witness) == l.subspace
-    # a commutant genuinely above the default cap: all of Mat_4(F_2)
+    assert len(_assert_lines_match_enumeration(galg)) == 5  # projective line over the quartic field
+    # a commutant above the closure cap: all of Mat_4(F_2)
     big = centralizer([fp.identity(4)], p=2, n=4)
-    assert big.size == 2**16
+    assert big.size == 2**16 > config.CLOSURE_CAP
+    big_lines = _assert_lines_match_enumeration(big)
+    assert len(big_lines) == 15 and all(l.dim == 1 for l in big_lines)
+    # every commutant the ground-truth extractions split, recursion included
+    seen = []
+    route = linearize.lines
+
+    def recorded(alg):
+        seen.append(alg)
+        return route(alg)
+
+    monkeypatch.setattr(linearize, "lines", recorded)
+    for p, k, m, seed in GROUND_TRUTH_CASES:
+        inst = matrix_bimodule(p, k, m, seed)
+        extract_field(p, k * m, inst["gamma_generators"], inst["delta_generators"])
     monkeypatch.undo()
-    capped4 = lines(big)  # default cap 20000 forces refinement
-    assert len(capped4) == 15 and all(l.dim == 1 for l in capped4)
-    monkeypatch.setattr(config, "CLOSURE_CAP", 2**16)
-    full4 = lines(big)
-    assert [l.subspace for l in capped4] == [l.subspace for l in full4]
+    small = [alg for alg in seen if alg.size <= 2**16]
+    assert any(alg.size == 2**16 for alg in small) and len(small) < len(seen)
+    for alg in small:
+        _assert_lines_match_enumeration(alg)
 
 
 def test_projection_and_decomposition(m2, f4, scal2):
@@ -204,6 +242,46 @@ def test_is_field(m2, f4, scal2):
     assert is_field(f8) and f8.dim == 3
 
 
+def _enumerated_is_field(alg):
+    """Reference: contains the identity, commutative, and every nonzero
+    element invertible."""
+    nonzero = alg.elements(alg.size)[1:]
+    return alg.contains(fp.identity(alg.n)) and alg.is_commutative() and all(fp.is_invertible(alg.p, m) for m in nonzero)
+
+
+@st.composite
+def small_algebras(draw):
+    """Algebras of at most 5^4 elements on F_p^n, p in {2, 3, 5}, n <= 4:
+    closures of random generators (two only for n <= 2), companion
+    algebras F_p[x]/(f) of random monic f (fields, products of fields and
+    algebras with nilpotents), conjugated diagonal algebras, and the
+    non-unital span{E00}."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["closure", "companion", "diagonal", "corner"]))
+    if kind == "closure":
+        gens = draw(st.lists(_matrices(p, n), min_size=0, max_size=2 if n <= 2 else 1))
+        return algebra_closure(gens, p=p, n=n)
+    if kind == "companion":
+        low = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+        return algebra_closure([fp.companion(p, tuple(low) + (1,))], p=p, n=n)
+    if kind == "diagonal":
+        conj = _random_invertible(p, n, SplitMix64(draw(st.integers(0, 2**32))))
+        conj_inv = fp.inverse(p, conj)
+        diag = [fp.mul(p, fp.mul(p, conj, E(n, i, i, p)), conj_inv) for i in range(n)]
+        return algebra_closure(diag, p=p, n=n)
+    corner = E(n, 0, 0, p)
+    return MatrixAlgebra(p, n, [corner], [corner])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_algebras())
+def test_is_field_matches_enumeration(alg):
+    """The Frobenius certificate agrees with checking every element."""
+    assert alg.size <= 5**4
+    assert is_field(alg) == _enumerated_is_field(alg)
+
+
 def _assert_joint_commutant(rep, inst):
     """Schur's lemma: the joint commutant of an irreducible action is the
     coefficient field, so the constructed field must equal it."""
@@ -211,9 +289,11 @@ def _assert_joint_commutant(rep, inst):
     assert rep.field_algebra().basis == centralizer(gens, p=rep.p, n=rep.n).basis
 
 
+GROUND_TRUTH_CASES = [(2, 1, 2, 0), (2, 2, 1, 0), (3, 1, 2, 5), (2, 1, 3, 11), (3, 3, 2, 0), (2, 4, 2, 0)]
+
+
 def test_extract_field_ground_truths():
-    cases = [(2, 1, 2, 0), (2, 2, 1, 0), (3, 1, 2, 5), (2, 1, 3, 11), (3, 3, 2, 0), (2, 4, 2, 0)]
-    for p, k, m, seed in cases:
+    for p, k, m, seed in GROUND_TRUTH_CASES:
         inst = matrix_bimodule(p, k, m, seed)
         rep = extract_field(p, k * m, inst["gamma_generators"], inst["delta_generators"])
         assert rep.order == p**k and rep.vs_dimension == m
