@@ -421,61 +421,78 @@ def _restricted_ideal(alg: MatrixAlgebra, subspace):
 
 
 def _minimal_image(alg: MatrixAlgebra):
-    """One inclusion-minimal nonzero image subspace with a witness, via
-    left-ideal refinement.
+    """One inclusion-minimal nonzero image subspace u, a witness (an element
+    of the algebra with image u) and the echelon basis of the local field E
+    of u, the span of :func:`_restricted_ideal`.
 
-    The candidate is the image of a least-rank basis element or product of
-    two; an algebra where all of those are invertible is a field (then the
-    whole space is the image, certified by :func:`is_field`) or, when not
-    commutative, gets a singular element from a deterministic sweep.  The
-    image u is then refined until the ideal of maps into u, enumerated up
-    to ``config.CLOSURE_CAP`` elements, has nothing of smaller positive
-    rank, which certifies that u is minimal.  ``alg`` is simple here (see
-    :func:`lines`), so a commutative one that is not a field is reported.
+    ``alg`` is simple here (see :func:`lines`), so semisimple.  Let u = wV
+    be the image of an element w.  The right ideal w*alg is e*alg for an
+    idempotent e, so u = eV, the maps into u are e*alg, and restricted to u
+    (where Xe and X agree) they give E = e*alg*e, which has e as its unit.
+    If e = e1 + e2 for nonzero orthogonal idempotents, e1V is a smaller
+    image; if e is primitive, e*alg is a minimal right ideal, so every
+    nonzero X in it has XV = X*alg*V = eV.  So u is minimal exactly when e
+    is primitive, that is when E is a division ring, and a finite division
+    ring is a field (Wedderburn), which :func:`is_field` decides without a
+    sweep.  Otherwise E has a singular nonzero element X|_u (a zero divisor
+    of E), and X(u), the image of X w, is a smaller nonzero image.
+
+    The first u is the image of a least-rank basis element; each round
+    replaces u by X(u) and the witness w by X w, with X from
+    :func:`_shrinking_element`.  A commutative E that is not a field (the
+    zero algebra included) shows that ``alg`` is not simple.
     """
-    p, n = alg.p, alg.n
-    candidates = list(alg.basis)
-    for i, a in enumerate(alg.basis):
-        for b in alg.basis[i:]:
-            candidates.append(fp.mul(p, a, b))
-    best = None
-    best_rank = n + 1
-    for m in candidates:
-        r = fp.rank(p, m)
-        if 0 < r < best_rank:
-            best, best_rank = m, r
-    if best is None:
+    p = alg.p
+    ranks = [fp.rank(p, b) for b in alg.basis]
+    least = min(((r, i) for i, r in enumerate(ranks) if r), default=None)
+    if least is None:
         raise InvalidInput("zero algebra has no nonzero image")
-    if best_rank == n and alg.is_commutative():
-        if not is_field(alg):
-            raise HypothesisViolation("commutative algebra with lines is not a field, so not simple")
-        return fp.identity(n), fp.row_space(p, fp.identity(n))
-    if best_rank == n:
-        # deterministic pseudo-random sweep for a singular element; a
-        # non-commutative algebra over a finite field always has one
-        state = 0x9E3779B97F4A7C15
-        for _ in range(5000):
-            coeffs = []
-            for _ in range(alg.dim):
-                state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
-                coeffs.append(state >> 33)
-            m = _combine(p, n, alg.basis, [c % p for c in coeffs])
-            r = fp.rank(p, m)
-            if 0 < r < best_rank:
-                best, best_rank = m, r
-                break
-        if best_rank == n:
-            raise Inconclusive("no singular element found within the sweep budget")
-    u = fp.column_space(p, best)
+    witness = alg.basis[least[1]]
+    u = fp.column_space(p, witness)
     while True:
-        ideal = _left_ideal_into(alg, u)
-        if p ** len(ideal) > config.CLOSURE_CAP:
-            raise Inconclusive("image-minimality refinement above the closure cap")
-        smaller = next((m for m in _combinations(p, ideal, fp.zero(n)) if 0 < fp.rank(p, m) < len(u)), None)
-        if smaller is None:
-            return best, u
-        best = smaller
-        u = fp.column_space(p, best)
+        local = _restricted_ideal(alg, u)
+        local_alg = MatrixAlgebra(p, len(u), (), _span_basis(p, local))
+        if is_field(local_alg):
+            return witness, u, local_alg.basis
+        if local_alg.is_commutative():
+            raise HypothesisViolation("commutative algebra with lines is not a field, so not simple")
+        x = _shrinking_element(alg, u, local)
+        witness = fp.mul(p, x, witness)
+        u = fp.column_space(p, witness)
+
+
+def _shrinking_element(alg: MatrixAlgebra, u, local):
+    """An element X of the algebra mapping into u whose restriction X|_u is
+    singular and nonzero, so that X(u) is a smaller nonzero image.
+
+    The candidates are the basis of the maps into u
+    (:func:`_left_ideal_into`), paired with their restrictions ``local``:
+    the one of least such rank, else the first pairwise product a b with a
+    before or equal to b, else the first hit of a deterministic
+    pseudo-random sweep over their combinations.  Ranks are taken on the
+    restrictions; (a b)|_u = a|_u b|_u because b maps into u.  A
+    non-commutative finite algebra is not a division ring, so it has
+    singular nonzero elements for the sweep to find.
+    """
+    p, n, k = alg.p, alg.n, len(u)
+    ideal = _left_ideal_into(alg, u)
+    ranks = [fp.rank(p, xl) for xl in local]
+    least = min(((r, i) for i, r in enumerate(ranks) if 0 < r < k), default=None)
+    if least is not None:
+        return ideal[least[1]]
+    for i, al in enumerate(local):
+        for j in range(i, len(local)):
+            if 0 < fp.rank(p, fp.mul(p, al, local[j])) < k:
+                return fp.mul(p, ideal[i], ideal[j])
+    state = 0x9E3779B97F4A7C15
+    for _ in range(5000):
+        coeffs = []
+        for _ in local:
+            state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+            coeffs.append((state >> 33) % p)
+        if 0 < fp.rank(p, _combine(p, k, local, coeffs)) < k:
+            return _combine(p, n, ideal, coeffs)
+    raise Inconclusive("no singular element of the local algebra within a sweep of 5000 combinations")
 
 
 def lines(alg: MatrixAlgebra):
@@ -489,39 +506,53 @@ def lines(alg: MatrixAlgebra):
     Delta other than V; so V is a power of one simple Delta-module and
     C(Delta) = Mat_m(K) for a finite field K.  Then every line is X u for
     one minimal image u (:func:`_minimal_image`) and an element X of rank
-    dim u on it, so the lines are read off the restriction space {X|_u},
-    enumerated up to ``config.CLOSURE_CAP`` elements.  On an algebra that
-    is not simple lines may be missing, which :func:`decompose` reports
-    when no line fits the remaining complement.
+    dim u on it, so the lines are read off the restriction space
+    R = {X|_u}.
+
+    R is a right vector space over the local field K = E of u: X|_u Y|_u is
+    (X Y)|_u for Y mapping into u.  Maps in one K-line have one image, as
+    every nonzero scalar is invertible on u.  So a K-basis phi_1..phi_m is
+    taken greedily from the restricted basis, and only the normalised maps
+    phi_i + sum_{j>i} phi_j kappa_j are ranked, (q^m - 1)/(q - 1) of them
+    for q = |K| instead of the q^m of R; their number is bounded by
+    ``config.CLOSURE_CAP``.  On an algebra that is not simple, lines may be
+    missing or not minimal; :func:`decompose` reports it when no line fits
+    the remaining complement, and its verification checks what it builds.
     """
     cap = config.CLOSURE_CAP
     p, n = alg.p, alg.n
-    witness, u = _minimal_image(alg)
+    witness, u, scalars = _minimal_image(alg)
     k = len(u)
     if k == n:
         return [Line(u, witness)]
     bcols = fp.transpose(u)
-    indep = []
+    kbasis = []
     span = ()
     for b in alg.basis:
-        vec = fp.flatten(fp.mul(p, b, bcols))
-        if not fp.in_span(p, span, vec):
-            indep.append((vec, b))
-            span = fp.row_space(p, span + (vec,))
-    if p ** len(indep) > cap:
-        raise Inconclusive("restriction space too large to enumerate lines")
+        phi = fp.mul(p, b, bcols)
+        if not fp.in_span(p, span, fp.flatten(phi)):
+            kbasis.append(phi)
+            span = fp.row_space(p, span + tuple(fp.flatten(fp.mul(p, phi, kappa)) for kappa in scalars))
+    q, m = p ** len(scalars), len(kbasis)
+    maps = (q**m - 1) // (q - 1)
+    if maps > cap:
+        raise Inconclusive(
+            f"restriction space has {maps} maps up to scalars to rank, above the closure cap CLOSURE_CAP = {cap}"
+        )
     pi_u = _projection_into(alg, u)
     if pi_u is None:
         raise Inconclusive("no idempotent onto the minimal image")
+    # X pi_u for any X with X|_u = phi is phi K_u pi_u (K_u: coordinates on
+    # u), an element of the algebra with image phi(u)
+    lift = fp.mul(p, _coordinate_map(p, u), pi_u)
     found = {}
-    phis = _combinations(p, [fp.unflatten(vec, n, k) for vec, _ in indep], fp.zero(n, k))
-    ws = _combinations(p, [b for _, b in indep], fp.zero(n))
-    for phi, w in zip(phis, ws):
-        if fp.rank(p, phi) == k:
-            u2 = fp.column_space(p, phi)
-            if u2 not in found:
-                # witness with image exactly u2: w after the idempotent onto u
-                found[u2] = fp.mul(p, w, pi_u)
+    for i, phi in enumerate(kbasis):
+        later = [fp.mul(p, psi, kappa) for psi in kbasis[i + 1 :] for kappa in scalars]
+        for phi2 in _combinations(p, later, phi):
+            if fp.rank(p, phi2) == k:
+                u2 = fp.column_space(p, phi2)
+                if u2 not in found:
+                    found[u2] = fp.mul(p, phi2, lift)
     return [Line(us, w) for us, w in sorted(found.items())]
 
 
@@ -682,7 +713,9 @@ def _delta_iso(l1: Line, l2: Line, dalg: MatrixAlgebra):
         return fp.identity(k)
     sols = [fp.unflatten(s, k) for s in _intertwiners(p, k, pairs)]
     if p ** len(sols) > config.CLOSURE_CAP:
-        raise CapExceeded("intertwiner space too large to sweep")
+        raise CapExceeded(
+            f"intertwiner space of {p ** len(sols)} elements to sweep, above the closure cap CLOSURE_CAP = {config.CLOSURE_CAP}"
+        )
     for phi in islice(_combinations(p, sols, fp.zero(k)), 1, None):
         if fp.is_invertible(p, phi):
             return phi
@@ -838,10 +871,20 @@ class FieldReport:
 
 def _k_basis_of_v(p, n, field_basis):
     """Greedy vector-space basis of F_p^n over the field spanned by the
-    given commuting matrices."""
+    given commuting matrices, walking the unit vectors e_1..e_n.
+
+    This is the greedy walk over all of fp.projective_vectors, which only
+    ever picks unit vectors.  By induction on j: once that walk has passed
+    every vector whose last nonzero entry is before j, the span W it has
+    reached contains e_1..e_{j-1}.  The vectors whose last nonzero entry is
+    j come next, e_j first, and each is c e_j + w with c != 0 and w in
+    span(e_1..e_{j-1}) <= W: if e_j is in W all of them are, and otherwise
+    none is, so the walk picks e_j and skips the rest.
+    """
     have = ()
     out = []
-    for v in fp.projective_vectors(p, n):
+    for j in range(n):
+        v = tuple(int(i == j) for i in range(n))
         if fp.in_span(p, have, v):
             continue
         out.append(v)

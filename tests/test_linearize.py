@@ -1,11 +1,13 @@
 """Matrix machinery: commutants, lines, decomposition, transport, lifting,
 field extraction."""
 
+import hashlib
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from endokat import config, fp, linearize
-from endokat.errors import CapExceeded, HypothesisViolation, InvalidInput
+from endokat.errors import CapExceeded, HypothesisViolation, Inconclusive, InvalidInput
 from endokat.instances import matrix_bimodule, _random_invertible
 from endokat.linearize import (
     Line,
@@ -178,8 +180,80 @@ def test_lines_match_enumeration(m2, f4, scal2, monkeypatch):
     monkeypatch.undo()
     small = [alg for alg in seen if alg.size <= 2**16]
     assert any(alg.size == 2**16 for alg in small) and len(small) < len(seen)
+    # the cap bounds the maps lines ranks, one per K-line: the (2,4,2)
+    # commutant Mat_2(F_16), whose restriction space has 2^8 maps, has 17
+    monkeypatch.setattr(config, "CLOSURE_CAP", 64)
     for alg in small:
         _assert_lines_match_enumeration(alg)
+
+
+def _quartic_n8_commutant():
+    inst = matrix_bimodule(2, 4, 2, 0)
+    return centralizer(inst["delta_generators"], p=2, n=8)
+
+
+def test_lines_rank_one_map_per_k_line(monkeypatch):
+    """lines ranks (q^m - 1)/(q - 1) normalised maps, one per K-line of
+    the restriction space, not its q^m maps."""
+    count = [0]
+    walk = linearize._combinations
+
+    def counted(p, basis, zero):
+        for m in walk(p, basis, zero):
+            count[0] += 1
+            yield m
+
+    monkeypatch.setattr(linearize, "_combinations", counted)
+    ls = lines(_quartic_n8_commutant())  # Mat_2(F_16): q = 16, m = 2
+    assert len(ls) == 17 and count[0] == 17
+    count[0] = 0
+    inst = matrix_bimodule(3, 3, 2, 0)
+    ls = lines(centralizer(inst["delta_generators"], p=3, n=6))  # Mat_2(F_27)
+    assert len(ls) == 28 and count[0] == 28
+
+
+def _conjugated_mat2_on_f2_4():
+    """Mat_2(F_2) (x) I_2 on F_2^4, conjugated by a fixed P under which
+    every echelon basis element is invertible, so the first candidate image
+    is the whole space and not minimal."""
+    p_mat = fp.mat([[0, 1, 1, 0], [1, 0, 0, 1], [0, 1, 1, 1], [1, 1, 0, 1]], 2)
+    p_inv = fp.inverse(2, p_mat)
+    gens = []
+    for i in range(2):
+        for j in range(2):
+            kron = [[E(2, i, j)[a // 2][b // 2] * int(a % 2 == b % 2) for b in range(4)] for a in range(4)]
+            gens.append(fp.mul(2, fp.mul(2, p_mat, fp.mat(kron, 2)), p_inv))
+    return algebra_closure(gens, p=2, n=4)
+
+
+def test_minimal_image_refines_a_non_minimal_candidate(monkeypatch):
+    """When the first candidate image is not minimal, its local algebra is
+    not a field and is_field sends the search to a smaller image."""
+    alg = _conjugated_mat2_on_f2_4()
+    assert alg.dim == 4 and all(fp.rank(2, b) == 4 for b in alg.basis)
+    shrinks = []
+    shrink = linearize._shrinking_element
+
+    def counted(*args):
+        shrinks.append(args)
+        return shrink(*args)
+
+    monkeypatch.setattr(linearize, "_shrinking_element", counted)
+    got = _assert_lines_match_enumeration(alg)
+    assert len(got) == 3 and all(l.dim == 2 for l in got)
+    assert shrinks
+
+
+def test_cap_errors_name_their_limit(m2, scal2, monkeypatch):
+    """A cap error states the cap, its value and the size that hit it."""
+    galg = _quartic_n8_commutant()
+    monkeypatch.setattr(config, "CLOSURE_CAP", 16)
+    with pytest.raises(Inconclusive, match="17 maps .* CLOSURE_CAP = 16"):
+        lines(galg)
+    ls = lines(m2)
+    monkeypatch.setattr(config, "CLOSURE_CAP", 1)
+    with pytest.raises(CapExceeded, match="of 2 elements .* CLOSURE_CAP = 1"):
+        transporter(ls[0], ls[1], m2, scal2)
 
 
 def test_projection_and_decomposition(m2, f4, scal2):
@@ -299,6 +373,31 @@ def test_extract_field_ground_truths():
         assert rep.order == p**k and rep.vs_dimension == m
         rep.verify(inst["gamma_generators"], inst["delta_generators"])
         _assert_joint_commutant(rep, inst)
+
+
+# sha256 over the reports below, computed at the commit before lines
+# walked one map per K-line; every later route must keep these bytes
+REPORTS_SHA256 = "e1f7295c8a4d4ab973d3a664878d2fbfc0ae0e3455cab910edb0e7a448dd3dbb"
+
+
+def test_extract_field_reports_snapshot():
+    """(order, vs_dimension, field_basis, k_basis_of_v) of the 20 quartic
+    twists and the ground truths with n <= 8 are byte-stable."""
+    cases = [(2, 2, 2, s) for s in range(20)] + [c for c in GROUND_TRUTH_CASES if c[1] * c[2] <= 8]
+    h = hashlib.sha256()
+    for p, k, m, seed in cases:
+        inst = matrix_bimodule(p, k, m, seed)
+        rep = extract_field(p, k * m, inst["gamma_generators"], inst["delta_generators"])
+        h.update(repr((rep.order, rep.vs_dimension, rep.field_basis, rep.k_basis_of_v)).encode())
+    assert h.hexdigest() == REPORTS_SHA256
+
+
+def test_extract_field_n16():
+    """The first n = 16 instance that answers: no ideal is enumerated, and
+    lines ranks 257 maps of a restriction space of 2^16."""
+    inst = matrix_bimodule(2, 8, 2, 1)
+    rep = extract_field(2, 16, inst["gamma_generators"], inst["delta_generators"])
+    assert (rep.order, rep.vs_dimension) == (256, 2)
 
 
 def test_extract_field_twisted_quartic():
