@@ -469,10 +469,11 @@ def run_suite(suite, descriptors, use_oracle=False, workers=None):
     if suite not in SUITES:
         raise InvalidInput(f"unknown suite {suite!r}")
     start = time.monotonic()
-    workers = workers if workers is not None else (os.cpu_count() or 1)
     results = [None] * len(descriptors)
     jobs = [(suite, i, d, use_oracle) for i, d in enumerate(descriptors)]
-    if workers > 1 and len(descriptors) > 1:
+    # never more processes than jobs or CPUs, whatever ``workers`` asks
+    workers = min(len(jobs) if workers is None else workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         # workers start from the parent's caps, not from their import-time
         # defaults, so spawn/forkserver pools check what a serial run checks
         with ProcessPoolExecutor(

@@ -7,15 +7,21 @@ that exactly the subgroups of ``n_max`` count as small.  With ``n_max = 0``
 endogenies are ordinary homomorphisms; larger bounds admit genuinely blurred
 relations.
 
-Values of an endogeny are cosets of the katakernel; sums and composites are
-computed on the graphs by exact lattice arithmetic.  The failure of left
-distributivity, the sharp-commutation calculus, weak/full invariance,
-restriction, and the global katakernel of a generated closure all live here.
+Values of an endogeny are cosets of the katakernel K.  An endogeny is held
+as (K, V), V the value columns (V e_j a representative of the value at the
+j-th generator, reduced into the box of K), and its canonical graph basis is
+the block matrix [[I, 0], [V, K.basis]], written down without a Hermite form.
+Negation, sums, composites, images, equivalence and the sharp test compute
+on (K, V) in the target's rank; only preimages and restriction work on the
+graph in the product group.  The failure of left distributivity, the
+sharp-commutation calculus, weak/full invariance, restriction, and the
+global katakernel of a generated closure all live here.
 """
 
 from __future__ import annotations
 
 from . import config
+from ._kernel import box_reduce
 from .errors import (
     AmbientMismatch,
     CapExceeded,
@@ -72,29 +78,24 @@ class NegligibilityBound:
         return f"NegligibilityBound(order={self.n_max.order} of {list(self.group.moduli)})"
 
 
-def _cross_right(src: AbelianGroup, tgt: AbelianGroup, f: Subgroup) -> Subgroup:
-    """{0} x F inside the product group: the block-diagonal basis
-    diag(src.moduli) (+) F.basis, already canonical."""
-    top = tuple(row + (0,) * tgt.rank for row in Subgroup.trivial(src).basis)
-    bottom = tuple((0,) * src.rank + tuple(row) for row in f.basis)
-    return Subgroup(product_group(src, tgt), top + bottom)
-
-
 class Endogeny:
     """A validated additive relation with full first projection.
 
     Use :func:`endogeny_validate` (or the fixture constructors) to build one;
-    the raw constructor only re-derives the cached katakernel.
+    the raw constructor reads the katakernel and the value columns off the
+    graph when first asked.
     """
 
-    __slots__ = ("source", "target", "graph", "bound", "_kat", "_im", "_ker")
+    __slots__ = ("source", "target", "graph", "bound", "_kat", "_vals", "_im", "_ker")
 
-    def __init__(self, source, target, graph: Subgroup, bound: NegligibilityBound, *, _checked=False):
+    def __init__(self, source, target, graph: Subgroup, bound: NegligibilityBound, *,
+                 _checked=False, _kat=None, _vals=None):
         self.source = source
         self.target = target
         self.graph = graph
         self.bound = bound
-        self._kat = None
+        self._kat = _kat
+        self._vals = _vals
         self._im = None
         self._ker = None
         if not _checked:
@@ -117,11 +118,29 @@ class Endogeny:
         return cls(source, target, graph, bound)
 
     @classmethod
+    def _from_values(cls, source, kat: Subgroup, vals, bound, prod, *, _checked=True):
+        """The endogeny with katakernel ``kat`` whose value at the j-th
+        generator of ``source`` is vals[j] + kat, with graph in ``prod``.
+
+        Each column is box-reduced modulo ``kat``, so the block matrix
+        [[I, 0], [V, kat.basis]] is lower triangular with every entry left of
+        a pivot in [0, pivot): the canonical Hermite basis of the graph."""
+        tgt = kat.group
+        mods, kb = tgt.moduli, kat.basis
+        vals = tuple(box_reduce(mods, kb, v) for v in vals)
+        r1, r2 = source.rank, tgt.rank
+        top = tuple(tuple(int(i == j) for j in range(r1)) + (0,) * r2 for i in range(r1))
+        bottom = tuple(tuple(v[i] for v in vals) + tuple(kb[i]) for i in range(r2))
+        graph = Subgroup(prod, top + bottom)
+        return cls(source, tgt, graph, bound, _checked=_checked, _kat=kat, _vals=vals)
+
+    @classmethod
     def from_morphism(cls, hom: Homomorphism, bound=None):
         src, tgt = hom.source, hom.target
         bound = bound or NegligibilityBound.zero(tgt)
-        pairs = [(e, hom(e)) for e in src.generators()]
-        return cls.from_pairs(src, tgt, pairs, bound)
+        vals = [tuple(row[j] for row in hom.matrix) for j in range(src.rank)]
+        triv, prod = Subgroup.trivial(tgt), product_group(src, tgt)
+        return cls._from_values(src, triv, vals, bound, prod, _checked=False)
 
     @classmethod
     def identity(cls, group, bound=None):
@@ -137,9 +156,7 @@ class Endogeny:
         """The relation sending every element of the group to the coset F:
         as a set of pairs this is A x F."""
         g = f.group
-        pairs = [(e, g.zero) for e in g.generators()]
-        pairs += [(g.zero, col) for col in f.gen_columns()]
-        return cls.from_pairs(g, g, pairs, bound)
+        return cls._from_values(g, f, [g.zero] * g.rank, bound, product_group(g, g), _checked=False)
 
     # -- value semantics ------------------------------------------------------
 
@@ -164,30 +181,35 @@ class Endogeny:
     # -- structure ------------------------------------------------------------
 
     def is_global(self):
-        r1 = self.source.rank
-        b = self.graph.basis
-        return all(
-            b[i][j] == (1 if i == j else 0) for i in range(r1) for j in range(r1)
-        )
+        # unit pivots leave nothing left of them in a Hermite basis
+        return all(self.graph.basis[i][i] == 1 for i in range(self.source.rank))
 
     def kat(self) -> Subgroup:
         """Fiber over 0: the blur of the relation."""
         if self._kat is None:
-            r1, r2 = self.source.rank, self.target.rank
-            block = tuple(
-                tuple(self.graph.basis[r1 + i][r1 + j] for j in range(r2))
-                for i in range(r2)
-            )
-            self._kat = Subgroup(self.target, block)
+            r1 = self.source.rank
+            self._kat = Subgroup(self.target, tuple(row[r1:] for row in self.graph.basis[r1:]))
         return self._kat
+
+    def _values(self):
+        """V: the value columns, the bottom-left block of the graph basis."""
+        if self._vals is None:
+            r1, b = self.source.rank, self.graph.basis
+            self._vals = tuple(tuple(row[j] for row in b[r1:]) for j in range(r1))
+        return self._vals
+
+    def _rep(self, a):
+        """V a, unreduced: a representative of the value at ``a``."""
+        out = [0] * self.target.rank
+        for x, v in zip(a, self._values()):
+            if x:
+                for i, y in enumerate(v):
+                    out[i] += x * y
+        return out
 
     def im(self) -> Subgroup:
         if self._im is None:
-            r1, r2 = self.source.rank, self.target.rank
-            cols = [
-                tuple(self.graph.basis[r1 + i][j] for i in range(r2))
-                for j in range(r1 + r2)
-            ]
+            cols = list(self._values()) + self.kat().gen_columns()
             self._im = Subgroup._span(self.target, cols)
         return self._im
 
@@ -204,24 +226,17 @@ class Endogeny:
 
     def apply(self, a) -> Coset:
         """Value at a group element: a coset of the katakernel."""
-        a = self.source.reduce(a)
-        r1 = self.source.rank
-        b = [0] * self.target.rank
-        for i in range(self.target.rank):
-            row = self.graph.basis[r1 + i]
-            s = 0
-            for j in range(r1):
-                s += row[j] * a[j]
-            b[i] = s
+        b = self._rep(self.source.reduce(a))
         return Coset(self.target.reduce(b), self.kat())
 
     def apply_set(self, s: Subgroup) -> Subgroup:
-        """Image of a subgroup of the source."""
+        """Image of a subgroup of the source: V S + K."""
         if s.group != self.source:
             raise AmbientMismatch("subgroup not in the source group")
-        cols = self.graph.gen_columns()
-        cols += [s.group.neg(col) + self.target.zero for col in s.gen_columns()]
-        return Subgroup.pushforward(self.target, self.source.moduli, cols)
+        cols = [self._rep(col) for col in s.gen_columns()]
+        if not cols:
+            return self.kat()
+        return Subgroup._span(self.target, cols + self.kat().gen_columns())
 
     def preimage(self, s: Subgroup) -> Subgroup:
         """Inverse image of a subgroup of the target."""
@@ -263,97 +278,81 @@ def _check_parallel(g1: Endogeny, g2: Endogeny):
         raise AmbientMismatch("endogenies carry different negligibility bounds")
 
 
-def _raw_add(g1: Endogeny, g2: Endogeny) -> Subgroup:
-    """Graph of the pointwise sum: pairs (a, b1 + b2) with (a, b1) in g1
-    and (a, b2) in g2."""
-    src = g1.source
-    r1 = src.rank
-    cols = [col[:r1] + col for col in g1.graph.gen_columns()]
-    cols += [
-        src.neg(col[:r1]) + src.zero + col[r1:]
-        for col in g2.graph.gen_columns()
-    ]
-    return Subgroup.pushforward(g1.graph.group, src.moduli, cols)
-
-
 def endo_add(g1: Endogeny, g2: Endogeny, *, unchecked=False) -> Endogeny:
-    """Pointwise sum: value at a is the sumset of the two values."""
+    """Pointwise sum: value at a is the sumset of the two values, so
+    (K1 + K2, V1 + V2)."""
     _check_parallel(g1, g2)
-    graph = _raw_add(g1, g2)
-    out = Endogeny(g1.source, g1.target, graph, g1.bound, _checked=True)
-    if not unchecked and not g1.bound.is_negligible(out.kat()):
+    kat = g1.kat() | g2.kat()
+    if not unchecked and not g1.bound.is_negligible(kat):
         raise KatakernelBound("katakernel of the sum exceeds the bound")
-    return out
+    vals = [[x + y for x, y in zip(v1, v2)] for v1, v2 in zip(g1._values(), g2._values())]
+    return Endogeny._from_values(g1.source, kat, vals, g1.bound, g1.graph.group)
 
 
 def endo_neg(g: Endogeny) -> Endogeny:
-    src, tgt = g.source, g.target
-    r1 = src.rank
-    prod = product_group(src, tgt)
-    gens = []
-    for j in range(r1 + tgt.rank):
-        col = [g.graph.basis[i][j] for i in range(r1)]
-        col += [-g.graph.basis[r1 + i][j] for i in range(tgt.rank)]
-        gens.append(col)
-    graph = Subgroup._span(prod, gens)
-    return Endogeny(src, tgt, graph, g.bound, _checked=True)
+    vals = [[-x for x in v] for v in g._values()]
+    return Endogeny._from_values(g.source, g.kat(), vals, g.bound, g.graph.group)
 
 
 def endo_compose(g1: Endogeny, g2: Endogeny, *, unchecked=False) -> Endogeny:
-    """Relational composite g1 after g2."""
+    """Relational composite g1 after g2: the value at a is
+    g1(V2 a + K2) = V1 V2 a + g1[K2], so (g1[K2], V1 V2)."""
     if g2.target != g1.source:
         raise AmbientMismatch("inner target differs from outer source")
-    src, mid, tgt = g2.source, g2.target, g1.target
-    ra, rb = src.rank, mid.rank
-    # pairs (a, c) with (a, b) in g2 and (b, c) in g1
-    cols = [col[ra:] + col[:ra] + tgt.zero for col in g2.graph.gen_columns()]
-    cols += [
-        mid.neg(col[:rb]) + src.zero + col[rb:]
-        for col in g1.graph.gen_columns()
-    ]
-    graph = Subgroup.pushforward(product_group(src, tgt), mid.moduli, cols)
-    out = Endogeny(src, tgt, graph, g1.bound, _checked=True)
-    if not unchecked and not g1.bound.is_negligible(out.kat()):
+    src, tgt = g2.source, g1.target
+    kat = g1.apply_set(g2.kat())
+    if not unchecked and not g1.bound.is_negligible(kat):
         raise KatakernelBound("katakernel of the composite exceeds the bound")
-    return out
-
-
-def endo_sub_raw(g1: Endogeny, g2: Endogeny) -> Endogeny:
-    """Difference without the bound check (internal; the result need not be
-    an endogeny of the declared bound)."""
-    return endo_add(g1, endo_neg(g2), unchecked=True)
+    vals = [g1._rep(v) for v in g2._values()]
+    mods = src.moduli + tgt.moduli
+    prod = next((e.graph.group for e in (g1, g2) if e.graph.group.moduli == mods), None)
+    return Endogeny._from_values(src, kat, vals, g1.bound, prod or product_group(src, tgt))
 
 
 def equivalent(g1: Endogeny, g2: Endogeny) -> bool:
     """Equality after blurring by F = kat(g1) + kat(g2).
 
     That particular F is the minimal witness, so a single comparison decides
-    equivalence; both katakernels are negligible, hence so is F.
+    equivalence; both katakernels are negligible, hence so is F.  Blurred by
+    F, each relation is (F, V mod F), so they agree exactly when V1 - V2 has
+    every column in F.
     """
     _check_parallel(g1, g2)
     f = g1.kat() | g2.kat()
-    cross = _cross_right(g1.source, g1.target, f)
-    return (g1.graph | cross) == (g2.graph | cross)
+    return all(
+        f.contains([x - y for x, y in zip(v1, v2)])
+        for v1, v2 in zip(g1._values(), g2._values())
+    )
 
 
 def preceq(g1: Endogeny, g2: Endogeny) -> bool:
-    """Preorder refining equivalence: graph containment up to the minimal
-    blur.  Its symmetrization coincides with :func:`equivalent`, and
-    morphisms are minimal."""
-    _check_parallel(g1, g2)
-    f = g1.kat() | g2.kat()
-    cross = _cross_right(g1.source, g1.target, f)
-    return g1.graph.leq(g2.graph | cross)
+    """Graph containment up to the minimal blur, g1 <= g2 + {0} x F with
+    F = kat g1 + kat g2; for global relations this is :func:`equivalent`.
+    The fiber of g2 + {0} x F over e_j is V2 e_j + F, so it holds the pair
+    (e_j, V1 e_j) of g1 only if V1 = V2 mod F; conversely then every pair
+    (a, V1 a + k), k in K1 <= F, lies in (a, V2 a + F)."""
+    return equivalent(g1, g2)
 
 
 def sharp_commutes(g: Endogeny, d: Endogeny) -> bool:
     """im(gd - dg) <= kat g + kat d; the workable middle ground between
-    commutation as relations and commutation modulo equivalence."""
+    commutation as relations and commutation modulo equivalence.
+
+    gd - dg is (Vg Kd + Kg + Vd Kg + Kd, Vg Vd - Vd Vg), so with
+    F = Kg + Kd the test is that F contains Vg Kd, Vd Kg and every column
+    of Vg Vd - Vd Vg; one Hermite form (for F), the rest box reductions."""
     _check_parallel(g, d)
-    gd = endo_compose(g, d, unchecked=True)
-    dg = endo_compose(d, g, unchecked=True)
-    sigma = endo_sub_raw(gd, dg)
-    return sigma.im().leq(g.kat() | d.kat())
+    if g.source != g.target:
+        raise AmbientMismatch("inner target differs from outer source")
+    kg, kd = g.kat(), d.kat()
+    f = kg | kd
+    cols = [g._rep(c) for c in kd.gen_columns()]
+    cols += [d._rep(c) for c in kg.gen_columns()]
+    cols += [
+        [x - y for x, y in zip(g._rep(vd), d._rep(vg))]
+        for vg, vd in zip(g._values(), d._values())
+    ]
+    return all(f.contains(c) for c in cols)
 
 
 def weakly_invariant(b: Subgroup, g: Endogeny) -> bool:

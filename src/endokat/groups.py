@@ -12,7 +12,7 @@ Each pivot h_jj divides d_j and each entry below a pivot lies in
 column with h_jj == d_j is exactly d_j e_j, zero in the group.  A subgroup's
 generators are therefore read off its basis without reduction, once per
 subgroup, and the trivial and full subgroups, sums with a trivial or equal
-operand and block-diagonal products are written down without a kernel call.
+operand and the graphs of endogenies are written down without a kernel call.
 """
 
 from __future__ import annotations
@@ -231,8 +231,8 @@ class Subgroup:
 
         Each column is a leading block of length ``len(lattice_mods)``
         followed by a trailing block of length ``carried.rank``.  Every
-        kernel, image, preimage, sum and composite of relations is such a
-        question, answered by one Hermite form: the bottom-right block of the
+        kernel, preimage, intersection and restriction is such a question,
+        answered by one Hermite form: the bottom-right block of the
         lower-triangular basis of span(cols) + diag(lattice_mods,
         carried.moduli) spans its intersection with 0 x Z^carried.rank, in
         canonical form.

@@ -54,6 +54,42 @@ def _report(descs, workers):
     return rep
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size it is asked
+    for and runs the jobs in this process, so no process starts."""
+
+    sizes = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize(
+    "workers, jobs, cpus, pool",
+    [(10_000, 3, 4, 3), (10_000, 6, 4, 4), (2, 6, 4, 2), (None, 6, 4, 4), (None, 2, 8, 2),
+     (10_000, 6, None, None), (3, 1, 4, None)],
+)
+def test_pool_bounded_by_jobs_and_cpus(monkeypatch, workers, jobs, cpus, pool):
+    """run_suite starts at most min(workers, jobs, cpu_count) processes (no
+    pool when that is 1), and the report is the serial one."""
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(audits, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(audits.os, "cpu_count", lambda: cpus)
+    descs = audits.make_descriptors("prering", jobs, 11)
+    assert _report(descs, workers) == _report(descs, 1)
+    assert _RecordingPool.sizes == ([] if pool is None else [pool])
+
+
 @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
 @pytest.mark.parametrize(
     "count, seed, max_order, workers",

@@ -1,9 +1,11 @@
 """The relation calculus: validation, operations, laws, invariance."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endokat import config, oracle
+from endokat import config, groups, oracle
 from endokat.endogeny import (
     Endogeny,
     EndogenySet,
@@ -12,7 +14,6 @@ from endokat.endogeny import (
     endo_add,
     endo_compose,
     endo_neg,
-    endo_sub_raw,
     endogeny_validate,
     equivalent,
     fully_invariant,
@@ -35,10 +36,17 @@ from endokat.groups import (
     Homomorphism,
     Subgroup,
     canonicalize_group,
+    product_group,
     subgroup_from_generators,
     subgroup_isomorphism,
 )
-from endokat.instances import fixture_nonliftable, random_endogeny, random_sharp_pair
+from endokat.instances import (
+    fixture_nonliftable,
+    random_endogeny,
+    random_homomorphism,
+    random_sharp_pair,
+)
+from endokat.rng import SplitMix64
 
 
 def bound_of(group, gens):
@@ -114,7 +122,7 @@ def test_add_compose_laws(z4):
     assert endo_add(g, zero) == g
     assert endo_compose(one, g) == g and endo_compose(g, one) == g
     # gamma - gamma = blur by its katakernel, literally A x kat
-    d = endo_sub_raw(g, g)
+    d = endo_add(g, endo_neg(g), unchecked=True)
     assert d.graph == zf.graph
     assert oracle.graph_set(d) == frozenset(
         (a, b) for a in oracle.DenseGroup(z4).elements for b in oracle.subgroup_set(f)
@@ -191,8 +199,9 @@ def test_sharp_commutation(z2z2):
     # oracle agrees, and the offending image is F + swap[F] (the whole group)
     gs, ds = oracle.graph_set(zf), oracle.graph_set(swap)
     assert not oracle.endog_sharp(gs, ds, z2z2)
-    sigma = endo_sub_raw(
-        endo_compose(zf, swap, unchecked=True), endo_compose(swap, zf, unchecked=True)
+    sigma = endo_add(
+        endo_compose(zf, swap, unchecked=True), endo_neg(endo_compose(swap, zf, unchecked=True)),
+        unchecked=True,
     )
     swap_f = subgroup_from_generators(z2z2, [swap.apply(c).rep for c in f.gen_columns()])
     assert sigma.im() == (f | swap_f)
@@ -358,3 +367,218 @@ def test_bikat_and_induced_action(z2z2):
     q, proj, gh, dh = induced_action(gset, dset)
     assert q.moduli == (2, 2)
     assert gh[0].matrix == ((0, 1), (1, 0))
+
+
+# ---------------------------------------------------------------------------
+# The graph calculus in the product group: one Hermite form of the graphs per
+# operation.  The library computes on (katakernel, value columns) instead;
+# these are the references it must match basis for basis.
+
+
+def _ref_add(g1, g2):
+    """Graph of the pointwise sum: pairs (a, b1 + b2) with (a, b1) in g1
+    and (a, b2) in g2."""
+    src = g1.source
+    r1 = src.rank
+    cols = [col[:r1] + col for col in g1.graph.gen_columns()]
+    cols += [src.neg(col[:r1]) + src.zero + col[r1:] for col in g2.graph.gen_columns()]
+    return Subgroup.pushforward(g1.graph.group, src.moduli, cols)
+
+
+def _ref_neg(g):
+    src, tgt = g.source, g.target
+    r1 = src.rank
+    gens = []
+    for j in range(r1 + tgt.rank):
+        col = [g.graph.basis[i][j] for i in range(r1)]
+        col += [-g.graph.basis[r1 + i][j] for i in range(tgt.rank)]
+        gens.append(col)
+    return Subgroup._span(product_group(src, tgt), gens)
+
+
+def _ref_compose(g1, g2):
+    """Graph of g1 after g2: pairs (a, c) with (a, b) in g2 and (b, c) in g1."""
+    src, mid, tgt = g2.source, g2.target, g1.target
+    ra, rb = src.rank, mid.rank
+    cols = [col[ra:] + col[:ra] + tgt.zero for col in g2.graph.gen_columns()]
+    cols += [mid.neg(col[:rb]) + src.zero + col[rb:] for col in g1.graph.gen_columns()]
+    return Subgroup.pushforward(product_group(src, tgt), mid.moduli, cols)
+
+
+def _ref_apply_set(g, s):
+    cols = g.graph.gen_columns()
+    cols += [s.group.neg(col) + g.target.zero for col in s.gen_columns()]
+    return Subgroup.pushforward(g.target, g.source.moduli, cols)
+
+
+def _ref_im(graph, src, tgt):
+    return Subgroup._span(tgt, [col[src.rank:] for col in graph.gen_columns()])
+
+
+def _like(e, graph):
+    return Endogeny(e.source, e.target, graph, e.bound, _checked=True)
+
+
+def _ref_sharp(g, d):
+    """im(gd - dg) <= kat g + kat d, by composites and a difference of graphs."""
+    gd = _like(g, _ref_compose(g, d))
+    dg = _like(g, _ref_compose(d, g))
+    sigma = _ref_add(gd, _like(g, _ref_neg(dg)))
+    return _ref_im(sigma, g.source, g.target).leq(g.kat() | d.kat())
+
+
+def _cross_right(src, tgt, f):
+    """{0} x F inside src x tgt."""
+    return Subgroup._span(product_group(src, tgt), [src.zero + col for col in f.gen_columns()])
+
+
+def _ref_equivalent(g1, g2):
+    cross = _cross_right(g1.source, g1.target, g1.kat() | g2.kat())
+    return (g1.graph | cross) == (g2.graph | cross)
+
+
+def _ref_preceq(g1, g2):
+    cross = _cross_right(g1.source, g1.target, g1.kat() | g2.kat())
+    return g1.graph.leq(g2.graph | cross)
+
+
+SMALL_GROUPS = [(), (2,), (3,), (4,), (2, 2), (6,), (8,), (9,), (2, 4), (2, 2, 2), (2, 6),
+                (4, 4), (3, 9), (2, 2, 4), (4, 8), (2, 4, 8), (8, 8)]
+
+
+def _random_subgroup(g, rnd, most=2):
+    gens = [tuple(rnd.randrange(m) for m in g.moduli) for _ in range(rnd.randrange(most + 1))]
+    return subgroup_from_generators(g, gens)
+
+
+def _random_relation(a, b, n_max, rnd, values=True):
+    """A global relation a -> b whose katakernel lies in n_max: a random
+    homomorphism plus random members of n_max as values, and random members
+    of n_max over 0.  ``values=False`` gives a blur a x F."""
+    hom = random_homomorphism(a, b, SplitMix64(rnd.getrandbits(63)))
+    members = list(n_max.elements())
+    pick = lambda: rnd.choice(members)
+    pairs = [(e, b.add(hom(e), pick()) if values else b.zero) for e in a.generators()]
+    pairs += [(a.zero, pick()) for _ in range(rnd.randrange(3))]
+    return Endogeny.from_pairs(a, b, pairs, NegligibilityBound(b, n_max))
+
+
+def _random_setup(ma, mb, mc, seed):
+    rnd = random.Random(seed)
+    a, b, c = (canonicalize_group(list(m)) for m in (ma, mb, mc))
+    nb, nc = _random_subgroup(b, rnd, 3), _random_subgroup(c, rnd, 3)
+    g1, g2 = (_random_relation(a, b, nb, rnd) for _ in range(2))
+    g3 = endo_add(g1, _random_relation(a, b, nb, rnd, values=False))  # equivalent to g1
+    h = _random_relation(b, c, nc, rnd)
+    e, d = (_random_relation(b, b, nb, rnd) for _ in range(2))
+    return rnd, a, b, (g1, g2, g3, h, e, d)
+
+
+_three_groups = st.tuples(*[st.sampled_from(SMALL_GROUPS)] * 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_three_groups, st.integers(0, 2**32))
+def test_value_columns_match_graph_reference(mods, seed):
+    """Sum, negation, composite, image, equivalence and the sharp test on
+    (katakernel, value columns) give the graph calculus's bases and
+    verdicts, source and target differing, bounds and blurs random."""
+    rnd, a, b, (g1, g2, g3, h, e, d) = _random_setup(*mods, seed)
+    s = _random_subgroup(a, rnd)
+    tight = NegligibilityBound(b, _random_subgroup(b, rnd) & g1.bound.n_max)
+    for x, y in ((g1, g2), (g1, g3), (g2, g3)):
+        ref = _ref_add(x, y)
+        assert endo_add(x, y, unchecked=True).graph.basis == ref.basis
+        assert endo_add(x, y).graph == ref  # kat x + kat y stays inside the bound
+        xt, yt = (Endogeny(a, b, z.graph, tight, _checked=True) for z in (x, y))
+        if tight.is_negligible(_like(x, ref).kat()):
+            assert endo_add(xt, yt).graph == ref
+        else:
+            with pytest.raises(KatakernelBound):
+                endo_add(xt, yt)
+        assert equivalent(x, y) == _ref_equivalent(x, y)
+    ref = _ref_compose(h, g1)
+    if h.bound.is_negligible(Endogeny(a, h.target, ref, h.bound, _checked=True).kat()):
+        assert endo_compose(h, g1).graph == ref
+    else:
+        with pytest.raises(KatakernelBound):
+            endo_compose(h, g1)
+    assert equivalent(g1, g3)
+    assert endo_neg(g1).graph.basis == _ref_neg(g1).basis
+    assert endo_compose(h, g1, unchecked=True).graph.basis == ref.basis
+    assert endo_compose(e, d, unchecked=True).graph.basis == _ref_compose(e, d).basis
+    assert g1.apply_set(s).basis == _ref_apply_set(g1, s).basis
+    assert g1.im() == _ref_im(g1.graph, a, b)
+    z = _random_relation(b, b, e.bound.n_max, rnd, values=False)  # a blur: only d[F] can fail
+    for x, y in ((e, d), (e, e), (e, endo_add(e, e, unchecked=True)), (d, endo_neg(d)), (z, d), (d, z)):
+        assert sharp_commutes(x, y) == _ref_sharp(x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_three_groups, st.integers(0, 2**32))
+def test_preceq_is_graph_containment_and_equivalence(mods, seed):
+    """g1 <= g2 + {0} x (kat g1 + kat g2) exactly when the two are
+    equivalent (the argument is in preceq's docstring)."""
+    _, _, _, (g1, g2, g3, _, e, d) = _random_setup(*mods, seed)
+    for x, y in ((g1, g2), (g2, g1), (g1, g3), (g3, g1), (e, d)):
+        assert _ref_preceq(x, y) == equivalent(x, y) == preceq(x, y)
+
+
+_oracle_groups = st.tuples(*[st.sampled_from([m for m in SMALL_GROUPS if len(m) < 3 and sum(m) <= 12])] * 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_oracle_groups, st.integers(0, 2**32))
+def test_value_columns_match_oracle(mods, seed):
+    """The same operations against element enumeration of the graphs."""
+    rnd, a, b, (g1, g2, g3, h, e, d) = _random_setup(*mods, seed)
+    c = h.target
+    gs1, gs2, gsh = oracle.graph_set(g1), oracle.graph_set(g2), oracle.graph_set(h)
+    assert oracle.graph_set(endo_add(g1, g2, unchecked=True)) == oracle.endog_add(gs1, gs2, a, b)
+    assert oracle.graph_set(endo_neg(g1)) == oracle.endog_neg(gs1, b)
+    assert oracle.graph_set(endo_compose(h, g1, unchecked=True)) == oracle.endog_compose(gsh, gs1, c)
+    for x, y in ((g1, g2), (g1, g3)):
+        assert equivalent(x, y) == oracle.endog_equivalent(oracle.graph_set(x), oracle.graph_set(y), a, b)
+    assert sharp_commutes(e, d) == oracle.endog_sharp(oracle.graph_set(e), oracle.graph_set(d), b)
+    s = _random_subgroup(a, rnd)
+    members = oracle.subgroup_set(s)
+    assert oracle.subgroup_set(g1.apply_set(s)) == frozenset(y for x, y in gs1 if x in members)
+
+
+def test_value_column_ops_make_few_hermite_forms(monkeypatch):
+    """Negation and the fixture constructors write the graph down; a sum,
+    a composite and the sharp test take one Hermite form each, in the
+    target's rank."""
+    a, b, c = (canonicalize_group(m) for m in ([2, 4], [2, 2, 4], [3, 9]))
+    bound = NegligibilityBound.everything(b)
+    e1, e2, e3 = b.generators()
+    g1 = Endogeny.from_pairs(a, b, [((1, 0), e1), ((0, 1), (0, 1, 1)), (a.zero, (0, 0, 2))], bound)
+    g2 = Endogeny.from_pairs(a, b, [((1, 0), e2), ((0, 1), (1, 0, 3)), (a.zero, (1, 1, 0))], bound)
+    h = Endogeny.from_pairs(
+        b, c, [(e1, (1, 0)), (e2, (0, 3)), (e3, (2, 1))], NegligibilityBound.everything(c)
+    )
+    e = Endogeny.from_pairs(b, b, [(e1, e2), (e2, e1), (e3, e3), (b.zero, e1)], bound)
+    d = Endogeny.from_pairs(b, b, [(e1, e1), (e2, e2), (e3, (0, 0, 3)), (b.zero, (0, 0, 2))], bound)
+    assert not any(x.kat().is_trivial for x in (g1, g2, h, e, d))
+    assert g1.kat() != g2.kat() and e.kat() != d.kat()
+    hom = random_homomorphism(a, b, SplitMix64(3))
+    ranks = []
+    real = groups.hnf_kernel
+    monkeypatch.setattr(groups, "hnf_kernel", lambda mods, cols: ranks.append(len(mods)) or real(mods, cols))
+    for op in (
+        lambda: endo_neg(g1),
+        lambda: Endogeny.from_morphism(hom, bound),
+        lambda: Endogeny.identity(b, bound),
+        lambda: Endogeny.zero(b, bound),
+        lambda: Endogeny.blur(g1.kat(), bound),
+    ):
+        op()
+        assert ranks == []
+    for op, rank in (
+        (lambda: endo_add(g1, g2), b.rank),
+        (lambda: endo_compose(h, g1), c.rank),
+        (lambda: sharp_commutes(e, d), b.rank),
+    ):
+        ranks.clear()
+        op()
+        assert ranks == [rank]

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from endokat import config, groups, oracle
 from endokat._kernel import hnf_kernel
 from endokat.dimension import SplitGroup
-from endokat.endogeny import _cross_right
+from endokat.endogeny import Endogeny, NegligibilityBound
 from endokat.errors import AmbientMismatch, InvalidInput
 from endokat.groups import (
     AbelianGroup,
@@ -258,15 +258,6 @@ def test_sum_matches_span_of_both_generator_sets(pair):
         assert subgroup_sum(x, y) == subgroup_from_generators(g, x.gen_columns() + y.gen_columns())
 
 
-@settings(max_examples=40, deadline=None)
-@given(GROUPS, GROUPS.flatmap(subgroups_of))
-def test_cross_right_matches_generator_route(src, f):
-    expected = subgroup_from_generators(
-        product_group(src, f.group), [(0,) * src.rank + col for col in f.gen_columns()]
-    )
-    assert _cross_right(src, f.group, f) == expected
-
-
 def test_known_answers_skip_the_kernel(monkeypatch):
     g = canonicalize_group([2, 4])
     h = subgroup_from_generators(g, [(1, 2)])
@@ -283,7 +274,7 @@ def test_known_answers_skip_the_kernel(monkeypatch):
     assert subgroup_sum(h, triv) is h and subgroup_sum(triv, h) is h
     assert subgroup_sum(h, same) is h
     assert subgroup_sum(full, full) is full
-    assert _cross_right(g, g, h).order == h.order
+    assert Endogeny.blur(h, NegligibilityBound.everything(g)).kat() == h
     calls = []
     monkeypatch.setattr(groups, "hnf_kernel", lambda *args: calls.append(args) or hnf_kernel(*args))
     assert sg.dim(hs) == 2
