@@ -67,9 +67,14 @@ class NoProjection(EndokatError):
 
 
 class NoTransporter(EndokatError):
-    """No invertible algebra element maps one line onto the other."""
+    """A line's witness gives no isomorphism onto it from the common
+    source; carries the witness."""
 
     tag = "no-transporter"
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NotLocallyCentral(EndokatError):

@@ -82,10 +82,14 @@ class AbelianGroup:
     def zero(self):
         return (0,) * self.rank
 
-    def reduce(self, vec):
+    def _check_length(self, vec):
+        """``vec``, after checking that it has one entry per coordinate."""
         if len(vec) != self.rank:
             raise InvalidInput(f"element length {len(vec)} != rank {self.rank}")
-        return tuple(int(v) % m for v, m in zip(vec, self.moduli))
+        return vec
+
+    def reduce(self, vec):
+        return tuple(int(v) % m for v, m in zip(self._check_length(vec), self.moduli))
 
     def add(self, a, b):
         return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
@@ -288,13 +292,14 @@ class Subgroup:
     def is_full(self):
         return self.index == 1
 
+    # box_reduce reduces each entry modulo its modulus first, so vec is only
+    # checked for length, not reduced
     def contains(self, vec):
-        red = box_reduce(self.group.moduli, self.basis, self.group.reduce(vec))
-        return not any(red)
+        return not any(box_reduce(self.group.moduli, self.basis, self.group._check_length(vec)))
 
     def coset_reduce(self, vec):
         """Canonical representative of vec + self."""
-        return box_reduce(self.group.moduli, self.basis, self.group.reduce(vec))
+        return box_reduce(self.group.moduli, self.basis, self.group._check_length(vec))
 
     def leq(self, other):
         _check_same_ambient(self.group, other.group)

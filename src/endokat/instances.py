@@ -9,6 +9,8 @@ equivalent to no endomorphism at all.
 
 from __future__ import annotations
 
+import math
+
 from . import fp
 from .dimension import SplitGroup, is_minimal_bimodule
 from .endogeny import (
@@ -156,17 +158,25 @@ def random_subgroup_of(h: Subgroup, rng: SplitMix64) -> Subgroup:
     return Subgroup.from_generators(g, gens)
 
 
+def _torsion_columns(b: AbelianGroup, d):
+    """Canonical generators of the d-torsion {y : d y = 0} of b: its
+    canonical basis is diag(m_i / gcd(m_i, d)), so they are the columns
+    (m_i / gcd(m_i, d)) e_i with gcd(m_i, d) > 1, in index order."""
+    cols = []
+    for i, m in enumerate(b.moduli):
+        g = math.gcd(m, d)
+        if g > 1:
+            cols.append(tuple(m // g if j == i else 0 for j in range(b.rank)))
+    return cols
+
+
 def random_homomorphism(a: AbelianGroup, b: AbelianGroup, rng: SplitMix64) -> Homomorphism:
     """Uniform-ish seeded homomorphism: each generator image is drawn from
     the subgroup of elements its order must kill."""
     cols = []
     for d in a.moduli:
-        # image y must satisfy d*y = 0: kernel of multiplication by d
-        mult = Homomorphism(b, b, [[d if i == j else 0 for j in range(b.rank)] for i in range(b.rank)], _trusted=True)
-        sol = mult.kernel()
-        gens = sol.gen_columns()
         y = b.zero
-        for c in gens:
+        for c in _torsion_columns(b, d):
             y = b.add(y, b.scalar_mul(rng.below(b.exponent), c))
         cols.append(y)
     rows = [[cols[j][i] for j in range(a.rank)] for i in range(b.rank)]

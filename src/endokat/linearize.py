@@ -6,7 +6,7 @@ The pipeline mirrors the constructive double-centralizer route: replace the
 two commuting generator families by mutual centralizers, split the space
 into minimal images ("lines") by orthogonal idempotents of the first
 algebra, extract the coefficient field on one line recursively, and lift a
-basis of it along invertible transporters.  Every step revalidates its
+basis of it along the lines' own witnesses.  Every step revalidates its
 postconditions, so a hypothesis failure surfaces as a typed error with a
 witness instead of a wrong report.
 """
@@ -14,7 +14,7 @@ witness instead of a wrong report.
 from __future__ import annotations
 
 from functools import wraps
-from itertools import islice, product
+from itertools import product
 
 from . import config, fp
 from .errors import (
@@ -93,8 +93,7 @@ class MatrixAlgebra:
 def _combinations(p, basis, zero):
     """Every F_p-combination of the matrices in ``basis``, starting with
     ``zero``, in lexicographic order of the coefficient tuple (c_0 most
-    significant).  Witnesses, intertwiners and transporters are the first
-    hit in this order, so it is part of every output.
+    significant).  Line witnesses are the first hit in this order.
 
     The next tuple raises one digit c_j by one and wraps every later digit
     from p - 1 to 0; mod p both add the basis element once, so each step is
@@ -376,13 +375,17 @@ def common_invariant_subspace(galg: MatrixAlgebra, dalg: MatrixAlgebra):
 
 class Line:
     """A minimal nonzero image subspace of the algebra, with a witness
-    element whose image it is."""
+    element whose image it is and the minimal image ``source`` it starts
+    from: :func:`lines` gives all its lines one source u and the witness
+    w = phi K_u pi_u (built there), so w pi_u = w and w restricted to u is
+    phi, an isomorphism from u onto the line."""
 
-    __slots__ = ("subspace", "witness")
+    __slots__ = ("subspace", "witness", "source")
 
-    def __init__(self, subspace, witness):
+    def __init__(self, subspace, witness, source):
         self.subspace = tuple(subspace)
         self.witness = witness
+        self.source = tuple(source)
 
     @property
     def dim(self):
@@ -524,7 +527,7 @@ def lines(alg: MatrixAlgebra):
     witness, u, scalars = _minimal_image(alg)
     k = len(u)
     if k == n:
-        return [Line(u, witness)]
+        return [Line(u, witness, u)]
     bcols = fp.transpose(u)
     kbasis = []
     span = ()
@@ -553,7 +556,7 @@ def lines(alg: MatrixAlgebra):
                 u2 = fp.column_space(p, phi2)
                 if u2 not in found:
                     found[u2] = fp.mul(p, phi2, lift)
-    return [Line(us, w) for us, w in sorted(found.items())]
+    return [Line(us, w, u) for us, w in sorted(found.items())]
 
 
 @_once_per_subspace
@@ -629,10 +632,6 @@ class Decomposition:
         return True
 
 
-def _subspace_leq(p, sub1, sub2):
-    return all(fp.in_span(p, sub2, v) for v in sub1)
-
-
 def decompose(galg: MatrixAlgebra, dalg: MatrixAlgebra) -> Decomposition:
     """Split the space into a direct sum of lines with orthogonal
     idempotents from galg, greedily inside the running complement."""
@@ -649,7 +648,7 @@ def decompose(galg: MatrixAlgebra, dalg: MatrixAlgebra) -> Decomposition:
         w = fp.column_space(p, rho)
         pick = None
         for line in lam:
-            if _subspace_leq(p, line.subspace, w):
+            if all(fp.in_span(p, w, v) for v in line.subspace):
                 pick = line
                 break
         if pick is None:
@@ -695,67 +694,17 @@ def _coordinate_map(p, line_basis):
     return tuple(rows)
 
 
-def _delta_iso(l1: Line, l2: Line, dalg: MatrixAlgebra):
-    """Invertible map of line coordinates intertwining the restricted action
-    of dalg: the identity when l1 == l2, else the first one in walk order;
-    None if only singular maps intertwine."""
-    p = dalg.p
-    k = l1.dim
-    if l2.dim != k:
-        return None
-    # restricting before the l1 == l2 shortcut keeps the InvalidInput for a
-    # dalg that does not preserve the lines
-    pairs = [
-        (_restricted(p, d, l1.subspace, l1.subspace), _restricted(p, d, l2.subspace, l2.subspace))
-        for d in (dalg.generators or dalg.basis)
-    ]
-    if l1.subspace == l2.subspace:
-        return fp.identity(k)
-    sols = [fp.unflatten(s, k) for s in _intertwiners(p, k, pairs)]
-    if p ** len(sols) > config.CLOSURE_CAP:
-        raise CapExceeded(
-            f"intertwiner space of {p ** len(sols)} elements to sweep, above the closure cap CLOSURE_CAP = {config.CLOSURE_CAP}"
-        )
-    for phi in islice(_combinations(p, sols, fp.zero(k)), 1, None):
-        if fp.is_invertible(p, phi):
-            return phi
-    return None
-
-
-def transporter(l1: Line, l2: Line, galg: MatrixAlgebra, dalg: MatrixAlgebra):
-    """Invertible element of galg mapping l1 onto l2 and intertwining dalg;
-    it induces the coordinate map :func:`_delta_iso` picks."""
-    p, n = galg.p, galg.n
-    k = l1.dim
-    phi = _delta_iso(l1, l2, dalg)
-    if phi is None:
-        raise NoTransporter("no invertible intertwiner between the lines")
-    b1 = fp.transpose(l1.subspace)
-    b2 = fp.transpose(l2.subspace)
-    k1 = _coordinate_map(p, l1.subspace)
-    pi0 = projection_onto_line(l1, galg, dalg)
-    t = fp.mul(p, pi0, b2)
-    rank_t = fp.rank(p, t)
-    phi_hat = fp.mul(p, fp.mul(p, b2, phi), fp.mul(p, k1, pi0))
-    if rank_t == k:
-        gamma = fp.add(p, phi_hat, fp.sub(p, fp.identity(n), pi0))
-    elif rank_t == 0:
-        pi2 = fp.mul(p, projection_onto_line(l2, galg, dalg), fp.sub(p, fp.identity(n), pi0))
-        k2 = _coordinate_map(p, l2.subspace)
-        inv_phi = fp.inverse(p, phi)
-        psi = fp.mul(p, fp.mul(p, b1, inv_phi), fp.mul(p, k2, pi2))
-        rest = fp.sub(p, fp.sub(p, fp.identity(n), pi0), pi2)
-        gamma = fp.add(p, fp.add(p, phi_hat, psi), rest)
-    else:
-        raise NoTransporter("line meets the complement nontrivially")
-    if not fp.is_invertible(p, gamma):
-        raise NoTransporter("constructed transporter is singular")
-    if fp.column_space(p, fp.mul(p, gamma, b1)) != l2.subspace:
-        raise NoTransporter("transporter does not carry the line onto the target")
-    for d in dalg.generators or dalg.basis:
-        if fp.mul(p, gamma, d) != fp.mul(p, d, gamma):
-            raise NoTransporter("transporter fails to commute with the second algebra")
-    return gamma
+def _from_source(p, li: Line, source):
+    """The witness of ``li`` restricted to ``source`` (see :class:`Line`)
+    in their coordinates, and its inverse; :class:`NoTransporter` with the
+    witness if li starts elsewhere or the restriction is singular."""
+    if li.source != source:
+        raise NoTransporter("line starts from another minimal image", witness=li.witness)
+    t = _restricted(p, li.witness, source, li.subspace)
+    t_inv = fp.inverse(p, t)
+    if t_inv is None:
+        raise NoTransporter("witness is singular on its source", witness=li.witness)
+    return t, t_inv
 
 
 def lift_endomorphism(phis, line: Line, dec: Decomposition, galg: MatrixAlgebra, dalg: MatrixAlgebra, gl):
@@ -763,36 +712,34 @@ def lift_endomorphism(phis, line: Line, dec: Decomposition, galg: MatrixAlgebra,
     to the whole space: transport each to every line of the decomposition
     and sum the pieces through the idempotents.  ``gl`` is the restricted
     left ideal of ``line`` in galg (:func:`_restricted_ideal`), which the
-    caller has already built.  Returns the lifts in the order of ``phis``;
-    each transporter is built once for all of them."""
+    caller has already built.  Returns the lifts in the order of ``phis``.
+    A map moves from ``line`` to l_i as T phi T^-1, T = w_i|_u (w|_u)^-1
+    for the witnesses w, w_i (:class:`Line`): a Delta-isomorphism, as
+    galg = C(Delta), and any other one differs from it by a unit of the
+    local algebra, which a central map commutes with."""
     p, n = galg.p, galg.n
     dl = [_restricted(p, d, line.subspace, line.subspace) for d in (dalg.generators or dalg.basis)]
     for phi in phis:
         for m in dl + gl:
             if fp.mul(p, m, phi) != fp.mul(p, phi, m):
                 raise NotLocallyCentral("map is not central in the restricted algebras")
-    # per line: its restricted left ideal, the transporter from ``line`` and
-    # its inverse in line coordinates (None on ``line`` itself), and the
-    # outer factors of the piece
+    r, r_inv = _from_source(p, line, line.source)
+    # per line: restricted left ideal, witness on u and inverse, outer factors
     pieces = []
     for li, pi in zip(dec.lines, dec.projections):
-        if li.subspace == line.subspace:
-            xl, move = gl, None
-        else:
-            xl = _restricted_ideal(galg, li.subspace)
-            t = _restricted(p, transporter(line, li, galg, dalg), line.subspace, li.subspace)
-            move = (t, fp.inverse(p, t))
+        xl = gl if li.subspace == line.subspace else _restricted_ideal(galg, li.subspace)
         kpi = fp.mul(p, _coordinate_map(p, li.subspace), pi)
-        pieces.append((xl, move, fp.transpose(li.subspace), kpi))
+        pieces.append((xl, _from_source(p, li, line.source), fp.transpose(li.subspace), kpi))
     commuting = list(galg.generators or galg.basis) + list(dalg.generators or dalg.basis)
     out = []
     for phi in phis:
+        phi_u = fp.mul(p, fp.mul(p, r_inv, phi), r)
         hat = fp.zero(n)
-        for xl, move, bi, kpi in pieces:
-            phi_i = phi if move is None else fp.mul(p, fp.mul(p, move[0], phi), move[1])
+        for xl, (t, t_inv), bi, kpi in pieces:
+            phi_i = fp.mul(p, fp.mul(p, t, phi_u), t_inv)
             for xr in xl:
                 if fp.mul(p, xr, phi_i) != fp.mul(p, phi_i, xr):
-                    raise NotLocallyCentral("transported map depends on the transporter")
+                    raise NotLocallyCentral("transported map depends on the isomorphism")
             hat = fp.add(p, hat, fp.mul(p, fp.mul(p, bi, phi_i), kpi))
         for g in commuting:
             if fp.mul(p, hat, g) != fp.mul(p, g, hat):
@@ -918,7 +865,7 @@ def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
     the space into lines.  A single line is the base case: the commutant
     itself is certified to be a field equal to the double commutant.
     Otherwise the field of the first line is extracted recursively and
-    lifted along transporters.
+    lifted along the lines' witnesses.
     """
     check_matrix_bimodule(p, n, gamma_gens, delta_gens)
     gamma_gens = [fp.mat(g, p) for g in gamma_gens]

@@ -82,6 +82,27 @@ def test_membership_and_index(z4, z2z4):
     assert sorted(h11.elements()) == [(0, 0), (0, 2), (1, 1), (1, 3)]
 
 
+def test_membership_rejects_a_wrong_length(z2z4):
+    h = subgroup_from_generators(z2z4, [(1, 1)])
+    for vec in ((1,), (1, 1, 0)):
+        with pytest.raises(InvalidInput, match="length"):
+            h.contains(vec)
+        with pytest.raises(InvalidInput, match="length"):
+            h.coset_reduce(vec)
+
+
+def test_membership_of_unreduced_vectors(z2z4):
+    """contains and coset_reduce read a vector modulo the moduli: negative
+    and unreduced entries give the answers of the reduced vector."""
+    h = subgroup_from_generators(z2z4, [(1, 1)])
+    for vec in [(-1, -1), (3, 5), (-2, 6), (1, -2), (7, 2**70 + 1), (0, -4)]:
+        red = z2z4.reduce(vec)
+        assert red != vec
+        assert h.contains(vec) == h.contains(red)
+        assert h.coset_reduce(vec) == h.coset_reduce(red)
+    assert h.contains((-1, -1)) and h.contains((3, 5)) and not h.contains((1, -2))
+
+
 def test_sum_intersect_examples(z2z2, z2z4):
     a = subgroup_from_generators(z2z2, [(1, 0)])
     b = subgroup_from_generators(z2z2, [(0, 1)])

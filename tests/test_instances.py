@@ -1,16 +1,20 @@
 """Fixtures and seeded generators: validity and reproducibility."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from endokat import jsonio
 from endokat.endogeny import sharp_commutes
 from endokat.errors import InvalidInput
-from endokat.groups import subgroup_from_generators
+from endokat.rng import SplitMix64
+from endokat.groups import AbelianGroup, Homomorphism, subgroup_from_generators
 from endokat.instances import (
+    _torsion_columns,
     fixture_nonliftable,
     fixture_zF,
     matrix_bimodule,
     random_endogeny,
+    random_homomorphism,
     random_sharp_pair,
     split_bimodule,
 )
@@ -112,3 +116,36 @@ def test_json_roundtrips(z2z4):
     assert back3["gamma_generators"] == tuple(inst["gamma_generators"]) or list(
         back3["gamma_generators"]
     ) == list(inst["gamma_generators"])
+
+
+def _kernel_torsion_columns(b, d):
+    """Reference: the d-torsion of b as the kernel of multiplication by d."""
+    mult = Homomorphism(b, b, [[d if i == j else 0 for j in range(b.rank)] for i in range(b.rank)], _trusted=True)
+    return mult.kernel().gen_columns()
+
+
+def _reference_random_homomorphism(a, b, rng):
+    """Reference: random_homomorphism drawing from the kernel route."""
+    cols = []
+    for d in a.moduli:
+        y = b.zero
+        for c in _kernel_torsion_columns(b, d):
+            y = b.add(y, b.scalar_mul(rng.below(b.exponent), c))
+        cols.append(y)
+    return tuple(tuple(cols[j][i] for j in range(a.rank)) for i in range(b.rank))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, 30), max_size=4),
+    st.lists(st.integers(1, 60), max_size=3),
+    st.integers(0, 2**64 - 1),
+)
+def test_torsion_columns_match_the_kernel(target, source, seed):
+    """The written-down d-torsion generators are the kernel's, in its order,
+    so random_homomorphism makes the same draws and the same maps."""
+    a, b = AbelianGroup(source), AbelianGroup(target)
+    for d in source + [1, 2, 12, 2**20]:
+        assert _torsion_columns(b, d) == _kernel_torsion_columns(b, d)
+    got = random_homomorphism(a, b, SplitMix64(seed)).matrix
+    assert got == _reference_random_homomorphism(a, b, SplitMix64(seed))

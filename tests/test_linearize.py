@@ -1,5 +1,5 @@
-"""Matrix machinery: commutants, lines, decomposition, transport, lifting,
-field extraction."""
+"""Matrix machinery: commutants, lines, decomposition, lifting along the
+line witnesses, field extraction."""
 
 import hashlib
 
@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from endokat import config, fp, linearize
-from endokat.errors import CapExceeded, HypothesisViolation, Inconclusive, InvalidInput
+from endokat.errors import CapExceeded, HypothesisViolation, Inconclusive, InvalidInput, NoTransporter
 from endokat.instances import matrix_bimodule, _random_invertible
 from endokat.linearize import (
+    Decomposition,
     Line,
     MatrixAlgebra,
     _intertwiners,
@@ -26,7 +27,6 @@ from endokat.linearize import (
     lift_endomorphism,
     lines,
     projection_onto_line,
-    transporter,
 )
 from endokat.rng import SplitMix64
 
@@ -66,8 +66,8 @@ def test_algebra_closure_examples(m2, f4, scal2):
 
 def test_elements_walk_order(m2):
     """elements()[i] is the combination whose coefficients are the base-p
-    digits of i, most significant first; witnesses and transporters are
-    first hits in this order."""
+    digits of i, most significant first; line witnesses are first hits in
+    this order."""
     f27 = algebra_closure([fp.companion(3, fp.lex_min_irreducible(3, 3))], p=3, n=3)
     for alg in (m2, f27):
         p, d = alg.p, alg.dim
@@ -118,36 +118,41 @@ def test_lines_examples(m2, f4, scal2):
     ls = lines(m2)
     assert [l.subspace for l in ls] == [((0, 1),), ((1, 0),), ((1, 1),)]
     assert all(fp.column_space(2, l.witness) == l.subspace for l in ls)
-    assert lines(f4) == [Line(fp.rref(2, fp.identity(2))[0], fp.identity(2))]
+    whole = fp.rref(2, fp.identity(2))[0]
+    assert lines(f4) == [Line(whole, fp.identity(2), whole)]
     lsc = lines(scal2)
     assert len(lsc) == 1 and lsc[0].dim == 2
 
 
 def _enumerated_lines(alg):
-    """Reference: rank every element of the algebra; each image of the least
-    positive rank is a line, with the first element giving it as witness."""
+    """Reference: rank every element of the algebra; the images of the
+    least positive rank are the lines, in order of their bases."""
     p, n = alg.p, alg.n
-    found = {}
+    found = set()
     k = n + 1
     for m in alg.elements(alg.size):
         r = fp.rank(p, m)
         if r == 0 or r > k:
             continue
-        u = fp.column_space(p, m)
         if r < k:
-            k = r
-            found = {u: m}
-        elif u not in found:
-            found[u] = m
-    return [Line(u, w) for u, w in sorted(found.items())]
+            k, found = r, set()
+        found.add(fp.column_space(p, m))
+    return sorted(found)
 
 
 def _assert_lines_match_enumeration(alg):
+    """The lines are the enumerated ones; each witness lies in the algebra,
+    has the line as image, starts from the common source (w pi = w for the
+    idempotent pi onto it) and restricts to an isomorphism from it."""
+    p = alg.p
     got = lines(alg)
-    assert [l.subspace for l in got] == [l.subspace for l in _enumerated_lines(alg)]
+    assert [l.subspace for l in got] == _enumerated_lines(alg)
+    assert len({l.source for l in got}) == 1
     for l in got:
         assert alg.contains(l.witness)
-        assert fp.column_space(alg.p, l.witness) == l.subspace
+        assert fp.column_space(p, l.witness) == l.subspace
+        assert fp.mul(p, l.witness, linearize._projection_into(alg, l.source)) == l.witness
+        assert fp.is_invertible(p, linearize._restricted(p, l.witness, l.source, l.subspace))
     return got
 
 
@@ -244,16 +249,12 @@ def test_minimal_image_refines_a_non_minimal_candidate(monkeypatch):
     assert shrinks
 
 
-def test_cap_errors_name_their_limit(m2, scal2, monkeypatch):
+def test_cap_errors_name_their_limit(monkeypatch):
     """A cap error states the cap, its value and the size that hit it."""
     galg = _quartic_n8_commutant()
     monkeypatch.setattr(config, "CLOSURE_CAP", 16)
     with pytest.raises(Inconclusive, match="17 maps .* CLOSURE_CAP = 16"):
         lines(galg)
-    ls = lines(m2)
-    monkeypatch.setattr(config, "CLOSURE_CAP", 1)
-    with pytest.raises(CapExceeded, match="of 2 elements .* CLOSURE_CAP = 1"):
-        transporter(ls[0], ls[1], m2, scal2)
 
 
 def test_projection_and_decomposition(m2, f4, scal2):
@@ -268,23 +269,6 @@ def test_projection_and_decomposition(m2, f4, scal2):
     c2 = centralizer(f4.basis, p=2, n=2)
     dec2 = decompose(f4, c2)
     assert len(dec2.lines) == 1 and dec2.projections[0] == fp.identity(2)
-
-
-def test_transporter(m2, scal2):
-    ls = lines(m2)
-    l_e1 = next(l for l in ls if l.subspace == ((1, 0),))
-    l_e2 = next(l for l in ls if l.subspace == ((0, 1),))
-    t = transporter(l_e1, l_e2, m2, scal2)
-    assert t == fp.mat([[0, 1], [1, 0]], 2)  # the coordinate swap
-    assert transporter(l_e1, l_e1, m2, scal2) == fp.identity(2)
-    # twisted instance: postconditions hold after conjugation
-    inst = matrix_bimodule(2, 1, 2, 7)
-    galg = centralizer(inst["delta_generators"], p=2, n=2)
-    dalg = centralizer(galg.basis, p=2, n=2)
-    lt = lines(galg)
-    t2 = transporter(lt[0], lt[1], galg, dalg)
-    assert fp.is_invertible(2, t2)
-    assert fp.column_space(2, fp.mul(2, t2, fp.transpose(lt[0].subspace))) == lt[1].subspace
 
 
 def test_lift(m2, scal2):
@@ -304,6 +288,38 @@ def test_lift(m2, scal2):
     hat1, hat3 = lift_endomorphism([fp.identity(1), two], line3, dec3, galg, dalg, gl3)
     assert hat1 == fp.identity(2)
     assert hat3 == fp.scalar(3, 2, fp.identity(2))
+
+
+def test_lift_rejects_a_witness_without_a_move(m2, scal2):
+    """A line whose witness starts from another minimal image, or is
+    singular on the common source, gives no move: NoTransporter, with the
+    witness."""
+    dec = decompose(m2, scal2)
+    line, other = dec.lines
+    gl = _restricted_ideal(m2, line.subspace)
+    elsewhere = next(l.subspace for l in lines(m2) if l.subspace != line.source)
+    for bad in (Line(other.subspace, other.witness, elsewhere), Line(other.subspace, fp.zero(2), line.source)):
+        dec_bad = Decomposition(2, 2, [line, bad], dec.projections)
+        with pytest.raises(NoTransporter) as err:
+            lift_endomorphism([fp.identity(1)], line, dec_bad, m2, scal2, gl)
+        assert err.value.witness == bad.witness
+
+
+def test_lift_solves_no_intertwiner_system(monkeypatch):
+    """The moves between lines come from the line witnesses: extract_field
+    solves an intertwiner system only for each commutant it computes."""
+    calls = {"_intertwiners": 0, "centralizer": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _fn=getattr(linearize, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(linearize, name, counted)
+    inst = matrix_bimodule(2, 4, 2, 1)
+    rep = extract_field(2, 8, inst["gamma_generators"], inst["delta_generators"])
+    assert (rep.order, rep.vs_dimension) == (16, 2)
+    assert calls["_intertwiners"] == calls["centralizer"] > 0
 
 
 def test_is_field(m2, f4, scal2):
@@ -522,7 +538,7 @@ def intertwiner_systems(draw):
 @example((3, 3, [(fp.identity(3), fp.zero(3)), (fp.identity(3), fp.identity(3))]))
 def test_intertwiners_match_stacked_system(system):
     """Solving one pair at a time gives the stacked system's basis, in its
-    order (_delta_iso walks it), also when the space empties midway."""
+    order, also when the space empties midway."""
     p, k, pairs = system
     assert list(_intertwiners(p, k, pairs)) == list(_stacked_intertwiners(p, k, pairs))
 
