@@ -354,7 +354,10 @@ def invariant_subspace(p, n, gens):
     for z, nullity in singulars:
         if p**nullity <= cap:
             return _null_space_certificate(p, n, gens, z)
-    raise Inconclusive("invariant-subspace search capped without certificate")
+    raise Inconclusive(
+        f"invariant-subspace search capped without certificate: p**n = {p**n} is above "
+        f"SPIN_EXHAUSTIVE_CAP = {cap} and no singular element has a kernel of at most {cap} vectors"
+    )
 
 
 def is_irreducible(alg: MatrixAlgebra):
@@ -707,18 +710,18 @@ def _from_source(p, li: Line, source):
     return t, t_inv
 
 
-def lift_endomorphism(phis, line: Line, dec: Decomposition, galg: MatrixAlgebra, dalg: MatrixAlgebra, gl):
+def lift_endomorphism(phis, line: Line, dec: Decomposition, galg: MatrixAlgebra, dalg: MatrixAlgebra, gl, dl):
     """Extend maps that are central in both restricted algebras on one line
     to the whole space: transport each to every line of the decomposition
     and sum the pieces through the idempotents.  ``gl`` is the restricted
-    left ideal of ``line`` in galg (:func:`_restricted_ideal`), which the
+    left ideal of ``line`` in galg (:func:`_restricted_ideal`) and ``dl``
+    the generators of dalg restricted to ``line``, both of which the
     caller has already built.  Returns the lifts in the order of ``phis``.
     A map moves from ``line`` to l_i as T phi T^-1, T = w_i|_u (w|_u)^-1
     for the witnesses w, w_i (:class:`Line`): a Delta-isomorphism, as
     galg = C(Delta), and any other one differs from it by a unit of the
     local algebra, which a central map commutes with."""
     p, n = galg.p, galg.n
-    dl = [_restricted(p, d, line.subspace, line.subspace) for d in (dalg.generators or dalg.basis)]
     for phi in phis:
         for m in dl + gl:
             if fp.mul(p, m, phi) != fp.mul(p, phi, m):
@@ -905,7 +908,7 @@ def _extract_field(p, n, gamma_gens, delta_gens, galg):
                 witness=(local_gamma.basis, local_gamma_span),
             )
         sub_report = _extract_field(p, k, gl, dl, local_gamma)
-        lifted = lift_endomorphism(sub_report.field_basis, line, dec, galg, dalg, gl)
+        lifted = lift_endomorphism(sub_report.field_basis, line, dec, galg, dalg, gl, dl)
         field_basis = _span_basis(p, lifted + [fp.identity(n)])
         if len(field_basis) != len(sub_report.field_basis):
             raise FieldTestFailure("lifted field has the wrong dimension")

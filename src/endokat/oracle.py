@@ -1,14 +1,20 @@
 """Element-enumeration reference implementations.
 
-Everything here works on explicit element sets and literal set
-comprehensions, independent of the lattice-based core; agreement between the
-two routes is what the cross-validation suites assert.  All inputs are
-guarded by a hard cap.
+Everything here works on explicit element sets, independent of the
+lattice-based core; agreement between the two routes is what the
+cross-validation suites assert.  All inputs are guarded by a hard cap.
 
 Elements are packed ints (see :class:`_Packing`): one int per element, all
 coordinates added at once.  A relation is a frozenset of (a, b) pairs of
 packed elements.  Element-set results compare with a core subgroup through
 :func:`subgroup_set`.
+
+Every relation the ``endog_*`` functions take must be a subgroup of G x H,
+as :func:`graph_set` and those functions' own results are.  Its fibre over
+a is then one coset b + K of its katakernel K, and two cosets of one
+subgroup are equal or disjoint, so the joins add each shifted fibre once
+instead of element by element; each result is still the literal join's
+set.
 """
 
 from __future__ import annotations
@@ -239,6 +245,7 @@ def graph_set(e) -> frozenset:
 
 
 def _bucket(graph):
+    """The fibres of a relation: a -> set of b with (a, b) in graph."""
     buckets = {}
     for a, b in graph:
         buckets.setdefault(a, set()).add(b)
@@ -264,17 +271,26 @@ def endog_ker(graph, src: AbelianGroup, tgt: AbelianGroup) -> frozenset:
 
 
 def endog_add(graph1, graph2, src: AbelianGroup, tgt: AbelianGroup) -> frozenset:
+    """Pairs (a, x + y) for (a, x) in graph1 and (a, y) in graph2.
+
+    Over a, the fibres are S1_a = x0 + K1 and S2_a; the sets S1_a + y are
+    cosets of K1, so two of them are equal or disjoint, and S1_a + y is
+    already in the running sumset exactly when x0 + y is.  Each coset of
+    K1 in S1_a + S2_a is added once: |S2_a| + |K1 + K2| additions for the
+    |S1_a| |S2_a| of the literal join."""
     add = packing(tgt).add
-    b1 = _bucket(graph1)
     b2 = _bucket(graph2)
     out = set()
-    for a, s1 in b1.items():
+    for a, s1 in _bucket(graph1).items():
         s2 = b2.get(a)
         if not s2:
             continue
-        for x in s1:
-            for y in s2:
-                out.add((a, add(x, y)))
+        x0 = next(iter(s1))
+        fibre = set()
+        for y in s2:
+            if add(x0, y) not in fibre:
+                fibre.update([add(x, y) for x in s1])
+        out.update([(a, b) for b in fibre])
     return frozenset(out)
 
 
@@ -284,25 +300,42 @@ def endog_neg(graph, tgt: AbelianGroup) -> frozenset:
 
 
 def endog_compose(graph1, graph2, tgt: AbelianGroup) -> frozenset:
-    """graph1 after graph2, literally: pairs (a, c) joined over b."""
+    """graph1 after graph2: pairs (a, c) joined over b.
+
+    Over a, the result's fibre is the union of graph1's fibres over the b
+    in graph2's fibre.  graph1's fibres are cosets of its katakernel, so
+    two of them are equal or disjoint, and a fibre is already in the
+    union exactly when any one of its elements is."""
     b1 = _bucket(graph1)
     out = set()
-    for a, b in graph2:
-        s = b1.get(b)
-        if s:
-            for c in s:
-                out.add((a, c))
+    for a, s2 in _bucket(graph2).items():
+        fibre = set()
+        for b in s2:
+            s = b1.get(b)
+            if s and next(iter(s)) not in fibre:
+                fibre.update(s)
+        out.update([(a, c) for c in fibre])
     return frozenset(out)
 
 
 def endog_equivalent(graph1, graph2, src: AbelianGroup, tgt: AbelianGroup) -> bool:
-    kat = set(endog_kat(graph1, src)) | set(endog_kat(graph2, src))
+    """Whether the two relations blurred by F, the subgroup their
+    katakernels generate, are equal.
+
+    A relation's fibre over a is b0 + K for any b0 in it, and K <= F, so
+    its blurred fibre S_a + F is b0 + F: |F| additions, not |S_a| |F|.
+    The blurs are compared fibre by fibre, and the katakernels are the
+    fibres over 0."""
+    f1, f2 = _bucket(graph1), _bucket(graph2)
     dgt = DenseGroup(tgt)
     add = dgt.packing.add
-    f = dgt.close(kat)
-    blur1 = frozenset((a, add(b, x)) for (a, b) in graph1 for x in f)
-    blur2 = frozenset((a, add(b, x)) for (a, b) in graph2 for x in f)
-    return blur1 == blur2
+    # 0 packs the zero of every group.
+    f = dgt.close(f1.get(0, set()) | f2.get(0, set()))
+
+    def blur(fibres):
+        return {a: frozenset([add(next(iter(s)), x) for x in f]) for a, s in fibres.items()}
+
+    return blur(f1) == blur(f2)
 
 
 def endog_sharp(graph_g, graph_d, g: AbelianGroup) -> bool:

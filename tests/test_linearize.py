@@ -15,6 +15,7 @@ from endokat.linearize import (
     MatrixAlgebra,
     _intertwiners,
     _nullspace,
+    _restricted,
     _restricted_ideal,
     algebra_closure,
     centralizer,
@@ -255,6 +256,13 @@ def test_cap_errors_name_their_limit(monkeypatch):
     monkeypatch.setattr(config, "CLOSURE_CAP", 16)
     with pytest.raises(Inconclusive, match="17 maps .* CLOSURE_CAP = 16"):
         lines(galg)
+    # x^4 + x + 1 is irreducible over F_2, so its companion matrix and its
+    # square are invertible: no seed spins to a proper subspace and no
+    # singular element gives a certificate.
+    companion = fp.mat([[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], 2)
+    monkeypatch.setattr(config, "SPIN_EXHAUSTIVE_CAP", 8)
+    with pytest.raises(Inconclusive, match=r"p\*\*n = 16 .* SPIN_EXHAUSTIVE_CAP = 8"):
+        invariant_subspace(2, 4, [companion])
 
 
 def test_projection_and_decomposition(m2, f4, scal2):
@@ -271,11 +279,19 @@ def test_projection_and_decomposition(m2, f4, scal2):
     assert len(dec2.lines) == 1 and dec2.projections[0] == fp.identity(2)
 
 
+def _restricted_gens(alg, line):
+    """The generators of alg restricted to the line, as extract_field
+    passes them to lift_endomorphism."""
+    return [_restricted(alg.p, d, line.subspace, line.subspace) for d in (alg.generators or alg.basis)]
+
+
 def test_lift(m2, scal2):
     dec = decompose(m2, scal2)
     line = dec.lines[0]
     one = fp.identity(1)
-    hat, = lift_endomorphism([one], line, dec, m2, scal2, _restricted_ideal(m2, line.subspace))
+    hat, = lift_endomorphism(
+        [one], line, dec, m2, scal2, _restricted_ideal(m2, line.subspace), _restricted_gens(scal2, line)
+    )
     assert hat == fp.identity(2)
     # scalar lifts to the global scalar
     inst = matrix_bimodule(3, 1, 2, 3)
@@ -285,7 +301,7 @@ def test_lift(m2, scal2):
     two = fp.mat([[2]], 3)
     line3 = dec3.lines[0]
     gl3 = _restricted_ideal(galg, line3.subspace)
-    hat1, hat3 = lift_endomorphism([fp.identity(1), two], line3, dec3, galg, dalg, gl3)
+    hat1, hat3 = lift_endomorphism([fp.identity(1), two], line3, dec3, galg, dalg, gl3, _restricted_gens(dalg, line3))
     assert hat1 == fp.identity(2)
     assert hat3 == fp.scalar(3, 2, fp.identity(2))
 
@@ -297,11 +313,12 @@ def test_lift_rejects_a_witness_without_a_move(m2, scal2):
     dec = decompose(m2, scal2)
     line, other = dec.lines
     gl = _restricted_ideal(m2, line.subspace)
+    dl = _restricted_gens(scal2, line)
     elsewhere = next(l.subspace for l in lines(m2) if l.subspace != line.source)
     for bad in (Line(other.subspace, other.witness, elsewhere), Line(other.subspace, fp.zero(2), line.source)):
         dec_bad = Decomposition(2, 2, [line, bad], dec.projections)
         with pytest.raises(NoTransporter) as err:
-            lift_endomorphism([fp.identity(1)], line, dec_bad, m2, scal2, gl)
+            lift_endomorphism([fp.identity(1)], line, dec_bad, m2, scal2, gl, dl)
         assert err.value.witness == bad.witness
 
 

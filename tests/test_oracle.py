@@ -1,6 +1,8 @@
 """The enumeration reference itself, and core/oracle agreement."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,6 +12,7 @@ from endokat.endogeny import Endogeny, NegligibilityBound, endo_add, endo_compos
 from endokat.errors import CapExceeded
 from endokat.groups import (
     AbelianGroup,
+    Subgroup,
     all_subgroups,
     canonicalize_group,
     quotient,
@@ -160,6 +163,14 @@ def _endog_add_tuples(graph1, graph2, tgt):
     return frozenset((a, tgt.add(x, y)) for a, x in graph1 for y in b2.get(a, ()))
 
 
+def _endog_compose_tuples(graph1, graph2):
+    """Reference: graph1 after graph2, the literal join over b."""
+    b1 = {}
+    for b, c in graph1:
+        b1.setdefault(b, set()).add(c)
+    return frozenset((a, c) for a, b in graph2 for c in b1.get(b, ()))
+
+
 def _endog_kat_tuples(graph, src):
     return oracle.endog_apply(graph, src.zero)
 
@@ -172,11 +183,11 @@ def _endog_equivalent_tuples(graph1, graph2, src, tgt):
 
 
 def _endog_sharp_tuples(graph_g, graph_d, g):
-    gd = oracle.endog_compose(graph_g, graph_d, g)
-    dg = oracle.endog_compose(graph_d, graph_g, g)
+    gd = _endog_compose_tuples(graph_g, graph_d)
+    dg = _endog_compose_tuples(graph_d, graph_g)
     diff = _endog_add_tuples(gd, frozenset((a, g.neg(b)) for (a, b) in dg), g)
     bound = _close_fixpoint(g, _endog_kat_tuples(graph_g, g) | _endog_kat_tuples(graph_d, g))
-    return oracle.endog_im(diff) <= bound
+    return {b for (_, b) in diff} <= bound
 
 
 @st.composite
@@ -220,12 +231,16 @@ def test_coset_representatives_match_min_keys(data):
 @st.composite
 def relation_pairs(draw):
     """A canonical group of order <= 64, a negligibility bound spanned by
-    one element, and two seeded relations under it."""
+    one element or all of G (fibres as large as G), and two seeded
+    relations under it."""
     mods = draw(st.lists(st.integers(2, 8), min_size=1, max_size=3))
     g = canonicalize_group(mods)
     assume(g.order <= 64)
-    x = tuple(draw(st.integers(0, m - 1)) for m in g.moduli)
-    n_max = subgroup_from_generators(g, [x])
+    if draw(st.booleans()):
+        n_max = Subgroup.full(g)
+    else:
+        x = tuple(draw(st.integers(0, m - 1)) for m in g.moduli)
+        n_max = subgroup_from_generators(g, [x])
     seeds = draw(st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)))
     return g, random_endogeny(g, n_max, seeds[0]), random_endogeny(g, n_max, seeds[1])
 
@@ -239,8 +254,58 @@ def test_relation_ops_match_tuple_references(data):
     t1, t2 = _graph_set_tuples(e1), _graph_set_tuples(e2)
     assert _unpack_rel(s1, pk) == t1 and _unpack_rel(s2, pk) == t2
     assert _unpack_rel(oracle.endog_add(s1, s2, g, g), pk) == _endog_add_tuples(t1, t2, g)
+    assert _unpack_rel(oracle.endog_compose(s1, s2, g), pk) == _endog_compose_tuples(t1, t2)
     assert oracle.endog_equivalent(s1, s2, g, g) == _endog_equivalent_tuples(t1, t2, g, g)
     assert oracle.endog_sharp(s1, s2, g) == _endog_sharp_tuples(t1, t2, g)
+
+
+def test_endog_add_adds_each_coset_once(monkeypatch):
+    """With both katakernels all of G = Z/4 + Z/8, the literal join makes
+    |G|^3 additions; adding each coset once makes at most two per pair of
+    the result."""
+    g = canonicalize_group([4, 8])
+    e1 = random_endogeny(g, Subgroup.full(g), 5)
+    e2 = random_endogeny(g, Subgroup.full(g), 105)
+    s1, s2 = oracle.graph_set(e1), oracle.graph_set(e2)
+    assert len(oracle.endog_kat(s1, g)) == len(oracle.endog_kat(s2, g)) == g.order
+    calls = 0
+    add = oracle._Packing.add
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return add(self, x, y)
+
+    monkeypatch.setattr(oracle._Packing, "add", counted)
+    out = oracle.endog_add(s1, s2, g, g)
+    assert len(out) == g.order**2
+    assert calls <= 2 * len(out)
+
+
+def test_oracle_imports_nothing_from_the_lattice_core():
+    """The oracle cross-checks the lattice core, so it may not borrow from
+    it (_kernel, endogeny, snf, dimension): its only package imports are
+    config, errors and these groups names."""
+    allowed = {
+        ("", "config"),
+        ("errors", "CapExceeded"),
+        ("groups", "AbelianGroup"),
+        ("groups", "Homomorphism"),
+        ("groups", "Subgroup"),
+        ("groups", "_prime_factorization"),
+        ("groups", "canonicalize_group"),
+    }
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "endokat" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                found |= {(node.module or "", a.name) for a in node.names}
+            else:
+                assert node.module.split(".")[0] != "endokat"
+    assert found <= allowed, found - allowed
 
 
 def test_hom_counts():
