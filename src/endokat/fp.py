@@ -9,6 +9,7 @@ irreducibility tests and companion matrices.
 
 from __future__ import annotations
 
+import functools
 from itertools import product as _iproduct
 
 from ._kernel import mat_mul, mat_vec, rref, spin
@@ -266,6 +267,7 @@ def zip_pad(a, b):
     return zip(tuple(a) + (0,) * (n - len(a)), tuple(b) + (0,) * (n - len(b)))
 
 
+@functools.lru_cache(maxsize=64)
 def lex_min_irreducible(p, k):
     """First monic irreducible of degree k over F_p in the deterministic
     sweep over coefficient tuples (c_0, ..., c_{k-1}), c_0 most significant.

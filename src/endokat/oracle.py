@@ -5,16 +5,18 @@ lattice-based core; agreement between the two routes is what the
 cross-validation suites assert.  All inputs are guarded by a hard cap.
 
 Elements are packed ints (see :class:`_Packing`): one int per element, all
-coordinates added at once.  A relation is a frozenset of (a, b) pairs of
-packed elements.  Element-set results compare with a core subgroup through
+coordinates added at once.  A relation is kept as its fibres: a dict from
+each packed a to the nonempty frozenset of packed b with (a, b) in it.  No
+empty fibre is stored, so two relations are equal exactly when their pair
+sets are.  Element-set results compare with a core subgroup through
 :func:`subgroup_set`.
 
 Every relation the ``endog_*`` functions take must be a subgroup of G x H,
 as :func:`graph_set` and those functions' own results are.  Its fibre over
 a is then one coset b + K of its katakernel K, and two cosets of one
-subgroup are equal or disjoint, so the joins add each shifted fibre once
-instead of element by element; each result is still the literal join's
-set.
+subgroup are equal or disjoint, so the joins add each shifted fibre once,
+in one :meth:`_Packing.translate`, instead of element by element; each
+result is still the literal join's set.
 """
 
 from __future__ import annotations
@@ -79,6 +81,13 @@ class _Packing:
         # per field, no borrow between fields), so the mask picks d_i there.
         return s - (((h << 1) - (h >> w)) & self.D)
 
+    def translate(self, xs, y):
+        """[x + y for x in xs]: :meth:`add` with its reduction inline, so
+        that a whole coset costs one call."""
+        w, high, dd = WIDTH, self.HIGH, self.D
+        yc = y + self.C
+        return [x + y - ((((h := (x + yc) & high) << 1) - (h >> w)) & dd) for x in xs]
+
     def neg(self, x):
         # Field i of D - x holds d_i - x_i in [1, d_i] (no borrow between
         # fields); add's reduction step maps d_i to 0 and keeps the rest.
@@ -127,7 +136,7 @@ class DenseGroup:
     def close(self, gens):
         """Subgroup generated by packed elements, as a frozenset: the
         oracle's one closure routine."""
-        add = self.packing.add
+        add, translate = self.packing.add, self.packing.translate
         have = {0}
         for x in gens:
             # x in H: H + <x> = H.
@@ -138,7 +147,7 @@ class DenseGroup:
             base = frozenset(have)
             step = x
             while step not in base:
-                have.update([add(h, step) for h in base])
+                have.update(translate(base, step))
                 step = add(step, x)
         return frozenset(have)
 
@@ -203,7 +212,7 @@ def invariant_factors_from_orders(orders):
 
 def coset_representatives(dg: DenseGroup, f_set) -> list:
     """The first element of each coset a + F, in sorted order."""
-    add = dg.packing.add
+    translate = dg.packing.translate
     reps = []
     covered = set()
     for a in dg.elements:
@@ -211,7 +220,7 @@ def coset_representatives(dg: DenseGroup, f_set) -> list:
         # whole coset is marked at once, so each element is added once.
         if a not in covered:
             reps.append(a)
-            covered.update([add(a, h) for h in f_set])
+            covered.update(translate(f_set, a))
     return reps
 
 
@@ -230,122 +239,111 @@ def naive_quotient_factors(dg: DenseGroup, f_set) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Dense relations: frozensets of (a, b) pairs of packed elements.
+# Dense relations: fibre maps, a -> nonempty frozenset of b.
 
 
-def graph_set(e) -> frozenset:
-    """Element pairs of a core endogeny's graph, closed from its generators."""
+def graph_set(e) -> dict:
+    """Fibres of a core endogeny's graph, closed from its generators."""
     src, tgt = e.source, e.target
     dg = DenseGroup(src, tgt)
     span = dg.close(map(dg.packing.pack, e.graph.gen_columns()))
     # The packing of src x tgt is src's fields above tgt's.
     shift = (WIDTH + 1) * tgt.rank
     mask = (1 << shift) - 1
-    return frozenset((v >> shift, v & mask) for v in span)
+    fibres = {}
+    for v in span:
+        fibres.setdefault(v >> shift, []).append(v & mask)
+    return {a: frozenset(bs) for a, bs in fibres.items()}
 
 
-def _bucket(graph):
-    """The fibres of a relation: a -> set of b with (a, b) in graph."""
-    buckets = {}
-    for a, b in graph:
-        buckets.setdefault(a, set()).add(b)
-    return buckets
+def endog_apply(rel, a) -> frozenset:
+    return rel.get(a, frozenset())
 
 
-def endog_apply(graph, a) -> frozenset:
-    return frozenset(b for (x, b) in graph if x == a)
-
-
-def endog_kat(graph, src: AbelianGroup) -> frozenset:
+def endog_kat(rel) -> frozenset:
     # 0 packs the zero of every group.
-    return endog_apply(graph, 0)
+    return endog_apply(rel, 0)
 
 
-def endog_im(graph) -> frozenset:
-    return frozenset(b for (_, b) in graph)
+def endog_im(rel) -> frozenset:
+    return frozenset().union(*rel.values())
 
 
-def endog_ker(graph, src: AbelianGroup, tgt: AbelianGroup) -> frozenset:
-    kat = endog_kat(graph, src)
-    return frozenset(a for (a, b) in graph if b in kat)
+def endog_ker(rel) -> frozenset:
+    kat = endog_kat(rel)
+    return frozenset(a for a, s in rel.items() if not kat.isdisjoint(s))
 
 
-def endog_add(graph1, graph2, src: AbelianGroup, tgt: AbelianGroup) -> frozenset:
-    """Pairs (a, x + y) for (a, x) in graph1 and (a, y) in graph2.
+def endog_add(rel1, rel2, tgt: AbelianGroup) -> dict:
+    """Pairs (a, x + y) for (a, x) in rel1 and (a, y) in rel2.
 
     Over a, the fibres are S1_a = x0 + K1 and S2_a; the sets S1_a + y are
     cosets of K1, so two of them are equal or disjoint, and S1_a + y is
     already in the running sumset exactly when x0 + y is.  Each coset of
     K1 in S1_a + S2_a is added once: |S2_a| + |K1 + K2| additions for the
     |S1_a| |S2_a| of the literal join."""
-    add = packing(tgt).add
-    b2 = _bucket(graph2)
-    out = set()
-    for a, s1 in _bucket(graph1).items():
-        s2 = b2.get(a)
-        if not s2:
+    pk = packing(tgt)
+    add, translate = pk.add, pk.translate
+    out = {}
+    for a, s1 in rel1.items():
+        s2 = rel2.get(a)
+        if s2 is None:
             continue
         x0 = next(iter(s1))
         fibre = set()
         for y in s2:
             if add(x0, y) not in fibre:
-                fibre.update([add(x, y) for x in s1])
-        out.update([(a, b) for b in fibre])
-    return frozenset(out)
+                fibre.update(translate(s1, y))
+        out[a] = frozenset(fibre)
+    return out
 
 
-def endog_neg(graph, tgt: AbelianGroup) -> frozenset:
+def endog_neg(rel, tgt: AbelianGroup) -> dict:
     neg = packing(tgt).neg
-    return frozenset((a, neg(b)) for (a, b) in graph)
+    return {a: frozenset(map(neg, s)) for a, s in rel.items()}
 
 
-def endog_compose(graph1, graph2, tgt: AbelianGroup) -> frozenset:
-    """graph1 after graph2: pairs (a, c) joined over b.
+def endog_compose(rel1, rel2) -> dict:
+    """rel1 after rel2: pairs (a, c) joined over b.
 
-    Over a, the result's fibre is the union of graph1's fibres over the b
-    in graph2's fibre.  graph1's fibres are cosets of its katakernel, so
+    Over a, the result's fibre is the union of rel1's fibres over the b
+    in rel2's fibre.  rel1's fibres are cosets of its katakernel, so
     two of them are equal or disjoint, and a fibre is already in the
     union exactly when any one of its elements is."""
-    b1 = _bucket(graph1)
-    out = set()
-    for a, s2 in _bucket(graph2).items():
+    out = {}
+    for a, s2 in rel2.items():
         fibre = set()
         for b in s2:
-            s = b1.get(b)
-            if s and next(iter(s)) not in fibre:
+            s = rel1.get(b)
+            if s is not None and next(iter(s)) not in fibre:
                 fibre.update(s)
-        out.update([(a, c) for c in fibre])
-    return frozenset(out)
+        if fibre:
+            out[a] = frozenset(fibre)
+    return out
 
 
-def endog_equivalent(graph1, graph2, src: AbelianGroup, tgt: AbelianGroup) -> bool:
+def endog_equivalent(rel1, rel2, tgt: AbelianGroup) -> bool:
     """Whether the two relations blurred by F, the subgroup their
     katakernels generate, are equal.
 
     A relation's fibre over a is b0 + K for any b0 in it, and K <= F, so
     its blurred fibre S_a + F is b0 + F: |F| additions, not |S_a| |F|.
-    The blurs are compared fibre by fibre, and the katakernels are the
-    fibres over 0."""
-    f1, f2 = _bucket(graph1), _bucket(graph2)
+    The blurs are compared fibre by fibre."""
     dgt = DenseGroup(tgt)
-    add = dgt.packing.add
-    # 0 packs the zero of every group.
-    f = dgt.close(f1.get(0, set()) | f2.get(0, set()))
+    translate = dgt.packing.translate
+    f = dgt.close(endog_kat(rel1) | endog_kat(rel2))
 
-    def blur(fibres):
-        return {a: frozenset([add(next(iter(s)), x) for x in f]) for a, s in fibres.items()}
+    def blur(rel):
+        return {a: frozenset(translate(f, next(iter(s)))) for a, s in rel.items()}
 
-    return blur(f1) == blur(f2)
+    return blur(rel1) == blur(rel2)
 
 
-def endog_sharp(graph_g, graph_d, g: AbelianGroup) -> bool:
-    gd = endog_compose(graph_g, graph_d, g)
-    dg = endog_compose(graph_d, graph_g, g)
-    diff = endog_add(gd, endog_neg(dg, g), g, g)
-    dgt = DenseGroup(g)
-    bound = dgt.close(
-        set(endog_kat(graph_g, g)) | set(endog_kat(graph_d, g))
-    )
+def endog_sharp(rel_g, rel_d, g: AbelianGroup) -> bool:
+    gd = endog_compose(rel_g, rel_d)
+    dg = endog_compose(rel_d, rel_g)
+    diff = endog_add(gd, endog_neg(dg, g), g)
+    bound = DenseGroup(g).close(endog_kat(rel_g) | endog_kat(rel_d))
     return endog_im(diff) <= bound
 
 

@@ -1,6 +1,8 @@
 """Every audit suite runs clean on seeded masses, and pair files work."""
 
 import functools
+import hashlib
+import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
@@ -26,6 +28,20 @@ def test_suite_with_oracle():
     rep = audits.run_suite("prering", descs, use_oracle=True, workers=1)
     assert rep["violations"] == []
     assert rep["errors"] == []
+
+
+ORACLE_REPORTS_SHA256 = "8ff7f1a4d170b8d1c6945283c6ad8ff2fe14d706ad7e788ef30d8f0b3c2a77a7"
+
+
+def test_oracle_reports_snapshot():
+    """run_instance with the oracle on is byte-stable over twelve
+    descriptors of each oracle-checked suite at seeds 1 and 20261017."""
+    h = hashlib.sha256()
+    for seed in (1, 20261017):
+        for suite in ("prering", "equivalence", "sharp"):
+            for desc in audits.make_descriptors(suite, 12, seed):
+                h.update(json.dumps(audits.run_instance(suite, desc, use_oracle=True), sort_keys=True).encode())
+    assert h.hexdigest() == ORACLE_REPORTS_SHA256
 
 
 def test_sharp_pair_file_records_verdict():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from endokat import config, oracle
-from endokat.endogeny import Endogeny, NegligibilityBound, endo_add, endo_compose
-from endokat.errors import CapExceeded
+from endokat.endogeny import Endogeny, EndogenySet, NegligibilityBound, endo_add, endo_compose, global_kat
+from endokat.errors import CapExceeded, KatakernelBound
 from endokat.groups import (
     AbelianGroup,
     Subgroup,
@@ -20,7 +20,7 @@ from endokat.groups import (
     subgroup_intersect,
     subgroup_sum,
 )
-from endokat.instances import random_endogeny
+from endokat.instances import all_abelian_groups, random_endogeny
 from endokat.rng import SplitMix64
 
 
@@ -31,8 +31,13 @@ def _pack_set(pk, elems):
     return frozenset(map(pk.pack, elems))
 
 
+def _pairs(rel):
+    """The pair set of a fibre map."""
+    return frozenset((a, b) for a, s in rel.items() for b in s)
+
+
 def _unpack_rel(rel, pk):
-    return frozenset((pk.unpack(a), pk.unpack(b)) for a, b in rel)
+    return frozenset((pk.unpack(a), pk.unpack(b)) for a, b in _pairs(rel))
 
 
 def test_dense_group_basics():
@@ -172,7 +177,7 @@ def _endog_compose_tuples(graph1, graph2):
 
 
 def _endog_kat_tuples(graph, src):
-    return oracle.endog_apply(graph, src.zero)
+    return frozenset(b for a, b in graph if a == src.zero)
 
 
 def _endog_equivalent_tuples(graph1, graph2, src, tgt):
@@ -253,33 +258,120 @@ def test_relation_ops_match_tuple_references(data):
     s1, s2 = oracle.graph_set(e1), oracle.graph_set(e2)
     t1, t2 = _graph_set_tuples(e1), _graph_set_tuples(e2)
     assert _unpack_rel(s1, pk) == t1 and _unpack_rel(s2, pk) == t2
-    assert _unpack_rel(oracle.endog_add(s1, s2, g, g), pk) == _endog_add_tuples(t1, t2, g)
-    assert _unpack_rel(oracle.endog_compose(s1, s2, g), pk) == _endog_compose_tuples(t1, t2)
-    assert oracle.endog_equivalent(s1, s2, g, g) == _endog_equivalent_tuples(t1, t2, g, g)
+    assert _unpack_rel(oracle.endog_add(s1, s2, g), pk) == _endog_add_tuples(t1, t2, g)
+    assert _unpack_rel(oracle.endog_compose(s1, s2), pk) == _endog_compose_tuples(t1, t2)
+    assert _unpack_rel(oracle.endog_neg(s1, g), pk) == frozenset((a, g.neg(b)) for a, b in t1)
+    assert oracle.endog_equivalent(s1, s2, g) == _endog_equivalent_tuples(t1, t2, g, g)
     assert oracle.endog_sharp(s1, s2, g) == _endog_sharp_tuples(t1, t2, g)
 
 
 def test_endog_add_adds_each_coset_once(monkeypatch):
     """With both katakernels all of G = Z/4 + Z/8, the literal join makes
     |G|^3 additions; adding each coset once makes at most two per pair of
-    the result."""
+    the result.  Every packed addition counts, one per element that goes
+    through the batch ``translate``."""
     g = canonicalize_group([4, 8])
     e1 = random_endogeny(g, Subgroup.full(g), 5)
     e2 = random_endogeny(g, Subgroup.full(g), 105)
     s1, s2 = oracle.graph_set(e1), oracle.graph_set(e2)
-    assert len(oracle.endog_kat(s1, g)) == len(oracle.endog_kat(s2, g)) == g.order
+    assert len(oracle.endog_kat(s1)) == len(oracle.endog_kat(s2)) == g.order
     calls = 0
-    add = oracle._Packing.add
+    add, translate = oracle._Packing.add, oracle._Packing.translate
 
-    def counted(self, x, y):
+    def counted_add(self, x, y):
         nonlocal calls
         calls += 1
         return add(self, x, y)
 
-    monkeypatch.setattr(oracle._Packing, "add", counted)
-    out = oracle.endog_add(s1, s2, g, g)
-    assert len(out) == g.order**2
-    assert calls <= 2 * len(out)
+    def counted_translate(self, xs, y):
+        nonlocal calls
+        out = translate(self, xs, y)
+        calls += len(out)
+        return out
+
+    monkeypatch.setattr(oracle._Packing, "add", counted_add)
+    monkeypatch.setattr(oracle._Packing, "translate", counted_translate)
+    pairs = len(_pairs(oracle.endog_add(s1, s2, g)))
+    assert pairs == g.order**2
+    assert calls <= 2 * pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(relation_pairs())
+def test_fibre_maps_match_pair_sets(data):
+    """No fibre map holds an empty fibre, a global endogeny's graph has a
+    fibre over every element of G, and two fibre maps are equal exactly
+    when their pair sets are."""
+    g, e1, e2 = data
+    s1, s2 = oracle.graph_set(e1), oracle.graph_set(e2)
+    assert s1.keys() == s2.keys() == set(oracle.DenseGroup(g).elements)
+    # Defined over the katakernel only: composing it after s1 leaves the
+    # fibres over a outside ker s1 empty.
+    part = {a: s for a, s in s2.items() if a in oracle.endog_kat(s1)}
+    after = oracle.endog_compose(part, s1)
+    assert after.keys() == oracle.endog_ker(s1)
+    rels = [
+        s1, s2, part, after,
+        oracle.graph_set(endo_add(e1, e2, unchecked=True)),
+        oracle.endog_add(s1, s2, g), oracle.endog_add(s2, s1, g),
+        oracle.endog_compose(s1, s2), oracle.endog_compose(s2, s1),
+        oracle.endog_neg(s1, g), oracle.endog_neg(oracle.endog_neg(s1, g), g),
+    ]
+    for r in rels:
+        assert all(r.values())
+    for r1 in rels:
+        for r2 in rels:
+            assert (r1 == r2) == (_pairs(r1) == _pairs(r2))
+
+
+def _oracle_prering_closure(g, gens):
+    """0, 1, -1 and the fibre maps ``gens``, closed under the oracle's
+    sum, negation and composite."""
+    elems = oracle.DenseGroup(g).elements
+    one = {a: frozenset([a]) for a in elems}
+    members = {}
+    fresh = []
+
+    def push(r):
+        key = frozenset(r.items())
+        if key not in members:
+            members[key] = r
+            fresh.append(r)
+
+    for r in [{a: frozenset([0]) for a in elems}, one, oracle.endog_neg(one, g), *gens]:
+        push(r)
+    while fresh:
+        frontier, fresh = fresh, []
+        for r in frontier:
+            push(oracle.endog_neg(r, g))
+        current = list(members.values())
+        for r in frontier:
+            for s in current:
+                push(oracle.endog_add(r, s, g))
+                push(oracle.endog_compose(r, s))
+                push(oracle.endog_compose(s, r))
+    return list(members.values())
+
+
+def test_global_kat_matches_enumerated_closure():
+    """global_kat is a fixpoint over the generators; by definition it is
+    the subgroup generated by the katakernels of every member of the
+    prering closure.  The closure is enumerated here with the oracle
+    alone, on every group of order <= 16, under the bound G and a proper
+    subgroup; where the fixpoint escapes the bound, so does the union."""
+    for g in all_abelian_groups(16):
+        proper = [s for s in all_subgroups(g) if s.order < g.order]
+        bounds = [Subgroup.full(g)] + ([proper[len(proper) // 2]] if proper else [])
+        for n_max in bounds:
+            e = random_endogeny(g, n_max, 11 * g.order + n_max.order)
+            closure = _oracle_prering_closure(g, [oracle.graph_set(e)])
+            kat = oracle.DenseGroup(g).close(frozenset().union(*map(oracle.endog_kat, closure)))
+            try:
+                want = oracle.subgroup_set(global_kat(EndogenySet(g, e.bound, [e])))
+            except KatakernelBound:
+                assert not kat <= oracle.subgroup_set(n_max)
+            else:
+                assert kat == want
 
 
 def test_oracle_imports_nothing_from_the_lattice_core():
@@ -349,15 +441,15 @@ def test_endogeny_ops_agree():
         e1 = random_endogeny(g, n_max, seed)
         e2 = random_endogeny(g, n_max, seed + 100)
         s1, s2 = oracle.graph_set(e1), oracle.graph_set(e2)
-        assert oracle.endog_add(s1, s2, g, g) == oracle.graph_set(
+        assert oracle.endog_add(s1, s2, g) == oracle.graph_set(
             endo_add(e1, e2, unchecked=True)
         )
-        assert oracle.endog_compose(s1, s2, g) == oracle.graph_set(
+        assert oracle.endog_compose(s1, s2) == oracle.graph_set(
             endo_compose(e1, e2, unchecked=True)
         )
-        assert oracle.endog_kat(s1, g) == oracle.subgroup_set(e1.kat())
+        assert oracle.endog_kat(s1) == oracle.subgroup_set(e1.kat())
         assert oracle.endog_im(s1) == oracle.subgroup_set(e1.im())
-        assert oracle.endog_ker(s1, g, g) == oracle.subgroup_set(e1.ker())
+        assert oracle.endog_ker(s1) == oracle.subgroup_set(e1.ker())
         for a in g.elements():
             assert oracle.endog_apply(s1, pk.pack(a)) == _pack_set(pk, e1.apply(a).elements())
 
