@@ -271,8 +271,11 @@ def zip_pad(a, b):
 def lex_min_irreducible(p, k):
     """First monic irreducible of degree k over F_p in the deterministic
     sweep over coefficient tuples (c_0, ..., c_{k-1}), c_0 most significant.
-    Fixed here so instances are reproducible across implementations."""
-    for low in _iproduct(*(range(p) for _ in range(k))):
+    Fixed here so instances are reproducible across implementations.  For
+    k >= 2 the sweep starts at c_0 = 1: x divides every polynomial with
+    c_0 = 0, so none of the p^(k-1) of them is irreducible."""
+    first = range(1 if k >= 2 else 0, p)
+    for low in _iproduct(first, *(range(p) for _ in range(k - 1))):
         f = tuple(low) + (1,)
         if poly_is_irreducible(p, f):
             return f

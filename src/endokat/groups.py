@@ -601,7 +601,7 @@ def all_subgroups(group: AbelianGroup):
     ``config.ORACLE_CAP`` since it enumerates elements.
     """
     if group.order > config.ORACLE_CAP:
-        raise CapExceeded(f"group order {group.order} above cap {config.ORACLE_CAP}")
+        raise CapExceeded(f"group order {group.order} above the oracle cap ORACLE_CAP = {config.ORACLE_CAP}")
     elems = [group.reduce(e) for e in group.elements()]
     triv = Subgroup.trivial(group)
     seen = {triv.basis: triv}

@@ -17,6 +17,13 @@ a is then one coset b + K of its katakernel K, and two cosets of one
 subgroup are equal or disjoint, so the joins add each shifted fibre once,
 in one :meth:`_Packing.translate`, instead of element by element; each
 result is still the literal join's set.
+
+:func:`graph_set` walks the domain once, one coset at a time, and the
+fibres over one coset of the relation's kernel are one shared frozenset,
+built by a single ``translate`` of the katakernel.  A join's fibre over a
+depends only on its input fibres over a, so each join computes every
+distinct fibre (pair) once per call.  The sharing is a memo of equal sets:
+no result depends on object identity.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .groups import AbelianGroup, Homomorphism, Subgroup, _prime_factorization, 
 
 def _guard(group):
     if group.order > config.ORACLE_CAP:
-        raise CapExceeded(f"oracle cap {config.ORACLE_CAP} exceeded by order {group.order}")
+        raise CapExceeded(f"group order {group.order} above the oracle cap ORACLE_CAP = {config.ORACLE_CAP}")
 
 
 # Field width: a guarded group has order, hence every modulus, at most
@@ -50,8 +57,11 @@ class _Packing:
 
     def __init__(self, moduli):
         w = WIDTH
-        if any(d > 1 << w for d in moduli):
-            raise CapExceeded(f"modulus above 2**{w} does not fit the oracle's packing: {list(moduli)}")
+        for d in moduli:
+            if d > 1 << w:
+                raise CapExceeded(
+                    f"modulus {d} above 2**WIDTH = {1 << w} does not fit the oracle's packing: {list(moduli)}"
+                )
         self.moduli = moduli
         self.shifts = tuple((w + 1) * i for i in reversed(range(len(moduli))))
         self.C = sum(((1 << w) - d) << s for d, s in zip(moduli, self.shifts))
@@ -106,19 +116,13 @@ def packing(group: AbelianGroup) -> _Packing:
 
 
 class DenseGroup:
-    """A group, or the product of groups, on packed elements.
-
-    Each factor is guarded, not the product: a relation's graph lives in
-    G x H, and only the subgroups ``close`` returns are materialized there.
-    """
+    """A guarded group on packed elements."""
 
     __slots__ = ("group", "packing", "_elements")
 
-    def __init__(self, *factors: AbelianGroup):
-        for f in factors:
-            _guard(f)
-        self.group = factors[0] if len(factors) == 1 else AbelianGroup(sum((f.moduli for f in factors), ()))
-        self.packing = _packing(self.group.moduli)
+    def __init__(self, group: AbelianGroup):
+        self.group = group
+        self.packing = packing(group)
         self._elements = None
 
     @property
@@ -243,17 +247,61 @@ def naive_quotient_factors(dg: DenseGroup, f_set) -> list:
 
 
 def graph_set(e) -> dict:
-    """Fibres of a core endogeny's graph, closed from its generators."""
+    """Fibres of a core endogeny's graph, closed from its generators.
+
+    The domain D is extended coset by coset, keeping one packed pair
+    (a, b) per a in D: a generator x adds the cosets D + k x_a, each shifted
+    by k x, until the first k x_a already in D.  There k x_b and the kept b
+    over k x_a differ by an element of the katakernel K; these differences
+    generate K, closed once at the end.  The fibre over a is then b + K,
+    one set for every a in one coset of the kernel Z = {a : b in K}.
+    |G| + |H| additions instead of closing and splitting |G| |K| pairs."""
     src, tgt = e.source, e.target
-    dg = DenseGroup(src, tgt)
-    span = dg.close(map(dg.packing.pack, e.graph.gen_columns()))
-    # The packing of src x tgt is src's fields above tgt's.
+    # Each factor is guarded, not G x H: only one pair per a and the
+    # katakernel's cosets are materialized.
+    _guard(src)
+    dk = DenseGroup(tgt)
+    pk = _packing(src.moduli + tgt.moduli)
+    add, neg, translate = pk.add, pk.neg, pk.translate
+    # The packing of src x tgt is src's fields above tgt's, so a pair with
+    # a = 0 is its b packed in tgt.
     shift = (WIDTH + 1) * tgt.rank
+    pair = {0: 0}
+    kat_gens = []
+    for x in map(pk.pack, e.graph.gen_columns()):
+        base = list(pair.values())
+        step = x
+        while (v := pair.get(step >> shift)) is None:
+            pair.update({u >> shift: u for u in translate(base, step)})
+            step = add(step, x)
+        kat_gens.append(add(step, neg(v)))
+    kat = dk.close(kat_gens)
     mask = (1 << shift) - 1
-    fibres = {}
-    for v in span:
-        fibres.setdefault(v >> shift, []).append(v & mask)
-    return {a: frozenset(bs) for a, bs in fibres.items()}
+    shift_kat = dk.packing.translate
+    # b -> the fibre b + K holding it, for the fibres built so far.
+    fibre = dict.fromkeys(kat, kat)
+    out = {}
+    for a, v in pair.items():
+        s = fibre.get(v & mask)
+        if s is None:
+            s = frozenset(shift_kat(kat, v & mask))
+            fibre.update(dict.fromkeys(s, s))
+        out[a] = s
+    return out
+
+
+def _per_fibre(join):
+    """``join`` memoised for one call of a relation operation: it is a
+    function of its fibre arguments, so each distinct fibre (pair) is
+    joined once however many a share it."""
+    memo = {}
+
+    def call(*fibres):
+        if fibres not in memo:
+            memo[fibres] = join(*fibres)
+        return memo[fibres]
+
+    return call
 
 
 def endog_apply(rel, a) -> frozenset:
@@ -284,23 +332,23 @@ def endog_add(rel1, rel2, tgt: AbelianGroup) -> dict:
     |S1_a| |S2_a| of the literal join."""
     pk = packing(tgt)
     add, translate = pk.add, pk.translate
-    out = {}
-    for a, s1 in rel1.items():
-        s2 = rel2.get(a)
-        if s2 is None:
-            continue
+
+    @_per_fibre
+    def join(s1, s2):
         x0 = next(iter(s1))
         fibre = set()
         for y in s2:
             if add(x0, y) not in fibre:
                 fibre.update(translate(s1, y))
-        out[a] = frozenset(fibre)
-    return out
+        return frozenset(fibre)
+
+    return {a: join(s1, s2) for a, s1 in rel1.items() if (s2 := rel2.get(a)) is not None}
 
 
 def endog_neg(rel, tgt: AbelianGroup) -> dict:
     neg = packing(tgt).neg
-    return {a: frozenset(map(neg, s)) for a, s in rel.items()}
+    join = _per_fibre(lambda s: frozenset(map(neg, s)))
+    return {a: join(s) for a, s in rel.items()}
 
 
 def endog_compose(rel1, rel2) -> dict:
@@ -310,15 +358,20 @@ def endog_compose(rel1, rel2) -> dict:
     in rel2's fibre.  rel1's fibres are cosets of its katakernel, so
     two of them are equal or disjoint, and a fibre is already in the
     union exactly when any one of its elements is."""
-    out = {}
-    for a, s2 in rel2.items():
+
+    @_per_fibre
+    def join(s2):
         fibre = set()
         for b in s2:
             s = rel1.get(b)
             if s is not None and next(iter(s)) not in fibre:
                 fibre.update(s)
-        if fibre:
-            out[a] = frozenset(fibre)
+        return frozenset(fibre)
+
+    out = {}
+    for a, s2 in rel2.items():
+        if fibre := join(s2):
+            out[a] = fibre
     return out
 
 
@@ -333,10 +386,8 @@ def endog_equivalent(rel1, rel2, tgt: AbelianGroup) -> bool:
     translate = dgt.packing.translate
     f = dgt.close(endog_kat(rel1) | endog_kat(rel2))
 
-    def blur(rel):
-        return {a: frozenset(translate(f, next(iter(s)))) for a, s in rel.items()}
-
-    return blur(rel1) == blur(rel2)
+    blur = _per_fibre(lambda s: frozenset(translate(f, next(iter(s)))))
+    return {a: blur(s) for a, s in rel1.items()} == {a: blur(s) for a, s in rel2.items()}
 
 
 def endog_sharp(rel_g, rel_d, g: AbelianGroup) -> bool:

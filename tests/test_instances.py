@@ -1,9 +1,11 @@
 """Fixtures and seeded generators: validity and reproducibility."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endokat import jsonio
+from endokat import fp, jsonio
 from endokat.endogeny import sharp_commutes
 from endokat.errors import InvalidInput
 from endokat.rng import SplitMix64
@@ -81,6 +83,18 @@ def test_matrix_bimodule_instances():
     a = jsonio.dumps(jsonio.matrix_instance_to_json(matrix_bimodule(3, 1, 2, 9)))
     b = jsonio.dumps(jsonio.matrix_instance_to_json(matrix_bimodule(3, 1, 2, 9)))
     assert a == b
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lex_min_irreducible_matches_the_full_sweep(p):
+    """Starting the sweep at constant term 1 for k >= 2 skips only
+    polynomials that x divides; at k = 1 the first irreducible is x."""
+    for k in range(1, 5):
+        full = next(
+            f for low in product(range(p), repeat=k) if fp.poly_is_irreducible(p, f := low + (1,))
+        )
+        assert fp.lex_min_irreducible(p, k) == full
+    assert fp.lex_min_irreducible(p, 1) == (0, 1)
 
 
 def test_split_bimodule_instances():

@@ -1,11 +1,13 @@
 """The enumeration reference itself, and core/oracle agreement."""
 
 import ast
+import builtins
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from endokat import config, oracle
 from endokat.endogeny import Endogeny, EndogenySet, NegligibilityBound, endo_add, endo_compose, global_kat
@@ -53,8 +55,10 @@ def test_dense_group_basics():
 
 def test_cap_is_hard(monkeypatch):
     monkeypatch.setattr(config, "ORACLE_CAP", 8)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^group order 64 above the oracle cap ORACLE_CAP = 8$"):
         oracle.DenseGroup(canonicalize_group([2, 4, 8]))
+    with pytest.raises(CapExceeded, match=r"^group order 16 above the oracle cap ORACLE_CAP = 8$"):
+        all_subgroups(canonicalize_group([2, 8]))
 
 
 def test_graph_set_is_guarded(monkeypatch):
@@ -74,8 +78,9 @@ def test_packing_never_wraps(monkeypatch):
     assert pk.unpack(pk.add(pk.pack(top), pk.pack(top))) == z.add(top, top)
     assert pk.unpack(pk.neg(pk.pack((1,)))) == top
     monkeypatch.setattr(config, "ORACLE_CAP", 2 * (1 << W))
-    with pytest.raises(CapExceeded):
-        oracle.packing(AbelianGroup([(1 << W) + 1]))
+    wide = (1 << W) + 1
+    with pytest.raises(CapExceeded, match=rf"^modulus {wide} above 2\*\*WIDTH = {1 << W} does not fit"):
+        oracle.packing(AbelianGroup([wide]))
 
 
 @st.composite
@@ -296,6 +301,126 @@ def test_endog_add_adds_each_coset_once(monkeypatch):
     assert calls <= 2 * pairs
 
 
+def _relation(src, tgt, gens):
+    """A relation given by integer generator columns of src x tgt, read
+    the way graph_set reads a core endogeny."""
+    return SimpleNamespace(source=src, target=tgt, graph=SimpleNamespace(gen_columns=lambda: list(gens)))
+
+
+def _split_close(src, tgt, gens):
+    """Reference: close the generators in src x tgt, then split the span
+    into fibres element by element."""
+    dg = oracle.DenseGroup(AbelianGroup(src.moduli + tgt.moduli))
+    shift = (W + 1) * tgt.rank
+    fibres = {}
+    for v in dg.close(map(dg.packing.pack, gens)):
+        fibres.setdefault(v >> shift, set()).add(v & ((1 << shift) - 1))
+    return {a: frozenset(bs) for a, bs in fibres.items()}
+
+
+@st.composite
+def generated_relations(draw):
+    """Groups G and H (moduli not necessarily a divisibility chain) and
+    integer generators of G x H: repeats, zero parts and unreduced entries
+    included, so the domain need not be all of G."""
+    src, tgt = (AbelianGroup(draw(st.lists(st.integers(1, 8), max_size=2))) for _ in range(2))
+    assume(src.order * tgt.order <= 256)
+    vec = st.tuples(*[st.integers(-9, 9) for _ in src.moduli + tgt.moduli])
+    gens = draw(st.lists(vec, max_size=4))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=2)) if gens else []
+    return src, tgt, gens
+
+
+_Z2, _Z4 = AbelianGroup([2]), AbelianGroup([4])
+_Z2Z2 = AbelianGroup([2, 2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(generated_relations())
+# Generator lists that core Hermite bases never produce.  The katakernel
+# {0, 2} appears only where the walk of (1, 1) closes.
+@example((_Z2, _Z4, [(1, 1)]))
+# Repeated and redundant generators.
+@example((_Z4, _Z4, [(1, 1), (1, 1), (2, 2), (3, 3), (0, 0)]))
+# Generators over an a already in the domain, one of them a = 0.
+@example((_Z4, _Z2Z2, [(1, 0, 0), (2, 0, 1), (0, 1, 0)]))
+@example((_Z4, _Z2Z2, [(2, 1, 1), (1, 0, 0), (3, 0, 1)]))
+@example((_Z2, _Z4, []))
+def test_graph_set_walk_matches_split_close(data):
+    """The fibre-aware walk equals the literal split of the closed span,
+    and its fibres over one coset of the kernel are one shared set."""
+    src, tgt, gens = data
+    got = oracle.graph_set(_relation(src, tgt, gens))
+    assert got == _split_close(src, tgt, gens)
+    # One fibre object per coset of the kernel Z = {a : S_a meets K}.
+    kat = oracle.endog_kat(got)
+    z = sum(not kat.isdisjoint(s) for s in got.values())
+    assert len({id(s) for s in got.values()}) == len(got) // z
+
+
+@pytest.fixture
+def built_frozensets(monkeypatch):
+    """Counts the frozensets the oracle's code builds from an iterable
+    (``frozenset()``, the empty default of ``endog_apply``, is not work);
+    ``counts["n"]`` is reset by the caller."""
+    counts = {"n": 0}
+
+    def counted(*args):
+        counts["n"] += bool(args)
+        return builtins.frozenset(*args)
+
+    monkeypatch.setattr(oracle, "frozenset", counted, raising=False)
+    return counts
+
+
+def test_oracle_work_is_per_distinct_fibre(monkeypatch, built_frozensets):
+    """On relations with |K| = |G| / 2, graph_set translates at most
+    |G| + |H| packed elements (the literal split closes |G| |K| pairs) and
+    builds one fibre per coset of the kernel Z; each join builds one
+    frozenset per distinct fibre (pair) of its inputs, not one per a."""
+    g = canonicalize_group([2, 4])
+    n_max = subgroup_from_generators(g, [(0, 1)])
+    e1, e2 = (random_endogeny(g, n_max, seed) for seed in (0, 3))
+    translated = 0
+    translate = oracle._Packing.translate
+
+    def counted_translate(self, xs, y):
+        nonlocal translated
+        out = translate(self, xs, y)
+        translated += len(out)
+        return out
+
+    monkeypatch.setattr(oracle._Packing, "translate", counted_translate)
+    rels = []
+    for e in (e1, e2):
+        translated = 0
+        rel = oracle.graph_set(e)
+        kat = oracle.endog_kat(rel)
+        assert len(kat) == g.order // 2
+        cosets_of_z = len(rel) // sum(not kat.isdisjoint(s) for s in rel.values())
+        assert cosets_of_z < g.order
+        assert translated <= 2 * g.order
+        assert len({id(s) for s in rel.values()}) == cosets_of_z
+        rels.append(rel)
+    s1, s2 = rels
+
+    def builds(op, *args):
+        built_frozensets["n"] = 0
+        op(*args)
+        return built_frozensets["n"]
+
+    def distinct(*rs):
+        return len({tuple(r[a] for r in rs) for a in rs[0]})
+
+    assert builds(oracle.endog_add, s1, s2, g) == distinct(s1, s2) < g.order
+    assert builds(oracle.endog_compose, s1, s2) == distinct(s2) < g.order
+    assert builds(oracle.endog_neg, s1, g) == distinct(s1) < g.order
+    blurred = len(set(s1.values()) | set(s2.values()))
+    closing_f = builds(oracle.DenseGroup(g).close, oracle.endog_kat(s1) | oracle.endog_kat(s2))
+    assert builds(oracle.endog_equivalent, s1, s2, g) == blurred + closing_f
+    assert blurred < 2 * g.order
+
+
 @settings(max_examples=60, deadline=None)
 @given(relation_pairs())
 def test_fibre_maps_match_pair_sets(data):
@@ -398,6 +523,24 @@ def test_oracle_imports_nothing_from_the_lattice_core():
             else:
                 assert node.module.split(".")[0] != "endokat"
     assert found <= allowed, found - allowed
+    # From a core Endogeny, graph_set reads only source, target and
+    # graph.gen_columns(): never the core's own (K, V) claim.
+    parent = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
+    attrs = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    forbidden = {"kat", "_kat", "_values", "_vals"}
+    assert not [n.attr for n in attrs if n.attr in forbidden or n.attr.startswith("apply")]
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "graph_set")
+    e = fn.args.args[0].arg
+    uses = [n for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id == e]
+    reads = set()
+    for n in uses:
+        read = parent[n]
+        assert isinstance(read, ast.Attribute), ast.unparse(read)
+        if read.attr == "graph":
+            read = parent[read]
+            assert isinstance(read, ast.Attribute) and isinstance(parent[read], ast.Call), ast.unparse(read)
+        reads.add(ast.unparse(read))
+    assert reads == {f"{e}.source", f"{e}.target", f"{e}.graph.gen_columns"}
 
 
 def test_hom_counts():
