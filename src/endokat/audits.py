@@ -264,9 +264,9 @@ def _run_sharp(desc, use_oracle):
         if is_sharp:
             checks += 2
             if not e2.apply_set(e1.kat()).leq(e1.kat() | e2.kat()):
-                vs.append(_v("sharp_blur_image", {"pair": "given"}, {}))
+                vs.append(_v("sharp_blur_image", desc, {}))
             if not sharp_commutes(e1, endo_neg(e2)):
-                vs.append(_v("sharp_neg", {"pair": "given"}, {}))
+                vs.append(_v("sharp_neg", desc, {}))
         return checks, vs, notes
     fam = _sharp_family(desc)
     if fam is None:

@@ -13,9 +13,9 @@ way whatever the process start method.
 # run on machine words with a safety margin.
 MAX_ORDER = 2**20
 
-# Cap on materialized closures: prering closures (element count) and the
-# maps linearize.lines ranks (one per K-line of a restriction space).  No
-# ideal is enumerated: a minimal image is certified by linearize.is_field.
+# Cap on the maps linearize.lines ranks, one per K-line of a restriction
+# space.  No ideal is enumerated: a minimal image is certified by
+# linearize.is_field.
 CLOSURE_CAP = 20_000
 
 # Brute-force enumeration bound for the reference oracle.

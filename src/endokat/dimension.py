@@ -50,10 +50,6 @@ class SplitGroup:
     def __hash__(self):
         return hash((self.p, self.n, self.torsion))
 
-    def v_part(self) -> Subgroup:
-        gens = [self._embed_v(tuple(int(i == j) for j in range(self.n))) for i in range(self.n)]
-        return Subgroup.from_generators(self.ambient, gens)
-
     def t_part(self) -> Subgroup:
         r = self.torsion.rank
         gens = []
@@ -89,13 +85,6 @@ class SplitGroup:
     def connected_component(self, h: Subgroup) -> Subgroup:
         """The p-part H_p."""
         return self._scaled(h, self.torsion.order)
-
-    def is_model_finite(self, h: Subgroup) -> bool:
-        return self.connected_component(h).is_trivial
-
-    def strictly_bigger(self, h1: Subgroup, h2: Subgroup) -> bool:
-        """h1 >> h2: containment with a genuine dimension drop."""
-        return h2.leq(h1) and self.dim(h1) > self.dim(h2)
 
     # -- law checks -----------------------------------------------------------
 

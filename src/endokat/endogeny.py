@@ -15,16 +15,16 @@ Negation, sums, composites, images, equivalence and the sharp test compute
 on (K, V) in the target's rank; only preimages and restriction work on the
 graph in the product group.  The failure of left distributivity, the
 sharp-commutation calculus, weak/full invariance, restriction, and the
-global katakernel of a generated closure all live here.
+global katakernel of a generated prering all live here.  The global
+katakernel is a fixpoint over the generators, so no prering closure is
+enumerated; the tests enumerate one as its reference.
 """
 
 from __future__ import annotations
 
-from . import config
 from ._kernel import box_reduce
 from .errors import (
     AmbientMismatch,
-    CapExceeded,
     InvalidInput,
     KatakernelBound,
     NotGlobal,
@@ -219,9 +219,6 @@ class Endogeny:
             self._ker = self.preimage(self.kat())
         return self._ker
 
-    def is_morphism(self):
-        return self.kat().is_trivial
-
     # -- evaluation -----------------------------------------------------------
 
     def apply(self, a) -> Coset:
@@ -246,20 +243,6 @@ class Endogeny:
         cols = [col[r1:] + col[:r1] for col in self.graph.gen_columns()]
         cols += [s.group.neg(col) + self.source.zero for col in s.gen_columns()]
         return Subgroup.pushforward(self.source, self.target.moduli, cols)
-
-    # -- operator sugar ---------------------------------------------------------
-
-    def __add__(self, other):
-        return endo_add(self, other)
-
-    def __neg__(self):
-        return endo_neg(self)
-
-    def __sub__(self, other):
-        return endo_add(self, endo_neg(other))
-
-    def compose(self, other):
-        return endo_compose(self, other)
 
 
 def endogeny_validate(source, target, generators, bound) -> Endogeny:
@@ -417,45 +400,6 @@ class EndogenySet:
 
     def __repr__(self):
         return f"EndogenySet({len(self.elements)} on {list(self.ambient.moduli)})"
-
-
-def prering_closure(gens: EndogenySet) -> EndogenySet:
-    """Closure of the generators (plus 0, 1, -1) under sum, negation, and
-    composition.  Raises :class:`CapExceeded` past ``config.CLOSURE_CAP``
-    elements and propagates :class:`KatakernelBound` if the closure escapes
-    the bound."""
-    cap = config.CLOSURE_CAP
-    amb, bound = gens.ambient, gens.bound
-    seed = [
-        Endogeny.zero(amb, bound),
-        Endogeny.identity(amb, bound),
-        endo_neg(Endogeny.identity(amb, bound)),
-    ]
-    seen = {}
-    for e in list(seed) + list(gens.elements):
-        seen.setdefault(e.graph.basis, e)
-    frontier = list(seen.values())
-    members = dict(seen)
-    while frontier:
-        fresh = []
-
-        def push(e):
-            if e.graph.basis not in members:
-                if len(members) >= cap:
-                    raise CapExceeded(f"prering closure exceeded {cap} elements")
-                members[e.graph.basis] = e
-                fresh.append(e)
-
-        for e in frontier:
-            push(endo_neg(e))
-        current = list(members.values())
-        for e in frontier:
-            for f in current:
-                push(endo_add(e, f))
-                push(endo_compose(e, f))
-                push(endo_compose(f, e))
-        frontier = fresh
-    return EndogenySet(amb, bound, members.values())
 
 
 def orbit_closure(b: Subgroup, endos) -> Subgroup:

@@ -72,10 +72,6 @@ class AbelianGroup:
     def exponent(self):
         return reduce(math.lcm, self.moduli, 1)
 
-    @property
-    def is_trivial(self):
-        return not self.moduli
-
     # -- element arithmetic (elements are plain int tuples) ------------------
 
     @property
@@ -106,10 +102,6 @@ class AbelianGroup:
     def element_order(self, a):
         return reduce(math.lcm, (m // math.gcd(m, x) for x, m in zip(a, self.moduli)), 1)
 
-    def elements(self):
-        """Iterate all elements in lexicographic coordinate order."""
-        return _iproduct(*(range(m) for m in self.moduli))
-
     def generators(self):
         return [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
 
@@ -135,10 +127,6 @@ class FinAbGroup(AbelianGroup):
         for a, b in zip(mods, mods[1:]):
             if b % a:
                 raise InvalidInput(f"invariant factors must form a divisibility chain, got {list(mods)}")
-
-    @property
-    def invariant_factors(self):
-        return list(self.moduli)
 
 
 def _prime_factorization(n):
@@ -288,10 +276,6 @@ class Subgroup:
     def is_trivial(self):
         return self.order == 1
 
-    @property
-    def is_full(self):
-        return self.index == 1
-
     # box_reduce reduces each entry modulo its modulus first, so vec is only
     # checked for length, not reduced
     def contains(self, vec):
@@ -440,25 +424,6 @@ class Homomorphism:
         ]
         return Homomorphism(self.source, self.target, rows, _trusted=True)
 
-    def neg(self):
-        rows = [[-a for a in r] for r in self.matrix]
-        return Homomorphism(self.source, self.target, rows, _trusted=True)
-
-    def image(self) -> Subgroup:
-        cols = [tuple(row[j] for row in self.matrix) for j in range(self.source.rank)]
-        return Subgroup._span(self.target, cols)
-
-    def kernel(self) -> Subgroup:
-        src = self.source
-        cols = [
-            tuple(row[j] for row in self.matrix) + e
-            for j, e in enumerate(src.generators())
-        ]
-        return Subgroup.pushforward(src, self.target.moduli, cols)
-
-    def is_surjective(self):
-        return self.image().is_full
-
     def lift(self, vec):
         """A preimage representative (only for maps built with a section,
         e.g. quotient projections)."""
@@ -499,14 +464,6 @@ class Coset:
     def __contains__(self, vec):
         return self.subgroup.contains(self.subgroup.group.sub(vec, self.rep))
 
-    def elements(self):
-        g = self.subgroup.group
-        for h in self.subgroup.elements():
-            yield g.add(self.rep, h)
-
-    def shift(self, vec):
-        return Coset(self.subgroup.group.add(self.rep, vec), self.subgroup)
-
 
 def quotient(group: AbelianGroup, f: Subgroup):
     """Quotient group in canonical form plus the projection homomorphism.
@@ -523,28 +480,6 @@ def quotient(group: AbelianGroup, f: Subgroup):
     lift_rows = [[uinv[i][j] for j in kept] for i in range(r)]
     proj = Homomorphism(group, q, proj_rows, lift_matrix=lift_rows, _trusted=True)
     return q, proj
-
-
-def direct_sum(a: FinAbGroup, b: FinAbGroup):
-    """Canonical direct sum with coordinate maps.
-
-    Returns ``(c, (inj_a, inj_b), (proj_a, proj_b))`` with
-    ``proj_x.compose(inj_x) == identity``.
-    """
-    ra, rb = a.rank, b.rank
-    r = ra + rb
-    concat = list(a.moduli) + list(b.moduli)
-    if math.prod(concat) > config.MAX_ORDER:
-        raise InvalidInput("direct sum exceeds the order cap")
-    mat = [[concat[i] if i == j else 0 for j in range(r)] for i in range(r)]
-    diag, u, uinv = smith_normal_form(mat)
-    kept = [i for i in range(r) if diag[i] != 1]
-    c = FinAbGroup([diag[i] for i in kept])
-    inj_a = Homomorphism(a, c, [[u[i][j] for j in range(ra)] for i in kept], _trusted=True)
-    inj_b = Homomorphism(b, c, [[u[i][j] for j in range(ra, r)] for i in kept], _trusted=True)
-    proj_a = Homomorphism(c, a, [[uinv[i][j] for j in kept] for i in range(ra)], _trusted=True)
-    proj_b = Homomorphism(c, b, [[uinv[i][j] for j in kept] for i in range(ra, r)], _trusted=True)
-    return c, (inj_a, inj_b), (proj_a, proj_b)
 
 
 def subgroup_isomorphism(h: Subgroup):
@@ -592,29 +527,3 @@ def subgroup_isomorphism(h: Subgroup):
         return g.reduce([sum(basis[i][k] * y[k] for k in range(r)) for i in range(r)])
 
     return q, to_q, from_q
-
-
-def all_subgroups(group: AbelianGroup):
-    """Every subgroup, by closing the lattice under single-element extension.
-
-    Exhaustive and correct for any finite abelian group; guarded by
-    ``config.ORACLE_CAP`` since it enumerates elements.
-    """
-    if group.order > config.ORACLE_CAP:
-        raise CapExceeded(f"group order {group.order} above the oracle cap ORACLE_CAP = {config.ORACLE_CAP}")
-    elems = [group.reduce(e) for e in group.elements()]
-    triv = Subgroup.trivial(group)
-    seen = {triv.basis: triv}
-    frontier = [triv]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for e in elems:
-                if h.contains(e):
-                    continue
-                h2 = Subgroup.from_generators(group, h.gen_columns() + [e])
-                if h2.basis not in seen:
-                    seen[h2.basis] = h2
-                    nxt.append(h2)
-        frontier = nxt
-    return sorted(seen.values(), key=lambda s: (s.order, s.basis))

@@ -2,9 +2,10 @@
 
 Every generator is a pure function of its parameters and a 64-bit seed
 (SplitMix64 streams), validates its own output, and emits the same bytes for
-the same parameters.  The fixtures carry the hand-checkable corner cases: the
-all-to-a-coset blur, and the blurred relation on Z/p (+) Z/p^2 that is
-equivalent to no endomorphism at all.
+the same parameters.  The fixture carries the hand-checkable corner case:
+the blurred relation on Z/p (+) Z/p^2 that is equivalent to no endomorphism
+at all (the all-to-a-coset blur is :meth:`Endogeny.blur`).  Exhaustive
+searches over small groups are test references and live with the tests.
 """
 
 from __future__ import annotations
@@ -17,31 +18,21 @@ from .endogeny import (
     Endogeny,
     EndogenySet,
     NegligibilityBound,
-    endo_add,
     endogeny_validate,
     sharp_commutes,
 )
-from .errors import BudgetExceeded, InvalidInput, KatakernelBound
+from .errors import BudgetExceeded, InvalidInput
 from .groups import (
     AbelianGroup,
     FinAbGroup,
     Homomorphism,
     Subgroup,
-    _prime_factorization,
     canonicalize_group,
     check_characteristic,
     quotient,
     subgroup_from_generators,
 )
 from .rng import SplitMix64
-
-
-def fixture_zF(a: AbelianGroup, f: Subgroup, bound: NegligibilityBound | None = None) -> Endogeny:
-    """The endogeny with graph A x F (value F everywhere)."""
-    if f.group != a:
-        raise InvalidInput("subgroup not in the given group")
-    bound = bound or NegligibilityBound(a, f)
-    return Endogeny.blur(f, bound)
 
 
 def fixture_nonliftable(p: int):
@@ -57,75 +48,6 @@ def fixture_nonliftable(p: int):
     bound = NegligibilityBound(a, f)
     pairs = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, 0), (0, p))]
     return a, endogeny_validate(a, a, pairs, bound)
-
-
-def _partitions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(n, 0, -1):
-        for rest in _partitions(n - first):
-            if not rest or rest[0] <= first:
-                yield (first,) + rest
-
-
-def all_abelian_groups(max_order: int):
-    """Every isomorphism class of abelian group of order <= max_order, in
-    canonical form, ordered by (order, invariant factors)."""
-    out = []
-    for n in range(1, max_order + 1):
-        shapes = [()]
-        for p, e in sorted(_prime_factorization(n).items()):
-            shapes = [
-                s + tuple(p**part for part in parts)
-                for s in shapes
-                for parts in _partitions(e)
-            ]
-        for shape in shapes:
-            out.append(canonicalize_group(shape))
-    out.sort(key=lambda g: (g.order, g.moduli))
-    return out
-
-
-def weak_invariance_intersection_witness(max_order: int = 64):
-    """Exhaustive search for two weakly invariant subgroups whose
-    intersection is not weakly invariant.
-
-    Iterates groups by ascending order; relations with trivial blur are
-    skipped (weak and full invariance coincide there, and fully invariant
-    subgroups intersect to fully invariant ones, so no witness can hide
-    among them).  Returns ``(group, relation, b1, b2)`` or None.
-    """
-    from . import oracle
-    from .endogeny import weakly_invariant
-    from .groups import all_subgroups
-
-    for g in all_abelian_groups(max_order):
-        if g.order > 512:
-            continue  # enumeration of all relations stays desk-scale
-        n_max = Subgroup.full(g)
-        subs = all_subgroups(g)
-        incomparable = [
-            (b1, b2)
-            for i, b1 in enumerate(subs)
-            for b2 in subs[i + 1 :]
-            if (b1 & b2) not in (b1, b2)
-        ]
-        if not incomparable:
-            continue
-        bound = NegligibilityBound(g, n_max)
-        for pairs, fset in oracle.enumerate_endogeny_pairs(g, n_max):
-            if len(fset) == 1:
-                continue
-            e = endogeny_validate(g, g, pairs, bound)
-            for b1, b2 in incomparable:
-                if (
-                    weakly_invariant(b1, e)
-                    and weakly_invariant(b2, e)
-                    and not weakly_invariant(b1 & b2, e)
-                ):
-                    return g, e, b1, b2
-    return None
 
 
 def random_group(seed: int, max_order: int = 4096, max_rank: int = 3) -> FinAbGroup:
@@ -205,30 +127,6 @@ def random_endogeny(a: AbelianGroup, n_max: Subgroup, seed: int) -> Endogeny:
     pairs = [(e, proj.lift(g(e))) for e in a.generators()]
     pairs += [(a.zero, c) for c in f.gen_columns()]
     return endogeny_validate(a, a, pairs, bound)
-
-
-def random_sharp_pair(a: AbelianGroup, n_max: Subgroup, seed: int, budget: int = 64):
-    """Two sharply commuting blurred relations: polynomials in one random
-    endomorphism (which commute on the nose), each blurred by a random
-    negligible subgroup; resampled until the sharp-commutation test passes."""
-    rng = SplitMix64(seed)
-    bound = NegligibilityBound(a, n_max)
-    for _ in range(budget):
-        base = random_homomorphism(a, a, rng)
-        coeffs1 = [rng.below(4) for _ in range(3)]
-        coeffs2 = [rng.below(4) for _ in range(3)]
-        c = polynomial(base, coeffs1)
-        d = polynomial(base, coeffs2)
-        f1 = random_subgroup_of(n_max, rng)
-        f2 = random_subgroup_of(n_max, rng)
-        try:
-            g = endo_add(Endogeny.from_morphism(c, bound), Endogeny.blur(f1, bound))
-            h = endo_add(Endogeny.from_morphism(d, bound), Endogeny.blur(f2, bound))
-        except KatakernelBound:
-            continue
-        if sharp_commutes(g, h):
-            return g, h
-    raise BudgetExceeded("no sharply commuting pair found within the budget")
 
 
 # ---------------------------------------------------------------------------

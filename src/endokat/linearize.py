@@ -37,12 +37,11 @@ class MatrixAlgebra:
     flattened matrices; two algebras are equal iff their bases are.
     """
 
-    __slots__ = ("p", "n", "generators", "basis", "_commutant", "_per_subspace")
+    __slots__ = ("p", "n", "basis", "_commutant", "_per_subspace")
 
-    def __init__(self, p, n, generators, basis):
+    def __init__(self, p, n, basis):
         self.p = p
         self.n = n
-        self.generators = tuple(generators)
         self.basis = tuple(basis)
         self._commutant = None  # filled by _commutant_of
         self._per_subspace = {}  # filled by _once_per_subspace
@@ -71,9 +70,6 @@ class MatrixAlgebra:
 
     def contains(self, m):
         return fp.in_span(self.p, [fp.flatten(b) for b in self.basis], fp.flatten(m))
-
-    def leq(self, other):
-        return all(other.contains(b) for b in self.basis)
 
     def elements(self, cap):
         """All p**dim elements, in the order of :func:`_combinations`.
@@ -142,68 +138,44 @@ def _span_basis(p, mats):
     return tuple(fp.unflatten(v, n) for v in red)
 
 
-def algebra_closure(generators, p, n):
-    """Unital closure of the generators under +, -, and product: the linear
-    basis saturated under products (cheap, bounded by n^2)."""
-    generators = tuple(generators)
-    if n == 0:
-        raise InvalidInput("zero-dimensional space has no unital matrix algebra here")
-    mats = [fp.identity(n)] + [fp.mat(g, p) for g in generators]
-    basis = list(_span_basis(p, mats))
-    while True:
-        fresh = []
-        flat = [fp.flatten(b) for b in basis]
-        for a in basis:
-            for b in basis:
-                ab = fp.mul(p, a, b)
-                v = fp.flatten(ab)
-                if not fp.in_span(p, fp.row_space(p, flat + [fp.flatten(x) for x in fresh]), v):
-                    fresh.append(ab)
-        if not fresh:
-            break
-        basis = list(_span_basis(p, basis + fresh))
-    return MatrixAlgebra(p, n, generators, _span_basis(p, basis))
+def _intertwiners(p, k, mats):
+    """Flattened k x k matrices X with M X = X M for every M in mats, as the
+    basis fp.nullspace returns for all the matrices' equations stacked.
 
-
-def _intertwiners(p, k, pairs):
-    """Flattened k x k matrices X with B X = X A for every (A, B) in pairs,
-    as the basis fp.nullspace returns for all the pairs' equations stacked.
-
-    The first pair's k^2 equations are solved directly.  Each later pair is
+    The first matrix's k^2 equations are solved directly.  Each later one is
     solved on the running solution space only: for its basis X_1..X_s,
-    sum_t c_t (B X_t - X_t A) = 0 is k^2 equations in s unknowns.
+    sum_t c_t (M X_t - X_t M) = 0 is k^2 equations in s unknowns.  That
+    space holds the identity, so it is never empty.
 
     The basis and its order are the stacked system's.  fp.nullspace gives
     one vector per free column f, with a 1 at f and 0 at every other free
     column, and f is its last nonzero entry (else the row with pivot f would
     not vanish on it).  So the last nonzero entry of any solution is a free
-    column.  A solution for all pairs solves the first ones too, so the
+    column.  A solution for all matrices solves the first ones too, so the
     free columns of the full system are among those of X_1..X_s, where X_t
     has the 1 at the t-th.  The coordinates c of X = sum_t c_t X_t are
     therefore X's entries at those columns, and the basis fp.nullspace
     gives in c maps onto the stacked system's, in its order.
     """
-    if not pairs:
+    if not mats:
         return _nullspace(p, [], k * k)
-    sols = fp.nullspace(p, _pair_equations(p, k, *pairs[0]))
-    for a, b in pairs[1:]:
-        if not sols:
-            break
-        eqs = fp.mul(p, _pair_equations(p, k, a, b), fp.transpose(sols))
+    sols = fp.nullspace(p, _commuting_equations(p, k, mats[0]))
+    for m in mats[1:]:
+        eqs = fp.mul(p, _commuting_equations(p, k, m), fp.transpose(sols))
         sols = list(fp.mul(p, fp.nullspace(p, eqs), sols))
     return sols
 
 
-def _pair_equations(p, k, a, b):
-    """The k^2 rows of B X - X A = 0 over the flattened entries of X."""
+def _commuting_equations(p, k, m):
+    """The k^2 rows of M X - X M = 0 over the flattened entries of X."""
     rows = []
     for i in range(k):
         for j in range(k):
             row = [0] * (k * k)
             for t in range(k):
-                row[t * k + j] = (row[t * k + j] + b[i][t]) % p
+                row[t * k + j] = (row[t * k + j] + m[i][t]) % p
             for t in range(k):
-                row[i * k + t] = (row[i * k + t] - a[t][j]) % p
+                row[i * k + t] = (row[i * k + t] - m[t][j]) % p
             rows.append(tuple(row))
     return rows
 
@@ -212,16 +184,16 @@ def centralizer(mats, p, n) -> MatrixAlgebra:
     """Full commutant {X : XM = MX for all M} as an algebra with canonical
     basis, by solving the linear system directly."""
     mats = [fp.mat(m, p) for m in mats]
-    basis = fp.row_space(p, _intertwiners(p, n, [(m, m) for m in mats]))
+    basis = fp.row_space(p, _intertwiners(p, n, mats))
     mats_basis = tuple(fp.unflatten(v, n) for v in basis)
-    return MatrixAlgebra(p, n, mats_basis, mats_basis)
+    return MatrixAlgebra(p, n, mats_basis)
 
 
 def _commutant_of(alg: MatrixAlgebra) -> MatrixAlgebra:
-    """Commutant of the algebra's generators (its basis if it has none),
-    computed once per algebra object."""
+    """Commutant of the algebra, from its basis, computed once per algebra
+    object."""
     if alg._commutant is None:
-        alg._commutant = centralizer(alg.generators or alg.basis, p=alg.p, n=alg.n)
+        alg._commutant = centralizer(alg.basis, p=alg.p, n=alg.n)
     return alg._commutant
 
 
@@ -360,18 +332,6 @@ def invariant_subspace(p, n, gens):
     )
 
 
-def is_irreducible(alg: MatrixAlgebra):
-    """(verdict, witness): witness is a proper invariant subspace if any."""
-    w = invariant_subspace(alg.p, alg.n, alg.generators or alg.basis)
-    return (w is None), w
-
-
-def common_invariant_subspace(galg: MatrixAlgebra, dalg: MatrixAlgebra):
-    """A subspace invariant under both algebras, or None."""
-    gens = list(galg.generators or galg.basis) + list(dalg.generators or dalg.basis)
-    return invariant_subspace(galg.p, galg.n, gens)
-
-
 # ---------------------------------------------------------------------------
 # Lines.
 
@@ -457,7 +417,7 @@ def _minimal_image(alg: MatrixAlgebra):
     u = fp.column_space(p, witness)
     while True:
         local = _restricted_ideal(alg, u)
-        local_alg = MatrixAlgebra(p, len(u), (), _span_basis(p, local))
+        local_alg = MatrixAlgebra(p, len(u), _span_basis(p, local))
         if is_field(local_alg):
             return witness, u, local_alg.basis
         if local_alg.is_commutative():
@@ -596,7 +556,7 @@ def projection_onto_line(line: Line, galg: MatrixAlgebra, dalg: MatrixAlgebra):
         raise NoProjection("no idempotent onto the line exists in the algebra")
     if fp.mul(p, pi, pi) != pi or fp.column_space(p, pi) != line.subspace:
         raise NoProjection("solved element fails the projection postconditions")
-    for d in dalg.generators or dalg.basis:
+    for d in dalg.basis:
         if fp.mul(p, pi, d) != fp.mul(p, d, pi):
             raise NoProjection("projection fails to commute with the second algebra")
     return pi
@@ -629,7 +589,7 @@ class Decomposition:
             raise HypothesisViolation("projections do not sum to the identity", witness=total)
         if dalg is not None:
             for pi in self.projections:
-                for d in dalg.generators or dalg.basis:
+                for d in dalg.basis:
                     if fp.mul(p, pi, d) != fp.mul(p, d, pi):
                         raise HypothesisViolation("projection fails to commute", witness=pi)
         return True
@@ -733,7 +693,7 @@ def lift_endomorphism(phis, line: Line, dec: Decomposition, galg: MatrixAlgebra,
         xl = gl if li.subspace == line.subspace else _restricted_ideal(galg, li.subspace)
         kpi = fp.mul(p, _coordinate_map(p, li.subspace), pi)
         pieces.append((xl, _from_source(p, li, line.source), fp.transpose(li.subspace), kpi))
-    commuting = list(galg.generators or galg.basis) + list(dalg.generators or dalg.basis)
+    commuting = list(galg.basis) + list(dalg.basis)
     out = []
     for phi in phis:
         phi_u = fp.mul(p, fp.mul(p, r_inv, phi), r)
@@ -790,7 +750,7 @@ class FieldReport:
         return f"FieldReport(order={self.order}, vs_dimension={self.vs_dimension})"
 
     def field_algebra(self):
-        return MatrixAlgebra(self.p, self.n, self.field_basis, _span_basis(self.p, list(self.field_basis) + [fp.identity(self.n)]))
+        return MatrixAlgebra(self.p, self.n, _span_basis(self.p, list(self.field_basis) + [fp.identity(self.n)]))
 
     def verify(self, gamma_gens, delta_gens):
         p, n = self.p, self.n
@@ -899,7 +859,7 @@ def _extract_field(p, n, gamma_gens, delta_gens, galg):
         field_basis = galg.basis
     else:
         gl = _restricted_ideal(galg, line.subspace)
-        dl = [_restricted(p, d, line.subspace, line.subspace) for d in (dalg.generators or dalg.basis)]
+        dl = [_restricted(p, d, line.subspace, line.subspace) for d in (dalg.basis)]
         local_gamma = centralizer(dl, p=p, n=k)
         local_gamma_span = _span_basis(p, gl)
         if local_gamma.basis != local_gamma_span:
@@ -918,7 +878,7 @@ def _extract_field(p, n, gamma_gens, delta_gens, galg):
                 ab = fp.mul(p, a, b)
                 if not fp.in_span(p, flat, fp.flatten(ab)):
                     raise FieldTestFailure("lifted span is not closed under products", element=ab)
-        if not is_field(MatrixAlgebra(p, n, field_basis, field_basis)):
+        if not is_field(MatrixAlgebra(p, n, field_basis)):
             raise FieldTestFailure("lifted algebra fails the field certificate")
     kdim = len(field_basis)
     if n % kdim:

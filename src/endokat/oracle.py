@@ -3,6 +3,9 @@
 Everything here works on explicit element sets, independent of the
 lattice-based core; agreement between the two routes is what the
 cross-validation suites assert.  All inputs are guarded by a hard cap.
+This module holds what the audits call; the exhaustive searches the tests
+compare against (every subgroup, homomorphism or endogeny of a small group)
+live with the tests, in ``tests/oracle_enumeration.py``.
 
 Elements are packed ints (see :class:`_Packing`): one int per element, all
 coordinates added at once.  A relation is kept as its fibres: a dict from
@@ -29,11 +32,10 @@ no result depends on object identity.
 from __future__ import annotations
 
 import functools
-from itertools import product as _iproduct
 
 from . import config
 from .errors import CapExceeded
-from .groups import AbelianGroup, Homomorphism, Subgroup, _prime_factorization, canonicalize_group
+from .groups import AbelianGroup, Subgroup
 
 
 def _guard(group):
@@ -75,10 +77,6 @@ class _Packing:
             x = (x << (WIDTH + 1)) | (v % d)
         return x
 
-    def unpack(self, x):
-        mask = (1 << (WIDTH + 1)) - 1
-        return tuple((x >> s) & mask for s in self.shifts)
-
     def add(self, x, y):
         w = WIDTH
         # Field i holds x_i + y_i <= 2d_i - 2 < 2**(w+1): no field carries
@@ -118,24 +116,11 @@ def packing(group: AbelianGroup) -> _Packing:
 class DenseGroup:
     """A guarded group on packed elements."""
 
-    __slots__ = ("group", "packing", "_elements")
+    __slots__ = ("group", "packing")
 
     def __init__(self, group: AbelianGroup):
         self.group = group
         self.packing = packing(group)
-        self._elements = None
-
-    @property
-    def elements(self):
-        """Every element, sorted (built on first use)."""
-        if self._elements is None:
-            # Extending by the coordinates from 0 on, low digits varying
-            # fastest, lists the elements in lexicographic, hence int, order.
-            elems = [0]
-            for d, s in zip(self.group.moduli, self.packing.shifts):
-                elems = [e | (k << s) for e in elems for k in range(d)]
-            self._elements = elems
-        return self._elements
 
     def close(self, gens):
         """Subgroup generated by packed elements, as a frozenset: the
@@ -147,99 +132,21 @@ class DenseGroup:
             if x in have:
                 continue
             # H + <x> is the union of the cosets H + kx, k = 0, 1, ...; they
-            # are distinct until the first kx that lies in H.
-            base = frozenset(have)
+            # are distinct until the first kx that lies in H.  That is also
+            # the first kx in the grown set: if jx is not in H for 0 < j < k,
+            # then kx in H + jx would put (k - j)x in H.
+            base = list(have)
             step = x
-            while step not in base:
+            while step not in have:
                 have.update(translate(base, step))
                 step = add(step, x)
         return frozenset(have)
-
-    def all_subgroup_sets(self):
-        """Every subgroup as a frozenset, by closure under extensions."""
-        triv = frozenset({0})
-        seen = {triv}
-        frontier = [triv]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for e in self.elements:
-                    if e in s:
-                        continue
-                    s2 = self.close(list(s) + [e])
-                    if s2 not in seen:
-                        seen.add(s2)
-                        nxt.append(s2)
-            frontier = nxt
-        return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
 def subgroup_set(h: Subgroup) -> frozenset:
     """Packed element set of a core subgroup, from the core's enumeration."""
     pack = packing(h.group).pack
     return frozenset(map(pack, h.elements()))
-
-
-def invariant_factors_from_orders(orders):
-    """Reconstruct invariant factors of a finite abelian group from the
-    multiset of its element orders.
-
-    For each prime p, the count of elements killed by p^j determines the
-    conjugate of the partition of p-exponents; zipping the prime-power
-    columns back together gives the chain.
-    """
-    prime_powers = []
-    for p in sorted(_prime_factorization(len(orders))):
-        # e_j = log_p #{x : p^j x = 0}; the increments of e_j form the
-        # conjugate of the partition of p-exponents.
-        exps = []
-        j = 1
-        prev = 0
-        while True:
-            nj = sum(1 for o in orders if p**j % o == 0)
-            ej = 0
-            t = nj
-            while t > 1:
-                t //= p
-                ej += 1
-            if ej == prev:
-                break
-            exps.append(ej - prev)
-            prev = ej
-            j += 1
-        mults = exps  # mults[j-1] = number of parts >= j
-        for idx in range(mults[0] if mults else 0):
-            lam_i = sum(1 for m in mults if m > idx)
-            prime_powers.append(p**lam_i)
-    return canonicalize_group(prime_powers).invariant_factors
-
-
-def coset_representatives(dg: DenseGroup, f_set) -> list:
-    """The first element of each coset a + F, in sorted order."""
-    translate = dg.packing.translate
-    reps = []
-    covered = set()
-    for a in dg.elements:
-        # a starts a new coset iff no earlier element lies in a + F; the
-        # whole coset is marked at once, so each element is added once.
-        if a not in covered:
-            reps.append(a)
-            covered.update(translate(f_set, a))
-    return reps
-
-
-def naive_quotient_factors(dg: DenseGroup, f_set) -> list:
-    """Invariant factors of G/F computed from coset element orders only."""
-    add = dg.packing.add
-    orders = []
-    for a in coset_representatives(dg, f_set):
-        k = 1
-        cur = a
-        while cur not in f_set:
-            cur = add(cur, a)
-            k += 1
-        orders.append(k)
-    return invariant_factors_from_orders(orders)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +224,6 @@ def endog_im(rel) -> frozenset:
     return frozenset().union(*rel.values())
 
 
-def endog_ker(rel) -> frozenset:
-    kat = endog_kat(rel)
-    return frozenset(a for a, s in rel.items() if not kat.isdisjoint(s))
-
-
 def endog_add(rel1, rel2, tgt: AbelianGroup) -> dict:
     """Pairs (a, x + y) for (a, x) in rel1 and (a, y) in rel2.
 
@@ -396,64 +298,3 @@ def endog_sharp(rel_g, rel_d, g: AbelianGroup) -> bool:
     diff = endog_add(gd, endog_neg(dg, g), g)
     bound = DenseGroup(g).close(endog_kat(rel_g) | endog_kat(rel_d))
     return endog_im(diff) <= bound
-
-
-# ---------------------------------------------------------------------------
-# Enumeration.
-
-
-def enumerate_homomorphisms(a: AbelianGroup, b: AbelianGroup):
-    """All homomorphisms a -> b by assigning generator images of compatible
-    order."""
-    _guard(a)
-    _guard(b)
-    belems = sorted(b.elements())
-    choices = []
-    for d in a.moduli:
-        choices.append([y for y in belems if all(d * yi % m == 0 for yi, m in zip(y, b.moduli))])
-    out = []
-    for combo in _iproduct(*choices):
-        rows = [[combo[j][i] for j in range(a.rank)] for i in range(b.rank)]
-        out.append(Homomorphism(a, b, rows, _trusted=True))
-    return out
-
-
-def _bounded_subgroups(a: AbelianGroup, n_max: Subgroup):
-    """The dense group of a and its subgroups inside n_max, sorted."""
-    dg = DenseGroup(a)
-    nset = subgroup_set(n_max)
-    return dg, [s for s in dg.all_subgroup_sets() if s <= nset]
-
-
-def _morphism_choices(dg: DenseGroup, f) -> list:
-    """Per generator of G, the coset representatives y of G/F with
-    d y in F, d the generator's order: its admissible images."""
-    a, pk = dg.group, dg.packing
-    reps = [pk.unpack(y) for y in coset_representatives(dg, f)]
-    return [[y for y in reps if pk.pack(a.scalar_mul(d, y)) in f] for d in a.moduli]
-
-
-def enumerate_endogeny_pairs(a: AbelianGroup, n_max: Subgroup):
-    """Generating pairs for every endogeny of ``a`` with katakernel bounded
-    by ``n_max``, via the bijection with pairs (F <= n_max, morphism
-    a -> a/F).  Yields (generating pair list, F element set), as tuples."""
-    dg, subs = _bounded_subgroups(a, n_max)
-    gens_a = a.generators()
-    for f in subs:
-        choices = _morphism_choices(dg, f)
-        f_elems = frozenset(map(dg.packing.unpack, f))
-        for combo in _iproduct(*choices):
-            pairs = [(e, y) for e, y in zip(gens_a, combo)]
-            pairs += [(a.zero, h) for h in f_elems]
-            yield pairs, f_elems
-
-
-def count_endogenies(a: AbelianGroup, n_max: Subgroup):
-    dg, subs = _bounded_subgroups(a, n_max)
-    total = 0
-    for f in subs:
-        per = 1
-        for ok in _morphism_choices(dg, f):
-            per *= len(ok)
-        total += per
-    return total

@@ -28,9 +28,6 @@ class SplitMix64:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % n
 
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
     def fork(self, label):
         """Independent stream derived from this seed and an integer label."""
         return SplitMix64(self.next_u64() ^ (label & MASK))

@@ -1,0 +1,149 @@
+"""Reference implementations that several test modules compare against and
+the package does not call: every subgroup of a group by element-wise
+extension, the image and kernel of a homomorphism, the elements of a coset,
+every abelian group up to an order, the exhaustive search for the weak-invariance counterexample,
+and a second sharp-pair generator."""
+
+from endokat import config
+from endokat.endogeny import Endogeny, NegligibilityBound, endo_add, endogeny_validate, sharp_commutes, weakly_invariant
+from endokat.errors import BudgetExceeded, CapExceeded, KatakernelBound
+from endokat.groups import AbelianGroup, Coset, Homomorphism, Subgroup, _prime_factorization, canonicalize_group
+from endokat.instances import polynomial, random_homomorphism, random_subgroup_of
+from endokat.rng import SplitMix64
+
+from oracle_enumeration import enumerate_endogeny_pairs
+
+
+def all_subgroups(group: AbelianGroup):
+    """Every subgroup, by closing the lattice under single-element extension.
+
+    Exhaustive and correct for any finite abelian group; guarded by
+    ``config.ORACLE_CAP`` since it enumerates elements.
+    """
+    if group.order > config.ORACLE_CAP:
+        raise CapExceeded(f"group order {group.order} above the oracle cap ORACLE_CAP = {config.ORACLE_CAP}")
+    elems = [group.reduce(e) for e in Subgroup.full(group).elements()]
+    triv = Subgroup.trivial(group)
+    seen = {triv.basis: triv}
+    frontier = [triv]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for e in elems:
+                if h.contains(e):
+                    continue
+                h2 = Subgroup.from_generators(group, h.gen_columns() + [e])
+                if h2.basis not in seen:
+                    seen[h2.basis] = h2
+                    nxt.append(h2)
+        frontier = nxt
+    return sorted(seen.values(), key=lambda s: (s.order, s.basis))
+
+
+def image(hom: Homomorphism) -> Subgroup:
+    cols = [tuple(row[j] for row in hom.matrix) for j in range(hom.source.rank)]
+    return Subgroup._span(hom.target, cols)
+
+
+def kernel(hom: Homomorphism) -> Subgroup:
+    src = hom.source
+    cols = [
+        tuple(row[j] for row in hom.matrix) + e
+        for j, e in enumerate(src.generators())
+    ]
+    return Subgroup.pushforward(src, hom.target.moduli, cols)
+
+
+def coset_elements(c: Coset):
+    g = c.subgroup.group
+    for h in c.subgroup.elements():
+        yield g.add(c.rep, h)
+
+
+def _partitions(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(n, 0, -1):
+        for rest in _partitions(n - first):
+            if not rest or rest[0] <= first:
+                yield (first,) + rest
+
+
+def all_abelian_groups(max_order: int):
+    """Every isomorphism class of abelian group of order <= max_order, in
+    canonical form, ordered by (order, invariant factors)."""
+    out = []
+    for n in range(1, max_order + 1):
+        shapes = [()]
+        for p, e in sorted(_prime_factorization(n).items()):
+            shapes = [
+                s + tuple(p**part for part in parts)
+                for s in shapes
+                for parts in _partitions(e)
+            ]
+        for shape in shapes:
+            out.append(canonicalize_group(shape))
+    out.sort(key=lambda g: (g.order, g.moduli))
+    return out
+
+
+def weak_invariance_intersection_witness(max_order: int = 64):
+    """Exhaustive search for two weakly invariant subgroups whose
+    intersection is not weakly invariant.
+
+    Iterates groups by ascending order; relations with trivial blur are
+    skipped (weak and full invariance coincide there, and fully invariant
+    subgroups intersect to fully invariant ones, so no witness can hide
+    among them).  Returns ``(group, relation, b1, b2)`` or None.
+    """
+    for g in all_abelian_groups(max_order):
+        if g.order > 512:
+            continue  # enumeration of all relations stays desk-scale
+        n_max = Subgroup.full(g)
+        subs = all_subgroups(g)
+        incomparable = [
+            (b1, b2)
+            for i, b1 in enumerate(subs)
+            for b2 in subs[i + 1 :]
+            if (b1 & b2) not in (b1, b2)
+        ]
+        if not incomparable:
+            continue
+        bound = NegligibilityBound(g, n_max)
+        for pairs, fset in enumerate_endogeny_pairs(g, n_max):
+            if len(fset) == 1:
+                continue
+            e = endogeny_validate(g, g, pairs, bound)
+            for b1, b2 in incomparable:
+                if (
+                    weakly_invariant(b1, e)
+                    and weakly_invariant(b2, e)
+                    and not weakly_invariant(b1 & b2, e)
+                ):
+                    return g, e, b1, b2
+    return None
+
+
+def random_sharp_pair(a: AbelianGroup, n_max: Subgroup, seed: int, budget: int = 64):
+    """Two sharply commuting blurred relations: polynomials in one random
+    endomorphism (which commute on the nose), each blurred by a random
+    negligible subgroup; resampled until the sharp-commutation test passes."""
+    rng = SplitMix64(seed)
+    bound = NegligibilityBound(a, n_max)
+    for _ in range(budget):
+        base = random_homomorphism(a, a, rng)
+        coeffs1 = [rng.below(4) for _ in range(3)]
+        coeffs2 = [rng.below(4) for _ in range(3)]
+        c = polynomial(base, coeffs1)
+        d = polynomial(base, coeffs2)
+        f1 = random_subgroup_of(n_max, rng)
+        f2 = random_subgroup_of(n_max, rng)
+        try:
+            g = endo_add(Endogeny.from_morphism(c, bound), Endogeny.blur(f1, bound))
+            h = endo_add(Endogeny.from_morphism(d, bound), Endogeny.blur(f2, bound))
+        except KatakernelBound:
+            continue
+        if sharp_commutes(g, h):
+            return g, h
+    raise BudgetExceeded("no sharply commuting pair found within the budget")

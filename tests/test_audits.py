@@ -64,6 +64,22 @@ def test_sharp_pair_file_records_verdict():
     assert rep2["checks"] == 3
 
 
+def test_sharp_pair_violation_names_its_instance(monkeypatch):
+    """A law that fails on an explicit pair is reported with the pair's
+    descriptor as its instance, as docs/formats.md promises."""
+    g = canonicalize_group([2, 2])
+    f = subgroup_from_generators(g, [(1, 0)])
+    nb = NegligibilityBound(g, f)
+    pair = [Endogeny.blur(f, nb), Endogeny.identity(g, nb)]
+    desc = {"pair": [jsonio.endogeny_to_json(e) for e in pair]}
+    # the pair commutes sharply; its negation is made not to
+    verdicts = iter([True, False])
+    monkeypatch.setattr(audits, "sharp_commutes", lambda e1, e2: next(verdicts))
+    res = audits.run_instance("sharp", desc)
+    assert [v["law"] for v in res["violations"]] == ["sharp_neg"]
+    assert res["violations"][0]["instance"] == desc
+
+
 def _report(descs, workers):
     rep = audits.run_suite("prering", descs, workers=workers)
     rep.pop("runtime_ms")

@@ -1,0 +1,72 @@
+"""The package holds only code that production calls.
+
+Every top-level function and every non-dunder method in ``src/endokat`` is
+referenced by name in ``src/`` outside its own body, or anywhere in
+``perfbench/``.  A function that only the tests call lives with the tests:
+in ``references.py``, ``oracle_enumeration.py`` or the test module that uses
+it.  References are read from the syntax tree (names and attributes; in
+``perfbench/`` also the dotted strings that name benchmark targets), never
+from comments or docstrings.
+"""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "endokat"
+PERFBENCH = ROOT / "perfbench"
+
+
+def _is_def(node):
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+
+
+def _defs(tree):
+    """(name, first line, last line) of every top-level def and every
+    non-dunder method of a top-level class."""
+    for node in tree.body:
+        if _is_def(node):
+            yield node.name, node.lineno, node.end_lineno
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if _is_def(item) and not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield item.name, item.lineno, item.end_lineno
+
+
+def _names(tree):
+    """(name, line) of every name and attribute the code reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def _strings(tree):
+    """The dotted parts of every string constant that is not a docstring."""
+    docstrings = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            yield from node.value.split(".")
+
+
+def test_every_package_function_has_a_production_caller():
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.rglob("*.py"))}
+    uses = defaultdict(list)
+    for path, tree in trees.items():
+        for name, line in _names(tree):
+            uses[name].append((path, line))
+    bench = set()
+    for path in PERFBENCH.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        bench.update(name for name, _ in _names(tree))
+        bench.update(_strings(tree))
+    uncalled = [
+        f"{path.relative_to(ROOT)}:{first} {name}"
+        for path, tree in trees.items()
+        for name, first, last in _defs(tree)
+        if name not in bench
+        and all(p == path and first <= line <= last for p, line in uses[name])
+    ]
+    assert trees and not uncalled, f"defined in the package, called only from tests or nowhere: {uncalled}"

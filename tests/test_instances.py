@@ -6,36 +6,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from endokat import fp, jsonio
-from endokat.endogeny import sharp_commutes
-from endokat.errors import InvalidInput
+from endokat.endogeny import Endogeny, NegligibilityBound, sharp_commutes
+from endokat.errors import InvalidInput, KatakernelBound
 from endokat.rng import SplitMix64
 from endokat.groups import AbelianGroup, Homomorphism, subgroup_from_generators
 from endokat.instances import (
     _torsion_columns,
     fixture_nonliftable,
-    fixture_zF,
     matrix_bimodule,
     random_endogeny,
     random_homomorphism,
-    random_sharp_pair,
     split_bimodule,
 )
 
+from references import kernel, random_sharp_pair
+
 
 def test_fixture_zF(z4):
+    """The blur z_F, with graph A x F, is Endogeny.blur."""
     f = subgroup_from_generators(z4, [(2,)])
-    e = fixture_zF(z4, f)
+    e = Endogeny.blur(f, NegligibilityBound(z4, f))
     assert e.graph.order == 8
     assert e.kat() == f
-    zero = fixture_zF(z4, subgroup_from_generators(z4, []))
-    assert zero.is_morphism()
+    trivial = subgroup_from_generators(z4, [])
+    zero = Endogeny.blur(trivial, NegligibilityBound(z4, trivial))
+    assert zero.kat().is_trivial
     assert not any(zero.apply((1,)).rep)
     # explicit bound narrower than the blur is rejected
-    from endokat.endogeny import NegligibilityBound
-    from endokat.errors import KatakernelBound
-
     with pytest.raises(KatakernelBound):
-        fixture_zF(z4, f, NegligibilityBound.zero(z4))
+        Endogeny.blur(f, NegligibilityBound.zero(z4))
 
 
 def test_fixture_nonliftable():
@@ -66,7 +65,7 @@ def test_random_sharp_pair(z2z4):
     # blur zero reduces to commuting morphisms
     zero_bound = subgroup_from_generators(z2z4, [])
     g, d = random_sharp_pair(z2z4, zero_bound, 3)
-    assert g.is_morphism() and d.is_morphism()
+    assert g.kat().is_trivial and d.kat().is_trivial
     assert sharp_commutes(g, d)
 
 
@@ -110,7 +109,7 @@ def test_split_bimodule_instances():
         split_bimodule(2, 0, [3], 5)
     # torsion-free reduces to plain morphisms
     sgf, gf, df, _ = split_bimodule(2, 2, [], 8)
-    assert all(e.is_morphism() for e in gf)
+    assert all(e.kat().is_trivial for e in gf)
 
 
 def test_json_roundtrips(z2z4):
@@ -135,7 +134,7 @@ def test_json_roundtrips(z2z4):
 def _kernel_torsion_columns(b, d):
     """Reference: the d-torsion of b as the kernel of multiplication by d."""
     mult = Homomorphism(b, b, [[d if i == j else 0 for j in range(b.rank)] for i in range(b.rank)], _trusted=True)
-    return mult.kernel().gen_columns()
+    return kernel(mult).gen_columns()
 
 
 def _reference_random_homomorphism(a, b, rng):

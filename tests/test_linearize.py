@@ -17,14 +17,12 @@ from endokat.linearize import (
     _nullspace,
     _restricted,
     _restricted_ideal,
-    algebra_closure,
+    _span_basis,
     centralizer,
-    common_invariant_subspace,
     decompose,
     extract_field,
     invariant_subspace,
     is_field,
-    is_irreducible,
     lift_endomorphism,
     lines,
     projection_onto_line,
@@ -34,6 +32,29 @@ from endokat.rng import SplitMix64
 
 def E(n, i, j, p=2):
     return fp.mat([[1 if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)], p)
+
+
+def algebra_closure(generators, p, n):
+    """Unital closure of the generators under +, -, and product: the linear
+    basis saturated under products (cheap, bounded by n^2)."""
+    generators = tuple(generators)
+    if n == 0:
+        raise InvalidInput("zero-dimensional space has no unital matrix algebra here")
+    mats = [fp.identity(n)] + [fp.mat(g, p) for g in generators]
+    basis = list(_span_basis(p, mats))
+    while True:
+        fresh = []
+        flat = [fp.flatten(b) for b in basis]
+        for a in basis:
+            for b in basis:
+                ab = fp.mul(p, a, b)
+                v = fp.flatten(ab)
+                if not fp.in_span(p, fp.row_space(p, flat + [fp.flatten(x) for x in fresh]), v):
+                    fresh.append(ab)
+        if not fresh:
+            break
+        basis = list(_span_basis(p, basis + fresh))
+    return MatrixAlgebra(p, n, _span_basis(p, basis))
 
 
 @pytest.fixture
@@ -90,7 +111,7 @@ def test_centralizer_examples(m2, f4):
     c3 = centralizer([fp.identity(2)], p=2, n=2)
     assert c3.dim == 4
     # inclusion-reversing and stable under triple application
-    assert c.leq(c3)
+    assert all(c3.contains(b) for b in c.basis)
     assert centralizer(centralizer(c.basis, p=2, n=2).basis, p=2, n=2).basis == c.basis
     rng = SplitMix64(9)
     for _ in range(10):
@@ -104,15 +125,10 @@ def test_centralizer_examples(m2, f4):
 
 
 def test_irreducibility(m2, f4, scal2):
-    ok, w = is_irreducible(m2)
-    assert ok and w is None
-    ok, w = is_irreducible(scal2)
-    assert not ok and w == ((1, 0),)
-    ok, _ = is_irreducible(f4)
-    assert ok
-    assert common_invariant_subspace(m2, scal2) is None
-    assert common_invariant_subspace(f4, f4) is None
-    assert common_invariant_subspace(scal2, scal2) == ((1, 0),)
+    assert invariant_subspace(2, 2, m2.basis) is None
+    assert invariant_subspace(2, 2, scal2.basis) == ((1, 0),)
+    assert invariant_subspace(2, 2, f4.basis) is None
+    assert invariant_subspace(2, 2, m2.basis + scal2.basis) is None
 
 
 def test_lines_examples(m2, f4, scal2):
@@ -282,7 +298,7 @@ def test_projection_and_decomposition(m2, f4, scal2):
 def _restricted_gens(alg, line):
     """The generators of alg restricted to the line, as extract_field
     passes them to lift_endomorphism."""
-    return [_restricted(alg.p, d, line.subspace, line.subspace) for d in (alg.generators or alg.basis)]
+    return [_restricted(alg.p, d, line.subspace, line.subspace) for d in alg.basis]
 
 
 def test_lift(m2, scal2):
@@ -378,7 +394,7 @@ def small_algebras(draw):
         diag = [fp.mul(p, fp.mul(p, conj, E(n, i, i, p)), conj_inv) for i in range(n)]
         return algebra_closure(diag, p=p, n=n)
     corner = E(n, 0, 0, p)
-    return MatrixAlgebra(p, n, [corner], [corner])
+    return MatrixAlgebra(p, n, [corner])
 
 
 @settings(max_examples=200, deadline=None)
@@ -496,17 +512,18 @@ def test_extract_field_checks_characteristic():
             extract_field(p, 2, one, one)
 
 
-def _stacked_intertwiners(p, k, pairs):
-    """Reference: every pair's k^2 equations in one system."""
+def _stacked_intertwiners(p, k, mats):
+    """Reference: every matrix's k^2 equations M X - X M = 0 in one
+    system."""
     rows = []
-    for a, b in pairs:
+    for m in mats:
         for i in range(k):
             for j in range(k):
                 row = [0] * (k * k)
                 for t in range(k):
-                    row[t * k + j] = (row[t * k + j] + b[i][t]) % p
+                    row[t * k + j] = (row[t * k + j] + m[i][t]) % p
                 for t in range(k):
-                    row[i * k + t] = (row[i * k + t] - a[t][j]) % p
+                    row[i * k + t] = (row[i * k + t] - m[t][j]) % p
                 rows.append(tuple(row))
     return _nullspace(p, rows, k * k)
 
@@ -526,38 +543,34 @@ def _matrices(p, n):
 
 
 @st.composite
-def intertwiner_systems(draw):
-    """Pairs (A, B) of k x k matrices: unrelated ones (almost always no
-    intertwiner), conjugates B = P A P^-1 (A != B with intertwiners) and
-    equal ones."""
+def commutant_systems(draw):
+    """Up to four k x k matrices: random ones (their commutant soon shrinks
+    to the scalars), polynomials in the first one (which keep it larger)
+    and scalars."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     k = draw(st.integers(1, 4))
-    mats = _matrices(p, k)
-    conj = draw(mats)
-    conj_inv = fp.inverse(p, conj)
-    pairs = []
+    mats = []
     for _ in range(draw(st.integers(0, 4))):
-        a = draw(mats)
-        kind = draw(st.sampled_from(["unrelated", "conjugate", "equal"]))
-        if kind == "unrelated":
-            b = draw(mats)
-        elif kind == "conjugate" and conj_inv is not None:
-            b = fp.mul(p, fp.mul(p, conj, a), conj_inv)
+        kind = draw(st.sampled_from(["random", "polynomial", "scalar"]))
+        c = draw(st.integers(0, p - 1))
+        if kind == "random" or not mats:
+            mats.append(draw(_matrices(p, k)))
+        elif kind == "polynomial":
+            mats.append(fp.add(p, fp.mul(p, mats[0], mats[0]), fp.scalar(p, c, mats[0])))
         else:
-            b = a
-        pairs.append((a, b))
-    return p, k, pairs
+            mats.append(fp.scalar(p, c, fp.identity(k)))
+    return p, k, mats
 
 
 @settings(max_examples=150, deadline=None)
-@given(intertwiner_systems())
-@example((2, 2, [(fp.identity(2), fp.identity(2)), (E(2, 0, 1), E(2, 1, 0))]))
-@example((3, 3, [(fp.identity(3), fp.zero(3)), (fp.identity(3), fp.identity(3))]))
+@given(commutant_systems())
+@example((2, 2, [fp.identity(2), E(2, 0, 1), E(2, 1, 0)]))
+@example((3, 3, [fp.zero(3), fp.identity(3)]))
 def test_intertwiners_match_stacked_system(system):
-    """Solving one pair at a time gives the stacked system's basis, in its
-    order, also when the space empties midway."""
-    p, k, pairs = system
-    assert list(_intertwiners(p, k, pairs)) == list(_stacked_intertwiners(p, k, pairs))
+    """Solving one matrix at a time gives the stacked system's basis, in
+    its order."""
+    p, k, mats = system
+    assert list(_intertwiners(p, k, mats)) == list(_stacked_intertwiners(p, k, mats))
 
 
 # (p, n) with at most 781 lines through 0, so the reference stays quick
