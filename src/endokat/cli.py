@@ -21,7 +21,7 @@ import sys
 
 from . import audits, config, jsonio
 from .dimension import is_minimal_bimodule
-from .endogeny import bikat, induced_action
+from .endogeny import induced_action
 from .errors import EndokatError, InvalidInput
 from .groups import canonicalize_group, subgroup_from_generators
 from .instances import fixture_nonliftable, matrix_bimodule, random_endogeny, split_bimodule
@@ -59,8 +59,6 @@ def _emit(doc, out_path=None):
 def _apply_caps(args):
     if args.max_order is not None:
         config.MAX_ORDER = args.max_order
-    if args.max_closure is not None:
-        config.CLOSURE_CAP = args.max_closure
 
 
 def cmd_validate(args):
@@ -121,14 +119,13 @@ def _linearize_split(instance):
             "witness_order": witness.order,
             "witness_generators": [list(c) for c in witness.gen_columns()],
         }, 1
-    k = bikat(gset, dset)
     q, proj, ghoms, dhoms = induced_action(gset, dset)
     out = {
         "format_version": jsonio.FORMAT_VERSION,
         "kind": "split_report",
         "split_group": jsonio.split_group_to_json(sg),
         "minimal": minimal,
-        "joint_katakernel_order": k.order,
+        "joint_katakernel_order": gset.ambient.order // q.order,
         "quotient": jsonio.group_to_json(q),
         "induced_gamma": [[list(r) for r in h.matrix] for h in ghoms],
         "induced_delta": [[list(r) for r in h.matrix] for h in dhoms],
@@ -212,7 +209,6 @@ def build_parser():
         "with machine-checked laws and bi-module linearization.",
     )
     ap.add_argument("--max-order", type=_positive_int, default=None, help="group order cap")
-    ap.add_argument("--max-closure", type=_positive_int, default=None, help="closure size cap")
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("validate", help="parse and validate an instance file")

@@ -1,22 +1,17 @@
 """Global size caps: the one place each cap is set.
 
 All caps are hard errors when exceeded (never silent truncation).  Every
-check reads its cap from this module when it runs.  The CLI's --max-order /
---max-closure rebind MAX_ORDER / CLOSURE_CAP, and the audit worker pool
-starts each worker with the parent's values (:func:`caps` read in the
-parent, :func:`set_caps` applied in the worker), so a cap applies the same
-way whatever the process start method.
+check reads its cap from this module when it runs.  The CLI's --max-order
+rebinds MAX_ORDER, and the audit worker pool starts each worker with the
+parent's values (:func:`caps` read in the parent, :func:`set_caps` applied
+in the worker), so a cap applies the same way whatever the process start
+method.
 """
 
 # Largest allowed group order for exact lattice arithmetic.  Keeps every
 # entry of the integer normal forms below 2**20 so the compiled kernel can
 # run on machine words with a safety margin.
 MAX_ORDER = 2**20
-
-# Cap on the maps linearize.lines ranks, one per K-line of a restriction
-# space.  No ideal is enumerated: a minimal image is certified by
-# linearize.is_field.
-CLOSURE_CAP = 20_000
 
 # Brute-force enumeration bound for the reference oracle.
 ORACLE_CAP = 4096

@@ -60,23 +60,6 @@ class BudgetExceeded(EndokatError):
     tag = "budget-exceeded"
 
 
-class NoProjection(EndokatError):
-    """No idempotent onto the requested line exists in the algebra."""
-
-    tag = "no-projection-found"
-
-
-class NoTransporter(EndokatError):
-    """A line's witness gives no isomorphism onto it from the common
-    source; carries the witness."""
-
-    tag = "no-transporter"
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class NotLocallyCentral(EndokatError):
     """Lift requested for a map that is not central in both local rings."""
 

@@ -1,20 +1,23 @@
 """Matrix-algebra machinery over F_p: commutants, minimal images, direct
-decomposition into lines, transport between lines, lifting of local maps,
-and extraction of the coefficient field of an irreducible bi-module.
+decomposition into lines, lifting of local maps, and extraction of the
+coefficient field of an irreducible bi-module.
 
 The pipeline mirrors the constructive double-centralizer route: replace the
 two commuting generator families by mutual centralizers, split the space
-into minimal images ("lines") by orthogonal idempotents of the first
-algebra, extract the coefficient field on one line recursively, and lift a
-basis of it along the lines' own witnesses.  Every step revalidates its
-postconditions, so a hypothesis failure surfaces as a typed error with a
-witness instead of a wrong report.
+into minimal images ("lines") of the first algebra by one basis change,
+extract the coefficient field on one line recursively, and lift a basis of
+it through that basis change.  The lines are phi_1(u), ..., phi_m(u) for a
+minimal image u and a basis phi_1..phi_m of Hom(u, V) over the local field
+of u; P = [phi_1 | ... | phi_m] is invertible, and the rows of P^-1 give
+the idempotents and the lifts.  Every step revalidates its postconditions,
+so a hypothesis failure surfaces as a typed error with a witness instead of
+a wrong report.
 """
 
 from __future__ import annotations
 
 from functools import wraps
-from itertools import product
+from itertools import chain, product
 
 from . import config, fp
 from .errors import (
@@ -23,9 +26,7 @@ from .errors import (
     HypothesisViolation,
     Inconclusive,
     InvalidInput,
-    NoProjection,
     NotLocallyCentral,
-    NoTransporter,
 )
 from .groups import check_characteristic
 
@@ -89,7 +90,7 @@ class MatrixAlgebra:
 def _combinations(p, basis, zero):
     """Every F_p-combination of the matrices in ``basis``, starting with
     ``zero``, in lexicographic order of the coefficient tuple (c_0 most
-    significant).  Line witnesses are the first hit in this order.
+    significant).
 
     The next tuple raises one digit c_j by one and wraps every later digit
     from p - 1 to 0; mod p both add the basis element once, so each step is
@@ -337,18 +338,15 @@ def invariant_subspace(p, n, gens):
 
 
 class Line:
-    """A minimal nonzero image subspace of the algebra, with a witness
-    element whose image it is and the minimal image ``source`` it starts
-    from: :func:`lines` gives all its lines one source u and the witness
-    w = phi K_u pi_u (built there), so w pi_u = w and w restricted to u is
-    phi, an isomorphism from u onto the line."""
+    """A minimal nonzero image subspace of the algebra, with ``basis``, an
+    n x k matrix phi whose columns span it: :func:`lines` gives each line
+    as phi(u) for one map phi in a K-basis of Hom(u, V) (see there)."""
 
-    __slots__ = ("subspace", "witness", "source")
+    __slots__ = ("subspace", "basis")
 
-    def __init__(self, subspace, witness, source):
+    def __init__(self, subspace, basis):
         self.subspace = tuple(subspace)
-        self.witness = witness
-        self.source = tuple(source)
+        self.basis = basis
 
     @property
     def dim(self):
@@ -364,32 +362,28 @@ class Line:
         return f"Line(dim={self.dim}, basis={self.subspace})"
 
 
-def _into_equations(alg: MatrixAlgebra, subspace):
-    """Rows over the coefficients of alg.basis saying that the combination
-    maps into span(subspace): y . (X e_j) = 0 for every annihilator y of the
+@_once_per_subspace
+def _left_ideal_into(alg: MatrixAlgebra, subspace):
+    """Basis of {X in alg : im X <= span(subspace)} as algebra elements:
+    the combinations with y . (X e_j) = 0 for every annihilator y of the
     subspace and every column j."""
     p, n = alg.p, alg.n
     ys = fp.nullspace(p, subspace)
     prods = [fp.mul(p, ys, b) for b in alg.basis]
-    return [tuple(yb[r][j] for yb in prods) for r in range(len(ys)) for j in range(n)]
+    eqs = [tuple(yb[r][j] for yb in prods) for r in range(len(ys)) for j in range(n)]
+    sol = _nullspace(p, eqs, alg.dim)
+    return _span_basis(p, [_combine(p, n, alg.basis, coeffs) for coeffs in sol])
 
 
 @_once_per_subspace
-def _left_ideal_into(alg: MatrixAlgebra, subspace):
-    """Basis of {X in alg : im X <= span(subspace)} as algebra elements."""
-    sol = _nullspace(alg.p, _into_equations(alg, subspace), alg.dim)
-    return _span_basis(alg.p, [_combine(alg.p, alg.n, alg.basis, coeffs) for coeffs in sol])
-
-
 def _restricted_ideal(alg: MatrixAlgebra, subspace):
     """The left ideal of maps into ``subspace``, restricted to it."""
     return [_restricted(alg.p, x, subspace, subspace) for x in _left_ideal_into(alg, subspace)]
 
 
 def _minimal_image(alg: MatrixAlgebra):
-    """One inclusion-minimal nonzero image subspace u, a witness (an element
-    of the algebra with image u) and the echelon basis of the local field E
-    of u, the span of :func:`_restricted_ideal`.
+    """One inclusion-minimal nonzero image subspace u and the echelon basis
+    of the local field E of u, the span of :func:`_restricted_ideal`.
 
     ``alg`` is simple here (see :func:`lines`), so semisimple.  Let u = wV
     be the image of an element w.  The right ideal w*alg is e*alg for an
@@ -404,27 +398,25 @@ def _minimal_image(alg: MatrixAlgebra):
     of E), and X(u), the image of X w, is a smaller nonzero image.
 
     The first u is the image of a least-rank basis element; each round
-    replaces u by X(u) and the witness w by X w, with X from
-    :func:`_shrinking_element`.  A commutative E that is not a field (the
-    zero algebra included) shows that ``alg`` is not simple.
+    replaces u by X(u), with X from :func:`_shrinking_element`.  A
+    commutative E that is not a field (the zero algebra included) shows
+    that ``alg`` is not simple.
     """
     p = alg.p
     ranks = [fp.rank(p, b) for b in alg.basis]
     least = min(((r, i) for i, r in enumerate(ranks) if r), default=None)
     if least is None:
         raise InvalidInput("zero algebra has no nonzero image")
-    witness = alg.basis[least[1]]
-    u = fp.column_space(p, witness)
+    u = fp.column_space(p, alg.basis[least[1]])
     while True:
         local = _restricted_ideal(alg, u)
         local_alg = MatrixAlgebra(p, len(u), _span_basis(p, local))
         if is_field(local_alg):
-            return witness, u, local_alg.basis
+            return u, local_alg.basis
         if local_alg.is_commutative():
             raise HypothesisViolation("commutative algebra with lines is not a field, so not simple")
         x = _shrinking_element(alg, u, local)
-        witness = fp.mul(p, x, witness)
-        u = fp.column_space(p, witness)
+        u = fp.column_space(p, fp.mul(p, x, fp.transpose(u)))
 
 
 def _shrinking_element(alg: MatrixAlgebra, u, local):
@@ -462,118 +454,69 @@ def _shrinking_element(alg: MatrixAlgebra, u, local):
 
 
 def lines(alg: MatrixAlgebra):
-    """All minimal nonzero image subspaces, each with a witness, in
-    lexicographic order of their canonical bases.
+    """Minimal nonzero image subspaces that split the space directly: the
+    images phi_1(u), ..., phi_m(u) of a K-basis of Hom(u, V), where u is a
+    minimal image (:func:`_minimal_image`).  Line 0 is u itself.
 
     ``alg`` must be simple.  :func:`decompose` passes the commutant C(Delta)
     of a bi-module that :func:`_extract_field` has checked to be
     irreducible.  The radical J of the algebra Delta spans would give the
     proper sub-bi-module JV, and so would an isotypic component of V over
-    Delta other than V; so V is a power of one simple Delta-module and
-    C(Delta) = Mat_m(K) for a finite field K.  Then every line is X u for
-    one minimal image u (:func:`_minimal_image`) and an element X of rank
-    dim u on it, so the lines are read off the restriction space
-    R = {X|_u}.
+    Delta other than V; so V is a power u^m of one simple Delta-module and
+    C(Delta) = Mat_m(K) for a finite field K.
 
-    R is a right vector space over the local field K = E of u: X|_u Y|_u is
-    (X Y)|_u for Y mapping into u.  Maps in one K-line have one image, as
-    every nonzero scalar is invertible on u.  So a K-basis phi_1..phi_m is
-    taken greedily from the restricted basis, and only the normalised maps
-    phi_i + sum_{j>i} phi_j kappa_j are ranked, (q^m - 1)/(q - 1) of them
-    for q = |K| instead of the q^m of R; their number is bounded by
-    ``config.CLOSURE_CAP``.  On an algebra that is not simple, lines may be
-    missing or not minimal; :func:`decompose` reports it when no line fits
-    the remaining complement, and its verification checks what it builds.
+    The restriction space R = {X|_u : X in alg} is Hom_Delta(u, V), and a
+    right vector space over the local field K = E of u: X|_u Y|_u is
+    (X Y)|_u for Y mapping into u.  A K-basis phi_1..phi_m is taken
+    greedily, starting from the inclusion of u (the identity is in the
+    algebra), and stops at m = n / dim u.  The Delta-map
+    (x_i) -> sum_i phi_i x_i from u^m to V is then an isomorphism: a
+    nonzero kernel would hold a copy of u, that is a K-relation among the
+    phi_i, and both sides have dimension n.  On an algebra that is not
+    simple the lines may not be direct; :func:`decompose` reports it.
     """
-    cap = config.CLOSURE_CAP
     p, n = alg.p, alg.n
-    witness, u, scalars = _minimal_image(alg)
+    u, scalars = _minimal_image(alg)
     k = len(u)
-    if k == n:
-        return [Line(u, witness, u)]
     bcols = fp.transpose(u)
     kbasis = []
     span = ()
-    for b in alg.basis:
-        phi = fp.mul(p, b, bcols)
+    for phi in chain([bcols], (fp.mul(p, b, bcols) for b in alg.basis)):
         if not fp.in_span(p, span, fp.flatten(phi)):
             kbasis.append(phi)
+            if len(kbasis) * k == n:
+                break
             span = fp.row_space(p, span + tuple(fp.flatten(fp.mul(p, phi, kappa)) for kappa in scalars))
-    q, m = p ** len(scalars), len(kbasis)
-    maps = (q**m - 1) // (q - 1)
-    if maps > cap:
-        raise Inconclusive(
-            f"restriction space has {maps} maps up to scalars to rank, above the closure cap CLOSURE_CAP = {cap}"
-        )
-    pi_u = _projection_into(alg, u)
-    if pi_u is None:
-        raise Inconclusive("no idempotent onto the minimal image")
-    # X pi_u for any X with X|_u = phi is phi K_u pi_u (K_u: coordinates on
-    # u), an element of the algebra with image phi(u)
-    lift = fp.mul(p, _coordinate_map(p, u), pi_u)
-    found = {}
-    for i, phi in enumerate(kbasis):
-        later = [fp.mul(p, psi, kappa) for psi in kbasis[i + 1 :] for kappa in scalars]
-        for phi2 in _combinations(p, later, phi):
-            if fp.rank(p, phi2) == k:
-                u2 = fp.column_space(p, phi2)
-                if u2 not in found:
-                    found[u2] = fp.mul(p, phi2, lift)
-    return [Line(us, w, u) for us, w in sorted(found.items())]
+    return [Line(fp.column_space(p, phi), phi) for phi in kbasis]
 
 
-@_once_per_subspace
-def _projection_into(alg: MatrixAlgebra, subspace):
-    """Solve for an idempotent in the algebra with image the subspace and
-    restriction the identity; None when no such element exists."""
-    p, n = alg.p, alg.n
-    bcols = fp.transpose(subspace)
-    k = len(subspace)
-    d = alg.dim
-    images = [fp.mul(p, b, bcols) for b in alg.basis]
-    aug = [tuple(im[i][j] for im in images) + (bcols[i][j],) for i in range(n) for j in range(k)]
-    aug += [row + (0,) for row in _into_equations(alg, subspace)]
-    red, piv = fp.rref(p, aug)
-    coeffs = [0] * d
-    for row, pc in zip(red, piv):
-        if pc == d:
-            return None
-        coeffs[pc] = row[d]
-    return _combine(p, n, alg.basis, coeffs)
-
-
-def projection_onto_line(line: Line, galg: MatrixAlgebra, dalg: MatrixAlgebra):
-    """Idempotent in galg with image the line, commuting with dalg.
+def projection_onto_line(line: Line, coordinates, galg: MatrixAlgebra, dalg: MatrixAlgebra):
+    """The idempotent phi C onto the line, for phi its basis and C the
+    matching k rows of P^-1 (:func:`decompose`).
 
     Requires galg to be the full commutant of dalg (checked, once per dalg
-    object); failure to solve signals that hypothesis broke down.
+    object), so that an idempotent that commutes with dalg, as
+    :meth:`Decomposition.verify` checks, lies in galg.
     """
-    p = galg.p
     if _commutant_of(dalg) != galg:
         raise HypothesisViolation("first algebra is not the commutant of the second")
-    pi = _projection_into(galg, line.subspace)
-    if pi is None:
-        raise NoProjection("no idempotent onto the line exists in the algebra")
-    if fp.mul(p, pi, pi) != pi or fp.column_space(p, pi) != line.subspace:
-        raise NoProjection("solved element fails the projection postconditions")
-    for d in dalg.basis:
-        if fp.mul(p, pi, d) != fp.mul(p, d, pi):
-            raise NoProjection("projection fails to commute with the second algebra")
-    return pi
+    return fp.mul(galg.p, line.basis, coordinates)
 
 
 class Decomposition:
-    """Orthogonal idempotents summing to the identity, one per line."""
+    """Orthogonal idempotents summing to the identity, one per line, and
+    for each line the rows of P^-1 that give its coordinates."""
 
-    __slots__ = ("p", "n", "lines", "projections")
+    __slots__ = ("p", "n", "lines", "projections", "coordinates")
 
-    def __init__(self, p, n, lines, projections):
+    def __init__(self, p, n, lines, projections, coordinates):
         self.p = p
         self.n = n
         self.lines = list(lines)
         self.projections = list(projections)
+        self.coordinates = list(coordinates)
 
-    def verify(self, dalg=None):
+    def verify(self, dalg):
         p, n = self.p, self.n
         total = fp.zero(n)
         for i, pi in enumerate(self.projections):
@@ -587,44 +530,34 @@ class Decomposition:
                     raise HypothesisViolation("projections not orthogonal", witness=(i, j))
         if total != fp.identity(n):
             raise HypothesisViolation("projections do not sum to the identity", witness=total)
-        if dalg is not None:
-            for pi in self.projections:
-                for d in dalg.basis:
-                    if fp.mul(p, pi, d) != fp.mul(p, d, pi):
-                        raise HypothesisViolation("projection fails to commute", witness=pi)
+        for pi in self.projections:
+            for d in dalg.basis:
+                if fp.mul(p, pi, d) != fp.mul(p, d, pi):
+                    raise HypothesisViolation("projection fails to commute", witness=pi)
         return True
 
 
 def decompose(galg: MatrixAlgebra, dalg: MatrixAlgebra) -> Decomposition:
-    """Split the space into a direct sum of lines with orthogonal
-    idempotents from galg, greedily inside the running complement."""
+    """Split the space into the direct sum of the lines of galg by one
+    basis change.  P = [phi_1 | ... | phi_m] puts the line bases side by
+    side (:func:`lines`), and C_i, the rows of P^-1 for line i, gives the
+    coordinates on it: P P^-1 = I makes the idempotents pi_i = phi_i C_i
+    sum to the identity, and P^-1 P = I makes them orthogonal.  A singular
+    P means that the lines are not direct, so galg is not simple."""
     p, n = galg.p, galg.n
     lam = lines(galg)
-    chosen = []
+    basis_change = tuple(tuple(x for line in lam for x in line.basis[r]) for r in range(n))
+    inv = fp.inverse(p, basis_change) if sum(line.dim for line in lam) == n else None
+    if inv is None:
+        raise HypothesisViolation("lines do not split the space directly", witness=[l.subspace for l in lam])
+    coordinates = []
     projections = []
-    rho = fp.identity(n)
-    produced = 0
-    while True:
-        covered = sum(line.dim for line in chosen)
-        if covered >= n:
-            break
-        w = fp.column_space(p, rho)
-        pick = None
-        for line in lam:
-            if all(fp.in_span(p, w, v) for v in line.subspace):
-                pick = line
-                break
-        if pick is None:
-            raise HypothesisViolation("no line inside the remaining complement", witness=w)
-        pi_line = projection_onto_line(pick, galg, dalg)
-        pi = fp.mul(p, pi_line, rho)
-        chosen.append(pick)
-        projections.append(pi)
-        rho = fp.sub(p, rho, pi)
-        produced += 1
-        if produced > n:
-            raise HypothesisViolation("decomposition failed to terminate")
-    dec = Decomposition(p, n, chosen, projections)
+    start = 0
+    for line in lam:
+        coordinates.append(inv[start : start + line.dim])
+        projections.append(projection_onto_line(line, coordinates[-1], galg, dalg))
+        start += line.dim
+    dec = Decomposition(p, n, lam, projections, coordinates)
     dec.verify(dalg)
     return dec
 
@@ -643,67 +576,32 @@ def _restricted(p, m, src, dst):
     return fp.transpose(cols)
 
 
-def _coordinate_map(p, line_basis):
-    """k x n matrix K with K * B = identity for B the column basis of the
-    line; sends a vector of the line to its basis coordinates."""
-    k = len(line_basis)
-    bt = tuple(tuple(r) for r in line_basis)  # k x n, rows = basis vectors
-    rows = []
-    for j in range(k):
-        e = tuple(int(i == j) for i in range(k))
-        # y . (basis row i) = delta_ij  <=>  bt * y = e_j
-        y = fp.solve(p, bt, e)
-        rows.append(y)
-    return tuple(rows)
+def lift_endomorphism(phis, dec: Decomposition, galg: MatrixAlgebra, dalg: MatrixAlgebra, gl, dl):
+    """Extend maps that are central in both restricted algebras on line 0 of
+    the decomposition to the whole space, as sum_i phi_i f C_i for the line
+    bases phi_i and coordinate rows C_i.  ``gl`` is the restricted left
+    ideal of line 0 in galg (:func:`_restricted_ideal`) and ``dl`` the
+    generators of dalg restricted to it, both of which the caller has
+    already built.  Returns the lifts in the order of ``phis``.
 
-
-def _from_source(p, li: Line, source):
-    """The witness of ``li`` restricted to ``source`` (see :class:`Line`)
-    in their coordinates, and its inverse; :class:`NoTransporter` with the
-    witness if li starts elsewhere or the restriction is singular."""
-    if li.source != source:
-        raise NoTransporter("line starts from another minimal image", witness=li.witness)
-    t = _restricted(p, li.witness, source, li.subspace)
-    t_inv = fp.inverse(p, t)
-    if t_inv is None:
-        raise NoTransporter("witness is singular on its source", witness=li.witness)
-    return t, t_inv
-
-
-def lift_endomorphism(phis, line: Line, dec: Decomposition, galg: MatrixAlgebra, dalg: MatrixAlgebra, gl, dl):
-    """Extend maps that are central in both restricted algebras on one line
-    to the whole space: transport each to every line of the decomposition
-    and sum the pieces through the idempotents.  ``gl`` is the restricted
-    left ideal of ``line`` in galg (:func:`_restricted_ideal`) and ``dl``
-    the generators of dalg restricted to ``line``, both of which the
-    caller has already built.  Returns the lifts in the order of ``phis``.
-    A map moves from ``line`` to l_i as T phi T^-1, T = w_i|_u (w|_u)^-1
-    for the witnesses w, w_i (:class:`Line`): a Delta-isomorphism, as
-    galg = C(Delta), and any other one differs from it by a unit of the
-    local algebra, which a central map commutes with."""
+    Line 0 is u and phi_0 its echelon basis, so a map f in the coordinates
+    of u is in line-basis coordinates already.  The basis change P is a
+    Delta-isomorphism u^m -> V (:func:`lines`), under which galg = C(Delta)
+    is Mat_m(E) and every transport between lines is the identity.  So the
+    lift is P diag(f, ..., f) P^-1, and it commutes with galg and dalg
+    exactly when f is central in the restricted algebras (checked once)."""
     p, n = galg.p, galg.n
+    line = dec.lines[0]
     for phi in phis:
         for m in dl + gl:
             if fp.mul(p, m, phi) != fp.mul(p, phi, m):
                 raise NotLocallyCentral("map is not central in the restricted algebras")
-    r, r_inv = _from_source(p, line, line.source)
-    # per line: restricted left ideal, witness on u and inverse, outer factors
-    pieces = []
-    for li, pi in zip(dec.lines, dec.projections):
-        xl = gl if li.subspace == line.subspace else _restricted_ideal(galg, li.subspace)
-        kpi = fp.mul(p, _coordinate_map(p, li.subspace), pi)
-        pieces.append((xl, _from_source(p, li, line.source), fp.transpose(li.subspace), kpi))
     commuting = list(galg.basis) + list(dalg.basis)
     out = []
     for phi in phis:
-        phi_u = fp.mul(p, fp.mul(p, r_inv, phi), r)
         hat = fp.zero(n)
-        for xl, (t, t_inv), bi, kpi in pieces:
-            phi_i = fp.mul(p, fp.mul(p, t, phi_u), t_inv)
-            for xr in xl:
-                if fp.mul(p, xr, phi_i) != fp.mul(p, phi_i, xr):
-                    raise NotLocallyCentral("transported map depends on the isomorphism")
-            hat = fp.add(p, hat, fp.mul(p, fp.mul(p, bi, phi_i), kpi))
+        for li, coords in zip(dec.lines, dec.coordinates):
+            hat = fp.add(p, hat, fp.mul(p, fp.mul(p, li.basis, phi), coords))
         for g in commuting:
             if fp.mul(p, hat, g) != fp.mul(p, g, hat):
                 raise NotLocallyCentral("lift fails to commute with the algebras")
@@ -828,7 +726,7 @@ def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
     the space into lines.  A single line is the base case: the commutant
     itself is certified to be a field equal to the double commutant.
     Otherwise the field of the first line is extracted recursively and
-    lifted along the lines' witnesses.
+    lifted through the basis change of the decomposition.
     """
     check_matrix_bimodule(p, n, gamma_gens, delta_gens)
     gamma_gens = [fp.mat(g, p) for g in gamma_gens]
@@ -858,7 +756,7 @@ def _extract_field(p, n, gamma_gens, delta_gens, galg):
             raise FieldTestFailure("double commutant differs from the commutant in the base case")
         field_basis = galg.basis
     else:
-        gl = _restricted_ideal(galg, line.subspace)
+        gl = _restricted_ideal(galg, line.subspace)  # built by lines, as line 0 is u
         dl = [_restricted(p, d, line.subspace, line.subspace) for d in (dalg.basis)]
         local_gamma = centralizer(dl, p=p, n=k)
         local_gamma_span = _span_basis(p, gl)
@@ -868,7 +766,7 @@ def _extract_field(p, n, gamma_gens, delta_gens, galg):
                 witness=(local_gamma.basis, local_gamma_span),
             )
         sub_report = _extract_field(p, k, gl, dl, local_gamma)
-        lifted = lift_endomorphism(sub_report.field_basis, line, dec, galg, dalg, gl, dl)
+        lifted = lift_endomorphism(sub_report.field_basis, dec, galg, dalg, gl, dl)
         field_basis = _span_basis(p, lifted + [fp.identity(n)])
         if len(field_basis) != len(sub_report.field_basis):
             raise FieldTestFailure("lifted field has the wrong dimension")

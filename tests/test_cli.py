@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+from endokat import cli, endogeny
+from endokat.instances import split_bimodule
+
 CLI = [sys.executable, "-m", "endokat.cli"]
 
 
@@ -114,6 +117,26 @@ def test_linearize_split(tmp_path):
     assert doc["minimal"] is True
 
 
+@pytest.mark.parametrize("p, n, torsion, seed", [(2, 2, [3], 5), (2, 2, [9], 11), (3, 1, [2], 2), (2, 3, [5], 7)])
+def test_split_report_katakernel_from_the_quotient(p, n, torsion, seed, monkeypatch):
+    """The split report's joint katakernel order is |ambient| / |quotient|,
+    with one global_kat fixpoint per family: the joint katakernel is
+    computed once, inside induced_action."""
+    sg, gset, dset, info = split_bimodule(p, n, torsion, seed, plant_witness=seed == 7)
+    joint = endogeny.bikat(gset, dset)
+    calls = []
+    fixpoint = endogeny.global_kat
+
+    def counted(gens):
+        calls.append(gens)
+        return fixpoint(gens)
+
+    monkeypatch.setattr(endogeny, "global_kat", counted)
+    out, code = cli._linearize_split((sg, gset, dset, info))
+    assert code == 0 and out["joint_katakernel_order"] == joint.order
+    assert len(calls) == 2
+
+
 def test_linearize_reducible_plant(tmp_path):
     f = tmp_path / "p.json"
     run("generate", "--kind", "split_bimodule", "--p", "2", "--n", "3",
@@ -197,7 +220,7 @@ def test_generate_missing_flag_exit_2(args, flag):
     assert "Traceback" not in r.stderr
 
 
-@pytest.mark.parametrize("flag", ["--max-order", "--max-closure"])
+@pytest.mark.parametrize("flag", ["--max-order"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_cap_flags_must_be_positive(flag, value):
     r = run(f"{flag}={value}", "audit", "--suite", "prering", "--random", "2", "--workers", "1")

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endokat import config, groups, oracle
+from endokat import groups, oracle
 from endokat.endogeny import (
     Endogeny,
     EndogenySet,
@@ -302,12 +302,14 @@ def test_restriction(z4):
             assert katcap.contains(from_b(col))
 
 
-def prering_closure(gens: EndogenySet) -> EndogenySet:
+# Bound on the elements a test closure enumerates.
+CLOSURE_CAP = 20_000
+
+
+def prering_closure(gens: EndogenySet, cap=CLOSURE_CAP) -> EndogenySet:
     """Closure of the generators (plus 0, 1, -1) under sum, negation, and
-    composition.  Raises :class:`CapExceeded` past ``config.CLOSURE_CAP``
-    elements and propagates :class:`KatakernelBound` if the closure escapes
-    the bound."""
-    cap = config.CLOSURE_CAP
+    composition.  Raises :class:`CapExceeded` past ``cap`` elements and
+    propagates :class:`KatakernelBound` if the closure escapes the bound."""
     amb, bound = gens.ambient, gens.bound
     seed = [
         Endogeny.zero(amb, bound),
@@ -341,7 +343,7 @@ def prering_closure(gens: EndogenySet) -> EndogenySet:
     return EndogenySet(amb, bound, members.values())
 
 
-def test_prering_closure(z2z2, z4, monkeypatch):
+def test_prering_closure(z2z2, z4):
     nb = NegligibilityBound.zero(z2z2)
     one = Endogeny.identity(z2z2, nb)
     cl = prering_closure(EndogenySet(z2z2, nb, [one]))
@@ -356,9 +358,8 @@ def test_prering_closure(z2z2, z4, monkeypatch):
     # empty generators: the image of the integers
     cl3 = prering_closure(EndogenySet(z4, nbf, []))
     assert len(cl3) == 4  # multiplications by 0..3
-    monkeypatch.setattr(config, "CLOSURE_CAP", 2)
     with pytest.raises(CapExceeded):
-        prering_closure(EndogenySet(z4, nbf, [zf]))
+        prering_closure(EndogenySet(z4, nbf, [zf]), cap=2)
 
 
 def test_global_kat(z4):

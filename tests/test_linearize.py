@@ -1,5 +1,5 @@
-"""Matrix machinery: commutants, lines, decomposition, lifting along the
-line witnesses, field extraction."""
+"""Matrix machinery: commutants, lines, decomposition by one basis change,
+lifting through it, field extraction."""
 
 import hashlib
 
@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from endokat import config, fp, linearize
-from endokat.errors import CapExceeded, HypothesisViolation, Inconclusive, InvalidInput, NoTransporter
+from endokat.errors import CapExceeded, HypothesisViolation, Inconclusive, InvalidInput
 from endokat.instances import matrix_bimodule, _random_invertible
 from endokat.linearize import (
-    Decomposition,
     Line,
     MatrixAlgebra,
     _intertwiners,
@@ -28,6 +27,10 @@ from endokat.linearize import (
     projection_onto_line,
 )
 from endokat.rng import SplitMix64
+
+
+# Bound on the elements a test enumerates an algebra for.
+CLOSURE_CAP = 20_000
 
 
 def E(n, i, j, p=2):
@@ -74,7 +77,7 @@ def scal2():
 
 def test_algebra_closure_examples(m2, f4, scal2):
     assert scal2.dim == 1 and scal2.size == 2
-    assert f4.dim == 2 and sorted(map(fp.flatten, f4.elements(config.CLOSURE_CAP))) == sorted(
+    assert f4.dim == 2 and sorted(map(fp.flatten, f4.elements(CLOSURE_CAP))) == sorted(
         [(0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 1, 1), (1, 1, 1, 0)]
     )
     m = fp.mat([[0, 1], [1, 1]], 2)
@@ -88,12 +91,11 @@ def test_algebra_closure_examples(m2, f4, scal2):
 
 def test_elements_walk_order(m2):
     """elements()[i] is the combination whose coefficients are the base-p
-    digits of i, most significant first; line witnesses are first hits in
-    this order."""
+    digits of i, most significant first."""
     f27 = algebra_closure([fp.companion(3, fp.lex_min_irreducible(3, 3))], p=3, n=3)
     for alg in (m2, f27):
         p, d = alg.p, alg.dim
-        elems = alg.elements(config.CLOSURE_CAP)
+        elems = alg.elements(CLOSURE_CAP)
         assert len(elems) == p**d
         for i, m in enumerate(elems):
             digits = [(i // p ** (d - 1 - j)) % p for j in range(d)]
@@ -133,10 +135,11 @@ def test_irreducibility(m2, f4, scal2):
 
 def test_lines_examples(m2, f4, scal2):
     ls = lines(m2)
-    assert [l.subspace for l in ls] == [((0, 1),), ((1, 0),), ((1, 1),)]
-    assert all(fp.column_space(2, l.witness) == l.subspace for l in ls)
+    assert [l.subspace for l in ls] == [((1, 0),), ((0, 1),)]
+    assert [l.basis for l in ls] == [((1,), (0,)), ((0,), (1,))]
     whole = fp.rref(2, fp.identity(2))[0]
-    assert lines(f4) == [Line(whole, fp.identity(2), whole)]
+    assert lines(f4) == [Line(whole, fp.identity(2))]
+    assert lines(f4)[0].basis == fp.identity(2)
     lsc = lines(scal2)
     assert len(lsc) == 1 and lsc[0].dim == 2
 
@@ -158,35 +161,36 @@ def _enumerated_lines(alg):
 
 
 def _assert_lines_match_enumeration(alg):
-    """The lines are the enumerated ones; each witness lies in the algebra,
-    has the line as image, starts from the common source (w pi = w for the
-    idempotent pi onto it) and restricts to an isomorphism from it."""
-    p = alg.p
+    """Every line is one that enumerating the algebra finds, with its basis
+    spanning it; the dimensions sum to n, the bases side by side form an
+    invertible P, and line 0 is the minimal image u."""
+    p, n = alg.p, alg.n
     got = lines(alg)
-    assert [l.subspace for l in got] == _enumerated_lines(alg)
-    assert len({l.source for l in got}) == 1
+    enumerated = _enumerated_lines(alg)
     for l in got:
-        assert alg.contains(l.witness)
-        assert fp.column_space(p, l.witness) == l.subspace
-        assert fp.mul(p, l.witness, linearize._projection_into(alg, l.source)) == l.witness
-        assert fp.is_invertible(p, linearize._restricted(p, l.witness, l.source, l.subspace))
+        assert l.subspace in enumerated
+        assert fp.column_space(p, l.basis) == l.subspace and len(l.basis[0]) == l.dim
+    assert sum(l.dim for l in got) == n
+    assert fp.is_invertible(p, tuple(sum((l.basis[r] for l in got), ()) for r in range(n)))
+    assert got[0].subspace == linearize._minimal_image(alg)[0]
     return got
 
 
 def test_lines_match_enumeration(m2, f4, scal2, monkeypatch):
-    """The one route for lines (a minimal image, then the restriction space)
-    finds the lines that enumerating the algebra finds, in the same order."""
+    """The one route for lines (a minimal image, then a K-basis of the
+    restriction space) finds lines that enumerating the algebra finds, and
+    they split the space directly."""
     for alg in (m2, f4, scal2):
         _assert_lines_match_enumeration(alg)
     inst = matrix_bimodule(2, 2, 2, 99)
     galg = centralizer(inst["delta_generators"], p=2, n=4)
     assert galg.size == 2**8
-    assert len(_assert_lines_match_enumeration(galg)) == 5  # projective line over the quartic field
-    # a commutant above the closure cap: all of Mat_4(F_2)
+    assert len(_assert_lines_match_enumeration(galg)) == 2  # Mat_2(F_4): two lines of dim 2
+    # a commutant of 2^16 elements, all of Mat_4(F_2)
     big = centralizer([fp.identity(4)], p=2, n=4)
-    assert big.size == 2**16 > config.CLOSURE_CAP
+    assert big.size == 2**16
     big_lines = _assert_lines_match_enumeration(big)
-    assert len(big_lines) == 15 and all(l.dim == 1 for l in big_lines)
+    assert len(big_lines) == 4 and all(l.dim == 1 for l in big_lines)
     # every commutant the ground-truth extractions split, recursion included
     seen = []
     route = linearize.lines
@@ -202,9 +206,6 @@ def test_lines_match_enumeration(m2, f4, scal2, monkeypatch):
     monkeypatch.undo()
     small = [alg for alg in seen if alg.size <= 2**16]
     assert any(alg.size == 2**16 for alg in small) and len(small) < len(seen)
-    # the cap bounds the maps lines ranks, one per K-line: the (2,4,2)
-    # commutant Mat_2(F_16), whose restriction space has 2^8 maps, has 17
-    monkeypatch.setattr(config, "CLOSURE_CAP", 64)
     for alg in small:
         _assert_lines_match_enumeration(alg)
 
@@ -214,24 +215,22 @@ def _quartic_n8_commutant():
     return centralizer(inst["delta_generators"], p=2, n=8)
 
 
-def test_lines_rank_one_map_per_k_line(monkeypatch):
-    """lines ranks (q^m - 1)/(q - 1) normalised maps, one per K-line of
-    the restriction space, not its q^m maps."""
-    count = [0]
-    walk = linearize._combinations
+def test_lines_enumerate_no_combinations(monkeypatch):
+    """lines and decompose walk no combinations of any basis: they return
+    the m lines of a K-basis, not the (q^m - 1)/(q - 1) K-lines."""
+    calls = []
 
-    def counted(p, basis, zero):
-        for m in walk(p, basis, zero):
-            count[0] += 1
-            yield m
+    def counted(*args):
+        calls.append(args)
+        raise AssertionError("combinations walked")
 
     monkeypatch.setattr(linearize, "_combinations", counted)
-    ls = lines(_quartic_n8_commutant())  # Mat_2(F_16): q = 16, m = 2
-    assert len(ls) == 17 and count[0] == 17
-    count[0] = 0
+    galg = _quartic_n8_commutant()  # Mat_2(F_16): q = 16, m = 2
+    assert [l.dim for l in lines(galg)] == [4, 4]
+    assert len(decompose(galg, centralizer(galg.basis, p=2, n=8)).lines) == 2
     inst = matrix_bimodule(3, 3, 2, 0)
-    ls = lines(centralizer(inst["delta_generators"], p=3, n=6))  # Mat_2(F_27)
-    assert len(ls) == 28 and count[0] == 28
+    assert [l.dim for l in lines(centralizer(inst["delta_generators"], p=3, n=6))] == [3, 3]  # Mat_2(F_27)
+    assert not calls
 
 
 def _conjugated_mat2_on_f2_4():
@@ -262,16 +261,12 @@ def test_minimal_image_refines_a_non_minimal_candidate(monkeypatch):
 
     monkeypatch.setattr(linearize, "_shrinking_element", counted)
     got = _assert_lines_match_enumeration(alg)
-    assert len(got) == 3 and all(l.dim == 2 for l in got)
+    assert len(got) == 2 and all(l.dim == 2 for l in got)
     assert shrinks
 
 
 def test_cap_errors_name_their_limit(monkeypatch):
     """A cap error states the cap, its value and the size that hit it."""
-    galg = _quartic_n8_commutant()
-    monkeypatch.setattr(config, "CLOSURE_CAP", 16)
-    with pytest.raises(Inconclusive, match="17 maps .* CLOSURE_CAP = 16"):
-        lines(galg)
     # x^4 + x + 1 is irreducible over F_2, so its companion matrix and its
     # square are invertible: no seed spins to a proper subspace and no
     # singular element gives a certificate.
@@ -282,17 +277,28 @@ def test_cap_errors_name_their_limit(monkeypatch):
 
 
 def test_projection_and_decomposition(m2, f4, scal2):
-    ls = lines(m2)
-    l_e1 = next(l for l in ls if l.subspace == ((1, 0),))
-    pi = projection_onto_line(l_e1, m2, scal2)
-    assert pi == E(2, 0, 0)
     dec = decompose(m2, scal2)
-    assert len(dec.lines) == 2
-    assert fp.add(2, dec.projections[0], dec.projections[1]) == fp.identity(2)
+    assert [l.subspace for l in dec.lines] == [((1, 0),), ((0, 1),)]
+    assert dec.projections == [E(2, 0, 0), E(2, 1, 1)]
+    assert dec.coordinates == [((1, 0),), ((0, 1),)]
+    assert projection_onto_line(dec.lines[0], dec.coordinates[0], m2, scal2) == E(2, 0, 0)
     dec.verify(scal2)
+    # the first algebra must be the commutant of the second
+    with pytest.raises(HypothesisViolation, match="not the commutant"):
+        projection_onto_line(dec.lines[0], dec.coordinates[0], m2, m2)
     c2 = centralizer(f4.basis, p=2, n=2)
     dec2 = decompose(f4, c2)
     assert len(dec2.lines) == 1 and dec2.projections[0] == fp.identity(2)
+
+
+def test_decompose_mat8_over_f4():
+    """The commutant of (2,2,8) is Mat_8(F_4), with (4^8 - 1)/3 = 21,845
+    K-lines; decompose splits it into 8 lines of dimension 2."""
+    inst = matrix_bimodule(2, 2, 8, 1)
+    galg = centralizer(inst["delta_generators"], p=2, n=16)
+    assert galg.dim == 128
+    dec = decompose(galg, centralizer(galg.basis, p=2, n=16))
+    assert [l.dim for l in dec.lines] == [2] * 8
 
 
 def _restricted_gens(alg, line):
@@ -305,9 +311,7 @@ def test_lift(m2, scal2):
     dec = decompose(m2, scal2)
     line = dec.lines[0]
     one = fp.identity(1)
-    hat, = lift_endomorphism(
-        [one], line, dec, m2, scal2, _restricted_ideal(m2, line.subspace), _restricted_gens(scal2, line)
-    )
+    hat, = lift_endomorphism([one], dec, m2, scal2, _restricted_ideal(m2, line.subspace), _restricted_gens(scal2, line))
     assert hat == fp.identity(2)
     # scalar lifts to the global scalar
     inst = matrix_bimodule(3, 1, 2, 3)
@@ -317,30 +321,27 @@ def test_lift(m2, scal2):
     two = fp.mat([[2]], 3)
     line3 = dec3.lines[0]
     gl3 = _restricted_ideal(galg, line3.subspace)
-    hat1, hat3 = lift_endomorphism([fp.identity(1), two], line3, dec3, galg, dalg, gl3, _restricted_gens(dalg, line3))
+    hat1, hat3 = lift_endomorphism([fp.identity(1), two], dec3, galg, dalg, gl3, _restricted_gens(dalg, line3))
     assert hat1 == fp.identity(2)
     assert hat3 == fp.scalar(3, 2, fp.identity(2))
 
 
-def test_lift_rejects_a_witness_without_a_move(m2, scal2):
-    """A line whose witness starts from another minimal image, or is
-    singular on the common source, gives no move: NoTransporter, with the
-    witness."""
-    dec = decompose(m2, scal2)
-    line, other = dec.lines
-    gl = _restricted_ideal(m2, line.subspace)
-    dl = _restricted_gens(scal2, line)
-    elsewhere = next(l.subspace for l in lines(m2) if l.subspace != line.source)
-    for bad in (Line(other.subspace, other.witness, elsewhere), Line(other.subspace, fp.zero(2), line.source)):
-        dec_bad = Decomposition(2, 2, [line, bad], dec.projections)
-        with pytest.raises(NoTransporter) as err:
-            lift_endomorphism([fp.identity(1)], line, dec_bad, m2, scal2, gl, dl)
-        assert err.value.witness == bad.witness
+def test_decompose_rejects_lines_that_are_not_direct(m2, scal2, monkeypatch):
+    """Lines whose bases do not form an invertible P, here one line given
+    twice, or too few or too many to fill the space, raise
+    HypothesisViolation with the lines as witness."""
+    route = linearize.lines
+    for pick in ([0, 0], [0], [0, 1, 1]):
+        monkeypatch.setattr(linearize, "lines", lambda alg, pick=pick: [route(alg)[i] for i in pick])
+        with pytest.raises(HypothesisViolation, match="not split the space directly") as err:
+            decompose(m2, scal2)
+        assert err.value.witness == [route(m2)[i].subspace for i in pick]
 
 
 def test_lift_solves_no_intertwiner_system(monkeypatch):
-    """The moves between lines come from the line witnesses: extract_field
-    solves an intertwiner system only for each commutant it computes."""
+    """The lift goes through the basis change of the decomposition:
+    extract_field solves an intertwiner system only for each commutant it
+    computes."""
     calls = {"_intertwiners": 0, "centralizer": 0}
     for name in calls:
 
@@ -442,8 +443,8 @@ def test_extract_field_reports_snapshot():
 
 
 def test_extract_field_n16():
-    """The first n = 16 instance that answers: no ideal is enumerated, and
-    lines ranks 257 maps of a restriction space of 2^16."""
+    """An n = 16 instance: no ideal and no K-line is enumerated; the
+    commutant Mat_2(F_256) splits into two lines of dimension 8."""
     inst = matrix_bimodule(2, 8, 2, 1)
     rep = extract_field(2, 16, inst["gamma_generators"], inst["delta_generators"])
     assert (rep.order, rep.vs_dimension) == (256, 2)
@@ -477,7 +478,7 @@ def test_base_case_consistency():
     inst = matrix_bimodule(2, 2, 1, 4)
     galg = centralizer(inst["delta_generators"], p=2, n=2)
     assert all(
-        fp.is_invertible(2, m) for m in galg.elements(config.CLOSURE_CAP) if any(any(r) for r in m)
+        fp.is_invertible(2, m) for m in galg.elements(CLOSURE_CAP) if any(any(r) for r in m)
     )
     rep = extract_field(2, 2, inst["gamma_generators"], inst["delta_generators"])
     kalg = rep.field_algebra()
