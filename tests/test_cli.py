@@ -106,6 +106,22 @@ def test_linearize_matrix(tmp_path):
     assert doc["ground_truth_match"] is True
 
 
+def test_linearize_matrix_with_the_families_swapped(tmp_path):
+    """The scalar action as the first family and the matrix ring as the
+    second: the field and dimension are the same."""
+    f = tmp_path / "m.json"
+    run("generate", "--kind", "matrix_bimodule", "--p", "2", "--k", "2", "--m", "2",
+        "--seed", "3", "-o", str(f))
+    inst = json.loads(f.read_text())
+    inst["gamma_generators"], inst["delta_generators"] = inst["delta_generators"], inst["gamma_generators"]
+    f.write_text(json.dumps(inst))
+    r = run("linearize", str(f))
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["order"] == 4 and doc["vs_dimension"] == 2
+    assert doc["ground_truth_match"] is True
+
+
 def test_linearize_split(tmp_path):
     f = tmp_path / "s.json"
     run("generate", "--kind", "split_bimodule", "--p", "2", "--n", "2",

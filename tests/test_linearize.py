@@ -191,7 +191,7 @@ def test_lines_match_enumeration(m2, f4, scal2, monkeypatch):
     assert big.size == 2**16
     big_lines = _assert_lines_match_enumeration(big)
     assert len(big_lines) == 4 and all(l.dim == 1 for l in big_lines)
-    # every commutant the ground-truth extractions split, recursion included
+    # every commutant the ground-truth extractions split
     seen = []
     route = linearize.lines
 
@@ -233,6 +233,12 @@ def test_lines_enumerate_no_combinations(monkeypatch):
     assert not calls
 
 
+def _kron(p, a, b):
+    """The Kronecker product a (x) b."""
+    rb = len(b)
+    return fp.mat([[a[i // rb][j // rb] * b[i % rb][j % rb] for j in range(len(a) * rb)] for i in range(len(a) * rb)], p)
+
+
 def _conjugated_mat2_on_f2_4():
     """Mat_2(F_2) (x) I_2 on F_2^4, conjugated by a fixed P under which
     every echelon basis element is invertible, so the first candidate image
@@ -242,8 +248,7 @@ def _conjugated_mat2_on_f2_4():
     gens = []
     for i in range(2):
         for j in range(2):
-            kron = [[E(2, i, j)[a // 2][b // 2] * int(a % 2 == b % 2) for b in range(4)] for a in range(4)]
-            gens.append(fp.mul(2, fp.mul(2, p_mat, fp.mat(kron, 2)), p_inv))
+            gens.append(fp.mul(2, fp.mul(2, p_mat, _kron(2, E(2, i, j), fp.identity(2))), p_inv))
     return algebra_closure(gens, p=2, n=4)
 
 
@@ -281,11 +286,12 @@ def test_projection_and_decomposition(m2, f4, scal2):
     assert [l.subspace for l in dec.lines] == [((1, 0),), ((0, 1),)]
     assert dec.projections == [E(2, 0, 0), E(2, 1, 1)]
     assert dec.coordinates == [((1, 0),), ((0, 1),)]
-    assert projection_onto_line(dec.lines[0], dec.coordinates[0], m2, scal2) == E(2, 0, 0)
+    assert projection_onto_line(dec.lines[0], dec.coordinates[0], m2) == E(2, 0, 0)
     dec.verify(scal2)
-    # the first algebra must be the commutant of the second
-    with pytest.raises(HypothesisViolation, match="not the commutant"):
-        projection_onto_line(dec.lines[0], dec.coordinates[0], m2, m2)
+    # the idempotent must lie in the first algebra: E00 is not a scalar
+    with pytest.raises(HypothesisViolation, match="not in the first algebra") as err:
+        projection_onto_line(dec.lines[0], dec.coordinates[0], scal2)
+    assert err.value.witness == E(2, 0, 0)
     c2 = centralizer(f4.basis, p=2, n=2)
     dec2 = decompose(f4, c2)
     assert len(dec2.lines) == 1 and dec2.projections[0] == fp.identity(2)
@@ -423,6 +429,70 @@ def test_extract_field_ground_truths():
         assert rep.order == p**k and rep.vs_dimension == m
         rep.verify(inst["gamma_generators"], inst["delta_generators"])
         _assert_joint_commutant(rep, inst)
+
+
+@pytest.mark.parametrize("p, k, m, seed", GROUND_TRUTH_CASES)
+def test_triple_commutant_is_the_commutant(p, k, m, seed):
+    """C(C(C(S))) = C(S) for either generator family of a ground truth, so
+    the commutant of extract_field's second algebra is its first."""
+    inst = matrix_bimodule(p, k, m, seed)
+    for family in (inst["gamma_generators"], inst["delta_generators"]):
+        once = centralizer(family, p=p, n=k * m)
+        thrice = centralizer(centralizer(once.basis, p=p, n=k * m).basis, p=p, n=k * m)
+        assert thrice.basis == once.basis
+
+
+def test_extract_field_with_the_larger_family_second():
+    """Second families under which the minimal image u has dimension r > 1
+    over its local field E, so C(E) = Mat_r(E) is not E.  The
+    swapped ground truths give (p**k, m), and Mat_2(F_2) (x) I and
+    I (x) Mat_2(F_2) on F_2^4 give (2, 4), in either order."""
+    for p, k, m, seed in GROUND_TRUTH_CASES:
+        inst = matrix_bimodule(p, k, m, seed)
+        swapped = {"gamma_generators": inst["delta_generators"], "delta_generators": inst["gamma_generators"]}
+        rep = extract_field(p, k * m, swapped["gamma_generators"], swapped["delta_generators"])
+        assert (rep.order, rep.vs_dimension) == (p**k, m)
+        _assert_joint_commutant(rep, swapped)
+    mat2 = [E(2, i, j) for i in range(2) for j in range(2)]
+    left = [_kron(2, x, fp.identity(2)) for x in mat2]
+    right = [_kron(2, fp.identity(2), x) for x in mat2]
+    for gamma, delta in ((left, right), (right, left)):
+        rep = extract_field(2, 4, gamma, delta)
+        assert (rep.order, rep.vs_dimension) == (2, 4)
+        _assert_joint_commutant(rep, {"gamma_generators": gamma, "delta_generators": delta})
+
+
+@pytest.mark.parametrize("p, k, m, seed", [(2, 2, 2, 1), (2, 4, 2, 3)])
+def test_extract_field_runs_each_step_once(p, k, m, seed, monkeypatch):
+    """One level: three commutants (C(Delta), C(C(Delta)) and the commutant
+    of the second algebra on line 0), and one irreducibility test,
+    decomposition, list of lines, k-basis and report check."""
+    calls = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("centralizer", "invariant_subspace", "decompose", "lines", "_k_basis_of_v"):
+        count(linearize, name)
+    count(linearize.FieldReport, "verify")
+    inst = matrix_bimodule(p, k, m, seed)
+    rep = extract_field(p, k * m, inst["gamma_generators"], inst["delta_generators"])
+    assert (rep.order, rep.vs_dimension) == (p**k, m)
+    assert calls == {
+        "centralizer": 3,
+        "invariant_subspace": 1,
+        "decompose": 1,
+        "lines": 1,
+        "_k_basis_of_v": 1,
+        "verify": 1,
+    }
 
 
 # sha256 over the reports below, computed at the commit before lines
