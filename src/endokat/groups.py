@@ -44,7 +44,7 @@ class AbelianGroup:
             if m < 1:
                 raise InvalidInput(f"cyclic order must be positive, got {m}")
             if m > config.MAX_ORDER:
-                raise InvalidInput(f"cyclic order {m} above cap {config.MAX_ORDER}")
+                raise InvalidInput(f"cyclic order {m} above MAX_ORDER = {config.MAX_ORDER}")
         self.moduli = mods
 
     # -- value semantics ----------------------------------------------------
@@ -119,8 +119,9 @@ class FinAbGroup(AbelianGroup):
     def __init__(self, invariant_factors):
         super().__init__(invariant_factors)
         mods = self.moduli
-        if math.prod(mods) > config.MAX_ORDER:
-            raise InvalidInput(f"group order above cap {config.MAX_ORDER}")
+        order = math.prod(mods)
+        if order > config.MAX_ORDER:
+            raise InvalidInput(f"group order {order} above MAX_ORDER = {config.MAX_ORDER}")
         for d in mods:
             if d < 2:
                 raise InvalidInput("invariant factors must be >= 2 (trivial group is [])")

@@ -2,16 +2,17 @@
 decomposition into lines, lifting of local maps, and extraction of the
 coefficient field of an irreducible bi-module.
 
-The pipeline mirrors the constructive double-centralizer route: replace the
-two commuting generator families by mutual centralizers, split the space
-into minimal images ("lines") of the first algebra by one basis change,
-and lift the local field of line 0, the minimal image, through that basis
-change; no step recurses.  The lines are phi_1(u), ..., phi_m(u) for a
-minimal image u and a basis phi_1..phi_m of Hom(u, V) over the local field
-of u; P = [phi_1 | ... | phi_m] is invertible, and the rows of P^-1 give
-the idempotents and the lifts.  Every step revalidates its postconditions,
-so a hypothesis failure surfaces as a typed error with a witness instead of
-a wrong report.
+The pipeline mirrors the constructive double-centralizer route: replace
+Delta by its commutant C(Delta), keep Delta's own generators as the second
+family (their commutant is that of the double commutant, see
+:func:`extract_field`), split the space into minimal images ("lines") of
+C(Delta) by one basis change, and lift the local field of line 0, the
+minimal image, through that basis change; no step recurses.  The lines are
+phi_1(u), ..., phi_m(u) for a minimal image u and a basis phi_1..phi_m of
+Hom(u, V) over the local field of u; P = [phi_1 | ... | phi_m] is
+invertible, and the rows of P^-1 give the idempotents and the lifts.  Every
+step revalidates its postconditions, so a hypothesis failure surfaces as a
+typed error with a witness instead of a wrong report.
 """
 
 from __future__ import annotations
@@ -71,11 +72,12 @@ class MatrixAlgebra:
     def contains(self, m):
         return fp.in_span(self.p, [fp.flatten(b) for b in self.basis], fp.flatten(m))
 
-    def elements(self, cap):
+    def elements(self):
         """All p**dim elements, in the order of :func:`_combinations`.
-        Errors above ``cap``; never truncates."""
+        Errors above ``config.FIELD_ENUM_CAP``; never truncates."""
+        cap = config.FIELD_ENUM_CAP
         if self.size > cap:
-            raise CapExceeded(f"algebra closure of size {self.size} above cap {cap}")
+            raise CapExceeded(f"algebra of {self.size} elements above FIELD_ENUM_CAP = {cap}")
         return list(_combinations(self.p, self.basis, fp.zero(self.n)))
 
     def is_commutative(self):
@@ -487,7 +489,7 @@ def projection_onto_line(line: Line, coordinates, galg: MatrixAlgebra):
 
     The idempotent must lie in galg = C(Delta) (checked), so that it is a
     Delta-map; :meth:`Decomposition.verify` checks that it commutes with
-    dalg and the rest.
+    Delta's generators and the rest.
     """
     pi = fp.mul(galg.p, line.basis, coordinates)
     if not galg.contains(pi):
@@ -508,7 +510,10 @@ class Decomposition:
         self.projections = list(projections)
         self.coordinates = list(coordinates)
 
-    def verify(self, dalg):
+    def verify(self, delta):
+        """Check the idempotents: each is idempotent with its line as
+        image, they are orthogonal, sum to the identity, and commute with
+        every matrix of ``delta``, the second family's generators."""
         p, n = self.p, self.n
         total = fp.zero(n)
         for i, pi in enumerate(self.projections):
@@ -523,19 +528,21 @@ class Decomposition:
         if total != fp.identity(n):
             raise HypothesisViolation("projections do not sum to the identity", witness=total)
         for pi in self.projections:
-            for d in dalg.basis:
+            for d in delta:
                 if fp.mul(p, pi, d) != fp.mul(p, d, pi):
                     raise HypothesisViolation("projection fails to commute", witness=pi)
         return True
 
 
-def decompose(galg: MatrixAlgebra, dalg: MatrixAlgebra) -> Decomposition:
+def decompose(galg: MatrixAlgebra, delta) -> Decomposition:
     """Split the space into the direct sum of the lines of galg by one
     basis change.  P = [phi_1 | ... | phi_m] puts the line bases side by
     side (:func:`lines`), and C_i, the rows of P^-1 for line i, gives the
     coordinates on it: P P^-1 = I makes the idempotents pi_i = phi_i C_i
     sum to the identity, and P^-1 P = I makes them orthogonal.  A singular
-    P means that the lines are not direct, so galg is not simple."""
+    P means that the lines are not direct, so galg is not simple.
+    ``delta`` is the second family's generators, for
+    :meth:`Decomposition.verify`."""
     p, n = galg.p, galg.n
     lam = lines(galg)
     basis_change = tuple(tuple(x for line in lam for x in line.basis[r]) for r in range(n))
@@ -550,7 +557,7 @@ def decompose(galg: MatrixAlgebra, dalg: MatrixAlgebra) -> Decomposition:
         projections.append(projection_onto_line(line, coordinates[-1], galg))
         start += line.dim
     dec = Decomposition(p, n, lam, projections, coordinates)
-    dec.verify(dalg)
+    dec.verify(delta)
     return dec
 
 
@@ -568,19 +575,20 @@ def _restricted(p, m, src, dst):
     return fp.transpose(cols)
 
 
-def lift_endomorphism(phis, dec: Decomposition, galg: MatrixAlgebra, dalg: MatrixAlgebra, gl, dl):
+def lift_endomorphism(phis, dec: Decomposition, galg: MatrixAlgebra, delta, gl, dl):
     """Extend maps that are central in both restricted algebras on line 0 of
     the decomposition to the whole space, as sum_i phi_i f C_i for the line
     bases phi_i and coordinate rows C_i.  ``gl`` is the restricted left
     ideal of line 0 in galg (:func:`_restricted_ideal`) and ``dl`` the
-    generators of dalg restricted to it, both of which the caller has
-    already built.  Returns the lifts in the order of ``phis``.
+    second family's generators ``delta`` restricted to it, both of which
+    the caller has already built.  Returns the lifts in the order of
+    ``phis``.
 
     Line 0 is u and phi_0 its echelon basis, so a map f in the coordinates
     of u is in line-basis coordinates already.  The basis change P is a
     Delta-isomorphism u^m -> V (:func:`lines`), under which galg = C(Delta)
     is Mat_m(E) and every transport between lines is the identity.  So the
-    lift is P diag(f, ..., f) P^-1, and it commutes with galg and dalg
+    lift is P diag(f, ..., f) P^-1, and it commutes with galg and delta
     exactly when f is central in the restricted algebras (checked once)."""
     p, n = galg.p, galg.n
     line = dec.lines[0]
@@ -588,7 +596,7 @@ def lift_endomorphism(phis, dec: Decomposition, galg: MatrixAlgebra, dalg: Matri
         for m in dl + gl:
             if fp.mul(p, m, phi) != fp.mul(p, phi, m):
                 raise NotLocallyCentral("map is not central in the restricted algebras")
-    commuting = list(galg.basis) + list(dalg.basis)
+    commuting = list(galg.basis) + list(delta)
     out = []
     for phi in phis:
         hat = fp.zero(n)
@@ -652,7 +660,7 @@ class FieldReport:
             raise FieldTestFailure("n != k * m")
         if not alg.is_commutative():
             raise FieldTestFailure("field basis is not commutative")
-        for m in alg.elements(config.FIELD_ENUM_CAP):
+        for m in alg.elements():
             if any(any(r) for r in m) and not fp.is_invertible(p, m):
                 raise FieldTestFailure("nonzero element is singular", element=m)
         for g in list(gamma_gens) + list(delta_gens):
@@ -714,13 +722,20 @@ def check_matrix_bimodule(p, n, gamma_gens, delta_gens):
 def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
     """Coefficient field of an irreducible commuting bi-module action.
 
-    Replaces Delta by galg = C(Delta) and galg by dalg = C(galg), splits
-    the space into the lines of galg by one basis change P
-    (:func:`decompose`), and lifts the local field E of line 0, the minimal
-    image u, through P.  E is checked to be C(dl) for dl the restriction
-    of dalg to u, and the lift P diag(f, ..., f) P^-1 of each f in E is
-    checked to commute with galg and dalg.  With one line, P = I and
-    C(dl) = C(dalg) = galg.
+    Replaces Delta by galg = C(Delta), splits the space into the lines of
+    galg by one basis change P (:func:`decompose`), and lifts the local
+    field E of line 0, the minimal image u, through P.  E is checked to be
+    C(dl) for dl Delta's generators restricted to u (u is the image of an
+    element of C(Delta), so Delta-stable), and the lift
+    P diag(f, ..., f) P^-1 of each f in E is checked to commute with galg
+    and Delta.  With one line, u = V and C(dl) = C(Delta) = galg.
+
+    Delta's generators stand in for the double commutant C(galg) in every
+    check.  The radical argument of :func:`lines` makes the algebra
+    F_p<Delta> semisimple once the bi-module is irreducible, so
+    C(C(Delta)) = F_p<Delta> (double centralizer theorem), and a set of
+    matrices has the commutant of the algebra it generates; restricted to
+    u, F_p<Delta> is the algebra Delta's restrictions generate.
 
     What a second level on u and (E, dl) would compute is known already:
 
@@ -750,11 +765,10 @@ def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
     if w is not None:
         raise HypothesisViolation("bi-module action is reducible", witness=w)
     galg = centralizer(delta_gens, p=p, n=n)
-    dalg = centralizer(galg.basis, p=p, n=n)
-    dec = decompose(galg, dalg)
+    dec = decompose(galg, delta_gens)
     line = dec.lines[0]
     gl = _restricted_ideal(galg, line.subspace)  # built by lines, as line 0 is u
-    dl = [_restricted(p, d, line.subspace, line.subspace) for d in dalg.basis]
+    dl = [_restricted(p, d, line.subspace, line.subspace) for d in delta_gens]
     local_field = centralizer(dl, p=p, n=line.dim)
     local_span = _span_basis(p, gl)
     if local_field.basis != local_span:
@@ -762,7 +776,7 @@ def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
             "restricted algebra is not the commutant of the restricted action",
             witness=(local_field.basis, local_span),
         )
-    lifted = lift_endomorphism(local_field.basis, dec, galg, dalg, gl, dl)
+    lifted = lift_endomorphism(local_field.basis, dec, galg, delta_gens, gl, dl)
     field_basis = _span_basis(p, lifted + [fp.identity(n)])
     if len(field_basis) != local_field.dim:
         raise FieldTestFailure("lifted field has the wrong dimension")

@@ -442,8 +442,8 @@ def test_criterion_9_decomposition_invariants():
         galg = centralizer(inst["delta_generators"], p=p, n=n)
         dalg = centralizer(galg.basis, p=p, n=n)
         try:
-            dec = decompose(galg, dalg)
-            dec.verify(dalg)
+            dec = decompose(galg, dalg.basis)
+            dec.verify(dalg.basis)
             if len(dec.lines) != m or any(line.dim != k for line in dec.lines):
                 failures.append((p, k, m, seed, [line.dim for line in dec.lines]))
         except Exception as exc:  # noqa: BLE001

@@ -58,6 +58,16 @@ def test_fin_ab_group_validation():
     assert FinAbGroup([2, 4]).exponent == 4
 
 
+def test_order_cap_errors_name_their_limit(monkeypatch):
+    """Each order-cap error names MAX_ORDER, its value and the order that
+    hit it."""
+    monkeypatch.setattr(config, "MAX_ORDER", 64)
+    with pytest.raises(InvalidInput, match=r"^cyclic order 65 above MAX_ORDER = 64$"):
+        AbelianGroup([65])
+    with pytest.raises(InvalidInput, match=r"^group order 128 above MAX_ORDER = 64$"):
+        FinAbGroup([2, 64])
+
+
 def test_subgroup_examples(z4, z2z4):
     h = subgroup_from_generators(z4, [(2,)])
     assert sorted(h.elements()) == [(0,), (2,)]

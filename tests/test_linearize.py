@@ -29,10 +29,6 @@ from endokat.linearize import (
 from endokat.rng import SplitMix64
 
 
-# Bound on the elements a test enumerates an algebra for.
-CLOSURE_CAP = 20_000
-
-
 def E(n, i, j, p=2):
     return fp.mat([[1 if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)], p)
 
@@ -75,16 +71,17 @@ def scal2():
     return algebra_closure([], p=2, n=2)
 
 
-def test_algebra_closure_examples(m2, f4, scal2):
+def test_algebra_closure_examples(m2, f4, scal2, monkeypatch):
     assert scal2.dim == 1 and scal2.size == 2
-    assert f4.dim == 2 and sorted(map(fp.flatten, f4.elements(CLOSURE_CAP))) == sorted(
+    assert f4.dim == 2 and sorted(map(fp.flatten, f4.elements())) == sorted(
         [(0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 1, 1), (1, 1, 1, 0)]
     )
     m = fp.mat([[0, 1], [1, 1]], 2)
     assert fp.mul(2, m, m) == fp.add(2, m, fp.identity(2))
     assert m2.dim == 4 and m2.size == 16
+    monkeypatch.setattr(config, "FIELD_ENUM_CAP", 10)
     with pytest.raises(CapExceeded):
-        m2.elements(10)
+        m2.elements()
     with pytest.raises(InvalidInput):
         algebra_closure([], p=2, n=0)
 
@@ -95,7 +92,7 @@ def test_elements_walk_order(m2):
     f27 = algebra_closure([fp.companion(3, fp.lex_min_irreducible(3, 3))], p=3, n=3)
     for alg in (m2, f27):
         p, d = alg.p, alg.dim
-        elems = alg.elements(CLOSURE_CAP)
+        elems = alg.elements()
         assert len(elems) == p**d
         for i, m in enumerate(elems):
             digits = [(i // p ** (d - 1 - j)) % p for j in range(d)]
@@ -150,7 +147,7 @@ def _enumerated_lines(alg):
     p, n = alg.p, alg.n
     found = set()
     k = n + 1
-    for m in alg.elements(alg.size):
+    for m in alg.elements():
         r = fp.rank(p, m)
         if r == 0 or r > k:
             continue
@@ -227,7 +224,7 @@ def test_lines_enumerate_no_combinations(monkeypatch):
     monkeypatch.setattr(linearize, "_combinations", counted)
     galg = _quartic_n8_commutant()  # Mat_2(F_16): q = 16, m = 2
     assert [l.dim for l in lines(galg)] == [4, 4]
-    assert len(decompose(galg, centralizer(galg.basis, p=2, n=8)).lines) == 2
+    assert len(decompose(galg, centralizer(galg.basis, p=2, n=8).basis).lines) == 2
     inst = matrix_bimodule(3, 3, 2, 0)
     assert [l.dim for l in lines(centralizer(inst["delta_generators"], p=3, n=6))] == [3, 3]  # Mat_2(F_27)
     assert not calls
@@ -279,21 +276,27 @@ def test_cap_errors_name_their_limit(monkeypatch):
     monkeypatch.setattr(config, "SPIN_EXHAUSTIVE_CAP", 8)
     with pytest.raises(Inconclusive, match=r"p\*\*n = 16 .* SPIN_EXHAUSTIVE_CAP = 8"):
         invariant_subspace(2, 4, [companion])
+    # the report check enumerates the field F_16 of (2,4,2)
+    monkeypatch.undo()
+    monkeypatch.setattr(config, "FIELD_ENUM_CAP", 8)
+    inst = matrix_bimodule(2, 4, 2, 1)
+    with pytest.raises(CapExceeded, match=r"algebra of 16 elements above FIELD_ENUM_CAP = 8"):
+        extract_field(2, 8, inst["gamma_generators"], inst["delta_generators"])
 
 
 def test_projection_and_decomposition(m2, f4, scal2):
-    dec = decompose(m2, scal2)
+    dec = decompose(m2, scal2.basis)
     assert [l.subspace for l in dec.lines] == [((1, 0),), ((0, 1),)]
     assert dec.projections == [E(2, 0, 0), E(2, 1, 1)]
     assert dec.coordinates == [((1, 0),), ((0, 1),)]
     assert projection_onto_line(dec.lines[0], dec.coordinates[0], m2) == E(2, 0, 0)
-    dec.verify(scal2)
+    dec.verify(scal2.basis)
     # the idempotent must lie in the first algebra: E00 is not a scalar
     with pytest.raises(HypothesisViolation, match="not in the first algebra") as err:
         projection_onto_line(dec.lines[0], dec.coordinates[0], scal2)
     assert err.value.witness == E(2, 0, 0)
     c2 = centralizer(f4.basis, p=2, n=2)
-    dec2 = decompose(f4, c2)
+    dec2 = decompose(f4, c2.basis)
     assert len(dec2.lines) == 1 and dec2.projections[0] == fp.identity(2)
 
 
@@ -303,31 +306,33 @@ def test_decompose_mat8_over_f4():
     inst = matrix_bimodule(2, 2, 8, 1)
     galg = centralizer(inst["delta_generators"], p=2, n=16)
     assert galg.dim == 128
-    dec = decompose(galg, centralizer(galg.basis, p=2, n=16))
+    dec = decompose(galg, centralizer(galg.basis, p=2, n=16).basis)
     assert [l.dim for l in dec.lines] == [2] * 8
 
 
-def _restricted_gens(alg, line):
-    """The generators of alg restricted to the line, as extract_field
-    passes them to lift_endomorphism."""
-    return [_restricted(alg.p, d, line.subspace, line.subspace) for d in alg.basis]
+def _restricted_gens(p, gens, line):
+    """The generators restricted to the line, as extract_field passes
+    Delta's to lift_endomorphism."""
+    return [_restricted(p, d, line.subspace, line.subspace) for d in gens]
 
 
 def test_lift(m2, scal2):
-    dec = decompose(m2, scal2)
+    dec = decompose(m2, scal2.basis)
     line = dec.lines[0]
     one = fp.identity(1)
-    hat, = lift_endomorphism([one], dec, m2, scal2, _restricted_ideal(m2, line.subspace), _restricted_gens(scal2, line))
+    hat, = lift_endomorphism(
+        [one], dec, m2, scal2.basis, _restricted_ideal(m2, line.subspace), _restricted_gens(2, scal2.basis, line)
+    )
     assert hat == fp.identity(2)
     # scalar lifts to the global scalar
     inst = matrix_bimodule(3, 1, 2, 3)
-    galg = centralizer(inst["delta_generators"], p=3, n=2)
-    dalg = centralizer(galg.basis, p=3, n=2)
-    dec3 = decompose(galg, dalg)
+    delta = inst["delta_generators"]
+    galg = centralizer(delta, p=3, n=2)
+    dec3 = decompose(galg, delta)
     two = fp.mat([[2]], 3)
     line3 = dec3.lines[0]
     gl3 = _restricted_ideal(galg, line3.subspace)
-    hat1, hat3 = lift_endomorphism([fp.identity(1), two], dec3, galg, dalg, gl3, _restricted_gens(dalg, line3))
+    hat1, hat3 = lift_endomorphism([fp.identity(1), two], dec3, galg, delta, gl3, _restricted_gens(3, delta, line3))
     assert hat1 == fp.identity(2)
     assert hat3 == fp.scalar(3, 2, fp.identity(2))
 
@@ -340,7 +345,7 @@ def test_decompose_rejects_lines_that_are_not_direct(m2, scal2, monkeypatch):
     for pick in ([0, 0], [0], [0, 1, 1]):
         monkeypatch.setattr(linearize, "lines", lambda alg, pick=pick: [route(alg)[i] for i in pick])
         with pytest.raises(HypothesisViolation, match="not split the space directly") as err:
-            decompose(m2, scal2)
+            decompose(m2, scal2.basis)
         assert err.value.witness == [route(m2)[i].subspace for i in pick]
 
 
@@ -375,7 +380,7 @@ def test_is_field(m2, f4, scal2):
 def _enumerated_is_field(alg):
     """Reference: contains the identity, commutative, and every nonzero
     element invertible."""
-    nonzero = alg.elements(alg.size)[1:]
+    nonzero = alg.elements()[1:]
     return alg.contains(fp.identity(alg.n)) and alg.is_commutative() and all(fp.is_invertible(alg.p, m) for m in nonzero)
 
 
@@ -433,13 +438,47 @@ def test_extract_field_ground_truths():
 
 @pytest.mark.parametrize("p, k, m, seed", GROUND_TRUTH_CASES)
 def test_triple_commutant_is_the_commutant(p, k, m, seed):
-    """C(C(C(S))) = C(S) for either generator family of a ground truth, so
-    the commutant of extract_field's second algebra is its first."""
+    """C(C(C(S))) = C(S) for either generator family of a ground truth:
+    a commutant is the commutant of its own commutant, so the commutant
+    of the double commutant C(C(Delta)), which extract_field replaces by
+    Delta's generators, is C(Delta)."""
     inst = matrix_bimodule(p, k, m, seed)
     for family in (inst["gamma_generators"], inst["delta_generators"]):
         once = centralizer(family, p=p, n=k * m)
         thrice = centralizer(centralizer(once.basis, p=p, n=k * m).basis, p=p, n=k * m)
         assert thrice.basis == once.basis
+
+
+def _mat2_tensor_families():
+    """Mat_2(F_2) (x) I and I (x) Mat_2(F_2) on F_2^4."""
+    mat2 = [E(2, i, j) for i in range(2) for j in range(2)]
+    return [_kron(2, x, fp.identity(2)) for x in mat2], [_kron(2, fp.identity(2), x) for x in mat2]
+
+
+def test_double_commutant_is_the_generated_algebra():
+    """C(C(S)) is the algebra S generates, for both families of every
+    ground truth and both Mat_2(F_2) tensor families: each acts
+    semisimply, so extract_field may check against a family's generators
+    instead of solving for its double commutant."""
+    families = [(2, 4, family) for family in _mat2_tensor_families()]
+    for p, k, m, seed in GROUND_TRUTH_CASES:
+        inst = matrix_bimodule(p, k, m, seed)
+        families += [(p, k * m, inst["gamma_generators"]), (p, k * m, inst["delta_generators"])]
+    for p, n, family in families:
+        twice = centralizer(centralizer(family, p=p, n=n).basis, p=p, n=n)
+        assert twice.basis == algebra_closure(family, p=p, n=n).basis
+
+
+def test_double_commutant_needs_irreducibility():
+    """S below generates a non-semisimple algebra of dimension 4 whose
+    double commutant has dimension 5, so its generators would not stand in
+    for C(C(S)); extract_field rejects the bi-module ({I}, S) as reducible
+    before any commutant is solved."""
+    s = [fp.mat([[0, 0, 1], [1, 0, 0], [0, 0, 0]], 2), fp.mat([[0, 0, 0], [1, 0, 1], [0, 0, 0]], 2)]
+    assert algebra_closure(s, p=2, n=3).dim == 4
+    assert centralizer(centralizer(s, p=2, n=3).basis, p=2, n=3).dim == 5
+    with pytest.raises(HypothesisViolation, match="reducible"):
+        extract_field(2, 3, [fp.identity(3)], s)
 
 
 def test_extract_field_with_the_larger_family_second():
@@ -453,9 +492,7 @@ def test_extract_field_with_the_larger_family_second():
         rep = extract_field(p, k * m, swapped["gamma_generators"], swapped["delta_generators"])
         assert (rep.order, rep.vs_dimension) == (p**k, m)
         _assert_joint_commutant(rep, swapped)
-    mat2 = [E(2, i, j) for i in range(2) for j in range(2)]
-    left = [_kron(2, x, fp.identity(2)) for x in mat2]
-    right = [_kron(2, fp.identity(2), x) for x in mat2]
+    left, right = _mat2_tensor_families()
     for gamma, delta in ((left, right), (right, left)):
         rep = extract_field(2, 4, gamma, delta)
         assert (rep.order, rep.vs_dimension) == (2, 4)
@@ -464,9 +501,10 @@ def test_extract_field_with_the_larger_family_second():
 
 @pytest.mark.parametrize("p, k, m, seed", [(2, 2, 2, 1), (2, 4, 2, 3)])
 def test_extract_field_runs_each_step_once(p, k, m, seed, monkeypatch):
-    """One level: three commutants (C(Delta), C(C(Delta)) and the commutant
-    of the second algebra on line 0), and one irreducibility test,
-    decomposition, list of lines, k-basis and report check."""
+    """One level: two commutants (C(Delta) and the commutant of Delta's
+    generators on line 0, none on C(Delta)'s basis), and one
+    irreducibility test, decomposition, list of lines, k-basis and report
+    check."""
     calls = {}
 
     def count(owner, name):
@@ -486,7 +524,7 @@ def test_extract_field_runs_each_step_once(p, k, m, seed, monkeypatch):
     rep = extract_field(p, k * m, inst["gamma_generators"], inst["delta_generators"])
     assert (rep.order, rep.vs_dimension) == (p**k, m)
     assert calls == {
-        "centralizer": 3,
+        "centralizer": 2,
         "invariant_subspace": 1,
         "decompose": 1,
         "lines": 1,
@@ -548,7 +586,7 @@ def test_base_case_consistency():
     inst = matrix_bimodule(2, 2, 1, 4)
     galg = centralizer(inst["delta_generators"], p=2, n=2)
     assert all(
-        fp.is_invertible(2, m) for m in galg.elements(CLOSURE_CAP) if any(any(r) for r in m)
+        fp.is_invertible(2, m) for m in galg.elements() if any(any(r) for r in m)
     )
     rep = extract_field(2, 2, inst["gamma_generators"], inst["delta_generators"])
     kalg = rep.field_algebra()
