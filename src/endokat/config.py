@@ -16,9 +16,6 @@ MAX_ORDER = 2**20
 # Brute-force enumeration bound for the reference oracle.
 ORACLE_CAP = 4096
 
-# Vector-exhaustive spin-up is complete up to this many vectors.
-SPIN_EXHAUSTIVE_CAP = 2**16
-
 # Bound on the element sweep that checks an extracted field's invertibility.
 FIELD_ENUM_CAP = 2**20
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from . import linearize
-from .errors import AmbientMismatch, CapExceeded, Inconclusive, InvalidInput
+from .errors import AmbientMismatch, InvalidInput
 from .groups import AbelianGroup, FinAbGroup, Subgroup, check_characteristic
 from .endogeny import Endogeny, EndogenySet, NegligibilityBound
 
@@ -128,18 +128,15 @@ def is_minimal_bimodule(sg: SplitGroup, gamma: EndogenySet, delta: EndogenySet):
 
     Any witness decomposes as W (+) S with W a common invariant subspace of
     the induced V-actions, and then W (+) T itself is a witness; so the
-    search reduces to the matrix side, which is exhaustive over seed vectors
-    up to a cap (see the spin-up search).  Returns ``(True, None)`` or
-    ``(False, witness_subgroup)``.
+    search reduces to the matrix side, which the MeatAxe decides exactly
+    (:func:`~endokat.linearize.invariant_subspace`).  Returns
+    ``(True, None)`` or ``(False, witness_subgroup)``.
     """
     for fam in (gamma, delta):
         if fam.ambient != sg.ambient:
             raise AmbientMismatch("generator family not on this split group")
     mats = [sg.v_action_matrix(g) for g in gamma] + [sg.v_action_matrix(d) for d in delta]
-    try:
-        w = linearize.invariant_subspace(sg.p, sg.n, mats)
-    except Inconclusive as exc:  # pragma: no cover - cap regime
-        raise CapExceeded(str(exc)) from exc
+    w = linearize.invariant_subspace(sg.p, sg.n, mats)
     if w is None:
         return True, None
     witness = sg.subgroup_from_v_subspace(w, include_torsion=True)

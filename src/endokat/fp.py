@@ -3,14 +3,15 @@
 Matrices are tuples of row tuples with entries in [0, p); the kernel module
 supplies the hot primitives (product, reduced echelon form, spin-up) and
 this layer adds the derived operations: nullspaces, inverses, canonical
-subspace bases, matrix powers, and small polynomial arithmetic for
-irreducibility tests and companion matrices.
+subspace bases, matrix powers, characteristic polynomials, and small
+polynomial arithmetic for irreducibility tests, factorisation and companion
+matrices.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import product as _iproduct
+from itertools import product as _iproduct, zip_longest
 
 from ._kernel import mat_mul, mat_vec, rref, spin
 from .errors import InvalidInput
@@ -157,20 +158,6 @@ def spin_subspace(p, gens, seeds):
     return spin(p, gens, seeds)
 
 
-def all_vectors(p, n):
-    """All vectors, first coordinate varying fastest (so e_1 precedes e_2)."""
-    for t in _iproduct(*(range(p) for _ in range(n))):
-        yield t[::-1]
-
-
-def projective_vectors(p, n):
-    """One representative per 1-dimensional subspace: first nonzero entry 1."""
-    for v in all_vectors(p, n):
-        j = next((i for i, x in enumerate(v) if x), None)
-        if j is not None and v[j] == 1:
-            yield v
-
-
 # ---------------------------------------------------------------------------
 # Polynomials over F_p: coefficient tuples, lowest degree first.
 
@@ -180,6 +167,10 @@ def poly_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
+
+
+def poly_sub(p, a, b):
+    return poly_trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def poly_mul(p, a, b):
@@ -193,20 +184,19 @@ def poly_mul(p, a, b):
     return poly_trim(out)
 
 
+def poly_divmod(p, a, m):
+    """Quotient and remainder of a by a nonzero m."""
+    a, dm, inv = list(a), len(m) - 1, pow(m[-1], -1, p)
+    q = [0] * max(len(a) - dm, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        c = q[shift] = (a[shift + dm] * inv) % p
+        for i in range(dm + 1):
+            a[shift + i] = (a[shift + i] - c * m[i]) % p
+    return poly_trim(q), poly_trim(a[:dm])
+
+
 def poly_mod(p, a, m):
-    a = list(a)
-    dm = len(m) - 1
-    inv = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * inv) % p
-        shift = len(a) - 1 - dm
-        for i, x in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * x) % p
-        a.pop()
-    return poly_trim(a)
+    return poly_divmod(p, a, m)[1]
 
 
 def poly_gcd(p, a, b):
@@ -222,49 +212,111 @@ def poly_gcd(p, a, b):
 def poly_powmod(p, base, e, m):
     out = (1,)
     base = poly_mod(p, base, m)
-    while e:
-        if e & 1:
+    for bit in bin(e)[2:]:
+        out = poly_mod(p, poly_mul(p, out, out), m)
+        if bit == "1":
             out = poly_mod(p, poly_mul(p, out, base), m)
-        base = poly_mod(p, poly_mul(p, base, base), m)
-        e >>= 1
     return out
 
 
 def poly_is_irreducible(p, f):
-    """Rabin's test: x^(p^d) = x mod f and gcd(x^(p^(d/q)) - x, f) = 1 for
-    every prime q dividing d."""
+    """Ben-Or's test: a monic f of degree d >= 1 is irreducible exactly when
+    gcd(x^(p^e) - x, f) = 1 for every e <= d/2, the product of the monic
+    irreducibles of degree dividing e being x^(p^e) - x."""
     f = poly_trim(f)
-    d = len(f) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    x = (0, 1)
-    xp = poly_powmod(p, x, p**d, f)
-    if poly_trim([(a - b) % p for a, b in zip_pad(xp, x)]) != ():
-        return False
-    qs = set()
-    dd = d
-    q = 2
-    while q * q <= dd:
-        if dd % q == 0:
-            qs.add(q)
-            while dd % q == 0:
-                dd //= q
-        q += 1
-    if dd > 1:
-        qs.add(dd)
-    for q in qs:
-        xq = poly_powmod(p, x, p ** (d // q), f)
-        diff = poly_trim([(a - b) % p for a, b in zip_pad(xq, x)])
-        if poly_gcd(p, diff, f) != (1,):
+    x = h = (0, 1)
+    for _ in range((len(f) - 1) // 2):
+        h = poly_powmod(p, h, p, f)
+        if poly_gcd(p, poly_sub(p, h, x), f) != (1,):
             return False
-    return True
+    return len(f) > 1
 
 
-def zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(tuple(a) + (0,) * (n - len(a)), tuple(b) + (0,) * (n - len(b)))
+def poly_factors(p, f, rng):
+    """(factor, multiplicity) for the monic irreducible factors of a monic f,
+    sorted by degree and coefficients.  As in :func:`poly_is_irreducible`,
+    gcd(x^(p^d) - x, rest) is the product of the degree-d factors of the
+    rest of f; each is split off by :func:`_equal_degree` (Cantor &
+    Zassenhaus 1981) and divided out, and a rest of degree below 2(d + 1)
+    is 1 or irreducible."""
+    out, rest = [], poly_trim(f)
+    x = h = (0, 1)
+    d = 0
+    while len(rest) - 1 >= 2 * (d + 1):
+        d += 1
+        h = poly_powmod(p, h, p, rest)
+        g = poly_gcd(p, poly_sub(p, h, x), rest)
+        for q in _equal_degree(p, g, d, rng) if len(g) > 1 else ():
+            k, (quo, rem) = 0, poly_divmod(p, rest, q)
+            while not rem:
+                k, rest = k + 1, quo
+                quo, rem = poly_divmod(p, rest, q)
+            out.append((q, k))
+    if len(rest) > 1:
+        out.append((rest, 1))
+    return sorted(out, key=lambda qk: (len(qk[0]), qk[0]))
+
+
+def _equal_degree(p, g, d, rng):
+    """The factors of a squarefree monic g whose factors all have degree d.
+    In F_p[x]/(g), a product of fields F_(p^d), a^((p^d - 1)/2) - 1 (odd p)
+    or the trace a + a^2 + ... + a^(2^(d-1)) (p = 2) of a random a is 0 in
+    about half the fields, so its gcd with g splits g."""
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = poly_trim([rng.below(p) for _ in range(len(g) - 1)])
+        if p == 2:
+            b = t = a
+            for _ in range(d - 1):
+                t = poly_mod(p, poly_mul(p, t, t), g)
+                b = poly_sub(p, b, t)
+        else:
+            b = poly_sub(p, poly_powmod(p, a, (p**d - 1) // 2, g), (1,))
+        c = poly_gcd(p, b, g)
+        if 1 < len(c) < len(g):
+            return _equal_degree(p, c, d, rng) + _equal_degree(p, poly_divmod(p, g, c)[0], d, rng)
+
+
+def poly_at(p, f, a):
+    """f(a) for a monic f of degree at least 1 and a square matrix a, by
+    Horner's rule."""
+    one = identity(len(a))
+    out = add(p, a, scalar(p, f[-2], one))
+    for c in reversed(f[:-2]):
+        out = add(p, mat_mul(p, out, a), scalar(p, c, one))
+    return out
+
+
+def charpoly(p, a):
+    """det(x I - a), lowest coefficient first, in O(n^3): a is brought to
+    upper Hessenberg form h by similarities, and the leading principal
+    minors of x I - h follow a recurrence along the subdiagonal (Cohen, A
+    Course in Computational Algebraic Number Theory, Algorithm 2.2.9)."""
+    n, h = len(a), [list(row) for row in a]
+    for c in range(n - 2):
+        r = c + 1
+        piv = next((i for i in range(r, n) if h[i][c]), None)
+        if piv is None:
+            continue
+        h[piv], h[r] = h[r], h[piv]
+        for row in h:
+            row[piv], row[r] = row[r], row[piv]
+        for i in range(r + 1, n):
+            u = (h[i][c] * pow(h[r][c], -1, p)) % p
+            if u:
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], h[r])]
+                for row in h:
+                    row[r] = (row[r] + u * row[i]) % p
+    minors = [(1,)]
+    for m in range(n):
+        q = poly_mul(p, ((-h[m][m]) % p, 1), minors[m])
+        t = 1
+        for i in range(1, m + 1):
+            t = (t * h[m - i + 1][m - i]) % p
+            q = poly_sub(p, q, tuple((t * h[m - i][m] * y) % p for y in minors[m - i]))
+        minors.append(q)
+    return minors[n]
 
 
 @functools.lru_cache(maxsize=64)

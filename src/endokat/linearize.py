@@ -18,7 +18,8 @@ typed error with a witness instead of a wrong report.
 from __future__ import annotations
 
 from functools import wraps
-from itertools import chain, product
+from hashlib import blake2b
+from itertools import chain
 
 from . import config, fp
 from .errors import (
@@ -30,6 +31,7 @@ from .errors import (
     NotLocallyCentral,
 )
 from .groups import check_characteristic
+from .rng import SplitMix64
 
 
 class MatrixAlgebra:
@@ -209,121 +211,76 @@ def _once_per_subspace(solve):
 # Invariant subspaces.
 
 
-def _singulars(p, n, gens):
-    """(z, dim ker z) for the singular generators, then for the singular
-    nonzero pairwise products, in that order."""
-    for g in gens:
-        r = fp.rank(p, g)
-        if r < n:
-            yield g, n - r
-    for a in gens:
-        for b in gens:
-            ab = fp.mul(p, a, b)
-            r = fp.rank(p, ab)
-            if 0 < r < n:
-                yield ab, n - r
-
-
-def _projective_combinations(p, vectors):
-    """One nonzero combination of the vectors per 1-dimensional subspace of
-    their span (first nonzero coefficient 1), in lexicographic order of the
-    coefficient tuple, c_0 most significant: the order of
-    :func:`_combinations` with the other multiples left out.  A multiple
-    c * v comes after v in that order, so the first vector with a property
-    that only depends on the line through it is the same in both walks."""
-    d = len(vectors)
-    cols = list(zip(*vectors))
-    for lead in range(d - 1, -1, -1):
-        for rest in product(range(p), repeat=d - 1 - lead):
-            coeffs = (0,) * lead + (1,) + rest
-            yield tuple(sum(c * x for c, x in zip(coeffs, col)) % p for col in cols)
-
-
-def _null_space_certificate(p, n, gens, z):
-    """Norton's irreducibility test for one singular element z of the
-    algebra the generators span: a proper invariant subspace, or None when
-    the module is irreducible.
-
-    Let N be a proper nonzero submodule.  If z is singular on N, a nonzero
-    vector of ker z lies in N, and its spin stays inside N.  Otherwise z is
-    invertible on N, so N = zN, and every y in ker z^T kills N:
-    y . zx = (z^T y) . x = 0.  So ker z^T lies in the annihilator N^perp,
-    a proper submodule of the dual under the transposed generators, and no
-    vector of ker z^T spins to the whole dual.  Hence if every line of
-    ker z spins to the whole space and one vector of ker z^T spins to the
-    whole dual, there is no N.
-    """
-    for v in _projective_combinations(p, fp.nullspace(p, z)):
-        w = fp.spin_subspace(p, gens, [v])
-        if len(w) < n:
-            return w
-    gt = [fp.transpose(g) for g in gens]
-    wt = fp.spin_subspace(p, gt, [fp.nullspace(p, fp.transpose(z))[0]])
+def _null_space_certificate(p, n, gens, y, v):
+    """Given y = f(z) for an element z of the algebra, an irreducible f with
+    dim ker y = deg f and a nonzero v in ker y: a proper invariant subspace,
+    or None when the module is irreducible.  ker y is 1-dimensional over the
+    field F_p[z]/(f), so a submodule that meets it holds v.  One that misses
+    it is its own image under y, so ker y^T lies in its annihilator, a
+    proper submodule of the dual under the transposed generators."""
+    w = fp.spin_subspace(p, gens, [v])
+    if len(w) < n:
+        return w
+    wt = fp.spin_subspace(p, [fp.transpose(g) for g in gens], [fp.nullspace(p, fp.transpose(y))[0]])
     if len(wt) == n:
         return None
-    # the annihilator of a proper dual submodule is a proper submodule
     return fp.row_space(p, fp.nullspace(p, wt))
 
 
 def invariant_subspace(p, n, gens):
-    """A nonzero proper subspace stable under every generator, or None.
+    """A nonzero proper subspace stable under every generator, or None, by
+    the Holt-Rees MeatAxe (Holt & Rees 1994, J. Austral. Math. Soc. A 57).
 
-    For p**n up to ``config.SPIN_EXHAUSTIVE_CAP`` the answer is exact: a
-    null-space certificate (:func:`_null_space_certificate`) on a singular
-    generator or product of least nullity proves most irreducible modules
-    irreducible with a few spins; otherwise every 1-dimensional seed is
-    spun up, and a reducible module gets the first witness in that order.
-    Above the cap, a deterministic seed set plus kernel seeds of singular
-    elements is tried, backed by the same certificate on the first singular
-    element whose kernel is small enough to walk; if neither a witness nor
-    a certificate is found the search reports :class:`Inconclusive` rather
-    than guessing.
+    Las Vegas: always right, after a random number of rounds.  A pool of
+    algebra elements starts as the generators and three steps a_i + a_j a_k
+    of Holt and Rees's word walk; each round draws z = a + b c for random
+    combinations a, b, c of the pool, and z joins it (SplitMix64 seeded
+    from the input).  A good factor f of z's characteristic polynomial,
+    dim ker f(z) = deg f, settles the question (:func:`_null_space_certificate`);
+    one of multiplicity 1 is always good, so those are tried first.  Failing
+    one, a random vector of each ker f(z), smallest first, is spun up
+    (Ivanyos & Lux 2000: on U + U no factor is good, but such a vector may
+    lie in a copy of U).  An irreducible module has good elements: its
+    algebra is Mat_m(K), K its endomorphism field, and holds a generator of
+    F_(p^n).  A reducible module may get any proper submodule as witness.
     """
-    cap = config.SPIN_EXHAUSTIVE_CAP
     gens = [fp.mat(g, p) for g in gens]
     if n <= 1:
         return None
     if not gens:
         return ((1,) + (0,) * (n - 1),)
-    if p**n <= cap:
-        lines_through_0 = (p**n - 1) // (p - 1)
-        # a spin applies g generators to up to n vectors, about g n^3 steps,
-        # and ranking a product takes about 2 n^3: finding z among g + g^2
-        # candidates costs about 2(g + 1) spins, and the certificate spins
-        # at least twice more.  Below that many lines the walk is cheaper.
-        if 2 * len(gens) + 4 < lines_through_0:
-            least = None
-            for z, nullity in _singulars(p, n, gens):
-                # a zero generator (nullity n) would walk every line anyway
-                if nullity < n and (least is None or nullity < least[1]):
-                    least = (z, nullity)
-                    if nullity == 1:
-                        break
-            if least is not None and _null_space_certificate(p, n, gens, least[0]) is None:
-                return None
-        for v in fp.projective_vectors(p, n):
-            w = fp.spin_subspace(p, gens, [v])
-            if 0 < len(w) < n:
+    rng = SplitMix64(int.from_bytes(blake2b(repr((p, gens)).encode(), digest_size=8).digest(), "big"))
+    pool = list(gens)
+    for _ in range(3):
+        pool.append(fp.add(p, pool[rng.below(len(pool))], fp.mul(p, pool[rng.below(len(pool))], pool[rng.below(len(pool))])))
+    pool = [fp.flatten(x) for x in pool]
+    while True:
+        a, b, c = (fp.unflatten(_random_combination(p, pool, rng), n) for _ in range(3))
+        z = fp.add(p, a, fp.mul(p, b, c))
+        pool.append(fp.flatten(z))
+        kernels = []
+        for f, _ in sorted(fp.poly_factors(p, fp.charpoly(p, z), rng), key=lambda fm: fm[1] > 1):
+            y = fp.poly_at(p, f, z)
+            kernel = fp.nullspace(p, y)
+            if len(kernel) == len(f) - 1:
+                return _null_space_certificate(p, n, gens, y, kernel[0])
+            kernels.append(kernel)
+        for kernel in sorted(kernels, key=len):
+            w = fp.spin_subspace(p, gens, [_random_combination(p, kernel, rng)])
+            if len(w) < n:
                 return w
-        return None
-    # Capped regime: seeds from unit vectors and kernels of singular elements.
-    seeds = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    singulars = list(_singulars(p, n, gens))
-    for z, _ in singulars[:8]:
-        seeds.extend(fp.nullspace(p, z)[:4])
-    for v in seeds:
-        if not any(v):
-            continue
-        w = fp.spin_subspace(p, gens, [v])
-        if 0 < len(w) < n:
-            return w
-    for z, nullity in singulars:
-        if p**nullity <= cap:
-            return _null_space_certificate(p, n, gens, z)
-    raise Inconclusive(
-        f"invariant-subspace search capped without certificate: p**n = {p**n} is above "
-        f"SPIN_EXHAUSTIVE_CAP = {cap} and no singular element has a kernel of at most {cap} vectors"
-    )
+
+
+def _random_combination(p, vectors, rng):
+    """A random combination of the vectors with coefficients not all zero."""
+    coeffs = [0]
+    while not any(coeffs):
+        coeffs = [rng.below(p) for _ in vectors]
+    out = [0] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = [o + c * x for o, x in zip(out, v)]
+    return tuple(x % p for x in out)
 
 
 # ---------------------------------------------------------------------------
@@ -679,15 +636,12 @@ class FieldReport:
 
 def _k_basis_of_v(p, n, field_basis):
     """Greedy vector-space basis of F_p^n over the field spanned by the
-    given commuting matrices, walking the unit vectors e_1..e_n.
-
-    This is the greedy walk over all of fp.projective_vectors, which only
-    ever picks unit vectors.  By induction on j: once that walk has passed
-    every vector whose last nonzero entry is before j, the span W it has
-    reached contains e_1..e_{j-1}.  The vectors whose last nonzero entry is
-    j come next, e_j first, and each is c e_j + w with c != 0 and w in
-    span(e_1..e_{j-1}) <= W: if e_j is in W all of them are, and otherwise
-    none is, so the walk picks e_j and skips the rest.
+    given commuting matrices, walking the unit vectors e_1..e_n: the basis a
+    greedy walk over one vector per line of F_p^n (first nonzero entry 1,
+    first coordinate varying fastest) picks.  Once that walk has passed the
+    vectors whose last nonzero entry is before j, its span W holds
+    e_1..e_(j-1); those with last nonzero entry j are c e_j + w with w in W
+    and come next, e_j first, so the walk takes e_j or none of them.
     """
     have = ()
     out = []

@@ -2,9 +2,12 @@
 the package does not call: every subgroup of a group by element-wise
 extension, the image and kernel of a homomorphism, the elements of a coset,
 every abelian group up to an order, the exhaustive search for the weak-invariance counterexample,
-and a second sharp-pair generator."""
+a second sharp-pair generator, and the invariant-subspace search that spins
+every line of F_p^n."""
 
-from endokat import config
+from itertools import product
+
+from endokat import config, fp
 from endokat.endogeny import Endogeny, NegligibilityBound, endo_add, endogeny_validate, sharp_commutes, weakly_invariant
 from endokat.errors import BudgetExceeded, CapExceeded, KatakernelBound
 from endokat.groups import AbelianGroup, Coset, Homomorphism, Subgroup, _prime_factorization, canonicalize_group
@@ -147,3 +150,26 @@ def random_sharp_pair(a: AbelianGroup, n_max: Subgroup, seed: int, budget: int =
         if sharp_commutes(g, h):
             return g, h
     raise BudgetExceeded("no sharply commuting pair found within the budget")
+
+
+def all_vectors(p, n):
+    """All vectors, first coordinate varying fastest (so e_1 precedes e_2)."""
+    for t in product(*(range(p) for _ in range(n))):
+        yield t[::-1]
+
+
+def projective_vectors(p, n):
+    """One representative per 1-dimensional subspace: first nonzero entry 1."""
+    for v in all_vectors(p, n):
+        j = next((i for i, x in enumerate(v) if x), None)
+        if j is not None and v[j] == 1:
+            yield v
+
+
+def exhaustive_invariant_subspace(p, n, gens):
+    """Spin every 1-dimensional seed; the first proper spin wins."""
+    for v in projective_vectors(p, n):
+        w = fp.spin_subspace(p, gens, [v])
+        if 0 < len(w) < n:
+            return w
+    return None

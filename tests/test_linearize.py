@@ -2,12 +2,14 @@
 lifting through it, field extraction."""
 
 import hashlib
+import time
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from endokat import config, fp, linearize
-from endokat.errors import CapExceeded, HypothesisViolation, Inconclusive, InvalidInput
+from endokat.errors import CapExceeded, HypothesisViolation, InvalidInput
 from endokat.instances import matrix_bimodule, _random_invertible
 from endokat.linearize import (
     Line,
@@ -27,6 +29,8 @@ from endokat.linearize import (
     projection_onto_line,
 )
 from endokat.rng import SplitMix64
+
+from references import exhaustive_invariant_subspace
 
 
 def E(n, i, j, p=2):
@@ -123,9 +127,17 @@ def test_centralizer_examples(m2, f4):
         assert c3x.basis == c1.basis
 
 
+def _assert_witness(p, n, gens, w):
+    """w is the echelon basis of a nonzero proper subspace that every
+    generator maps into itself."""
+    assert 0 < len(w) < n and fp.row_space(p, w) == w
+    assert all(fp.in_span(p, w, fp.matvec(p, g, v)) for g in gens for v in w)
+
+
 def test_irreducibility(m2, f4, scal2):
     assert invariant_subspace(2, 2, m2.basis) is None
-    assert invariant_subspace(2, 2, scal2.basis) == ((1, 0),)
+    # every line is stable under the scalars; the MeatAxe may give any one
+    _assert_witness(2, 2, scal2.basis, invariant_subspace(2, 2, scal2.basis))
     assert invariant_subspace(2, 2, f4.basis) is None
     assert invariant_subspace(2, 2, m2.basis + scal2.basis) is None
 
@@ -267,17 +279,19 @@ def test_minimal_image_refines_a_non_minimal_candidate(monkeypatch):
     assert shrinks
 
 
+def test_companion_of_an_irreducible_quartic_is_irreducible():
+    """x^4 + x + 1 is irreducible over F_2, so its companion matrix alone
+    has no proper invariant subspace, and every nonzero element of the
+    algebra it generates, F_16, is invertible: no singular element exists
+    for a null-space certificate, yet the answer is definite."""
+    companion = fp.companion(2, (1, 1, 0, 0, 1))
+    assert companion == fp.mat([[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], 2)
+    assert invariant_subspace(2, 4, [companion]) is None
+
+
 def test_cap_errors_name_their_limit(monkeypatch):
     """A cap error states the cap, its value and the size that hit it."""
-    # x^4 + x + 1 is irreducible over F_2, so its companion matrix and its
-    # square are invertible: no seed spins to a proper subspace and no
-    # singular element gives a certificate.
-    companion = fp.mat([[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], 2)
-    monkeypatch.setattr(config, "SPIN_EXHAUSTIVE_CAP", 8)
-    with pytest.raises(Inconclusive, match=r"p\*\*n = 16 .* SPIN_EXHAUSTIVE_CAP = 8"):
-        invariant_subspace(2, 4, [companion])
     # the report check enumerates the field F_16 of (2,4,2)
-    monkeypatch.undo()
     monkeypatch.setattr(config, "FIELD_ENUM_CAP", 8)
     inst = matrix_bimodule(2, 4, 2, 1)
     with pytest.raises(CapExceeded, match=r"algebra of 16 elements above FIELD_ENUM_CAP = 8"):
@@ -637,15 +651,6 @@ def _stacked_intertwiners(p, k, mats):
     return _nullspace(p, rows, k * k)
 
 
-def _exhaustive_invariant_subspace(p, n, gens):
-    """Reference: spin every 1-dimensional seed, first witness wins."""
-    for v in fp.projective_vectors(p, n):
-        w = fp.spin_subspace(p, gens, [v])
-        if 0 < len(w) < n:
-            return w
-    return None
-
-
 def _matrices(p, n):
     row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
     return st.lists(row, min_size=n, max_size=n).map(lambda m: fp.mat(m, p))
@@ -690,10 +695,23 @@ SMALL_MODULES = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (3, 5),
 def modules(draw):
     """1 to 3 generators on F_p^n, n <= 5: random, block upper triangular
     (reducible, with a stable first block) or with a zero last row
-    (singular, so the null-space certificate has a kernel to walk)."""
+    (singular); or a direct sum U + U of an irreducible matrix bi-module U
+    of dimension 2 or 3, in a random basis.  On U + U every kernel of an
+    element is twice as large as on U, so no factor of a characteristic
+    polynomial is good and only a random kernel vector finds a witness."""
     p, n = draw(st.sampled_from(SMALL_MODULES))
     split = draw(st.integers(1, n - 1))
-    kind = draw(st.sampled_from(["random", "block", "singular"]))
+    kind = draw(st.sampled_from(["random", "block", "singular", "square"]))
+    if kind == "square":
+        k, m = draw(st.sampled_from([(1, 2), (2, 1)] + ([(1, 3), (3, 1)] if p <= 3 else [])))
+        inst = matrix_bimodule(p, k, m, draw(st.integers(0, 2**32)))
+        basis = _random_invertible(p, 2 * k * m, SplitMix64(draw(st.integers(0, 2**32))))
+        inverse = fp.inverse(p, basis)
+        gens = []
+        for u in inst["gamma_generators"] + inst["delta_generators"]:
+            double = [row + (0,) * k * m for row in u] + [(0,) * k * m + row for row in u]
+            gens.append(fp.mul(p, fp.mul(p, basis, double), inverse))
+        return p, 2 * k * m, gens
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         g = [list(row) for row in draw(_matrices(p, n))]
@@ -708,26 +726,30 @@ def modules(draw):
 @settings(max_examples=150, deadline=None)
 @given(modules())
 def test_invariant_subspace_matches_exhaustive_spin(module):
-    """The certificate only ever answers None for irreducible modules; a
-    reducible one keeps the exhaustive walk's first witness."""
+    """The MeatAxe answers None exactly when spinning every line finds no
+    proper submodule, and a witness it gives is a nonzero proper invariant
+    subspace, though not necessarily the walk's first."""
     p, n, gens = module
-    assert invariant_subspace(p, n, gens) == _exhaustive_invariant_subspace(p, n, gens)
+    w = invariant_subspace(p, n, gens)
+    assert (w is None) == (exhaustive_invariant_subspace(p, n, gens) is None)
+    if w is not None:
+        _assert_witness(p, n, gens, w)
 
 
 def test_hidden_submodule_needs_the_transposed_check():
-    """z = diag(1, 1, 1, 0) is invertible on the submodule <e1, e2, e3>:
-    ker z = <e4> spins to everything, and only ker z^T = <e4>, which spins
-    to itself under the transposes, shows the submodule."""
+    """z = diag(1, 1, 1, 0) is invertible on the submodule <e1, e2, e3>, and
+    x is a good factor of its characteristic polynomial (ker z = <e4>):
+    ker z spins to everything, and only ker z^T = <e4>, which spins to
+    itself under the transposes, shows the submodule."""
     z = fp.mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]], 2)
     shift = fp.mat([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]], 2)
     assert fp.spin_subspace(2, [z, shift], [(0, 0, 0, 1)]) == fp.row_space(2, fp.identity(4))
-    assert invariant_subspace(2, 4, [z, shift]) == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    hidden = linearize._null_space_certificate(2, 4, [z, shift], z, (0, 0, 0, 1))
+    assert hidden == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    _assert_witness(2, 4, [z, shift], invariant_subspace(2, 4, [z, shift]))
 
 
-def test_irreducibility_certificate_spins_few_vectors(monkeypatch):
-    """An irreducible (2,4,2) module is certified with a handful of spins,
-    not the 255 of the exhaustive walk."""
-    inst = matrix_bimodule(2, 4, 2, 3)
+def _counting_spins(monkeypatch):
     spins = []
     spin = fp.spin_subspace
 
@@ -736,5 +758,80 @@ def test_irreducibility_certificate_spins_few_vectors(monkeypatch):
         return spin(p, gens, seeds)
 
     monkeypatch.setattr(fp, "spin_subspace", counted)
+    return spins
+
+
+def test_irreducibility_certificate_spins_few_vectors(monkeypatch):
+    """An irreducible (2,4,2) module is certified with a handful of spins,
+    not the 255 of the exhaustive walk."""
+    inst = matrix_bimodule(2, 4, 2, 3)
+    spins = _counting_spins(monkeypatch)
     assert invariant_subspace(2, 8, inst["gamma_generators"] + inst["delta_generators"]) is None
     assert 0 < len(spins) < 20
+
+
+@pytest.mark.parametrize(
+    "p, k, m, spins",
+    [(2, 1, 12, 2), (2, 4, 4, 2), (2, 12, 2, None), (3, 1, 12, None)],
+)
+def test_meataxe_decides_large_ground_truths(p, k, m, spins, monkeypatch):
+    """Irreducible matrix bi-modules of dimension 12 to 24, which a walk
+    over the lines of a kernel took seconds on or could not decide, are
+    certified within 0.5 s of CPU time.  The draws are seeded from the
+    input, so the spin counts are fixed: one spin each way for a good
+    factor, plus one per earlier round without one."""
+    inst = matrix_bimodule(p, k, m, 1)
+    gens = inst["gamma_generators"] + inst["delta_generators"]
+    counted = _counting_spins(monkeypatch)
+    start = time.process_time()
+    assert invariant_subspace(p, k * m, gens) is None
+    assert time.process_time() - start < 0.5
+    if spins is not None:
+        assert len(counted) == spins
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 7), st.randoms(use_true_random=False))
+def test_charpoly_vanishes_exactly_at_the_eigenvalues(p, n, rnd):
+    """charpoly(a) is monic of degree n, a is a root of it (Cayley-Hamilton),
+    c in F_p is a root exactly when c I - a is singular, and a conjugate of
+    a has the same one."""
+    a = fp.mat([[rnd.randrange(p) if rnd.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)], p)
+    c = fp.charpoly(p, a)
+    assert len(c) == n + 1 and c[-1] == 1
+    assert fp.poly_at(p, c, a) == fp.zero(n)
+    for x in range(p):
+        root = sum(ci * pow(x, i, p) for i, ci in enumerate(c)) % p == 0
+        assert root == (fp.rank(p, fp.sub(p, fp.scalar(p, x, fp.identity(n)), a)) < n)
+    g = _random_invertible(p, n, SplitMix64(rnd.getrandbits(64)))
+    assert fp.charpoly(p, fp.mul(p, fp.mul(p, g, a), fp.inverse(p, g))) == c
+    f = tuple(rnd.randrange(p) for _ in range(n)) + (1,)
+    assert fp.charpoly(p, fp.companion(p, f)) == f
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=3), min_size=1, max_size=4),
+    st.integers(0, 2**64 - 1),
+)
+def test_poly_factors_match_trial_division(p, lows, seed):
+    """The factors of a product of monic polynomials of degree at most 3 are
+    the monic irreducibles of degree at most 3 that divide it, each with the
+    number of times it divides it."""
+    f = (1,)
+    for low in lows:
+        f = fp.poly_mul(p, f, tuple(c % p for c in low) + (1,))
+    divisors = [
+        g
+        for d in range(1, 4)
+        for low in product(range(p), repeat=d)
+        if fp.poly_is_irreducible(p, g := low + (1,)) and not fp.poly_mod(p, f, g)
+    ]
+    multiplicities = []
+    for g in divisors:
+        k, rest = 0, f
+        while not fp.poly_mod(p, rest, g):
+            k, rest = k + 1, fp.poly_divmod(p, rest, g)[0]
+        multiplicities.append((g, k))
+    assert fp.poly_factors(p, f, SplitMix64(seed)) == sorted(multiplicities, key=lambda gk: (len(gk[0]), gk[0]))
