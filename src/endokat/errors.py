@@ -90,8 +90,3 @@ class FieldTestFailure(EndokatError):
         super().__init__(message)
         self.element = element
 
-
-class Inconclusive(EndokatError):
-    """A capped decision procedure could neither certify nor refute."""
-
-    tag = "inconclusive"

@@ -17,7 +17,6 @@ typed error with a witness instead of a wrong report.
 
 from __future__ import annotations
 
-from functools import wraps
 from hashlib import blake2b
 from itertools import chain
 
@@ -26,7 +25,6 @@ from .errors import (
     CapExceeded,
     FieldTestFailure,
     HypothesisViolation,
-    Inconclusive,
     InvalidInput,
     NotLocallyCentral,
 )
@@ -41,13 +39,12 @@ class MatrixAlgebra:
     flattened matrices; two algebras are equal iff their bases are.
     """
 
-    __slots__ = ("p", "n", "basis", "_per_subspace")
+    __slots__ = ("p", "n", "basis")
 
     def __init__(self, p, n, basis):
         self.p = p
         self.n = n
         self.basis = tuple(basis)
-        self._per_subspace = {}  # filled by _once_per_subspace
 
     @property
     def dim(self):
@@ -193,20 +190,6 @@ def centralizer(mats, p, n) -> MatrixAlgebra:
     return MatrixAlgebra(p, n, mats_basis)
 
 
-def _once_per_subspace(solve):
-    """``solve(alg, subspace)``, computed once per algebra object and
-    subspace and kept on the algebra; callers check the answer each time."""
-
-    @wraps(solve)
-    def once(alg: MatrixAlgebra, subspace):
-        key = (solve, subspace)
-        if key not in alg._per_subspace:
-            alg._per_subspace[key] = solve(alg, subspace)
-        return alg._per_subspace[key]
-
-    return once
-
-
 # ---------------------------------------------------------------------------
 # Invariant subspaces.
 
@@ -234,8 +217,8 @@ def invariant_subspace(p, n, gens):
     Las Vegas: always right, after a random number of rounds.  A pool of
     algebra elements starts as the generators and three steps a_i + a_j a_k
     of Holt and Rees's word walk; each round draws z = a + b c for random
-    combinations a, b, c of the pool, and z joins it (SplitMix64 seeded
-    from the input).  A good factor f of z's characteristic polynomial,
+    combinations a, b, c of the pool, and z joins it (:func:`_seeded_rng`
+    of the input).  A good factor f of z's characteristic polynomial,
     dim ker f(z) = deg f, settles the question (:func:`_null_space_certificate`);
     one of multiplicity 1 is always good, so those are tried first.  Failing
     one, a random vector of each ker f(z), smallest first, is spun up
@@ -249,7 +232,7 @@ def invariant_subspace(p, n, gens):
         return None
     if not gens:
         return ((1,) + (0,) * (n - 1),)
-    rng = SplitMix64(int.from_bytes(blake2b(repr((p, gens)).encode(), digest_size=8).digest(), "big"))
+    rng = _seeded_rng((p, gens))
     pool = list(gens)
     for _ in range(3):
         pool.append(fp.add(p, pool[rng.below(len(pool))], fp.mul(p, pool[rng.below(len(pool))], pool[rng.below(len(pool))])))
@@ -271,6 +254,13 @@ def invariant_subspace(p, n, gens):
                 return w
 
 
+def _seeded_rng(value):
+    """The SplitMix64 of a Las Vegas loop, seeded by the blake2b digest of
+    its input's repr, so that its draws, and so its answer, depend on the
+    input alone and not on the process (as hash() would)."""
+    return SplitMix64(int.from_bytes(blake2b(repr(value).encode(), digest_size=8).digest(), "big"))
+
+
 def _random_combination(p, vectors, rng):
     """A random combination of the vectors with coefficients not all zero."""
     coeffs = [0]
@@ -290,13 +280,17 @@ def _random_combination(p, vectors, rng):
 class Line:
     """A minimal nonzero image subspace of the algebra, with ``basis``, an
     n x k matrix phi whose columns span it: :func:`lines` gives each line
-    as phi(u) for one map phi in a K-basis of Hom(u, V) (see there)."""
+    as phi(u) for one map phi in a K-basis of Hom(u, V) (see there).
+    ``local`` is the echelon basis of the local field of u, in the
+    coordinates of u (:func:`_minimal_image`); the lines of one call share
+    it."""
 
-    __slots__ = ("subspace", "basis")
+    __slots__ = ("subspace", "basis", "local")
 
-    def __init__(self, subspace, basis):
+    def __init__(self, subspace, basis, local):
         self.subspace = tuple(subspace)
         self.basis = basis
+        self.local = local
 
     @property
     def dim(self):
@@ -312,28 +306,22 @@ class Line:
         return f"Line(dim={self.dim}, basis={self.subspace})"
 
 
-@_once_per_subspace
-def _left_ideal_into(alg: MatrixAlgebra, subspace):
-    """Basis of {X in alg : im X <= span(subspace)} as algebra elements:
-    the combinations with y . (X e_j) = 0 for every annihilator y of the
-    subspace and every column j."""
+def _local_algebra(alg: MatrixAlgebra, u):
+    """Echelon basis of the local algebra of the subspace u, in the
+    coordinates of u: the maps X in alg with im X <= span(u), that is the
+    combinations with y . (X e_j) = 0 for every annihilator y of u and every
+    column j, restricted to u."""
     p, n = alg.p, alg.n
-    ys = fp.nullspace(p, subspace)
+    ys = fp.nullspace(p, u)
     prods = [fp.mul(p, ys, b) for b in alg.basis]
     eqs = [tuple(yb[r][j] for yb in prods) for r in range(len(ys)) for j in range(n)]
     sol = _nullspace(p, eqs, alg.dim)
-    return _span_basis(p, [_combine(p, n, alg.basis, coeffs) for coeffs in sol])
-
-
-@_once_per_subspace
-def _restricted_ideal(alg: MatrixAlgebra, subspace):
-    """The left ideal of maps into ``subspace``, restricted to it."""
-    return [_restricted(alg.p, x, subspace, subspace) for x in _left_ideal_into(alg, subspace)]
+    return _span_basis(p, [_restricted(p, _combine(p, n, alg.basis, coeffs), u, u) for coeffs in sol])
 
 
 def _minimal_image(alg: MatrixAlgebra):
     """One inclusion-minimal nonzero image subspace u and the echelon basis
-    of the local field E of u, the span of :func:`_restricted_ideal`.
+    of the local field E of u (:func:`_local_algebra`).
 
     ``alg`` is simple here (see :func:`lines`), so semisimple.  Let u = wV
     be the image of an element w.  The right ideal w*alg is e*alg for an
@@ -344,13 +332,14 @@ def _minimal_image(alg: MatrixAlgebra):
     nonzero X in it has XV = X*alg*V = eV.  So u is minimal exactly when e
     is primitive, that is when E is a division ring, and a finite division
     ring is a field (Wedderburn), which :func:`is_field` decides without a
-    sweep.  Otherwise E has a singular nonzero element X|_u (a zero divisor
-    of E), and X(u), the image of X w, is a smaller nonzero image.
+    sweep.  Otherwise E has a singular nonzero element y = Y|_u for some Y
+    in e*alg*e (a zero divisor of E, :func:`_zero_divisor`), and y(u), the
+    image of Y, is a smaller nonzero image.
 
-    The first u is the image of a least-rank basis element; each round
-    replaces u by X(u), with X from :func:`_shrinking_element`.  A
-    commutative E that is not a field (the zero algebra included) shows
-    that ``alg`` is not simple.
+    The first u is the image of a least-rank basis element, and each round
+    replaces u by y(u), the column space of u^T y, until E is a field: at
+    most dim u rounds.  A commutative E that is not a field (the zero
+    algebra included) shows that ``alg`` is not simple.
     """
     p = alg.p
     ranks = [fp.rank(p, b) for b in alg.basis]
@@ -359,54 +348,43 @@ def _minimal_image(alg: MatrixAlgebra):
         raise InvalidInput("zero algebra has no nonzero image")
     u = fp.column_space(p, alg.basis[least[1]])
     while True:
-        local = _restricted_ideal(alg, u)
-        local_alg = MatrixAlgebra(p, len(u), _span_basis(p, local))
-        if is_field(local_alg):
-            return u, local_alg.basis
-        if local_alg.is_commutative():
+        local = MatrixAlgebra(p, len(u), _local_algebra(alg, u))
+        if is_field(local):
+            return u, local.basis
+        if local.is_commutative():
             raise HypothesisViolation("commutative algebra with lines is not a field, so not simple")
-        x = _shrinking_element(alg, u, local)
-        u = fp.column_space(p, fp.mul(p, x, fp.transpose(u)))
+        u = fp.column_space(p, fp.mul(p, fp.transpose(u), _zero_divisor(p, local.basis)))
 
 
-def _shrinking_element(alg: MatrixAlgebra, u, local):
-    """An element X of the algebra mapping into u whose restriction X|_u is
-    singular and nonzero, so that X(u) is a smaller nonzero image.
+def _zero_divisor(p, basis):
+    """A singular nonzero element of the algebra of k x k matrices spanned
+    by ``basis``, which holds the identity and is not commutative, by a Las
+    Vegas draw (Ronyai 1990, J. Symbolic Comput. 9; Eberly & Giesbrecht
+    2000, J. Symbolic Comput. 29).
 
-    The candidates are the basis of the maps into u
-    (:func:`_left_ideal_into`), paired with their restrictions ``local``:
-    the one of least such rank, else the first pairwise product a b with a
-    before or equal to b, else the first hit of a deterministic
-    pseudo-random sweep over their combinations.  Ranks are taken on the
-    restrictions; (a b)|_u = a|_u b|_u because b maps into u.  A
-    non-commutative finite algebra is not a division ring, so it has
-    singular nonzero elements for the sweep to find.
+    Each round draws a random element x (:func:`_seeded_rng` of the input)
+    and tries y = f(x) for each irreducible factor f of its characteristic
+    polynomial.  f has a root among the eigenvalues of x, so y is singular,
+    and y is zero only when f is the minimal polynomial of x.  When every
+    factor gives zero, F_p[x] is a field; draw again.  Were that so for
+    every x, each nonzero element would have its inverse in F_p[x], and the
+    algebra would be a division ring, so commutative (Wedderburn).
     """
-    p, n, k = alg.p, alg.n, len(u)
-    ideal = _left_ideal_into(alg, u)
-    ranks = [fp.rank(p, xl) for xl in local]
-    least = min(((r, i) for i, r in enumerate(ranks) if 0 < r < k), default=None)
-    if least is not None:
-        return ideal[least[1]]
-    for i, al in enumerate(local):
-        for j in range(i, len(local)):
-            if 0 < fp.rank(p, fp.mul(p, al, local[j])) < k:
-                return fp.mul(p, ideal[i], ideal[j])
-    state = 0x9E3779B97F4A7C15
-    for _ in range(5000):
-        coeffs = []
-        for _ in local:
-            state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
-            coeffs.append((state >> 33) % p)
-        if 0 < fp.rank(p, _combine(p, k, local, coeffs)) < k:
-            return _combine(p, n, ideal, coeffs)
-    raise Inconclusive("no singular element of the local algebra within a sweep of 5000 combinations")
+    rng = _seeded_rng((p, basis))
+    k, flat = len(basis[0]), [fp.flatten(b) for b in basis]
+    while True:
+        x = fp.unflatten(_random_combination(p, flat, rng), k)
+        for f, _ in fp.poly_factors(p, fp.charpoly(p, x), rng):
+            y = fp.poly_at(p, f, x)
+            if any(any(row) for row in y):
+                return y
 
 
 def lines(alg: MatrixAlgebra):
     """Minimal nonzero image subspaces that split the space directly: the
     images phi_1(u), ..., phi_m(u) of a K-basis of Hom(u, V), where u is a
-    minimal image (:func:`_minimal_image`).  Line 0 is u itself.
+    minimal image (:func:`_minimal_image`).  Line 0 is u itself, and each
+    line carries the echelon basis of the local field of u as ``local``.
 
     ``alg`` must be simple.  :func:`decompose` passes the commutant C(Delta)
     of a bi-module that :func:`extract_field` has checked to be
@@ -437,7 +415,7 @@ def lines(alg: MatrixAlgebra):
             if len(kbasis) * k == n:
                 break
             span = fp.row_space(p, span + tuple(fp.flatten(fp.mul(p, phi, kappa)) for kappa in scalars))
-    return [Line(fp.column_space(p, phi), phi) for phi in kbasis]
+    return [Line(fp.column_space(p, phi), phi, scalars) for phi in kbasis]
 
 
 def projection_onto_line(line: Line, coordinates, galg: MatrixAlgebra):
@@ -532,14 +510,14 @@ def _restricted(p, m, src, dst):
     return fp.transpose(cols)
 
 
-def lift_endomorphism(phis, dec: Decomposition, galg: MatrixAlgebra, delta, gl, dl):
+def lift_endomorphism(phis, dec: Decomposition, galg: MatrixAlgebra, delta, dl):
     """Extend maps that are central in both restricted algebras on line 0 of
     the decomposition to the whole space, as sum_i phi_i f C_i for the line
-    bases phi_i and coordinate rows C_i.  ``gl`` is the restricted left
-    ideal of line 0 in galg (:func:`_restricted_ideal`) and ``dl`` the
-    second family's generators ``delta`` restricted to it, both of which
-    the caller has already built.  Returns the lifts in the order of
-    ``phis``.
+    bases phi_i and coordinate rows C_i.  The restricted algebras are the
+    local field of line 0, the basis :attr:`Line.local` that :func:`lines`
+    found, and ``dl``, the second family's generators ``delta`` restricted
+    to line 0, which the caller has already built.  Returns the lifts in
+    the order of ``phis``.
 
     Line 0 is u and phi_0 its echelon basis, so a map f in the coordinates
     of u is in line-basis coordinates already.  The basis change P is a
@@ -550,7 +528,7 @@ def lift_endomorphism(phis, dec: Decomposition, galg: MatrixAlgebra, delta, gl, 
     p, n = galg.p, galg.n
     line = dec.lines[0]
     for phi in phis:
-        for m in dl + gl:
+        for m in [*dl, *line.local]:
             if fp.mul(p, m, phi) != fp.mul(p, phi, m):
                 raise NotLocallyCentral("map is not central in the restricted algebras")
     commuting = list(galg.basis) + list(delta)
@@ -678,9 +656,11 @@ def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
 
     Replaces Delta by galg = C(Delta), splits the space into the lines of
     galg by one basis change P (:func:`decompose`), and lifts the local
-    field E of line 0, the minimal image u, through P.  E is checked to be
-    C(dl) for dl Delta's generators restricted to u (u is the image of an
-    element of C(Delta), so Delta-stable), and the lift
+    field E of line 0, the minimal image u, through P.  E is the basis that
+    :func:`lines` certified a field and keeps on each line
+    (:attr:`Line.local`); it is checked to be C(dl) for dl Delta's
+    generators restricted to u (u is the image of an element of C(Delta),
+    so Delta-stable), and the lift
     P diag(f, ..., f) P^-1 of each f in E is checked to commute with galg
     and Delta.  With one line, u = V and C(dl) = C(Delta) = galg.
 
@@ -721,16 +701,14 @@ def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
     galg = centralizer(delta_gens, p=p, n=n)
     dec = decompose(galg, delta_gens)
     line = dec.lines[0]
-    gl = _restricted_ideal(galg, line.subspace)  # built by lines, as line 0 is u
     dl = [_restricted(p, d, line.subspace, line.subspace) for d in delta_gens]
     local_field = centralizer(dl, p=p, n=line.dim)
-    local_span = _span_basis(p, gl)
-    if local_field.basis != local_span:
+    if local_field.basis != line.local:
         raise HypothesisViolation(
             "restricted algebra is not the commutant of the restricted action",
-            witness=(local_field.basis, local_span),
+            witness=(local_field.basis, line.local),
         )
-    lifted = lift_endomorphism(local_field.basis, dec, galg, delta_gens, gl, dl)
+    lifted = lift_endomorphism(local_field.basis, dec, galg, delta_gens, dl)
     field_basis = _span_basis(p, lifted + [fp.identity(n)])
     if len(field_basis) != local_field.dim:
         raise FieldTestFailure("lifted field has the wrong dimension")

@@ -2,8 +2,13 @@
 lifting through it, field extraction."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +22,6 @@ from endokat.linearize import (
     _intertwiners,
     _nullspace,
     _restricted,
-    _restricted_ideal,
     _span_basis,
     centralizer,
     decompose,
@@ -147,7 +151,7 @@ def test_lines_examples(m2, f4, scal2):
     assert [l.subspace for l in ls] == [((1, 0),), ((0, 1),)]
     assert [l.basis for l in ls] == [((1,), (0,)), ((0,), (1,))]
     whole = fp.rref(2, fp.identity(2))[0]
-    assert lines(f4) == [Line(whole, fp.identity(2))]
+    assert lines(f4) == [Line(whole, fp.identity(2), f4.basis)]
     assert lines(f4)[0].basis == fp.identity(2)
     lsc = lines(scal2)
     assert len(lsc) == 1 and lsc[0].dim == 2
@@ -261,22 +265,113 @@ def _conjugated_mat2_on_f2_4():
     return algebra_closure(gens, p=2, n=4)
 
 
+def _counting_zero_divisors(monkeypatch):
+    calls = []
+    split = linearize._zero_divisor
+
+    def counted(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(linearize, "_zero_divisor", counted)
+    return calls
+
+
 def test_minimal_image_refines_a_non_minimal_candidate(monkeypatch):
     """When the first candidate image is not minimal, its local algebra is
     not a field and is_field sends the search to a smaller image."""
     alg = _conjugated_mat2_on_f2_4()
     assert alg.dim == 4 and all(fp.rank(2, b) == 4 for b in alg.basis)
-    shrinks = []
-    shrink = linearize._shrinking_element
-
-    def counted(*args):
-        shrinks.append(args)
-        return shrink(*args)
-
-    monkeypatch.setattr(linearize, "_shrinking_element", counted)
+    shrinks = _counting_zero_divisors(monkeypatch)
     got = _assert_lines_match_enumeration(alg)
     assert len(got) == 2 and all(l.dim == 2 for l in got)
     assert shrinks
+
+
+def _tensor_bimodule(p, r, s, twist):
+    """Gamma = P (Mat_r (x) I_s) P^-1 and Delta = P (I_r (x) Mat_s) P^-1 on
+    F_p^(r s), each family the conjugated matrix units, for a random P
+    seeded by ``twist``.  C(Delta) is Mat_r(F_p), whose lines are r images
+    of dimension s, and the field is F_p."""
+    pm = _random_invertible(p, r * s, SplitMix64(twist))
+    pm_inv = fp.inverse(p, pm)
+
+    def conj(m):
+        return fp.mul(p, fp.mul(p, pm, m), pm_inv)
+
+    gamma = [conj(_kron(p, E(r, i, j, p), fp.identity(s))) for i in range(r) for j in range(r)]
+    delta = [conj(_kron(p, fp.identity(r), E(s, i, j, p))) for i in range(s) for j in range(s)]
+    return gamma, delta
+
+
+# (p, r, s, twist): a twist whose first candidate image is not minimal,
+# so that the minimal image needs the characteristic-polynomial split
+TENSOR_SPLIT_CASES = [
+    (2, 2, 2, 22), (2, 2, 3, 45), (3, 2, 2, 10), (3, 2, 3, 0), (257, 2, 2, 0), (257, 2, 3, 0),
+]
+
+
+@pytest.mark.parametrize("p, r, s, twist", TENSOR_SPLIT_CASES)
+def test_tensor_bimodule_field_through_the_split(p, r, s, twist, monkeypatch):
+    """extract_field reports F_p on F_p^(r s) when the minimal image is
+    reached by splitting a non-commutative local algebra."""
+    calls = _counting_zero_divisors(monkeypatch)
+    gamma, delta = _tensor_bimodule(p, r, s, twist)
+    rep = extract_field(p, r * s, gamma, delta)
+    assert (rep.order, rep.vs_dimension) == (p, r * s)
+    assert calls
+
+
+@pytest.mark.parametrize("p", [65537, 1048573])
+def test_tensor_bimodule_lines_at_large_primes(p, monkeypatch):
+    """At large p the split finds r lines of dimension s at once; the
+    element sweep of the report check makes extract_field slow here, so
+    only the decomposition is run."""
+    calls = _counting_zero_divisors(monkeypatch)
+    for r, s in ((2, 2), (3, 2), (2, 3)):
+        for twist in range(3):
+            _, delta = _tensor_bimodule(p, r, s, twist)
+            dec = decompose(centralizer(delta, p=p, n=r * s), delta)
+            assert [l.dim for l in dec.lines] == [s] * r
+    assert calls
+
+
+def test_minimal_image_error_exits():
+    """A non-simple algebra whose local algebra is commutative but not a
+    field, and the zero algebra, are refused."""
+    with pytest.raises(HypothesisViolation, match="not simple"):
+        lines(algebra_closure([E(2, 0, 1)], p=2, n=2))  # span{I, E01}
+    with pytest.raises(InvalidInput, match="zero algebra"):
+        lines(MatrixAlgebra(2, 2, ()))
+
+
+_DIGEST_SCRIPT = """
+import hashlib, json, sys
+from endokat.linearize import centralizer, decompose, extract_field
+p, n, gamma, delta = json.load(sys.stdin)
+rep = extract_field(p, n, gamma, delta)
+dec = decompose(centralizer(delta, p=p, n=n), delta)
+out = (rep.order, rep.vs_dimension, rep.field_basis, rep.k_basis_of_v, [l.subspace for l in dec.lines])
+print(hashlib.sha256(repr(out).encode()).hexdigest())
+"""
+
+
+def test_split_draws_do_not_depend_on_the_hash_seed():
+    """The Las Vegas draws are seeded from the input, never from hash():
+    two processes with different PYTHONHASHSEED give the same report and
+    the same lines on an input that reaches the split."""
+    p, r, s, twist = TENSOR_SPLIT_CASES[-2]
+    gamma, delta = _tensor_bimodule(p, r, s, twist)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = set()
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT],
+            input=json.dumps([p, r * s, gamma, delta]), capture_output=True, text=True, env=env, check=True,
+        )
+        digests.add(proc.stdout)
+    assert len(digests) == 1
 
 
 def test_companion_of_an_irreducible_quartic_is_irreducible():
@@ -334,9 +429,7 @@ def test_lift(m2, scal2):
     dec = decompose(m2, scal2.basis)
     line = dec.lines[0]
     one = fp.identity(1)
-    hat, = lift_endomorphism(
-        [one], dec, m2, scal2.basis, _restricted_ideal(m2, line.subspace), _restricted_gens(2, scal2.basis, line)
-    )
+    hat, = lift_endomorphism([one], dec, m2, scal2.basis, _restricted_gens(2, scal2.basis, line))
     assert hat == fp.identity(2)
     # scalar lifts to the global scalar
     inst = matrix_bimodule(3, 1, 2, 3)
@@ -345,8 +438,7 @@ def test_lift(m2, scal2):
     dec3 = decompose(galg, delta)
     two = fp.mat([[2]], 3)
     line3 = dec3.lines[0]
-    gl3 = _restricted_ideal(galg, line3.subspace)
-    hat1, hat3 = lift_endomorphism([fp.identity(1), two], dec3, galg, delta, gl3, _restricted_gens(3, delta, line3))
+    hat1, hat3 = lift_endomorphism([fp.identity(1), two], dec3, galg, delta, _restricted_gens(3, delta, line3))
     assert hat1 == fp.identity(2)
     assert hat3 == fp.scalar(3, 2, fp.identity(2))
 
