@@ -2,8 +2,11 @@
 
 Two backends expose the same six primitives with the same results: the
 compiled extension ``_core`` (one hand-written C file, ``_core.c``, built by
-``setup.py``) and the pure-Python ``_pure``, which is the reference.  The
-extension is preferred when importable; ENDOKAT_PURE=1 forces ``_pure``.
+``setup.py``) and the pure-Python ``_pure``, which is the reference.  For
+p <= 13, ``_pure`` packs each row over F_p into one int of byte slots, so
+that ``mat_mul``, ``rref`` and ``spin`` work a row at a time, not an entry
+at a time.  The extension is preferred when importable; ENDOKAT_PURE=1
+forces ``_pure``.
 The compiled primitives work on machine words: an input beyond their margin
 raises ``NeedsBigInts`` (or ``OverflowError`` for an int beyond 64 bits),
 and the wrapper below answers it with the ``_pure`` primitive instead.

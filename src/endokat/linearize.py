@@ -37,14 +37,16 @@ class MatrixAlgebra:
 
     ``basis`` is the reduced echelon basis of the algebra as a subspace of
     flattened matrices; two algebras are equal iff their bases are.
+    ``flat`` holds those flattened rows, for :meth:`contains`.
     """
 
-    __slots__ = ("p", "n", "basis")
+    __slots__ = ("p", "n", "basis", "flat")
 
     def __init__(self, p, n, basis):
         self.p = p
         self.n = n
         self.basis = tuple(basis)
+        self.flat = [fp.flatten(b) for b in self.basis]
 
     @property
     def dim(self):
@@ -69,7 +71,7 @@ class MatrixAlgebra:
         return f"MatrixAlgebra(p={self.p}, n={self.n}, dim={self.dim})"
 
     def contains(self, m):
-        return fp.in_span(self.p, [fp.flatten(b) for b in self.basis], fp.flatten(m))
+        return fp.in_span(self.p, self.flat, fp.flatten(m))
 
     def elements(self):
         """All p**dim elements, in the order of :func:`_combinations`.
@@ -599,8 +601,9 @@ class FieldReport:
             if any(any(r) for r in m) and not fp.is_invertible(p, m):
                 raise FieldTestFailure("nonzero element is singular", element=m)
         for g in list(gamma_gens) + list(delta_gens):
+            g = fp.mat(g, p)
             for b in self.field_basis:
-                if fp.mul(p, fp.mat(g, p), b) != fp.mul(p, b, fp.mat(g, p)):
+                if fp.mul(p, g, b) != fp.mul(p, b, g):
                     raise FieldTestFailure("algebra generator fails to commute with the field", element=b)
         # the flagged vectors really are a basis over the field
         vecs = []

@@ -7,6 +7,7 @@ prior build is needed; it skips only when there is no C compiler.
 """
 
 import importlib.util
+import random
 import shlex
 import shutil
 import subprocess
@@ -23,8 +24,13 @@ CORE_C = Path(_kernel.__file__).with_name("_core.c")
 
 MODULI = st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12, 16]), min_size=0, max_size=5)
 
-# Primes inside and beyond the compiled kernel's word-size margin (2**20).
-PRIMES = [2, 3, 5, 1048573, 2**31 - 1, 2**61 - 1]
+# Primes inside and beyond the compiled kernel's word-size margin (2**20);
+# 13 is the last prime of the pure kernel's byte-slot rows and 17 the first
+# past it.
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 1048573, 2**31 - 1, 2**61 - 1]
+
+# The primes whose rows the pure kernel packs into byte slots.
+BYTE_SLOT_PRIMES = sorted(_pure._TABLES)
 
 
 @pytest.fixture(scope="session")
@@ -125,6 +131,71 @@ def test_backends_identical_fp(core, compiled, p, n, data):
         else:
             with pytest.raises(core.NeedsBigInts):
                 getattr(core, name)(*args)
+
+
+def _tuple_code(name, *args):
+    """The pure primitive answered by its tuple code, as for every p above
+    the byte slots."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_pure, "_TABLES", {})
+        return getattr(_pure, name)(*args)
+
+
+# Entries of a test matrix: in [0, p), in [0, 256), or also negative and
+# beyond 255.  Every primitive reduces its entries mod p.
+ENTRIES = st.sampled_from(("reduced", "byte", "wide"))
+# Entries come from a seeded generator: one hypothesis draw per matrix, not
+# one per entry, keeps large examples cheap to generate and to shrink.
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _matrix(rng, p, rows, cols, entries):
+    if entries == "byte":
+        return tuple(tuple(rng.randrange(256) for _ in range(cols)) for _ in range(rows))
+    if entries == "wide":
+        return tuple(tuple(rng.choice((rng.randrange(p), rng.randint(-600, 600))) for _ in range(cols)) for _ in range(rows))
+    density = rng.choice((0.1, 0.5, 1.0))
+    return tuple(tuple(rng.randrange(p) if rng.random() < density else 0 for _ in range(cols)) for _ in range(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BYTE_SLOT_PRIMES), st.integers(0, 8), st.integers(0, 64), st.integers(0, 16), ENTRIES, SEEDS)
+def test_packed_mat_mul_matches_tuple_code(p, n, inner, m, entries, seed):
+    rng = random.Random(seed)
+    a = _matrix(rng, p, n, inner, entries)
+    b = _matrix(rng, p, inner, m, entries)  # empty when inner is 0
+    assert _pure.mat_mul(p, a, b) == _tuple_code("mat_mul", p, a, b)
+
+
+@pytest.mark.parametrize("p", BYTE_SLOT_PRIMES)
+def test_packed_mat_mul_slot_bound(p):
+    """64 terms of (p - 1)^2 each: at p = 13 every term meets the bound
+    (p - 1) + (p - 1)^2 < 256 on a byte slot."""
+    a = ((p - 1,) * 64,) * 3
+    b = ((p - 1,) * 5,) * 64
+    assert _pure.mat_mul(p, a, b) == _tuple_code("mat_mul", p, a, b) == (((64 * (p - 1) ** 2) % p,) * 5,) * 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BYTE_SLOT_PRIMES), st.integers(0, 16), st.integers(0, 64), ENTRIES, SEEDS)
+def test_packed_rref_matches_tuple_code(p, rows, cols, entries, seed):
+    rng = random.Random(seed)
+    a = _matrix(rng, p, rows, cols, entries)
+    assert _pure.rref(p, a) == _tuple_code("rref", p, a)
+    assert _pure.rref(p, list(a)) == _tuple_code("rref", p, list(a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BYTE_SLOT_PRIMES), st.integers(1, 12), st.integers(0, 3), st.integers(0, 3), ENTRIES, SEEDS)
+def test_packed_spin_matches_tuple_code(p, n, ngens, nseeds, entries, seed):
+    rng = random.Random(seed)
+    gens = [_matrix(rng, p, n, n, entries) for _ in range(ngens)]
+    if rng.random() < 0.5:
+        # Upper triangular generators keep each span of e_0..e_j, so the
+        # spin can stop below the whole space.
+        gens = [tuple(tuple(x if j >= i else 0 for j, x in enumerate(row)) for i, row in enumerate(g)) for g in gens]
+    seeds = list(_matrix(rng, p, nseeds, n, entries))
+    assert _pure.spin(p, gens, seeds) == _tuple_code("spin", p, gens, seeds)
 
 
 def test_box_reduce_membership():
