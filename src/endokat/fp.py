@@ -2,16 +2,17 @@
 
 Matrices are tuples of row tuples with entries in [0, p); the kernel module
 supplies the hot primitives (product, reduced echelon form, spin-up) and
-this layer adds the derived operations: nullspaces, inverses, canonical
-subspace bases, matrix powers, characteristic polynomials, and small
-polynomial arithmetic for irreducibility tests, factorisation and companion
-matrices.
+this layer adds the derived operations: block products and powers of
+matrix families (one kernel call per family, not per member or pair),
+nullspaces, inverses, canonical subspace bases, characteristic polynomials,
+and small polynomial arithmetic for irreducibility tests, factorisation and
+companion matrices.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import product as _iproduct, zip_longest
+from itertools import chain, product as _iproduct, zip_longest
 
 from ._kernel import mat_mul, mat_vec, rref, spin
 from .errors import InvalidInput
@@ -50,21 +51,61 @@ def matvec(p, a, v):
     return mat_vec(p, a, v)
 
 
+def stack(mats):
+    """[m_1; ...; m_a]: the matrices' rows one after another."""
+    return tuple(row for m in mats for row in m)
+
+
+def side_by_side(mats):
+    """[m_1 | ... | m_b]: row r joins the r-th rows of the matrices."""
+    return tuple(tuple(chain.from_iterable(rows)) for rows in zip(*mats))
+
+
+def products(p, xs, ys):
+    """Every product x_i y_j, as ``out[i][j]``, from one kernel call: the
+    product [x_1; ...; x_a] [y_1 | ... | y_b] holds x_i y_j as its block
+    (i, j).  The xs share one shape r x c and the ys one shape c x s."""
+    if not xs or not ys:
+        return [[] for _ in xs]
+    r, s = len(xs[0]), len(ys[0][0])
+    rows = mat_mul(p, stack(xs), side_by_side(ys))
+    return [
+        [tuple(row[j * s : (j + 1) * s] for row in rows[i * r : (i + 1) * r]) for j in range(len(ys))]
+        for i in range(len(xs))
+    ]
+
+
+def noncommuting(p, xs, ys):
+    """The first (i, j), j fastest, with x_i y_j != y_j x_i, or None when
+    the two families commute: block (i, j) of one :func:`products` against
+    block (j, i) of the other, which is the same product when xs is ys."""
+    xy = products(p, xs, ys)
+    yx = xy if xs is ys else products(p, ys, xs)
+    return next(((i, j) for i in range(len(xs)) for j in range(len(ys)) if xy[i][j] != yx[j][i]), None)
+
+
 def transpose(a):
     if not a:
         return ()
     return tuple(zip(*a))
 
 
-def power(p, a, k):
-    out = identity(len(a))
-    while k:
+def powers(p, mats, k):
+    """m^k for every m of a nonempty family of n x n matrices, k >= 1, by
+    square-and-multiply on diag(m_1, ..., m_a): O(log k) kernel calls for
+    the whole family."""
+    n, count = len(mats[0]), len(mats)
+    pad = (0,) * n
+    d = tuple(pad * i + tuple(row) + pad * (count - 1 - i) for i, m in enumerate(mats) for row in m)
+    out = None
+    while True:
         if k & 1:
-            out = mat_mul(p, out, a)
+            out = d if out is None else mat_mul(p, out, d)
         k >>= 1
-        if k:
-            a = mat_mul(p, a, a)
-    return out
+        if not k:
+            break
+        d = mat_mul(p, d, d)
+    return [tuple(row[i * n : (i + 1) * n] for row in out[i * n : (i + 1) * n]) for i in range(count)]
 
 
 def rank(p, a):
@@ -114,19 +155,6 @@ def nullspace(p, a):
             v[pc] = (-row[f]) % p
         out.append(tuple(v))
     return out
-
-
-def solve(p, a, b):
-    """One solution of a x = b, or None."""
-    n = len(a[0]) if a else 0
-    aug = [tuple(row) + (bi,) for row, bi in zip(a, b)]
-    red, piv = rref(p, aug)
-    x = [0] * n
-    for row, pc in zip(red, piv):
-        if pc == n:
-            return None
-        x[pc] = row[n]
-    return tuple(x)
 
 
 def inverse(p, a):

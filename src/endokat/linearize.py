@@ -12,7 +12,9 @@ phi_1(u), ..., phi_m(u) for a minimal image u and a basis phi_1..phi_m of
 Hom(u, V) over the local field of u; P = [phi_1 | ... | phi_m] is
 invertible, and the rows of P^-1 give the idempotents and the lifts.  Every
 step revalidates its postconditions, so a hypothesis failure surfaces as a
-typed error with a witness instead of a wrong report.
+typed error with a witness instead of a wrong report.  A check or product
+over a family of matrices is one block product (:func:`fp.products`,
+:func:`fp.noncommuting`), not one product per pair.
 """
 
 from __future__ import annotations
@@ -74,19 +76,16 @@ class MatrixAlgebra:
         return fp.in_span(self.p, self.flat, fp.flatten(m))
 
     def elements(self):
-        """All p**dim elements, in the order of :func:`_combinations`.
-        Errors above ``config.FIELD_ENUM_CAP``; never truncates."""
+        """An iterator over all p**dim elements, in the order of
+        :func:`_combinations`, holding one element at a time.  Errors above
+        ``config.FIELD_ENUM_CAP`` when called; never truncates."""
         cap = config.FIELD_ENUM_CAP
         if self.size > cap:
             raise CapExceeded(f"algebra of {self.size} elements above FIELD_ENUM_CAP = {cap}")
-        return list(_combinations(self.p, self.basis, fp.zero(self.n)))
+        return _combinations(self.p, self.basis, fp.zero(self.n))
 
     def is_commutative(self):
-        for i, a in enumerate(self.basis):
-            for b in self.basis[i + 1 :]:
-                if fp.mul(self.p, a, b) != fp.mul(self.p, b, a):
-                    return False
-        return True
+        return fp.noncommuting(self.p, self.basis, self.basis) is None
 
 
 def _combinations(p, basis, zero):
@@ -115,15 +114,6 @@ def _combinations(p, basis, zero):
         coeffs[j] += 1
         m = fp.add(p, m, suffix[j])
         yield m
-
-
-def _combine(p, n, basis, coeffs):
-    """The single combination sum c_i b_i."""
-    m = fp.zero(n)
-    for c, b in zip(coeffs, basis):
-        if c:
-            m = fp.add(p, m, fp.scalar(p, c, b))
-    return m
 
 
 def _nullspace(p, rows, width):
@@ -312,13 +302,16 @@ def _local_algebra(alg: MatrixAlgebra, u):
     """Echelon basis of the local algebra of the subspace u, in the
     coordinates of u: the maps X in alg with im X <= span(u), that is the
     combinations with y . (X e_j) = 0 for every annihilator y of u and every
-    column j, restricted to u."""
+    column j, restricted to u.  Row r of ys [b_1 | ... | b_d] holds
+    y_r . (b_t e_j) at column t n + j, and the combinations are the rows of
+    (coefficients) (flattened basis): one product each."""
     p, n = alg.p, alg.n
     ys = fp.nullspace(p, u)
-    prods = [fp.mul(p, ys, b) for b in alg.basis]
-    eqs = [tuple(yb[r][j] for yb in prods) for r in range(len(ys)) for j in range(n)]
+    prods = fp.mul(p, ys, fp.side_by_side(alg.basis)) if ys else ()
+    eqs = [row[j::n] for row in prods for j in range(n)]
     sol = _nullspace(p, eqs, alg.dim)
-    return _span_basis(p, [_restricted(p, _combine(p, n, alg.basis, coeffs), u, u) for coeffs in sol])
+    combos = [fp.unflatten(x, n) for x in fp.mul(p, sol, alg.flat)]
+    return _span_basis(p, _restricted(p, combos, u, u))
 
 
 def _minimal_image(alg: MatrixAlgebra):
@@ -409,14 +402,16 @@ def lines(alg: MatrixAlgebra):
     u, scalars = _minimal_image(alg)
     k = len(u)
     bcols = fp.transpose(u)
+    maps = fp.mul(p, fp.stack(alg.basis), bcols)
     kbasis = []
     span = ()
-    for phi in chain([bcols], (fp.mul(p, b, bcols) for b in alg.basis)):
+    for phi in chain([bcols], (maps[i * n : (i + 1) * n] for i in range(alg.dim))):
         if not fp.in_span(p, span, fp.flatten(phi)):
             kbasis.append(phi)
             if len(kbasis) * k == n:
                 break
-            span = fp.row_space(p, span + tuple(fp.flatten(fp.mul(p, phi, kappa)) for kappa in scalars))
+            (scaled,) = fp.products(p, [phi], scalars)
+            span = fp.row_space(p, span + tuple(fp.flatten(x) for x in scaled))
     return [Line(fp.column_space(p, phi), phi, scalars) for phi in kbasis]
 
 
@@ -451,23 +446,23 @@ class Decomposition:
         """Check the idempotents: each is idempotent with its line as
         image, they are orthogonal, sum to the identity, and commute with
         every matrix of ``delta``, the second family's generators."""
-        p, n = self.p, self.n
+        p, n, pis = self.p, self.n, self.projections
+        prods = fp.products(p, pis, pis)
         total = fp.zero(n)
-        for i, pi in enumerate(self.projections):
+        for i, pi in enumerate(pis):
             total = fp.add(p, total, pi)
-            if fp.mul(p, pi, pi) != pi:
+            if prods[i][i] != pi:
                 raise HypothesisViolation("projection not idempotent", witness=pi)
             if fp.column_space(p, pi) != self.lines[i].subspace:
                 raise HypothesisViolation("projection image is not its line", witness=pi)
-            for j, pj in enumerate(self.projections):
-                if i != j and any(any(r) for r in fp.mul(p, pi, pj)):
+            for j, pij in enumerate(prods[i]):
+                if i != j and any(any(r) for r in pij):
                     raise HypothesisViolation("projections not orthogonal", witness=(i, j))
         if total != fp.identity(n):
             raise HypothesisViolation("projections do not sum to the identity", witness=total)
-        for pi in self.projections:
-            for d in delta:
-                if fp.mul(p, pi, d) != fp.mul(p, d, pi):
-                    raise HypothesisViolation("projection fails to commute", witness=pi)
+        bad = fp.noncommuting(p, pis, delta)
+        if bad is not None:
+            raise HypothesisViolation("projection fails to commute", witness=pis[bad[0]])
         return True
 
 
@@ -498,18 +493,27 @@ def decompose(galg: MatrixAlgebra, delta) -> Decomposition:
     return dec
 
 
-def _restricted(p, m, src, dst):
-    """Coordinates of m as a map from the line src to the line dst (both
-    given by basis rows); src == dst restricts m to one line."""
-    mb = fp.mul(p, m, fp.transpose(src))
-    b2 = fp.transpose(dst)
-    cols = []
-    for j in range(len(src)):
-        sol = fp.solve(p, b2, tuple(row[j] for row in mb))
-        if sol is None:
-            raise InvalidInput("matrix does not map the line into the target line")
-        cols.append(sol)
-    return fp.transpose(cols)
+def _restricted(p, mats, src, dst):
+    """Coordinates of each matrix as a map from the line src to the line
+    dst, both given by basis rows, dst's in reduced echelon form; src ==
+    dst restricts the matrices to one line.
+
+    The images of src under m are the columns of m src^T.  A vector of
+    span(dst) is the combination of dst's rows given by its entries at
+    dst's pivot columns, so the coordinates are the rows of m src^T at
+    those columns, and the images lie in dst exactly when dst^T maps the
+    coordinates back onto them.  That is one product of the stacked
+    matrices by src^T and one for the check of all of them."""
+    if not mats:
+        return []
+    n = len(mats[0])
+    images = fp.mul(p, fp.stack(mats), fp.transpose(src))
+    blocks = [images[i * n : (i + 1) * n] for i in range(len(mats))]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in dst]
+    coords = [tuple(b[q] for q in pivots) for b in blocks]
+    if fp.mul(p, fp.transpose(dst), fp.side_by_side(coords)) != fp.side_by_side(blocks):
+        raise InvalidInput("matrix does not map the line into the target line")
+    return coords
 
 
 def lift_endomorphism(phis, dec: Decomposition, galg: MatrixAlgebra, delta, dl):
@@ -526,26 +530,26 @@ def lift_endomorphism(phis, dec: Decomposition, galg: MatrixAlgebra, delta, dl):
     Delta-isomorphism u^m -> V (:func:`lines`), under which galg = C(Delta)
     is Mat_m(E) and every transport between lines is the identity.  So the
     lift is P diag(f, ..., f) P^-1, and it commutes with galg and delta
-    exactly when f is central in the restricted algebras (checked once)."""
-    p, n = galg.p, galg.n
+    exactly when f is central in the restricted algebras.
+
+    Every family step is one block product (:func:`fp.products`): the
+    centrality of all maps on line 0 is one pair of products, and so is
+    the check of all lifts against galg's basis and delta.  The lifts take
+    two: the blocks f C_i for every map f and coordinate rows C_i, stacked
+    per f into diag(f, ..., f) P^-1, then P times all of those side by
+    side.  One restriction of all lifts checks that each restricts to its
+    map."""
+    p = galg.p
     line = dec.lines[0]
-    for phi in phis:
-        for m in [*dl, *line.local]:
-            if fp.mul(p, m, phi) != fp.mul(p, phi, m):
-                raise NotLocallyCentral("map is not central in the restricted algebras")
-    commuting = list(galg.basis) + list(delta)
-    out = []
-    for phi in phis:
-        hat = fp.zero(n)
-        for li, coords in zip(dec.lines, dec.coordinates):
-            hat = fp.add(p, hat, fp.mul(p, fp.mul(p, li.basis, phi), coords))
-        for g in commuting:
-            if fp.mul(p, hat, g) != fp.mul(p, g, hat):
-                raise NotLocallyCentral("lift fails to commute with the algebras")
-        if _restricted(p, hat, line.subspace, line.subspace) != phi:
-            raise NotLocallyCentral("lift does not restrict to the given map")
-        out.append(hat)
-    return out
+    if fp.noncommuting(p, phis, [*dl, *line.local]) is not None:
+        raise NotLocallyCentral("map is not central in the restricted algebras")
+    diagonal = [fp.stack(fcs) for fcs in fp.products(p, phis, dec.coordinates)]
+    (lifts,) = fp.products(p, [fp.side_by_side([li.basis for li in dec.lines])], diagonal)
+    if fp.noncommuting(p, lifts, [*galg.basis, *delta]) is not None:
+        raise NotLocallyCentral("lift fails to commute with the algebras")
+    if _restricted(p, lifts, line.subspace, line.subspace) != list(phis):
+        raise NotLocallyCentral("lift does not restrict to the given map")
+    return lifts
 
 
 def is_field(alg: MatrixAlgebra):
@@ -563,7 +567,7 @@ def is_field(alg: MatrixAlgebra):
     if d == 0 or not alg.contains(fp.identity(n)) or not alg.is_commutative():
         return False
     pivots = [next(j for j, x in enumerate(fp.flatten(b)) if x) for b in alg.basis]
-    frob = [tuple(fp.flatten(fp.power(p, b, p))[j] for j in pivots) for b in alg.basis]
+    frob = [tuple(fp.flatten(x)[j] for j in pivots) for x in fp.powers(p, alg.basis, p)]
     return fp.rank(p, frob) == d and fp.rank(p, fp.sub(p, frob, fp.identity(d))) == d - 1
 
 
@@ -600,16 +604,15 @@ class FieldReport:
         for m in alg.elements():
             if any(any(r) for r in m) and not fp.is_invertible(p, m):
                 raise FieldTestFailure("nonzero element is singular", element=m)
-        for g in list(gamma_gens) + list(delta_gens):
-            g = fp.mat(g, p)
-            for b in self.field_basis:
-                if fp.mul(p, g, b) != fp.mul(p, b, g):
-                    raise FieldTestFailure("algebra generator fails to commute with the field", element=b)
-        # the flagged vectors really are a basis over the field
-        vecs = []
-        for v in self.k_basis_of_v:
-            for b in alg.basis:
-                vecs.append(fp.matvec(p, b, v))
+        bad = fp.noncommuting(p, [fp.mat(g, p) for g in (*gamma_gens, *delta_gens)], self.field_basis)
+        if bad is not None:
+            raise FieldTestFailure(
+                "algebra generator fails to commute with the field", element=self.field_basis[bad[1]]
+            )
+        # the flagged vectors really are a basis over the field: row r of
+        # block t of (vectors) (b_t^T) is b_t applied to vector r
+        (images,) = fp.products(p, [self.k_basis_of_v], [fp.transpose(b) for b in alg.basis])
+        vecs = [v for block in images for v in block]
         if len(fp.row_space(p, vecs)) != n:
             raise FieldTestFailure("flagged vectors do not span over the field")
         return True
@@ -631,10 +634,8 @@ def _k_basis_of_v(p, n, field_basis):
         if fp.in_span(p, have, v):
             continue
         out.append(v)
-        vecs = list(have)
-        for b in field_basis:
-            vecs.append(fp.matvec(p, b, v))
-        have = fp.row_space(p, vecs)
+        images = fp.matvec(p, fp.stack(field_basis), v)
+        have = fp.row_space(p, have + tuple(images[i : i + n] for i in range(0, len(images), n)))
         if len(have) == n:
             break
     return out
@@ -694,17 +695,18 @@ def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
     check_matrix_bimodule(p, n, gamma_gens, delta_gens)
     gamma_gens = [fp.mat(g, p) for g in gamma_gens]
     delta_gens = [fp.mat(d, p) for d in delta_gens]
-    for g in gamma_gens:
-        for d in delta_gens:
-            if fp.mul(p, g, d) != fp.mul(p, d, g):
-                raise HypothesisViolation("generator families do not commute", witness=(g, d))
+    bad = fp.noncommuting(p, gamma_gens, delta_gens)
+    if bad is not None:
+        raise HypothesisViolation(
+            "generator families do not commute", witness=(gamma_gens[bad[0]], delta_gens[bad[1]])
+        )
     w = invariant_subspace(p, n, gamma_gens + delta_gens)
     if w is not None:
         raise HypothesisViolation("bi-module action is reducible", witness=w)
     galg = centralizer(delta_gens, p=p, n=n)
     dec = decompose(galg, delta_gens)
     line = dec.lines[0]
-    dl = [_restricted(p, d, line.subspace, line.subspace) for d in delta_gens]
+    dl = _restricted(p, delta_gens, line.subspace, line.subspace)
     local_field = centralizer(dl, p=p, n=line.dim)
     if local_field.basis != line.local:
         raise HypothesisViolation(
@@ -716,11 +718,9 @@ def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
     if len(field_basis) != local_field.dim:
         raise FieldTestFailure("lifted field has the wrong dimension")
     flat = [fp.flatten(x) for x in field_basis]
-    for a in field_basis:
-        for b in field_basis:
-            ab = fp.mul(p, a, b)
-            if not fp.in_span(p, flat, fp.flatten(ab)):
-                raise FieldTestFailure("lifted span is not closed under products", element=ab)
+    for ab in chain.from_iterable(fp.products(p, field_basis, field_basis)):
+        if not fp.in_span(p, flat, fp.flatten(ab)):
+            raise FieldTestFailure("lifted span is not closed under products", element=ab)
     if not is_field(MatrixAlgebra(p, n, field_basis)):
         raise FieldTestFailure("lifted algebra fails the field certificate")
     kdim = len(field_basis)

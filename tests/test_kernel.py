@@ -158,6 +158,29 @@ def _matrix(rng, p, rows, cols, entries):
     return tuple(tuple(rng.randrange(p) if rng.random() < density else 0 for _ in range(cols)) for _ in range(rows))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(1, 6), st.integers(1, 8), SEEDS)
+def test_backends_identical_block_products(core, compiled, p, n, d, seed):
+    """The shapes of the F_p layer's block products: d n x n matrices
+    stacked, times n x d n side by side (every x_i y_j at once), the
+    reverse (a sum of d products), and a d n x d n block diagonal
+    squared."""
+    rng = random.Random(seed)
+    tall = _matrix(rng, p, d * n, n, "reduced")
+    wide = _matrix(rng, p, n, d * n, "reduced")
+    blocks = [_matrix(rng, p, n, n, "reduced") for _ in range(d)]
+    diagonal = tuple((0,) * (i * n) + row + (0,) * ((d - 1 - i) * n) for i, m in enumerate(blocks) for row in m)
+    for a, b in ((tall, wide), (wide, tall), (diagonal, diagonal)):
+        expected = _pure.mat_mul(p, a, b)
+        assert len(expected) == len(a) and all(len(row) == len(b[0]) for row in expected)
+        assert compiled["mat_mul"](p, a, b) == expected
+        if p <= core.MOD_LIMIT:
+            assert core.mat_mul(p, a, b) == expected
+        else:
+            with pytest.raises(core.NeedsBigInts):
+                core.mat_mul(p, a, b)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(BYTE_SLOT_PRIMES), st.integers(0, 8), st.integers(0, 64), st.integers(0, 16), ENTRIES, SEEDS)
 def test_packed_mat_mul_matches_tuple_code(p, n, inner, m, entries, seed):

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from endokat import config, fp, linearize
-from endokat.errors import CapExceeded, HypothesisViolation, InvalidInput
+from endokat.errors import CapExceeded, FieldTestFailure, HypothesisViolation, InvalidInput, NotLocallyCentral
 from endokat.instances import matrix_bimodule, _random_invertible
 from endokat.linearize import (
+    Decomposition,
     Line,
     MatrixAlgebra,
     _intertwiners,
@@ -100,7 +101,7 @@ def test_elements_walk_order(m2):
     f27 = algebra_closure([fp.companion(3, fp.lex_min_irreducible(3, 3))], p=3, n=3)
     for alg in (m2, f27):
         p, d = alg.p, alg.dim
-        elems = alg.elements()
+        elems = list(alg.elements())
         assert len(elems) == p**d
         for i, m in enumerate(elems):
             digits = [(i // p ** (d - 1 - j)) % p for j in range(d)]
@@ -422,7 +423,7 @@ def test_decompose_mat8_over_f4():
 def _restricted_gens(p, gens, line):
     """The generators restricted to the line, as extract_field passes
     Delta's to lift_endomorphism."""
-    return [_restricted(p, d, line.subspace, line.subspace) for d in gens]
+    return _restricted(p, gens, line.subspace, line.subspace)
 
 
 def test_lift(m2, scal2):
@@ -455,6 +456,59 @@ def test_decompose_rejects_lines_that_are_not_direct(m2, scal2, monkeypatch):
         assert err.value.witness == [route(m2)[i].subspace for i in pick]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 13, 17]), st.integers(1, 4), st.integers(0, 4), st.integers(0, 4), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_block_products_match_pairwise_products(p, n, a, b, k, seed):
+    """fp.products is x_i y_j for every pair (rectangular: xs n x (n + 1),
+    ys (n + 1) x 2), fp.noncommuting names the first pair that does not
+    commute, and fp.powers is m^k for each m."""
+    rng = SplitMix64(seed)
+
+    def draw(rows, cols):
+        return fp.mat([[rng.below(p) if rng.below(3) else 0 for _ in range(cols)] for _ in range(rows)], p)
+
+    xs, ys = [draw(n, n + 1) for _ in range(a)], [draw(n + 1, 2) for _ in range(b)]
+    assert fp.products(p, xs, ys) == [[fp.mul(p, x, y) for y in ys] for x in xs]
+    squares = [draw(n, n) for _ in range(a + 1)]
+    for fs, gs in ((squares, squares), (squares[:1], squares), (squares, [fp.identity(n)])):
+        pairs = [(i, j) for i, f in enumerate(fs) for j, g in enumerate(gs) if fp.mul(p, f, g) != fp.mul(p, g, f)]
+        assert fp.noncommuting(p, fs, gs) == (pairs[0] if pairs else None)
+    want = []
+    for m in squares:
+        mk = m
+        for _ in range(k - 1):
+            mk = fp.mul(p, mk, m)
+        want.append(mk)
+    assert fp.powers(p, squares, k) == want
+
+
+# fp kernel calls of one extract_field on matrix_bimodule(p, k, m, 0), with
+# some room above today's counts: a family check split back into one product
+# per pair (hundreds of mat_mul calls at n = 4) fails this.
+KERNEL_CALL_CEILINGS = {
+    (2, 2, 2): {"mat_mul": 42, "mat_vec": 4, "rref": 40, "spin": 2},
+    (2, 4, 2): {"mat_mul": 44, "mat_vec": 4, "rref": 62, "spin": 2},
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CALL_CEILINGS))
+def test_extract_field_kernel_call_budget(case, monkeypatch):
+    """The F_p layer reaches the kernel once per matrix family, not once per
+    pair; the counts are deterministic."""
+    inst = matrix_bimodule(*case, 0)
+    calls = dict.fromkeys(KERNEL_CALL_CEILINGS[case], 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _fn=getattr(fp, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(fp, name, counted)
+    extract_field(inst["p"], inst["n"], inst["gamma_generators"], inst["delta_generators"])
+    over = {name: count for name, count in calls.items() if count > KERNEL_CALL_CEILINGS[case][name]}
+    assert not over, f"kernel calls above the ceiling: {over} of {calls}"
+
+
 def test_lift_solves_no_intertwiner_system(monkeypatch):
     """The lift goes through the basis change of the decomposition:
     extract_field solves an intertwiner system only for each commutant it
@@ -473,6 +527,90 @@ def test_lift_solves_no_intertwiner_system(monkeypatch):
     assert calls["_intertwiners"] == calls["centralizer"] > 0
 
 
+def _quartic_decomposition():
+    """The decomposition of the (2, 2, 2) twist-0 bi-module: C(Delta) is
+    Mat_2(F_4), line 0 has dimension 2 and its local field is F_4."""
+    inst = matrix_bimodule(2, 2, 2, 0)
+    delta = inst["delta_generators"]
+    galg = centralizer(delta, p=2, n=4)
+    dec = decompose(galg, delta)
+    return inst, galg, dec
+
+
+def test_lift_rejects_a_map_that_is_not_locally_central():
+    """A map that does not commute with the local field of line 0 has no
+    central lift; the check on line 0 reports it."""
+    inst, galg, dec = _quartic_decomposition()
+    delta = inst["delta_generators"]
+    line = dec.lines[0]
+    assert len(line.local) == 2
+    with pytest.raises(NotLocallyCentral, match="^map is not central in the restricted algebras$"):
+        lift_endomorphism([E(2, 0, 1)], dec, galg, delta, _restricted_gens(2, delta, line))
+
+
+def test_lift_rejects_a_lift_that_fails_to_commute():
+    """With line 0's local field and restricted generators tampered away,
+    a non-central map passes the local check; its lift fails to commute
+    with C(Delta)."""
+    inst, galg, dec = _quartic_decomposition()
+    dec.lines[0].local = ()
+    with pytest.raises(NotLocallyCentral, match="^lift fails to commute with the algebras$"):
+        lift_endomorphism([E(2, 0, 1)], dec, galg, inst["delta_generators"], [])
+
+
+def test_decomposition_verify_rejects_projections_that_are_not_orthogonal():
+    """Two idempotents, each onto its own line, whose product is not zero."""
+    dec = Decomposition(
+        2,
+        2,
+        [Line(((1, 0),), ((1,), (0,)), ()), Line(((0, 1),), ((0,), (1,)), ())],
+        [fp.mat([[1, 1], [0, 0]], 2), E(2, 1, 1)],
+        [((1, 0),), ((0, 1),)],
+    )
+    with pytest.raises(HypothesisViolation, match="^projections not orthogonal$") as err:
+        dec.verify([fp.identity(2)])
+    assert err.value.witness == (0, 1)
+
+
+def test_decomposition_verify_rejects_a_projection_that_fails_to_commute(m2, scal2):
+    """The idempotents E00, E11 of Mat_2(F_2) do not commute with E01."""
+    dec = decompose(m2, scal2.basis)
+    with pytest.raises(HypothesisViolation, match="^projection fails to commute$") as err:
+        dec.verify([fp.identity(2), E(2, 0, 1)])
+    assert err.value.witness == E(2, 0, 0)
+
+
+def test_extract_field_rejects_a_lift_not_closed_under_products(monkeypatch):
+    """A lifted span {I, A} with the shift A, whose square is not in it,
+    has the local field's dimension but is no algebra."""
+    shift = fp.add(2, E(4, 0, 1), E(4, 1, 2))
+    monkeypatch.setattr(linearize, "lift_endomorphism", lambda *args: [shift])
+    inst = matrix_bimodule(2, 2, 2, 0)
+    with pytest.raises(FieldTestFailure, match="^lifted span is not closed under products$") as err:
+        extract_field(2, 4, inst["gamma_generators"], inst["delta_generators"])
+    assert err.value.element == fp.mul(2, shift, shift)
+
+
+def test_field_report_verify_rejects_a_generator_that_fails_to_commute():
+    """The field of a report does not commute with E01 offered as a
+    generator; the first field basis element it fails with is named."""
+    inst = matrix_bimodule(2, 2, 2, 0)
+    rep = extract_field(2, 4, inst["gamma_generators"], inst["delta_generators"])
+    stranger = E(4, 0, 1)
+    witness = next(b for b in rep.field_basis if fp.mul(2, stranger, b) != fp.mul(2, b, stranger))
+    with pytest.raises(FieldTestFailure, match="^algebra generator fails to commute with the field$") as err:
+        rep.verify(inst["gamma_generators"], [*inst["delta_generators"], stranger])
+    assert err.value.element == witness
+
+
+def test_restricted_rejects_a_map_out_of_the_line():
+    """E10 maps the line of e_0 onto that of e_1, so a family holding it
+    does not restrict to the line of e_0."""
+    with pytest.raises(InvalidInput, match="^matrix does not map the line into the target line$"):
+        _restricted(2, [fp.identity(2), E(2, 1, 0)], ((1, 0),), ((1, 0),))
+    assert _restricted(2, [E(2, 1, 0)], ((1, 0),), ((0, 1),)) == [((1,),)]
+
+
 def test_is_field(m2, f4, scal2):
     assert is_field(scal2)
     assert is_field(f4)
@@ -486,7 +624,7 @@ def test_is_field(m2, f4, scal2):
 def _enumerated_is_field(alg):
     """Reference: contains the identity, commutative, and every nonzero
     element invertible."""
-    nonzero = alg.elements()[1:]
+    nonzero = list(alg.elements())[1:]
     return alg.contains(fp.identity(alg.n)) and alg.is_commutative() and all(fp.is_invertible(alg.p, m) for m in nonzero)
 
 
