@@ -34,7 +34,7 @@ from .endogeny import (
     weakly_invariant,
 )
 from .errors import EndokatError, InvalidInput
-from .groups import Subgroup
+from .groups import Subgroup, subgroup_isomorphism
 from .instances import (
     polynomial,
     random_endogeny,
@@ -118,10 +118,6 @@ def _split_objects(desc):
     return split_bimodule(*jsonio.split_descriptor_from_json(desc))
 
 
-def _v(law, desc, data):
-    return {"law": law, "instance": desc, "counterexample": data}
-
-
 def _blur_unchecked(g, s, bound):
     """A x S as an endogeny carrying the given bound without validation
     (audits compare raw relations; laws are bound-independent)."""
@@ -129,313 +125,244 @@ def _blur_unchecked(g, s, bound):
     return Endogeny(g, g, e.graph, bound, _checked=True)
 
 
+class Laws:
+    """What one instance's audit found: :meth:`check` counts one law and
+    records it, with its counterexample data, when it fails; ``notes``
+    collects what is reported but not asserted.
+
+    :meth:`add` and :meth:`comp` build each unchecked sum and composite of
+    the instance once (laws are bound-independent), memoised by operand
+    identity.  The memo holds the operands, so no id is reused while it
+    lives.  Two sides built by different operations never share a term, so
+    each law still compares independently built sides.
+    """
+
+    def __init__(self, desc):
+        self.desc = desc
+        self.checks = 0
+        self.violations = []
+        self.notes = []
+        self._terms = {}
+
+    def check(self, law, holds, data=None):
+        self.checks += 1
+        if not holds:
+            self.record(law, data)
+
+    def record(self, law, data=None):
+        """A violation that counts no law: a step the laws need failed."""
+        self.violations.append({"law": law, "instance": self.desc, "counterexample": data or {}})
+
+    def add(self, x, y):
+        return self._term(endo_add, x, y)
+
+    def comp(self, x, y):
+        return self._term(endo_compose, x, y)
+
+    def _term(self, op, x, y):
+        key = (op, id(x), id(y))
+        if key not in self._terms:
+            self._terms[key] = (x, y, op(x, y, unchecked=True))
+        return self._terms[key][2]
+
+
 # ---------------------------------------------------------------------------
-# Suite bodies.  Each returns (checks, violations, notes).
+# Suite bodies.  Each records its instance's laws and notes in ``laws``.
 
 
-def prering_law_violations(g, a, b, c):
-    """All prering laws on one triple: list of (law, data); empty when the
-    laws hold.  Operations run unchecked because laws are bound-independent."""
-    out = []
+def _same_relation(laws, law, x, y):
+    laws.check(law, x.graph == y.graph, {"lhs_order": x.graph.order, "rhs_order": y.graph.order})
 
-    def eq(law, x, y):
-        if x.graph != y.graph:
-            out.append((law, {"lhs_order": x.graph.order, "rhs_order": y.graph.order}))
 
-    add = lambda x, y: endo_add(x, y, unchecked=True)
-    comp = lambda x, y: endo_compose(x, y, unchecked=True)
+def prering_laws(laws, g, a, b, c):
+    """All prering laws on one triple."""
+    add, comp = laws.add, laws.comp
     zero = Endogeny.zero(g, a.bound)
     one = Endogeny.identity(g, a.bound)
-    eq("add_assoc", add(add(a, b), c), add(a, add(b, c)))
-    eq("add_comm", add(a, b), add(b, a))
-    eq("add_zero", add(a, zero), a)
-    eq("comp_assoc", comp(comp(a, b), c), comp(a, comp(b, c)))
-    eq("comp_one_left", comp(one, a), a)
-    eq("comp_one_right", comp(a, one), a)
-    eq("right_dist", comp(a, add(b, c)), add(comp(a, b), comp(a, c)))
+    _same_relation(laws, "add_assoc", add(add(a, b), c), add(a, add(b, c)))
+    _same_relation(laws, "add_comm", add(a, b), add(b, a))
+    _same_relation(laws, "add_zero", add(a, zero), a)
+    _same_relation(laws, "comp_assoc", comp(comp(a, b), c), comp(a, comp(b, c)))
+    _same_relation(laws, "comp_one_left", comp(one, a), a)
+    _same_relation(laws, "comp_one_right", comp(a, one), a)
+    _same_relation(laws, "right_dist", comp(a, add(b, c)), add(comp(a, b), comp(a, c)))
     # left distributivity: containment one way, correction term the other
     lhs = comp(add(a, b), c)
     rhs = add(comp(a, c), comp(b, c))
-    if not lhs.graph.leq(rhs.graph):
-        out.append(("left_dist_lower", {"lhs": lhs.graph.order, "rhs": rhs.graph.order}))
+    laws.check("left_dist_lower", lhs.graph.leq(rhs.graph), {"lhs": lhs.graph.order, "rhs": rhs.graph.order})
     corr_b = _blur_unchecked(g, b.apply_set(c.kat()), lhs.bound)
     corr_a = _blur_unchecked(g, a.apply_set(c.kat()), lhs.bound)
-    if not rhs.graph.leq(add(lhs, corr_b).graph):
-        out.append(("left_dist_upper", {"correction": "second"}))
-    if not rhs.graph.leq(add(lhs, corr_a).graph):
-        out.append(("left_dist_upper_alt", {"correction": "first"}))
-    return out
+    laws.check("left_dist_upper", rhs.graph.leq(add(lhs, corr_b).graph), {"correction": "second"})
+    laws.check("left_dist_upper_alt", rhs.graph.leq(add(lhs, corr_a).graph), {"correction": "first"})
 
 
-PRERING_LAW_COUNT = 10
-
-
-def kat_identity_violations(g, a, b):
+def kat_identity_laws(laws, a, b):
     """kat(a+b) = kat a + kat b and kat(a b) = a[kat b] on one pair."""
-    out = []
-    if endo_add(a, b, unchecked=True).kat() != (a.kat() | b.kat()):
-        out.append(("kat_add", {}))
-    if endo_compose(a, b, unchecked=True).kat() != a.apply_set(b.kat()):
-        out.append(("kat_comp", {}))
-    return out
+    laws.check("kat_add", laws.add(a, b).kat() == (a.kat() | b.kat()))
+    laws.check("kat_comp", laws.comp(a, b).kat() == a.apply_set(b.kat()))
 
 
-def _run_prering(desc, use_oracle):
+def _run_prering(laws, desc, use_oracle):
     g, n_max, (a, b, c) = _endo_triple(desc)
-    vs = []
-    checks = PRERING_LAW_COUNT + 2
-    for law, data in prering_law_violations(g, a, b, c):
-        vs.append(_v(law, desc, data))
-    for law, data in kat_identity_violations(g, a, b):
-        vs.append(_v(law, desc, data))
-    notes = []
+    prering_laws(laws, g, a, b, c)
+    kat_identity_laws(laws, a, b)
     if use_oracle and g.order <= config.ORACLE_CAP:
-        add = lambda x, y: endo_add(x, y, unchecked=True)
-        comp = lambda x, y: endo_compose(x, y, unchecked=True)
         sa, sb = oracle.graph_set(a), oracle.graph_set(b)
-        checks += 3
-        if oracle.endog_add(sa, sb, g) != oracle.graph_set(add(a, b)):
-            vs.append(_v("oracle_add", desc, {}))
-        if oracle.endog_compose(sa, sb) != oracle.graph_set(comp(a, b)):
-            vs.append(_v("oracle_compose", desc, {}))
-        if oracle.endog_kat(sa) != oracle.subgroup_set(a.kat()):
-            vs.append(_v("oracle_kat", desc, {}))
-    return checks, vs, notes
+        laws.check("oracle_add", oracle.endog_add(sa, sb, g) == oracle.graph_set(laws.add(a, b)))
+        laws.check("oracle_compose", oracle.endog_compose(sa, sb) == oracle.graph_set(laws.comp(a, b)))
+        laws.check("oracle_kat", oracle.endog_kat(sa) == oracle.subgroup_set(a.kat()))
 
 
-def equivalence_law_violations(g, a, b, c, f1, f2):
+def equivalence_laws(laws, g, a, b, c, f1, f2):
     """Congruence of equivalence under sum/composition, distributivity
     modulo equivalence, and the preorder laws, on one triple with two
     blur witnesses."""
-    out = []
-    bound = a.bound
-    add = lambda x, y: endo_add(x, y, unchecked=True)
-    comp = lambda x, y: endo_compose(x, y, unchecked=True)
-    a2 = add(a, _blur_unchecked(g, f1, bound))
-    b2 = add(b, _blur_unchecked(g, f2, bound))
-
-    def chk(law, cond):
-        if not cond:
-            out.append((law, {}))
-
-    chk("equiv_reflexive", equivalent(a, a))
-    chk("equiv_blur", equivalent(a, a2))
-    chk("cong_add", equivalent(add(a, b), add(a2, b2)))
-    chk("cong_comp", equivalent(comp(a, b), comp(a2, b2)))
-    chk("dist_mod_equiv", equivalent(comp(add(a, b), c), add(comp(a, c), comp(b, c))))
-    chk(
+    add, comp = laws.add, laws.comp
+    a2 = add(a, _blur_unchecked(g, f1, a.bound))
+    b2 = add(b, _blur_unchecked(g, f2, a.bound))
+    laws.check("equiv_reflexive", equivalent(a, a))
+    laws.check("equiv_blur", equivalent(a, a2))
+    laws.check("cong_add", equivalent(add(a, b), add(a2, b2)))
+    laws.check("cong_comp", equivalent(comp(a, b), comp(a2, b2)))
+    laws.check("dist_mod_equiv", equivalent(comp(add(a, b), c), add(comp(a, c), comp(b, c))))
+    laws.check(
         "preceq_sym_is_equiv",
         (preceq(a, a2) and preceq(a2, a)) == equivalent(a, a2)
         and (preceq(a, b) and preceq(b, a)) == equivalent(a, b),
     )
-    chk("preceq_blur_up", preceq(a, a2))
-    return out
+    laws.check("preceq_blur_up", preceq(a, a2))
 
 
-EQUIVALENCE_LAW_COUNT = 7
-
-
-def _run_equivalence(desc, use_oracle):
+def _run_equivalence(laws, desc, use_oracle):
     g, n_max, (a, b, c) = _endo_triple(desc)
     rng = SplitMix64(desc["seed"] ^ 0x5F5F)
     f1 = random_subgroup_of(n_max, rng)
     f2 = random_subgroup_of(n_max, rng)
-    vs = []
-    checks = EQUIVALENCE_LAW_COUNT
-    for law, data in equivalence_law_violations(g, a, b, c, f1, f2):
-        vs.append(_v(law, desc, data))
-    notes = []
+    equivalence_laws(laws, g, a, b, c, f1, f2)
     if use_oracle and g.order <= 256:
-        checks += 1
-        if oracle.endog_equivalent(oracle.graph_set(a), oracle.graph_set(b), g) != equivalent(a, b):
-            vs.append(_v("oracle_equivalent", desc, {}))
-    return checks, vs, notes
+        sa, sb = oracle.graph_set(a), oracle.graph_set(b)
+        laws.check("oracle_equivalent", oracle.endog_equivalent(sa, sb, g) == equivalent(a, b))
 
 
-def _run_sharp(desc, use_oracle):
+def _run_sharp(laws, desc, use_oracle):
     if isinstance(desc, dict) and "pair" in desc:
         # explicit pair instance: record the verdict; closure laws apply
         # only to sharply commuting pairs
         e1, e2 = jsonio.pair_descriptor_from_json(desc)
         is_sharp = sharp_commutes(e1, e2)
-        notes = [{"sharp_commutes": is_sharp}]
-        vs = []
-        checks = 1
+        laws.notes.append({"sharp_commutes": is_sharp})
+        laws.check("sharp_verdict", True)  # a note, never a violation
         if is_sharp:
-            checks += 2
-            if not e2.apply_set(e1.kat()).leq(e1.kat() | e2.kat()):
-                vs.append(_v("sharp_blur_image", desc, {}))
-            if not sharp_commutes(e1, endo_neg(e2)):
-                vs.append(_v("sharp_neg", desc, {}))
-        return checks, vs, notes
+            laws.check("sharp_blur_image", e2.apply_set(e1.kat()).leq(e1.kat() | e2.kat()))
+            laws.check("sharp_neg", sharp_commutes(e1, endo_neg(e2)))
+        return
     fam = _sharp_family(desc)
     if fam is None:
-        return 0, [], [{"note": "no sharp family within budget", "instance": desc}]
+        laws.notes.append({"note": "no sharp family within budget", "instance": desc})
+        return
     g, n_max, bound, morph0, gamma, d1, d2 = fam
-    vs = []
-    checks = 0
-
-    def chk(law, cond, data=None):
-        nonlocal checks
-        checks += 1
-        if not cond:
-            vs.append(_v(law, desc, data or {}))
-
-    chk("sharp_add", sharp_commutes(gamma, endo_add(d1, d2, unchecked=True)))
-    chk("sharp_neg", sharp_commutes(gamma, endo_neg(d1)))
-    chk("sharp_comp", sharp_commutes(gamma, endo_compose(d1, d2, unchecked=True)))
-    chk(
-        "sharp_blur_image",
-        d1.apply_set(gamma.kat()).leq(gamma.kat() | d1.kat()),
-    )
-    notes = [{"sharp_commutes_d1_d2": sharp_commutes(d1, d2)}]
+    laws.check("sharp_add", sharp_commutes(gamma, laws.add(d1, d2)))
+    laws.check("sharp_neg", sharp_commutes(gamma, endo_neg(d1)))
+    laws.check("sharp_comp", sharp_commutes(gamma, laws.comp(d1, d2)))
+    laws.check("sharp_blur_image", d1.apply_set(gamma.kat()).leq(gamma.kat() | d1.kat()))
+    laws.notes.append({"sharp_commutes_d1_d2": sharp_commutes(d1, d2)})
     if use_oracle and g.order <= 64:
-        checks += 1
-        if oracle.endog_sharp(oracle.graph_set(gamma), oracle.graph_set(d1), g) != sharp_commutes(gamma, d1):
-            vs.append(_v("oracle_sharp", desc, {}))
-    return checks, vs, notes
+        # _sharp_family has established that gamma and d1 commute sharply
+        laws.check("oracle_sharp", oracle.endog_sharp(oracle.graph_set(gamma), oracle.graph_set(d1), g))
 
 
-def _run_invariance(desc, use_oracle):
+def _run_invariance(laws, desc, use_oracle):
     fam = _sharp_family(desc)
     if fam is None:
-        return 0, [], [{"note": "no sharp family within budget", "instance": desc}]
+        laws.notes.append({"note": "no sharp family within budget", "instance": desc})
+        return
     g, n_max, bound, morph0, gamma, d1, d2 = fam
     rng = SplitMix64(desc["seed"] ^ 0x1111)
-    vs = []
-    checks = 0
-
-    def chk(law, cond, data=None):
-        nonlocal checks
-        checks += 1
-        if not cond:
-            vs.append(_v(law, desc, data or {}))
-
     b0 = random_subgroup_of(Subgroup.full(g), rng)
     b = orbit_closure(b0 | gamma.kat(), [gamma])
-    chk("setup_weakly_invariant", weakly_invariant(b, gamma))
-    chk("invariance_lemma", weakly_invariant(d1.apply_set(b), gamma))
+    laws.check("setup_weakly_invariant", weakly_invariant(b, gamma))
+    laws.check("invariance_lemma", weakly_invariant(d1.apply_set(b), gamma))
     b1 = orbit_closure(random_subgroup_of(Subgroup.full(g), rng), [gamma])
-    chk("weak_sum_closed", weakly_invariant(b | b1, gamma))
-    chk("kat_weakly_invariant", weakly_invariant(gamma.kat(), d1))
+    laws.check("weak_sum_closed", weakly_invariant(b | b1, gamma))
+    laws.check("kat_weakly_invariant", weakly_invariant(gamma.kat(), d1))
     gm = Endogeny.from_morphism(morph0, bound)
     if sharp_commutes(gm, d1):
-        chk("morphism_kernel_fully_invariant", fully_invariant(d1.ker(), gm))
+        laws.check("morphism_kernel_fully_invariant", fully_invariant(d1.ker(), gm))
     bb = orbit_closure(b, [gamma, d1])
     if weakly_invariant(bb, gamma) and weakly_invariant(bb, d1):
         try:
-            from .groups import subgroup_isomorphism
-
             rg = restrict(gamma, bb)
             rd = restrict(d1, bb)
             _, _, from_b = subgroup_isomorphism(bb)
             katcap = gamma.kat() & bb
-            chk(
+            laws.check(
                 "restriction_kat_bound",
                 all(katcap.contains(from_b(col)) for col in rg.kat().gen_columns()),
             )
-            chk(
-                "restriction_commutes_mod_equiv",
-                equivalent(
-                    endo_compose(rg, rd, unchecked=True),
-                    endo_compose(rd, rg, unchecked=True),
-                ),
-            )
+            laws.check("restriction_commutes_mod_equiv", equivalent(laws.comp(rg, rd), laws.comp(rd, rg)))
         except EndokatError as exc:
-            vs.append(_v("restriction_failed", desc, {"error": str(exc)}))
-    return checks, vs, []
+            laws.record("restriction_failed", {"error": str(exc)})
 
 
-def _run_katakernel(desc, use_oracle):
+def _run_katakernel(laws, desc, use_oracle):
     sg, gset, dset, info = _split_objects(desc)
-    vs = []
-    checks = 0
-
-    def chk(law, cond, data=None):
-        nonlocal checks
-        checks += 1
-        if not cond:
-            vs.append(_v(law, desc, data or {}))
-
     kg = global_kat(gset)
     kd = global_kat(dset)
     k = kg | kd
     for g in gset:
-        chk("kat_gamma_fully_gamma_invariant", fully_invariant(kg, g))
-        chk("bikat_fully_gamma_invariant", fully_invariant(k, g))
+        laws.check("kat_gamma_fully_gamma_invariant", fully_invariant(kg, g))
+        laws.check("bikat_fully_gamma_invariant", fully_invariant(k, g))
     for d in dset:
-        chk("bikat_fully_delta_invariant", fully_invariant(k, d))
+        laws.check("bikat_fully_delta_invariant", fully_invariant(k, d))
     for g in gset:
         pre = g.preimage(k)
         for d in dset:
-            chk("preimage_fully_delta_invariant", fully_invariant(pre, d))
+            laws.check("preimage_fully_delta_invariant", fully_invariant(pre, d))
     try:
         q, proj, ghoms, dhoms = induced_action(gset, dset)
-        checks += 1
-        for h1 in ghoms:
-            for h2 in dhoms:
-                if h1.compose(h2) != h2.compose(h1):
-                    vs.append(_v("induced_commute", desc, {}))
+        laws.check("induced_commute", all(h1.compose(h2) == h2.compose(h1) for h1 in ghoms for h2 in dhoms))
         # each induced endomorphism tracks its relation through the quotient
         for fam, homs in ((gset, ghoms), (dset, dhoms)):
             for g, h in zip(fam, homs):
-                checks += 1
-                agree = all(
-                    h(proj(e)) == proj(g.apply(e).rep) for e in sg.ambient.generators()
+                laws.check(
+                    "induced_agrees_with_relation",
+                    all(h(proj(e)) == proj(g.apply(e).rep) for e in sg.ambient.generators()),
                 )
-                if not agree:
-                    vs.append(_v("induced_agrees_with_relation", desc, {}))
     except EndokatError as exc:
-        vs.append(_v("induced_action_failed", desc, {"error": str(exc)}))
-    return checks, vs, []
+        laws.record("induced_action_failed", {"error": str(exc)})
 
 
-def _run_dimension(desc, use_oracle):
+def _run_dimension(laws, desc, use_oracle):
     sg, gset, dset, info = _split_objects(desc)
     rng = SplitMix64(desc["seed"] ^ 0xD13)
-    vs = []
-    checks = 0
     endos = list(gset) + list(dset)
     for i in range(3):
-        e = random_endogeny(sg.ambient, sg.bound.n_max, rng.next_u64())
-        endos.append(e)
+        endos.append(random_endogeny(sg.ambient, sg.bound.n_max, rng.next_u64()))
     for e in endos:
         dk, di, da, ok = sg.dimension_lemma_check(e)
-        checks += 1
-        if not ok:
-            vs.append(_v("dimension_lemma", desc, {"dims": [dk, di, da]}))
+        laws.check("dimension_lemma", ok, {"dims": [dk, di, da]})
     h1 = random_subgroup_of(Subgroup.full(sg.ambient), rng)
     h2 = random_subgroup_of(Subgroup.full(sg.ambient), rng)
-    checks += 2
-    if sg.dim(h1 | h2) > sg.dim(h1) + sg.dim(h2):
-        vs.append(_v("dim_subadditive", desc, {}))
+    laws.check("dim_subadditive", sg.dim(h1 | h2) <= sg.dim(h1) + sg.dim(h2))
     hp, ht = sg.split(h1)
-    if (hp | ht) != h1 or not (hp & ht).is_trivial:
-        vs.append(_v("split_direct", desc, {}))
-    return checks, vs, []
+    laws.check("split_direct", (hp | ht) == h1 and (hp & ht).is_trivial)
 
 
-def _run_connectedness(desc, use_oracle):
+def _run_connectedness(laws, desc, use_oracle):
     sg, gset, dset, info = _split_objects(desc)
     rng = SplitMix64(desc["seed"] ^ 0xC0C0)
-    vs = []
-    notes = []
-    checks = 0
     endos = list(gset) + list(dset)
     endos.append(random_endogeny(sg.ambient, sg.bound.n_max, rng.next_u64()))
     for e in endos:
         b = random_subgroup_of(Subgroup.full(sg.ambient), rng)
-        checks += 1
-        if not sg.connectedness_lemma_check(e, b):
-            vs.append(_v("connectedness_lemma", desc, {}))
+        laws.check("connectedness_lemma", sg.connectedness_lemma_check(e, b))
     # conjectured, not asserted: the connected part of a kernel is weakly
     # invariant under sharp partners; counterexamples are reported as notes
     for g in gset:
         for d in dset:
             kerp = sg.connected_component(g.ker())
             if not weakly_invariant(kerp, d):
-                notes.append({"conjecture_counterexample": desc})
-    return checks, vs, notes
+                laws.notes.append({"conjecture_counterexample": desc})
 
 
 _RUNNERS = {
@@ -450,8 +377,9 @@ _RUNNERS = {
 
 
 def run_instance(suite, desc, use_oracle=False):
-    checks, violations, notes = _RUNNERS[suite](desc, use_oracle)
-    return {"checks": checks, "violations": violations, "notes": notes}
+    laws = Laws(desc)
+    _RUNNERS[suite](laws, desc, use_oracle)
+    return {"checks": laws.checks, "violations": laws.violations, "notes": laws.notes}
 
 
 def _pool_entry(args):

@@ -28,13 +28,6 @@ from .instances import fixture_nonliftable, matrix_bimodule, random_endogeny, sp
 from .linearize import extract_field
 
 
-def _default_seed():
-    try:
-        return int(os.environ.get("ENDOKAT_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 def _load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -197,6 +190,13 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _int_list(text):
     return [int(x) for x in text.split(",")] if text else []
 
@@ -209,6 +209,9 @@ def build_parser():
         "with machine-checked laws and bi-module linearization.",
     )
     ap.add_argument("--max-order", type=_positive_int, default=None, help="group order cap")
+    # argparse runs a string default through ``type``, so a malformed
+    # ENDOKAT_SEED is a usage error
+    seed = os.environ.get("ENDOKAT_SEED", "0")
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("validate", help="parse and validate an instance file")
@@ -218,11 +221,11 @@ def build_parser():
     a = sub.add_parser("audit", help="run a law suite")
     a.add_argument("--suite", required=True, choices=audits.SUITES)
     a.add_argument("--instances", help="JSON file with an 'instances' list")
-    a.add_argument("--random", type=int, default=0, help="number of random instances")
-    a.add_argument("--seed", type=int, default=_default_seed())
+    a.add_argument("--random", type=_nonnegative_int, default=0, help="number of random instances")
+    a.add_argument("--seed", type=int, default=seed)
     a.add_argument("--oracle", action="store_true", help="cross-validate against enumeration")
     a.add_argument("--report", help="write the JSON report here")
-    a.add_argument("--workers", type=int, default=None)
+    a.add_argument("--workers", type=_positive_int, default=None)
     a.set_defaults(func=cmd_audit)
 
     l = sub.add_parser("linearize", help="field extraction / split-model pipeline")
@@ -232,7 +235,7 @@ def build_parser():
 
     g = sub.add_parser("generate", help="emit a deterministic instance file")
     g.add_argument("--kind", required=True, choices=list(GENERATORS))
-    g.add_argument("--seed", type=int, default=_default_seed())
+    g.add_argument("--seed", type=int, default=seed)
     g.add_argument("--p", type=int)
     g.add_argument("--k", type=int)
     g.add_argument("--m", type=int)

@@ -4,11 +4,13 @@ import functools
 import hashlib
 import json
 import multiprocessing
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from endokat import audits, config, jsonio
+from endokat import audits, config, endogeny, jsonio
+from endokat.dimension import SplitGroup
 from endokat.endogeny import Endogeny, NegligibilityBound
 from endokat.groups import Homomorphism, canonicalize_group, subgroup_from_generators
 
@@ -146,4 +148,55 @@ def test_parallel_merge_deterministic(monkeypatch, method, count, seed, max_orde
         assert [(e["instance_index"], e["tag"]) for e in serial["errors"]] == [
             (0, "invalid-input"), (2, "invalid-input"), (3, "invalid-input")
         ]
-        assert serial["checks"] == audits.PRERING_LAW_COUNT + 2
+        assert serial["checks"] == 12
+
+
+def test_no_sum_or_composite_built_twice(monkeypatch):
+    """Within one run_instance no endo_add or endo_compose call repeats an
+    operand pair, on two descriptors of every suite at seed 1 (the oracle
+    on where audit-oracle uses it).  Every operand is kept alive for the
+    instance, so no id is reused."""
+    calls = []
+
+    def recorded(op):
+        def call(x, y, **kw):
+            calls.append((op.__name__, x, y))
+            return op(x, y, **kw)
+
+        return call
+
+    for op in (endogeny.endo_add, endogeny.endo_compose):
+        wrapper = recorded(op)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("endokat") and getattr(mod, op.__name__, None) is op:
+                monkeypatch.setattr(mod, op.__name__, wrapper)
+    for suite in audits.SUITES:
+        for desc in audits.make_descriptors(suite, 2, 1):
+            calls.clear()
+            audits.run_instance(suite, desc, use_oracle=suite in ("prering", "equivalence", "sharp"))
+            keys = [(name, id(x), id(y)) for name, x, y in calls]
+            assert len(keys) == len(set(keys)), f"{suite}: a term is built twice"
+            if suite == "prering":
+                assert keys
+
+
+def test_failed_law_counted_once_with_its_data(monkeypatch):
+    """A failed law counts one check and records one violation with its
+    counterexample data; a failed step records a violation and no check."""
+    laws = audits.Laws({"seed": 1})
+    laws.check("holds", True)
+    laws.check("fails", False, {"x": 1})
+    laws.record("step_failed", {"error": "e"})
+    assert laws.checks == 2
+    assert laws.violations == [
+        {"law": "fails", "instance": {"seed": 1}, "counterexample": {"x": 1}},
+        {"law": "step_failed", "instance": {"seed": 1}, "counterexample": {"error": "e"}},
+    ]
+    desc = audits.make_descriptors("dimension", 1, 1)[0]
+    clean = audits.run_instance("dimension", desc)
+    monkeypatch.setattr(SplitGroup, "dimension_lemma_check", lambda self, e: (1, 2, 3, False))
+    res = audits.run_instance("dimension", desc)
+    assert res["checks"] == clean["checks"]
+    # every law but dim_subadditive and split_direct is a dimension_lemma
+    failed = {"law": "dimension_lemma", "instance": desc, "counterexample": {"dims": [1, 2, 3]}}
+    assert res["violations"] == [failed] * (clean["checks"] - 2)

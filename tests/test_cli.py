@@ -236,12 +236,17 @@ def test_generate_missing_flag_exit_2(args, flag):
     assert "Traceback" not in r.stderr
 
 
-@pytest.mark.parametrize("flag", ["--max-order"])
-@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("value, flag", [
+    ("-3", "--max-order"), ("0", "--max-order"), ("0", "--workers"), ("-3", "--workers"), ("-5", "--random"),
+])
 def test_cap_flags_must_be_positive(flag, value):
-    r = run(f"{flag}={value}", "audit", "--suite", "prering", "--random", "2", "--workers", "1")
+    """--max-order and --workers take a positive count, --random a
+    non-negative one; anything else is a usage error."""
+    audit = ["audit", "--suite", "prering", "--random", "2", "--workers", "1"]
+    bad = f"{flag}={value}"
+    r = run(bad, *audit) if flag == "--max-order" else run(*audit, bad)
     assert r.returncode == 2
-    assert flag in r.stderr and "positive" in r.stderr
+    assert flag in r.stderr and ("non-negative" if flag == "--random" else "positive") in r.stderr
     assert "Traceback" not in r.stderr
 
 
@@ -268,3 +273,19 @@ def test_env_seed(tmp_path):
     run("generate", "--kind", "matrix_bimodule", "--p", "2", "--k", "1", "--m", "2",
         "--seed", "99", "-o", str(f2))
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_env_seed_malformed(tmp_path):
+    """A malformed ENDOKAT_SEED is a usage error, not seed 0."""
+    import os
+
+    env = dict(os.environ, ENDOKAT_SEED="12x")
+    r = subprocess.run(
+        CLI + ["generate", "--kind", "matrix_bimodule", "--p", "2", "--k", "1", "--m", "2",
+               "-o", str(tmp_path / "e.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert r.returncode == 2
+    assert "--seed" in r.stderr and "12x" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "e.json").exists()
