@@ -2,19 +2,18 @@
 
 Two backends expose the same six primitives with the same results: the
 compiled extension ``_core`` (one hand-written C file, ``_core.c``, built by
-``setup.py``) and the pure-Python ``_pure``, which is the reference.  For
-p <= 13, ``_pure`` packs each row over F_p into one int of byte slots, so
-that ``mat_mul``, ``rref`` and ``spin`` work a row at a time, not an entry
-at a time.  The extension is preferred when importable; ENDOKAT_PURE=1
-forces ``_pure``.
-The compiled primitives work on machine words: an input beyond their margin
-raises ``NeedsBigInts`` (or ``OverflowError`` for an int beyond 64 bits),
-and the wrapper below answers it with the ``_pure`` primitive instead.
+``setup.py``), preferred when importable, and the pure reference ``_pure``,
+which ENDOKAT_PURE=1 forces.  The F_p primitives take and return the packed
+:class:`Matrix` of ``_matrix``; :func:`primitives` adapts ``_core``'s at this
+one boundary (unpack, call, pack).  The compiled ones work on machine words:
+an input beyond their margin raises ``NeedsBigInts`` (or ``OverflowError``
+for an int beyond 64 bits), and the wrapper below answers it with ``_pure``.
 """
 
 import os
 
 from . import _pure
+from ._matrix import Matrix, join, unpack
 
 PRIMITIVES = ("hnf_kernel", "box_reduce", "mat_mul", "mat_vec", "rref", "spin")
 
@@ -31,16 +30,35 @@ def _with_fallback(fast, slow, fallback):
     return primitive
 
 
+def _packed(c):
+    """The compiled module c's F_p primitives on packed matrices (rows go in as bytes)."""
+
+    def entries(*mats):
+        return [unpack(m.p, m.rows, m.ncols) for m in mats]
+
+    def rows(p, out):
+        return tuple([join(p, row) for row in out])
+
+    def echelon(p, n, out):
+        basis, pivots = c.rref(p, out)
+        return Matrix(p, n, rows(p, basis), pivots)
+
+    return {
+        "mat_mul": lambda p, a, b: Matrix(p, b.ncols, rows(p, c.mat_mul(p, *entries(a, b)))),
+        "mat_vec": lambda p, a, v: Matrix(p, len(a), rows(p, [c.mat_vec(p, *entries(a), entries(v)[0][0])])),
+        "rref": lambda p, a: echelon(p, a.ncols, *entries(a)),
+        "spin": lambda p, gens, v: echelon(p, v.ncols, c.spin(p, entries(*gens), *entries(v))),
+    }
+
+
 def primitives(compiled):
-    """The primitives in ``PRIMITIVES`` order: ``_pure``'s when ``compiled``
-    is None, else those of the module ``compiled``, each falling back to
-    ``_pure`` on an input beyond its word-size margin."""
+    """The primitives in ``PRIMITIVES`` order: ``_pure``'s when ``compiled`` is
+    None, else ``compiled``'s, each falling back to ``_pure`` beyond its margin."""
     if compiled is None:
         return tuple(getattr(_pure, name) for name in PRIMITIVES)
     fallback = (compiled.NeedsBigInts, OverflowError)
-    return tuple(
-        _with_fallback(getattr(compiled, name), getattr(_pure, name), fallback) for name in PRIMITIVES
-    )
+    fast = {name: getattr(compiled, name) for name in PRIMITIVES} | _packed(compiled)
+    return tuple(_with_fallback(fast[name], getattr(_pure, name), fallback) for name in PRIMITIVES)
 
 
 _compiled = None

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from . import audits, config, jsonio
+from . import audits, config, fp, jsonio
 from .dimension import is_minimal_bimodule
 from .endogeny import induced_action
 from .errors import EndokatError, InvalidInput
@@ -151,6 +151,8 @@ def cmd_linearize(args):
 def _jsonable(x):
     if x is None or isinstance(x, (int, str, bool)):
         return x
+    if isinstance(x, fp.Matrix):
+        return _jsonable(x.tuples())
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     return repr(x)

@@ -139,7 +139,7 @@ def is_minimal_bimodule(sg: SplitGroup, gamma: EndogenySet, delta: EndogenySet):
     w = linearize.invariant_subspace(sg.p, sg.n, mats)
     if w is None:
         return True, None
-    witness = sg.subgroup_from_v_subspace(w, include_torsion=True)
+    witness = sg.subgroup_from_v_subspace(w.tuples(), include_torsion=True)
     for g in list(gamma) + list(delta):
         img = g.apply_set(witness)
         if not img.leq(witness | g.kat()):

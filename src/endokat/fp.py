@@ -1,12 +1,12 @@
 """Exact linear algebra over prime fields.
 
-Matrices are tuples of row tuples with entries in [0, p); the kernel module
-supplies the hot primitives (product, reduced echelon form, spin-up) and
-this layer adds the derived operations: block products and powers of
-matrix families (one kernel call per family, not per member or pair),
-nullspaces, inverses, canonical subspace bases, characteristic polynomials,
-and small polynomial arithmetic for irreducibility tests, factorisation and
-companion matrices.
+Matrices are the kernel's :class:`Matrix`, one packed int per row, from
+:func:`mat` to ``Matrix.tuples``; a vector is a matrix of one row.  The
+kernel supplies the hot primitives (product, reduced echelon form, spin-up)
+and this layer the derived operations, by shifts, masks and whole-row int
+operations: stacking, joins, block products and powers of matrix families
+(one kernel call per family), nullspaces, inverses, echelon bases with their
+pivots, characteristic polynomials, and small polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -14,33 +14,36 @@ from __future__ import annotations
 import functools
 from itertools import chain, product as _iproduct, zip_longest
 
-from ._kernel import mat_mul, mat_vec, rref, spin
+from ._kernel import Matrix, mat_mul, mat_vec, rref, spin
+from ._kernel._matrix import combine, cut, fuse, pack, reduce, slot_bits
 from .errors import InvalidInput
 
 
 def mat(rows, p):
-    return tuple(tuple(int(x) % p for x in row) for row in rows)
+    """The packed matrix of rows of ints, reduced mod p, or a packed one as it is."""
+    return rows if isinstance(rows, Matrix) else pack(p, rows)
 
 
-def identity(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def identity(p, n):
+    return Matrix(p, n, tuple(1 << slot_bits(p) * (n - 1 - i) for i in range(n)), tuple(range(n)))
 
 
-def zero(n, m=None):
-    m = n if m is None else m
-    return tuple((0,) * m for _ in range(n))
+def zero(p, n, m=None):
+    return Matrix(p, n if m is None else m, (0,) * n)
 
 
 def add(p, a, b):
-    return tuple(tuple((x + y) % p for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
+    if p == 2:
+        return Matrix(p, a.ncols, tuple(x ^ y for x, y in zip(a.rows, b.rows)))
+    return Matrix(p, a.ncols, tuple(reduce(p, x + y, a.ncols) for x, y in zip(a.rows, b.rows)))
 
 
 def sub(p, a, b):
-    return tuple(tuple((x - y) % p for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
+    return add(p, a, scalar(p, -1, b))
 
 
 def scalar(p, c, a):
-    return tuple(tuple((c * x) % p for x in row) for row in a)
+    return Matrix(p, a.ncols, tuple(reduce(p, c % p * x, a.ncols) for x in a.rows))
 
 
 def mul(p, a, b):
@@ -51,52 +54,65 @@ def matvec(p, a, v):
     return mat_vec(p, a, v)
 
 
+def combination(p, coeffs, a):
+    """sum_k coeffs[k] a_k over the rows a_k of a, as a vector."""
+    return Matrix(p, a.ncols, tuple(combine(p, [[c % p for c in coeffs]], a.rows, a.ncols)))
+
+
 def stack(mats):
     """[m_1; ...; m_a]: the matrices' rows one after another."""
-    return tuple(row for m in mats for row in m)
+    return Matrix(mats[0].p, mats[0].ncols, tuple(chain.from_iterable(m.rows for m in mats)))
 
 
 def side_by_side(mats):
     """[m_1 | ... | m_b]: row r joins the r-th rows of the matrices."""
-    return tuple(tuple(chain.from_iterable(rows)) for rows in zip(*mats))
+    widths = [slot_bits(mats[0].p) * m.ncols for m in mats]
+    return Matrix(mats[0].p, sum(m.ncols for m in mats), tuple(fuse([m.rows for m in mats], widths)))
+
+
+def _blocks(a, r, count):
+    """The packed rows of a's blocks, r rows high and count across, as ``out[i][j]``."""
+    fields = cut(a.rows, count, slot_bits(a.p) * (a.ncols // count))
+    return [list(zip(*fields[i : i + r])) for i in range(0, len(a), r)]
+
+
+def _block_rows(p, xs, ys):
+    """The packed rows of every x_i y_j, as ``out[i][j]``: block (i, j) of one
+    product [x_1; ...; x_a] [y_1 | ... | y_b], for xs r x c and ys c x s."""
+    if not xs or not ys:
+        return [[] for _ in xs]
+    return _blocks(mat_mul(p, stack(xs), side_by_side(ys)), len(xs[0]), len(ys))
 
 
 def products(p, xs, ys):
-    """Every product x_i y_j, as ``out[i][j]``, from one kernel call: the
-    product [x_1; ...; x_a] [y_1 | ... | y_b] holds x_i y_j as its block
-    (i, j).  The xs share one shape r x c and the ys one shape c x s."""
-    if not xs or not ys:
-        return [[] for _ in xs]
-    r, s = len(xs[0]), len(ys[0][0])
-    rows = mat_mul(p, stack(xs), side_by_side(ys))
-    return [
-        [tuple(row[j * s : (j + 1) * s] for row in rows[i * r : (i + 1) * r]) for j in range(len(ys))]
-        for i in range(len(xs))
-    ]
+    """Every product x_i y_j, as ``out[i][j]``, from one kernel call."""
+    return [[Matrix(p, ys[0].ncols, rows) for rows in out] for out in _block_rows(p, xs, ys)]
 
 
 def noncommuting(p, xs, ys):
     """The first (i, j), j fastest, with x_i y_j != y_j x_i, or None when
     the two families commute: block (i, j) of one :func:`products` against
     block (j, i) of the other, which is the same product when xs is ys."""
-    xy = products(p, xs, ys)
-    yx = xy if xs is ys else products(p, ys, xs)
+    xy = _block_rows(p, xs, ys)
+    yx = xy if xs is ys else _block_rows(p, ys, xs)
     return next(((i, j) for i in range(len(xs)) for j in range(len(ys)) if xy[i][j] != yx[j][i]), None)
 
 
-def transpose(a):
-    if not a:
-        return ()
-    return tuple(zip(*a))
+transpose = Matrix.transpose
+
+
+def block_diagonal(mats):
+    """diag(m_1, ..., m_a) for square matrices of one size."""
+    p, n, count = mats[0].p, len(mats[0]), len(mats)
+    shifts = [slot_bits(p) * n * (count - 1 - i) for i in range(count)]
+    return Matrix(p, n * count, tuple(x << shift for shift, m in zip(shifts, mats) for x in m.rows))
 
 
 def powers(p, mats, k):
     """m^k for every m of a nonempty family of n x n matrices, k >= 1, by
     square-and-multiply on diag(m_1, ..., m_a): O(log k) kernel calls for
     the whole family."""
-    n, count = len(mats[0]), len(mats)
-    pad = (0,) * n
-    d = tuple(pad * i + tuple(row) + pad * (count - 1 - i) for i, m in enumerate(mats) for row in m)
+    n, count, d = len(mats[0]), len(mats), block_diagonal(mats)
     out = None
     while True:
         if k & 1:
@@ -105,21 +121,16 @@ def powers(p, mats, k):
         if not k:
             break
         d = mat_mul(p, d, d)
-    return [tuple(row[i * n : (i + 1) * n] for row in out[i * n : (i + 1) * n]) for i in range(count)]
+    return [Matrix(p, n, row[i]) for i, row in enumerate(_blocks(out, n, count))]
 
 
 def rank(p, a):
-    if not a:
-        return 0
-    return len(rref(p, a)[0])
+    return len(rref(p, a)) if len(a) else 0
 
 
-def row_space(p, rows):
-    """Canonical (RREF) basis of the span of the given row vectors."""
-    rows = [r for r in rows if any(x % p for x in r)]
-    if not rows:
-        return ()
-    return rref(p, rows)[0]
+def row_space(p, a):
+    """Canonical (RREF) basis of the span of the rows of a, with pivots."""
+    return rref(p, a) if any(a.rows) else Matrix(p, a.ncols, (), ())
 
 
 def column_space(p, a):
@@ -127,62 +138,62 @@ def column_space(p, a):
     return row_space(p, transpose(a))
 
 
-def in_span(p, basis_rows, v):
-    """Whether v lies in the span of RREF rows."""
-    w = list(x % p for x in v)
-    for row in basis_rows:
-        pc = next(j for j, x in enumerate(row) if x)
-        if w[pc]:
-            c = w[pc]
-            for j in range(len(w)):
-                w[j] = (w[j] - c * row[j]) % p
-    return not any(w)
+def in_span(p, basis, v):
+    """Whether v minus the multiples of the rows of a reduced echelon basis
+    given by its entries at their pivots is zero."""
+    (x,), n, bits = v.rows, basis.ncols, slot_bits(p)
+    mask = (1 << bits) - 1
+    for row, pc in zip(basis.rows, basis.pivots):
+        f = x >> bits * (n - 1 - pc) & mask
+        if f:
+            x = x ^ row if p == 2 else reduce(p, x + (p - f) * row, n)
+    return not x
 
 
 def nullspace(p, a):
-    """Basis of the right nullspace {v : a v = 0}, as a list of vectors."""
-    if not a:
-        return []
-    n = len(a[0])
-    red, piv = rref(p, a)
-    piv_set = set(piv)
-    free = [j for j in range(n) if j not in piv_set]
+    """Basis of {v : a v = 0}, one row per free column f of the echelon
+    form: 1 at f, and minus column f of the echelon form at its pivots."""
+    n, bits, red = a.ncols, slot_bits(p), row_space(p, a)
+    mask = (1 << bits) - 1
     out = []
-    for f in free:
-        v = [0] * n
-        v[f] = 1
-        for row, pc in zip(red, piv):
-            v[pc] = (-row[f]) % p
-        out.append(tuple(v))
-    return out
+    for f in sorted(set(range(n)) - set(red.pivots)):
+        shift = bits * (n - 1 - f)
+        v = 1 << shift
+        for row, pc in zip(red.rows, red.pivots):
+            e = row >> shift & mask
+            if e:
+                v |= (p - e) << bits * (n - 1 - pc)
+        out.append(v)
+    return Matrix(p, n, tuple(out))
 
 
 def inverse(p, a):
     """Inverse over F_p, or None if singular."""
     n = len(a)
-    aug = [tuple(a[i]) + tuple(int(i == j) for j in range(n)) for i in range(n)]
-    red, piv = rref(p, aug)
-    if list(piv[:n]) != list(range(n)) or len(piv) < n:
+    red = rref(p, side_by_side([a, identity(p, n)]))
+    if red.pivots[:n] != tuple(range(n)):
         return None
-    return tuple(row[n:] for row in red[:n])
+    mask = (1 << slot_bits(p) * n) - 1
+    return Matrix(p, n, tuple(x & mask for x in red.rows))
 
 
 def is_invertible(p, a):
     return rank(p, a) == len(a)
 
 
-def flatten(a):
-    return tuple(x for row in a for x in row)
+def flatten(mats):
+    """The matrix whose row i holds the entries of mats[i], row by row."""
+    return stack(mats).reshape(len(mats), len(mats[0]) * mats[0].ncols)
 
 
 def unflatten(v, n, m=None):
-    m = n if m is None else m
-    return tuple(tuple(v[i * m + j] for j in range(m)) for i in range(n))
+    """The n x m matrix of v's entries, row by row."""
+    return v.reshape(n, n if m is None else m)
 
 
 def spin_subspace(p, gens, seeds):
-    """Canonical basis of the smallest gens-stable subspace containing the
-    seed vectors."""
+    """Canonical basis of the smallest gens-stable subspace holding the
+    rows of ``seeds``."""
     return spin(p, gens, seeds)
 
 
@@ -309,7 +320,7 @@ def _equal_degree(p, g, d, rng):
 def poly_at(p, f, a):
     """f(a) for a monic f of degree at least 1 and a square matrix a, by
     Horner's rule."""
-    one = identity(len(a))
+    one = identity(p, len(a))
     out = add(p, a, scalar(p, f[-2], one))
     for c in reversed(f[:-2]):
         out = add(p, mat_mul(p, out, a), scalar(p, c, one))
@@ -320,8 +331,9 @@ def charpoly(p, a):
     """det(x I - a), lowest coefficient first, in O(n^3): a is brought to
     upper Hessenberg form h by similarities, and the leading principal
     minors of x I - h follow a recurrence along the subdiagonal (Cohen, A
-    Course in Computational Algebraic Number Theory, Algorithm 2.2.9)."""
-    n, h = len(a), [list(row) for row in a]
+    Course in Computational Algebraic Number Theory, Algorithm 2.2.9),
+    on a's entries unpacked."""
+    n, h = len(a), [list(row) for row in a.tuples()]
     for c in range(n - 2):
         r = c + 1
         piv = next((i for i in range(r, n) if h[i][c]), None)
@@ -371,6 +383,6 @@ def companion(p, f):
         if i:
             row[i - 1] = 1
         row[k - 1] = (-f[i]) % p
-        rows.append(tuple(row))
-    return tuple(rows)
+        rows.append(row)
+    return mat(rows, p)
 

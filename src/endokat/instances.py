@@ -133,15 +133,6 @@ def random_endogeny(a: AbelianGroup, n_max: Subgroup, seed: int) -> Endogeny:
 # Matrix and split bi-module instances.
 
 
-def _block_embed(p, m, k, pos_i, pos_j, block):
-    n = m * k
-    rows = [[0] * n for _ in range(n)]
-    for i in range(k):
-        for j in range(k):
-            rows[pos_i * k + i][pos_j * k + j] = block[i][j]
-    return fp.mat(rows, p)
-
-
 def _random_invertible(p, n, rng: SplitMix64):
     while True:
         m = fp.mat([[rng.below(p) for _ in range(n)] for _ in range(n)], p)
@@ -161,23 +152,13 @@ def matrix_bimodule(p: int, k: int, m: int, twist_seed: int):
     if k < 1 or m < 1:
         raise InvalidInput("field degree and dimension must be positive")
     n = k * m
-    poly = fp.lex_min_irreducible(p, k)
-    c = fp.companion(p, poly)
-    ident = fp.identity(k)
+    unit = fp.identity(p, n)
     gamma = []
     for i in range(m - 1):
-        gamma.append(_block_embed(p, m, k, i, i + 1, ident))
-        gamma.append(_block_embed(p, m, k, i + 1, i, ident))
-    scalar = fp.mat(
-        [
-            [
-                c[i % k][j % k] if i // k == j // k else 0
-                for j in range(n)
-            ]
-            for i in range(n)
-        ],
-        p,
-    )
+        # the identity of block row a placed in block column b
+        for a, b in ((i, i + 1), (i + 1, i)):
+            gamma.append(fp.Matrix(p, n, tuple(unit.rows[b * k + r % k] if r // k == a else 0 for r in range(n))))
+    scalar = fp.block_diagonal([fp.companion(p, fp.lex_min_irreducible(p, k))] * m)
     gamma.append(scalar)
     delta = [scalar]
     rng = SplitMix64(twist_seed)
@@ -188,20 +169,19 @@ def matrix_bimodule(p: int, k: int, m: int, twist_seed: int):
     return {
         "p": p,
         "n": n,
-        "gamma_generators": gamma,
-        "delta_generators": delta,
+        "gamma_generators": [x.tuples() for x in gamma],
+        "delta_generators": [x.tuples() for x in delta],
         "ground_truth": {"field_order": p**k, "vs_dimension": m},
     }
 
 
 def _morphism_endogeny(sg: SplitGroup, vmat, blur: Subgroup, bound: NegligibilityBound) -> Endogeny:
-    """Relation acting on V by the matrix, killing T, blurred by a subgroup
-    of T."""
+    """Relation acting on V by the matrix, given by rows of entries in
+    [0, p), killing T, blurred by a subgroup of T: e_i maps to column i."""
     amb = sg.ambient
     pairs = []
-    for i in range(sg.n):
+    for i, img in enumerate(zip(*vmat)):
         e = tuple(int(i == j) for j in range(sg.n))
-        img = fp.matvec(sg.p, vmat, e)
         pairs.append((sg._embed_v(e), sg._embed_v(img)))
     for i in range(sg.torsion.rank):
         vec = [0] * amb.rank
@@ -243,9 +223,9 @@ def split_bimodule(p: int, n: int, torsion, seed: int, plant_witness: bool = Fal
                         rows[i][j] = rng.below(p)
                     elif (i < cut) == (j < cut):
                         rows[i][j] = rng.below(p)
-            mats.append(fp.mat(rows, p))
+            mats.append(tuple(map(tuple, rows)))
         gmats = mats
-        dmats = [fp.identity(n)]
+        dmats = [fp.identity(p, n).tuples()]
         info["planted_subspace"] = tuple(
             tuple(int(i == j) for j in range(n)) for i in range(cut)
         )

@@ -37,18 +37,20 @@ from .rng import SplitMix64
 class MatrixAlgebra:
     """Unital subalgebra of Mat_n(F_p) with a canonical linear basis.
 
-    ``basis`` is the reduced echelon basis of the algebra as a subspace of
-    flattened matrices; two algebras are equal iff their bases are.
-    ``flat`` holds those flattened rows, for :meth:`contains`.
+    ``flat`` is the reduced echelon basis of the algebra as a subspace of
+    flattened matrices, with its pivots (:func:`fp.row_space`); ``basis``
+    holds its rows as n x n matrices.  Two algebras are equal iff their
+    bases are.
     """
 
     __slots__ = ("p", "n", "basis", "flat")
 
-    def __init__(self, p, n, basis):
+    def __init__(self, p, n, flat):
         self.p = p
         self.n = n
-        self.basis = tuple(basis)
-        self.flat = [fp.flatten(b) for b in self.basis]
+        self.flat = flat
+        stacked = fp.unflatten(flat, len(flat) * n, n)
+        self.basis = tuple(stacked[i : i + n] for i in range(0, len(stacked), n))
 
     @property
     def dim(self):
@@ -63,17 +65,17 @@ class MatrixAlgebra:
             isinstance(other, MatrixAlgebra)
             and self.p == other.p
             and self.n == other.n
-            and self.basis == other.basis
+            and self.flat == other.flat
         )
 
     def __hash__(self):
-        return hash((self.p, self.n, self.basis))
+        return hash((self.p, self.n, self.flat))
 
     def __repr__(self):
         return f"MatrixAlgebra(p={self.p}, n={self.n}, dim={self.dim})"
 
     def contains(self, m):
-        return fp.in_span(self.p, self.flat, fp.flatten(m))
+        return fp.in_span(self.p, self.flat, fp.flatten([m]))
 
     def elements(self):
         """An iterator over all p**dim elements, in the order of
@@ -82,7 +84,7 @@ class MatrixAlgebra:
         cap = config.FIELD_ENUM_CAP
         if self.size > cap:
             raise CapExceeded(f"algebra of {self.size} elements above FIELD_ENUM_CAP = {cap}")
-        return _combinations(self.p, self.basis, fp.zero(self.n))
+        return _combinations(self.p, self.basis, fp.zero(self.p, self.n))
 
     def is_commutative(self):
         return fp.noncommuting(self.p, self.basis, self.basis) is None
@@ -116,19 +118,9 @@ def _combinations(p, basis, zero):
         yield m
 
 
-def _nullspace(p, rows, width):
-    """fp.nullspace, with every vector of the given width solving an empty
-    system."""
-    if not rows:
-        return [tuple(int(s == t) for t in range(width)) for s in range(width)]
-    return fp.nullspace(p, rows)
-
-
 def _span_basis(p, mats):
-    rows = [fp.flatten(m) for m in mats]
-    red = fp.row_space(p, rows)
-    n = len(mats[0]) if mats else 0
-    return tuple(fp.unflatten(v, n) for v in red)
+    """The echelon basis of the span of the flattened matrices."""
+    return fp.row_space(p, fp.flatten(mats))
 
 
 def _intertwiners(p, k, mats):
@@ -151,35 +143,29 @@ def _intertwiners(p, k, mats):
     gives in c maps onto the stacked system's, in its order.
     """
     if not mats:
-        return _nullspace(p, [], k * k)
+        return fp.identity(p, k * k)  # every vector solves an empty system
     sols = fp.nullspace(p, _commuting_equations(p, k, mats[0]))
     for m in mats[1:]:
         eqs = fp.mul(p, _commuting_equations(p, k, m), fp.transpose(sols))
-        sols = list(fp.mul(p, fp.nullspace(p, eqs), sols))
+        sols = fp.mul(p, fp.nullspace(p, eqs), sols)
     return sols
 
 
 def _commuting_equations(p, k, m):
-    """The k^2 rows of M X - X M = 0 over the flattened entries of X."""
-    rows = []
-    for i in range(k):
-        for j in range(k):
-            row = [0] * (k * k)
-            for t in range(k):
-                row[t * k + j] = (row[t * k + j] + m[i][t]) % p
-            for t in range(k):
-                row[i * k + t] = (row[i * k + t] - m[t][j]) % p
-            rows.append(tuple(row))
-    return rows
+    """The k^2 rows of M X - X M = 0 over the flattened entries of X: row
+    (i, j) holds m[i][t] at t k + j, row i of M spread out with stride k and
+    shifted by j, plus -m[t][j] at i k + t, row (i, j) of diag(-M^T, ...)."""
+    bits, last = fp.slot_bits(p), k * k - 1
+    spread = [sum(e << bits * (last - t * k) for t, e in enumerate(row)) for row in m.tuples()]
+    mx = fp.Matrix(p, k * k, tuple(s >> bits * j for s in spread for j in range(k)))
+    return fp.add(p, mx, fp.block_diagonal([fp.scalar(p, -1, fp.transpose(m))] * k))
 
 
 def centralizer(mats, p, n) -> MatrixAlgebra:
     """Full commutant {X : XM = MX for all M} as an algebra with canonical
     basis, by solving the linear system directly."""
     mats = [fp.mat(m, p) for m in mats]
-    basis = fp.row_space(p, _intertwiners(p, n, mats))
-    mats_basis = tuple(fp.unflatten(v, n) for v in basis)
-    return MatrixAlgebra(p, n, mats_basis)
+    return MatrixAlgebra(p, n, fp.row_space(p, _intertwiners(p, n, mats)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +179,10 @@ def _null_space_certificate(p, n, gens, y, v):
     field F_p[z]/(f), so a submodule that meets it holds v.  One that misses
     it is its own image under y, so ker y^T lies in its annihilator, a
     proper submodule of the dual under the transposed generators."""
-    w = fp.spin_subspace(p, gens, [v])
+    w = fp.spin_subspace(p, gens, v)
     if len(w) < n:
         return w
-    wt = fp.spin_subspace(p, [fp.transpose(g) for g in gens], [fp.nullspace(p, fp.transpose(y))[0]])
+    wt = fp.spin_subspace(p, [fp.transpose(g) for g in gens], fp.nullspace(p, fp.transpose(y))[0:1])
     if len(wt) == n:
         return None
     return fp.row_space(p, fp.nullspace(p, wt))
@@ -223,25 +209,25 @@ def invariant_subspace(p, n, gens):
     if n <= 1:
         return None
     if not gens:
-        return ((1,) + (0,) * (n - 1),)
+        return fp.identity(p, n)[0:1]
     rng = _seeded_rng((p, gens))
     pool = list(gens)
     for _ in range(3):
         pool.append(fp.add(p, pool[rng.below(len(pool))], fp.mul(p, pool[rng.below(len(pool))], pool[rng.below(len(pool))])))
-    pool = [fp.flatten(x) for x in pool]
+    pool = fp.flatten(pool)
     while True:
         a, b, c = (fp.unflatten(_random_combination(p, pool, rng), n) for _ in range(3))
         z = fp.add(p, a, fp.mul(p, b, c))
-        pool.append(fp.flatten(z))
+        pool = fp.stack([pool, fp.flatten([z])])
         kernels = []
         for f, _ in sorted(fp.poly_factors(p, fp.charpoly(p, z), rng), key=lambda fm: fm[1] > 1):
             y = fp.poly_at(p, f, z)
             kernel = fp.nullspace(p, y)
             if len(kernel) == len(f) - 1:
-                return _null_space_certificate(p, n, gens, y, kernel[0])
+                return _null_space_certificate(p, n, gens, y, kernel[0:1])
             kernels.append(kernel)
         for kernel in sorted(kernels, key=len):
-            w = fp.spin_subspace(p, gens, [_random_combination(p, kernel, rng)])
+            w = fp.spin_subspace(p, gens, _random_combination(p, kernel, rng))
             if len(w) < n:
                 return w
 
@@ -254,15 +240,11 @@ def _seeded_rng(value):
 
 
 def _random_combination(p, vectors, rng):
-    """A random combination of the vectors with coefficients not all zero."""
+    """A random combination of the rows of ``vectors``, coefficients not all zero."""
     coeffs = [0]
     while not any(coeffs):
-        coeffs = [rng.below(p) for _ in vectors]
-    out = [0] * len(vectors[0])
-    for c, v in zip(coeffs, vectors):
-        if c:
-            out = [o + c * x for o, x in zip(out, v)]
-    return tuple(x % p for x in out)
+        coeffs = [rng.below(p) for _ in range(len(vectors))]
+    return fp.combination(p, coeffs, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +262,7 @@ class Line:
     __slots__ = ("subspace", "basis", "local")
 
     def __init__(self, subspace, basis, local):
-        self.subspace = tuple(subspace)
+        self.subspace = subspace
         self.basis = basis
         self.local = local
 
@@ -302,16 +284,17 @@ def _local_algebra(alg: MatrixAlgebra, u):
     """Echelon basis of the local algebra of the subspace u, in the
     coordinates of u: the maps X in alg with im X <= span(u), that is the
     combinations with y . (X e_j) = 0 for every annihilator y of u and every
-    column j, restricted to u.  Row r of ys [b_1 | ... | b_d] holds
-    y_r . (b_t e_j) at column t n + j, and the combinations are the rows of
-    (coefficients) (flattened basis): one product each."""
-    p, n = alg.p, alg.n
+    column j, restricted to u.  Row i of cols, the transposed flattened
+    basis read as n rows, holds b_t[i][j] at column j d + t, so row r of
+    ys cols holds the equation (r, j) at columns j d .. j d + d - 1; and the
+    combinations are the rows of (coefficients) (flattened basis): one
+    product each."""
+    p, n, d = alg.p, alg.n, alg.dim
     ys = fp.nullspace(p, u)
-    prods = fp.mul(p, ys, fp.side_by_side(alg.basis)) if ys else ()
-    eqs = [row[j::n] for row in prods for j in range(n)]
-    sol = _nullspace(p, eqs, alg.dim)
-    combos = [fp.unflatten(x, n) for x in fp.mul(p, sol, alg.flat)]
-    return _span_basis(p, _restricted(p, combos, u, u))
+    cols = fp.unflatten(fp.transpose(alg.flat), n, n * d)
+    eqs = fp.unflatten(fp.mul(p, ys, cols), len(ys) * n, d) if len(ys) else fp.zero(p, 0, d)
+    combos = fp.mul(p, fp.nullspace(p, eqs), alg.flat)
+    return _span_basis(p, _restricted(p, [fp.unflatten(combos[i : i + 1], n) for i in range(len(combos))], u, u))
 
 
 def _minimal_image(alg: MatrixAlgebra):
@@ -331,17 +314,16 @@ def _minimal_image(alg: MatrixAlgebra):
     in e*alg*e (a zero divisor of E, :func:`_zero_divisor`), and y(u), the
     image of Y, is a smaller nonzero image.
 
-    The first u is the image of a least-rank basis element, and each round
-    replaces u by y(u), the column space of u^T y, until E is a field: at
-    most dim u rounds.  A commutative E that is not a field (the zero
-    algebra included) shows that ``alg`` is not simple.
+    The first u is the image of the first basis element, which an echelon
+    basis guarantees is nonzero, and each round replaces u by y(u), the
+    column space of u^T y, until E is a field: at most dim u rounds.  A
+    commutative E that is not a field shows that ``alg`` is not simple; the
+    zero algebra has no image to start from.
     """
     p = alg.p
-    ranks = [fp.rank(p, b) for b in alg.basis]
-    least = min(((r, i) for i, r in enumerate(ranks) if r), default=None)
-    if least is None:
+    if not alg.dim:
         raise InvalidInput("zero algebra has no nonzero image")
-    u = fp.column_space(p, alg.basis[least[1]])
+    u = fp.column_space(p, alg.basis[0])
     while True:
         local = MatrixAlgebra(p, len(u), _local_algebra(alg, u))
         if is_field(local):
@@ -366,12 +348,12 @@ def _zero_divisor(p, basis):
     algebra would be a division ring, so commutative (Wedderburn).
     """
     rng = _seeded_rng((p, basis))
-    k, flat = len(basis[0]), [fp.flatten(b) for b in basis]
+    k, flat = len(basis[0]), fp.flatten(basis)
     while True:
         x = fp.unflatten(_random_combination(p, flat, rng), k)
         for f, _ in fp.poly_factors(p, fp.charpoly(p, x), rng):
             y = fp.poly_at(p, f, x)
-            if any(any(row) for row in y):
+            if any(y.rows):
                 return y
 
 
@@ -403,15 +385,14 @@ def lines(alg: MatrixAlgebra):
     k = len(u)
     bcols = fp.transpose(u)
     maps = fp.mul(p, fp.stack(alg.basis), bcols)
-    kbasis = []
-    span = ()
+    kbasis, span = [], fp.row_space(p, fp.zero(p, 0, n * k))
     for phi in chain([bcols], (maps[i * n : (i + 1) * n] for i in range(alg.dim))):
-        if not fp.in_span(p, span, fp.flatten(phi)):
+        if not fp.in_span(p, span, fp.flatten([phi])):
             kbasis.append(phi)
             if len(kbasis) * k == n:
                 break
             (scaled,) = fp.products(p, [phi], scalars)
-            span = fp.row_space(p, span + tuple(fp.flatten(x) for x in scaled))
+            span = fp.row_space(p, fp.stack([span, fp.flatten(scaled)]))
     return [Line(fp.column_space(p, phi), phi, scalars) for phi in kbasis]
 
 
@@ -448,7 +429,7 @@ class Decomposition:
         every matrix of ``delta``, the second family's generators."""
         p, n, pis = self.p, self.n, self.projections
         prods = fp.products(p, pis, pis)
-        total = fp.zero(n)
+        total = fp.zero(p, n)
         for i, pi in enumerate(pis):
             total = fp.add(p, total, pi)
             if prods[i][i] != pi:
@@ -456,9 +437,9 @@ class Decomposition:
             if fp.column_space(p, pi) != self.lines[i].subspace:
                 raise HypothesisViolation("projection image is not its line", witness=pi)
             for j, pij in enumerate(prods[i]):
-                if i != j and any(any(r) for r in pij):
+                if i != j and any(pij.rows):
                     raise HypothesisViolation("projections not orthogonal", witness=(i, j))
-        if total != fp.identity(n):
+        if total != fp.identity(p, n):
             raise HypothesisViolation("projections do not sum to the identity", witness=total)
         bad = fp.noncommuting(p, pis, delta)
         if bad is not None:
@@ -477,7 +458,7 @@ def decompose(galg: MatrixAlgebra, delta) -> Decomposition:
     :meth:`Decomposition.verify`."""
     p, n = galg.p, galg.n
     lam = lines(galg)
-    basis_change = tuple(tuple(x for line in lam for x in line.basis[r]) for r in range(n))
+    basis_change = fp.side_by_side([line.basis for line in lam])
     inv = fp.inverse(p, basis_change) if sum(line.dim for line in lam) == n else None
     if inv is None:
         raise HypothesisViolation("lines do not split the space directly", witness=[l.subspace for l in lam])
@@ -495,8 +476,8 @@ def decompose(galg: MatrixAlgebra, delta) -> Decomposition:
 
 def _restricted(p, mats, src, dst):
     """Coordinates of each matrix as a map from the line src to the line
-    dst, both given by basis rows, dst's in reduced echelon form; src ==
-    dst restricts the matrices to one line.
+    dst, both given by basis rows, dst's a reduced echelon basis with its
+    pivots; src == dst restricts the matrices to one line.
 
     The images of src under m are the columns of m src^T.  A vector of
     span(dst) is the combination of dst's rows given by its entries at
@@ -509,8 +490,7 @@ def _restricted(p, mats, src, dst):
     n = len(mats[0])
     images = fp.mul(p, fp.stack(mats), fp.transpose(src))
     blocks = [images[i * n : (i + 1) * n] for i in range(len(mats))]
-    pivots = [next(j for j, x in enumerate(row) if x) for row in dst]
-    coords = [tuple(b[q] for q in pivots) for b in blocks]
+    coords = [fp.Matrix(p, b.ncols, tuple(b.rows[q] for q in dst.pivots)) for b in blocks]
     if fp.mul(p, fp.transpose(dst), fp.side_by_side(coords)) != fp.side_by_side(blocks):
         raise InvalidInput("matrix does not map the line into the target line")
     return coords
@@ -561,19 +541,21 @@ def is_field(alg: MatrixAlgebra):
     product K_1 x ... x K_r of finite fields, whose Frobenius-fixed part is
     F_p^r.  So A is a field exactly when the Frobenius matrix F has rank d
     and F - I has rank d - 1.  Row i of F holds the coordinates of b_i^p in
-    the echelon basis b, which are its entries at the basis' pivot columns.
+    the echelon basis b, which are its entries at the basis' pivot columns:
+    column j of F^T is row j of the transposed flattened powers.
     """
     p, n, d = alg.p, alg.n, alg.dim
-    if d == 0 or not alg.contains(fp.identity(n)) or not alg.is_commutative():
+    if d == 0 or not alg.contains(fp.identity(p, n)) or not alg.is_commutative():
         return False
-    pivots = [next(j for j, x in enumerate(fp.flatten(b)) if x) for b in alg.basis]
-    frob = [tuple(fp.flatten(x)[j] for j in pivots) for x in fp.powers(p, alg.basis, p)]
-    return fp.rank(p, frob) == d and fp.rank(p, fp.sub(p, frob, fp.identity(d))) == d - 1
+    powers = fp.transpose(fp.flatten(fp.powers(p, alg.basis, p)))
+    frob_t = fp.Matrix(p, d, tuple(powers.rows[j] for j in alg.flat.pivots))
+    return fp.rank(p, frob_t) == d and fp.rank(p, fp.sub(p, frob_t, fp.identity(p, d))) == d - 1
 
 
 class FieldReport:
     """Result of the field extraction: the coefficient field as matrices,
-    its order, and a vector-space basis of the ambient space over it."""
+    its order, and a vector-space basis of the ambient space over it, each
+    matrix and vector as tuples of entries."""
 
     __slots__ = ("p", "n", "field_basis", "order", "vs_dimension", "k_basis_of_v")
 
@@ -589,7 +571,8 @@ class FieldReport:
         return f"FieldReport(order={self.order}, vs_dimension={self.vs_dimension})"
 
     def field_algebra(self):
-        return MatrixAlgebra(self.p, self.n, _span_basis(self.p, list(self.field_basis) + [fp.identity(self.n)]))
+        p, n = self.p, self.n
+        return MatrixAlgebra(p, n, _span_basis(p, [fp.mat(b, p) for b in self.field_basis] + [fp.identity(p, n)]))
 
     def verify(self, gamma_gens, delta_gens):
         p, n = self.p, self.n
@@ -602,18 +585,18 @@ class FieldReport:
         if not alg.is_commutative():
             raise FieldTestFailure("field basis is not commutative")
         for m in alg.elements():
-            if any(any(r) for r in m) and not fp.is_invertible(p, m):
+            if any(m.rows) and not fp.is_invertible(p, m):
                 raise FieldTestFailure("nonzero element is singular", element=m)
-        bad = fp.noncommuting(p, [fp.mat(g, p) for g in (*gamma_gens, *delta_gens)], self.field_basis)
+        field = [fp.mat(b, p) for b in self.field_basis]
+        bad = fp.noncommuting(p, [fp.mat(g, p) for g in (*gamma_gens, *delta_gens)], field)
         if bad is not None:
             raise FieldTestFailure(
                 "algebra generator fails to commute with the field", element=self.field_basis[bad[1]]
             )
         # the flagged vectors really are a basis over the field: row r of
         # block t of (vectors) (b_t^T) is b_t applied to vector r
-        (images,) = fp.products(p, [self.k_basis_of_v], [fp.transpose(b) for b in alg.basis])
-        vecs = [v for block in images for v in block]
-        if len(fp.row_space(p, vecs)) != n:
+        (images,) = fp.products(p, [fp.mat(self.k_basis_of_v, p)], [fp.transpose(b) for b in alg.basis])
+        if len(fp.row_space(p, fp.stack(images))) != n:
             raise FieldTestFailure("flagged vectors do not span over the field")
         return True
 
@@ -627,18 +610,18 @@ def _k_basis_of_v(p, n, field_basis):
     e_1..e_(j-1); those with last nonzero entry j are c e_j + w with w in W
     and come next, e_j first, so the walk takes e_j or none of them.
     """
-    have = ()
-    out = []
+    have = fp.row_space(p, fp.zero(p, 0, n))
+    units, stacked, out = fp.identity(p, n), fp.stack(field_basis), []
     for j in range(n):
-        v = tuple(int(i == j) for i in range(n))
+        v = units[j : j + 1]
         if fp.in_span(p, have, v):
             continue
         out.append(v)
-        images = fp.matvec(p, fp.stack(field_basis), v)
-        have = fp.row_space(p, have + tuple(images[i : i + n] for i in range(0, len(images), n)))
+        images = fp.matvec(p, stacked, v)
+        have = fp.row_space(p, fp.stack([have, fp.unflatten(images, len(field_basis), n)]))
         if len(have) == n:
             break
-    return out
+    return fp.stack(out)
 
 
 def check_matrix_bimodule(p, n, gamma_gens, delta_gens):
@@ -714,25 +697,24 @@ def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
             witness=(local_field.basis, line.local),
         )
     lifted = lift_endomorphism(local_field.basis, dec, galg, delta_gens, dl)
-    field_basis = _span_basis(p, lifted + [fp.identity(n)])
-    if len(field_basis) != local_field.dim:
+    field = MatrixAlgebra(p, n, _span_basis(p, lifted + [fp.identity(p, n)]))
+    if field.dim != local_field.dim:
         raise FieldTestFailure("lifted field has the wrong dimension")
-    flat = [fp.flatten(x) for x in field_basis]
-    for ab in chain.from_iterable(fp.products(p, field_basis, field_basis)):
-        if not fp.in_span(p, flat, fp.flatten(ab)):
+    for ab in chain.from_iterable(fp.products(p, field.basis, field.basis)):
+        if not field.contains(ab):
             raise FieldTestFailure("lifted span is not closed under products", element=ab)
-    if not is_field(MatrixAlgebra(p, n, field_basis)):
+    if not is_field(field):
         raise FieldTestFailure("lifted algebra fails the field certificate")
-    kdim = len(field_basis)
+    kdim = field.dim
     if n % kdim:
         raise FieldTestFailure("field degree does not divide the dimension")
     report = FieldReport(
         p,
         n,
-        field_basis,
+        [b.tuples() for b in field.basis],
         p**kdim,
         n // kdim,
-        _k_basis_of_v(p, n, field_basis),
+        _k_basis_of_v(p, n, field.basis).tuples(),
     )
     report.verify(gamma_gens, delta_gens)
     return report

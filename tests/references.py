@@ -2,8 +2,9 @@
 the package does not call: every subgroup of a group by element-wise
 extension, the image and kernel of a homomorphism, the elements of a coset,
 every abelian group up to an order, the exhaustive search for the weak-invariance counterexample,
-a second sharp-pair generator, and the invariant-subspace search that spins
-every line of F_p^n."""
+a second sharp-pair generator, the invariant-subspace search that spins
+every line of F_p^n, and the entry-by-entry F_p matrix code on tuples of
+row tuples that the packed kernel primitives replaced."""
 
 from itertools import product
 
@@ -169,7 +170,126 @@ def projective_vectors(p, n):
 def exhaustive_invariant_subspace(p, n, gens):
     """Spin every 1-dimensional seed; the first proper spin wins."""
     for v in projective_vectors(p, n):
-        w = fp.spin_subspace(p, gens, [v])
+        w = fp.spin_subspace(p, gens, fp.mat([v], p))
         if 0 < len(w) < n:
             return w
     return None
+
+
+# ---------------------------------------------------------------------------
+# F_p matrices as tuples of row tuples, entry by entry: the code the packed
+# primitives of the pure kernel replaced, kept as their reference.  Entries
+# may be any ints; every function reduces them mod p.
+
+
+def tuple_mat_mul(p, a, b):
+    m = len(b[0]) if b else 0
+    out = []
+    for ai in a:
+        row = [0] * m
+        for aik, bk in zip(ai, b):
+            if aik:
+                for j in range(m):
+                    row[j] += aik * bk[j]
+        out.append(tuple(v % p for v in row))
+    return tuple(out)
+
+
+def tuple_mat_vec(p, a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) % p for row in a)
+
+
+def tuple_rref(p, rows):
+    """Reduced row echelon form: (nonzero rows, pivot columns)."""
+    mat = [list(r) for r in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    piv_cols = []
+    rank = 0
+    for c in range(ncols):
+        pr = next((i for i in range(rank, nrows) if mat[i][c] % p), None)
+        if pr is None:
+            continue
+        mat[rank], mat[pr] = mat[pr], mat[rank]
+        inv = pow(mat[rank][c] % p, -1, p)
+        mat[rank] = [(x * inv) % p for x in mat[rank]]
+        for i in range(nrows):
+            f = mat[i][c] % p
+            if i != rank and f:
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[rank])]
+        piv_cols.append(c)
+        rank += 1
+        if rank == nrows:
+            break
+    return tuple(tuple(r) for r in mat[:rank]), tuple(piv_cols)
+
+
+def tuple_spin(p, gens, seeds):
+    """The reduced echelon basis of the smallest subspace that holds the
+    seeds and is closed under every matrix in gens, by spinning each new
+    vector of a growing echelon basis."""
+    n = len(seeds[0]) if seeds else 0
+    basis, pivots, queue = [], [], []
+
+    def insert(v):
+        w = [x % p for x in v]
+        for row, pc in zip(basis, pivots):
+            x = w[pc]
+            if x:
+                w = [(a - x * b) % p for a, b in zip(w, row)]
+        j = next((j for j, x in enumerate(w) if x), None)
+        if j is None:
+            return False
+        inv = pow(w[j], -1, p)
+        k = sum(pc < j for pc in pivots)
+        basis.insert(k, tuple((x * inv) % p for x in w))
+        pivots.insert(k, j)
+        queue.append(tuple(x % p for x in v))
+        return True
+
+    for s in seeds:
+        insert(s)
+    while queue and len(basis) < n:
+        v = queue.pop()
+        for g in gens:
+            if insert(tuple_mat_vec(p, g, v)) and len(basis) == n:
+                break
+    return tuple_rref(p, basis)[0] if basis else ()
+
+
+def tuple_stack(mats):
+    return tuple(row for m in mats for row in m)
+
+
+def tuple_side_by_side(mats):
+    return tuple(sum(rows, ()) for rows in zip(*mats))
+
+
+def tuple_block(a, i, j, r, s):
+    """Block (i, j) of a, in blocks of r rows and s columns."""
+    return tuple(row[j * s : (j + 1) * s] for row in a[i * r : (i + 1) * r])
+
+
+def tuple_transpose(a, ncols):
+    """The transpose of a with ncols columns (a has no rows to count them)."""
+    return tuple(zip(*a)) if a else ((),) * ncols
+
+
+def tuple_add(p, a, b):
+    return tuple(tuple((x + y) % p for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
+
+
+def tuple_scalar(p, c, a):
+    return tuple(tuple((c * x) % p for x in row) for row in a)
+
+
+def tuple_in_span(p, basis_rows, v):
+    """Whether v lies in the span of reduced echelon rows, each row's pivot
+    found by scanning it."""
+    w = [x % p for x in v]
+    for row in basis_rows:
+        pc = next(j for j, x in enumerate(row) if x)
+        if w[pc]:
+            c = w[pc]
+            w = [(x - c * y) % p for x, y in zip(w, row)]
+    return not any(w)

@@ -1,6 +1,6 @@
 """Degenerate shapes: trivial groups, rank-zero splits, boundary restricts."""
 
-from endokat import fp, oracle
+from endokat import oracle
 from endokat.dimension import SplitGroup
 from endokat.endogeny import (
     Endogeny,
@@ -75,5 +75,5 @@ def test_torsion_only_split_group():
 
 
 def test_scalar_extraction():
-    rep = extract_field(3, 1, [fp.mat([[2]], 3)], [fp.mat([[1]], 3)])
+    rep = extract_field(3, 1, [((2,),)], [((1,),)])
     assert rep.order == 3 and rep.vs_dimension == 1

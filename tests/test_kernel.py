@@ -1,9 +1,12 @@
 """Backend cross-validation and normal-form properties of the kernel.
 
 The compiled backend is checked against ``_pure`` through the same fallback
-wrapper the package uses.  The ``core`` fixture compiles ``_core.c`` once per
-session into a temporary directory with the interpreter's C compiler, so no
-prior build is needed; it skips only when there is no C compiler.
+wrapper the package uses, which for the F_p primitives is also the adapter
+from packed matrices to the tuples ``_core`` works on.  The ``core``
+fixture compiles ``_core.c`` once per session into a temporary directory
+with the interpreter's C compiler, so no prior build is needed; it skips
+only when there is no C compiler.  The packed F_p primitives are checked
+against the entry-by-entry tuple code they replaced (``references``).
 """
 
 import importlib.util
@@ -17,20 +20,25 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endokat import _kernel
+from endokat import _kernel, cli, fp, instances, jsonio, linearize
 from endokat._kernel import _pure
+from endokat._kernel._matrix import pack
+
+from references import tuple_mat_mul, tuple_mat_vec, tuple_rref, tuple_spin
 
 CORE_C = Path(_kernel.__file__).with_name("_core.c")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 MODULI = st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12, 16]), min_size=0, max_size=5)
 
-# Primes inside and beyond the compiled kernel's word-size margin (2**20);
-# 13 is the last prime of the pure kernel's byte-slot rows and 17 the first
-# past it.
-PRIMES = [2, 3, 5, 7, 11, 13, 17, 1048573, 2**31 - 1, 2**61 - 1]
-
-# The primes whose rows the pure kernel packs into byte slots.
-BYTE_SLOT_PRIMES = sorted(_pure._TABLES)
+# The primes whose rows the kernel packs into byte slots, and primes of the
+# 64-bit slots: 1048573 is the largest prime below 2**20, the compiled
+# kernel's word-size margin.
+BYTE_SLOT_PRIMES = [2, 3, 5, 7, 11, 13]
+WIDE_SLOT_PRIMES = [17, 257, 65537, 1048573]
+# Primes inside and beyond the compiled kernel's margin; the last two take
+# slots wider than 64 bits.
+PRIMES = BYTE_SLOT_PRIMES + [17, 1048573, 2**31 - 1, 2**61 - 1]
 
 
 @pytest.fixture(scope="session")
@@ -110,43 +118,40 @@ def test_backends_identical_hnf(core, compiled, data, extra):
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(PRIMES), st.integers(1, 6), st.data())
 def test_backends_identical_fp(core, compiled, p, n, data):
+    """The adapted compiled primitives on packed matrices agree with
+    ``_pure``; raw ``_core`` on tuples agrees with the unpacked results."""
     def entry():
         return data.draw(st.integers(0, p - 1))
 
     a = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
     b = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
     v = tuple(entry() for _ in range(n))
+    pa, pb, pv = fp.mat(a, p), fp.mat(b, p), fp.mat([v], p)
     calls = {
-        "mat_mul": (p, a, b),
-        "mat_vec": (p, a, v),
-        "rref": (p, a),
-        "spin": (p, [a, b], [v]),
+        "mat_mul": ((p, pa, pb), (p, a, b), lambda m: m.tuples()),
+        "mat_vec": ((p, pa, pv), (p, a, v), lambda m: m.tuples()[0]),
+        "rref": ((p, pa), (p, a), lambda m: (m.tuples(), m.pivots)),
+        "spin": ((p, [pa, pb], pv), (p, [a, b], [v]), lambda m: m.tuples()),
     }
-    for name, args in calls.items():
-        expected = getattr(_pure, name)(*args)
-        assert compiled[name](*args) == expected
+    for name, (packed, raw, read) in calls.items():
+        expected = getattr(_pure, name)(*packed)
+        got = compiled[name](*packed)
+        assert got == expected and got.pivots == expected.pivots
         if p <= core.MOD_LIMIT:
             # Within the margin the compiled code itself answers.
-            assert getattr(core, name)(*args) == expected
+            assert getattr(core, name)(*raw) == read(expected)
         else:
             with pytest.raises(core.NeedsBigInts):
-                getattr(core, name)(*args)
-
-
-def _tuple_code(name, *args):
-    """The pure primitive answered by its tuple code, as for every p above
-    the byte slots."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_pure, "_TABLES", {})
-        return getattr(_pure, name)(*args)
+                getattr(core, name)(*raw)
 
 
 # Entries of a test matrix: in [0, p), in [0, 256), or also negative and
-# beyond 255.  Every primitive reduces its entries mod p.
+# beyond 255.  Packing reduces every entry mod p.
 ENTRIES = st.sampled_from(("reduced", "byte", "wide"))
 # Entries come from a seeded generator: one hypothesis draw per matrix, not
 # one per entry, keeps large examples cheap to generate and to shrink.
 SEEDS = st.integers(0, 2**32 - 1)
+SLOT_PRIMES = st.sampled_from(BYTE_SLOT_PRIMES + WIDE_SLOT_PRIMES)
 
 
 def _matrix(rng, p, rows, cols, entries):
@@ -171,45 +176,69 @@ def test_backends_identical_block_products(core, compiled, p, n, d, seed):
     blocks = [_matrix(rng, p, n, n, "reduced") for _ in range(d)]
     diagonal = tuple((0,) * (i * n) + row + (0,) * ((d - 1 - i) * n) for i, m in enumerate(blocks) for row in m)
     for a, b in ((tall, wide), (wide, tall), (diagonal, diagonal)):
-        expected = _pure.mat_mul(p, a, b)
-        assert len(expected) == len(a) and all(len(row) == len(b[0]) for row in expected)
-        assert compiled["mat_mul"](p, a, b) == expected
+        pa, pb = fp.mat(a, p), fp.mat(b, p)
+        expected = _pure.mat_mul(p, pa, pb)
+        assert len(expected) == len(a) and expected.ncols == len(b[0])
+        assert compiled["mat_mul"](p, pa, pb) == expected
         if p <= core.MOD_LIMIT:
-            assert core.mat_mul(p, a, b) == expected
+            assert core.mat_mul(p, a, b) == expected.tuples()
         else:
             with pytest.raises(core.NeedsBigInts):
                 core.mat_mul(p, a, b)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(BYTE_SLOT_PRIMES), st.integers(0, 8), st.integers(0, 64), st.integers(0, 16), ENTRIES, SEEDS)
+@given(SLOT_PRIMES, st.integers(0, 8), st.integers(0, 64), st.integers(0, 16), ENTRIES, SEEDS)
 def test_packed_mat_mul_matches_tuple_code(p, n, inner, m, entries, seed):
     rng = random.Random(seed)
     a = _matrix(rng, p, n, inner, entries)
-    b = _matrix(rng, p, inner, m, entries)  # empty when inner is 0
-    assert _pure.mat_mul(p, a, b) == _tuple_code("mat_mul", p, a, b)
+    b = _matrix(rng, p, inner, m, entries)  # no rows when inner is 0
+    got = _pure.mat_mul(p, pack(p, a, inner), pack(p, b, m))
+    assert got.ncols == m
+    assert got.tuples() == (tuple_mat_mul(p, a, b) if inner else ((0,) * m,) * n)
 
 
-@pytest.mark.parametrize("p", BYTE_SLOT_PRIMES)
+@settings(max_examples=100, deadline=None)
+@given(SLOT_PRIMES, st.integers(1, 16), st.integers(1, 16), ENTRIES, SEEDS)
+def test_packed_mat_vec_matches_tuple_code(p, n, m, entries, seed):
+    rng = random.Random(seed)
+    a = _matrix(rng, p, n, m, entries)
+    (v,) = _matrix(rng, p, 1, m, entries)
+    assert _pure.mat_vec(p, fp.mat(a, p), fp.mat([v], p)).tuples() == (tuple_mat_vec(p, a, v),)
+
+
+@pytest.mark.parametrize("p", BYTE_SLOT_PRIMES + WIDE_SLOT_PRIMES)
 def test_packed_mat_mul_slot_bound(p):
     """64 terms of (p - 1)^2 each: at p = 13 every term meets the bound
-    (p - 1) + (p - 1)^2 < 256 on a byte slot."""
+    (p - 1) + (p - 1)^2 < 256 on a byte slot, and a 64-bit slot takes all
+    of them before its one reduction."""
     a = ((p - 1,) * 64,) * 3
     b = ((p - 1,) * 5,) * 64
-    assert _pure.mat_mul(p, a, b) == _tuple_code("mat_mul", p, a, b) == (((64 * (p - 1) ** 2) % p,) * 5,) * 3
+    got = _pure.mat_mul(p, fp.mat(a, p), fp.mat(b, p)).tuples()
+    assert got == tuple_mat_mul(p, a, b) == (((64 * (p - 1) ** 2) % p,) * 5,) * 3
+
+
+def test_packed_mat_mul_many_terms_below_two_to_the_twenty():
+    """3,000 terms of (p - 1)^2 on one 64-bit slot at the largest prime
+    below 2**20, and in a combination."""
+    p = 1048573
+    a = ((p - 1,) * 3000,)
+    b = ((p - 1, 1, p - 2),) * 3000
+    assert _pure.mat_mul(p, fp.mat(a, p), fp.mat(b, p)).tuples() == tuple_mat_mul(p, a, b)
+    assert fp.combination(p, a[0], fp.mat(b, p)).tuples() == tuple_mat_mul(p, a, b)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(BYTE_SLOT_PRIMES), st.integers(0, 16), st.integers(0, 64), ENTRIES, SEEDS)
+@given(SLOT_PRIMES, st.integers(0, 16), st.integers(0, 64), ENTRIES, SEEDS)
 def test_packed_rref_matches_tuple_code(p, rows, cols, entries, seed):
     rng = random.Random(seed)
     a = _matrix(rng, p, rows, cols, entries)
-    assert _pure.rref(p, a) == _tuple_code("rref", p, a)
-    assert _pure.rref(p, list(a)) == _tuple_code("rref", p, list(a))
+    got = _pure.rref(p, pack(p, a, cols))
+    assert (got.tuples(), got.pivots) == tuple_rref(p, a)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(BYTE_SLOT_PRIMES), st.integers(1, 12), st.integers(0, 3), st.integers(0, 3), ENTRIES, SEEDS)
+@given(SLOT_PRIMES, st.integers(1, 12), st.integers(0, 3), st.integers(0, 3), ENTRIES, SEEDS)
 def test_packed_spin_matches_tuple_code(p, n, ngens, nseeds, entries, seed):
     rng = random.Random(seed)
     gens = [_matrix(rng, p, n, n, entries) for _ in range(ngens)]
@@ -218,7 +247,9 @@ def test_packed_spin_matches_tuple_code(p, n, ngens, nseeds, entries, seed):
         # spin can stop below the whole space.
         gens = [tuple(tuple(x if j >= i else 0 for j, x in enumerate(row)) for i, row in enumerate(g)) for g in gens]
     seeds = list(_matrix(rng, p, nseeds, n, entries))
-    assert _pure.spin(p, gens, seeds) == _tuple_code("spin", p, gens, seeds)
+    got = _pure.spin(p, [fp.mat(g, p) for g in gens], pack(p, seeds, n))
+    assert got.tuples() == tuple_spin(p, gens, seeds)
+    assert got.pivots == tuple_rref(p, got.tuples())[1]
 
 
 def test_box_reduce_membership():
@@ -241,3 +272,33 @@ def test_bigint_fallback(core, compiled):
     for hnf_kernel in (_kernel.hnf_kernel, compiled["hnf_kernel"]):
         assert hnf_kernel([big * 4], [[big]]) == ((big,),)
         assert hnf_kernel([4], [[2**70 + 2]]) == ((2,),)
+
+
+def test_backends_identical_end_to_end(core, monkeypatch, capsys, tmp_path):
+    """extract_field on the first 20 seed-1 field-extract inputs and the
+    CLI's linearize on two matrix instance files give the same reports and
+    the same output bytes with the F_p primitives of either backend, the
+    compiled ones behind the packed-matrix adapter."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    inputs = workloads.FieldWorkload(pool_rate=15, trace_ops=40).inputs(random.Random(1), 20)
+    files = []
+    for args in ((2, 2, 2, 5), (3, 1, 3, 7)):
+        files.append(tmp_path / f"matrix_{len(files)}.json")
+        files[-1].write_text(jsonio.dumps(jsonio.write_document("matrix_bimodule", instances.matrix_bimodule(*args))))
+    runs = []
+    for backend in (None, core):
+        for name, primitive in zip(_kernel.PRIMITIVES, _kernel.primitives(backend)):
+            if hasattr(fp, name):
+                monkeypatch.setattr(fp, name, primitive)
+        reports = []
+        for inst in inputs:
+            rep = linearize.extract_field(inst["p"], inst["n"], inst["gamma_generators"], inst["delta_generators"])
+            reports.append(repr((rep.order, rep.vs_dimension, rep.field_basis, rep.k_basis_of_v)))
+        outputs = []
+        for path in files:
+            assert cli.main(["linearize", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        runs.append((reports, outputs))
+    assert runs[0] == runs[1]
