@@ -1,12 +1,14 @@
-/* Compiled kernel: integer column reduction and F_p matrix primitives.
+/* Compiled kernel: the two lattice primitives, integer column reduction.
  *
- * Same functions and results as _pure.py, written against the CPython C API.
- * Every entry is kept reduced by its row modulus (lattice primitives) or by
- * p (F_p primitives), so with moduli and p at most MOD_LIMIT = 2**20 every
+ * hnf_kernel and box_reduce, with the same results as _pure.py, written
+ * against the CPython C API.  The F_p primitives have no compiled version:
+ * they run on _pure's packed rows under either backend.  Every entry is kept
+ * reduced by its row modulus, so with moduli at most MOD_LIMIT = 2**20 every
  * product fits in 40 bits and every accumulated sum in 64.  An input outside
- * that margin (a larger modulus or p, a ragged matrix) raises NeedsBigInts,
- * and a Python int beyond 64 bits raises OverflowError; the package's
- * wrapper in _kernel/__init__.py answers both by calling _pure instead.
+ * that margin (a larger modulus, a column of the wrong length) raises
+ * NeedsBigInts, and a Python int beyond 64 bits raises OverflowError; the
+ * package's wrapper in _kernel/__init__.py answers both by calling _pure
+ * instead.
  *
  * Build: python3 setup.py build_ext --inplace
  */
@@ -16,8 +18,6 @@
 #include <string.h>
 
 #define MOD_LIMIT (1LL << 20)
-/* Terms of one F_p dot product: (MOD_LIMIT - 1)**2 * MAX_INNER < 2**63. */
-#define MAX_INNER (1LL << 22)
 
 typedef long long ll;
 
@@ -48,7 +48,7 @@ as_ll(PyObject *o, ll *out)
     return 0;
 }
 
-/* A modulus (or p) within the word-size margin. */
+/* A modulus within the word-size margin. */
 static int
 as_modulus(PyObject *o, ll *out)
 {
@@ -335,345 +335,16 @@ done:
     return result;
 }
 
-/* ------------------------------------------------------------------------
- * F_p primitives.  Matrices are tuples of row tuples; entries are reduced
- * into [0, p) as they are loaded, so a product of two is below 2**40 and a
- * dot product of at most MAX_INNER terms stays below 2**63.
- */
-
-static int
-load_vec(PyObject *o, Py_ssize_t len, int exact, ll p, ll *out)
-{
-    if (load_row(o, len, exact, out) < 0)
-        return -1;
-    for (Py_ssize_t j = 0; j < len; j++)
-        out[j] = mod(out[j], p);
-    return 0;
-}
-
-/* Load the nrows x ncols matrix o, each row ncols long, reduced mod p. */
-static int
-load_matrix(PyObject *o, Py_ssize_t nrows, Py_ssize_t ncols, ll p, ll *out)
-{
-    PyObject *f = fast_seq(o, nrows, 1);
-    if (f == NULL)
-        return -1;
-    for (Py_ssize_t i = 0; i < nrows; i++)
-        if (load_vec(PySequence_Fast_GET_ITEM(f, i), ncols, 1, p, out + i * ncols) < 0) {
-            Py_DECREF(f);
-            return -1;
-        }
-    Py_DECREF(f);
-    return 0;
-}
-
-/* p and the size of the inner dimension within the word-size margin. */
-static int
-check_fp(PyObject *po, Py_ssize_t inner, ll *p)
-{
-    if (as_modulus(po, p) < 0)
-        return -1;
-    if (inner > MAX_INNER)
-        return bail("dimension outside the compiled kernel's word-size margin");
-    return 0;
-}
-
-static ll
-inv_mod(ll a, ll p)
-{
-    ll r0 = a, r1 = p, x0 = 1, x1 = 0;
-    while (r1) {
-        ll q = r0 / r1, t = r0 - q * r1;
-        r0 = r1;
-        r1 = t;
-        t = x0 - q * x1;
-        x0 = x1;
-        x1 = t;
-    }
-    return mod(x0, p);
-}
-
-/* out = a v for the n x m matrix a and the vector v, both reduced. */
-static void
-apply(const ll *a, const ll *v, Py_ssize_t n, Py_ssize_t m, ll p, ll *out)
-{
-    for (Py_ssize_t i = 0; i < n; i++) {
-        ll s = 0;
-        for (Py_ssize_t k = 0; k < m; k++)
-            s += a[i * m + k] * v[k];
-        out[i] = s % p;
-    }
-}
-
-/* Reduced row echelon form of the nrows x ncols matrix m in place; writes
- * the pivot columns to piv and returns the rank. */
-static Py_ssize_t
-echelon(ll *m, Py_ssize_t nrows, Py_ssize_t ncols, ll p, Py_ssize_t *piv)
-{
-    Py_ssize_t rank = 0;
-    for (Py_ssize_t c = 0; c < ncols && rank < nrows; c++) {
-        Py_ssize_t pr = rank;
-        while (pr < nrows && m[pr * ncols + c] == 0)
-            pr++;
-        if (pr == nrows)
-            continue;
-        ll *top = m + rank * ncols;
-        if (pr != rank)
-            for (Py_ssize_t j = 0; j < ncols; j++) {
-                ll t = top[j];
-                top[j] = m[pr * ncols + j];
-                m[pr * ncols + j] = t;
-            }
-        ll inv = inv_mod(top[c], p);
-        for (Py_ssize_t j = 0; j < ncols; j++)
-            top[j] = top[j] * inv % p;
-        for (Py_ssize_t i = 0; i < nrows; i++) {
-            ll *row = m + i * ncols, f = row[c];
-            if (i != rank && f)
-                for (Py_ssize_t j = 0; j < ncols; j++)
-                    row[j] = mod(row[j] - f * top[j], p);
-        }
-        piv[rank++] = c;
-    }
-    return rank;
-}
-
-PyDoc_STRVAR(mat_mul_doc, "mat_mul(p, a, b)\n--\n\nThe product a b over F_p.");
-
-static PyObject *
-mat_mul(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (check_nargs(nargs, 3, "mat_mul") < 0)
-        return NULL;
-    PyObject *result = NULL;
-    ll *a = NULL, *b = NULL, *out = NULL, p;
-    Py_ssize_t n = PyObject_Length(args[1]), inner = PyObject_Length(args[2]), m = 0;
-    if (n < 0 || inner < 0)
-        return NULL;
-    if (inner) {
-        PyObject *b0 = PySequence_GetItem(args[2], 0);
-        if (b0 == NULL)
-            return NULL;
-        m = PyObject_Length(b0);
-        Py_DECREF(b0);
-        if (m < 0)
-            return NULL;
-    }
-    if (check_fp(args[0], inner, &p) < 0)
-        return NULL;
-    a = alloc(n * inner, sizeof(ll));
-    b = alloc(inner * m, sizeof(ll));
-    out = alloc(n * m, sizeof(ll));
-    if (!a || !b || !out || load_matrix(args[1], n, inner, p, a) < 0
-        || load_matrix(args[2], inner, m, p, b) < 0)
-        goto done;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        ll *o = out + i * m;
-        memset(o, 0, m * sizeof(ll));
-        for (Py_ssize_t k = 0; k < inner; k++) {
-            ll aik = a[i * inner + k];
-            if (aik)
-                for (Py_ssize_t j = 0; j < m; j++)
-                    o[j] += aik * b[k * m + j];
-        }
-        for (Py_ssize_t j = 0; j < m; j++)
-            o[j] %= p;
-    }
-    result = rows_of(out, n, m);
-done:
-    PyMem_Free(a);
-    PyMem_Free(b);
-    PyMem_Free(out);
-    return result;
-}
-
-PyDoc_STRVAR(mat_vec_doc, "mat_vec(p, a, v)\n--\n\nThe product a v over F_p.");
-
-static PyObject *
-mat_vec(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (check_nargs(nargs, 3, "mat_vec") < 0)
-        return NULL;
-    PyObject *result = NULL;
-    ll *a = NULL, *v = NULL, *out = NULL, p;
-    Py_ssize_t n = PyObject_Length(args[1]), m = PyObject_Length(args[2]);
-    if (n < 0 || m < 0 || check_fp(args[0], m, &p) < 0)
-        return NULL;
-    a = alloc(n * m, sizeof(ll));
-    v = alloc(m, sizeof(ll));
-    out = alloc(n, sizeof(ll));
-    if (!a || !v || !out || load_matrix(args[1], n, m, p, a) < 0 || load_vec(args[2], m, 1, p, v) < 0)
-        goto done;
-    apply(a, v, n, m, p, out);
-    result = tuple_of(out, n);
-done:
-    PyMem_Free(a);
-    PyMem_Free(v);
-    PyMem_Free(out);
-    return result;
-}
-
-PyDoc_STRVAR(rref_doc,
-"rref(p, rows)\n--\n\n"
-"Reduced row echelon form over F_p: (nonzero rows, pivot columns).");
-
-static PyObject *
-rref(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (check_nargs(nargs, 2, "rref") < 0)
-        return NULL;
-    PyObject *result = NULL;
-    ll *m = NULL, p;
-    Py_ssize_t *piv = NULL, nrows = PyObject_Length(args[1]), ncols = 0;
-    if (nrows < 0)
-        return NULL;
-    if (nrows) {
-        PyObject *r0 = PySequence_GetItem(args[1], 0);
-        if (r0 == NULL)
-            return NULL;
-        ncols = PyObject_Length(r0);
-        Py_DECREF(r0);
-        if (ncols < 0)
-            return NULL;
-    }
-    if (as_modulus(args[0], &p) < 0)
-        return NULL;
-    m = alloc(nrows * ncols, sizeof(ll));
-    piv = alloc(ncols, sizeof(Py_ssize_t));
-    if (!m || !piv || load_matrix(args[1], nrows, ncols, p, m) < 0)
-        goto done;
-    Py_ssize_t rank = echelon(m, nrows, ncols, p, piv);
-    PyObject *rows = rows_of(m, rank, ncols), *cols = PyTuple_New(rank);
-    for (Py_ssize_t i = 0; cols && i < rank; i++) {
-        PyObject *x = PyLong_FromSsize_t(piv[i]);
-        if (x == NULL)
-            Py_CLEAR(cols);
-        else
-            PyTuple_SET_ITEM(cols, i, x);
-    }
-    if (rows && cols)
-        result = PyTuple_Pack(2, rows, cols);
-    Py_XDECREF(rows);
-    Py_XDECREF(cols);
-done:
-    PyMem_Free(m);
-    PyMem_Free(piv);
-    return result;
-}
-
-/* Reduce the reduced vector w (length n) against the echelon rows of basis
- * (nb rows, leading 1 at pivots[i], pivots ascending).  If something is
- * left, scale it to a leading 1, insert it in pivot order and return 1. */
-static int
-insert(ll *w, ll *basis, Py_ssize_t *pivots, Py_ssize_t *nb, Py_ssize_t n, ll p)
-{
-    for (Py_ssize_t i = 0; i < *nb; i++) {
-        ll x = w[pivots[i]];
-        if (x)
-            for (Py_ssize_t j = 0; j < n; j++)
-                w[j] = mod(w[j] - x * basis[i * n + j], p);
-    }
-    Py_ssize_t lead = 0;
-    while (lead < n && w[lead] == 0)
-        lead++;
-    if (lead == n)
-        return 0;
-    ll inv = inv_mod(w[lead], p);
-    Py_ssize_t k = 0;
-    while (k < *nb && pivots[k] < lead)
-        k++;
-    memmove(basis + (k + 1) * n, basis + k * n, (*nb - k) * n * sizeof(ll));
-    memmove(pivots + k + 1, pivots + k, (*nb - k) * sizeof(Py_ssize_t));
-    for (Py_ssize_t j = 0; j < n; j++)
-        basis[k * n + j] = w[j] * inv % p;
-    pivots[k] = lead;
-    (*nb)++;
-    return 1;
-}
-
-PyDoc_STRVAR(spin_doc,
-"spin(p, gens, seeds)\n--\n\n"
-"Smallest subspace containing seeds and closed under every matrix in gens,\n"
-"as its canonical RREF basis.  Stops as soon as the span is the whole space.");
-
-static PyObject *
-spin(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (check_nargs(nargs, 3, "spin") < 0)
-        return NULL;
-    PyObject *result = NULL, *gens_f = NULL, *seeds_f = NULL;
-    ll *g = NULL, *basis = NULL, *stack = NULL, *cur = NULL, *w = NULL, p;
-    Py_ssize_t *pivots = NULL, nb = 0, top = 0;
-
-    seeds_f = PySequence_Fast(args[2], "seeds must be a sequence");
-    gens_f = seeds_f ? PySequence_Fast(args[1], "gens must be a sequence") : NULL;
-    if (gens_f == NULL)
-        goto done;
-    Py_ssize_t nseeds = PySequence_Fast_GET_SIZE(seeds_f), ngens = PySequence_Fast_GET_SIZE(gens_f);
-    if (nseeds == 0) {
-        result = PyTuple_New(0);
-        goto done;
-    }
-    Py_ssize_t n = PyObject_Length(PySequence_Fast_GET_ITEM(seeds_f, 0));
-    if (n < 0 || check_fp(args[0], n, &p) < 0)
-        goto done;
-    g = alloc(ngens * n * n, sizeof(ll));
-    basis = alloc(n * n, sizeof(ll));
-    pivots = alloc(n, sizeof(Py_ssize_t));
-    stack = alloc(n * n, sizeof(ll));
-    cur = alloc(n, sizeof(ll));
-    w = alloc(n, sizeof(ll));
-    if (!g || !basis || !pivots || !stack || !cur || !w)
-        goto done;
-    for (Py_ssize_t t = 0; t < ngens; t++)
-        if (load_matrix(PySequence_Fast_GET_ITEM(gens_f, t), n, n, p, g + t * n * n) < 0)
-            goto done;
-
-    /* Every vector that enlarges the basis is pushed, so at most n are. */
-    for (Py_ssize_t s = 0; s < nseeds; s++) {
-        if (load_vec(PySequence_Fast_GET_ITEM(seeds_f, s), n, 1, p, cur) < 0)
-            goto done;
-        memcpy(w, cur, n * sizeof(ll));
-        if (insert(w, basis, pivots, &nb, n, p))
-            memcpy(stack + top++ * n, cur, n * sizeof(ll));
-    }
-    while (top && nb < n) {
-        memcpy(cur, stack + --top * n, n * sizeof(ll));
-        for (Py_ssize_t t = 0; t < ngens && nb < n; t++) {
-            ll *img = stack + top * n;
-            apply(g + t * n * n, cur, n, n, p, img);
-            memcpy(w, img, n * sizeof(ll));
-            if (insert(w, basis, pivots, &nb, n, p))
-                top++;
-        }
-    }
-    result = rows_of(basis, echelon(basis, nb, n, p, pivots), n);
-done:
-    Py_XDECREF(seeds_f);
-    Py_XDECREF(gens_f);
-    PyMem_Free(g);
-    PyMem_Free(basis);
-    PyMem_Free(pivots);
-    PyMem_Free(stack);
-    PyMem_Free(cur);
-    PyMem_Free(w);
-    return result;
-}
-
 static PyMethodDef methods[] = {
     {"hnf_kernel", (PyCFunction)(void (*)(void))hnf_kernel, METH_FASTCALL, hnf_kernel_doc},
     {"box_reduce", (PyCFunction)(void (*)(void))box_reduce, METH_FASTCALL, box_reduce_doc},
-    {"mat_mul", (PyCFunction)(void (*)(void))mat_mul, METH_FASTCALL, mat_mul_doc},
-    {"mat_vec", (PyCFunction)(void (*)(void))mat_vec, METH_FASTCALL, mat_vec_doc},
-    {"rref", (PyCFunction)(void (*)(void))rref, METH_FASTCALL, rref_doc},
-    {"spin", (PyCFunction)(void (*)(void))spin, METH_FASTCALL, spin_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_core",
-    .m_doc = "Compiled kernel: integer column reduction and F_p matrix primitives.",
+    .m_doc = "Compiled kernel: the lattice primitives hnf_kernel and box_reduce.",
     .m_size = -1,
     .m_methods = methods,
 };

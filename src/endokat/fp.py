@@ -92,10 +92,14 @@ def products(p, xs, ys):
 def noncommuting(p, xs, ys):
     """The first (i, j), j fastest, with x_i y_j != y_j x_i, or None when
     the two families commute: block (i, j) of one :func:`products` against
-    block (j, i) of the other, which is the same product when xs is ys."""
+    block (j, i) of the other.  When xs is ys that is one product, and only
+    blocks with j > i are compared: the test is symmetric in i and j and the
+    diagonal commutes, so the first failing pair has i < j anyway."""
+    same = xs is ys
     xy = _block_rows(p, xs, ys)
-    yx = xy if xs is ys else _block_rows(p, ys, xs)
-    return next(((i, j) for i in range(len(xs)) for j in range(len(ys)) if xy[i][j] != yx[j][i]), None)
+    yx = xy if same else _block_rows(p, ys, xs)
+    pairs = ((i, j) for i in range(len(xs)) for j in range(i + 1 if same else 0, len(ys)))
+    return next(((i, j) for i, j in pairs if xy[i][j] != yx[j][i]), None)
 
 
 transpose = Matrix.transpose

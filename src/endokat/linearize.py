@@ -570,13 +570,18 @@ class FieldReport:
     def __repr__(self):
         return f"FieldReport(order={self.order}, vs_dimension={self.vs_dimension})"
 
-    def field_algebra(self):
+    def field_algebra(self, field=None):
+        """The span of the field basis and the identity; ``field`` is the
+        field basis already packed, when the caller has it."""
         p, n = self.p, self.n
-        return MatrixAlgebra(p, n, _span_basis(p, [fp.mat(b, p) for b in self.field_basis] + [fp.identity(p, n)]))
+        if field is None:
+            field = [fp.mat(b, p) for b in self.field_basis]
+        return MatrixAlgebra(p, n, _span_basis(p, [*field, fp.identity(p, n)]))
 
     def verify(self, gamma_gens, delta_gens):
         p, n = self.p, self.n
-        alg = self.field_algebra()
+        field = [fp.mat(b, p) for b in self.field_basis]
+        alg = self.field_algebra(field)
         k = alg.dim
         if self.order != p**k:
             raise FieldTestFailure("reported order disagrees with the basis")
@@ -587,7 +592,6 @@ class FieldReport:
         for m in alg.elements():
             if any(m.rows) and not fp.is_invertible(p, m):
                 raise FieldTestFailure("nonzero element is singular", element=m)
-        field = [fp.mat(b, p) for b in self.field_basis]
         bad = fp.noncommuting(p, [fp.mat(g, p) for g in (*gamma_gens, *delta_gens)], field)
         if bad is not None:
             raise FieldTestFailure(

@@ -1,26 +1,31 @@
 """Backend cross-validation and normal-form properties of the kernel.
 
-The compiled backend is checked against ``_pure`` through the same fallback
-wrapper the package uses, which for the F_p primitives is also the adapter
-from packed matrices to the tuples ``_core`` works on.  The ``core``
-fixture compiles ``_core.c`` once per session into a temporary directory
-with the interpreter's C compiler, so no prior build is needed; it skips
-only when there is no C compiler.  The packed F_p primitives are checked
-against the entry-by-entry tuple code they replaced (``references``).
+The compiled lattice primitives are checked against ``_pure`` through the
+same fallback wrapper the package uses, primitive by primitive and on audit
+traffic end to end.  The ``core`` fixture compiles ``_core.c`` once per
+session into a temporary directory with the interpreter's C compiler, so no
+prior build is needed; it skips only when there is no C compiler.  The F_p
+primitives are ``_pure``'s under either backend; their packed rows are
+checked against the entry-by-entry tuple code they replaced
+(``references``).
 """
 
 import importlib.util
+import json
 import random
+import re
 import shlex
 import shutil
 import subprocess
 import sysconfig
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endokat import _kernel, cli, fp, instances, jsonio, linearize
+from endokat import _kernel, audits, cli, endogeny, fp, groups
 from endokat._kernel import _pure
 from endokat._kernel._matrix import pack
 
@@ -32,13 +37,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULI = st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12, 16]), min_size=0, max_size=5)
 
 # The primes whose rows the kernel packs into byte slots, and primes of the
-# 64-bit slots: 1048573 is the largest prime below 2**20, the compiled
-# kernel's word-size margin.
+# 64-bit slots: 1048573 is the largest prime below 2**20, the largest whose
+# slots are 64 bits wide.
 BYTE_SLOT_PRIMES = [2, 3, 5, 7, 11, 13]
 WIDE_SLOT_PRIMES = [17, 257, 65537, 1048573]
-# Primes inside and beyond the compiled kernel's margin; the last two take
-# slots wider than 64 bits.
-PRIMES = BYTE_SLOT_PRIMES + [17, 1048573, 2**31 - 1, 2**61 - 1]
 
 
 @pytest.fixture(scope="session")
@@ -66,6 +68,18 @@ def core(tmp_path_factory):
 def compiled(core):
     """The compiled primitives behind the package's fallback wrapper."""
     return dict(zip(_kernel.PRIMITIVES, _kernel.primitives(core)))
+
+
+def test_compiled_backend_holds_only_the_lattice_primitives(core):
+    """The extension exposes the lattice primitives and nothing of F_p, and
+    the package's F_p primitives are ``_pure``'s under either backend."""
+    assert {name for name in vars(core) if not name.startswith("__")} == {
+        "hnf_kernel", "box_reduce", "NeedsBigInts", "MOD_LIMIT"
+    }
+    for backend in (None, core):
+        chosen = dict(zip(_kernel.PRIMITIVES, _kernel.primitives(backend)))
+        for name in ("mat_mul", "mat_vec", "rref", "spin"):
+            assert chosen[name] is getattr(_pure, name) is getattr(_kernel, name)
 
 
 @st.composite
@@ -115,36 +129,6 @@ def test_backends_identical_hnf(core, compiled, data, extra):
     assert core.box_reduce(mods, h, vec) == compiled["box_reduce"](mods, h, vec) == _pure.box_reduce(mods, h, vec)
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from(PRIMES), st.integers(1, 6), st.data())
-def test_backends_identical_fp(core, compiled, p, n, data):
-    """The adapted compiled primitives on packed matrices agree with
-    ``_pure``; raw ``_core`` on tuples agrees with the unpacked results."""
-    def entry():
-        return data.draw(st.integers(0, p - 1))
-
-    a = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
-    b = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
-    v = tuple(entry() for _ in range(n))
-    pa, pb, pv = fp.mat(a, p), fp.mat(b, p), fp.mat([v], p)
-    calls = {
-        "mat_mul": ((p, pa, pb), (p, a, b), lambda m: m.tuples()),
-        "mat_vec": ((p, pa, pv), (p, a, v), lambda m: m.tuples()[0]),
-        "rref": ((p, pa), (p, a), lambda m: (m.tuples(), m.pivots)),
-        "spin": ((p, [pa, pb], pv), (p, [a, b], [v]), lambda m: m.tuples()),
-    }
-    for name, (packed, raw, read) in calls.items():
-        expected = getattr(_pure, name)(*packed)
-        got = compiled[name](*packed)
-        assert got == expected and got.pivots == expected.pivots
-        if p <= core.MOD_LIMIT:
-            # Within the margin the compiled code itself answers.
-            assert getattr(core, name)(*raw) == read(expected)
-        else:
-            with pytest.raises(core.NeedsBigInts):
-                getattr(core, name)(*raw)
-
-
 # Entries of a test matrix: in [0, p), in [0, 256), or also negative and
 # beyond 255.  Packing reduces every entry mod p.
 ENTRIES = st.sampled_from(("reduced", "byte", "wide"))
@@ -161,30 +145,6 @@ def _matrix(rng, p, rows, cols, entries):
         return tuple(tuple(rng.choice((rng.randrange(p), rng.randint(-600, 600))) for _ in range(cols)) for _ in range(rows))
     density = rng.choice((0.1, 0.5, 1.0))
     return tuple(tuple(rng.randrange(p) if rng.random() < density else 0 for _ in range(cols)) for _ in range(rows))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from(PRIMES), st.integers(1, 6), st.integers(1, 8), SEEDS)
-def test_backends_identical_block_products(core, compiled, p, n, d, seed):
-    """The shapes of the F_p layer's block products: d n x n matrices
-    stacked, times n x d n side by side (every x_i y_j at once), the
-    reverse (a sum of d products), and a d n x d n block diagonal
-    squared."""
-    rng = random.Random(seed)
-    tall = _matrix(rng, p, d * n, n, "reduced")
-    wide = _matrix(rng, p, n, d * n, "reduced")
-    blocks = [_matrix(rng, p, n, n, "reduced") for _ in range(d)]
-    diagonal = tuple((0,) * (i * n) + row + (0,) * ((d - 1 - i) * n) for i, m in enumerate(blocks) for row in m)
-    for a, b in ((tall, wide), (wide, tall), (diagonal, diagonal)):
-        pa, pb = fp.mat(a, p), fp.mat(b, p)
-        expected = _pure.mat_mul(p, pa, pb)
-        assert len(expected) == len(a) and expected.ncols == len(b[0])
-        assert compiled["mat_mul"](p, pa, pb) == expected
-        if p <= core.MOD_LIMIT:
-            assert core.mat_mul(p, a, b) == expected.tuples()
-        else:
-            with pytest.raises(core.NeedsBigInts):
-                core.mat_mul(p, a, b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -274,31 +234,42 @@ def test_bigint_fallback(core, compiled):
         assert hnf_kernel([4], [[2**70 + 2]]) == ((2,),)
 
 
-def test_backends_identical_end_to_end(core, monkeypatch, capsys, tmp_path):
-    """extract_field on the first 20 seed-1 field-extract inputs and the
-    CLI's linearize on two matrix instance files give the same reports and
-    the same output bytes with the F_p primitives of either backend, the
-    compiled ones behind the packed-matrix adapter."""
+def test_backends_identical_end_to_end(core, monkeypatch, capsys):
+    """The first 140 seed-1 audit-lattice ops, the first 60 seed-1
+    audit-oracle ops and two serial ``endokat audit`` runs give the same
+    results and the same output bytes with the lattice primitives of either
+    backend, swapped in where ``groups`` and ``endogeny`` bind them."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
-    inputs = workloads.FieldWorkload(pool_rate=15, trace_ops=40).inputs(random.Random(1), 20)
-    files = []
-    for args in ((2, 2, 2, 5), (3, 1, 3, 7)):
-        files.append(tmp_path / f"matrix_{len(files)}.json")
-        files[-1].write_text(jsonio.dumps(jsonio.write_document("matrix_bimodule", instances.matrix_bimodule(*args))))
+    # Built without use_oracle, which would wrap the oracle for the session;
+    # the ops are the same, and run_instance below is told to use it.
+    rng = random.Random(1)
+    lattice = workloads.AuditWorkload(audits.SUITES, False, 64, pool_rate=0, trace_ops=0).inputs(rng, 140)
+    rng = random.Random(1)
+    checked = workloads.AuditWorkload(workloads.ORACLE_SUITES, False, 32, pool_rate=0, trace_ops=0).inputs(rng, 60)
+    ops = [(op, False) for op in lattice] + [(op, True) for op in checked]
+    calls = Counter()
+
+    def counted(name):
+        fast = getattr(core, name)
+        return lambda *args: calls.update([name]) or fast(*args)
+
+    counting = SimpleNamespace(NeedsBigInts=core.NeedsBigInts, **{n: counted(n) for n in _kernel.COMPILED})
     runs = []
-    for backend in (None, core):
+    for backend in (None, counting):
         for name, primitive in zip(_kernel.PRIMITIVES, _kernel.primitives(backend)):
-            if hasattr(fp, name):
-                monkeypatch.setattr(fp, name, primitive)
-        reports = []
-        for inst in inputs:
-            rep = linearize.extract_field(inst["p"], inst["n"], inst["gamma_generators"], inst["delta_generators"])
-            reports.append(repr((rep.order, rep.vs_dimension, rep.field_basis, rep.k_basis_of_v)))
+            for module in (groups, endogeny):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, primitive)
+        results = [json.dumps(audits.run_instance(s, d, use_oracle=o), sort_keys=True) for (s, d), o in ops]
         outputs = []
-        for path in files:
-            assert cli.main(["linearize", str(path)]) == 0
-            outputs.append(capsys.readouterr().out)
-        runs.append((reports, outputs))
+        for suite, oracle in (("dimension", []), ("sharp", ["--oracle"])):
+            argv = ["audit", "--suite", suite, "--random", "6", "--seed", "1", "--workers", "1", *oracle]
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            outputs.append((code, re.sub(r'"runtime_ms": \d+', "", out), err))
+        runs.append((results, outputs))
+    assert all(code == 0 for code, _, _ in runs[0][1])
+    assert calls["hnf_kernel"] and calls["box_reduce"]
     assert runs[0] == runs[1]
