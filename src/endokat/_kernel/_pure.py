@@ -1,10 +1,10 @@
 """Pure-Python kernel: integer column reduction and F_p matrix primitives.
 
-The F_p primitives are the only ones the package has.  The lattice
-primitives are the reference for the compiled extension ``_core.c``, which
-returns the same values for them; they are selected at import when the
-extension is unavailable (or when ENDOKAT_PURE=1), and called by the
-compiled backend for inputs beyond its word-size margin.
+The F_p primitives run under either backend.  The lattice primitives are
+the reference for the compiled extension ``_core.c``, which returns the same
+values; they are selected at import when the extension is unavailable (or
+when ENDOKAT_PURE=1), and called by the compiled backend for inputs beyond
+its word-size margin.
 
 The integer primitive works on lattices L with diag(d) * Z^r <= L <= Z^r,
 where d[i] is the order of the i-th cyclic coordinate of a finite abelian
