@@ -6,15 +6,26 @@ values; they are selected at import when the extension is unavailable (or
 when ENDOKAT_PURE=1), and called by the compiled backend for inputs beyond
 its word-size margin.
 
-The integer primitive works on lattices L with diag(d) * Z^r <= L <= Z^r,
+The integer primitives work on lattices L with diag(d) * Z^r <= L <= Z^r,
 where d[i] is the order of the i-th cyclic coordinate of a finite abelian
-group.  Because the relation vectors d[i]*e_i always lie in L, every entry in
-row i may be kept reduced into [0, d[i]) throughout; entries therefore stay
-machine-word sized for group orders within the configured cap.
+group.  ``hnf_kernel`` is the Hermite form modulo the determinant (Domich,
+Kannan & Trotter 1987; Cohen 1993, Alg. 2.4.8): one elimination pass per
+row, in which each column with a nonzero entry at that row is combined with
+the pivot by the unimodular transform of one extended gcd, instead of a
+Euclid loop over all the columns.  Because the relation vectors d[k]*e_k
+always lie in L, adding a multiple of one to a column leaves L unchanged, so
+after every combination the entries at each later row k are reduced into
+[0, d[k]); the entries at row i are gcds of entries already in [0, d[i]),
+and each Bezout coefficient is below d[i] in absolute value.  Entries
+therefore never grow: they stay machine-word sized for group orders within
+the configured cap, whatever the input columns.
 
 The F_p primitives take and return the packed matrices of ``_matrix`` at
 every p: a row operation is one int operation and one reduction.
 """
+
+from math import gcd
+from operator import mod
 
 from ._matrix import Matrix, combine, reduce, slot_bits, unpack
 
@@ -22,47 +33,89 @@ from ._matrix import Matrix, combine, reduce, slot_bits, unpack
 def hnf_kernel(mods, cols):
     """Canonical column Hermite form of span(cols) + diag(mods)*Z^r.
 
-    ``cols`` is a sequence of integer columns of length r.  Returns the
-    r x r lower-triangular basis as a tuple of row tuples (positive
-    diagonal, entries left of each pivot reduced into [0, pivot)).
+    ``cols`` is a sequence of integer columns, each read up to length r =
+    len(mods) (a shorter one raises IndexError).  Returns the r x r
+    lower-triangular basis as a tuple of row tuples (positive diagonal,
+    entries left of each pivot reduced into [0, pivot)).
+
+    One elimination pass per row i.  The first working column with a
+    nonzero entry at row i becomes the pivot, and every later such column
+    is combined with it by the 2 x 2 unimodular transform of the extended
+    gcd of the two entries (a subtraction when one divides the other),
+    which clears the column at row i.  The relation column mods[i]*e_i is
+    folded in the same way: the pivot's entry becomes its gcd with
+    mods[i], and (mods[i]/gcd) times the old pivot, zero from row i up,
+    stays a working column.  Columns that become zero are dropped.
     """
     r = len(mods)
+    if r == 1:
+        # The lattice is gcd(mods[0], c_1, c_2, ...) Z.
+        return ((gcd(mods[0], *[c[0] for c in cols]),),)
     work = []
     for col in cols:
-        c = list(col)
-        for k in range(r):
-            c[k] %= mods[k]
+        c = list(map(mod, col, mods))
+        if len(c) < r:
+            raise IndexError(f"column of length {len(c)} for {r} moduli")
         if any(c):
             work.append(c)
 
     pivots = []
     for i in range(r):
-        d = mods[i]
-        fresh = [0] * r
-        fresh[i] = d
-        work.append(fresh)
-        while True:
-            live = [c for c in work if c[i]]
-            if len(live) <= 1:
-                break
-            m = min(live, key=lambda c: c[i])
-            mi = m[i]
-            for c in live:
-                if c is m:
-                    continue
-                q = c[i] // mi
-                c[i] -= q * mi
-                for k in range(i + 1, r):
-                    c[k] = (c[k] - q * m[k]) % mods[k]
+        below = range(i + 1, r)
         piv = None
+        rest = []
         for c in work:
-            if c[i]:
+            b = c[i]
+            if not b:
+                rest.append(c)
+                continue
+            if piv is None:
                 piv = c
-                break
-        work.remove(piv)
-        for k in range(i + 1, r):
-            piv[k] %= mods[k]
+                continue
+            a = piv[i]
+            if a % b == 0:
+                piv, c, a, b = c, piv, b, a
+            if b % a == 0:
+                q = b // a
+                for k in below:
+                    c[k] = (c[k] - q * piv[k]) % mods[k]
+            else:
+                # x a + y b = g: the transform [[x, y], [b/g, -a/g]] of
+                # (piv, c) has determinant -1.
+                g = gcd(a, b)
+                ag, bg = a // g, b // g
+                x = pow(ag, -1, bg)
+                y = (1 - x * ag) // bg
+                piv[i] = g
+                for k in below:
+                    m, u, v = mods[k], piv[k], c[k]
+                    piv[k] = (x * u + y * v) % m
+                    c[k] = (bg * u - ag * v) % m
+            c[i] = 0
+            if any(c):
+                rest.append(c)
+        d = mods[i]
+        if piv is None:
+            piv = [0] * r
+            piv[i] = d
+        else:
+            # The same transform with d e_i, which is zero off row i: the
+            # pivot becomes x piv + y d e_i, and the other column (d/g) piv.
+            a = piv[i]
+            g = gcd(a, d)
+            q = d // g
+            c = [0] * r
+            for k in below:
+                c[k] = q * piv[k] % mods[k]
+            if g != a:
+                x = pow(a // g, -1, q)
+                piv[i] = g
+                for k in below:
+                    piv[k] = x * piv[k] % mods[k]
+            if any(c):
+                rest.append(c)
         pivots.append(piv)
+        work = rest
 
     # Off-diagonal normalization: entries of earlier pivot columns at row i
     # are reduced into [0, pivots[i][i]).
@@ -77,7 +130,7 @@ def hnf_kernel(mods, cols):
                 for k in range(i + 1, r):
                     pj[k] = (pj[k] - q * pi[k]) % mods[k]
 
-    return tuple(zip(*pivots))[:r]
+    return tuple(zip(*pivots))
 
 
 def box_reduce(mods, hrows, vec):

@@ -378,14 +378,16 @@ def restrict(g: Endogeny, b: Subgroup) -> Endogeny:
 
 class EndogenySet:
     """A finite family of endogenies of one group under one bound; the
-    generating data for prerings."""
+    generating data for prerings.  The katakernel fixpoint of
+    :func:`global_kat` is computed once, when first asked."""
 
-    __slots__ = ("ambient", "bound", "elements")
+    __slots__ = ("ambient", "bound", "elements", "_kat")
 
     def __init__(self, ambient, bound, elements):
         self.ambient = ambient
         self.bound = bound
         self.elements = tuple(elements)
+        self._kat = None
         for e in self.elements:
             if e.source != ambient or e.target != ambient:
                 raise AmbientMismatch("member is not an endogeny of the ambient group")
@@ -419,11 +421,14 @@ def global_kat(gens: EndogenySet) -> Subgroup:
     containing every generator's katakernel and stable under every
     generator's image map.  The fixpoint is justified by the katakernel
     identities for sums and composites, so the closure itself is never
-    enumerated."""
-    k = Subgroup.trivial(gens.ambient)
-    for g in gens:
-        k = k | g.kat()
-    k = orbit_closure(k, gens)
+    enumerated.  The fixpoint is kept on ``gens``; the bound is checked on
+    every call."""
+    k = gens._kat
+    if k is None:
+        k = Subgroup.trivial(gens.ambient)
+        for g in gens:
+            k = k | g.kat()
+        k = gens._kat = orbit_closure(k, gens)
     if not gens.bound.is_negligible(k):
         raise KatakernelBound("global katakernel exceeds the bound")
     return k

@@ -3,8 +3,9 @@ the package does not call: every subgroup of a group by element-wise
 extension, the image and kernel of a homomorphism, the elements of a coset,
 every abelian group up to an order, the exhaustive search for the weak-invariance counterexample,
 a second sharp-pair generator, the invariant-subspace search that spins
-every line of F_p^n, and the entry-by-entry F_p matrix code on tuples of
-row tuples that the packed kernel primitives replaced."""
+every line of F_p^n, the Euclid-sweep Hermite form that the pure kernel's
+extended-gcd elimination replaced, and the entry-by-entry F_p matrix code on
+tuples of row tuples that the packed kernel primitives replaced."""
 
 from itertools import product
 
@@ -174,6 +175,65 @@ def exhaustive_invariant_subspace(p, n, gens):
         if 0 < len(w) < n:
             return w
     return None
+
+
+def euclid_hnf(mods, cols):
+    """Canonical column Hermite form of span(cols) + diag(mods)*Z^r, by a
+    Euclid sweep per row: the relation column mods[i]*e_i joins the working
+    columns, and every live column is reduced by the one with the least
+    nonzero entry at row i until one is left, the pivot."""
+    r = len(mods)
+    work = []
+    for col in cols:
+        c = list(col)
+        for k in range(r):
+            c[k] %= mods[k]
+        if any(c):
+            work.append(c)
+
+    pivots = []
+    for i in range(r):
+        d = mods[i]
+        fresh = [0] * r
+        fresh[i] = d
+        work.append(fresh)
+        while True:
+            live = [c for c in work if c[i]]
+            if len(live) <= 1:
+                break
+            m = min(live, key=lambda c: c[i])
+            mi = m[i]
+            for c in live:
+                if c is m:
+                    continue
+                q = c[i] // mi
+                c[i] -= q * mi
+                for k in range(i + 1, r):
+                    c[k] = (c[k] - q * m[k]) % mods[k]
+        piv = None
+        for c in work:
+            if c[i]:
+                piv = c
+                break
+        work.remove(piv)
+        for k in range(i + 1, r):
+            piv[k] %= mods[k]
+        pivots.append(piv)
+
+    # Off-diagonal normalization: entries of earlier pivot columns at row i
+    # are reduced into [0, pivots[i][i]).
+    for i in range(r):
+        pi = pivots[i]
+        hii = pi[i]
+        for j in range(i):
+            pj = pivots[j]
+            q = pj[i] // hii
+            if q:
+                pj[i] -= q * hii
+                for k in range(i + 1, r):
+                    pj[k] = (pj[k] - q * pi[k]) % mods[k]
+
+    return tuple(zip(*pivots))[:r]
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,20 @@ def test_no_sum_or_composite_built_twice(monkeypatch):
                 assert keys
 
 
+def test_global_katakernel_closed_once_per_family(monkeypatch):
+    """Within one katakernel run_instance each family's global katakernel
+    fixpoint is computed once, though both the suite and induced_action ask
+    for it."""
+    closed = []
+    closure = endogeny.orbit_closure
+    monkeypatch.setattr(endogeny, "orbit_closure", lambda b, endos: closed.append(id(endos)) or closure(b, endos))
+    for desc in audits.make_descriptors("katakernel", 3, 1):
+        closed.clear()
+        res = audits.run_instance("katakernel", desc)
+        assert not res["violations"]
+        assert len(closed) == len(set(closed)) == 2
+
+
 def test_failed_law_counted_once_with_its_data(monkeypatch):
     """A failed law counts one check and records one violation with its
     counterexample data; a failed step records a violation and no check."""

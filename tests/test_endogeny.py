@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endokat import groups, oracle
+from endokat import endogeny, groups, oracle
 from endokat.endogeny import (
     Endogeny,
     EndogenySet,
@@ -388,6 +388,31 @@ def test_global_kat(z4):
         for x in closure:
             k2 = k2 | x.kat()
         assert k1 == k2
+
+
+def test_global_kat_closes_each_family_once(z2z2, monkeypatch):
+    """The fixpoint is kept on the family: bikat after global_kat closes
+    each family once.  A fixpoint beyond the bound raises KatakernelBound
+    on every call, not only on the one that computed it."""
+    closed = []
+    closure = endogeny.orbit_closure
+    monkeypatch.setattr(endogeny, "orbit_closure", lambda b, endos: closed.append(endos) or closure(b, endos))
+    nb0 = NegligibilityBound.zero(z2z2)
+    gset = EndogenySet(z2z2, nb0, [Endogeny.from_morphism(Homomorphism(z2z2, z2z2, [[0, 1], [1, 0]]), nb0)])
+    dset = EndogenySet(z2z2, nb0, [Endogeny.identity(z2z2, nb0)])
+    assert global_kat(gset).is_trivial and global_kat(dset).is_trivial
+    assert bikat(gset, dset).is_trivial
+    assert closed == [gset, dset]
+    # a -> swap(a) + <(1, 0)>: its katakernel <(1, 0)> is within the bound,
+    # but its image <(0, 1)> is not.
+    nb = bound_of(z2z2, [(1, 0)])
+    e = Endogeny.from_pairs(z2z2, z2z2, [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, 0), (1, 0))], nb)
+    assert e.kat() == nb.n_max
+    escaping = EndogenySet(z2z2, nb, [e])
+    for _ in range(2):
+        with pytest.raises(KatakernelBound):
+            global_kat(escaping)
+    assert closed[2:] == [escaping]
 
 
 def test_bikat_and_induced_action(z2z2):

@@ -4,14 +4,16 @@ The compiled lattice primitives are checked against ``_pure`` through the
 same fallback wrapper the package uses, primitive by primitive and on audit
 traffic end to end.  The ``core`` fixture compiles ``_core.c`` once per
 session into a temporary directory with the interpreter's C compiler, so no
-prior build is needed; it skips only when there is no C compiler.  The F_p
-primitives are ``_pure``'s under either backend; their packed rows are
-checked against the entry-by-entry tuple code they replaced
-(``references``).
+prior build is needed; it skips only when there is no C compiler.  The pure
+Hermite form is checked against the Euclid sweep it replaced and against the
+additive closure of its columns.  The F_p primitives are ``_pure``'s under
+either backend; their packed rows are checked against the entry-by-entry
+tuple code they replaced (``references``).
 """
 
 import importlib.util
 import json
+import math
 import random
 import re
 import shlex
@@ -29,12 +31,22 @@ from endokat import _kernel, audits, cli, endogeny, fp, groups
 from endokat._kernel import _pure
 from endokat._kernel._matrix import pack
 
-from references import tuple_mat_mul, tuple_mat_vec, tuple_rref, tuple_spin
+from references import euclid_hnf, tuple_mat_mul, tuple_mat_vec, tuple_rref, tuple_spin
 
 CORE_C = Path(_kernel.__file__).with_name("_core.c")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-MODULI = st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12, 16]), min_size=0, max_size=5)
+# At 5, 7, 10, 25 and 27 two entries of a row often divide neither each
+# other nor the modulus, so the extended-gcd combination runs and not only
+# the subtraction; 1048573 is the largest prime within the compiled margin.
+MODULI = st.lists(
+    st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 25, 27, 64, 1048573]), min_size=0, max_size=5
+)
+# Column entries: small ones, ones far beyond every modulus, and ones
+# anywhere in a signed 64-bit word, the compiled kernel's input range.
+WORD_ENTRIES = st.integers(-40, 40) | st.integers(-(10**7), 10**7) | st.integers(-(2**63), 2**63 - 1)
+# Entries beyond 64 bits as well, which only the pure kernel takes.
+BIG_ENTRIES = WORD_ENTRIES | st.integers(-(2**90), 2**90)
 
 # The primes whose rows the kernel packs into byte slots, and primes of the
 # 64-bit slots: 1048573 is the largest prime below 2**20, the largest whose
@@ -83,10 +95,10 @@ def test_compiled_backend_holds_only_the_lattice_primitives(core):
 
 
 @st.composite
-def hnf_inputs(draw):
+def hnf_inputs(draw, entries=BIG_ENTRIES):
     mods = draw(MODULI)
     ncols = draw(st.integers(0, 6))
-    cols = [[draw(st.integers(-40, 40)) for _ in mods] for _ in range(ncols)]
+    cols = [[draw(entries) for _ in mods] for _ in range(ncols)]
     return mods, cols
 
 
@@ -117,8 +129,50 @@ def test_hnf_generator_invariance(data):
     assert h1 == h2
 
 
+@settings(max_examples=200, deadline=None)
+@given(hnf_inputs())
+def test_hnf_matches_euclid_sweep(data):
+    """The extended-gcd elimination returns the Euclid sweep's basis."""
+    mods, cols = data
+    assert _pure.hnf_kernel(mods, cols) == euclid_hnf(mods, cols)
+
+
+@st.composite
+def small_groups(draw):
+    """Moduli of a group of order at most 64, in any order."""
+    mods = []
+    while draw(st.booleans()):
+        room = 64 // math.prod(mods)
+        if room < 2:
+            break
+        mods.append(draw(st.integers(2, room)))
+    return mods
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_groups(), st.data())
+def test_hnf_spans_the_additive_closure(mods, data):
+    """The subgroup with the returned basis has as elements exactly the
+    sums of the columns, found by closing {0} under adding a column mod
+    the moduli: no Hermite form is involved on that side."""
+    cols = data.draw(st.lists(st.lists(BIG_ENTRIES, min_size=len(mods), max_size=len(mods)), max_size=4))
+    g = groups.AbelianGroup(mods)
+    gens = [g.reduce(c) for c in cols]
+    zero = g.reduce([0] * len(mods))
+    closure, frontier = {zero}, [zero]
+    while frontier:
+        x = frontier.pop()
+        for c in gens:
+            y = g.reduce([a + b for a, b in zip(x, c)])
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    elements = list(groups.Subgroup(g, _pure.hnf_kernel(mods, cols)).elements())
+    assert len(elements) == len(closure) and set(elements) == closure
+
+
 @settings(max_examples=120, deadline=None)
-@given(hnf_inputs(), st.data())
+@given(hnf_inputs(WORD_ENTRIES), st.data())
 def test_backends_identical_hnf(core, compiled, data, extra):
     mods, cols = data
     h = _pure.hnf_kernel(mods, [list(c) for c in cols])
@@ -232,6 +286,31 @@ def test_bigint_fallback(core, compiled):
     for hnf_kernel in (_kernel.hnf_kernel, compiled["hnf_kernel"]):
         assert hnf_kernel([big * 4], [[big]]) == ((big,),)
         assert hnf_kernel([4], [[2**70 + 2]]) == ((2,),)
+
+
+def _check_malformed_columns(hnf_kernel):
+    """A column shorter than the moduli raises IndexError, an all-zero one
+    too; a longer column is read up to len(mods)."""
+    for mods in ([6], [4, 6], [2, 9, 25]):
+        r = len(mods)
+        for short in ([0] * (r - 1), [1] * (r - 1)):
+            with pytest.raises(IndexError):
+                hnf_kernel(mods, [[1] * r, short])
+        want = _pure.hnf_kernel(mods, [[3] * r])
+        assert hnf_kernel(mods, [[3] * r + [5, 7], [0] * r + [1]]) == want
+
+
+def test_malformed_columns_pure():
+    _check_malformed_columns(_pure.hnf_kernel)
+
+
+def test_malformed_columns_compiled(core, compiled):
+    """The compiled kernel refuses a column of the wrong length, and the
+    package's wrapper answers it as the pure kernel does."""
+    for col in ([0], [0, 0, 0]):
+        with pytest.raises(core.NeedsBigInts):
+            core.hnf_kernel([4, 6], [col])
+    _check_malformed_columns(compiled["hnf_kernel"])
 
 
 def test_backends_identical_end_to_end(core, monkeypatch, capsys):
