@@ -34,7 +34,9 @@ class SplitGroup:
         self.n = n
         self.torsion = torsion
         self.ambient = AbelianGroup((p,) * n + torsion.moduli)
-        self.bound = NegligibilityBound(self.ambient, self.t_part())
+        r = torsion.rank
+        t_gens = [(0,) * (n + i) + (1,) + (0,) * (r - 1 - i) for i in range(r)]
+        self.bound = NegligibilityBound(self.ambient, Subgroup.from_generators(self.ambient, t_gens))
 
     def __repr__(self):
         return f"SplitGroup(p={self.p}, n={self.n}, torsion={list(self.torsion.moduli)})"
@@ -51,13 +53,8 @@ class SplitGroup:
         return hash((self.p, self.n, self.torsion))
 
     def t_part(self) -> Subgroup:
-        r = self.torsion.rank
-        gens = []
-        for i in range(r):
-            vec = [0] * (self.n + r)
-            vec[self.n + i] = 1
-            gens.append(tuple(vec))
-        return Subgroup.from_generators(self.ambient, gens)
+        """T, the bound's ``n_max``, built once in ``__init__``."""
+        return self.bound.n_max
 
     def _embed_v(self, v):
         return tuple(v) + (0,) * self.torsion.rank

@@ -11,9 +11,12 @@ Values of an endogeny are cosets of the katakernel K.  An endogeny is held
 as (K, V), V the value columns (V e_j a representative of the value at the
 j-th generator, reduced into the box of K), and its canonical graph basis is
 the block matrix [[I, 0], [V, K.basis]], written down without a Hermite form.
-Negation, sums, composites, images, equivalence and the sharp test compute
-on (K, V) in the target's rank; only preimages and restriction work on the
-graph in the product group.  The failure of left distributivity, the
+A relation with known (K, V) is built by :meth:`Endogeny.from_values`, which
+checks that the values are well defined modulo K.  Negation, sums,
+composites, images, equivalence and the sharp test compute on (K, V) in the
+target's rank, and each image is kept on its endogeny; only
+:meth:`Endogeny.from_pairs`, preimages and restriction work on the graph in
+the product group.  The failure of left distributivity, the
 sharp-commutation calculus, weak/full invariance, restriction, and the
 global katakernel of a generated prering all live here.  The global
 katakernel is a fixpoint over the generators, so no prering closure is
@@ -86,7 +89,7 @@ class Endogeny:
     graph when first asked.
     """
 
-    __slots__ = ("source", "target", "graph", "bound", "_kat", "_vals", "_im", "_ker")
+    __slots__ = ("source", "target", "graph", "bound", "_kat", "_vals", "_im", "_ker", "_images")
 
     def __init__(self, source, target, graph: Subgroup, bound: NegligibilityBound, *,
                  _checked=False, _kat=None, _vals=None):
@@ -98,6 +101,7 @@ class Endogeny:
         self._vals = _vals
         self._im = None
         self._ker = None
+        self._images = {}
         if not _checked:
             if bound.group != target:
                 raise AmbientMismatch("bound must live on the target group")
@@ -116,6 +120,25 @@ class Endogeny:
         gens = [source.reduce(a) + target.reduce(b) for a, b in pairs]
         graph = Subgroup._span(prod, gens)
         return cls(source, target, graph, bound)
+
+    @classmethod
+    def from_values(cls, source, kat: Subgroup, vals, bound):
+        """The endogeny with katakernel ``kat`` whose value at the j-th
+        generator of ``source`` is vals[j] + kat, validated.
+
+        The values are well defined when d_j vals[j] lies in ``kat`` for
+        every cyclic order d_j of the source; otherwise the fibre over 0 is
+        larger than ``kat``.  The graph is the Hermite basis that
+        :meth:`from_pairs` computes from the pairs (e_j, vals[j]) and
+        (0, k), k in ``kat``, written down without a kernel call."""
+        tgt = kat.group
+        if len(vals) != source.rank:
+            raise InvalidInput(f"{len(vals)} values for a source of rank {source.rank}")
+        for d, v in zip(source.moduli, vals):
+            # contains rejects a value of the wrong length
+            if not kat.contains([d * x for x in v]):
+                raise InvalidInput(f"value {tuple(v)} at a generator of order {d} is not well defined modulo the katakernel")
+        return cls._from_values(source, kat, vals, bound, product_group(source, tgt), _checked=False)
 
     @classmethod
     def _from_values(cls, source, kat: Subgroup, vals, bound, prod, *, _checked=True):
@@ -199,7 +222,9 @@ class Endogeny:
         return self._vals
 
     def _rep(self, a):
-        """V a, unreduced: a representative of the value at ``a``."""
+        """V a, unreduced: a representative of the value at ``a``.  Most
+        entries of ``a`` are zero (basis columns), so only the columns of V
+        at nonzero entries are added."""
         out = [0] * self.target.rank
         for x, v in zip(a, self._values()):
             if x:
@@ -227,13 +252,19 @@ class Endogeny:
         return Coset(self.target.reduce(b), self.kat())
 
     def apply_set(self, s: Subgroup) -> Subgroup:
-        """Image of a subgroup of the source: V S + K."""
+        """Image of a subgroup of the source: V S + K.  Each image is kept,
+        keyed by the subgroup's basis, so an equal subgroup finds it."""
         if s.group != self.source:
             raise AmbientMismatch("subgroup not in the source group")
-        cols = [self._rep(col) for col in s.gen_columns()]
-        if not cols:
-            return self.kat()
-        return Subgroup._span(self.target, cols + self.kat().gen_columns())
+        img = self._images.get(s.basis)
+        if img is None:
+            cols = [self._rep(col) for col in s.gen_columns()]
+            if cols:
+                img = Subgroup._span(self.target, cols + self.kat().gen_columns())
+            else:
+                img = self.kat()
+            self._images[s.basis] = img
+        return img
 
     def preimage(self, s: Subgroup) -> Subgroup:
         """Inverse image of a subgroup of the target."""

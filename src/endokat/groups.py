@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import product as _iproduct
+from operator import add, mod, mul, neg, sub
 
 from . import config
 from ._kernel import box_reduce, hnf_kernel
@@ -36,7 +37,7 @@ class AbelianGroup:
     keep their coordinates and stay in this base class.
     """
 
-    __slots__ = ("moduli",)
+    __slots__ = ("moduli", "rank")
 
     def __init__(self, moduli):
         mods = tuple(int(m) for m in moduli)
@@ -46,6 +47,7 @@ class AbelianGroup:
             if m > config.MAX_ORDER:
                 raise InvalidInput(f"cyclic order {m} above MAX_ORDER = {config.MAX_ORDER}")
         self.moduli = mods
+        self.rank = len(mods)
 
     # -- value semantics ----------------------------------------------------
 
@@ -59,10 +61,6 @@ class AbelianGroup:
         return f"{type(self).__name__}({list(self.moduli)})"
 
     # -- basic data ---------------------------------------------------------
-
-    @property
-    def rank(self):
-        return len(self.moduli)
 
     @property
     def order(self):
@@ -85,19 +83,19 @@ class AbelianGroup:
         return vec
 
     def reduce(self, vec):
-        return tuple(int(v) % m for v, m in zip(self._check_length(vec), self.moduli))
+        return tuple(map(mod, self._check_length(vec), self.moduli))
 
     def add(self, a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
+        return tuple(map(mod, map(add, a, b), self.moduli))
 
     def sub(self, a, b):
-        return tuple((x - y) % m for x, y, m in zip(a, b, self.moduli))
+        return tuple(map(mod, map(sub, a, b), self.moduli))
 
     def neg(self, a):
-        return tuple((-x) % m for x, m in zip(a, self.moduli))
+        return tuple(map(mod, map(neg, a), self.moduli))
 
     def scalar_mul(self, k, a):
-        return tuple((k * x) % m for x, m in zip(a, self.moduli))
+        return tuple([(k * x) % m for x, m in zip(a, self.moduli)])
 
     def element_order(self, a):
         return reduce(math.lcm, (m // math.gcd(m, x) for x, m in zip(a, self.moduli)), 1)
@@ -357,7 +355,7 @@ class Homomorphism:
     def __init__(self, source, target, matrix, lift_matrix=None, *, _trusted=False):
         self.source = source
         self.target = target
-        self.matrix = tuple(tuple(int(x) % m for x in row) for row, m in zip(matrix, target.moduli))
+        self.matrix = tuple([tuple([int(x) % m for x in row]) for row, m in zip(matrix, target.moduli)])
         self.lift_matrix = lift_matrix
         if len(self.matrix) != target.rank or any(len(r) != source.rank for r in self.matrix):
             raise InvalidInput("homomorphism matrix has wrong shape")
@@ -379,13 +377,7 @@ class Homomorphism:
 
     def __call__(self, vec):
         vec = self.source.reduce(vec)
-        out = [0] * self.target.rank
-        for i, row in enumerate(self.matrix):
-            s = 0
-            for x, v in zip(row, vec):
-                s += x * v
-            out[i] = s
-        return self.target.reduce(out)
+        return self.target.reduce([sum(map(mul, row, vec)) for row in self.matrix])
 
     def __eq__(self, other):
         return (
@@ -431,13 +423,7 @@ class Homomorphism:
         if self.lift_matrix is None:
             raise InvalidInput("this homomorphism carries no section")
         vec = self.target.reduce(vec)
-        out = [0] * self.source.rank
-        for i, row in enumerate(self.lift_matrix):
-            s = 0
-            for x, v in zip(row, vec):
-                s += x * v
-            out[i] = s
-        return self.source.reduce(out)
+        return self.source.reduce([sum(map(mul, row, vec)) for row in self.lift_matrix])
 
 
 class Coset:

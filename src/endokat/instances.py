@@ -2,10 +2,14 @@
 
 Every generator is a pure function of its parameters and a 64-bit seed
 (SplitMix64 streams), validates its own output, and emits the same bytes for
-the same parameters.  The fixture carries the hand-checkable corner case:
-the blurred relation on Z/p (+) Z/p^2 that is equivalent to no endomorphism
-at all (the all-to-a-coset blur is :meth:`Endogeny.blur`).  Exhaustive
-searches over small groups are test references and live with the tests.
+the same parameters.  Random relations are drawn as their katakernel K and
+value columns V and built by :meth:`Endogeny.from_values`, whose checks (V
+well defined modulo K, K within the bound) validate them with no Hermite
+form in the product group.  The fixture carries the hand-checkable corner
+case: the blurred relation on Z/p (+) Z/p^2 that is equivalent to no
+endomorphism at all (the all-to-a-coset blur is :meth:`Endogeny.blur`).
+Exhaustive searches over small groups are test references and live with
+the tests.
 """
 
 from __future__ import annotations
@@ -66,18 +70,22 @@ def random_group(seed: int, max_order: int = 4096, max_rank: int = 3) -> FinAbGr
 
 
 def random_subgroup_of(h: Subgroup, rng: SplitMix64) -> Subgroup:
-    """Random subgroup inside h: span of up to rank-many random members."""
-    gens = []
+    """Random subgroup inside h: span of up to rank-many random members,
+    each an integer combination of h's generators that the kernel reduces."""
     cols = h.gen_columns()
     if not cols:
         return h
     g = h.group
+    exponent = g.exponent
+    gens = []
     for _ in range(1 + rng.below(len(cols) + 1)):
-        v = g.zero
+        v = [0] * g.rank
         for c in cols:
-            v = g.add(v, g.scalar_mul(rng.below(g.exponent), c))
+            k = rng.below(exponent)
+            if k:
+                v = [x + k * y for x, y in zip(v, c)]
         gens.append(v)
-    return Subgroup.from_generators(g, gens)
+    return Subgroup._span(g, gens)
 
 
 def _torsion_columns(b: AbelianGroup, d):
@@ -96,10 +104,11 @@ def random_homomorphism(a: AbelianGroup, b: AbelianGroup, rng: SplitMix64) -> Ho
     """Uniform-ish seeded homomorphism: each generator image is drawn from
     the subgroup of elements its order must kill."""
     cols = []
+    exponent = b.exponent
     for d in a.moduli:
         y = b.zero
         for c in _torsion_columns(b, d):
-            y = b.add(y, b.scalar_mul(rng.below(b.exponent), c))
+            y = b.add(y, b.scalar_mul(rng.below(exponent), c))
         cols.append(y)
     rows = [[cols[j][i] for j in range(a.rank)] for i in range(b.rank)]
     return Homomorphism(a, b, rows)
@@ -124,9 +133,7 @@ def random_endogeny(a: AbelianGroup, n_max: Subgroup, seed: int) -> Endogeny:
     f = random_subgroup_of(n_max, rng)
     q, proj = quotient(a, f)
     g = random_homomorphism(a, q, rng)
-    pairs = [(e, proj.lift(g(e))) for e in a.generators()]
-    pairs += [(a.zero, c) for c in f.gen_columns()]
-    return endogeny_validate(a, a, pairs, bound)
+    return Endogeny.from_values(a, f, [proj.lift(g(e)) for e in a.generators()], bound)
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +186,8 @@ def _morphism_endogeny(sg: SplitGroup, vmat, blur: Subgroup, bound: Negligibilit
     """Relation acting on V by the matrix, given by rows of entries in
     [0, p), killing T, blurred by a subgroup of T: e_i maps to column i."""
     amb = sg.ambient
-    pairs = []
-    for i, img in enumerate(zip(*vmat)):
-        e = tuple(int(i == j) for j in range(sg.n))
-        pairs.append((sg._embed_v(e), sg._embed_v(img)))
-    for i in range(sg.torsion.rank):
-        vec = [0] * amb.rank
-        vec[sg.n + i] = 1
-        pairs.append((tuple(vec), amb.zero))
-    for col in blur.gen_columns():
-        pairs.append((amb.zero, col))
-    return endogeny_validate(amb, amb, pairs, bound)
+    vals = [sg._embed_v(img) for img in zip(*vmat)] + [amb.zero] * sg.torsion.rank
+    return Endogeny.from_values(amb, blur, vals, bound)
 
 
 def split_bimodule(p: int, n: int, torsion, seed: int, plant_witness: bool = False):
@@ -238,7 +236,7 @@ def split_bimodule(p: int, n: int, torsion, seed: int, plant_witness: bool = Fal
         info["field_order"] = inst["ground_truth"]["field_order"]
         info["vs_dimension"] = inst["ground_truth"]["vs_dimension"]
     bound = sg.bound
-    tpart = sg.t_part()
+    tpart = bound.n_max
     gammas = []
     for mat_ in gmats:
         blur = random_subgroup_of(tpart, rng)

@@ -2,7 +2,9 @@
 the package does not call: every subgroup of a group by element-wise
 extension, the image and kernel of a homomorphism, the elements of a coset,
 every abelian group up to an order, the exhaustive search for the weak-invariance counterexample,
-a second sharp-pair generator, the invariant-subspace search that spins
+a second sharp-pair generator, the pair-based random subgroups, random
+endogenies and split-group relations that the value-built generators
+replaced, the invariant-subspace search that spins
 every line of F_p^n, the Euclid-sweep Hermite form that the pure kernel's
 extended-gcd elimination replaced, and the entry-by-entry F_p matrix code on
 tuples of row tuples that the packed kernel primitives replaced."""
@@ -12,7 +14,15 @@ from itertools import product
 from endokat import config, fp
 from endokat.endogeny import Endogeny, NegligibilityBound, endo_add, endogeny_validate, sharp_commutes, weakly_invariant
 from endokat.errors import BudgetExceeded, CapExceeded, KatakernelBound
-from endokat.groups import AbelianGroup, Coset, Homomorphism, Subgroup, _prime_factorization, canonicalize_group
+from endokat.groups import (
+    AbelianGroup,
+    Coset,
+    Homomorphism,
+    Subgroup,
+    _prime_factorization,
+    canonicalize_group,
+    quotient,
+)
 from endokat.instances import polynomial, random_homomorphism, random_subgroup_of
 from endokat.rng import SplitMix64
 
@@ -152,6 +162,52 @@ def random_sharp_pair(a: AbelianGroup, n_max: Subgroup, seed: int, budget: int =
         if sharp_commutes(g, h):
             return g, h
     raise BudgetExceeded("no sharply commuting pair found within the budget")
+
+
+def pair_random_subgroup_of(h: Subgroup, rng: SplitMix64) -> Subgroup:
+    """``instances.random_subgroup_of`` as group elements: each random
+    member is reduced as it is summed, then reduced again as a generator."""
+    gens = []
+    cols = h.gen_columns()
+    if not cols:
+        return h
+    g = h.group
+    for _ in range(1 + rng.below(len(cols) + 1)):
+        v = g.zero
+        for c in cols:
+            v = g.add(v, g.scalar_mul(rng.below(g.exponent), c))
+        gens.append(v)
+    return Subgroup.from_generators(g, gens)
+
+
+def pair_random_endogeny(a: AbelianGroup, n_max: Subgroup, seed: int) -> Endogeny:
+    """``instances.random_endogeny`` from generating pairs: the Hermite form
+    of the graph in the product group finds its katakernel again."""
+    rng = SplitMix64(seed)
+    bound = NegligibilityBound(a, n_max)
+    f = pair_random_subgroup_of(n_max, rng)
+    q, proj = quotient(a, f)
+    g = random_homomorphism(a, q, rng)
+    pairs = [(e, proj.lift(g(e))) for e in a.generators()]
+    pairs += [(a.zero, c) for c in f.gen_columns()]
+    return endogeny_validate(a, a, pairs, bound)
+
+
+def pair_morphism_endogeny(sg, vmat, blur: Subgroup, bound: NegligibilityBound) -> Endogeny:
+    """``instances._morphism_endogeny`` from generating pairs: e_i of V to
+    column i of ``vmat``, T to 0, and 0 to the blur."""
+    amb = sg.ambient
+    pairs = []
+    for i, img in enumerate(zip(*vmat)):
+        e = tuple(int(i == j) for j in range(sg.n))
+        pairs.append((sg._embed_v(e), sg._embed_v(img)))
+    for i in range(sg.torsion.rank):
+        vec = [0] * amb.rank
+        vec[sg.n + i] = 1
+        pairs.append((tuple(vec), amb.zero))
+    for col in blur.gen_columns():
+        pairs.append((amb.zero, col))
+    return endogeny_validate(amb, amb, pairs, bound)
 
 
 def all_vectors(p, n):

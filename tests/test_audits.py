@@ -9,10 +9,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from endokat import audits, config, endogeny, jsonio
+from endokat import audits, config, endogeny, instances, jsonio
 from endokat.dimension import SplitGroup
-from endokat.endogeny import Endogeny, NegligibilityBound
-from endokat.groups import Homomorphism, canonicalize_group, subgroup_from_generators
+from endokat.endogeny import Endogeny, EndogenySet, NegligibilityBound
+from endokat.groups import Homomorphism, Subgroup, canonicalize_group, subgroup_from_generators
 
 
 @pytest.mark.parametrize("suite", audits.SUITES)
@@ -214,3 +214,26 @@ def test_failed_law_counted_once_with_its_data(monkeypatch):
     # every law but dim_subadditive and split_direct is a dimension_lemma
     failed = {"law": "dimension_lemma", "instance": desc, "counterexample": {"dims": [1, 2, 3]}}
     assert res["violations"] == [failed] * (clean["checks"] - 2)
+
+
+def test_non_commuting_induced_maps_fail_the_katakernel_audit(monkeypatch):
+    """``induced_commute`` is recorded once ``induced_action`` returns, so
+    the audit must still report induced maps that fail to commute: a swap
+    and a projection on V, planted past the cross-sharp check, make
+    ``induced_action`` raise and the audit record ``induced_action_failed``."""
+    sg = SplitGroup(2, 2, canonicalize_group([3]))
+    triv = Subgroup.trivial(sg.ambient)
+    swap = instances._morphism_endogeny(sg, ((0, 1), (1, 0)), triv, sg.bound)
+    proj = instances._morphism_endogeny(sg, ((1, 0), (0, 0)), triv, sg.bound)
+    gset = EndogenySet(sg.ambient, sg.bound, [swap])
+    dset = EndogenySet(sg.ambient, sg.bound, [proj])
+    monkeypatch.setattr(audits, "_split_objects", lambda desc: (sg, gset, dset, {}))
+    monkeypatch.setattr(endogeny, "_check_cross_sharp", lambda gamma, delta: None)
+    res = audits.run_instance("katakernel", {"seed": 0})
+    assert res["violations"] == [
+        {
+            "law": "induced_action_failed",
+            "instance": {"seed": 0},
+            "counterexample": {"error": "induced endomorphisms fail to commute"},
+        }
+    ]

@@ -1,9 +1,10 @@
 """The relation calculus: validation, operations, laws, invariance."""
 
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from endokat import endogeny, groups, oracle
 from endokat.endogeny import (
@@ -25,6 +26,7 @@ from endokat.endogeny import (
     weakly_invariant,
 )
 from endokat.errors import (
+    AmbientMismatch,
     CapExceeded,
     InvalidInput,
     KatakernelBound,
@@ -415,6 +417,26 @@ def test_global_kat_closes_each_family_once(z2z2, monkeypatch):
     assert closed[2:] == [escaping]
 
 
+def test_apply_set_images_each_subgroup_once(z2z4, monkeypatch):
+    """Two equal subgroups, built as distinct objects, get their image under
+    one endogeny from one kernel call; another endogeny computes its own."""
+    n_max = subgroup_from_generators(z2z4, [(0, 2)])
+    e1, e2 = random_endogeny(z2z4, n_max, 9), random_endogeny(z2z4, n_max, 10)
+    s1 = subgroup_from_generators(z2z4, [(1, 1)])
+    s2 = subgroup_from_generators(z2z4, [(1, 3)])
+    assert s1 == s2 and s1 is not s2
+    calls = []
+    real = groups.hnf_kernel
+    monkeypatch.setattr(groups, "hnf_kernel", lambda mods, cols: calls.append(mods) or real(mods, cols))
+    img = e1.apply_set(s1)
+    assert e1.apply_set(s2) is img and len(calls) == 1
+    assert img == Subgroup._span(z2z4, [e1.apply(c).rep for c in s1.gen_columns()] + e1.kat().gen_columns())
+    calls.clear()
+    e2.apply_set(s2)
+    e2.apply_set(s1)
+    assert len(calls) == 1
+
+
 def test_bikat_and_induced_action(z2z2):
     nb0 = NegligibilityBound.zero(z2z2)
     swap = Endogeny.from_morphism(Homomorphism(z2z2, z2z2, [[0, 1], [1, 0]]), nb0)
@@ -639,3 +661,57 @@ def test_value_column_ops_make_few_hermite_forms(monkeypatch):
         ranks.clear()
         op()
         assert ranks == [rank]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.tuples(st.sampled_from(SMALL_GROUPS), st.sampled_from(SMALL_GROUPS)), st.integers(0, 2**32), st.booleans())
+def test_from_values_is_from_pairs(lattice_backend, mods, seed, torsion):
+    """from_values gives from_pairs' graph on the pairs (e_j, v_j) and
+    (0, k), k in K, whenever the values are well defined, and rejects them
+    otherwise, when from_pairs' fibre over 0 is larger than K.  With
+    ``torsion`` each value is a multiple that the generator's order kills,
+    shifted by a member of K, so both cases occur often."""
+    rnd = random.Random(seed)
+    a, b = (canonicalize_group(list(m)) for m in mods)
+    kat = _random_subgroup(b, rnd)
+    members = list(kat.elements())
+    exp = b.exponent
+    vals = []
+    for d in a.moduli:
+        v = [rnd.randrange(-2 * m, 2 * m) for m in b.moduli]
+        if torsion:
+            v = [exp // math.gcd(exp, d) * x + k for x, k in zip(v, rnd.choice(members))]
+        vals.append(v)
+    bound = NegligibilityBound.everything(b)
+    pairs = list(zip(a.generators(), vals)) + [(a.zero, k) for k in kat.gen_columns()]
+    ref = Endogeny.from_pairs(a, b, pairs, bound)
+    if all(kat.contains([d * x for x in v]) for d, v in zip(a.moduli, vals)):
+        got = Endogeny.from_values(a, kat, vals, bound)
+        assert got.graph == ref.graph and got.kat() == ref.kat() == kat
+    else:
+        with pytest.raises(InvalidInput, match="not well defined"):
+            Endogeny.from_values(a, kat, vals, bound)
+        assert kat.leq(ref.kat()) and ref.kat() != kat
+
+
+def test_from_values_rejects_what_from_pairs_would_not_give(z4):
+    """from_values rejects values that are not well defined modulo K, a
+    wrong number of values, a value of the wrong length, a K beyond the
+    bound and a bound on another group."""
+    z2 = canonicalize_group([2])
+    triv, half = Subgroup.trivial(z4), subgroup_from_generators(z4, [(2,)])
+    everything = NegligibilityBound.everything(z4)
+    # 2 * 1 = 2 is not in 0, but it is in <2>
+    with pytest.raises(InvalidInput, match="not well defined"):
+        Endogeny.from_values(z2, triv, [(1,)], everything)
+    e = Endogeny.from_values(z2, half, [(1,)], everything)
+    assert e.graph == Endogeny.from_pairs(z2, z4, [((1,), (1,)), ((0,), (2,))], everything).graph
+    for vals in ([], [(1,), (0,)]):
+        with pytest.raises(InvalidInput, match="values for a source of rank 1"):
+            Endogeny.from_values(z2, half, vals, everything)
+    with pytest.raises(InvalidInput, match="length"):
+        Endogeny.from_values(z2, half, [(1, 0)], everything)
+    with pytest.raises(KatakernelBound):
+        Endogeny.from_values(z2, half, [(1,)], NegligibilityBound.zero(z4))
+    with pytest.raises(AmbientMismatch):
+        Endogeny.from_values(z2, half, [(1,)], NegligibilityBound.everything(z2))

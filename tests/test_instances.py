@@ -5,21 +5,34 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endokat import fp, jsonio
+from endokat import fp, groups, jsonio
+from endokat.dimension import SplitGroup
 from endokat.endogeny import Endogeny, NegligibilityBound, sharp_commutes
 from endokat.errors import InvalidInput, KatakernelBound
 from endokat.rng import SplitMix64
-from endokat.groups import AbelianGroup, Homomorphism, subgroup_from_generators
+from endokat.groups import AbelianGroup, Homomorphism, Subgroup, canonicalize_group, subgroup_from_generators
 from endokat.instances import (
+    _morphism_endogeny,
     _torsion_columns,
     fixture_nonliftable,
     matrix_bimodule,
     random_endogeny,
+    random_group,
     random_homomorphism,
+    random_subgroup_of,
     split_bimodule,
 )
 
-from references import kernel, random_sharp_pair
+from references import (
+    kernel,
+    pair_morphism_endogeny,
+    pair_random_endogeny,
+    pair_random_subgroup_of,
+    random_sharp_pair,
+)
+
+# (p, n, torsion) of split groups for the generator checks
+SPLIT_SHAPES = ((2, 2, [3]), (3, 2, [2, 4]), (2, 3, [9]), (5, 1, [3, 6]), (2, 2, []), (3, 3, [4]))
 
 
 def test_fixture_zF(z4):
@@ -162,3 +175,75 @@ def test_torsion_columns_match_the_kernel(target, source, seed):
         assert _torsion_columns(b, d) == _kernel_torsion_columns(b, d)
     got = random_homomorphism(a, b, SplitMix64(seed)).matrix
     assert got == _reference_random_homomorphism(a, b, SplitMix64(seed))
+
+
+def _same_endogeny(e, r):
+    assert e.graph == r.graph and e.kat() == r.kat() and e._values() == r._values()
+
+
+def test_value_built_generators_match_the_pair_references(lattice_backend):
+    """random_subgroup_of, random_endogeny and _morphism_endogeny give the
+    bases and graphs of the pair-based references they replaced, making the
+    same draws, on 60 seeded groups of order <= 64 and on split groups,
+    with either backend's lattice primitives (random_subgroup_of hands the
+    kernel unreduced columns)."""
+    for seed in range(60):
+        g = random_group(seed, max_order=64)
+        full = Subgroup.full(g)
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        n_max = random_subgroup_of(full, rng)
+        assert n_max == pair_random_subgroup_of(full, ref)
+        assert rng.state == ref.state
+        assert random_subgroup_of(n_max, rng) == pair_random_subgroup_of(n_max, ref)
+        for i in range(3):
+            sub = SplitMix64(seed).fork(i).state
+            _same_endogeny(random_endogeny(g, n_max, sub), pair_random_endogeny(g, n_max, sub))
+    for p, n, torsion in SPLIT_SHAPES:
+        sg = SplitGroup(p, n, canonicalize_group(torsion))
+        for seed in range(8):
+            rng = SplitMix64(seed)
+            vmat = tuple(tuple(rng.below(p) for _ in range(n)) for _ in range(n))
+            blur = random_subgroup_of(sg.t_part(), rng)
+            _same_endogeny(
+                _morphism_endogeny(sg, vmat, blur, sg.bound),
+                pair_morphism_endogeny(sg, vmat, blur, sg.bound),
+            )
+
+
+def _product_group_calls(monkeypatch, group, build):
+    """How many kernel calls ``build()`` makes on the moduli of group x group."""
+    calls = []
+    hnf = groups.hnf_kernel
+    monkeypatch.setattr(groups, "hnf_kernel", lambda mods, cols: calls.append(tuple(mods)) or hnf(mods, cols))
+    build()
+    monkeypatch.setattr(groups, "hnf_kernel", hnf)
+    return calls.count(group.moduli * 2)
+
+
+def test_generators_form_no_hermite_form_in_the_product_group(monkeypatch):
+    """random_endogeny and split_bimodule build their relations from (K, V)
+    and make no kernel call on the product group's moduli; the pair-based
+    references make one per relation."""
+    for seed in range(20):
+        g = random_group(seed, max_order=64)
+        n_max = random_subgroup_of(Subgroup.full(g), SplitMix64(seed))
+        assert _product_group_calls(monkeypatch, g, lambda: random_endogeny(g, n_max, seed)) == 0
+        assert _product_group_calls(monkeypatch, g, lambda: pair_random_endogeny(g, n_max, seed)) == 1
+    for p, n, torsion in SPLIT_SHAPES:
+        amb = SplitGroup(p, n, canonicalize_group(torsion)).ambient
+        for seed in range(4):
+            for plant in (False, True) if n > 1 else (False,):
+                assert _product_group_calls(monkeypatch, amb, lambda: split_bimodule(p, n, torsion, seed, plant)) == 0
+
+
+def test_split_group_builds_its_t_part_once(monkeypatch):
+    """SplitGroup builds T once; t_part(), split_bimodule and
+    subgroup_from_v_subspace read it without a kernel call for T."""
+    sg = SplitGroup(2, 2, canonicalize_group([3]))
+    assert sg.t_part() is sg.bound.n_max
+    assert sg.t_part() == Subgroup.from_generators(sg.ambient, [(0, 0, 1)])
+    calls = []
+    hnf = groups.hnf_kernel
+    monkeypatch.setattr(groups, "hnf_kernel", lambda mods, cols: calls.append(cols) or hnf(mods, cols))
+    assert sg.subgroup_from_v_subspace([(1, 0)]) == Subgroup.from_generators(sg.ambient, [(1, 0, 0), (0, 0, 1)])
+    assert len(calls) == 2  # the subgroup and the reference, not T

@@ -2,24 +2,20 @@
 
 The compiled lattice primitives are checked against ``_pure`` through the
 same fallback wrapper the package uses, primitive by primitive and on audit
-traffic end to end.  The ``core`` fixture compiles ``_core.c`` once per
-session into a temporary directory with the interpreter's C compiler, so no
-prior build is needed; it skips only when there is no C compiler.  The pure
+traffic end to end.  The ``core`` fixture (``conftest.py``) compiles
+``_core.c`` once per session into a temporary directory with the
+interpreter's C compiler, so no prior build is needed; it skips only when
+there is no C compiler.  The pure
 Hermite form is checked against the Euclid sweep it replaced and against the
 additive closure of its columns.  The F_p primitives are ``_pure``'s under
 either backend; their packed rows are checked against the entry-by-entry
 tuple code they replaced (``references``).
 """
 
-import importlib.util
 import json
 import math
 import random
 import re
-import shlex
-import shutil
-import subprocess
-import sysconfig
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -33,7 +29,6 @@ from endokat._kernel._matrix import pack
 
 from references import euclid_hnf, tuple_mat_mul, tuple_mat_vec, tuple_rref, tuple_spin
 
-CORE_C = Path(_kernel.__file__).with_name("_core.c")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # At 5, 7, 10, 25 and 27 two entries of a row often divide neither each
@@ -53,33 +48,6 @@ BIG_ENTRIES = WORD_ENTRIES | st.integers(-(2**90), 2**90)
 # slots are 64 bits wide.
 BYTE_SLOT_PRIMES = [2, 3, 5, 7, 11, 13]
 WIDE_SLOT_PRIMES = [17, 257, 65537, 1048573]
-
-
-@pytest.fixture(scope="session")
-def core(tmp_path_factory):
-    """The compiled kernel module, built from ``_core.c`` for this session."""
-    # The interpreter's own extension link line (LDSHARED) with its
-    # position-independent flags (CCSHARED) compiles and links in one step.
-    ld = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
-    if shutil.which(ld[0]) is None:
-        pytest.skip(f"no C compiler: {ld[0]!r} (the interpreter's LDSHARED) is not installed")
-    out = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
-    include = sysconfig.get_paths()["include"]
-    pic = shlex.split(sysconfig.get_config_var("CCSHARED") or "")
-    cmd = ld + pic + ["-O2", "-Wall", "-Werror", f"-I{include}", str(CORE_C), "-o", str(out)]
-    built = subprocess.run(cmd, capture_output=True, text=True)
-    if built.returncode:
-        pytest.fail(f"{' '.join(cmd)} failed:\n{built.stderr}")
-    spec = importlib.util.spec_from_file_location("_core", out)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="session")
-def compiled(core):
-    """The compiled primitives behind the package's fallback wrapper."""
-    return dict(zip(_kernel.PRIMITIVES, _kernel.primitives(core)))
 
 
 def test_compiled_backend_holds_only_the_lattice_primitives(core):
