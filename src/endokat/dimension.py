@@ -6,6 +6,12 @@ p-part plays the role of the connected component, containment in T plays the
 role of finiteness, and dim H = log_p |H_p|.  With the negligibility bound
 set to T, the rank-nullity and connected-image laws of the relation calculus
 hold exactly and are checked, not assumed.
+
+The p-part is read off the canonical basis, with no Hermite form.  In the
+coordinates of V (+) T the basis of H is lower triangular, so its V-block
+(the first n rows and columns) is the canonical basis of the projection of H
+to V, which is H_p; H_p's own basis is that block with diag(T's moduli) in
+the T-block.  So dim H counts the unit pivots of the V-block.
 """
 
 from __future__ import annotations
@@ -60,28 +66,32 @@ class SplitGroup:
         return tuple(v) + (0,) * self.torsion.rank
 
     def _scaled(self, h: Subgroup, k) -> Subgroup:
-        """k * H: the p-part H_p for k = |T|, the T-part H_T for k = p^n."""
+        """k * H: the T-part H_T for k = p^n."""
         if h.group != self.ambient:
             raise AmbientMismatch("subgroup not in this split group")
         amb = self.ambient
         return Subgroup._span(amb, [amb.scalar_mul(k, g) for g in h.gen_columns()])
 
     def split(self, h: Subgroup):
-        """Coprime factorization H = H_p (+) H_T, by scaling generators with
-        the complementary order."""
+        """Coprime factorization H = H_p (+) H_T: the p-part read off the
+        basis, the T-part by scaling generators with p^n."""
         return self.connected_component(h), self._scaled(h, self.p**self.n)
 
     def dim(self, h: Subgroup) -> int:
-        order = self.connected_component(h).order
-        d = 0
-        while order > 1:
-            order //= self.p
-            d += 1
-        return d
+        """log_p |H_p|: the unit pivots of the V-block of H's basis."""
+        if h.group != self.ambient:
+            raise AmbientMismatch("subgroup not in this split group")
+        return sum(h.basis[i][i] == 1 for i in range(self.n))
 
     def connected_component(self, h: Subgroup) -> Subgroup:
-        """The p-part H_p."""
-        return self._scaled(h, self.torsion.order)
+        """The p-part H_p = |T| H: the V-block of H's basis, with the
+        relation columns of T (|T| is a unit mod p)."""
+        if h.group != self.ambient:
+            raise AmbientMismatch("subgroup not in this split group")
+        # rows of a lower-triangular basis above the T-block are zero there
+        n, mods = self.n, self.ambient.moduli
+        tblock = tuple(tuple(mods[i] * (i == j) for j in range(len(mods))) for i in range(n, len(mods)))
+        return Subgroup(self.ambient, h.basis[:n] + tblock)
 
     # -- law checks -----------------------------------------------------------
 

@@ -8,19 +8,20 @@ endogenies are ordinary homomorphisms; larger bounds admit genuinely blurred
 relations.
 
 Values of an endogeny are cosets of the katakernel K.  An endogeny is held
-as (K, V), V the value columns (V e_j a representative of the value at the
-j-th generator, reduced into the box of K), and its canonical graph basis is
-the block matrix [[I, 0], [V, K.basis]], written down without a Hermite form.
-A relation with known (K, V) is built by :meth:`Endogeny.from_values`, which
-checks that the values are well defined modulo K.  Negation, sums,
-composites, images, equivalence and the sharp test compute on (K, V) in the
-target's rank, and each image is kept on its endogeny; only
-:meth:`Endogeny.from_pairs`, preimages and restriction work on the graph in
-the product group.  The failure of left distributivity, the
-sharp-commutation calculus, weak/full invariance, restriction, and the
-global katakernel of a generated prering all live here.  The global
-katakernel is a fixpoint over the generators, so no prering closure is
-enumerated; the tests enumerate one as its reference.
+as (K, V) and its product group, V the value columns (V e_j a representative
+of the value at the j-th generator, reduced into the box of K).  Its
+canonical graph basis is the block matrix [[I, 0], [V, K.basis]], written
+down without a Hermite form the first time something reads ``graph``.  A
+relation with known (K, V) is built by :meth:`Endogeny.from_values`, which
+checks that the values are well defined modulo K.  Equality, negation, sums,
+composites, images, preimages, equivalence and the sharp test compute on
+(K, V) in the target's rank, and each image is kept on its endogeny; only
+:meth:`Endogeny.from_pairs` and restriction work on the graph in the product
+group.  The failure of left distributivity, the sharp-commutation calculus,
+weak/full invariance, restriction, and the global katakernel of a generated
+prering all live here.  The global katakernel is a fixpoint over the
+generators, so no prering closure is enumerated; the tests enumerate one as
+its reference.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ class NegligibilityBound:
     def zero(cls, group):
         return cls(group, Subgroup.trivial(group))
 
-    @classmethod
-    def everything(cls, group):
-        return cls(group, Subgroup.full(group))
-
     def is_negligible(self, h: Subgroup) -> bool:
         return h.leq(self.n_max)
 
@@ -84,19 +81,21 @@ class NegligibilityBound:
 class Endogeny:
     """A validated additive relation with full first projection.
 
-    Use :func:`endogeny_validate` (or the fixture constructors) to build one;
-    the raw constructor reads the katakernel and the value columns off the
-    graph when first asked.
+    Use :func:`endogeny_validate` (or the fixture constructors) to build one.
+    The raw constructor takes a graph and reads the katakernel and the value
+    columns off it when first asked; :meth:`_from_values` takes (K, V) and
+    the product group and writes the graph when first asked.
     """
 
-    __slots__ = ("source", "target", "graph", "bound", "_kat", "_vals", "_im", "_ker", "_images")
+    __slots__ = ("source", "target", "prod", "bound", "_graph", "_kat", "_vals", "_im", "_ker", "_images")
 
     def __init__(self, source, target, graph: Subgroup, bound: NegligibilityBound, *,
-                 _checked=False, _kat=None, _vals=None):
+                 _checked=False, _kat=None, _vals=None, _prod=None):
         self.source = source
         self.target = target
-        self.graph = graph
+        self.prod = graph.group if graph is not None else _prod
         self.bound = bound
+        self._graph = graph
         self._kat = _kat
         self._vals = _vals
         self._im = None
@@ -128,7 +127,7 @@ class Endogeny:
 
         The values are well defined when d_j vals[j] lies in ``kat`` for
         every cyclic order d_j of the source; otherwise the fibre over 0 is
-        larger than ``kat``.  The graph is the Hermite basis that
+        larger than ``kat``.  Its graph is the Hermite basis that
         :meth:`from_pairs` computes from the pairs (e_j, vals[j]) and
         (0, k), k in ``kat``, written down without a kernel call."""
         tgt = kat.group
@@ -144,18 +143,10 @@ class Endogeny:
     def _from_values(cls, source, kat: Subgroup, vals, bound, prod, *, _checked=True):
         """The endogeny with katakernel ``kat`` whose value at the j-th
         generator of ``source`` is vals[j] + kat, with graph in ``prod``.
-
-        Each column is box-reduced modulo ``kat``, so the block matrix
-        [[I, 0], [V, kat.basis]] is lower triangular with every entry left of
-        a pivot in [0, pivot): the canonical Hermite basis of the graph."""
-        tgt = kat.group
-        mods, kb = tgt.moduli, kat.basis
+        Each column is box-reduced modulo ``kat``; no graph is written."""
+        mods, kb = kat.group.moduli, kat.basis
         vals = tuple(box_reduce(mods, kb, v) for v in vals)
-        r1, r2 = source.rank, tgt.rank
-        top = tuple(tuple(int(i == j) for j in range(r1)) + (0,) * r2 for i in range(r1))
-        bottom = tuple(tuple(v[i] for v in vals) + tuple(kb[i]) for i in range(r2))
-        graph = Subgroup(prod, top + bottom)
-        return cls(source, tgt, graph, bound, _checked=_checked, _kat=kat, _vals=vals)
+        return cls(source, kat.group, None, bound, _checked=_checked, _kat=kat, _vals=vals, _prod=prod)
 
     @classmethod
     def from_morphism(cls, hom: Homomorphism, bound=None):
@@ -174,26 +165,31 @@ class Endogeny:
         bound = bound or NegligibilityBound.zero(group)
         return cls.from_morphism(Homomorphism.zero(group, group), bound)
 
-    @classmethod
-    def blur(cls, f: Subgroup, bound):
-        """The relation sending every element of the group to the coset F:
-        as a set of pairs this is A x F."""
-        g = f.group
-        return cls._from_values(g, f, [g.zero] * g.rank, bound, product_group(g, g), _checked=False)
+    @property
+    def graph(self) -> Subgroup:
+        """The graph in the product group.  From (K, V) its basis is the
+        block matrix [[I, 0], [V, K.basis]]: each column of V is reduced
+        into the box of K, so the matrix is lower triangular with every
+        entry left of a pivot in [0, pivot), the canonical Hermite basis."""
+        if self._graph is None:
+            r1, r2, kb = self.source.rank, self.target.rank, self._kat.basis
+            top = tuple(tuple(int(i == j) for j in range(r1)) + (0,) * r2 for i in range(r1))
+            bottom = tuple(tuple(v[i] for v in self._vals) + tuple(kb[i]) for i in range(r2))
+            self._graph = Subgroup(self.prod, top + bottom)
+        return self._graph
 
     # -- value semantics ------------------------------------------------------
 
+    def _key(self):
+        # for global relations (K, V) is the graph, and every validated
+        # relation is global
+        return (self.source, self.target, self.kat(), self._values(), self.bound)
+
     def __eq__(self, other):
-        return (
-            isinstance(other, Endogeny)
-            and self.source == other.source
-            and self.target == other.target
-            and self.graph == other.graph
-            and self.bound == other.bound
-        )
+        return isinstance(other, Endogeny) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.source, self.target, self.graph, self.bound))
+        return hash(self._key())
 
     def __repr__(self):
         return (
@@ -204,20 +200,22 @@ class Endogeny:
     # -- structure ------------------------------------------------------------
 
     def is_global(self):
+        if self._graph is None:
+            return True  # the graph holds (e_j, v_j) for every j
         # unit pivots leave nothing left of them in a Hermite basis
-        return all(self.graph.basis[i][i] == 1 for i in range(self.source.rank))
+        return all(self._graph.basis[i][i] == 1 for i in range(self.source.rank))
 
     def kat(self) -> Subgroup:
         """Fiber over 0: the blur of the relation."""
         if self._kat is None:
             r1 = self.source.rank
-            self._kat = Subgroup(self.target, tuple(row[r1:] for row in self.graph.basis[r1:]))
+            self._kat = Subgroup(self.target, tuple(row[r1:] for row in self._graph.basis[r1:]))
         return self._kat
 
     def _values(self):
         """V: the value columns, the bottom-left block of the graph basis."""
         if self._vals is None:
-            r1, b = self.source.rank, self.graph.basis
+            r1, b = self.source.rank, self._graph.basis
             self._vals = tuple(tuple(row[j] for row in b[r1:]) for j in range(r1))
         return self._vals
 
@@ -267,13 +265,16 @@ class Endogeny:
         return img
 
     def preimage(self, s: Subgroup) -> Subgroup:
-        """Inverse image of a subgroup of the target."""
+        """Inverse image of a subgroup of the target: the a with V a in
+        S + K, one Hermite form of the columns (v_j, e_j), (k, 0) and (s, 0)."""
         if s.group != self.target:
             raise AmbientMismatch("subgroup not in the target group")
-        r1 = self.source.rank
-        cols = [col[r1:] + col[:r1] for col in self.graph.gen_columns()]
-        cols += [s.group.neg(col) + self.source.zero for col in s.gen_columns()]
-        return Subgroup.pushforward(self.source, self.target.moduli, cols)
+        src, kat = self.source, self.kat()
+        cols = [tuple(v) + e for v, e in zip(self._values(), src.generators())]
+        cols += [col + src.zero for col in kat.gen_columns()]
+        if s.basis != kat.basis:
+            cols += [col + src.zero for col in s.gen_columns()]
+        return Subgroup.pushforward(src, self.target.moduli, cols)
 
 
 def endogeny_validate(source, target, generators, bound) -> Endogeny:
@@ -300,12 +301,12 @@ def endo_add(g1: Endogeny, g2: Endogeny, *, unchecked=False) -> Endogeny:
     if not unchecked and not g1.bound.is_negligible(kat):
         raise KatakernelBound("katakernel of the sum exceeds the bound")
     vals = [[x + y for x, y in zip(v1, v2)] for v1, v2 in zip(g1._values(), g2._values())]
-    return Endogeny._from_values(g1.source, kat, vals, g1.bound, g1.graph.group)
+    return Endogeny._from_values(g1.source, kat, vals, g1.bound, g1.prod)
 
 
 def endo_neg(g: Endogeny) -> Endogeny:
     vals = [[-x for x in v] for v in g._values()]
-    return Endogeny._from_values(g.source, g.kat(), vals, g.bound, g.graph.group)
+    return Endogeny._from_values(g.source, g.kat(), vals, g.bound, g.prod)
 
 
 def endo_compose(g1: Endogeny, g2: Endogeny, *, unchecked=False) -> Endogeny:
@@ -319,7 +320,7 @@ def endo_compose(g1: Endogeny, g2: Endogeny, *, unchecked=False) -> Endogeny:
         raise KatakernelBound("katakernel of the composite exceeds the bound")
     vals = [g1._rep(v) for v in g2._values()]
     mods = src.moduli + tgt.moduli
-    prod = next((e.graph.group for e in (g1, g2) if e.graph.group.moduli == mods), None)
+    prod = next((e.prod for e in (g1, g2) if e.prod.moduli == mods), None)
     return Endogeny._from_values(src, kat, vals, g1.bound, prod or product_group(src, tgt))
 
 
@@ -392,7 +393,7 @@ def restrict(g: Endogeny, b: Subgroup) -> Endogeny:
         raise NotWeaklyInvariant("subgroup is not weakly invariant")
     amb = g.source
     r = amb.rank
-    prod = g.graph.group
+    prod = g.prod
     bq, to_b, _ = subgroup_isomorphism(b)
     # the part of the graph inside b x b
     cols = [col + col for col in g.graph.gen_columns()]

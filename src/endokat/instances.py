@@ -7,7 +7,8 @@ value columns V and built by :meth:`Endogeny.from_values`, whose checks (V
 well defined modulo K, K within the bound) validate them with no Hermite
 form in the product group.  The fixture carries the hand-checkable corner
 case: the blurred relation on Z/p (+) Z/p^2 that is equivalent to no
-endomorphism at all (the all-to-a-coset blur is :meth:`Endogeny.blur`).
+endomorphism at all (the all-to-a-coset blur A x F is ``from_values`` with
+katakernel F and zero values).
 Exhaustive searches over small groups are test references and live with
 the tests.
 """
@@ -115,14 +116,20 @@ def random_homomorphism(a: AbelianGroup, b: AbelianGroup, rng: SplitMix64) -> Ho
 
 
 def polynomial(base: Homomorphism, coeffs) -> Homomorphism:
-    """sum_i coeffs[i] * base**i, for an endomorphism ``base``."""
-    acc = Homomorphism.zero(base.source, base.source)
-    power = Homomorphism.identity(base.source)
-    for c in coeffs:
-        for _ in range(c):
-            acc = acc.add(power)
-        power = power.compose(base)
-    return acc
+    """sum_i coeffs[i] * base**i, for an endomorphism ``base``, summed as
+    one integer matrix and reduced once.  Row i of each power is kept
+    reduced modulo the i-th cyclic order, which is all row i of the next
+    power and of the sum depend on."""
+    g, b = base.source, base.matrix
+    mods, r = g.moduli, g.rank
+    power = [[int(i == j) for j in range(r)] for i in range(r)]
+    acc = [[0] * r for _ in range(r)]
+    for i, c in enumerate(coeffs):
+        if i:
+            power = [[sum(x * b[k][j] for k, x in enumerate(row)) % m for j in range(r)] for row, m in zip(power, mods)]
+        if c:
+            acc = [[x + c * y for x, y in zip(ra, rp)] for ra, rp in zip(acc, power)]
+    return Homomorphism(g, g, acc, _trusted=True)
 
 
 def random_endogeny(a: AbelianGroup, n_max: Subgroup, seed: int) -> Endogeny:

@@ -555,33 +555,36 @@ def is_field(alg: MatrixAlgebra):
 class FieldReport:
     """Result of the field extraction: the coefficient field as matrices,
     its order, and a vector-space basis of the ambient space over it, each
-    matrix and vector as tuples of entries."""
+    matrix and vector as tuples of entries.  :func:`extract_field` also
+    hands over the field algebra and the k-basis it packed; a report built
+    from tuples alone packs them when first asked."""
 
-    __slots__ = ("p", "n", "field_basis", "order", "vs_dimension", "k_basis_of_v")
+    __slots__ = ("p", "n", "field_basis", "order", "vs_dimension", "k_basis_of_v", "_algebra", "_k_basis")
 
-    def __init__(self, p, n, field_basis, order, vs_dimension, k_basis_of_v):
+    def __init__(self, p, n, field_basis, order, vs_dimension, k_basis_of_v, *, _algebra=None, _k_basis=None):
         self.p = p
         self.n = n
         self.field_basis = tuple(field_basis)
         self.order = order
         self.vs_dimension = vs_dimension
         self.k_basis_of_v = tuple(k_basis_of_v)
+        self._algebra = _algebra
+        self._k_basis = _k_basis
 
     def __repr__(self):
         return f"FieldReport(order={self.order}, vs_dimension={self.vs_dimension})"
 
-    def field_algebra(self, field=None):
-        """The span of the field basis and the identity; ``field`` is the
-        field basis already packed, when the caller has it."""
-        p, n = self.p, self.n
-        if field is None:
+    def field_algebra(self):
+        """The span of the field basis and the identity, in echelon form."""
+        if self._algebra is None:
+            p, n = self.p, self.n
             field = [fp.mat(b, p) for b in self.field_basis]
-        return MatrixAlgebra(p, n, _span_basis(p, [*field, fp.identity(p, n)]))
+            self._algebra = MatrixAlgebra(p, n, _span_basis(p, [*field, fp.identity(p, n)]))
+        return self._algebra
 
     def verify(self, gamma_gens, delta_gens):
         p, n = self.p, self.n
-        field = [fp.mat(b, p) for b in self.field_basis]
-        alg = self.field_algebra(field)
+        alg = self.field_algebra()
         k = alg.dim
         if self.order != p**k:
             raise FieldTestFailure("reported order disagrees with the basis")
@@ -592,14 +595,18 @@ class FieldReport:
         for m in alg.elements():
             if any(m.rows) and not fp.is_invertible(p, m):
                 raise FieldTestFailure("nonzero element is singular", element=m)
-        bad = fp.noncommuting(p, [fp.mat(g, p) for g in (*gamma_gens, *delta_gens)], field)
+        # the algebra's basis spans the field basis and the identity, so it
+        # commutes with a generator exactly when the field basis does
+        bad = fp.noncommuting(p, [fp.mat(g, p) for g in (*gamma_gens, *delta_gens)], alg.basis)
         if bad is not None:
             raise FieldTestFailure(
-                "algebra generator fails to commute with the field", element=self.field_basis[bad[1]]
+                "algebra generator fails to commute with the field", element=alg.basis[bad[1]].tuples()
             )
+        if self._k_basis is None:
+            self._k_basis = fp.mat(self.k_basis_of_v, p)
         # the flagged vectors really are a basis over the field: row r of
         # block t of (vectors) (b_t^T) is b_t applied to vector r
-        (images,) = fp.products(p, [fp.mat(self.k_basis_of_v, p)], [fp.transpose(b) for b in alg.basis])
+        (images,) = fp.products(p, [self._k_basis], [fp.transpose(b) for b in alg.basis])
         if len(fp.row_space(p, fp.stack(images))) != n:
             raise FieldTestFailure("flagged vectors do not span over the field")
         return True
@@ -712,13 +719,16 @@ def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
     kdim = field.dim
     if n % kdim:
         raise FieldTestFailure("field degree does not divide the dimension")
+    k_basis = _k_basis_of_v(p, n, field.basis)
     report = FieldReport(
         p,
         n,
         [b.tuples() for b in field.basis],
         p**kdim,
         n // kdim,
-        _k_basis_of_v(p, n, field.basis).tuples(),
+        k_basis.tuples(),
+        _algebra=field,
+        _k_basis=k_basis,
     )
     report.verify(gamma_gens, delta_gens)
     return report

@@ -6,8 +6,11 @@ a second sharp-pair generator, the pair-based random subgroups, random
 endogenies and split-group relations that the value-built generators
 replaced, the invariant-subspace search that spins
 every line of F_p^n, the Euclid-sweep Hermite form that the pure kernel's
-extended-gcd elimination replaced, and the entry-by-entry F_p matrix code on
-tuples of row tuples that the packed kernel primitives replaced."""
+extended-gcd elimination replaced, the entry-by-entry F_p matrix code on
+tuples of row tuples that the packed kernel primitives replaced, and the
+constructions the (K, V) calculus replaced: the blur A x F and the
+everything-bound, the graph-based preimage, the repeated-add polynomial and
+the p-part as a Hermite form of scaled generators."""
 
 from itertools import product
 
@@ -140,6 +143,45 @@ def weak_invariance_intersection_witness(max_order: int = 64):
     return None
 
 
+def everything(group):
+    """The bound under which every subgroup of ``group`` is negligible."""
+    return NegligibilityBound(group, Subgroup.full(group))
+
+
+def blur(f: Subgroup, bound):
+    """The relation sending every element of the group to the coset F: as
+    a set of pairs A x F, built as (F, 0) and validated."""
+    g = f.group
+    return Endogeny.from_values(g, f, [g.zero] * g.rank, bound)
+
+
+def graph_preimage(e: Endogeny, s: Subgroup) -> Subgroup:
+    """Inverse image of a subgroup of the target, from the graph: the
+    first blocks of the graph pairs (a, b) with b in S."""
+    r1 = e.source.rank
+    cols = [col[r1:] + col[:r1] for col in e.graph.gen_columns()]
+    cols += [s.group.neg(col) + e.source.zero for col in s.gen_columns()]
+    return Subgroup.pushforward(e.source, e.target.moduli, cols)
+
+
+def repeated_add_polynomial(base: Homomorphism, coeffs) -> Homomorphism:
+    """sum_i coeffs[i] * base**i by repeated ``add`` and ``compose``."""
+    acc = Homomorphism.zero(base.source, base.source)
+    power = Homomorphism.identity(base.source)
+    for c in coeffs:
+        for _ in range(c):
+            acc = acc.add(power)
+        power = power.compose(base)
+    return acc
+
+
+def scaled_p_part(sg, h: Subgroup) -> Subgroup:
+    """H_p = |T| H of a split group, as the Hermite form of the scaled
+    generators of H."""
+    amb = sg.ambient
+    return Subgroup._span(amb, [amb.scalar_mul(sg.torsion.order, g) for g in h.gen_columns()])
+
+
 def random_sharp_pair(a: AbelianGroup, n_max: Subgroup, seed: int, budget: int = 64):
     """Two sharply commuting blurred relations: polynomials in one random
     endomorphism (which commute on the nose), each blurred by a random
@@ -155,8 +197,8 @@ def random_sharp_pair(a: AbelianGroup, n_max: Subgroup, seed: int, budget: int =
         f1 = random_subgroup_of(n_max, rng)
         f2 = random_subgroup_of(n_max, rng)
         try:
-            g = endo_add(Endogeny.from_morphism(c, bound), Endogeny.blur(f1, bound))
-            h = endo_add(Endogeny.from_morphism(d, bound), Endogeny.blur(f2, bound))
+            g = endo_add(Endogeny.from_morphism(c, bound), blur(f1, bound))
+            h = endo_add(Endogeny.from_morphism(d, bound), blur(f2, bound))
         except KatakernelBound:
             continue
         if sharp_commutes(g, h):

@@ -51,7 +51,7 @@ from oracle_enumeration import (
     naive_quotient_factors,
     unpack,
 )
-from references import all_abelian_groups, coset_elements, random_sharp_pair, weak_invariance_intersection_witness
+from references import all_abelian_groups, blur, coset_elements, random_sharp_pair, weak_invariance_intersection_witness
 
 SEED = 0xE17D0
 GRAPH_CAP = 1024
@@ -99,7 +99,7 @@ def _pool(g, seed):
     for _ in range(3):
         f = random_subgroup_of(n_max, rng)
         if g.order * f.order <= GRAPH_CAP:
-            pool.append(Endogeny.blur(f, bound))
+            pool.append(blur(f, bound))
     tries = 0
     while len(pool) < SAMPLE_POOL + 3 and tries < 10 * SAMPLE_POOL:
         tries += 1

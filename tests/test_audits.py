@@ -14,6 +14,8 @@ from endokat.dimension import SplitGroup
 from endokat.endogeny import Endogeny, EndogenySet, NegligibilityBound
 from endokat.groups import Homomorphism, Subgroup, canonicalize_group, subgroup_from_generators
 
+from references import blur
+
 
 @pytest.mark.parametrize("suite", audits.SUITES)
 def test_suite_runs_clean(suite):
@@ -51,7 +53,7 @@ def test_sharp_pair_file_records_verdict():
     g = canonicalize_group([2, 2])
     f = subgroup_from_generators(g, [(1, 0)])
     nb = NegligibilityBound(g, f)
-    zf = Endogeny.blur(f, nb)
+    zf = blur(f, nb)
     swap = Endogeny.from_morphism(Homomorphism(g, g, [[0, 1], [1, 0]]), nb)
     desc = {"pair": [jsonio.endogeny_to_json(zf), jsonio.endogeny_to_json(swap)]}
     rep = audits.run_suite("sharp", [desc], workers=1)
@@ -72,7 +74,7 @@ def test_sharp_pair_violation_names_its_instance(monkeypatch):
     g = canonicalize_group([2, 2])
     f = subgroup_from_generators(g, [(1, 0)])
     nb = NegligibilityBound(g, f)
-    pair = [Endogeny.blur(f, nb), Endogeny.identity(g, nb)]
+    pair = [blur(f, nb), Endogeny.identity(g, nb)]
     desc = {"pair": [jsonio.endogeny_to_json(e) for e in pair]}
     # the pair commutes sharply; its negation is made not to
     verdicts = iter([True, False])
@@ -178,6 +180,50 @@ def test_no_sum_or_composite_built_twice(monkeypatch):
             assert len(keys) == len(set(keys)), f"{suite}: a term is built twice"
             if suite == "prering":
                 assert keys
+
+
+def test_each_equivalent_verdict_once_per_op(monkeypatch):
+    """Within one run_instance the laws ask for each equivalent verdict
+    once per operand pair: equiv_blur's verdict serves
+    preceq_sym_is_equiv, and the oracle branch reuses the verdict on
+    (a, b).  preceq stays a call of its own."""
+    calls = []
+    verdict = audits.equivalent
+    monkeypatch.setattr(audits, "equivalent", lambda x, y: calls.append((x, y)) or verdict(x, y))
+    for suite in ("equivalence", "invariance"):
+        for desc in audits.make_descriptors(suite, 4, 1):
+            calls.clear()
+            res = audits.run_instance(suite, desc, use_oracle=True)
+            assert not res["violations"]
+            keys = [(id(x), id(y)) for x, y in calls]
+            assert len(keys) == len(set(keys)), f"{suite}: a verdict is computed twice"
+
+
+def test_generators_and_value_ops_build_no_graph(monkeypatch):
+    """random_endogeny, split_bimodule, _sharp_family, endo_add,
+    endo_compose, equivalent and sharp_commutes compute on (K, V): on
+    seed-1 descriptors of every suite none of them reads a graph."""
+    reads = []
+    graph = Endogeny.graph
+    monkeypatch.setattr(Endogeny, "graph", property(lambda e: reads.append(e) or graph.fget(e)))
+    built = []
+    for suite in audits.SUITES:
+        for desc in audits.make_descriptors(suite, 3, 1):
+            if suite in ("prering", "equivalence"):
+                g, n_max, endos = audits._endo_triple(desc)
+            elif suite in ("sharp", "invariance"):
+                fam = audits._sharp_family(desc)
+                endos = list(fam[4:]) if fam else []
+            else:
+                sg, gset, dset, _ = audits._split_objects(desc)
+                endos = [*gset, *dset]
+            for x in endos:
+                for y in endos:
+                    built += [endogeny.endo_add(x, y, unchecked=True), endogeny.endo_compose(x, y, unchecked=True)]
+                    endogeny.equivalent(x, y)
+                    endogeny.sharp_commutes(x, y)
+            built += endos
+    assert built and reads == []
 
 
 def test_global_katakernel_closed_once_per_family(monkeypatch):

@@ -1,6 +1,7 @@
 """Split-group model: splitting, dimension, connectedness, minimality."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from endokat.dimension import SplitGroup, is_minimal_bimodule
 from endokat.endogeny import Endogeny, EndogenySet
@@ -8,6 +9,8 @@ from endokat.errors import CapExceeded, InvalidInput
 from endokat.groups import Subgroup, canonicalize_group, subgroup_from_generators
 from endokat.instances import random_endogeny, split_bimodule
 from endokat.rng import SplitMix64
+
+from references import blur, scaled_p_part
 
 
 @pytest.fixture
@@ -58,7 +61,7 @@ def test_dim_and_finiteness(sg223):
 def test_dimension_lemma(sg223):
     one = Endogeny.identity(sg223.ambient, sg223.bound)
     assert sg223.dimension_lemma_check(one) == (0, 2, 2, True)
-    zt = Endogeny.blur(sg223.t_part(), sg223.bound)
+    zt = blur(sg223.t_part(), sg223.bound)
     assert sg223.dimension_lemma_check(zt) == (2, 0, 2, True)
     rng = SplitMix64(31)
     for _ in range(25):
@@ -79,7 +82,7 @@ def test_connectedness_lemma(sg223):
     ]
     for b in subs:
         assert sg223.connectedness_lemma_check(one, b)
-    zt = Endogeny.blur(sg223.t_part(), sg223.bound)
+    zt = blur(sg223.t_part(), sg223.bound)
     for b in subs:
         assert sg223.connectedness_lemma_check(zt, b)
     for seed in range(20):
@@ -143,3 +146,32 @@ def test_minimality(sg223):
         [tuple(v) for v in info2["planted_subspace"]]
     )
     assert w2.leq(planted)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 3),
+    st.lists(st.sampled_from([2, 3, 4, 7, 8, 9]), min_size=1, max_size=2),
+    st.integers(0, 2**32),
+)
+def test_p_part_read_off_the_basis_is_the_scaled_hermite_form(lattice_backend, p, n, torsion, seed):
+    """connected_component and dim, read off the V-block of the basis,
+    equal the Hermite form of the generators scaled by |T| and its order,
+    on random subgroups of split groups with one or two torsion factors."""
+    torsion = [t for t in torsion if t % p] or [1]
+    tor = canonicalize_group(torsion)
+    sg = SplitGroup(p, n, tor)
+    rng = SplitMix64(seed)
+    amb = sg.ambient
+    for _ in range(4):
+        h = subgroup_from_generators(amb, [tuple(rng.below(m) for m in amb.moduli) for _ in range(rng.below(4))])
+        ref = scaled_p_part(sg, h)
+        assert sg.connected_component(h) == ref
+        order, d = ref.order, 0
+        while order > 1:
+            order //= p
+            d += 1
+        assert sg.dim(h) == d
+        hp, ht = sg.split(h)
+        assert hp == ref and (hp | ht) == h

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from endokat import endogeny, groups, oracle
+from endokat import audits, endogeny, groups, oracle
 from endokat.endogeny import (
     Endogeny,
     EndogenySet,
@@ -45,7 +45,7 @@ from endokat.instances import fixture_nonliftable, random_endogeny, random_homom
 from endokat.rng import SplitMix64
 
 from oracle_enumeration import EnumeratedGroup, enumerate_endogeny_pairs, enumerate_homomorphisms
-from references import all_subgroups, coset_elements, random_sharp_pair
+from references import all_subgroups, blur, coset_elements, everything, graph_preimage, random_sharp_pair
 
 
 def bound_of(group, gens):
@@ -57,13 +57,13 @@ def test_validation(z4):
     e = endogeny_validate(z4, z4, [((1,), (1,))], nb0)
     assert e.kat().is_trivial
     f = subgroup_from_generators(z4, [(2,)])
-    zf = Endogeny.blur(f, NegligibilityBound(z4, f))
+    zf = blur(f, NegligibilityBound(z4, f))
     assert zf.kat() == f
     assert zf.graph.order == 8
     with pytest.raises(NotGlobal):
         endogeny_validate(z4, z4, [((2,), (1,))], nb0)
     with pytest.raises(KatakernelBound):
-        Endogeny.blur(f, nb0)
+        blur(f, nb0)
     with pytest.raises(InvalidInput):
         Endogeny.from_pairs(z4, z4, [((1, 0), (1,))], nb0)  # source pair too long
     with pytest.raises(InvalidInput):
@@ -74,7 +74,7 @@ def test_kat_ker_im(z4):
     one = Endogeny.identity(z4)
     assert one.kat().is_trivial and one.ker().is_trivial and one.im() == Subgroup.full(z4)
     f = subgroup_from_generators(z4, [(2,)])
-    zf = Endogeny.blur(f, NegligibilityBound(z4, f))
+    zf = blur(f, NegligibilityBound(z4, f))
     assert zf.kat() == f and zf.im() == f and zf.ker() == Subgroup.full(z4)
     # the nonliftable fixture's structure
     a, g = fixture_nonliftable(2)
@@ -88,7 +88,7 @@ def test_apply(z4):
     one = Endogeny.identity(z4)
     assert one.apply((3,)).rep == (3,)
     f = subgroup_from_generators(z4, [(2,)])
-    zf = Endogeny.blur(f, NegligibilityBound(z4, f))
+    zf = blur(f, NegligibilityBound(z4, f))
     for x in Subgroup.full(z4).elements():
         c = zf.apply(x)
         assert sorted(coset_elements(c)) == sorted(f.elements())
@@ -106,7 +106,7 @@ def test_apply_set_preimage(z2z4):
     # gamma[0] = kat, preimage of kat = ker
     assert g.apply_set(subgroup_from_generators(z2z4, [])) == g.kat()
     assert g.preimage(g.kat()) == g.ker()
-    zf = Endogeny.blur(f, nb)
+    zf = blur(f, nb)
     s = subgroup_from_generators(z2z4, [(1, 0)])
     assert zf.apply_set(s) == f
 
@@ -116,7 +116,7 @@ def test_add_compose_laws(z4):
     nb = NegligibilityBound(z4, f)
     one = Endogeny.identity(z4, nb)
     zero = Endogeny.zero(z4, nb)
-    zf = Endogeny.blur(f, nb)
+    zf = blur(f, nb)
     g = endo_add(one, zf)
     assert endo_add(g, zero) == g
     assert endo_compose(one, g) == g and endo_compose(g, one) == g
@@ -136,7 +136,7 @@ def test_bound_errors(z4):
     f = subgroup_from_generators(z4, [(2,)])
     nbf = NegligibilityBound(z4, f)
     nb0 = NegligibilityBound.zero(z4)
-    zf = Endogeny.blur(f, nbf)
+    zf = blur(f, nbf)
     one0 = Endogeny.identity(z4, nb0)
     with pytest.raises(KatakernelBound):
         endo_add(
@@ -149,7 +149,7 @@ def test_equivalence(z4):
     nb = NegligibilityBound(z4, f)
     one = Endogeny.identity(z4, nb)
     zero = Endogeny.zero(z4, nb)
-    zf = Endogeny.blur(f, nb)
+    zf = blur(f, nb)
     assert equivalent(zf, zero)
     assert equivalent(one, one)
     assert not equivalent(one, zero)
@@ -166,7 +166,7 @@ def test_preceq(z4, z2z2):
     f = subgroup_from_generators(z4, [(2,)])
     nb = NegligibilityBound(z4, f)
     m = Endogeny.from_morphism(Homomorphism(z4, z4, [[1]]), nb)
-    mf = endo_add(m, Endogeny.blur(f, nb))
+    mf = endo_add(m, blur(f, nb))
     assert preceq(m, mf)
     # distinct morphisms are incomparable at bound zero
     nb0 = NegligibilityBound.zero(z2z2)
@@ -188,7 +188,7 @@ def test_preceq_symmetrization_is_equivalence(mods, seed):
 def test_sharp_commutation(z2z2):
     f = subgroup_from_generators(z2z2, [(1, 0)])
     nb = NegligibilityBound(z2z2, f)
-    zf = Endogeny.blur(f, nb)
+    zf = blur(f, nb)
     swap = Endogeny.from_morphism(Homomorphism(z2z2, z2z2, [[0, 1], [1, 0]]), nb)
     one = Endogeny.identity(z2z2, nb)
     assert sharp_commutes(zf, one)
@@ -219,7 +219,7 @@ def test_sharp_closure_laws(z2z4):
 def test_invariance(z4):
     f = subgroup_from_generators(z4, [(2,)])
     nb = NegligibilityBound(z4, f)
-    zf = Endogeny.blur(f, nb)
+    zf = blur(f, nb)
     assert fully_invariant(Subgroup.full(z4), zf)
     assert weakly_invariant(f, zf)
     one = Endogeny.identity(z4, nb)
@@ -267,22 +267,22 @@ def test_restriction(z4):
     one = Endogeny.identity(z4, nb)
     r = restrict(one, f)
     assert r.graph == Endogeny.identity(r.source, r.bound).graph
-    zf = Endogeny.blur(f, nb)
+    zf = blur(f, nb)
     rz = restrict(zf, f)  # z_F restricted to B is the blur by F cap B
     assert rz.kat().order == 2
-    assert rz.graph == Endogeny.blur(Subgroup.full(rz.source), rz.bound).graph
+    assert rz.graph == blur(Subgroup.full(rz.source), rz.bound).graph
     # same shape on a proper weakly invariant subgroup of [2,4]
     amb24 = canonicalize_group([2, 4])
     f24 = subgroup_from_generators(amb24, [(0, 1)])
     b24 = subgroup_from_generators(amb24, [(1, 2)])
-    z24 = Endogeny.blur(f24, NegligibilityBound(amb24, f24))
+    z24 = blur(f24, NegligibilityBound(amb24, f24))
     assert weakly_invariant(b24, z24)
     r24 = restrict(z24, b24)
     _, to_b, _ = subgroup_isomorphism(b24)
     expected = Subgroup.from_generators(
         r24.source, [to_b(c) for c in (f24 & b24).gen_columns()]
     )
-    assert r24.graph == Endogeny.blur(expected, r24.bound).graph
+    assert r24.graph == blur(expected, r24.bound).graph
     # restriction to a non-invariant subgroup errors
     a, g = fixture_nonliftable(2)
     bad = subgroup_from_generators(a, [(1, 0)])
@@ -352,7 +352,7 @@ def test_prering_closure(z2z2, z4):
     assert len(cl) == 2  # 1 + 1 = 0 on exponent-2 groups
     f = subgroup_from_generators(z4, [(2,)])
     nbf = NegligibilityBound(z4, f)
-    zf = Endogeny.blur(f, nbf)
+    zf = blur(f, nbf)
     cl2 = prering_closure(EndogenySet(z4, nbf, [zf]))
     keys = {e.graph.basis for e in cl2}
     assert zf.graph.basis in keys
@@ -369,7 +369,7 @@ def test_global_kat(z4):
     nb = NegligibilityBound(z4, f)
     m = Endogeny.from_morphism(Homomorphism(z4, z4, [[3]]), nb)
     assert global_kat(EndogenySet(z4, nb, [m])).is_trivial
-    zf = Endogeny.blur(f, nb)
+    zf = blur(f, nb)
     assert global_kat(EndogenySet(z4, nb, [zf])) == f
     # fixpoint agrees with the sum of katakernels over the full closure
     # on a hundred random small instances
@@ -629,12 +629,12 @@ def test_value_column_ops_make_few_hermite_forms(monkeypatch):
     a composite and the sharp test take one Hermite form each, in the
     target's rank."""
     a, b, c = (canonicalize_group(m) for m in ([2, 4], [2, 2, 4], [3, 9]))
-    bound = NegligibilityBound.everything(b)
+    bound = everything(b)
     e1, e2, e3 = b.generators()
     g1 = Endogeny.from_pairs(a, b, [((1, 0), e1), ((0, 1), (0, 1, 1)), (a.zero, (0, 0, 2))], bound)
     g2 = Endogeny.from_pairs(a, b, [((1, 0), e2), ((0, 1), (1, 0, 3)), (a.zero, (1, 1, 0))], bound)
     h = Endogeny.from_pairs(
-        b, c, [(e1, (1, 0)), (e2, (0, 3)), (e3, (2, 1))], NegligibilityBound.everything(c)
+        b, c, [(e1, (1, 0)), (e2, (0, 3)), (e3, (2, 1))], everything(c)
     )
     e = Endogeny.from_pairs(b, b, [(e1, e2), (e2, e1), (e3, e3), (b.zero, e1)], bound)
     d = Endogeny.from_pairs(b, b, [(e1, e1), (e2, e2), (e3, (0, 0, 3)), (b.zero, (0, 0, 2))], bound)
@@ -649,7 +649,7 @@ def test_value_column_ops_make_few_hermite_forms(monkeypatch):
         lambda: Endogeny.from_morphism(hom, bound),
         lambda: Endogeny.identity(b, bound),
         lambda: Endogeny.zero(b, bound),
-        lambda: Endogeny.blur(g1.kat(), bound),
+        lambda: blur(g1.kat(), bound),
     ):
         op()
         assert ranks == []
@@ -682,12 +682,14 @@ def test_from_values_is_from_pairs(lattice_backend, mods, seed, torsion):
         if torsion:
             v = [exp // math.gcd(exp, d) * x + k for x, k in zip(v, rnd.choice(members))]
         vals.append(v)
-    bound = NegligibilityBound.everything(b)
+    bound = everything(b)
     pairs = list(zip(a.generators(), vals)) + [(a.zero, k) for k in kat.gen_columns()]
     ref = Endogeny.from_pairs(a, b, pairs, bound)
     if all(kat.contains([d * x for x in v]) for d, v in zip(a.moduli, vals)):
         got = Endogeny.from_values(a, kat, vals, bound)
+        assert got._graph is None  # built when first read
         assert got.graph == ref.graph and got.kat() == ref.kat() == kat
+        assert got == ref and hash(got) == hash(ref)
     else:
         with pytest.raises(InvalidInput, match="not well defined"):
             Endogeny.from_values(a, kat, vals, bound)
@@ -700,18 +702,84 @@ def test_from_values_rejects_what_from_pairs_would_not_give(z4):
     bound and a bound on another group."""
     z2 = canonicalize_group([2])
     triv, half = Subgroup.trivial(z4), subgroup_from_generators(z4, [(2,)])
-    everything = NegligibilityBound.everything(z4)
+    wide = everything(z4)
     # 2 * 1 = 2 is not in 0, but it is in <2>
     with pytest.raises(InvalidInput, match="not well defined"):
-        Endogeny.from_values(z2, triv, [(1,)], everything)
-    e = Endogeny.from_values(z2, half, [(1,)], everything)
-    assert e.graph == Endogeny.from_pairs(z2, z4, [((1,), (1,)), ((0,), (2,))], everything).graph
+        Endogeny.from_values(z2, triv, [(1,)], wide)
+    e = Endogeny.from_values(z2, half, [(1,)], wide)
+    assert e.graph == Endogeny.from_pairs(z2, z4, [((1,), (1,)), ((0,), (2,))], wide).graph
     for vals in ([], [(1,), (0,)]):
         with pytest.raises(InvalidInput, match="values for a source of rank 1"):
-            Endogeny.from_values(z2, half, vals, everything)
+            Endogeny.from_values(z2, half, vals, wide)
     with pytest.raises(InvalidInput, match="length"):
-        Endogeny.from_values(z2, half, [(1, 0)], everything)
+        Endogeny.from_values(z2, half, [(1, 0)], wide)
     with pytest.raises(KatakernelBound):
         Endogeny.from_values(z2, half, [(1,)], NegligibilityBound.zero(z4))
     with pytest.raises(AmbientMismatch):
-        Endogeny.from_values(z2, half, [(1,)], NegligibilityBound.everything(z2))
+        Endogeny.from_values(z2, half, [(1,)], everything(z2))
+
+
+def _same_graph(x, y):
+    """The equality of relations before (K, V) keyed it: the same groups,
+    graph and bound."""
+    return x.source == y.source and x.target == y.target and x.graph == y.graph and x.bound == y.bound
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_three_groups, st.integers(0, 2**32))
+def test_equality_and_hash_are_graph_equality(lattice_backend, mods, seed):
+    """== and hash on (K, V) agree with graph equality across relations
+    built by from_pairs, by from_values (with each value shifted inside
+    K) and by the (K, V) operations, under two bounds."""
+    rnd, a, b, (g1, g2, g3, h, e, d) = _random_setup(*mods, seed)
+    members = list(g1.kat().elements())
+    shifted = [[x + y for x, y in zip(v, rnd.choice(members))] for v in g1._values()]
+    other = NegligibilityBound(b, Subgroup.full(b))
+    rels = [
+        g1, g2, g3,
+        Endogeny.from_values(a, g1.kat(), shifted, g1.bound),
+        Endogeny.from_values(a, g1.kat(), shifted, other),
+        Endogeny.from_pairs(a, b, [(x, y) for x, y in zip(a.generators(), shifted)]
+                            + [(a.zero, k) for k in g1.kat().gen_columns()], g1.bound),
+        endo_add(g1, Endogeny.from_values(a, g1.kat(), [b.zero] * a.rank, g1.bound)),
+        endo_neg(endo_neg(g1)),
+        endo_add(g1, g2, unchecked=True),
+        endo_add(g2, g1, unchecked=True),
+    ]
+    assert rels[3] == g1 and rels[5] == g1 and rels[6] == g1
+    for x in rels:
+        for y in rels:
+            assert (x == y) == _same_graph(x, y)
+            if x == y:
+                assert hash(x) == hash(y)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_three_groups, st.integers(0, 2**32))
+def test_preimage_matches_graph_reference(lattice_backend, mods, seed):
+    """The (K, V) preimage equals the graph-based one on random subgroups
+    of the target, on the katakernel and on the trivial and full
+    subgroups, for relations built from pairs and from values."""
+    rnd, a, b, (g1, g2, g3, h, e, d) = _random_setup(*mods, seed)
+    vals = Endogeny.from_values(a, g2.kat(), g2._values(), g2.bound)
+    for x in (g1, g2, g3, vals, endo_add(g1, g2, unchecked=True), h):
+        tgt = x.target
+        subs = [_random_subgroup(tgt, rnd, 3) for _ in range(3)]
+        subs += [x.kat(), Subgroup.trivial(tgt), Subgroup.full(tgt)]
+        for s in subs:
+            assert x.preimage(s) == graph_preimage(x, s)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_three_groups, st.integers(0, 2**32))
+def test_audit_containment_is_graph_containment(lattice_backend, mods, seed):
+    """The audits' left-distributivity containment on (K, V), K_x <= K_y
+    and V_x = V_y mod K_y, is graph containment, on relations that are
+    and are not contained in each other."""
+    _, a, b, (g1, g2, g3, h, e, d) = _random_setup(*mods, seed)
+    lhs = endo_compose(endo_add(e, d, unchecked=True), e, unchecked=True)
+    rhs = endo_add(endo_compose(e, e, unchecked=True), endo_compose(d, e, unchecked=True), unchecked=True)
+    pairs = [(g1, g3), (g3, g1), (g1, g2), (g2, g3), (g1, g1), (e, d), (lhs, rhs), (rhs, lhs)]
+    assert audits._contained(g1, g3)
+    for x, y in pairs:
+        assert audits._contained(x, y) == x.graph.leq(y.graph)

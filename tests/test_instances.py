@@ -16,6 +16,7 @@ from endokat.instances import (
     _torsion_columns,
     fixture_nonliftable,
     matrix_bimodule,
+    polynomial,
     random_endogeny,
     random_group,
     random_homomorphism,
@@ -24,11 +25,13 @@ from endokat.instances import (
 )
 
 from references import (
+    blur,
     kernel,
     pair_morphism_endogeny,
     pair_random_endogeny,
     pair_random_subgroup_of,
     random_sharp_pair,
+    repeated_add_polynomial,
 )
 
 # (p, n, torsion) of split groups for the generator checks
@@ -36,18 +39,18 @@ SPLIT_SHAPES = ((2, 2, [3]), (3, 2, [2, 4]), (2, 3, [9]), (5, 1, [3, 6]), (2, 2,
 
 
 def test_fixture_zF(z4):
-    """The blur z_F, with graph A x F, is Endogeny.blur."""
+    """The blur z_F, built as (F, 0), has graph A x F."""
     f = subgroup_from_generators(z4, [(2,)])
-    e = Endogeny.blur(f, NegligibilityBound(z4, f))
+    e = blur(f, NegligibilityBound(z4, f))
     assert e.graph.order == 8
     assert e.kat() == f
     trivial = subgroup_from_generators(z4, [])
-    zero = Endogeny.blur(trivial, NegligibilityBound(z4, trivial))
+    zero = blur(trivial, NegligibilityBound(z4, trivial))
     assert zero.kat().is_trivial
     assert not any(zero.apply((1,)).rep)
     # explicit bound narrower than the blur is rejected
     with pytest.raises(KatakernelBound):
-        Endogeny.blur(f, NegligibilityBound.zero(z4))
+        blur(f, NegligibilityBound.zero(z4))
 
 
 def test_fixture_nonliftable():
@@ -247,3 +250,16 @@ def test_split_group_builds_its_t_part_once(monkeypatch):
     monkeypatch.setattr(groups, "hnf_kernel", lambda mods, cols: calls.append(cols) or hnf(mods, cols))
     assert sg.subgroup_from_v_subspace([(1, 0)]) == Subgroup.from_generators(sg.ambient, [(1, 0, 0), (0, 0, 1)])
     assert len(calls) == 2  # the subgroup and the reference, not T
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.lists(st.integers(0, 4), max_size=5))
+def test_polynomial_matches_repeated_add(seed, coeffs):
+    """polynomial's one summed matrix equals the repeated add and compose
+    of its reference, on random endomorphisms of groups of order <= 64."""
+    rng = SplitMix64(seed)
+    g = random_group(rng.next_u64(), max_order=64)
+    base = random_homomorphism(g, g, rng)
+    got = polynomial(base, coeffs)
+    assert got == repeated_add_polynomial(base, coeffs)
+    assert got.matrix == Homomorphism(g, g, got.matrix).matrix  # reduced and well defined

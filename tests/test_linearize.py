@@ -603,6 +603,29 @@ def test_field_report_verify_rejects_a_generator_that_fails_to_commute():
     assert err.value.element == witness
 
 
+def test_field_report_built_by_hand_packs_what_extract_field_hands_over():
+    """A report rebuilt from the tuples of extract_field's report packs and
+    echelonises them into the same field algebra and passes verify, also
+    with another basis of the same field; and verify still rejects a wrong order or dimension and a
+    generator that fails to commute."""
+    inst = matrix_bimodule(2, 2, 2, 3)
+    gens = inst["gamma_generators"], inst["delta_generators"]
+    rep = extract_field(2, 4, *gens)
+    fb = rep.field_basis
+    mixed = [fp.add(2, fp.mat(fb[0], 2), fp.mat(fb[-1], 2)).tuples(), *fb[1:]][::-1]
+    for basis in (fb, mixed):
+        hand = linearize.FieldReport(2, 4, basis, rep.order, rep.vs_dimension, rep.k_basis_of_v)
+        assert hand.field_algebra() == rep.field_algebra()
+        assert hand.verify(*gens)
+    for order, dim, match in ((rep.order * 2, rep.vs_dimension, "reported order"), (rep.order, 1, "n != k")):
+        with pytest.raises(FieldTestFailure, match=match):
+            linearize.FieldReport(2, 4, rep.field_basis, order, dim, rep.k_basis_of_v).verify(*gens)
+    with pytest.raises(FieldTestFailure, match="fails to commute"):
+        linearize.FieldReport(2, 4, rep.field_basis, rep.order, rep.vs_dimension, rep.k_basis_of_v).verify(
+            gens[0], [*gens[1], E(4, 0, 1)]
+        )
+
+
 def test_restricted_rejects_a_map_out_of_the_line():
     """E10 maps the line of e_0 onto that of e_1, so a family holding it
     does not restrict to the line of e_0."""
