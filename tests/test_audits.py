@@ -13,6 +13,7 @@ from endokat import audits, config, endogeny, instances, jsonio
 from endokat.dimension import SplitGroup
 from endokat.endogeny import Endogeny, EndogenySet, NegligibilityBound
 from endokat.groups import Homomorphism, Subgroup, canonicalize_group, subgroup_from_generators
+from endokat.rng import SplitMix64
 
 from references import blur
 
@@ -46,6 +47,63 @@ def test_oracle_reports_snapshot():
             for desc in audits.make_descriptors(suite, 12, seed):
                 h.update(json.dumps(audits.run_instance(suite, desc, use_oracle=True), sort_keys=True).encode())
     assert h.hexdigest() == ORACLE_REPORTS_SHA256
+
+
+RELATIONS_SHA256 = "fd449ab97b1d08b96fbb0b4e956b1aac87d44a7daea2fc0389211520aeced69b"
+
+
+def _relation_data(e):
+    return (e.source.moduli, e.target.moduli, e.kat().basis, e._values(), e.bound.n_max.basis)
+
+
+def _suite_relations(suite, desc):
+    """The relations one descriptor's audit computes on, with the split
+    bases of the dimension suite: the generated relations, the two
+    restrictions of the invariance suite, the dimension suite's extra
+    random relations and the split of its first random subgroup."""
+    if suite in ("prering", "equivalence"):
+        return list(audits._endo_triple(desc)[2]), []
+    if suite in ("sharp", "invariance"):
+        fam = audits._sharp_family(desc)
+        if fam is None:
+            return [], []
+        g, gamma, d1 = fam[0], fam[4], fam[5]
+        rels = list(fam[4:])
+        if suite == "invariance":
+            # the subgroup _run_invariance restricts to
+            rng = SplitMix64(desc["seed"] ^ 0x1111)
+            b = endogeny.orbit_closure(instances.random_subgroup_of(Subgroup.full(g), rng) | gamma.kat(), [gamma])
+            bb = endogeny.orbit_closure(b, [gamma, d1])
+            if endogeny.weakly_invariant(bb, gamma) and endogeny.weakly_invariant(bb, d1):
+                rels += [endogeny.restrict(gamma, bb), endogeny.restrict(d1, bb)]
+        return rels, []
+    sg, gset, dset, _ = audits._split_objects(desc)
+    rels, subgroups = [*gset, *dset], []
+    if suite == "dimension":
+        # the draws of _run_dimension
+        rng = SplitMix64(desc["seed"] ^ 0xD13)
+        rels += [instances.random_endogeny(sg.ambient, sg.bound.n_max, rng.next_u64()) for _ in range(3)]
+        subgroups = [h.basis for h in sg.split(instances.random_subgroup_of(Subgroup.full(sg.ambient), rng))]
+    return rels, subgroups
+
+
+def test_relations_snapshot(lattice_backend):
+    """The relations the audits compute on are byte-stable: a sha256 over
+    the canonical (moduli, K, V, bound) of every relation of twelve
+    descriptors of each suite at seeds 1 and 20261017, of each restriction
+    the invariance suite takes, and of each relation's JSON round trip,
+    with the split bases of the dimension suite.  Any refactor that keeps
+    the generator draws keeps this digest."""
+    h = hashlib.sha256()
+    for seed in (1, 20261017):
+        for suite in audits.SUITES:
+            for desc in audits.make_descriptors(suite, 12, seed):
+                rels, subgroups = _suite_relations(suite, desc)
+                for e in rels:
+                    back = jsonio.endogeny_from_json(jsonio.endogeny_to_json(e), e.source)
+                    h.update(repr((_relation_data(e), _relation_data(back))).encode())
+                h.update(repr(subgroups).encode())
+    assert h.hexdigest() == RELATIONS_SHA256
 
 
 def test_sharp_pair_file_records_verdict():
