@@ -7,11 +7,13 @@ role of finiteness, and dim H = log_p |H_p|.  With the negligibility bound
 set to T, the rank-nullity and connected-image laws of the relation calculus
 hold exactly and are checked, not assumed.
 
-The p-part is read off the canonical basis, with no Hermite form.  In the
+Both parts are read off the canonical basis, with no Hermite form.  In the
 coordinates of V (+) T the basis of H is lower triangular, so its V-block
 (the first n rows and columns) is the canonical basis of the projection of H
 to V, which is H_p; H_p's own basis is that block with diag(T's moduli) in
-the T-block.  So dim H counts the unit pivots of the V-block.
+the T-block.  So dim H counts the unit pivots of the V-block.  Likewise the
+T-block of H's basis is the canonical basis of H cap T, which is H_T; H_T's
+own basis is that block with p on the V diagonal.
 """
 
 from __future__ import annotations
@@ -65,17 +67,13 @@ class SplitGroup:
     def _embed_v(self, v):
         return tuple(v) + (0,) * self.torsion.rank
 
-    def _scaled(self, h: Subgroup, k) -> Subgroup:
-        """k * H: the T-part H_T for k = p^n."""
-        if h.group != self.ambient:
-            raise AmbientMismatch("subgroup not in this split group")
-        amb = self.ambient
-        return Subgroup._span(amb, [amb.scalar_mul(k, g) for g in h.gen_columns()])
-
     def split(self, h: Subgroup):
-        """Coprime factorization H = H_p (+) H_T: the p-part read off the
-        basis, the T-part by scaling generators with p^n."""
-        return self.connected_component(h), self._scaled(h, self.p**self.n)
+        """Coprime factorization H = H_p (+) H_T, both read off H's basis:
+        H_T = H cap T is the rows of H's basis below the V-block with their
+        first n entries zeroed, and p on the V diagonal."""
+        hp, n, r = self.connected_component(h), self.n, self.ambient.rank
+        vblock = tuple(tuple(self.p * (i == j) for j in range(r)) for i in range(n))
+        return hp, Subgroup(self.ambient, vblock + tuple((0,) * n + row[n:] for row in h.basis[n:]))
 
     def dim(self, h: Subgroup) -> int:
         """log_p |H_p|: the unit pivots of the V-block of H's basis."""

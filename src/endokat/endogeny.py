@@ -7,21 +7,19 @@ that exactly the subgroups of ``n_max`` count as small.  With ``n_max = 0``
 endogenies are ordinary homomorphisms; larger bounds admit genuinely blurred
 relations.
 
-Values of an endogeny are cosets of the katakernel K.  An endogeny is held
-as (K, V) and its product group, V the value columns (V e_j a representative
-of the value at the j-th generator, reduced into the box of K).  Its
-canonical graph basis is the block matrix [[I, 0], [V, K.basis]], written
-down without a Hermite form the first time something reads ``graph``.  A
-relation with known (K, V) is built by :meth:`Endogeny.from_values`, which
-checks that the values are well defined modulo K.  Equality, negation, sums,
-composites, images, preimages, equivalence and the sharp test compute on
-(K, V) in the target's rank, and each image is kept on its endogeny; only
-:meth:`Endogeny.from_pairs` and restriction work on the graph in the product
-group.  The failure of left distributivity, the sharp-commutation calculus,
-weak/full invariance, restriction, and the global katakernel of a generated
-prering all live here.  The global katakernel is a fixpoint over the
-generators, so no prering closure is enumerated; the tests enumerate one as
-its reference.
+Values of an endogeny are cosets of the katakernel K.  An endogeny stores
+only (K, V) and its product group, V the value columns (V e_j a
+representative of the value at the j-th generator, reduced into the box of
+K).  Its canonical graph basis [[I, 0], [V, K.basis]] is written down,
+without a Hermite form, when something reads ``graph`` (JSON output, the
+oracle).  :meth:`Endogeny.from_values` checks that V is well defined modulo
+K; :meth:`Endogeny.from_pairs` reads (K, V) off one Hermite form of the
+pairs.  Every operation, restriction included, computes on (K, V), and each
+image is kept on its endogeny.  The failure of left distributivity, the
+sharp-commutation calculus, weak/full invariance, restriction, and the
+global katakernel of a generated prering all live here.  The global
+katakernel is a fixpoint over the generators, so no prering closure is
+enumerated; the tests enumerate one as its reference.
 """
 
 from __future__ import annotations
@@ -79,46 +77,58 @@ class NegligibilityBound:
 
 
 class Endogeny:
-    """A validated additive relation with full first projection.
+    """A validated additive relation with full first projection, held as its
+    katakernel K, its value columns V (each box-reduced modulo K) and its
+    product group.
 
-    Use :func:`endogeny_validate` (or the fixture constructors) to build one.
-    The raw constructor takes a graph and reads the katakernel and the value
-    columns off it when first asked; :meth:`_from_values` takes (K, V) and
-    the product group and writes the graph when first asked.
+    Build one with :meth:`from_pairs` (generating pairs), :meth:`from_values`
+    ((K, V)) or the fixture constructors; each validates what it builds.  The
+    raw constructor trusts its input: V well defined modulo K and reduced
+    into K's box, and K within the bound.
     """
 
-    __slots__ = ("source", "target", "prod", "bound", "_graph", "_kat", "_vals", "_im", "_ker", "_images")
+    __slots__ = ("source", "target", "prod", "bound", "_kat", "_vals", "_graph", "_im", "_ker", "_images")
 
-    def __init__(self, source, target, graph: Subgroup, bound: NegligibilityBound, *,
-                 _checked=False, _kat=None, _vals=None, _prod=None):
+    def __init__(self, source, kat: Subgroup, vals, bound: NegligibilityBound, prod):
         self.source = source
-        self.target = target
-        self.prod = graph.group if graph is not None else _prod
+        self.target = kat.group
+        self.prod = prod
         self.bound = bound
-        self._graph = graph
-        self._kat = _kat
-        self._vals = _vals
+        self._kat = kat
+        self._vals = vals
+        self._graph = None
         self._im = None
         self._ker = None
         self._images = {}
-        if not _checked:
-            if bound.group != target:
-                raise AmbientMismatch("bound must live on the target group")
-            if not self.is_global():
-                raise NotGlobal("first projection of the graph is a proper subgroup")
-            if not bound.is_negligible(self.kat()):
-                raise KatakernelBound(
-                    f"katakernel of order {self.kat().order} exceeds the bound"
-                )
+
+    def _validate(self):
+        """This relation, once checked to have a negligible katakernel."""
+        if self.bound.group != self.target:
+            raise AmbientMismatch("bound must live on the target group")
+        if not self.bound.is_negligible(self._kat):
+            raise KatakernelBound(f"katakernel of order {self._kat.order} exceeds the bound")
+        return self
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
     def from_pairs(cls, source, target, pairs, bound):
+        """The relation generated by ``pairs``, validated, from one Hermite
+        form of its graph: it is global when the top block has unit pivots."""
         prod = product_group(source, target)
         gens = [source.reduce(a) + target.reduce(b) for a, b in pairs]
-        graph = Subgroup._span(prod, gens)
-        return cls(source, target, graph, bound)
+        basis = Subgroup._span(prod, gens).basis
+        if any(basis[i][i] != 1 for i in range(source.rank)):
+            raise NotGlobal("first projection of the graph is a proper subgroup")
+        return cls._from_basis(source, target, basis, bound, prod)._validate()
+
+    @classmethod
+    def _from_basis(cls, source, target, basis, bound, prod):
+        """The global relation whose graph in ``prod`` has the Hermite basis
+        [[I, 0], [V, K.basis]], unvalidated: K and V read off it."""
+        r1 = source.rank
+        kat = Subgroup(target, tuple(row[r1:] for row in basis[r1:]))
+        return cls(source, kat, tuple(tuple(row[j] for row in basis[r1:]) for j in range(r1)), bound, prod)
 
     @classmethod
     def from_values(cls, source, kat: Subgroup, vals, bound):
@@ -137,16 +147,15 @@ class Endogeny:
             # contains rejects a value of the wrong length
             if not kat.contains([d * x for x in v]):
                 raise InvalidInput(f"value {tuple(v)} at a generator of order {d} is not well defined modulo the katakernel")
-        return cls._from_values(source, kat, vals, bound, product_group(source, tgt), _checked=False)
+        return cls._from_values(source, kat, vals, bound, product_group(source, tgt))._validate()
 
     @classmethod
-    def _from_values(cls, source, kat: Subgroup, vals, bound, prod, *, _checked=True):
+    def _from_values(cls, source, kat: Subgroup, vals, bound, prod):
         """The endogeny with katakernel ``kat`` whose value at the j-th
-        generator of ``source`` is vals[j] + kat, with graph in ``prod``.
-        Each column is box-reduced modulo ``kat``; no graph is written."""
+        generator of ``source`` is vals[j] + kat, with graph in ``prod``,
+        unvalidated.  Each column is box-reduced modulo ``kat``."""
         mods, kb = kat.group.moduli, kat.basis
-        vals = tuple(box_reduce(mods, kb, v) for v in vals)
-        return cls(source, kat.group, None, bound, _checked=_checked, _kat=kat, _vals=vals, _prod=prod)
+        return cls(source, kat, tuple(box_reduce(mods, kb, v) for v in vals), bound, prod)
 
     @classmethod
     def from_morphism(cls, hom: Homomorphism, bound=None):
@@ -154,7 +163,7 @@ class Endogeny:
         bound = bound or NegligibilityBound.zero(tgt)
         vals = [tuple(row[j] for row in hom.matrix) for j in range(src.rank)]
         triv, prod = Subgroup.trivial(tgt), product_group(src, tgt)
-        return cls._from_values(src, triv, vals, bound, prod, _checked=False)
+        return cls._from_values(src, triv, vals, bound, prod)._validate()
 
     @classmethod
     def identity(cls, group, bound=None):
@@ -167,10 +176,11 @@ class Endogeny:
 
     @property
     def graph(self) -> Subgroup:
-        """The graph in the product group.  From (K, V) its basis is the
-        block matrix [[I, 0], [V, K.basis]]: each column of V is reduced
-        into the box of K, so the matrix is lower triangular with every
-        entry left of a pivot in [0, pivot), the canonical Hermite basis."""
+        """The graph in the product group, written when first read.  Its
+        basis is the block matrix [[I, 0], [V, K.basis]]: each column of V is
+        reduced into the box of K, so the matrix is lower triangular with
+        every entry left of a pivot in [0, pivot), the canonical Hermite
+        basis."""
         if self._graph is None:
             r1, r2, kb = self.source.rank, self.target.rank, self._kat.basis
             top = tuple(tuple(int(i == j) for j in range(r1)) + (0,) * r2 for i in range(r1))
@@ -181,8 +191,7 @@ class Endogeny:
     # -- value semantics ------------------------------------------------------
 
     def _key(self):
-        # for global relations (K, V) is the graph, and every validated
-        # relation is global
+        # (K, V) is the graph's canonical basis
         return (self.source, self.target, self.kat(), self._values(), self.bound)
 
     def __eq__(self, other):
@@ -199,24 +208,12 @@ class Endogeny:
 
     # -- structure ------------------------------------------------------------
 
-    def is_global(self):
-        if self._graph is None:
-            return True  # the graph holds (e_j, v_j) for every j
-        # unit pivots leave nothing left of them in a Hermite basis
-        return all(self._graph.basis[i][i] == 1 for i in range(self.source.rank))
-
     def kat(self) -> Subgroup:
         """Fiber over 0: the blur of the relation."""
-        if self._kat is None:
-            r1 = self.source.rank
-            self._kat = Subgroup(self.target, tuple(row[r1:] for row in self._graph.basis[r1:]))
         return self._kat
 
     def _values(self):
         """V: the value columns, the bottom-left block of the graph basis."""
-        if self._vals is None:
-            r1, b = self.source.rank, self._graph.basis
-            self._vals = tuple(tuple(row[j] for row in b[r1:]) for j in range(r1))
         return self._vals
 
     def _rep(self, a):
@@ -275,15 +272,6 @@ class Endogeny:
         if s.basis != kat.basis:
             cols += [col + src.zero for col in s.gen_columns()]
         return Subgroup.pushforward(src, self.target.moduli, cols)
-
-
-def endogeny_validate(source, target, generators, bound) -> Endogeny:
-    """Build and validate an endogeny from generating pairs.
-
-    Raises :class:`NotGlobal` when the first projection is proper and
-    :class:`KatakernelBound` when the fiber over 0 escapes the bound.
-    """
-    return Endogeny.from_pairs(source, target, generators, bound)
 
 
 def _check_parallel(g1: Endogeny, g2: Endogeny):
@@ -381,9 +369,12 @@ def fully_invariant(b: Subgroup, g: Endogeny) -> bool:
 def restrict(g: Endogeny, b: Subgroup) -> Endogeny:
     """Restriction-corestriction to a weakly invariant subgroup.
 
-    The result is an endogeny of the abstract group isomorphic to ``b``
+    The result is an endogeny of the abstract group Bq isomorphic to ``b``
     (coordinates via :func:`subgroup_isomorphism`), with the bound cut down
-    to ``n_max`` intersected with ``b``.
+    to ``n_max`` intersected with ``b``.  Its graph, the (x, y) in Bq x Bq
+    with y in V x + K, is one Hermite form of the columns (-V e_i; e_i, 0)
+    and (e_i; 0, e_i), e_i in Bq, and (k; 0, 0), k in K; weak invariance
+    makes it global.
     """
     if g.source != g.target:
         raise InvalidInput("restriction needs an endogeny of a single group")
@@ -391,35 +382,35 @@ def restrict(g: Endogeny, b: Subgroup) -> Endogeny:
         raise AmbientMismatch("subgroup not in the ambient group")
     if not weakly_invariant(b, g):
         raise NotWeaklyInvariant("subgroup is not weakly invariant")
-    amb = g.source
-    r = amb.rank
-    prod = g.prod
-    bq, to_b, _ = subgroup_isomorphism(b)
-    # the part of the graph inside b x b
-    cols = [col + col for col in g.graph.gen_columns()]
-    for col in b.gen_columns():
-        neg = amb.neg(col)
-        cols.append(neg + amb.zero + prod.zero)
-        cols.append(amb.zero + neg + prod.zero)
-    inside = Subgroup.pushforward(prod, prod.moduli, cols)
-    pairs = [(to_b(vec[:r]), to_b(vec[r:])) for vec in inside.gen_columns()]
+    bq, to_b, from_b = subgroup_isomorphism(b)
+    prod, zero = product_group(bq, bq), bq.zero
+    cols = []
+    for e in bq.generators():
+        x = from_b(e)
+        cols.append(tuple(-y for y in g._rep(x)) + e + zero)
+        cols.append(x + zero + e)
+    cols += [k + zero + zero for k in g.kat().gen_columns()]
+    basis = Subgroup.pushforward(prod, g.source.moduli, cols).basis
     nb = Subgroup.from_generators(bq, [to_b(c) for c in (g.bound.n_max & b).gen_columns()])
-    bound_b = NegligibilityBound(bq, nb)
-    return Endogeny.from_pairs(bq, bq, pairs, bound_b)
+    return Endogeny._from_basis(bq, bq, basis, NegligibilityBound(bq, nb), prod)
 
 
 class EndogenySet:
     """A finite family of endogenies of one group under one bound; the
     generating data for prerings.  The katakernel fixpoint of
-    :func:`global_kat` is computed once, when first asked."""
+    :func:`global_kat` is computed once, when first asked, and the set
+    remembers the last partner set its members were checked to commute
+    sharply with (:func:`_check_cross_sharp`), holding the partner so that
+    its identity is not reused."""
 
-    __slots__ = ("ambient", "bound", "elements", "_kat")
+    __slots__ = ("ambient", "bound", "elements", "_kat", "_sharp_with")
 
     def __init__(self, ambient, bound, elements):
         self.ambient = ambient
         self.bound = bound
         self.elements = tuple(elements)
         self._kat = None
+        self._sharp_with = None
         for e in self.elements:
             if e.source != ambient or e.target != ambient:
                 raise AmbientMismatch("member is not an endogeny of the ambient group")
@@ -467,12 +458,17 @@ def global_kat(gens: EndogenySet) -> Subgroup:
 
 
 def _check_cross_sharp(gamma: EndogenySet, delta: EndogenySet):
+    """Every pair of ``gamma`` x ``delta`` commutes sharply, checked once per
+    pair of sets: both are immutable, so the verdict is kept on ``gamma``."""
+    if gamma._sharp_with is delta:
+        return
     if gamma.ambient != delta.ambient or gamma.bound != delta.bound:
         raise AmbientMismatch("the two sets live on different data")
     for g in gamma:
         for d in delta:
             if not sharp_commutes(g, d):
                 raise NotSharplyCommuting("generators fail pairwise sharp commutation")
+    gamma._sharp_with = delta
 
 
 def bikat(gamma: EndogenySet, delta: EndogenySet) -> Subgroup:

@@ -23,10 +23,9 @@ from .endogeny import (
     Endogeny,
     EndogenySet,
     NegligibilityBound,
-    endogeny_validate,
-    sharp_commutes,
+    _check_cross_sharp,
 )
-from .errors import BudgetExceeded, InvalidInput
+from .errors import BudgetExceeded, InvalidInput, NotSharplyCommuting
 from .groups import (
     AbelianGroup,
     FinAbGroup,
@@ -51,8 +50,7 @@ def fixture_nonliftable(p: int):
     a = canonicalize_group([p, p * p])
     f = subgroup_from_generators(a, [(0, p)])
     bound = NegligibilityBound(a, f)
-    pairs = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, 0), (0, p))]
-    return a, endogeny_validate(a, a, pairs, bound)
+    return a, Endogeny.from_values(a, f, [(0, 1), (1, 0)], bound)
 
 
 def random_group(seed: int, max_order: int = 4096, max_rank: int = 3) -> FinAbGroup:
@@ -252,12 +250,12 @@ def split_bimodule(p: int, n: int, torsion, seed: int, plant_witness: bool = Fal
     for mat_ in dmats:
         blur = random_subgroup_of(tpart, rng)
         deltas.append(_morphism_endogeny(sg, mat_, blur, bound))
-    for g in gammas:
-        for d in deltas:
-            if not sharp_commutes(g, d):
-                raise BudgetExceeded("generated pair fails sharp commutation")
     gset = EndogenySet(sg.ambient, bound, gammas)
     dset = EndogenySet(sg.ambient, bound, deltas)
+    try:
+        _check_cross_sharp(gset, dset)
+    except NotSharplyCommuting:
+        raise BudgetExceeded("generated pair fails sharp commutation") from None
     if plant_witness:
         ok, witness = is_minimal_bimodule(sg, gset, dset)
         if ok:

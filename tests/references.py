@@ -9,13 +9,14 @@ every line of F_p^n, the Euclid-sweep Hermite form that the pure kernel's
 extended-gcd elimination replaced, the entry-by-entry F_p matrix code on
 tuples of row tuples that the packed kernel primitives replaced, and the
 constructions the (K, V) calculus replaced: the blur A x F and the
-everything-bound, the graph-based preimage, the repeated-add polynomial and
-the p-part as a Hermite form of scaled generators."""
+everything-bound, the graph-based preimage and restriction, the repeated-add
+polynomial and the p-part and T-part as Hermite forms of scaled
+generators."""
 
 from itertools import product
 
 from endokat import config, fp
-from endokat.endogeny import Endogeny, NegligibilityBound, endo_add, endogeny_validate, sharp_commutes, weakly_invariant
+from endokat.endogeny import Endogeny, NegligibilityBound, endo_add, sharp_commutes, weakly_invariant
 from endokat.errors import BudgetExceeded, CapExceeded, KatakernelBound
 from endokat.groups import (
     AbelianGroup,
@@ -25,6 +26,7 @@ from endokat.groups import (
     _prime_factorization,
     canonicalize_group,
     quotient,
+    subgroup_isomorphism,
 )
 from endokat.instances import polynomial, random_homomorphism, random_subgroup_of
 from endokat.rng import SplitMix64
@@ -132,7 +134,7 @@ def weak_invariance_intersection_witness(max_order: int = 64):
         for pairs, fset in enumerate_endogeny_pairs(g, n_max):
             if len(fset) == 1:
                 continue
-            e = endogeny_validate(g, g, pairs, bound)
+            e = Endogeny.from_pairs(g, g, pairs, bound)
             for b1, b2 in incomparable:
                 if (
                     weakly_invariant(b1, e)
@@ -164,6 +166,24 @@ def graph_preimage(e: Endogeny, s: Subgroup) -> Subgroup:
     return Subgroup.pushforward(e.source, e.target.moduli, cols)
 
 
+def graph_restrict(e: Endogeny, b: Subgroup) -> Endogeny:
+    """Restriction to a weakly invariant subgroup B from the graph: the
+    part of the graph inside B x B, one Hermite form in the product group,
+    pushed into coordinates of B and validated by ``from_pairs``."""
+    amb, prod = e.source, e.prod
+    r = amb.rank
+    bq, to_b, _ = subgroup_isomorphism(b)
+    cols = [col + col for col in e.graph.gen_columns()]
+    for col in b.gen_columns():
+        neg = amb.neg(col)
+        cols.append(neg + amb.zero + prod.zero)
+        cols.append(amb.zero + neg + prod.zero)
+    inside = Subgroup.pushforward(prod, prod.moduli, cols)
+    pairs = [(to_b(vec[:r]), to_b(vec[r:])) for vec in inside.gen_columns()]
+    nb = Subgroup.from_generators(bq, [to_b(c) for c in (e.bound.n_max & b).gen_columns()])
+    return Endogeny.from_pairs(bq, bq, pairs, NegligibilityBound(bq, nb))
+
+
 def repeated_add_polynomial(base: Homomorphism, coeffs) -> Homomorphism:
     """sum_i coeffs[i] * base**i by repeated ``add`` and ``compose``."""
     acc = Homomorphism.zero(base.source, base.source)
@@ -180,6 +200,13 @@ def scaled_p_part(sg, h: Subgroup) -> Subgroup:
     generators of H."""
     amb = sg.ambient
     return Subgroup._span(amb, [amb.scalar_mul(sg.torsion.order, g) for g in h.gen_columns()])
+
+
+def scaled_t_part(sg, h: Subgroup) -> Subgroup:
+    """H_T = p^n H of a split group, as the Hermite form of the scaled
+    generators of H."""
+    amb = sg.ambient
+    return Subgroup._span(amb, [amb.scalar_mul(sg.p**sg.n, g) for g in h.gen_columns()])
 
 
 def random_sharp_pair(a: AbelianGroup, n_max: Subgroup, seed: int, budget: int = 64):
@@ -232,7 +259,7 @@ def pair_random_endogeny(a: AbelianGroup, n_max: Subgroup, seed: int) -> Endogen
     g = random_homomorphism(a, q, rng)
     pairs = [(e, proj.lift(g(e))) for e in a.generators()]
     pairs += [(a.zero, c) for c in f.gen_columns()]
-    return endogeny_validate(a, a, pairs, bound)
+    return Endogeny.from_pairs(a, a, pairs, bound)
 
 
 def pair_morphism_endogeny(sg, vmat, blur: Subgroup, bound: NegligibilityBound) -> Endogeny:
@@ -249,7 +276,7 @@ def pair_morphism_endogeny(sg, vmat, blur: Subgroup, bound: NegligibilityBound) 
         pairs.append((tuple(vec), amb.zero))
     for col in blur.gen_columns():
         pairs.append((amb.zero, col))
-    return endogeny_validate(amb, amb, pairs, bound)
+    return Endogeny.from_pairs(amb, amb, pairs, bound)
 
 
 def all_vectors(p, n):

@@ -9,7 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from endokat import audits, config, endogeny, instances, jsonio
+from endokat import audits, config, endogeny, groups, instances, jsonio
 from endokat.dimension import SplitGroup
 from endokat.endogeny import Endogeny, EndogenySet, NegligibilityBound
 from endokat.groups import Homomorphism, Subgroup, canonicalize_group, subgroup_from_generators
@@ -257,16 +257,60 @@ def test_each_equivalent_verdict_once_per_op(monkeypatch):
             assert len(keys) == len(set(keys)), f"{suite}: a verdict is computed twice"
 
 
+def test_each_sharp_verdict_once_per_op(monkeypatch):
+    """Within one run_instance each sharp_commutes verdict is computed once
+    per operand pair, on four seed-1 descriptors of every suite with the
+    oracle on: split_bimodule's cross check also serves induced_action.
+    The recorded calls hold their operands, so no id is reused."""
+    calls = []
+    verdict = endogeny.sharp_commutes
+
+    def recorded(x, y):
+        calls.append((x, y))
+        return verdict(x, y)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("endokat") and getattr(mod, "sharp_commutes", None) is verdict:
+            monkeypatch.setattr(mod, "sharp_commutes", recorded)
+    for suite in audits.SUITES:
+        for desc in audits.make_descriptors(suite, 4, 1):
+            calls.clear()
+            res = audits.run_instance(suite, desc, use_oracle=True)
+            assert not res["violations"]
+            keys = [(id(x), id(y)) for x, y in calls]
+            assert len(keys) == len(set(keys)), f"{suite}: a sharp verdict is computed twice"
+            if suite == "katakernel":
+                assert keys
+
+
 def test_generators_and_value_ops_build_no_graph(monkeypatch):
     """random_endogeny, split_bimodule, _sharp_family, endo_add,
-    endo_compose, equivalent and sharp_commutes compute on (K, V): on
-    seed-1 descriptors of every suite none of them reads a graph."""
+    endo_compose, equivalent, sharp_commutes, restrict and SplitGroup.split
+    compute on (K, V) and canonical bases: on seed-1 descriptors of every
+    suite none of them reads a graph, and split makes no kernel call."""
     reads = []
     graph = Endogeny.graph
     monkeypatch.setattr(Endogeny, "graph", property(lambda e: reads.append(e) or graph.fget(e)))
-    built = []
+    splits, split = [], SplitGroup.split
+
+    def refuse(mods, cols):
+        raise AssertionError("split took a Hermite form")
+
+    def split_without_kernel(sg, h):
+        splits.append(h)
+        with monkeypatch.context() as m:
+            m.setattr(groups, "hnf_kernel", refuse)
+            return split(sg, h)
+
+    monkeypatch.setattr(SplitGroup, "split", split_without_kernel)
+    built, restricted = [], 0
     for suite in audits.SUITES:
         for desc in audits.make_descriptors(suite, 3, 1):
+            # the generated relations, the invariance suite's restrictions
+            # and the dimension suite's split
+            rels = _suite_relations(suite, desc)[0]
+            restricted += suite == "invariance" and len(rels) == 5
+            built += rels
             if suite in ("prering", "equivalence"):
                 g, n_max, endos = audits._endo_triple(desc)
             elif suite in ("sharp", "invariance"):
@@ -282,6 +326,7 @@ def test_generators_and_value_ops_build_no_graph(monkeypatch):
                     endogeny.sharp_commutes(x, y)
             built += endos
     assert built and reads == []
+    assert splits and restricted
 
 
 def test_global_katakernel_closed_once_per_family(monkeypatch):

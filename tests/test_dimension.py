@@ -10,7 +10,7 @@ from endokat.groups import Subgroup, canonicalize_group, subgroup_from_generator
 from endokat.instances import random_endogeny, split_bimodule
 from endokat.rng import SplitMix64
 
-from references import blur, scaled_p_part
+from references import blur, scaled_p_part, scaled_t_part
 
 
 @pytest.fixture
@@ -158,7 +158,9 @@ def test_minimality(sg223):
 def test_p_part_read_off_the_basis_is_the_scaled_hermite_form(lattice_backend, p, n, torsion, seed):
     """connected_component and dim, read off the V-block of the basis,
     equal the Hermite form of the generators scaled by |T| and its order,
-    on random subgroups of split groups with one or two torsion factors."""
+    and split's T-part, read off the T-block, the one of the generators
+    scaled by p^n, on random subgroups of split groups with one or two
+    torsion factors."""
     torsion = [t for t in torsion if t % p] or [1]
     tor = canonicalize_group(torsion)
     sg = SplitGroup(p, n, tor)
@@ -174,4 +176,4 @@ def test_p_part_read_off_the_basis_is_the_scaled_hermite_form(lattice_backend, p
             d += 1
         assert sg.dim(h) == d
         hp, ht = sg.split(h)
-        assert hp == ref and (hp | ht) == h
+        assert hp == ref and ht == scaled_t_part(sg, h) and (hp | ht) == h

@@ -15,11 +15,11 @@ from endokat.endogeny import (
     endo_add,
     endo_compose,
     endo_neg,
-    endogeny_validate,
     equivalent,
     fully_invariant,
     global_kat,
     induced_action,
+    orbit_closure,
     preceq,
     restrict,
     sharp_commutes,
@@ -45,7 +45,7 @@ from endokat.instances import fixture_nonliftable, random_endogeny, random_homom
 from endokat.rng import SplitMix64
 
 from oracle_enumeration import EnumeratedGroup, enumerate_endogeny_pairs, enumerate_homomorphisms
-from references import all_subgroups, blur, coset_elements, everything, graph_preimage, random_sharp_pair
+from references import all_subgroups, blur, coset_elements, everything, graph_preimage, graph_restrict, random_sharp_pair
 
 
 def bound_of(group, gens):
@@ -54,14 +54,14 @@ def bound_of(group, gens):
 
 def test_validation(z4):
     nb0 = NegligibilityBound.zero(z4)
-    e = endogeny_validate(z4, z4, [((1,), (1,))], nb0)
+    e = Endogeny.from_pairs(z4, z4, [((1,), (1,))], nb0)
     assert e.kat().is_trivial
     f = subgroup_from_generators(z4, [(2,)])
     zf = blur(f, NegligibilityBound(z4, f))
     assert zf.kat() == f
     assert zf.graph.order == 8
     with pytest.raises(NotGlobal):
-        endogeny_validate(z4, z4, [((2,), (1,))], nb0)
+        Endogeny.from_pairs(z4, z4, [((2,), (1,))], nb0)
     with pytest.raises(KatakernelBound):
         blur(f, nb0)
     with pytest.raises(InvalidInput):
@@ -139,9 +139,7 @@ def test_bound_errors(z4):
     zf = blur(f, nbf)
     one0 = Endogeny.identity(z4, nb0)
     with pytest.raises(KatakernelBound):
-        endo_add(
-            Endogeny(z4, z4, zf.graph, nb0, _checked=True), one0
-        )
+        endo_add(_like(zf, zf.graph, nb0), one0)
 
 
 def test_equivalence(z4):
@@ -239,7 +237,7 @@ def test_weak_invariance_intersection_failure_witness():
         for pairs, fset in enumerate_endogeny_pairs(g, n_max):
             if len(fset) == 1:
                 continue  # morphisms cannot witness: weak equals full there
-            e = endogeny_validate(g, g, pairs, NegligibilityBound(g, n_max))
+            e = Endogeny.from_pairs(g, g, pairs, NegligibilityBound(g, n_max))
             for b1 in subs:
                 if not weakly_invariant(b1, e):
                     continue
@@ -495,8 +493,10 @@ def _ref_im(graph, src, tgt):
     return Subgroup._span(tgt, [col[src.rank:] for col in graph.gen_columns()])
 
 
-def _like(e, graph):
-    return Endogeny(e.source, e.target, graph, e.bound, _checked=True)
+def _like(e, graph, bound=None):
+    """The unvalidated relation with ``graph``, a global relation's Hermite
+    basis, on the groups of ``e`` and under ``bound`` (e's by default)."""
+    return Endogeny._from_basis(e.source, e.target, graph.basis, bound or e.bound, graph.group)
 
 
 def _ref_sharp(g, d):
@@ -570,7 +570,7 @@ def test_value_columns_match_graph_reference(mods, seed):
         ref = _ref_add(x, y)
         assert endo_add(x, y, unchecked=True).graph.basis == ref.basis
         assert endo_add(x, y).graph == ref  # kat x + kat y stays inside the bound
-        xt, yt = (Endogeny(a, b, z.graph, tight, _checked=True) for z in (x, y))
+        xt, yt = (_like(z, z.graph, tight) for z in (x, y))
         if tight.is_negligible(_like(x, ref).kat()):
             assert endo_add(xt, yt).graph == ref
         else:
@@ -578,7 +578,7 @@ def test_value_columns_match_graph_reference(mods, seed):
                 endo_add(xt, yt)
         assert equivalent(x, y) == _ref_equivalent(x, y)
     ref = _ref_compose(h, g1)
-    if h.bound.is_negligible(Endogeny(a, h.target, ref, h.bound, _checked=True).kat()):
+    if h.bound.is_negligible(Endogeny._from_basis(a, h.target, ref.basis, h.bound, ref.group).kat()):
         assert endo_compose(h, g1).graph == ref
     else:
         with pytest.raises(KatakernelBound):
@@ -685,6 +685,8 @@ def test_from_values_is_from_pairs(lattice_backend, mods, seed, torsion):
     bound = everything(b)
     pairs = list(zip(a.generators(), vals)) + [(a.zero, k) for k in kat.gen_columns()]
     ref = Endogeny.from_pairs(a, b, pairs, bound)
+    # from_pairs reads (K, V) off the Hermite form of its pairs
+    assert ref.graph == Subgroup.from_generators(product_group(a, b), [x + tuple(y) for x, y in pairs])
     if all(kat.contains([d * x for x in v]) for d, v in zip(a.moduli, vals)):
         got = Endogeny.from_values(a, kat, vals, bound)
         assert got._graph is None  # built when first read
@@ -783,3 +785,21 @@ def test_audit_containment_is_graph_containment(lattice_backend, mods, seed):
     assert audits._contained(g1, g3)
     for x, y in pairs:
         assert audits._contained(x, y) == x.graph.leq(y.graph)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(SMALL_GROUPS), st.integers(0, 2**32))
+def test_restrict_matches_graph_reference(lattice_backend, mods, seed):
+    """restrict, one Hermite form over Bq x Bq from (K, V), gives the
+    relation, bound and graph basis of the graph-based restriction, on
+    random weakly invariant subgroups (orbit closures and plain random
+    subgroups that happen to be weakly invariant) of groups up to order 64."""
+    rnd = random.Random(seed)
+    g = canonicalize_group(list(mods))
+    e = _random_relation(g, g, _random_subgroup(g, rnd, 3), rnd)
+    for _ in range(4):
+        s = _random_subgroup(g, rnd)
+        for b in (s, orbit_closure(s, [e])):
+            if weakly_invariant(b, e):
+                got, ref = restrict(e, b), graph_restrict(e, b)
+                assert got == ref and got.graph.basis == ref.graph.basis
