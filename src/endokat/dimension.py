@@ -120,10 +120,9 @@ class SplitGroup:
             cols.append(tuple(x % self.p for x in rep[: self.n]))
         return tuple(tuple(cols[j][i] for j in range(self.n)) for i in range(self.n))
 
-    def subgroup_from_v_subspace(self, rows, include_torsion=True) -> Subgroup:
-        gens = [self._embed_v(v) for v in rows]
-        if include_torsion:
-            gens += self.t_part().gen_columns()
+    def subgroup_from_v_subspace(self, rows) -> Subgroup:
+        """W (+) T for the subspace W of V spanned by ``rows``."""
+        gens = [self._embed_v(v) for v in rows] + self.t_part().gen_columns()
         return Subgroup.from_generators(self.ambient, gens)
 
 
@@ -144,7 +143,7 @@ def is_minimal_bimodule(sg: SplitGroup, gamma: EndogenySet, delta: EndogenySet):
     w = linearize.invariant_subspace(sg.p, sg.n, mats)
     if w is None:
         return True, None
-    witness = sg.subgroup_from_v_subspace(w.tuples(), include_torsion=True)
+    witness = sg.subgroup_from_v_subspace(w.tuples())
     for g in list(gamma) + list(delta):
         img = g.apply_set(witness)
         if not img.leq(witness | g.kat()):

@@ -196,13 +196,14 @@ class Subgroup:
     constructor trusts its input.
     """
 
-    __slots__ = ("group", "basis", "_order", "_cols")
+    __slots__ = ("group", "basis", "_order", "_cols", "_iso")
 
     def __init__(self, group, basis):
         self.group = group
         self.basis = basis
         self._order = None
         self._cols = None
+        self._iso = None
 
     @classmethod
     def from_generators(cls, group, gens):
@@ -408,15 +409,6 @@ class Homomorphism:
             rows.append(new)
         return Homomorphism(other.source, self.target, rows, _trusted=True)
 
-    def add(self, other):
-        if other.source != self.source or other.target != self.target:
-            raise AmbientMismatch("sum mismatch")
-        rows = [
-            [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.matrix, other.matrix)
-        ]
-        return Homomorphism(self.source, self.target, rows, _trusted=True)
-
     def lift(self, vec):
         """A preimage representative (only for maps built with a section,
         e.g. quotient projections)."""
@@ -474,8 +466,11 @@ def subgroup_isomorphism(h: Subgroup):
 
     Returns ``(q, to_q, from_q)`` where ``q`` is the canonical group
     isomorphic to ``h`` and the two callables convert between ambient
-    coordinates of members of ``h`` and coordinates in ``q``.
+    coordinates of members of ``h`` and coordinates in ``q``.  Computed once
+    per subgroup and kept on it, like its generator columns.
     """
+    if h._iso is not None:
+        return h._iso
     g = h.group
     r = g.rank
     basis = h.basis
@@ -513,4 +508,5 @@ def subgroup_isomorphism(h: Subgroup):
         y = [sum(uinv[i][k] * zfull[k] for k in range(r)) for i in range(r)]
         return g.reduce([sum(basis[i][k] * y[k] for k in range(r)) for i in range(r)])
 
-    return q, to_q, from_q
+    h._iso = q, to_q, from_q
+    return h._iso

@@ -10,11 +10,15 @@ C(Delta) by one basis change, and lift the local field of line 0, the
 minimal image, through that basis change; no step recurses.  The lines are
 phi_1(u), ..., phi_m(u) for a minimal image u and a basis phi_1..phi_m of
 Hom(u, V) over the local field of u; P = [phi_1 | ... | phi_m] is
-invertible, and the rows of P^-1 give the idempotents and the lifts.  Every
-step revalidates its postconditions, so a hypothesis failure surfaces as a
-typed error with a witness instead of a wrong report.  A check or product
-over a family of matrices is one block product (:func:`fp.products`,
-:func:`fp.noncommuting`), not one product per pair.
+invertible, and the rows of P^-1 give the idempotents and the lifts.  A
+step checks what its inputs do not already guarantee: the hypotheses on
+entry, the lines and the basis change, the restricted commutant and the
+lifts, and at the end the report, fact by fact, in
+:meth:`FieldReport.verify`.  What an exact inverse makes true, such as the
+idempotents summing to the identity, is not checked again.  A hypothesis
+failure surfaces as a typed error with a witness instead of a wrong report.
+A check or product over a family of matrices is one block product
+(:func:`fp.products`, :func:`fp.noncommuting`), not one product per pair.
 """
 
 from __future__ import annotations
@@ -401,8 +405,9 @@ def projection_onto_line(line: Line, coordinates, galg: MatrixAlgebra):
     matching k rows of P^-1 (:func:`decompose`).
 
     The idempotent must lie in galg = C(Delta) (checked), so that it is a
-    Delta-map; :meth:`Decomposition.verify` checks that it commutes with
-    Delta's generators and the rest.
+    Delta-map.  That it is idempotent with the line as image, and
+    orthogonal to the other lines' idempotents, are identities of the exact
+    inverse P^-1, so they are not checked again.
     """
     pi = fp.mul(galg.p, line.basis, coordinates)
     if not galg.contains(pi):
@@ -423,39 +428,16 @@ class Decomposition:
         self.projections = list(projections)
         self.coordinates = list(coordinates)
 
-    def verify(self, delta):
-        """Check the idempotents: each is idempotent with its line as
-        image, they are orthogonal, sum to the identity, and commute with
-        every matrix of ``delta``, the second family's generators."""
-        p, n, pis = self.p, self.n, self.projections
-        prods = fp.products(p, pis, pis)
-        total = fp.zero(p, n)
-        for i, pi in enumerate(pis):
-            total = fp.add(p, total, pi)
-            if prods[i][i] != pi:
-                raise HypothesisViolation("projection not idempotent", witness=pi)
-            if fp.column_space(p, pi) != self.lines[i].subspace:
-                raise HypothesisViolation("projection image is not its line", witness=pi)
-            for j, pij in enumerate(prods[i]):
-                if i != j and any(pij.rows):
-                    raise HypothesisViolation("projections not orthogonal", witness=(i, j))
-        if total != fp.identity(p, n):
-            raise HypothesisViolation("projections do not sum to the identity", witness=total)
-        bad = fp.noncommuting(p, pis, delta)
-        if bad is not None:
-            raise HypothesisViolation("projection fails to commute", witness=pis[bad[0]])
-        return True
 
-
-def decompose(galg: MatrixAlgebra, delta) -> Decomposition:
+def decompose(galg: MatrixAlgebra) -> Decomposition:
     """Split the space into the direct sum of the lines of galg by one
     basis change.  P = [phi_1 | ... | phi_m] puts the line bases side by
     side (:func:`lines`), and C_i, the rows of P^-1 for line i, gives the
     coordinates on it: P P^-1 = I makes the idempotents pi_i = phi_i C_i
-    sum to the identity, and P^-1 P = I makes them orthogonal.  A singular
-    P means that the lines are not direct, so galg is not simple.
-    ``delta`` is the second family's generators, for
-    :meth:`Decomposition.verify`."""
+    sum to the identity, and P^-1 P = I makes them orthogonal, each
+    idempotent with image phi_i(u).  Each lies in galg
+    (:func:`projection_onto_line`), so commutes with Delta.  A singular P
+    means that the lines are not direct, so galg is not simple."""
     p, n = galg.p, galg.n
     lam = lines(galg)
     basis_change = fp.side_by_side([line.basis for line in lam])
@@ -469,9 +451,7 @@ def decompose(galg: MatrixAlgebra, delta) -> Decomposition:
         coordinates.append(inv[start : start + line.dim])
         projections.append(projection_onto_line(line, coordinates[-1], galg))
         start += line.dim
-    dec = Decomposition(p, n, lam, projections, coordinates)
-    dec.verify(delta)
-    return dec
+    return Decomposition(p, n, lam, projections, coordinates)
 
 
 def _restricted(p, mats, src, dst):
@@ -553,62 +533,70 @@ def is_field(alg: MatrixAlgebra):
 
 
 class FieldReport:
-    """Result of the field extraction: the coefficient field as matrices,
-    its order, and a vector-space basis of the ambient space over it, each
-    matrix and vector as tuples of entries.  :func:`extract_field` also
-    hands over the field algebra and the k-basis it packed; a report built
-    from tuples alone packs them when first asked."""
+    """Result of the field extraction: the coefficient field as a matrix
+    algebra, ``field_algebra``, and a basis of the ambient space over it,
+    the rows of ``k_basis``.  The order, the dimension over the field and
+    the tuples of the report are read off those two."""
 
-    __slots__ = ("p", "n", "field_basis", "order", "vs_dimension", "k_basis_of_v", "_algebra", "_k_basis")
+    __slots__ = ("field_algebra", "k_basis")
 
-    def __init__(self, p, n, field_basis, order, vs_dimension, k_basis_of_v, *, _algebra=None, _k_basis=None):
-        self.p = p
-        self.n = n
-        self.field_basis = tuple(field_basis)
-        self.order = order
-        self.vs_dimension = vs_dimension
-        self.k_basis_of_v = tuple(k_basis_of_v)
-        self._algebra = _algebra
-        self._k_basis = _k_basis
+    def __init__(self, field_algebra: MatrixAlgebra, k_basis):
+        self.field_algebra = field_algebra
+        self.k_basis = k_basis
+
+    @property
+    def p(self):
+        return self.field_algebra.p
+
+    @property
+    def n(self):
+        return self.field_algebra.n
+
+    @property
+    def order(self):
+        return self.field_algebra.size
+
+    @property
+    def vs_dimension(self):
+        return self.n // self.field_algebra.dim
+
+    @property
+    def field_basis(self):
+        return tuple(b.tuples() for b in self.field_algebra.basis)
+
+    @property
+    def k_basis_of_v(self):
+        return self.k_basis.tuples()
 
     def __repr__(self):
         return f"FieldReport(order={self.order}, vs_dimension={self.vs_dimension})"
 
-    def field_algebra(self):
-        """The span of the field basis and the identity, in echelon form."""
-        if self._algebra is None:
-            p, n = self.p, self.n
-            field = [fp.mat(b, p) for b in self.field_basis]
-            self._algebra = MatrixAlgebra(p, n, _span_basis(p, [*field, fp.identity(p, n)]))
-        return self._algebra
-
     def verify(self, gamma_gens, delta_gens):
-        p, n = self.p, self.n
-        alg = self.field_algebra()
-        k = alg.dim
-        if self.order != p**k:
-            raise FieldTestFailure("reported order disagrees with the basis")
-        if n != k * self.vs_dimension:
-            raise FieldTestFailure("n != k * m")
-        if not alg.is_commutative():
-            raise FieldTestFailure("field basis is not commutative")
-        for m in alg.elements():
-            if any(m.rows) and not fp.is_invertible(p, m):
-                raise FieldTestFailure("nonzero element is singular", element=m)
-        # the algebra's basis spans the field basis and the identity, so it
-        # commutes with a generator exactly when the field basis does
+        """Check each fact of the report once: the field algebra is closed
+        under products, its degree divides n, it is a field
+        (:func:`is_field`), it commutes with both generator families, and
+        the k-basis spans the space over it.  Last, every nonzero element
+        is checked to be invertible, by a sweep of the field."""
+        alg, p, n = self.field_algebra, self.p, self.n
+        for ab in chain.from_iterable(fp.products(p, alg.basis, alg.basis)):
+            if not alg.contains(ab):
+                raise FieldTestFailure("field span is not closed under products", element=ab)
+        if n % alg.dim:
+            raise FieldTestFailure("field degree does not divide the dimension")
+        if not is_field(alg):
+            raise FieldTestFailure("field algebra fails the field certificate")
         bad = fp.noncommuting(p, [fp.mat(g, p) for g in (*gamma_gens, *delta_gens)], alg.basis)
         if bad is not None:
             raise FieldTestFailure(
                 "algebra generator fails to commute with the field", element=alg.basis[bad[1]].tuples()
             )
-        if self._k_basis is None:
-            self._k_basis = fp.mat(self.k_basis_of_v, p)
-        # the flagged vectors really are a basis over the field: row r of
-        # block t of (vectors) (b_t^T) is b_t applied to vector r
-        (images,) = fp.products(p, [self._k_basis], [fp.transpose(b) for b in alg.basis])
+        # row r of block t of (vectors) (b_t^T) is b_t applied to vector r
+        (images,) = fp.products(p, [self.k_basis], [fp.transpose(b) for b in alg.basis])
         if len(fp.row_space(p, fp.stack(images))) != n:
             raise FieldTestFailure("flagged vectors do not span over the field")
+        for m in alg.elements():
+            if any(m.rows) and not fp.is_invertible(p, m):
+                raise FieldTestFailure("nonzero element is singular", element=m)
         return True
 
 
@@ -660,7 +648,10 @@ def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
     generators restricted to u (u is the image of an element of C(Delta),
     so Delta-stable), and the lift
     P diag(f, ..., f) P^-1 of each f in E is checked to commute with galg
-    and Delta.  With one line, u = V and C(dl) = C(Delta) = galg.
+    and Delta.  With one line, u = V and C(dl) = C(Delta) = galg.  The
+    lifted span is the report's field algebra, and
+    :meth:`FieldReport.verify` checks each fact of the report once: closure,
+    degree, the field certificate, commutation and the k-basis.
 
     Delta's generators stand in for the double commutant C(galg) in every
     check.  The radical argument of :func:`lines` makes the algebra
@@ -698,7 +689,7 @@ def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
     if w is not None:
         raise HypothesisViolation("bi-module action is reducible", witness=w)
     galg = centralizer(delta_gens, p=p, n=n)
-    dec = decompose(galg, delta_gens)
+    dec = decompose(galg)
     line = dec.lines[0]
     dl = _restricted(p, delta_gens, line.subspace, line.subspace)
     local_field = centralizer(dl, p=p, n=line.dim)
@@ -711,24 +702,6 @@ def extract_field(p, n, gamma_gens, delta_gens) -> FieldReport:
     field = MatrixAlgebra(p, n, _span_basis(p, lifted + [fp.identity(p, n)]))
     if field.dim != local_field.dim:
         raise FieldTestFailure("lifted field has the wrong dimension")
-    for ab in chain.from_iterable(fp.products(p, field.basis, field.basis)):
-        if not field.contains(ab):
-            raise FieldTestFailure("lifted span is not closed under products", element=ab)
-    if not is_field(field):
-        raise FieldTestFailure("lifted algebra fails the field certificate")
-    kdim = field.dim
-    if n % kdim:
-        raise FieldTestFailure("field degree does not divide the dimension")
-    k_basis = _k_basis_of_v(p, n, field.basis)
-    report = FieldReport(
-        p,
-        n,
-        [b.tuples() for b in field.basis],
-        p**kdim,
-        n // kdim,
-        k_basis.tuples(),
-        _algebra=field,
-        _k_basis=k_basis,
-    )
+    report = FieldReport(field, _k_basis_of_v(p, n, field.basis))
     report.verify(gamma_gens, delta_gens)
     return report

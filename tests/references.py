@@ -11,13 +11,14 @@ tuples of row tuples that the packed kernel primitives replaced, and the
 constructions the (K, V) calculus replaced: the blur A x F and the
 everything-bound, the graph-based preimage and restriction, the repeated-add
 polynomial and the p-part and T-part as Hermite forms of scaled
-generators."""
+generators; and the check of a decomposition's idempotents, which restates
+identities of the exact inverse that the package does not check again."""
 
 from itertools import product
 
 from endokat import config, fp
 from endokat.endogeny import Endogeny, NegligibilityBound, endo_add, sharp_commutes, weakly_invariant
-from endokat.errors import BudgetExceeded, CapExceeded, KatakernelBound
+from endokat.errors import BudgetExceeded, CapExceeded, HypothesisViolation, KatakernelBound
 from endokat.groups import (
     AbelianGroup,
     Coset,
@@ -185,12 +186,14 @@ def graph_restrict(e: Endogeny, b: Subgroup) -> Endogeny:
 
 
 def repeated_add_polynomial(base: Homomorphism, coeffs) -> Homomorphism:
-    """sum_i coeffs[i] * base**i by repeated ``add`` and ``compose``."""
+    """sum_i coeffs[i] * base**i by repeated addition of matrices and
+    ``compose``."""
     acc = Homomorphism.zero(base.source, base.source)
     power = Homomorphism.identity(base.source)
     for c in coeffs:
         for _ in range(c):
-            acc = acc.add(power)
+            rows = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(acc.matrix, power.matrix)]
+            acc = Homomorphism(acc.source, acc.target, rows, _trusted=True)
         power = power.compose(base)
     return acc
 
@@ -478,3 +481,27 @@ def tuple_in_span(p, basis_rows, v):
             c = w[pc]
             w = [(x - c * y) % p for x, y in zip(w, row)]
     return not any(w)
+
+
+def verify_decomposition(dec, delta):
+    """Check the idempotents of a decomposition: each is idempotent with its
+    line as image, they are orthogonal, sum to the identity, and commute
+    with every matrix of ``delta``, the second family's generators."""
+    p, n, pis = dec.p, dec.n, dec.projections
+    prods = fp.products(p, pis, pis)
+    total = fp.zero(p, n)
+    for i, pi in enumerate(pis):
+        total = fp.add(p, total, pi)
+        if prods[i][i] != pi:
+            raise HypothesisViolation("projection not idempotent", witness=pi)
+        if fp.column_space(p, pi) != dec.lines[i].subspace:
+            raise HypothesisViolation("projection image is not its line", witness=pi)
+        for j, pij in enumerate(prods[i]):
+            if i != j and any(pij.rows):
+                raise HypothesisViolation("projections not orthogonal", witness=(i, j))
+    if total != fp.identity(p, n):
+        raise HypothesisViolation("projections do not sum to the identity", witness=total)
+    bad = fp.noncommuting(p, pis, delta)
+    if bad is not None:
+        raise HypothesisViolation("projection fails to commute", witness=pis[bad[0]])
+    return True

@@ -51,7 +51,14 @@ from oracle_enumeration import (
     naive_quotient_factors,
     unpack,
 )
-from references import all_abelian_groups, blur, coset_elements, random_sharp_pair, weak_invariance_intersection_witness
+from references import (
+    all_abelian_groups,
+    blur,
+    coset_elements,
+    random_sharp_pair,
+    verify_decomposition,
+    weak_invariance_intersection_witness,
+)
 
 SEED = 0xE17D0
 GRAPH_CAP = 1024
@@ -449,8 +456,8 @@ def test_criterion_9_decomposition_invariants():
         galg = centralizer(inst["delta_generators"], p=p, n=n)
         dalg = centralizer(galg.basis, p=p, n=n)
         try:
-            dec = decompose(galg, dalg.basis)
-            dec.verify(dalg.basis)
+            dec = decompose(galg)
+            verify_decomposition(dec, dalg.basis)
             if len(dec.lines) != m or any(line.dim != k for line in dec.lines):
                 failures.append((p, k, m, seed, [line.dim for line in dec.lines]))
         except Exception as exc:  # noqa: BLE001

@@ -342,6 +342,18 @@ def test_subgroup_isomorphism_roundtrip(z2z4):
     assert len(seen) == h.order
 
 
+def test_subgroup_isomorphism_once_per_subgroup(z2z4, monkeypatch):
+    """The isomorphism is solved once per subgroup and kept on it: a second
+    call, as by a second restriction to the same subgroup, returns the same
+    maps with no Smith form."""
+    h = subgroup_from_generators(z2z4, [(1, 1), (0, 2)])
+    calls = []
+    monkeypatch.setattr(groups, "smith_normal_form", lambda m: calls.append(m) or smith_normal_form(m))
+    first = subgroup_isomorphism(h)
+    assert subgroup_isomorphism(h) is first
+    assert len(calls) == 1
+
+
 def test_canonicity_mass():
     """200 generator sets per group over 20 random groups of order <= 4096:
     shuffling and adding redundant generators never changes the basis."""

@@ -35,7 +35,7 @@ from endokat.linearize import (
 )
 from endokat.rng import SplitMix64
 
-from references import exhaustive_invariant_subspace
+from references import exhaustive_invariant_subspace, verify_decomposition
 
 
 def E(n, i, j, p=2):
@@ -240,7 +240,7 @@ def test_lines_enumerate_no_combinations(monkeypatch):
     monkeypatch.setattr(linearize, "_combinations", counted)
     galg = _quartic_n8_commutant()  # Mat_2(F_16): q = 16, m = 2
     assert [l.dim for l in lines(galg)] == [4, 4]
-    assert len(decompose(galg, centralizer(galg.basis, p=2, n=8).basis).lines) == 2
+    assert len(decompose(galg).lines) == 2
     inst = matrix_bimodule(3, 3, 2, 0)
     assert [l.dim for l in lines(centralizer(inst["delta_generators"], p=3, n=6))] == [3, 3]  # Mat_2(F_27)
     assert not calls
@@ -332,7 +332,7 @@ def test_tensor_bimodule_lines_at_large_primes(p, monkeypatch):
     for r, s in ((2, 2), (3, 2), (2, 3)):
         for twist in range(3):
             _, delta = _tensor_bimodule(p, r, s, twist)
-            dec = decompose(centralizer(delta, p=p, n=r * s), [fp.mat(d, p) for d in delta])
+            dec = decompose(centralizer(delta, p=p, n=r * s))
             assert [l.dim for l in dec.lines] == [s] * r
     assert calls
 
@@ -348,11 +348,10 @@ def test_minimal_image_error_exits():
 
 _DIGEST_SCRIPT = """
 import hashlib, json, sys
-from endokat import fp
 from endokat.linearize import centralizer, decompose, extract_field
 p, n, gamma, delta = json.load(sys.stdin)
 rep = extract_field(p, n, gamma, delta)
-dec = decompose(centralizer(delta, p=p, n=n), [fp.mat(d, p) for d in delta])
+dec = decompose(centralizer(delta, p=p, n=n))
 out = (rep.order, rep.vs_dimension, rep.field_basis, rep.k_basis_of_v, [l.subspace for l in dec.lines])
 print(hashlib.sha256(repr(out).encode()).hexdigest())
 """
@@ -396,18 +395,19 @@ def test_cap_errors_name_their_limit(monkeypatch):
 
 
 def test_projection_and_decomposition(m2, f4, scal2):
-    dec = decompose(m2, scal2.basis)
+    dec = decompose(m2)
     assert [l.subspace.tuples() for l in dec.lines] == [((1, 0),), ((0, 1),)]
     assert dec.projections == [E(2, 0, 0), E(2, 1, 1)]
     assert [c.tuples() for c in dec.coordinates] == [((1, 0),), ((0, 1),)]
     assert projection_onto_line(dec.lines[0], dec.coordinates[0], m2) == E(2, 0, 0)
-    dec.verify(scal2.basis)
+    verify_decomposition(dec, scal2.basis)
     # the idempotent must lie in the first algebra: E00 is not a scalar
     with pytest.raises(HypothesisViolation, match="not in the first algebra") as err:
         projection_onto_line(dec.lines[0], dec.coordinates[0], scal2)
     assert err.value.witness == E(2, 0, 0)
     c2 = centralizer(f4.basis, p=2, n=2)
-    dec2 = decompose(f4, c2.basis)
+    dec2 = decompose(f4)
+    verify_decomposition(dec2, c2.basis)
     assert len(dec2.lines) == 1 and dec2.projections[0] == fp.identity(2, 2)
 
 
@@ -417,8 +417,9 @@ def test_decompose_mat8_over_f4():
     inst = matrix_bimodule(2, 2, 8, 1)
     galg = centralizer(inst["delta_generators"], p=2, n=16)
     assert galg.dim == 128
-    dec = decompose(galg, centralizer(galg.basis, p=2, n=16).basis)
+    dec = decompose(galg)
     assert [l.dim for l in dec.lines] == [2] * 8
+    verify_decomposition(dec, centralizer(galg.basis, p=2, n=16).basis)
 
 
 def _restricted_gens(p, gens, line):
@@ -428,7 +429,7 @@ def _restricted_gens(p, gens, line):
 
 
 def test_lift(m2, scal2):
-    dec = decompose(m2, scal2.basis)
+    dec = decompose(m2)
     line = dec.lines[0]
     one = fp.identity(2, 1)
     hat, = lift_endomorphism([one], dec, m2, scal2.basis, _restricted_gens(2, scal2.basis, line))
@@ -437,7 +438,7 @@ def test_lift(m2, scal2):
     inst = matrix_bimodule(3, 1, 2, 3)
     delta = [fp.mat(d, 3) for d in inst["delta_generators"]]
     galg = centralizer(delta, p=3, n=2)
-    dec3 = decompose(galg, delta)
+    dec3 = decompose(galg)
     two = fp.mat([[2]], 3)
     line3 = dec3.lines[0]
     hat1, hat3 = lift_endomorphism([fp.identity(3, 1), two], dec3, galg, delta, _restricted_gens(3, delta, line3))
@@ -445,7 +446,7 @@ def test_lift(m2, scal2):
     assert hat3 == fp.scalar(3, 2, fp.identity(3, 2))
 
 
-def test_decompose_rejects_lines_that_are_not_direct(m2, scal2, monkeypatch):
+def test_decompose_rejects_lines_that_are_not_direct(m2, monkeypatch):
     """Lines whose bases do not form an invertible P, here one line given
     twice, or too few or too many to fill the space, raise
     HypothesisViolation with the lines as witness."""
@@ -453,7 +454,7 @@ def test_decompose_rejects_lines_that_are_not_direct(m2, scal2, monkeypatch):
     for pick in ([0, 0], [0], [0, 1, 1]):
         monkeypatch.setattr(linearize, "lines", lambda alg, pick=pick: [route(alg)[i] for i in pick])
         with pytest.raises(HypothesisViolation, match="not split the space directly") as err:
-            decompose(m2, scal2.basis)
+            decompose(m2)
         assert err.value.witness == [route(m2)[i].subspace for i in pick]
 
 
@@ -483,12 +484,13 @@ def test_block_products_match_pairwise_products(p, n, a, b, k, seed):
     assert fp.powers(p, squares, k) == want
 
 
-# fp kernel calls of one extract_field on matrix_bimodule(p, k, m, 0), with
-# some room above today's counts: a family check split back into one product
-# per pair (hundreds of mat_mul calls at n = 4) fails this.
+# fp kernel calls of one extract_field on matrix_bimodule(p, k, m, 0), at
+# today's counts: a family check split back into one product per pair
+# (hundreds of mat_mul calls at n = 4), or a fact of the report or of the
+# decomposition checked a second time, fails this.
 KERNEL_CALL_CEILINGS = {
-    (2, 2, 2): {"mat_mul": 42, "mat_vec": 4, "rref": 40, "spin": 2},
-    (2, 4, 2): {"mat_mul": 44, "mat_vec": 4, "rref": 62, "spin": 2},
+    (2, 2, 2): {"mat_mul": 33, "mat_vec": 2, "rref": 25, "spin": 2},
+    (2, 4, 2): {"mat_mul": 35, "mat_vec": 2, "rref": 37, "spin": 2},
 }
 
 
@@ -534,7 +536,7 @@ def _quartic_decomposition():
     inst = matrix_bimodule(2, 2, 2, 0)
     delta = [fp.mat(d, 2) for d in inst["delta_generators"]]
     galg = centralizer(delta, p=2, n=4)
-    dec = decompose(galg, delta)
+    dec = decompose(galg)
     return delta, galg, dec
 
 
@@ -568,25 +570,36 @@ def test_decomposition_verify_rejects_projections_that_are_not_orthogonal():
         [fp.mat([[1, 0]], 2), fp.mat([[0, 1]], 2)],
     )
     with pytest.raises(HypothesisViolation, match="^projections not orthogonal$") as err:
-        dec.verify([fp.identity(2, 2)])
+        verify_decomposition(dec, [fp.identity(2, 2)])
     assert err.value.witness == (0, 1)
 
 
-def test_decomposition_verify_rejects_a_projection_that_fails_to_commute(m2, scal2):
+def test_decomposition_verify_rejects_a_projection_that_fails_to_commute(m2):
     """The idempotents E00, E11 of Mat_2(F_2) do not commute with E01."""
-    dec = decompose(m2, scal2.basis)
+    dec = decompose(m2)
     with pytest.raises(HypothesisViolation, match="^projection fails to commute$") as err:
-        dec.verify([fp.identity(2, 2), E(2, 0, 1)])
+        verify_decomposition(dec, [fp.identity(2, 2), E(2, 0, 1)])
     assert err.value.witness == E(2, 0, 0)
+
+
+def _hand_report(p, n, mats, k_basis=None):
+    """A report on the span of ``mats`` and the identity, with the unit
+    vectors as its k-basis unless one is given."""
+    alg = MatrixAlgebra(p, n, _span_basis(p, [*mats, fp.identity(p, n)]))
+    return linearize.FieldReport(alg, fp.identity(p, n) if k_basis is None else k_basis)
 
 
 def test_extract_field_rejects_a_lift_not_closed_under_products(monkeypatch):
     """A lifted span {I, A} with the shift A, whose square is not in it,
-    has the local field's dimension but is no algebra."""
+    has the local field's dimension but is no algebra: the report check
+    names the square, in extract_field and on a report built by hand."""
     shift = fp.add(2, E(4, 0, 1), E(4, 1, 2))
-    monkeypatch.setattr(linearize, "lift_endomorphism", lambda *args: [shift])
     inst = matrix_bimodule(2, 2, 2, 0)
-    with pytest.raises(FieldTestFailure, match="^lifted span is not closed under products$") as err:
+    with pytest.raises(FieldTestFailure, match="^field span is not closed under products$") as err:
+        _hand_report(2, 4, [shift]).verify(inst["gamma_generators"], inst["delta_generators"])
+    assert err.value.element == fp.mul(2, shift, shift)
+    monkeypatch.setattr(linearize, "lift_endomorphism", lambda *args: [shift])
+    with pytest.raises(FieldTestFailure, match="^field span is not closed under products$") as err:
         extract_field(2, 4, inst["gamma_generators"], inst["delta_generators"])
     assert err.value.element == fp.mul(2, shift, shift)
 
@@ -603,27 +616,27 @@ def test_field_report_verify_rejects_a_generator_that_fails_to_commute():
     assert err.value.element == witness
 
 
-def test_field_report_built_by_hand_packs_what_extract_field_hands_over():
-    """A report rebuilt from the tuples of extract_field's report packs and
-    echelonises them into the same field algebra and passes verify, also
-    with another basis of the same field; and verify still rejects a wrong order or dimension and a
-    generator that fails to commute."""
+def test_field_report_built_by_hand():
+    """A report built from another basis of extract_field's field holds the
+    same echelon field algebra, reads off the same tuples and passes
+    verify.  verify rejects a span whose degree does not divide n, one that
+    is not a field, and a generator that fails to commute."""
     inst = matrix_bimodule(2, 2, 2, 3)
     gens = inst["gamma_generators"], inst["delta_generators"]
     rep = extract_field(2, 4, *gens)
-    fb = rep.field_basis
-    mixed = [fp.add(2, fp.mat(fb[0], 2), fp.mat(fb[-1], 2)).tuples(), *fb[1:]][::-1]
-    for basis in (fb, mixed):
-        hand = linearize.FieldReport(2, 4, basis, rep.order, rep.vs_dimension, rep.k_basis_of_v)
-        assert hand.field_algebra() == rep.field_algebra()
-        assert hand.verify(*gens)
-    for order, dim, match in ((rep.order * 2, rep.vs_dimension, "reported order"), (rep.order, 1, "n != k")):
-        with pytest.raises(FieldTestFailure, match=match):
-            linearize.FieldReport(2, 4, rep.field_basis, order, dim, rep.k_basis_of_v).verify(*gens)
+    fb = [fp.mat(b, 2) for b in rep.field_basis]
+    hand = _hand_report(2, 4, [fp.add(2, fb[0], fb[-1]), *fb[1:]][::-1], rep.k_basis)
+    assert hand.field_algebra == rep.field_algebra
+    assert (hand.order, hand.vs_dimension, hand.field_basis, hand.k_basis_of_v) == (
+        rep.order, rep.vs_dimension, rep.field_basis, rep.k_basis_of_v
+    )
+    assert hand.verify(*gens)
+    with pytest.raises(FieldTestFailure, match="^field degree does not divide the dimension$"):
+        _hand_report(2, 4, [E(4, 0, 0), E(4, 1, 1)]).verify(*gens)  # span{I, E00, E11}
+    with pytest.raises(FieldTestFailure, match="^field algebra fails the field certificate$"):
+        _hand_report(2, 4, [E(4, 0, 0)]).verify(*gens)  # span{I, E00}
     with pytest.raises(FieldTestFailure, match="fails to commute"):
-        linearize.FieldReport(2, 4, rep.field_basis, rep.order, rep.vs_dimension, rep.k_basis_of_v).verify(
-            gens[0], [*gens[1], E(4, 0, 1)]
-        )
+        rep.verify(gens[0], [*gens[1], E(4, 0, 1)])
 
 
 def test_restricted_rejects_a_map_out_of_the_line():
@@ -688,7 +701,7 @@ def _assert_joint_commutant(rep, inst):
     """Schur's lemma: the joint commutant of an irreducible action is the
     coefficient field, so the constructed field must equal it."""
     gens = list(inst["gamma_generators"]) + list(inst["delta_generators"])
-    assert rep.field_algebra().basis == centralizer(gens, p=rep.p, n=rep.n).basis
+    assert rep.field_algebra.basis == centralizer(gens, p=rep.p, n=rep.n).basis
 
 
 GROUND_TRUTH_CASES = [(2, 1, 2, 0), (2, 2, 1, 0), (3, 1, 2, 5), (2, 1, 3, 11), (3, 3, 2, 0), (2, 4, 2, 0)]
@@ -800,6 +813,32 @@ def test_extract_field_runs_each_step_once(p, k, m, seed, monkeypatch):
     }
 
 
+@pytest.mark.parametrize("p, k, m, seed", [(2, 2, 2, 1), (2, 4, 2, 3), (3, 1, 2, 5)])
+def test_extract_field_checks_each_report_fact_once(p, k, m, seed, monkeypatch):
+    """The field algebra of the report is checked once per call for each
+    of: closure under products, is_field, commutativity (inside is_field)
+    and commuting with the generator families."""
+    seen = {"closure": [], "is_field": [], "commutative": [], "commutes_with_generators": []}
+    products, noncommuting, field_test = fp.products, fp.noncommuting, linearize.is_field
+
+    def counted_products(p, xs, ys):
+        if xs is ys:
+            seen["closure"].append(ys)
+        return products(p, xs, ys)
+
+    def counted_noncommuting(p, xs, ys):
+        seen["commutative" if xs is ys else "commutes_with_generators"].append(ys)
+        return noncommuting(p, xs, ys)
+
+    monkeypatch.setattr(fp, "products", counted_products)
+    monkeypatch.setattr(fp, "noncommuting", counted_noncommuting)
+    monkeypatch.setattr(linearize, "is_field", lambda alg: seen["is_field"].append(alg.basis) or field_test(alg))
+    inst = matrix_bimodule(p, k, m, seed)
+    rep = extract_field(p, k * m, inst["gamma_generators"], inst["delta_generators"])
+    field = rep.field_algebra.basis
+    assert {name: sum(tuple(ys) == field for ys in calls) for name, calls in seen.items()} == dict.fromkeys(seen, 1)
+
+
 # sha256 over the reports below, computed at the commit before lines
 # walked one map per K-line; every later route must keep these bytes
 REPORTS_SHA256 = "e1f7295c8a4d4ab973d3a664878d2fbfc0ae0e3455cab910edb0e7a448dd3dbb"
@@ -856,7 +895,7 @@ def test_base_case_consistency():
         fp.is_invertible(2, m) for m in galg.elements() if any(m.rows)
     )
     rep = extract_field(2, 2, inst["gamma_generators"], inst["delta_generators"])
-    kalg = rep.field_algebra()
+    kalg = rep.field_algebra
     assert kalg.basis == galg.basis
     dalg = centralizer(galg.basis, p=2, n=2)
     assert dalg.basis == galg.basis
